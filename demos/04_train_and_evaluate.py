@@ -51,7 +51,7 @@ print(f"best epoch by validation average: {result.best_epoch}")
 
 # ── 3. evaluate the best checkpoint on the held-out split ────────────────────
 model.restore(result.best_params)
-scores = evaluate(model, test_v)
+scores, _ = evaluate(model, test_v)
 for task, s in sorted(scores.items()):
     print(f"test {task:<9} accuracy={s.accuracy:.3f} "
           f"balanced_accuracy={s.balanced_accuracy:.3f} (n={s.n})")

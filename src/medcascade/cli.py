@@ -18,6 +18,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
+from .atomic import write_atomic
 from .config import PipelineConfig, load_config
 from .corpus import (CorpusManifest, load_corpus, manifest_path_for, scrub_records,
                      stratified_split, write_corpus)
@@ -52,20 +53,15 @@ def _hash_inputs(*parts) -> str:
 def _up_to_date(state_path: str, input_hash: str, outputs: list[str]) -> bool:
     if not os.path.exists(state_path) or not all(os.path.exists(p) for p in outputs):
         return False
-    with open(state_path, encoding="utf-8") as fh:
-        return json.load(fh).get("input_hash") == input_hash
+    try:
+        with open(state_path, encoding="utf-8") as fh:
+            return json.load(fh).get("input_hash") == input_hash
+    except (OSError, ValueError, AttributeError):  # unreadable state: stale
+        return False
 
 
 def _write_state(state_path: str, input_hash: str) -> None:
-    _atomic_write(state_path, json.dumps({"input_hash": input_hash}) + "\n")
-
-
-def _atomic_write(path: str, payload: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    write_atomic(state_path, json.dumps({"input_hash": input_hash}) + "\n")
 
 
 def _require(path: str, produced_by: str) -> str:
@@ -105,7 +101,6 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     records = scrub_records(records)
     parts = stratified_split(records, cfg.split.ratios, cfg.split.seed,
                              stratify_task=cfg.split.stratify_task)
-    os.makedirs(cfg.splits_dir(), exist_ok=True)
     for part_name, part_records in zip(SPLITS, parts):
         part_manifest = CorpusManifest(
             vocab=manifest.vocab, record_count=len(part_records),
@@ -202,7 +197,6 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
                               seed=cfg.model.seed, pooling=cfg.model.pooling,
                               **cfg.model.toy)
     train_cfg = cfg.train
-    os.makedirs(cell_dir, exist_ok=True)
     result = None
     if fine_tuned:
         adapters = encoder.build_adapters(cfg.adapter.rank, cfg.adapter.alpha,
@@ -215,27 +209,27 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         val_variant = load_variant(cfg.variants_dir(), condition, "val")
         result = train(model, train_variant, val_variant, train_cfg)
         model.restore(result.best_params)
-        _atomic_write(os.path.join(cell_dir, "trainlog.csv"), result.log.to_csv())
+        write_atomic(os.path.join(cell_dir, "trainlog.csv"), result.log.to_csv())
     else:
         model = MultiTaskModel.build(encoder, vocab, tasks=train_cfg.tasks,
                                      head_seed=cfg.model.head_seed)
 
     test_variant = load_variant(cfg.variants_dir(), condition, "test")
-    scores = evaluate(model, test_variant, tasks=train_cfg.tasks)
+    scores, preds = evaluate(model, test_variant, tasks=train_cfg.tasks)
 
     save_adapter_set(os.path.join(cell_dir, "checkpoint.npz"), model.encoder.adapters,
                      heads=model.heads,
                      extra_meta={"model_id": model_id, "condition": condition, "arm": arm})
-    _atomic_write(os.path.join(cell_dir, "predictions.jsonl"),
-                  prediction_dump(model, test_variant, tasks=train_cfg.tasks))
+    write_atomic(os.path.join(cell_dir, "predictions.jsonl"),
+                 prediction_dump(model, test_variant, preds, tasks=train_cfg.tasks))
     scores_payload = {
         "model_id": model_id, "condition": condition, "fine_tuned": fine_tuned,
         "best_epoch": result.best_epoch if result else None,
         "tasks": {t: s.to_json() for t, s in scores.items()},
     }
-    _atomic_write(os.path.join(cell_dir, "scores.json"),
-                  json.dumps(scores_payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-    _atomic_write(os.path.join(cell_dir, "manifest.json"), run_manifest(train_cfg, {
+    write_atomic(os.path.join(cell_dir, "scores.json"),
+                 json.dumps(scores_payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    write_atomic(os.path.join(cell_dir, "manifest.json"), run_manifest(train_cfg, {
         "pipeline_config": cfg.to_json(), "model_id": model_id, "condition": condition,
         "arm": arm, "input_hash": input_hash,
         "steps_taken": result.steps_taken if result else 0,

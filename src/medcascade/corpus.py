@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ClassTooSmall, DuplicateId, MalformedRecord, UnknownLabel
 
 GENDERS = ("male", "female", "unspecified")
-TASKS = ("diagnosis", "type", "severity")
 AGE_RANGE = (0, 130)
 SCHEMA_VERSION = 1
 
@@ -198,24 +198,12 @@ def load_corpus(path: str, format: str = "jsonl",
 def write_corpus(path: str, records: list[ComplaintRecord], manifest: CorpusManifest,
                  manifest_path: str | None = None) -> None:
     """Write JSONL + manifest sidecar atomically (temp file + rename)."""
-    manifest = replace_manifest_count(manifest, len(records))
+    manifest = replace(manifest, record_count=len(records))
     payload = "".join(json.dumps(r.to_json(), ensure_ascii=False, sort_keys=True) + "\n"
                       for r in records)
-    _atomic_write(path, payload)
-    _atomic_write(manifest_path or manifest_path_for(path),
-                  json.dumps(manifest.to_json(), ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-
-
-def replace_manifest_count(manifest: CorpusManifest, count: int) -> CorpusManifest:
-    return CorpusManifest(vocab=manifest.vocab, record_count=count,
-                          schema_version=manifest.schema_version, split=manifest.split)
-
-
-def _atomic_write(path: str, payload: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    write_atomic(path, payload)
+    write_atomic(manifest_path or manifest_path_for(path),
+                 json.dumps(manifest.to_json(), ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
 def corpus_hash(records: list[ComplaintRecord]) -> str:
@@ -307,7 +295,9 @@ def scrub_records(records: list[ComplaintRecord]) -> list[ComplaintRecord]:
     return [replace(r, text=scrub_pii(r.text)) for r in records]
 
 
-def label_counts(records: list[ComplaintRecord], task: str) -> dict[str, int]:
+def label_counts(records, task: str) -> dict[str, int]:
+    """Count per label of ``task`` over records or variant examples, in order
+    of first appearance; missing labels are skipped."""
     counts: dict[str, int] = {}
     for r in records:
         label = r.labels.get(task)

@@ -17,6 +17,7 @@ collects adapter gradients along the way, and discards everything else.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -25,8 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
+from .atomic import write_atomic
 from .errors import EncoderUnavailable, ShapeMismatch
-from .lora import AdapterSet, DEFAULT_TARGET_PATTERNS, dropout_mask, init_adapter
+from .lora import (AdapterSet, DEFAULT_TARGET_PATTERNS, adapter_backward, adapter_delta,
+                   init_adapter)
 from .tokenizers import HashWordTokenizer, WordPieceTokenizer
 
 NEG_INF = -1e30
@@ -169,9 +172,6 @@ class NumpyTransformerEncoder:
                     f"adapter {name!r} is ({a.d_out},{a.d_in}), weight is {shapes[name]}")
         self.adapters = adapters
 
-    def detach_adapters(self) -> None:
-        self.adapters = AdapterSet()
-
     def base_state_bytes(self) -> bytes:
         """Digest of all frozen parameters; used to verify the freeze contract."""
         h = hashlib.sha256()
@@ -184,18 +184,12 @@ class NumpyTransformerEncoder:
 
     def _linear(self, name: str, x: np.ndarray, training: bool, rng, cache: list):
         y = x @ self.params[f"{name}.W"].T + self.params[f"{name}.b"]
-        entry = {"name": name, "x": x}
+        entry = {"name": name}
         adapter = self.adapters.adapters.get(name)
         if adapter is not None:
-            xd, mask = x, None
-            if training and adapter.dropout_rate > 0.0:
-                if rng is None:
-                    raise ValueError("training-mode forward with adapter dropout needs an rng")
-                mask = dropout_mask(x.shape, adapter.dropout_rate, rng)
-                xd = x * mask
-            z = xd @ adapter.A.T
-            y = y + adapter.scaling * (z @ adapter.B.T)
-            entry.update(xd=xd, z=z, drop_mask=mask, adapter=adapter)
+            delta, saved = adapter_delta(adapter, x, training, rng)
+            y = y + delta
+            entry.update(adapter=adapter, saved=saved)
         cache.append(entry)
         return y
 
@@ -204,14 +198,7 @@ class NumpyTransformerEncoder:
         dx = dy @ self.params[f"{name}.W"]
         adapter = entry.get("adapter")
         if adapter is not None:
-            scale = adapter.scaling
-            dyf = dy.reshape(-1, adapter.d_out)
-            dB = scale * dyf.T @ entry["z"].reshape(-1, adapter.rank)
-            dz = scale * (dy @ adapter.B)
-            dA = dz.reshape(-1, adapter.rank).T @ entry["xd"].reshape(-1, adapter.d_in)
-            dxd = dz @ adapter.A
-            if entry["drop_mask"] is not None:
-                dxd = dxd * entry["drop_mask"]
+            dxd, dA, dB = adapter_backward(adapter, dy, entry["saved"])
             dx = dx + dxd
             g = self._adapter_grads.setdefault(name, {"A": np.zeros_like(adapter.A),
                                                       "B": np.zeros_like(adapter.B)})
@@ -361,11 +348,11 @@ class NumpyTransformerEncoder:
     # -- persistence -------------------------------------------------------
 
     def save_base(self, directory) -> None:
-        os.makedirs(directory, exist_ok=True)
-        cfg = self.config.__dict__.copy()
-        with open(os.path.join(directory, "config.json"), "w", encoding="utf-8") as fh:
-            json.dump(cfg, fh, sort_keys=True, indent=2)
-        np.savez(os.path.join(directory, "weights.npz"), **self.params)
+        write_atomic(os.path.join(directory, "config.json"),
+                     json.dumps(self.config.__dict__, sort_keys=True, indent=2))
+        buf = io.BytesIO()
+        np.savez(buf, **self.params)
+        write_atomic(os.path.join(directory, "weights.npz"), buf.getvalue())
 
     @classmethod
     def from_pretrained_dir(cls, directory, pooling: str = "cls") -> "NumpyTransformerEncoder":

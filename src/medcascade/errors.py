@@ -81,6 +81,10 @@ class EmptySourceText(UserError):
     pass
 
 
+class CorruptBundle(UserError):
+    pass
+
+
 # variants
 class MissingBundle(UserError):
     def __init__(self, record_id):

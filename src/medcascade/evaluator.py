@@ -15,6 +15,7 @@ from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import EmptyInput, LengthMismatch, VocabMismatch
 from .trainer import MultiTaskModel, predict
 from .variants import DatasetVariant
@@ -87,9 +88,13 @@ def confusion_matrix(preds, golds, n_classes: int) -> list[list[int]]:
     return matrix
 
 
-def evaluate(model: MultiTaskModel, dataset: DatasetVariant,
-             tasks=None) -> dict[str, TaskScores]:
-    """Score one model on one variant; deterministic in its inputs."""
+def evaluate(model: MultiTaskModel, dataset: DatasetVariant, tasks=None,
+             ) -> tuple[dict[str, TaskScores], dict[str, dict[str, np.ndarray]]]:
+    """Score one model on one variant; deterministic in its inputs.
+
+    Returns the scores and the predictions they were computed from, so the
+    prediction dump can reuse them instead of running the model again.
+    """
     tasks = tuple(tasks) if tasks else model.tasks
     if not dataset.examples:
         raise EmptyInput("dataset has no examples")
@@ -110,14 +115,14 @@ def evaluate(model: MultiTaskModel, dataset: DatasetVariant,
             n=len(golds),
             confusion=confusion_matrix(task_preds, golds, len(vocab)),
         )
-    return scores
+    return scores, preds
 
 
-def prediction_dump(model: MultiTaskModel, dataset: DatasetVariant, tasks=None) -> str:
-    """JSONL audit dump: one line per (record, task) with pred and gold labels."""
+def prediction_dump(model: MultiTaskModel, dataset: DatasetVariant,
+                    preds: dict[str, dict[str, np.ndarray]], tasks=None) -> str:
+    """JSONL audit dump of ``evaluate``'s predictions: one line per
+    (record, task) with pred and gold labels."""
     tasks = tuple(tasks) if tasks else model.tasks
-    texts = [ex.input_text for ex in dataset.examples]
-    preds = predict(model, texts)
     lines = []
     for i, ex in enumerate(dataset.examples):
         for task in tasks:
@@ -172,13 +177,12 @@ def render_report(cells: list[ReportCell], out_dir: str) -> tuple[str, str]:
     """
     if not cells:
         raise EmptyInput("no report cells")
-    os.makedirs(out_dir, exist_ok=True)
 
     grid = {"note": METRIC_NOTE,
             "cells": [c.to_json() for c in sorted(
                 cells, key=lambda c: (c.condition, c.model_id, not c.fine_tuned))]}
     json_path = os.path.join(out_dir, "report.json")
-    _atomic(json_path, json.dumps(grid, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    write_atomic(json_path, json.dumps(grid, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
     by_key = {(c.model_id, c.condition, c.fine_tuned): c for c in cells}
     model_ids = sorted({c.model_id for c in cells})
@@ -207,7 +211,7 @@ def render_report(cells: list[ReportCell], out_dir: str) -> tuple[str, str]:
                     [group_name, model_id] + _row_cells(ft) + _row_cells(wo)) + " |")
         md.append("")
     md_path = os.path.join(out_dir, "report.md")
-    _atomic(md_path, "\n".join(md) + "\n")
+    write_atomic(md_path, "\n".join(md) + "\n")
     return json_path, md_path
 
 
@@ -215,10 +219,3 @@ def _row_cells(cell: ReportCell | None) -> list[str]:
     if cell is None or "type" not in cell.tasks or "severity" not in cell.tasks:
         return ["-", "-", "-"]
     return [f"{cell.percent('type')}%", f"{cell.percent('severity')}%", f"{cell.avg()}%"]
-
-
-def _atomic(path: str, payload: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)

@@ -1,12 +1,14 @@
-"""Uniform LLM access: retries, rate limiting, on-disk response cache, and a
-deterministic mock backend.
+"""Uniform LLM access: on-disk response cache, retries, rate limiting for
+live backends, and a deterministic mock backend.
 
 The mock backend understands three prompt sentinels (``REFINE:``,
 ``SUMMARIZE:``, ``NER:``) and applies a fixed pure transformation to the
 payload after the sentinel, so every downstream stage is reproducible without
 network access.  Live backends speak chat/completions-style HTTP JSON;
 endpoint and key come from config with environment overrides
-(``MEDCASCADE_LLM_URL``, ``MEDCASCADE_LLM_KEY``).
+(``MEDCASCADE_LLM_URL``, ``MEDCASCADE_LLM_KEY``).  Only live backends get a
+token-bucket rate limiter (``rate_per_sec``/``burst``); the mock runs in-process
+and is never paced.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .atomic import write_atomic
 from .errors import (AuthError, BackendUnavailable, ResponseEmpty, UnknownBackend,
                      UnknownSentinel)
 
@@ -57,45 +60,32 @@ def cache_key(req: CompletionRequest) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class CacheEntry:
-    key: str
-    response: str
-    created_at: float
-
-
 class ResponseCache:
     """Content-addressed on-disk cache, one JSON file per key.
 
     Writes go through temp + rename, so concurrent writers can at worst
-    duplicate work, never corrupt an entry.
+    duplicate work, never corrupt an entry.  An entry that cannot be read
+    (truncated, not JSON) is a miss, and the next ``put`` overwrites it.
     """
 
     def __init__(self, directory: str):
         self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
 
     def get(self, key: str) -> str | None:
-        path = self._path(key)
-        if not os.path.exists(path):
+        try:
+            with open(self._path(key), encoding="utf-8") as fh:
+                return json.load(fh)["response"]
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)["response"]
 
     def put(self, key: str, response: str, req: CompletionRequest) -> None:
         entry = {"key": key, "response": response, "created_at": time.time(),
                  "request": {"prompt": req.prompt, "max_output_tokens": req.max_output_tokens,
                              "temperature": req.temperature, "backend_id": req.backend_id}}
-        tmp = self._path(key) + f".tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, ensure_ascii=False, sort_keys=True)
-        os.replace(tmp, self._path(key))
-
-    def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
+        write_atomic(self._path(key), json.dumps(entry, ensure_ascii=False, sort_keys=True))
 
 
 class TokenBucket:
@@ -286,14 +276,16 @@ class RetryPolicy:
 
 
 class Gateway:
-    """Front door for completions: cache -> rate limit -> backend with retries."""
+    """Front door for completions: cache -> rate limit -> backend with retries.
+
+    With ``rate_limiter=None`` (the default) backend calls are not paced."""
 
     def __init__(self, cache: ResponseCache | None = None,
                  rate_limiter: TokenBucket | None = None,
                  retry: RetryPolicy | None = None, sleep=time.sleep):
         self.backends: dict[str, object] = {}
         self.cache = cache
-        self.rate_limiter = rate_limiter or TokenBucket()
+        self.rate_limiter = rate_limiter
         self.retry = retry or RetryPolicy()
         self.sleep = sleep
         self.backend_calls = 0
@@ -321,7 +313,8 @@ class Gateway:
                 self.cache_hits += 1
                 return cached
 
-        self.rate_limiter.acquire()
+        if self.rate_limiter is not None:
+            self.rate_limiter.acquire()
         delays = self.retry.delays()
         last_error: Exception | None = None
         for attempt in range(self.retry.max_retries + 1):
@@ -362,22 +355,20 @@ class GatewayConfig:
     api_key: str = ""
     model: str = ""
     cache_dir: str = ""
-    rate_per_sec: float = 50.0
-    burst: float = 10.0
+    rate_per_sec: float = 50.0            # rate_per_sec and burst pace live
+    burst: float = 10.0                   # backends only, never the mock
     max_retries: int = 3
     backoff_base: float = 0.5
     backoff_cap: float = 8.0
     lexicon_path: str = ""
-    extra: dict = field(default_factory=dict)
 
 
 def build_gateway(cfg: GatewayConfig) -> Gateway:
-    """Assemble a gateway from config; env vars override url/key for live backends."""
+    """Assemble a gateway from config; live backends get a rate limiter and env url/key."""
     cache = ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
-    limiter = TokenBucket(cfg.rate_per_sec, cfg.burst)
     retry = RetryPolicy(max_retries=cfg.max_retries, base_delay=cfg.backoff_base,
                         max_delay=cfg.backoff_cap)
-    gw = Gateway(cache=cache, rate_limiter=limiter, retry=retry)
+    gw = Gateway(cache=cache, retry=retry)
     if cfg.backend == "mock":
         lexicon = load_symptom_lexicon(cfg.lexicon_path) if cfg.lexicon_path else None
         gw.register_backend(MockBackend(lexicon))
@@ -387,6 +378,7 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
         if not url:
             raise UnknownBackend(f"live backend {cfg.backend!r} needs a url "
                                  f"(config gateway.url or ${ENV_URL})")
+        gw.rate_limiter = TokenBucket(cfg.rate_per_sec, cfg.burst)
         if cfg.backend == "openai":
             gw.register_backend(OpenAIChatBackend(cfg.backend, url, key, cfg.model))
         else:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import RankTooLarge, ShapeMismatch
 
 DEFAULT_RANK = 16
@@ -63,7 +64,6 @@ class AdapterSet:
     """All adapters of a model, keyed by the weight matrix they adapt."""
 
     adapters: dict[str, LoraAdapter] = field(default_factory=dict)
-    frozen_base: bool = True
 
     def __iter__(self):
         return iter(self.adapters.items())
@@ -110,24 +110,45 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return keep / (1.0 - rate)
 
 
-def adapted_forward(adapter: LoraAdapter, base_output: np.ndarray, x: np.ndarray,
-                    training: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
-    """base_output + (alpha/r) * B (A d(x)).
+def adapter_delta(adapter: LoraAdapter, x: np.ndarray, training: bool = False,
+                  rng: np.random.Generator | None = None) -> tuple[np.ndarray, tuple]:
+    """(alpha/r) * B (A d(x)), plus the values :func:`adapter_backward` needs.
 
     ``d`` is inverted dropout on x when ``training`` and the adapter has a
     nonzero dropout rate; identity otherwise.  Accepts single vectors or any
     batch of vectors along leading axes.
     """
+    mask = None
+    if training and adapter.dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("training-mode adapter forward with dropout needs an rng")
+        mask = dropout_mask(x.shape, adapter.dropout_rate, rng)
+        x = x * mask
+    z = x @ adapter.A.T
+    return adapter.scaling * (z @ adapter.B.T), (x, z, mask)
+
+
+def adapter_backward(adapter: LoraAdapter, dy: np.ndarray, saved: tuple) -> tuple:
+    """Gradients (dx, dA, dB) of the adapter delta, given d(delta) = ``dy``."""
+    xd, z, mask = saved
+    scale = adapter.scaling
+    dB = scale * dy.reshape(-1, adapter.d_out).T @ z.reshape(-1, adapter.rank)
+    dz = scale * (dy @ adapter.B)
+    dA = dz.reshape(-1, adapter.rank).T @ xd.reshape(-1, adapter.d_in)
+    dx = dz @ adapter.A
+    if mask is not None:
+        dx = dx * mask
+    return dx, dA, dB
+
+
+def adapted_forward(adapter: LoraAdapter, base_output: np.ndarray, x: np.ndarray,
+                    training: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
+    """base_output + (alpha/r) * B (A d(x)); see :func:`adapter_delta`."""
     base_output = np.asarray(base_output, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_vector_dim("x", x, adapter.d_in)
     _check_vector_dim("base_output", base_output, adapter.d_out)
-    if training and adapter.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training-mode adapted_forward with dropout needs an rng")
-        x = x * dropout_mask(x.shape, adapter.dropout_rate, rng)
-    delta = (x @ adapter.A.T) @ adapter.B.T
-    return base_output + adapter.scaling * delta
+    return base_output + adapter_delta(adapter, x, training, rng)[0]
 
 
 def merge(adapter: LoraAdapter, W: np.ndarray) -> np.ndarray:
@@ -160,7 +181,6 @@ def save_adapter_set(path, adapters: AdapterSet, heads: dict[str, dict[str, np.n
     meta = {
         "format": "medcascade-adapters",
         "version": 1,
-        "frozen_base": adapters.frozen_base,
         "adapters": {},
         "heads": sorted(heads) if heads else [],
     }
@@ -182,8 +202,7 @@ def save_adapter_set(path, adapters: AdapterSet, heads: dict[str, dict[str, np.n
     arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def load_adapter_set(path) -> tuple[AdapterSet, dict[str, dict[str, np.ndarray]], dict]:
@@ -192,7 +211,7 @@ def load_adapter_set(path) -> tuple[AdapterSet, dict[str, dict[str, np.ndarray]]
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         if meta.get("format") != "medcascade-adapters":
             raise ValueError(f"{path} is not an adapter checkpoint")
-        adapters = AdapterSet(frozen_base=meta["frozen_base"])
+        adapters = AdapterSet()
         for key, info in meta["adapters"].items():
             adapters.adapters[info["target_name"]] = LoraAdapter(
                 A=data[f"{key}.A"], B=data[f"{key}.B"], rank=info["rank"],

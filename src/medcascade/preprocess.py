@@ -23,8 +23,9 @@ import re
 from dataclasses import dataclass, field
 
 from .corpus import ComplaintRecord, scrub_pii
-from .errors import (EmptySourceText, MedcascadeError, ParseFailure, RefusalDetected,
-                     ResponseEmpty)
+from .atomic import write_atomic
+from .errors import (CorruptBundle, EmptySourceText, MedcascadeError, ParseFailure,
+                     RefusalDetected, ResponseEmpty)
 from .gateway import CompletionRequest, Gateway
 
 logger = logging.getLogger(__name__)
@@ -132,17 +133,13 @@ def _ask(gw: Gateway, backend_id: str, prompt: str, max_output_tokens: int = 512
     return gw.complete(req)
 
 
-def _style_for(gw: Gateway, backend_id: str) -> str:
-    return gw.prompt_style(backend_id)
-
-
 def refine(record: ComplaintRecord, gw: Gateway, backend_id: str = "mock",
            prompts: PromptLibrary | None = None,
            refusal_phrases=DEFAULT_REFUSAL_PHRASES) -> str:
     """Cleaned restatement of the complaint, medical content preserved."""
     text = _source_text(record)
     prompts = prompts or PromptLibrary()
-    out = _ask(gw, backend_id, prompts.render(_style_for(gw, backend_id), "refine", text))
+    out = _ask(gw, backend_id, prompts.render(gw.prompt_style(backend_id), "refine", text))
     if _is_refusal(out, refusal_phrases):
         raise RefusalDetected(f"record {record.id!r}: refine output looks like a refusal")
     return out.strip()
@@ -154,7 +151,7 @@ def summarize(record: ComplaintRecord, gw: Gateway, backend_id: str = "mock",
     """Compressed complaint; never longer than the source (clamped post-hoc)."""
     text = _source_text(record)
     prompts = prompts or PromptLibrary()
-    out = _ask(gw, backend_id, prompts.render(_style_for(gw, backend_id), "summarize", text))
+    out = _ask(gw, backend_id, prompts.render(gw.prompt_style(backend_id), "summarize", text))
     if _is_refusal(out, refusal_phrases):
         raise RefusalDetected(f"record {record.id!r}: summary output looks like a refusal")
     out = out.strip()
@@ -235,7 +232,7 @@ def extract_entities(record: ComplaintRecord, gw: Gateway, backend_id: str = "mo
     """
     text = _source_text(record)
     prompts = prompts or PromptLibrary()
-    prompt = prompts.render(_style_for(gw, backend_id), "ner", text)
+    prompt = prompts.render(gw.prompt_style(backend_id), "ner", text)
     for attempt in range(2):
         try:
             out = _ask(gw, backend_id, prompt)
@@ -280,18 +277,18 @@ class BundleStore:
         return os.path.exists(self.path_for(record_id))
 
     def save(self, bundle: PreprocessBundle) -> None:
-        path = self.path_for(bundle.record_id)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(bundle.to_json(), fh, ensure_ascii=False, sort_keys=True, indent=2)
-        os.replace(tmp, path)
+        write_atomic(self.path_for(bundle.record_id),
+                     json.dumps(bundle.to_json(), ensure_ascii=False, sort_keys=True, indent=2))
 
     def load(self, record_id: str) -> PreprocessBundle | None:
         path = self.path_for(record_id)
         if not os.path.exists(path):
             return None
-        with open(path, encoding="utf-8") as fh:
-            return PreprocessBundle.from_json(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return PreprocessBundle.from_json(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise CorruptBundle(f"bundle {path} is unreadable: {type(e).__name__}: {e}") from e
 
     def store_hash(self) -> str:
         h = hashlib.sha256()
@@ -329,7 +326,7 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway, resume: bool = False
     store = store or BundleStore("bundles")
     prompts = prompts or PromptLibrary()
     ledger_path = ledger_path or os.path.join(store.directory, "failures.jsonl")
-    style = _style_for(gw, backend_id)
+    style = gw.prompt_style(backend_id)
     hashes = prompts.hashes(style)
 
     bundles: list[PreprocessBundle] = []

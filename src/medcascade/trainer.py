@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import label_counts
 from .errors import EmptyClass, IndexOutOfVocab, NonFiniteLoss, VocabMismatch
 from .lora import count_trainable
 from .variants import DatasetVariant
@@ -26,19 +27,19 @@ DEFAULT_TASKS = ("type", "severity")
 
 # -- loss ---------------------------------------------------------------------
 
-def class_weights(label_counts: dict[str, int]) -> dict[str, float]:
+def class_weights(counts: dict[str, int]) -> dict[str, float]:
     """Inverse-frequency weights: w(c) = N / (K * count(c)).
 
     Mean weight is exactly 1 when classes are balanced.
     """
-    if not label_counts:
+    if not counts:
         raise EmptyClass("no classes given")
-    for cls, count in label_counts.items():
+    for cls, count in counts.items():
         if count < 1:
             raise EmptyClass(f"class {cls!r} has count {count}")
-    total = sum(label_counts.values())
-    k = len(label_counts)
-    return {cls: total / (k * count) for cls, count in label_counts.items()}
+    total = sum(counts.values())
+    k = len(counts)
+    return {cls: total / (k * count) for cls, count in counts.items()}
 
 
 def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,11 +335,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
         weight_maps, weights = {}, {}
         for task in cfg.tasks:
             vocab = model.task_vocabs[task]
-            counts: dict[str, int] = {}
-            for ex in train_set.examples:
-                label = ex.labels.get(task)
-                counts[label] = counts.get(label, 0) + 1
-            wmap = class_weights(counts)
+            wmap = class_weights(label_counts(train_set.examples, task))
             weight_maps[task] = wmap
             weights[task] = np.asarray([wmap.get(cls, 1.0) for cls in vocab])
 

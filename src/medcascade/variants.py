@@ -13,6 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .atomic import write_atomic
 from .corpus import ComplaintRecord, LabelSet, corpus_hash, scrub_pii
 from .errors import MissingBundle
 from .preprocess import BundleStore
@@ -93,16 +94,11 @@ def variant_paths(directory: str, condition: str, split: str) -> tuple[str, str]
 def write_variant(variant: DatasetVariant, directory: str, split: str) -> str:
     """JSONL of examples plus a provenance sidecar; atomic."""
     data_path, sidecar_path = variant_paths(directory, variant.condition, split)
-    os.makedirs(os.path.dirname(data_path), exist_ok=True)
     payload = "".join(json.dumps(e.to_json(), ensure_ascii=False, sort_keys=True) + "\n"
                       for e in variant.examples)
-    for path, content in ((data_path, payload),
-                          (sidecar_path, json.dumps(variant.provenance, ensure_ascii=False,
-                                                    sort_keys=True, indent=2) + "\n")):
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
+    write_atomic(data_path, payload)
+    write_atomic(sidecar_path, json.dumps(variant.provenance, ensure_ascii=False,
+                                          sort_keys=True, indent=2) + "\n")
     return data_path
 
 

@@ -3,8 +3,10 @@ import os
 
 import pytest
 
-from medcascade.cli import main
+from medcascade import evaluator, trainer
+from medcascade.cli import _up_to_date, main
 from medcascade.synthetic import write_synthetic_corpus
+from medcascade.variants import load_variant
 
 
 @pytest.fixture
@@ -95,7 +97,52 @@ class TestIdempotence:
         assert "(0 gateway calls" in out
 
 
+    @pytest.mark.parametrize("state", [b'{"input_ha', b"[]", b"\xff\xfe"],
+                             ids=["truncated", "not-object", "not-utf8"])
+    def test_unreadable_state_is_stale(self, tmp_path, state):
+        path = tmp_path / ".state.json"
+        path.write_bytes(state)
+        assert not _up_to_date(str(path), "abc", [])
+
+    def test_ingest_redoes_work_when_state_is_truncated(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        state = workspace / "work" / "splits" / ".state.json"
+        state.write_text('{"input_hash": "ab', encoding="utf-8")
+        capsys.readouterr()
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert json.loads(state.read_text(encoding="utf-8"))["input_hash"]
+
+
+class TestPredictionPass:
+    @pytest.mark.parametrize("arm", [[], ["--no-finetune"]], ids=["finetuned", "frozen"])
+    def test_train_predicts_the_test_set_once(self, workspace, monkeypatch, arm):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        test_texts = [ex.input_text
+                      for ex in load_variant("work/variants", "normal", "test").examples]
+        on_test_set = []
+        for module in (trainer, evaluator):
+            def counting(model, texts, *args, _predict=module.predict, **kwargs):
+                on_test_set.append(list(texts) == test_texts)
+                return _predict(model, texts, *args, **kwargs)
+            monkeypatch.setattr(module, "predict", counting)
+        assert run("train", "--config", "cfg.json", "--condition", "normal", *arm) == 0
+        assert on_test_set.count(True) == 1
+
+
 class TestErrors:
+    def test_damaged_bundle_is_a_user_error(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("preprocess", "--config", "cfg.json") == 0
+        bundle = sorted((workspace / "work" / "bundles").glob("syn*.json"))[0]
+        bundle.write_text('{"record_id": ', encoding="utf-8")
+        capsys.readouterr()
+        assert run("variants", "--config", "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptBundle: ")
+        assert os.path.join("work", "bundles", bundle.name) in err
+
     def test_missing_config_file(self, workspace, capsys):
         assert run("ingest", "--config", "nope.json") == 1
         assert "ConfigInvalid" in capsys.readouterr().err

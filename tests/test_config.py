@@ -45,6 +45,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid):
             load_config(path)
 
+    def test_removed_gateway_extra_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gateway": {"extra": {}}}))
+        with pytest.raises(ConfigInvalid):
+            load_config(path)
+
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"train": {"epochs": 0}}))

@@ -4,6 +4,7 @@ import pytest
 from medcascade.encoder import (EncoderConfig, NumpyTransformerEncoder, build_toy_encoder,
                                 gelu, gelu_grad, resolve_encoder)
 from medcascade.errors import EncoderUnavailable, ShapeMismatch
+from medcascade.lora import adapted_forward
 from medcascade.tokenizers import HashWordTokenizer, WordPieceTokenizer
 
 
@@ -128,6 +129,22 @@ class TestAdapters:
         missing = AdapterSet({"layer.9.attn.query": init_adapter(16, 16, r=2)})
         with pytest.raises(ShapeMismatch):
             enc.attach_adapters(missing)
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_linear_is_lora_adapted_forward_bitwise(self, training):
+        enc = tiny_encoder()
+        adapters = enc.build_adapters(rank=2, alpha=4.0, dropout_rate=0.3, seed=9)
+        rng = np.random.default_rng(0)
+        for _, adapter in adapters:
+            adapter.B[:] = rng.normal(0, 0.3, adapter.B.shape)
+        enc.attach_adapters(adapters)
+        name = "layer.1.attn.value"
+        x = rng.normal(size=(3, 10, 16))
+        y = enc._linear(name, x, training, np.random.default_rng(5), [])
+        base = x @ enc.params[f"{name}.W"].T + enc.params[f"{name}.b"]
+        expected = adapted_forward(adapters[name], base, x, training=training,
+                                   rng=np.random.default_rng(5))
+        assert y.tobytes() == expected.tobytes()
 
     def _grad_check(self, pooling, dropout_rate=0.0):
         enc = tiny_encoder(pooling=pooling)

@@ -119,7 +119,7 @@ class TestEvaluate:
         variant = variant_from([("نص اول", "chronic", "mild"),
                                 ("نص ثاني", "acute", "severe"),
                                 ("نص ثالث", "chronic", "severe")])
-        scores = evaluate(toy_model(), variant)
+        scores, _ = evaluate(toy_model(), variant)
         for task_scores in scores.values():
             n = task_scores.n
             matrix = np.array(task_scores.confusion)
@@ -158,7 +158,9 @@ class TestEvaluate:
 
     def test_prediction_dump_schema(self):
         variant = variant_from([("نص", "chronic", "mild")])
-        dump = prediction_dump(toy_model(), variant)
+        model = toy_model()
+        _, preds = evaluate(model, variant)
+        dump = prediction_dump(model, variant, preds)
         rows = [json.loads(line) for line in dump.strip().splitlines()]
         assert {r["task"] for r in rows} == {"type", "severity"}
         assert all(set(r) == {"record_id", "task", "pred", "gold"} for r in rows)

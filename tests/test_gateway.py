@@ -1,5 +1,7 @@
 import json
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -119,6 +121,21 @@ class TestCache:
         cache.put(cache_key(r), "x", r)
         assert (tmp_path / f"{cache_key(r)}.json").exists()
         assert cache.get(cache_key(r)) == "x"
+
+    @pytest.mark.parametrize("damage", [b'{"key": "k", "resp', b"", b"\xff\xfe", b"null",
+                                        b'{"key": "k"}'],
+                             ids=["truncated", "empty", "not-utf8", "not-object", "no-response"])
+    def test_damaged_entry_is_a_miss_and_put_overwrites_it(self, tmp_path, damage):
+        gw = Gateway(cache=ResponseCache(tmp_path))
+        gw.register_backend(MockBackend())
+        r = req("REFINE: hello   there")
+        path = tmp_path / f"{cache_key(r)}.json"
+        path.write_bytes(damage)
+        assert gw.complete(r) == "hello there"
+        assert (gw.backend_calls, gw.cache_hits) == (1, 0)
+        assert json.loads(path.read_text(encoding="utf-8"))["response"] == "hello there"
+        assert gw.complete(r) == "hello there"
+        assert (gw.backend_calls, gw.cache_hits) == (1, 1)
 
 
 class FlakyBackend:
@@ -290,3 +307,29 @@ class TestBuildGateway:
     def test_unknown_backend_name(self):
         with pytest.raises(UnknownBackend):
             build_gateway(GatewayConfig(backend="mystery"))
+
+    def test_mock_has_no_limiter_and_never_sleeps(self, tmp_path):
+        gw = build_gateway(GatewayConfig(backend="mock", cache_dir=str(tmp_path / "c")))
+        assert gw.rate_limiter is None
+        slept = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg is time.sleep:
+                slept.append(arg)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for i in range(30):  # three times the default burst
+                gw.complete(req(f"REFINE: record {i}"))
+        finally:
+            sys.setprofile(previous)
+        assert gw.backend_calls == 30
+        assert slept == []
+
+    def test_live_backend_gets_the_configured_limiter(self, monkeypatch):
+        monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
+        gw = build_gateway(GatewayConfig(backend="openai", url="http://127.0.0.1:9/v1",
+                                         rate_per_sec=7.0, burst=3.0))
+        assert isinstance(gw.rate_limiter, TokenBucket)
+        assert (gw.rate_limiter.rate, gw.rate_limiter.capacity) == (7.0, 3.0)

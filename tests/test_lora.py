@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,20 @@ class TestCheckpoint:
             assert loaded[name].rank == adapter.rank
         assert np.array_equal(loaded_heads["type"]["W"], heads["type"]["W"])
         assert extra == {"note": "test"}
+
+    def test_loads_checkpoint_written_with_frozen_base_key(self, tmp_path):
+        name = "layer.0.attn.query"
+        adapters = AdapterSet({name: init_adapter(8, 8, r=2, seed=1, target_name=name)})
+        path = tmp_path / "ckpt.npz"
+        save_adapter_set(path, adapters)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        assert "frozen_base" not in meta
+        meta["frozen_base"] = True  # older checkpoints carry this key
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
+                                           dtype=np.uint8)
+        np.savez(path, **arrays)
+        loaded, heads, extra = load_adapter_set(path)
+        assert np.array_equal(loaded[name].A, adapters[name].A)
+        assert (heads, extra) == ({}, {})

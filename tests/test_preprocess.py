@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from medcascade.errors import EmptySourceText, ParseFailure, RefusalDetected
+from medcascade.errors import EmptySourceText, ParseFailure, RefusalDetected, UserError
 from medcascade.gateway import Gateway
 from medcascade.preprocess import (BundleStore, Entity, PreprocessBundle, PromptLibrary,
                                    extract_entities, parse_entities, refine, run_bundle,
@@ -189,6 +190,17 @@ class TestBundleStore:
         assert store.exists("p/1:x")
         assert store.load("p/1:x").record_id == "p/1:x"
         assert store.load("p_1_x") is None  # different id, different file
+
+    @pytest.mark.parametrize("damage", [b'{"record_id": "r1", "ref', b'{"record_id": "r1"}',
+                                        b"[]"], ids=["truncated", "missing-keys", "not-object"])
+    def test_damaged_bundle_is_a_user_error_naming_the_path(self, tmp_path, damage):
+        store = BundleStore(tmp_path / "bundles")
+        store.save(PreprocessBundle("r1", "a", "b", []))
+        path = store.path_for("r1")
+        with open(path, "wb") as fh:
+            fh.write(damage)
+        with pytest.raises(UserError, match=re.escape(path)):
+            store.load("r1")
 
     def test_store_hash_changes_with_content(self, tmp_path):
         store = BundleStore(tmp_path / "bundles")
