@@ -23,7 +23,7 @@ from .config import PipelineConfig, load_config
 from .corpus import (CorpusManifest, load_corpus, manifest_path_for, scrub_records,
                      stratified_split, write_corpus)
 from .encoder import resolve_encoder
-from .errors import MedcascadeError, MissingUpstreamArtifact, UserError
+from .errors import CorruptArtifact, MedcascadeError, MissingUpstreamArtifact, UserError
 from .evaluator import ReportCell, TaskScores, evaluate, prediction_dump, render_report
 from .gateway import build_gateway
 from .lora import save_adapter_set
@@ -68,6 +68,12 @@ def _require(path: str, produced_by: str) -> str:
     if not os.path.exists(path):
         raise MissingUpstreamArtifact(f"{path} not found; run `medcascade {produced_by}` first")
     return path
+
+
+def _preprocess_state(cfg: PipelineConfig) -> str:
+    # beside the bundle directory, not in it: the bundle store hashes every
+    # JSON file in its directory, and this state changes with the live url
+    return os.path.join(cfg.workdir, ".preprocess.state.json")
 
 
 def _split_path(cfg: PipelineConfig, part: str) -> str:
@@ -118,9 +124,11 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     backend = args.backend or cfg.gateway.backend
     prompts = PromptLibrary()
     gw_cfg = replace(cfg.gateway, backend=backend, cache_dir=cfg.cache_dir())
-    input_hash = _hash_inputs(*split_paths, backend,
+    gw = build_gateway(gw_cfg)
+    scope = getattr(gw.backend(backend), "scope", None)  # live url and model
+    input_hash = _hash_inputs(*split_paths, backend, scope,
                               prompts.hashes("sentinel"), prompts.hashes("instruct"))
-    state = os.path.join(cfg.bundles_dir(), ".state.json")
+    state = _preprocess_state(cfg)
     if _up_to_date(state, input_hash, [cfg.bundles_dir()]):
         print("preprocess: up to date (0 gateway calls)")
         return 0
@@ -129,7 +137,6 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     for part in SPLITS:
         part_records, _ = _load_split_records(cfg, part)
         records.extend(part_records)
-    gw = build_gateway(gw_cfg)
     store = BundleStore(cfg.bundles_dir())
     bundles = run_bundle(records, gw, resume=args.resume, store=store,
                          backend_id=gw_cfg.backend, prompts=prompts)
@@ -147,7 +154,7 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
     split_paths = [_require(_split_path(cfg, part), "ingest") for part in SPLITS]
     store = BundleStore(cfg.bundles_dir())
     if any(c != "normal" for c in conditions):
-        _require(os.path.join(cfg.bundles_dir(), ".state.json"), "preprocess")
+        _require(_preprocess_state(cfg), "preprocess")
     input_hash = _hash_inputs(*split_paths, store.store_hash(), sorted(conditions))
     state = os.path.join(cfg.variants_dir(), ".state.json")
     outputs = [variant_paths(cfg.variants_dir(), c, part)[0]
@@ -187,7 +194,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     cell_dir = os.path.join(cfg.runs_dir(), cell)
     relevant_cfg = {"adapter": cfg.to_json()["adapter"], "train": cfg.to_json()["train"],
                     "model": cfg.to_json()["model"], "arm": arm}
-    input_hash = _hash_inputs(*variant_files, relevant_cfg)
+    input_hash = _hash_inputs(*variant_files, manifest_path, relevant_cfg)
     state = os.path.join(cell_dir, ".state.json")
     if _up_to_date(state, input_hash, [os.path.join(cell_dir, "scores.json")]):
         print(f"train[{cell}]: up to date")
@@ -250,13 +257,16 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
         scores_path = os.path.join(runs_dir, entry, "scores.json")
         if not os.path.isfile(scores_path):
             continue
-        with open(scores_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        cells.append(ReportCell(
-            model_id=data["model_id"], condition=data["condition"],
-            fine_tuned=data["fine_tuned"],
-            tasks={t: TaskScores(**{k: v for k, v in s.items()})
-                   for t, s in data["tasks"].items()}))
+        try:
+            with open(scores_path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            cells.append(ReportCell(
+                model_id=data["model_id"], condition=data["condition"],
+                fine_tuned=data["fine_tuned"],
+                tasks={t: TaskScores(**{k: v for k, v in s.items()})
+                       for t, s in data["tasks"].items()}))
+        except CorruptArtifact.DECODE_ERRORS as e:
+            raise CorruptArtifact.at(scores_path, e) from e
     if not cells:
         raise MissingUpstreamArtifact(f"no scores.json under {runs_dir}; run `medcascade train`")
     json_path, md_path = render_report(cells, cfg.reports_dir())

@@ -81,7 +81,19 @@ class EmptySourceText(UserError):
     pass
 
 
-class CorruptBundle(UserError):
+class CorruptArtifact(UserError):
+    """A file the pipeline wrote earlier cannot be read back (truncated,
+    not JSON, missing keys); the message names the file."""
+
+    # what a damaged JSON file raises while it is decoded and unpacked
+    DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
+
+    @classmethod
+    def at(cls, path, error: Exception) -> "CorruptArtifact":
+        return cls(f"{path} is unreadable: {type(error).__name__}: {error}")
+
+
+class CorruptBundle(CorruptArtifact):
     pass
 
 
@@ -121,6 +133,10 @@ class VocabMismatch(UserError):
 
 class EncoderUnavailable(UserError):
     pass
+
+
+class VocabInvalid(UserError):
+    """A tokenizer vocabulary lacks a token the encoder needs."""
 
 
 # evaluator

@@ -52,11 +52,15 @@ class CompletionRequest:
             raise ValueError("reproducible requests require temperature 0")
 
 
-def cache_key(req: CompletionRequest) -> str:
-    """Stable content hash over (prompt, parameters, backend_id)."""
-    canon = json.dumps({"prompt": req.prompt, "max_output_tokens": req.max_output_tokens,
-                        "temperature": req.temperature, "backend_id": req.backend_id},
-                       sort_keys=True, ensure_ascii=False)
+def cache_key(req: CompletionRequest, scope: dict | None = None) -> str:
+    """Stable content hash over (prompt, parameters, backend_id) and, when
+    given, the backend's ``scope``: the settings that pick which model
+    answers (a live backend's url and model name)."""
+    fields = {"prompt": req.prompt, "max_output_tokens": req.max_output_tokens,
+              "temperature": req.temperature, "backend_id": req.backend_id}
+    if scope:
+        fields["scope"] = scope
+    canon = json.dumps(fields, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -225,6 +229,10 @@ class OpenAIChatBackend:
         self.model = model
         self.timeout = timeout
 
+    @property
+    def scope(self) -> dict:
+        return {"url": self.url, "model": self.model}
+
     def complete(self, req: CompletionRequest) -> str:
         body = {"model": self.model, "temperature": req.temperature,
                 "max_tokens": req.max_output_tokens,
@@ -247,6 +255,10 @@ class LlamaServerBackend:
         self.url = url
         self.api_key = api_key
         self.timeout = timeout
+
+    @property
+    def scope(self) -> dict:
+        return {"url": self.url}
 
     def complete(self, req: CompletionRequest) -> str:
         body = {"prompt": req.prompt, "temperature": req.temperature,
@@ -306,7 +318,7 @@ class Gateway:
     def complete(self, req: CompletionRequest) -> str:
         req.validate()
         backend = self.backend(req.backend_id)
-        key = cache_key(req)
+        key = cache_key(req, getattr(backend, "scope", None))
         if self.cache is not None:
             cached = self.cache.get(key)
             if cached is not None:

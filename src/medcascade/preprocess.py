@@ -287,8 +287,8 @@ class BundleStore:
         try:
             with open(path, encoding="utf-8") as fh:
                 return PreprocessBundle.from_json(json.load(fh))
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
-            raise CorruptBundle(f"bundle {path} is unreadable: {type(e).__name__}: {e}") from e
+        except CorruptBundle.DECODE_ERRORS as e:
+            raise CorruptBundle.at(path, e) from e
 
     def store_hash(self) -> str:
         h = hashlib.sha256()

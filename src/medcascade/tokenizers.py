@@ -15,6 +15,8 @@ from __future__ import annotations
 import unicodedata
 import zlib
 
+from .errors import VocabInvalid
+
 AUX_TOKEN = "[AUX]"
 
 
@@ -60,7 +62,8 @@ class WordPieceTokenizer:
     """Greedy longest-match-first WordPiece over a BERT-style vocab.txt."""
 
     def __init__(self, vocab: dict[str, int], do_lower_case: bool = False,
-                 max_chars_per_word: int = 100):
+                 max_chars_per_word: int = 100, source: str = "vocab"):
+        """``source`` names the vocabulary in errors (the file it came from)."""
         self.vocab = vocab
         self.do_lower_case = do_lower_case
         self.max_chars_per_word = max_chars_per_word
@@ -75,6 +78,9 @@ class WordPieceTokenizer:
             self.aux_id = vocab["[unused0]"]
         else:
             self.aux_id = self.sep_id
+        if self.aux_id == self.unk_id:
+            raise VocabInvalid(f"{source} has no {AUX_TOKEN}, [unused0] or [SEP] token, so "
+                               f"the {AUX_TOKEN} separator would share [UNK]'s id")
 
     @classmethod
     def from_vocab_file(cls, path, **kwargs) -> "WordPieceTokenizer":
@@ -82,7 +88,7 @@ class WordPieceTokenizer:
         with open(path, encoding="utf-8") as fh:
             for i, line in enumerate(fh):
                 vocab[line.rstrip("\n")] = i
-        return cls(vocab, **kwargs)
+        return cls(vocab, source=str(path), **kwargs)
 
     @property
     def vocab_size(self) -> int:

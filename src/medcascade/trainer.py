@@ -24,6 +24,15 @@ from .variants import DatasetVariant
 
 DEFAULT_TASKS = ("type", "severity")
 
+# Sequences pad to a multiple of this many tokens, capped at the encoder's
+# max_len, so little encoder work is spent on padding.
+PAD_STEP = 16
+
+
+def bucket_width(n_tokens: int, max_len: int) -> int:
+    """Padded width of a sequence of ``n_tokens`` tokens, [CLS] included."""
+    return min(max_len, -(-n_tokens // PAD_STEP) * PAD_STEP)
+
 
 # -- loss ---------------------------------------------------------------------
 
@@ -120,14 +129,14 @@ class MultiTaskModel:
                 f"record {record_id!r}: label {label!r} not in model's {task} vocabulary") from None
 
     def encode_texts(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Fixed-length (ids, mask) batch; the auxiliary tail after [AUX] is
-        truncated before the normal text when the sequence is too long."""
+        """(ids, mask) batch padded to the largest length bucket among ``texts``
+        (see :func:`bucket_width`); the auxiliary tail after [AUX] is truncated
+        before the normal text when the sequence is longer than ``max_len``."""
         tok = self.encoder.tokenizer
         max_len = self.encoder.max_len
         budget = max_len - 1  # room for [CLS]
-        ids = np.full((len(texts), max_len), tok.pad_id, dtype=np.int64)
-        mask = np.zeros((len(texts), max_len))
-        for row, text in enumerate(texts):
+        seqs = []
+        for text in texts:
             content = tok.encode(text)
             if len(content) > budget:
                 if tok.aux_id in content:
@@ -137,7 +146,11 @@ class MultiTaskModel:
                         else normal + aux[: budget - len(normal)]
                 else:
                     content = content[:budget]
-            seq = [tok.cls_id] + content
+            seqs.append([tok.cls_id] + content)
+        width = max((bucket_width(len(seq), max_len) for seq in seqs), default=0)
+        ids = np.full((len(texts), width), tok.pad_id, dtype=np.int64)
+        mask = np.zeros((len(texts), width))
+        for row, seq in enumerate(seqs):
             ids[row, : len(seq)] = seq
             mask[row, : len(seq)] = 1.0
         return ids, mask
@@ -181,22 +194,25 @@ def predict(model: MultiTaskModel, texts: list[str], batch_size: int = 8,
             ) -> dict[str, dict[str, np.ndarray]]:
     """Eval-mode argmax per task; ties break to the lowest class index.
 
-    Sequences are padded to the encoder's max length, so predictions do not
-    depend on how texts are batched.
+    Each text is padded to its own length bucket and batched only with texts
+    of the same bucket, so its scores do not depend on the other texts or on
+    how they are batched.  Scores and indices come back in input order.
     """
-    out = {task: {"indices": [], "scores": []} for task in model.tasks}
-    for start in range(0, len(texts), batch_size):
-        chunk = texts[start: start + batch_size]
-        ids, mask = model.encode_texts(chunk)
-        logits, _, _ = model.forward(ids, mask, training=False)
-        for task in model.tasks:
-            out[task]["indices"].extend(int(i) for i in np.argmax(logits[task], axis=1))
-            out[task]["scores"].append(logits[task])
-    for task in model.tasks:
-        out[task]["scores"] = (np.concatenate(out[task]["scores"])
-                               if out[task]["scores"] else np.zeros((0, 0)))
-        out[task]["indices"] = np.asarray(out[task]["indices"], dtype=np.int64)
-    return out
+    ids, mask = model.encode_texts(texts)
+    widths = np.asarray([bucket_width(int(n), model.encoder.max_len)
+                         for n in mask.sum(axis=1)], dtype=np.int64)
+    scores = {task: np.zeros((len(texts), model.heads[task]["b"].shape[0]))
+              for task in model.tasks}
+    for width in np.unique(widths):
+        rows = np.flatnonzero(widths == width)
+        for start in range(0, len(rows), batch_size):
+            sel = rows[start: start + batch_size]
+            logits, _, _ = model.forward(ids[sel, :width], mask[sel, :width], training=False)
+            for task in model.tasks:
+                scores[task][sel] = logits[task]
+    return {task: {"indices": np.argmax(scores[task], axis=1).astype(np.int64),
+                   "scores": scores[task]}
+            for task in model.tasks}
 
 
 # -- optimizer ------------------------------------------------------------------
@@ -342,6 +358,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
     train_texts = [ex.input_text for ex in train_set.examples]
     val_texts = [ex.input_text for ex in val_set.examples]
     train_ids, train_mask = model.encode_texts(train_texts)
+    max_len = model.encoder.max_len
 
     n = len(train_texts)
     steps_per_epoch = int(np.ceil(n / cfg.batch_size))
@@ -360,7 +377,8 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
         epoch_losses = []
         for batch_i in range(steps_per_epoch):
             sel = perm[batch_i * cfg.batch_size: (batch_i + 1) * cfg.batch_size]
-            ids, mask = train_ids[sel], train_mask[sel]
+            width = bucket_width(int(train_mask[sel].sum(axis=1).max()), max_len)
+            ids, mask = train_ids[sel, :width], train_mask[sel, :width]
             logits, pooled, cache = model.forward(ids, mask, training=True, rng=dropout_rng)
             targets = {t: train_targets[t][sel] for t in cfg.tasks}
             loss, dlogits = weighted_loss_and_grad(logits, targets, weights)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .atomic import write_atomic
 from .corpus import ComplaintRecord, LabelSet, corpus_hash, scrub_pii
-from .errors import MissingBundle
+from .errors import CorruptArtifact, MissingBundle
 from .preprocess import BundleStore
 
 CONDITIONS = ("normal", "refined", "summarized", "ner")
@@ -103,20 +103,27 @@ def write_variant(variant: DatasetVariant, directory: str, split: str) -> str:
 
 
 def load_variant(directory: str, condition: str, split: str) -> DatasetVariant:
+    """Read a variant back; a damaged file raises :class:`CorruptArtifact`."""
     data_path, sidecar_path = variant_paths(directory, condition, split)
     examples: list[VariantExample] = []
-    with open(data_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            labels = raw["labels"]
-            examples.append(VariantExample(
-                record_id=raw["record_id"], input_text=raw["input_text"],
-                labels=LabelSet(condition_type=labels["type"], severity=labels["severity"],
-                                diagnosis=labels.get("diagnosis"))))
+    try:
+        with open(data_path, encoding="utf-8") as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                raw = json.loads(line)
+                labels = raw["labels"]
+                examples.append(VariantExample(
+                    record_id=raw["record_id"], input_text=raw["input_text"],
+                    labels=LabelSet(condition_type=labels["type"], severity=labels["severity"],
+                                    diagnosis=labels.get("diagnosis"))))
+    except CorruptArtifact.DECODE_ERRORS as e:
+        raise CorruptArtifact.at(data_path, e) from e
     provenance = {}
     if os.path.exists(sidecar_path):
-        with open(sidecar_path, encoding="utf-8") as fh:
-            provenance = json.load(fh)
+        try:
+            with open(sidecar_path, encoding="utf-8") as fh:
+                provenance = json.load(fh)
+        except ValueError as e:
+            raise CorruptArtifact.at(sidecar_path, e) from e
     return DatasetVariant(condition=condition, examples=examples, provenance=provenance)

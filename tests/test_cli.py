@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from medcascade import evaluator, trainer
+from medcascade import cli, evaluator, gateway, trainer
 from medcascade.cli import _up_to_date, main
 from medcascade.synthetic import write_synthetic_corpus
 from medcascade.variants import load_variant
@@ -88,7 +88,7 @@ class TestIdempotence:
         bundles = sorted((workspace / "work" / "bundles").glob("syn*.json"))
         bundles[0].unlink()
         bundles[1].unlink()
-        (workspace / "work" / "bundles" / ".state.json").unlink()
+        (workspace / "work" / ".preprocess.state.json").unlink()
         capsys.readouterr()
         assert run("preprocess", "--config", "cfg.json", "--resume") == 0
         out = capsys.readouterr().out
@@ -112,6 +112,55 @@ class TestIdempotence:
         assert run("ingest", "--config", "cfg.json") == 0
         assert "up to date" not in capsys.readouterr().out
         assert json.loads(state.read_text(encoding="utf-8"))["input_hash"]
+
+    def test_preprocess_redoes_work_when_the_live_model_changes(self, workspace, capsys,
+                                                                 monkeypatch):
+        monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
+        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, **kwargs: [])
+        assert run("ingest", "--config", "cfg.json") == 0
+
+        def preprocess(model):
+            config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+            config["gateway"] = {"backend": "openai", "url": "http://127.0.0.1:9/v1",
+                                 "model": model}
+            (workspace / "live.json").write_text(json.dumps(config), encoding="utf-8")
+            capsys.readouterr()
+            assert run("preprocess", "--config", "live.json") == 0
+            return "up to date" in capsys.readouterr().out
+
+        assert [preprocess(m) for m in ("model-a", "model-a", "model-b")] == \
+            [False, True, False]
+
+    def test_bundle_directory_does_not_depend_on_the_live_url(self, workspace, monkeypatch):
+        monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
+        answer = {"choices": [{"message": {"content": "صداع"}}]}
+        monkeypatch.setattr(gateway, "_http_post_json", lambda *args: answer)
+        trees = []
+        for port in (9, 10):
+            config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+            config["workdir"] = f"work{port}"
+            config["gateway"] = {"backend": "openai", "url": f"http://127.0.0.1:{port}/v1",
+                                 "rate_per_sec": 1e6}
+            (workspace / "live.json").write_text(json.dumps(config), encoding="utf-8")
+            assert run("ingest", "--config", "live.json") == 0
+            assert run("preprocess", "--config", "live.json") == 0
+            bundles = workspace / f"work{port}" / "bundles"
+            trees.append({p.name: p.read_bytes() for p in bundles.iterdir()})
+        assert len(trees[0]) >= 60
+        assert trees[0] == trees[1]
+
+    def test_train_redoes_work_when_the_label_vocabulary_changes(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        train = ("train", "--config", "cfg.json", "--condition", "normal", "--no-finetune")
+        assert run(*train) == 0
+        manifest = workspace / "work" / "splits" / "train.manifest.json"
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        data["vocab"]["type"] = data["vocab"]["type"][::-1]
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run(*train) == 0
+        assert "up to date" not in capsys.readouterr().out
 
 
 class TestPredictionPass:
@@ -142,6 +191,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("CorruptBundle: ")
         assert os.path.join("work", "bundles", bundle.name) in err
+
+    @pytest.mark.parametrize("damaged", ["test.jsonl", "test.provenance.json"])
+    def test_damaged_variant_file_is_a_user_error(self, workspace, capsys, damaged):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        path = workspace / "work" / "variants" / "normal" / damaged
+        path.write_bytes(path.read_bytes()[:-7])
+        capsys.readouterr()
+        assert run("train", "--config", "cfg.json", "--condition", "normal",
+                   "--no-finetune") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ")
+        assert os.path.join("work", "variants", "normal", damaged) in err
+
+    def test_damaged_scores_file_is_a_user_error(self, workspace, capsys):
+        scores = workspace / "work" / "runs" / "toy__normal__frozen" / "scores.json"
+        scores.parent.mkdir(parents=True)
+        scores.write_text('{"model_id": "toy", "cond', encoding="utf-8")
+        assert run("report", "--config", "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ")
+        assert os.path.join("work", "runs", "toy__normal__frozen", "scores.json") in err
 
     def test_missing_config_file(self, workspace, capsys):
         assert run("ingest", "--config", "nope.json") == 1

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from medcascade.encoder import (EncoderConfig, NumpyTransformerEncoder, build_toy_encoder,
                                 gelu, gelu_grad, resolve_encoder)
-from medcascade.errors import EncoderUnavailable, ShapeMismatch
+from medcascade.errors import EncoderUnavailable, ShapeMismatch, VocabInvalid
 from medcascade.lora import adapted_forward
 from medcascade.tokenizers import HashWordTokenizer, WordPieceTokenizer
 
@@ -55,6 +57,15 @@ class TestWordPieceTokenizer:
         tok = WordPieceTokenizer(self._vocab())
         assert tok.aux_id == 4
         assert tok.encode("fever [AUX] fever") == [5, 4, 5]
+
+    def test_vocab_without_an_aux_slot_is_refused(self, tmp_path):
+        vocab = {t: i for i, t in enumerate(["[PAD]", "[UNK]", "[CLS]", "fever"])}
+        with pytest.raises(VocabInvalid, match=r"\[AUX\]"):
+            WordPieceTokenizer(vocab)
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(vocab) + "\n", encoding="utf-8")
+        with pytest.raises(VocabInvalid, match=re.escape(str(path))):
+            WordPieceTokenizer.from_vocab_file(path)
 
     def test_from_vocab_file(self, tmp_path):
         path = tmp_path / "vocab.txt"

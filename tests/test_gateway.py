@@ -109,6 +109,14 @@ class TestCache:
             prompt="REFINE: x", temperature=1.0, reproducible=False))
         assert cache_key(a) != cache_key(req("REFINE: x", backend_id="other"))
 
+    def test_key_covers_the_backend_scope(self):
+        a = req("hi", backend_id="openai")
+        scope = {"url": "http://127.0.0.1:1/v1", "model": "m1"}
+        assert cache_key(a) == cache_key(a, {})
+        assert cache_key(a) != cache_key(a, scope)
+        assert cache_key(a, scope) != cache_key(a, {**scope, "model": "m2"})
+        assert cache_key(a, scope) != cache_key(a, {**scope, "url": "http://127.0.0.1:2/v1"})
+
     @given(st.text(min_size=1, max_size=80), st.text(min_size=1, max_size=80))
     @settings(max_examples=100, deadline=None)
     def test_key_property(self, p1, p2):
@@ -239,10 +247,12 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackends:
@@ -303,6 +313,18 @@ class TestBuildGateway:
         monkeypatch.setenv("MEDCASCADE_LLM_KEY", "secret")
         gw = build_gateway(GatewayConfig(backend="openai"))
         assert gw.complete(req("hi", backend_id="openai")) == "echo:hi"
+
+    def test_models_sharing_a_cache_dir_each_call_the_backend(self, monkeypatch, http_server,
+                                                              tmp_path):
+        _Handler.behavior = "ok"
+        monkeypatch.setenv("MEDCASCADE_LLM_URL", http_server)
+        calls = []
+        for model in ("model-a", "model-b", "model-a"):
+            gw = build_gateway(GatewayConfig(backend="openai", model=model,
+                                             cache_dir=str(tmp_path / "c")))
+            assert gw.complete(req("hi", backend_id="openai")) == "echo:hi"
+            calls.append((gw.backend_calls, gw.cache_hits))
+        assert calls == [(1, 0), (1, 0), (0, 1)]
 
     def test_unknown_backend_name(self):
         with pytest.raises(UnknownBackend):

@@ -6,8 +6,8 @@ import pytest
 from medcascade.corpus import LabelSet
 from medcascade.encoder import build_toy_encoder
 from medcascade.errors import EmptyClass, IndexOutOfVocab, VocabMismatch
-from medcascade.trainer import (AdamW, MultiTaskModel, TrainConfig, class_weights,
-                                lr_schedule, predict, train, weighted_loss,
+from medcascade.trainer import (AdamW, MultiTaskModel, TrainConfig, bucket_width,
+                                class_weights, lr_schedule, predict, train, weighted_loss,
                                 weighted_loss_and_grad)
 from medcascade.variants import DatasetVariant, VariantExample
 
@@ -283,3 +283,90 @@ class TestPredict:
         ids, mask = model.encode_texts([text])
         assert int(mask.sum()) == model.encoder.max_len
         assert ids[0, 0] == model.encoder.tokenizer.cls_id
+
+
+def words(n, stem="w"):
+    return " ".join(f"{stem}{i}" for i in range(n))
+
+
+# token counts 4..71 with [CLS]: buckets 16, 32, 48 and 64, the last one truncated
+MIXED_TEXTS = [words(n) for n in (3, 40, 15, 16, 70, 5, 31, 47, 2, 33)]
+
+
+def bucket_model(seed=11, **shape):
+    """A model with nonzero adapters, so the adapter path counts in the outputs."""
+    enc = build_toy_encoder(seed=seed, **shape)
+    enc.attach_adapters(enc.build_adapters(rank=4, alpha=8.0, dropout_rate=0.1, seed=seed))
+    rng = np.random.default_rng(seed)
+    for _, adapter in enc.adapters:
+        adapter.B[:] = rng.normal(0.0, 0.1, size=adapter.B.shape)
+    return MultiTaskModel.build(enc, VOCAB, head_seed=seed)
+
+
+class TestLengthBuckets:
+    def test_bucket_width(self):
+        assert [bucket_width(n, 64) for n in (1, 16, 17, 32, 33, 64, 80)] == \
+            [16, 16, 32, 32, 48, 64, 64]
+        assert bucket_width(33, 40) == 40
+
+    @pytest.mark.parametrize("shape", [{}, dict(d_model=128, n_heads=4, d_ff=256,
+                                                n_layers=3, max_len=128)],
+                             ids=["toy", "wider"])
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    def test_bucketed_outputs_match_pad_to_max_len(self, shape, pooling):
+        model = bucket_model(pooling=pooling, **shape)
+        texts = MIXED_TEXTS + [words(100, "x")]
+        ids, mask = model.encode_texts(texts)
+        max_len = model.encoder.max_len
+        full_ids = np.full((len(texts), max_len), model.encoder.tokenizer.pad_id)
+        full_mask = np.zeros((len(texts), max_len))
+        full_ids[:, : ids.shape[1]] = ids
+        full_mask[:, : mask.shape[1]] = mask
+        padded, _, _ = model.forward(full_ids, full_mask)
+        bucketed = predict(model, texts, batch_size=3)
+        for task in model.tasks:
+            np.testing.assert_allclose(bucketed[task]["scores"], padded[task],
+                                       rtol=0, atol=1e-12)
+            assert list(bucketed[task]["indices"]) == list(np.argmax(padded[task], axis=1))
+
+    def test_encode_texts_pads_to_the_largest_bucket(self):
+        model = bucket_model()
+        assert model.encode_texts([words(3)])[0].shape == (1, 16)
+        assert model.encode_texts([words(3), words(15)])[0].shape == (2, 16)
+        assert model.encode_texts([words(3), words(16)])[0].shape == (2, 32)
+        assert model.encode_texts([words(40), words(3)])[0].shape == (2, 48)
+        ids, mask = model.encode_texts([words(3), words(200)])
+        assert ids.shape == mask.shape == (2, model.encoder.max_len)
+        assert list(mask.sum(axis=1)) == [4, model.encoder.max_len]
+
+    def test_training_batch_is_as_wide_as_its_largest_bucket(self):
+        model = bucket_model(d_model=16, n_heads=2, d_ff=24, vocab_size=128)
+        forward, widths = model.encoder.forward, []
+
+        def recording(ids, mask, training=False, **kwargs):
+            if training:
+                real = int(np.asarray(mask).sum(axis=1).max())
+                assert ids.shape[1] == bucket_width(real, model.encoder.max_len)
+                widths.append(ids.shape[1])
+            return forward(ids, mask, training=training, **kwargs)
+
+        model.encoder.forward = recording
+        variant = DatasetVariant("normal", [
+            VariantExample(f"m{i}", text, LabelSet(condition_type=VOCAB["type"][i % 2],
+                                                  severity=VOCAB["severity"][i // 2 % 2]))
+            for i, text in enumerate(MIXED_TEXTS)])
+        train(model, variant, variant, TrainConfig(batch_size=2, epochs=2, seed=3))
+        assert len(widths) == 10
+        assert len(set(widths)) > 1
+
+    def test_predict_is_batch_invariant_across_interleaved_buckets(self):
+        model = bucket_model(d_model=16, n_heads=2, d_ff=24, vocab_size=128)
+        single = [predict(model, [t]) for t in MIXED_TEXTS]
+        for batch_size in (1, 3, 8):
+            batched = predict(model, MIXED_TEXTS, batch_size=batch_size)
+            for task in model.tasks:
+                assert list(batched[task]["indices"]) == \
+                    [int(p[task]["indices"][0]) for p in single]
+                np.testing.assert_allclose(
+                    batched[task]["scores"],
+                    np.concatenate([p[task]["scores"] for p in single]), rtol=0, atol=1e-12)
