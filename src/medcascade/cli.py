@@ -20,8 +20,8 @@ from dataclasses import replace
 from . import __version__
 from .atomic import write_atomic
 from .config import PipelineConfig, load_config
-from .corpus import (CorpusManifest, load_corpus, manifest_path_for, scrub_records,
-                     stratified_split, write_corpus)
+from .corpus import (CorpusManifest, load_corpus, manifest_path_for, read_manifest,
+                     scrub_records, stratified_split, write_corpus)
 from .encoder import resolve_encoder
 from .errors import CorruptArtifact, MedcascadeError, MissingUpstreamArtifact, UserError
 from .evaluator import ReportCell, TaskScores, evaluate, prediction_dump, render_report
@@ -36,16 +36,22 @@ SPLITS = ("train", "val", "test")
 
 # -- shared helpers ------------------------------------------------------------
 
-def _hash_inputs(*parts) -> str:
+def _hash_inputs(files: list[str], *values) -> str:
+    """Digest of the contents of ``files`` and the JSON form of ``values``.
+
+    A value is hashed as itself even when it names a file.  A missing file
+    hashes as absent; the stage that needs it reports it.
+    """
     h = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, (bytes, bytearray)):
-            h.update(part)
-        elif isinstance(part, str) and os.path.isfile(part):
-            with open(part, "rb") as fh:
-                h.update(fh.read())
-        else:
-            h.update(json.dumps(part, sort_keys=True, default=str).encode("utf-8"))
+    for path in files:
+        try:
+            with open(path, "rb") as fh:
+                h.update(hashlib.sha256(fh.read()).digest())
+        except FileNotFoundError:
+            h.update(b"absent")
+    h.update(b"\x00")
+    for value in values:
+        h.update(json.dumps(value, sort_keys=True, default=str).encode("utf-8"))
         h.update(b"\x00")
     return h.hexdigest()
 
@@ -96,7 +102,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
         raise MissingUpstreamArtifact(f"corpus {cfg.corpus} not found")
     split_cfg = {"ratios": list(cfg.split.ratios), "seed": cfg.split.seed,
                  "stratify_task": cfg.split.stratify_task}
-    input_hash = _hash_inputs(cfg.corpus, manifest_path_for(cfg.corpus), split_cfg)
+    input_hash = _hash_inputs([cfg.corpus, manifest_path_for(cfg.corpus)], split_cfg)
     state = os.path.join(cfg.splits_dir(), ".state.json")
     outputs = [_split_path(cfg, part) for part in SPLITS]
     if _up_to_date(state, input_hash, outputs):
@@ -125,8 +131,8 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     prompts = PromptLibrary()
     gw_cfg = replace(cfg.gateway, backend=backend, cache_dir=cfg.cache_dir())
     gw = build_gateway(gw_cfg)
-    scope = getattr(gw.backend(backend), "scope", None)  # live url and model
-    input_hash = _hash_inputs(*split_paths, backend, scope,
+    scope = getattr(gw.backend(backend), "scope", None)  # live url and model, mock lexicon
+    input_hash = _hash_inputs(split_paths, backend, scope,
                               prompts.hashes("sentinel"), prompts.hashes("instruct"))
     state = _preprocess_state(cfg)
     if _up_to_date(state, input_hash, [cfg.bundles_dir()]):
@@ -155,7 +161,7 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
     store = BundleStore(cfg.bundles_dir())
     if any(c != "normal" for c in conditions):
         _require(_preprocess_state(cfg), "preprocess")
-    input_hash = _hash_inputs(*split_paths, store.store_hash(), sorted(conditions))
+    input_hash = _hash_inputs(split_paths, store.store_hash(), sorted(conditions))
     state = os.path.join(cfg.variants_dir(), ".state.json")
     outputs = [variant_paths(cfg.variants_dir(), c, part)[0]
                for c in conditions for part in SPLITS]
@@ -187,14 +193,13 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         data_path, _ = variant_paths(cfg.variants_dir(), condition, part)
         variant_files.append(_require(data_path, "variants"))
     manifest_path = _require(manifest_path_for(_split_path(cfg, "train")), "ingest")
-    with open(manifest_path, encoding="utf-8") as fh:
-        vocab = CorpusManifest.from_json(json.load(fh)).vocab
+    vocab = read_manifest(manifest_path).vocab
 
     cell = f"{_slug(model_id)}__{condition}__{arm}"
     cell_dir = os.path.join(cfg.runs_dir(), cell)
     relevant_cfg = {"adapter": cfg.to_json()["adapter"], "train": cfg.to_json()["train"],
                     "model": cfg.to_json()["model"], "arm": arm}
-    input_hash = _hash_inputs(*variant_files, manifest_path, relevant_cfg)
+    input_hash = _hash_inputs([*variant_files, manifest_path], relevant_cfg)
     state = os.path.join(cell_dir, ".state.json")
     if _up_to_date(state, input_hash, [os.path.join(cell_dir, "scores.json")]):
         print(f"train[{cell}]: up to date")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import ClassTooSmall, DuplicateId, MalformedRecord, UnknownLabel
+from .errors import ClassTooSmall, CorruptArtifact, DuplicateId, MalformedRecord, UnknownLabel
 
 GENDERS = ("male", "female", "unspecified")
 AGE_RANGE = (0, 130)
@@ -98,6 +98,16 @@ def manifest_path_for(corpus_path: str) -> str:
     return (root if ext in (".jsonl", ".csv") else str(corpus_path)) + ".manifest.json"
 
 
+def read_manifest(path: str) -> CorpusManifest:
+    """Load a manifest sidecar; an unreadable one raises ``CorruptArtifact``
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return CorpusManifest.from_json(json.load(fh))
+    except CorruptArtifact.DECODE_ERRORS as e:
+        raise CorruptArtifact.at(path, e) from e
+
+
 def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
@@ -159,8 +169,7 @@ def load_corpus(path: str, format: str = "jsonl",
     manifest_path = manifest_path or manifest_path_for(path)
     if not os.path.exists(manifest_path):
         raise MalformedRecord(0, "manifest", f"{manifest_path} not found")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = CorpusManifest.from_json(json.load(fh))
+    manifest = read_manifest(manifest_path)
 
     records: list[ComplaintRecord] = []
     seen: set[str] = set()

@@ -12,6 +12,12 @@ Base parameters are always frozen.  Gradients are computed only for
 attached low-rank adapters; classification heads live in ``trainer``.
 The backward pass therefore threads d(pooled) down through every block,
 collects adapter gradients along the way, and discards everything else.
+
+Hot-path choices: every linear layer runs as one 2-D GEMM over all B*L
+rows; a training forward evaluates erf once per GELU and keeps the GELU
+derivative for backward, and an eval forward keeps no per-layer cache.
+Random base weights are drawn one matrix per child seed stream, on a few
+threads, so they depend on the seed and shapes only.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import io
 import json
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +42,7 @@ from .tokenizers import HashWordTokenizer, WordPieceTokenizer
 NEG_INF = -1e30
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INIT_WORKERS = 4      # threads drawing the random base weights, at most one per CPU
 
 # The published Arabic encoders this pipeline targets; usable once their
 # weights are exported locally (they need a weights_dir, not a network call).
@@ -45,12 +53,43 @@ PRETRAINED_BACKENDS = (
 )
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _SQRT1_2))
+def gelu(x: np.ndarray, return_term: bool = False):
+    """Exact GELU, ``0.5 x (1 + erf(x/√2))``; with ``return_term`` also the
+    ``1 + erf(x/√2)`` term, so :func:`gelu_grad` need not evaluate erf again."""
+    term = 1.0 + erf(x * _SQRT1_2)
+    y = 0.5 * x * term
+    return (y, term) if return_term else y
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _SQRT1_2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def gelu_grad(x: np.ndarray, term: np.ndarray | None = None) -> np.ndarray:
+    """d gelu / dx; ``term`` is the one :func:`gelu` returns for the same x."""
+    if term is None:
+        term = 1.0 + erf(x * _SQRT1_2)
+    return 0.5 * term + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+
+
+def _matmul_2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for an ``x`` with any leading axes, run as one 2-D GEMM over
+    the flattened rows; a 3-D ``x`` would run one GEMM per leading index."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
+def _draw_normal(shapes: dict[str, tuple], std: float, seed: int) -> dict[str, np.ndarray]:
+    """N(0, std^2) arrays, one per name, each from its own child stream of
+    ``SeedSequence(seed)`` (the k-th name gets the k-th child).
+
+    The draws run on a few threads (numpy releases the GIL while it fills an
+    array); since every array has its own stream, the values do not depend on
+    how many threads there are or which one draws which array.  The workers
+    only draw numbers and call nothing else.
+    """
+    streams = np.random.SeedSequence(seed).spawn(len(shapes))
+
+    def draw(stream, shape):
+        return np.random.default_rng(stream).normal(0.0, std, size=shape)
+
+    with ThreadPoolExecutor(max_workers=min(_INIT_WORKERS, os.cpu_count() or 1)) as pool:
+        return dict(zip(shapes, pool.map(draw, streams, shapes.values())))
 
 
 @dataclass
@@ -98,26 +137,30 @@ class NumpyTransformerEncoder:
 
     def _init_params(self) -> dict[str, np.ndarray]:
         c = self.config
-        rng = np.random.default_rng(c.seed)
+        shapes = {"embeddings.word": (c.vocab_size, c.d_model),
+                  "embeddings.position": (c.max_len, c.d_model)}
+        for i in range(c.n_layers):
+            for proj in ("query", "key", "value", "output"):
+                shapes[f"layer.{i}.attn.{proj}.W"] = (c.d_model, c.d_model)
+            shapes[f"layer.{i}.ffn.inner.W"] = (c.d_ff, c.d_model)
+            shapes[f"layer.{i}.ffn.outer.W"] = (c.d_model, c.d_ff)
+        w = _draw_normal(shapes, c.init_std, c.seed)
+
         p: dict[str, np.ndarray] = {}
-
-        def normal(shape):
-            return rng.normal(0.0, c.init_std, size=shape)
-
-        p["embeddings.word"] = normal((c.vocab_size, c.d_model))
-        p["embeddings.position"] = normal((c.max_len, c.d_model))
+        p["embeddings.word"] = w["embeddings.word"]
+        p["embeddings.position"] = w["embeddings.position"]
         p["embeddings.token_type"] = np.zeros((2, c.d_model))
         p["embeddings.ln.gamma"] = np.ones(c.d_model)
         p["embeddings.ln.beta"] = np.zeros(c.d_model)
         for i in range(c.n_layers):
             for proj in ("query", "key", "value", "output"):
-                p[f"layer.{i}.attn.{proj}.W"] = normal((c.d_model, c.d_model))
+                p[f"layer.{i}.attn.{proj}.W"] = w[f"layer.{i}.attn.{proj}.W"]
                 p[f"layer.{i}.attn.{proj}.b"] = np.zeros(c.d_model)
             p[f"layer.{i}.attn.ln.gamma"] = np.ones(c.d_model)
             p[f"layer.{i}.attn.ln.beta"] = np.zeros(c.d_model)
-            p[f"layer.{i}.ffn.inner.W"] = normal((c.d_ff, c.d_model))
+            p[f"layer.{i}.ffn.inner.W"] = w[f"layer.{i}.ffn.inner.W"]
             p[f"layer.{i}.ffn.inner.b"] = np.zeros(c.d_ff)
-            p[f"layer.{i}.ffn.outer.W"] = normal((c.d_model, c.d_ff))
+            p[f"layer.{i}.ffn.outer.W"] = w[f"layer.{i}.ffn.outer.W"]
             p[f"layer.{i}.ffn.outer.b"] = np.zeros(c.d_model)
             p[f"layer.{i}.ffn.ln.gamma"] = np.ones(c.d_model)
             p[f"layer.{i}.ffn.ln.beta"] = np.zeros(c.d_model)
@@ -182,20 +225,24 @@ class NumpyTransformerEncoder:
 
     # -- forward -----------------------------------------------------------
 
-    def _linear(self, name: str, x: np.ndarray, training: bool, rng, cache: list):
-        y = x @ self.params[f"{name}.W"].T + self.params[f"{name}.b"]
+    def _linear(self, name: str, x: np.ndarray, training: bool, rng, cache: list | None):
+        """x W^T + b (+ the adapter delta); appends what backward needs to ``cache``
+        unless it is None."""
+        W = self.params[f"{name}.W"]
+        y = _matmul_2d(x, W.T) + self.params[f"{name}.b"]
         entry = {"name": name}
         adapter = self.adapters.adapters.get(name)
         if adapter is not None:
             delta, saved = adapter_delta(adapter, x, training, rng)
             y = y + delta
             entry.update(adapter=adapter, saved=saved)
-        cache.append(entry)
+        if cache is not None:
+            cache.append(entry)
         return y
 
     def _linear_backward(self, dy: np.ndarray, entry: dict) -> np.ndarray:
         name = entry["name"]
-        dx = dy @ self.params[f"{name}.W"]
+        dx = _matmul_2d(dy, self.params[f"{name}.W"])
         adapter = entry.get("adapter")
         if adapter is not None:
             dxd, dA, dB = adapter_backward(adapter, dy, entry["saved"])
@@ -244,6 +291,8 @@ class NumpyTransformerEncoder:
 
         ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, L, D)
         out = self._linear(f"layer.{i}.attn.output", ctx, training, rng, lin_cache)
+        if lin_cache is None:
+            return out, None
         return out, {"q": q, "k": k, "v": v, "probs": probs}
 
     def _attention_backward(self, dout: np.ndarray, att, lin_cache_iter) -> np.ndarray:
@@ -271,7 +320,14 @@ class NumpyTransformerEncoder:
 
     def forward(self, ids: np.ndarray, mask: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None, return_cache: bool = False):
-        """Pooled representations (B, d_model) for padded id/mask batches."""
+        """Pooled representations (B, d_model) for padded id/mask batches.
+
+        With ``return_cache`` also the per-layer values ``backward_adapters``
+        needs: each linear's adapter inputs, the attention q/k/v/probs, the
+        LayerNorm statistics and the GELU derivative at the FFN input.
+        Without it (every eval forward) none of these are kept past the layer
+        that made them.
+        """
         c = self.config
         ids = np.asarray(ids, dtype=np.int64)
         mask = np.asarray(mask, dtype=float)
@@ -287,16 +343,22 @@ class NumpyTransformerEncoder:
         x, _ = self._layer_norm(x, p["embeddings.ln.gamma"], p["embeddings.ln.beta"], c.layer_norm_eps)
 
         for i in range(c.n_layers):
-            lin_cache: list = []
+            lin_cache: list | None = [] if return_cache else None
             att_out, att = self._attention(i, x, mask, training, rng, lin_cache)
             h1, ln1 = self._layer_norm(x + att_out, p[f"layer.{i}.attn.ln.gamma"],
                                        p[f"layer.{i}.attn.ln.beta"], c.layer_norm_eps)
             u = self._linear(f"layer.{i}.ffn.inner", h1, training, rng, lin_cache)
-            g = gelu(u)
+            if return_cache:
+                g, term = gelu(u, return_term=True)
+                dgelu = gelu_grad(u, term)    # all that backward needs of u
+            else:
+                g = gelu(u)
             f_out = self._linear(f"layer.{i}.ffn.outer", g, training, rng, lin_cache)
             h2, ln2 = self._layer_norm(h1 + f_out, p[f"layer.{i}.ffn.ln.gamma"],
                                        p[f"layer.{i}.ffn.ln.beta"], c.layer_norm_eps)
-            cache.layers.append({"lin": lin_cache, "att": att, "ln1": ln1, "ln2": ln2, "u": u})
+            if return_cache:
+                cache.layers.append({"lin": lin_cache, "att": att, "ln1": ln1, "ln2": ln2,
+                                     "dgelu": dgelu})
             x = h2
 
         if c.pooling == "cls":
@@ -334,7 +396,7 @@ class NumpyTransformerEncoder:
             lin = layer["lin"]
             d_res2 = self._layer_norm_backward(dx, layer["ln2"])
             dg = self._linear_backward(d_res2, lin[5])         # ffn outer
-            du = dg * gelu_grad(layer["u"])
+            du = dg * layer["dgelu"]
             dh1 = d_res2 + self._linear_backward(du, lin[4])   # ffn inner
             d_res1 = self._layer_norm_backward(dh1, layer["ln1"])
             datt_in = self._attention_backward(

@@ -54,8 +54,8 @@ class CompletionRequest:
 
 def cache_key(req: CompletionRequest, scope: dict | None = None) -> str:
     """Stable content hash over (prompt, parameters, backend_id) and, when
-    given, the backend's ``scope``: the settings that pick which model
-    answers (a live backend's url and model name)."""
+    given, the backend's ``scope``: the settings that decide the answer (a
+    live backend's url and model name, the mock's lexicon)."""
     fields = {"prompt": req.prompt, "max_output_tokens": req.max_output_tokens,
               "temperature": req.temperature, "backend_id": req.backend_id}
     if scope:
@@ -149,6 +149,8 @@ class MockBackend:
     SUMMARIZE -> first two sentences of the payload.
     NER       -> comma-joined payload tokens found in the symptom lexicon
                  (every occurrence, original surface form).
+
+    ``scope`` holds a digest of the lexicon, since it decides NER answers.
     """
 
     backend_id = "mock"
@@ -156,6 +158,8 @@ class MockBackend:
 
     def __init__(self, lexicon: set[str] | None = None):
         self.lexicon = lexicon if lexicon is not None else load_symptom_lexicon()
+        terms = "\n".join(sorted(self.lexicon)).encode("utf-8")
+        self.scope = {"lexicon": hashlib.sha256(terms).hexdigest()}
 
     def complete(self, req: CompletionRequest) -> str:
         for sentinel in _SENTINELS:

@@ -131,6 +131,33 @@ class TestIdempotence:
         assert [preprocess(m) for m in ("model-a", "model-a", "model-b")] == \
             [False, True, False]
 
+    def test_preprocess_redoes_work_when_the_mock_lexicon_changes(self, workspace, capsys,
+                                                                   monkeypatch):
+        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, **kwargs: [])
+        (workspace / "one_term.txt").write_text("fever\n", encoding="utf-8")
+        assert run("ingest", "--config", "cfg.json") == 0
+
+        def preprocess(lexicon):
+            config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+            config["gateway"] = {"backend": "mock", "lexicon_path": lexicon}
+            (workspace / "lex.json").write_text(json.dumps(config), encoding="utf-8")
+            capsys.readouterr()
+            assert run("preprocess", "--config", "lex.json") == 0
+            return "up to date" in capsys.readouterr().out
+
+        assert [preprocess(p) for p in ("", "", "one_term.txt")] == [False, True, False]
+
+    def test_a_value_that_names_a_file_is_hashed_as_the_value(self, workspace, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, **kwargs: [])
+        assert run("ingest", "--config", "cfg.json") == 0
+        stray = workspace / "mock"      # same name as the backend value
+        for content in ("one", "two"):
+            stray.write_text(content, encoding="utf-8")
+            capsys.readouterr()
+            assert run("preprocess", "--config", "cfg.json", "--backend", "mock") == 0
+        assert "up to date" in capsys.readouterr().out
+
     def test_bundle_directory_does_not_depend_on_the_live_url(self, workspace, monkeypatch):
         monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
         answer = {"choices": [{"message": {"content": "صداع"}}]}
@@ -204,6 +231,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("CorruptArtifact: ")
         assert os.path.join("work", "variants", "normal", damaged) in err
+
+    def test_damaged_split_manifest_is_a_user_error(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        manifest = workspace / "work" / "splits" / "train.manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:20])
+        capsys.readouterr()
+        assert run("train", "--config", "cfg.json", "--condition", "normal",
+                   "--no-finetune") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ")
+        assert os.path.join("work", "splits", "train.manifest.json") in err
 
     def test_damaged_scores_file_is_a_user_error(self, workspace, capsys):
         scores = workspace / "work" / "runs" / "toy__normal__frozen" / "scores.json"

@@ -1,11 +1,13 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from medcascade.corpus import (load_corpus, scrub_pii, stratified_split, write_corpus,
                                corpus_hash, label_counts, scrub_records)
-from medcascade.errors import ClassTooSmall, DuplicateId, MalformedRecord, UnknownLabel
+from medcascade.errors import (ClassTooSmall, CorruptArtifact, DuplicateId, MalformedRecord,
+                               UnknownLabel)
 
 from conftest import make_record, manifest_obj
 
@@ -57,6 +59,14 @@ class TestLoadCorpus:
         with open(corpus, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(bad) + "\n")
         with pytest.raises(MalformedRecord):
+            load_corpus(corpus)
+
+    @pytest.mark.parametrize("damage", [b'{"schema_version": 1, "voc', b"[]", b"\xff\xfe"],
+                             ids=["truncated", "not-object", "not-utf8"])
+    def test_unreadable_manifest_names_the_file(self, corpus_files, damage):
+        corpus, manifest = corpus_files
+        manifest.write_bytes(damage)
+        with pytest.raises(CorruptArtifact, match=re.escape(str(manifest))):
             load_corpus(corpus)
 
     def test_csv_import(self, tmp_path):

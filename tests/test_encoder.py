@@ -1,12 +1,14 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
+from medcascade import encoder as encoder_module
 from medcascade.encoder import (EncoderConfig, NumpyTransformerEncoder, build_toy_encoder,
                                 gelu, gelu_grad, resolve_encoder)
 from medcascade.errors import EncoderUnavailable, ShapeMismatch, VocabInvalid
-from medcascade.lora import adapted_forward
+from medcascade.lora import adapted_forward, adapter_backward, adapter_delta
 from medcascade.tokenizers import HashWordTokenizer, WordPieceTokenizer
 
 
@@ -209,6 +211,123 @@ class TestAdapters:
     def test_adapter_grads_match_fd_with_dropout(self):
         # fixed dropout seed makes the loss a deterministic function
         self._grad_check("cls", dropout_rate=0.3)
+
+
+def _with_random_adapters(enc, seed=9):
+    adapters = enc.build_adapters(rank=2, alpha=4.0, dropout_rate=0.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, adapter in adapters:
+        adapter.B[:] = rng.normal(0, 0.3, adapter.B.shape)
+    enc.attach_adapters(adapters)
+    return enc
+
+
+class TestHotPath:
+    # the toy shape, and a wider one whose row count is no multiple of anything
+    SHAPES = [(dict(), (3, 10)),
+              (dict(d_model=192, n_heads=3, d_ff=768, n_layers=1), (4, 37))]
+
+    @pytest.mark.parametrize("overrides,batch", SHAPES, ids=["toy", "wide"])
+    def test_linear_and_its_backward_match_the_stacked_matmul(self, overrides, batch):
+        # One GEMM over all B*L rows may block its sums differently from the
+        # per-example GEMMs of a stacked (B, L, d) @ (d, o) matmul, so the two
+        # agree to float64 rounding (within K * eps of sum |x||W|), not bitwise
+        # at every shape and BLAS.
+        enc = _with_random_adapters(build_toy_encoder(seed=4, **overrides))
+        rng = np.random.default_rng(1)
+        eps = np.finfo(float).eps
+        for name in ("attn.query", "attn.key", "attn.value", "attn.output",
+                     "ffn.inner", "ffn.outer"):
+            name = f"layer.0.{name}"
+            W, b = enc.params[f"{name}.W"], enc.params[f"{name}.b"]
+            x = rng.normal(size=(*batch, W.shape[1]))
+            dy = rng.normal(size=(*batch, W.shape[0]))
+            cache: list = []
+            enc._adapter_grads = {}
+            y = enc._linear(name, x, False, None, cache)
+            dx = enc._linear_backward(dy, cache[0])
+
+            y_ref, dx_ref = x @ W.T + b, dy @ W
+            adapter = enc.adapters.adapters.get(name)
+            if adapter is not None:
+                delta, saved = adapter_delta(adapter, x)
+                y_ref = y_ref + delta
+                dxd, dA, dB = adapter_backward(adapter, dy, saved)
+                dx_ref = dx_ref + dxd
+                assert enc._adapter_grads[name]["A"].tobytes() == dA.tobytes()
+                assert enc._adapter_grads[name]["B"].tobytes() == dB.tobytes()
+            assert y.shape == y_ref.shape and dx.shape == dx_ref.shape
+            assert np.all(np.abs(y - y_ref) <= W.shape[1] * eps * (np.abs(x) @ np.abs(W).T + 1))
+            assert np.all(np.abs(dx - dx_ref) <= W.shape[0] * eps * (np.abs(dy) @ np.abs(W) + 1))
+
+    def test_gelu_term_gives_the_same_bits(self):
+        x = np.concatenate([np.random.default_rng(2).normal(0, 3, size=(4, 9, 16)).ravel(),
+                            [-40.0, -6.0, -1e-300, 0.0, 1e-300, 6.0, 40.0]])
+        y, term = gelu(x, return_term=True)
+        assert y.tobytes() == gelu(x).tobytes()
+        assert gelu_grad(x, term).tobytes() == gelu_grad(x).tobytes()
+
+    def test_eval_forward_keeps_no_cache_and_gives_the_same_bits(self, monkeypatch):
+        enc = _with_random_adapters(tiny_encoder())
+        ids = np.random.default_rng(3).integers(0, 64, size=(3, 10))
+        mask = np.ones((3, 10))
+        mask[1, 6:] = 0
+        cached, cache = enc.forward(ids, mask, return_cache=True)
+        assert len(cache.layers) == enc.config.n_layers
+
+        def no_grad(*args, **kwargs):
+            raise AssertionError("an eval forward computed the GELU derivative")
+
+        caches = []
+
+        def linear(self, name, x, training, rng, cache):
+            caches.append(cache)
+            return NumpyTransformerEncoder._linear(enc, name, x, training, rng, cache)
+
+        monkeypatch.setattr(encoder_module, "gelu_grad", no_grad)
+        monkeypatch.setattr(enc, "_linear", linear.__get__(enc))
+        assert enc.forward(ids, mask).tobytes() == cached.tobytes()
+        assert len(caches) == 6 * enc.config.n_layers
+        assert all(c is None for c in caches)
+
+
+class TestInit:
+    BIG = dict(d_model=32, n_heads=2, d_ff=48, n_layers=3, vocab_size=96)
+
+    def test_weights_do_not_depend_on_the_worker_count(self, monkeypatch):
+        workers = []
+
+        class Recording(encoder_module.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(encoder_module, "ThreadPoolExecutor", Recording)
+        params = []
+        for cpus in (1, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            params.append(build_toy_encoder(seed=5, **self.BIG).params)
+        assert workers == [1, 4]
+        assert list(params[0]) == list(params[1])
+        for name in params[0]:
+            assert params[0][name].tobytes() == params[1][name].tobytes(), name
+
+    def test_weights_are_seed_deterministic(self):
+        a, b, c = (build_toy_encoder(seed=s, **self.BIG) for s in (5, 5, 6))
+        assert a.base_state_bytes() == b.base_state_bytes()
+        assert a.base_state_bytes() != c.base_state_bytes()
+        for name, arr in a.params.items():
+            if name.endswith(".W") or name.startswith("embeddings.word"):
+                assert not np.array_equal(arr, c.params[name]), name
+
+    def test_vocab_size_leaves_every_layer_weight_unchanged(self):
+        small = build_toy_encoder(seed=5, **self.BIG).params
+        large = build_toy_encoder(seed=5, **{**self.BIG, "vocab_size": 200}).params
+        assert list(small) == list(large)
+        for name in small:
+            if name != "embeddings.word":
+                assert small[name].tobytes() == large[name].tobytes(), name
+        assert large["embeddings.word"].shape == (200, 32)
 
 
 class TestPersistence:

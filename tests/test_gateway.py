@@ -135,9 +135,10 @@ class TestCache:
                              ids=["truncated", "empty", "not-utf8", "not-object", "no-response"])
     def test_damaged_entry_is_a_miss_and_put_overwrites_it(self, tmp_path, damage):
         gw = Gateway(cache=ResponseCache(tmp_path))
-        gw.register_backend(MockBackend())
+        backend = MockBackend()
+        gw.register_backend(backend)
         r = req("REFINE: hello   there")
-        path = tmp_path / f"{cache_key(r)}.json"
+        path = tmp_path / f"{cache_key(r, backend.scope)}.json"
         path.write_bytes(damage)
         assert gw.complete(r) == "hello there"
         assert (gw.backend_calls, gw.cache_hits) == (1, 0)
@@ -325,6 +326,22 @@ class TestBuildGateway:
             assert gw.complete(req("hi", backend_id="openai")) == "echo:hi"
             calls.append((gw.backend_calls, gw.cache_hits))
         assert calls == [(1, 0), (1, 0), (0, 1)]
+
+    def test_lexicons_sharing_a_cache_dir_each_call_the_backend(self, tmp_path):
+        one_term = tmp_path / "one_term.txt"
+        one_term.write_text("fever\n", encoding="utf-8")
+        answers = []
+        for lexicon in ("", str(one_term), str(one_term)):
+            gw = build_gateway(GatewayConfig(backend="mock", lexicon_path=lexicon,
+                                             cache_dir=str(tmp_path / "c")))
+            answers.append((gw.complete(req("NER: fever and headache")),
+                            gw.backend_calls, gw.cache_hits))
+        assert answers == [("fever, headache", 1, 0), ("fever", 1, 0), ("fever", 0, 1)]
+
+    def test_mock_scope_is_a_digest_of_the_lexicon(self):
+        assert MockBackend({"fever", "cough"}).scope == MockBackend({"cough", "fever"}).scope
+        assert MockBackend({"fever"}).scope != MockBackend({"fever", "cough"}).scope
+        assert MockBackend().scope == MockBackend(load_symptom_lexicon()).scope
 
     def test_unknown_backend_name(self):
         with pytest.raises(UnknownBackend):
