@@ -18,8 +18,7 @@ records, _ = load_corpus("data/synthetic/corpus.jsonl")
 records = scrub_records(records)[:5]
 
 workdir = tempfile.mkdtemp(prefix="medcascade_demo_")
-gw = Gateway(cache=ResponseCache(f"{workdir}/cache"))
-gw.register_backend(MockBackend())
+gw = Gateway(MockBackend(), cache=ResponseCache(f"{workdir}/cache"))
 
 # ── 1. the three layers on one record ────────────────────────────────────────
 record = records[0]

@@ -22,8 +22,7 @@ records, manifest = load_corpus("data/synthetic/corpus.jsonl")
 records = scrub_records(records)
 train_recs, val_recs, test_recs = stratified_split(records, (0.8, 0.1, 0.1), seed=7)
 
-gw = Gateway()
-gw.register_backend(MockBackend())
+gw = Gateway(MockBackend())
 store = BundleStore(tempfile.mkdtemp(prefix="medcascade_demo_") + "/bundles")
 run_bundle(records, gw, store=store)
 

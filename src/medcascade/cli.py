@@ -129,10 +129,9 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     split_paths = [_require(_split_path(cfg, part), "ingest") for part in SPLITS]
     backend = args.backend or cfg.gateway.backend
     prompts = PromptLibrary()
-    gw_cfg = replace(cfg.gateway, backend=backend, cache_dir=cfg.cache_dir())
-    gw = build_gateway(gw_cfg)
-    scope = getattr(gw.backend(backend), "scope", None)  # live url and model, mock lexicon
-    input_hash = _hash_inputs(split_paths, backend, scope,
+    gw = build_gateway(replace(cfg.gateway, backend=backend, cache_dir=cfg.cache_dir()))
+    # the scope holds a live backend's url and model, the mock's lexicon
+    input_hash = _hash_inputs(split_paths, backend, gw.backend.scope,
                               prompts.hashes("sentinel"), prompts.hashes("instruct"))
     state = _preprocess_state(cfg)
     if _up_to_date(state, input_hash, [cfg.bundles_dir()]):
@@ -144,8 +143,7 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
         part_records, _ = _load_split_records(cfg, part)
         records.extend(part_records)
     store = BundleStore(cfg.bundles_dir())
-    bundles = run_bundle(records, gw, resume=args.resume, store=store,
-                         backend_id=gw_cfg.backend, prompts=prompts)
+    bundles = run_bundle(records, gw, store, resume=args.resume, prompts=prompts)
     _write_state(state, input_hash)
     print(f"preprocess: {len(bundles)} bundles in {cfg.bundles_dir()} "
           f"({gw.backend_calls} gateway calls, {gw.cache_hits} cache hits)")
@@ -199,7 +197,9 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     cell_dir = os.path.join(cfg.runs_dir(), cell)
     relevant_cfg = {"adapter": cfg.to_json()["adapter"], "train": cfg.to_json()["train"],
                     "model": cfg.to_json()["model"], "arm": arm}
-    input_hash = _hash_inputs([*variant_files, manifest_path], relevant_cfg)
+    weight_files = [os.path.join(cfg.model.weights_dir, name) for name in
+                    ("config.json", "weights.npz", "vocab.txt")] if cfg.model.weights_dir else []
+    input_hash = _hash_inputs([*variant_files, manifest_path, *weight_files], relevant_cfg)
     state = os.path.join(cell_dir, ".state.json")
     if _up_to_date(state, input_hash, [os.path.join(cell_dir, "scores.json")]):
         print(f"train[{cell}]: up to date")

@@ -15,6 +15,9 @@ from .errors import ConfigInvalid
 from .gateway import GatewayConfig
 from .trainer import TrainConfig
 
+# suits the desk-scale toy encoder; full-size encoders want ~2e-4 (TrainConfig's default)
+DESK_LEARNING_RATE = 2e-3
+
 
 @dataclass
 class SplitConfig:
@@ -50,8 +53,8 @@ class PipelineConfig:
     split: SplitConfig = field(default_factory=SplitConfig)
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     adapter: AdapterConfig = field(default_factory=AdapterConfig)
-    # 2e-3 suits the desk-scale toy encoder; full-size encoders want ~2e-4.
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(learning_rate=2e-3))
+    train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(learning_rate=DESK_LEARNING_RATE))
     model: ModelConfig = field(default_factory=ModelConfig)
 
     # -- derived paths ----------------------------------------------------
@@ -140,7 +143,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
                 raise ConfigInvalid(f"section {key!r} must be an object")
             if key == "train":
                 # keep the desk-scale default even for partial train sections
-                value = {"learning_rate": 2e-3, **value}
+                value = {"learning_rate": DESK_LEARNING_RATE, **value}
             kwargs[key] = _build_section(sections[key], value, key)
         elif key in ("corpus", "corpus_format", "workdir"):
             kwargs[key] = value

@@ -149,16 +149,30 @@ def _parse_record(raw: dict, line_no: int, vocab: dict[str, list[str]]) -> Compl
                                            diagnosis=diagnosis))
 
 
-def _csv_row_to_raw(row: dict) -> dict:
-    age = row.get("age", "")
-    return {
-        "id": row.get("id"),
-        "text": row.get("text"),
-        "age": int(age) if age not in ("", None) else None,
-        "gender": row.get("gender") or None,
-        "labels": {"diagnosis": row.get("diagnosis") or None,
-                   "type": row.get("type"), "severity": row.get("severity")},
-    }
+def _jsonl_rows(fh):
+    """(line number, raw record) per non-blank JSONL line."""
+    for line_no, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise MalformedRecord(line_no, "json", str(e)) from e
+        yield line_no, raw
+
+
+def _csv_rows(fh):
+    """(line number, raw record) per CSV row; the header is line 1."""
+    for line_no, row in enumerate(csv.DictReader(fh), start=2):
+        age = row.get("age", "")
+        try:
+            age = int(age) if age not in ("", None) else None
+        except (TypeError, ValueError) as e:
+            raise MalformedRecord(line_no, "age", str(e)) from e
+        yield line_no, {"id": row.get("id"), "text": row.get("text"), "age": age,
+                        "gender": row.get("gender") or None,
+                        "labels": {"diagnosis": row.get("diagnosis") or None,
+                                   "type": row.get("type"), "severity": row.get("severity")}}
 
 
 def load_corpus(path: str, format: str = "jsonl",
@@ -171,35 +185,16 @@ def load_corpus(path: str, format: str = "jsonl",
         raise MalformedRecord(0, "manifest", f"{manifest_path} not found")
     manifest = read_manifest(manifest_path)
 
+    rows = _jsonl_rows if format == "jsonl" else _csv_rows
     records: list[ComplaintRecord] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        if format == "jsonl":
-            rows = enumerate(fh, start=1)
-            for line_no, line in rows:
-                if not line.strip():
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise MalformedRecord(line_no, "json", str(e)) from e
-                rec = _parse_record(raw, line_no, manifest.vocab)
-                if rec.id in seen:
-                    raise DuplicateId(rec.id)
-                seen.add(rec.id)
-                records.append(rec)
-        else:
-            reader = csv.DictReader(fh)
-            for line_no, row in enumerate(reader, start=2):
-                try:
-                    raw = _csv_row_to_raw(row)
-                except (TypeError, ValueError) as e:
-                    raise MalformedRecord(line_no, "age", str(e)) from e
-                rec = _parse_record(raw, line_no, manifest.vocab)
-                if rec.id in seen:
-                    raise DuplicateId(rec.id)
-                seen.add(rec.id)
-                records.append(rec)
+        for line_no, raw in rows(fh):
+            rec = _parse_record(raw, line_no, manifest.vocab)
+            if rec.id in seen:
+                raise DuplicateId(rec.id)
+            seen.add(rec.id)
+            records.append(rec)
     manifest.record_count = len(records)
     return records, manifest
 

@@ -181,9 +181,6 @@ class NumpyTransformerEncoder:
     def max_len(self) -> int:
         return self.config.max_len
 
-    def tokenize(self, text: str) -> list[int]:
-        return self.tokenizer.encode(text)
-
     def named_weight_shapes(self) -> dict[str, tuple[int, int]]:
         """Weight matrices addressable for adapter injection, name -> (d_out, d_in)."""
         return {name[:-2]: tuple(arr.shape) for name, arr in self.params.items()

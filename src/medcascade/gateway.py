@@ -1,5 +1,10 @@
-"""Uniform LLM access: on-disk response cache, retries, rate limiting for
-live backends, and a deterministic mock backend.
+"""Uniform LLM access: a ``Gateway`` wraps one backend with an on-disk
+response cache, retries, and rate limiting for live backends.
+
+A backend has a ``backend_id``, a ``prompt_style`` (the template set the
+preprocessing layers render), a ``scope`` (the settings that decide its
+answers, hashed into cache keys) and ``complete(prompt) -> str``.  Every
+request asks for ``MAX_OUTPUT_TOKENS`` at ``TEMPERATURE`` 0.
 
 The mock backend understands three prompt sentinels (``REFINE:``,
 ``SUMMARIZE:``, ``NER:``) and applies a fixed pure transformation to the
@@ -32,34 +37,22 @@ ENV_KEY = "MEDCASCADE_LLM_KEY"
 
 _LEXICON_PATH = os.path.join(os.path.dirname(__file__), "data", "symptom_lexicon.txt")
 
-
-@dataclass(frozen=True)
-class CompletionRequest:
-    prompt: str
-    max_output_tokens: int = 512
-    temperature: float = 0.0
-    backend_id: str = "mock"
-    reproducible: bool = True
-
-    def validate(self) -> None:
-        if not self.prompt:
-            raise ValueError("prompt must be non-empty")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be positive")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be in [0, 2]")
-        if self.reproducible and self.temperature != 0.0:
-            raise ValueError("reproducible requests require temperature 0")
+MAX_OUTPUT_TOKENS = 512
+TEMPERATURE = 0.0
 
 
-def cache_key(req: CompletionRequest, scope: dict | None = None) -> str:
-    """Stable content hash over (prompt, parameters, backend_id) and, when
-    given, the backend's ``scope``: the settings that decide the answer (a
+def _request_fields(prompt: str, backend_id: str) -> dict:
+    return {"prompt": prompt, "max_output_tokens": MAX_OUTPUT_TOKENS,
+            "temperature": TEMPERATURE, "backend_id": backend_id}
+
+
+def cache_key(prompt: str, backend) -> str:
+    """Stable content hash over the prompt, the fixed request settings, the
+    backend's id and its ``scope``: the settings that decide the answer (a
     live backend's url and model name, the mock's lexicon)."""
-    fields = {"prompt": req.prompt, "max_output_tokens": req.max_output_tokens,
-              "temperature": req.temperature, "backend_id": req.backend_id}
-    if scope:
-        fields["scope"] = scope
+    fields = _request_fields(prompt, backend.backend_id)
+    if backend.scope:
+        fields["scope"] = backend.scope
     canon = json.dumps(fields, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -85,10 +78,9 @@ class ResponseCache:
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def put(self, key: str, response: str, req: CompletionRequest) -> None:
+    def put(self, key: str, response: str, prompt: str, backend_id: str) -> None:
         entry = {"key": key, "response": response, "created_at": time.time(),
-                 "request": {"prompt": req.prompt, "max_output_tokens": req.max_output_tokens,
-                             "temperature": req.temperature, "backend_id": req.backend_id}}
+                 "request": _request_fields(prompt, backend_id)}
         write_atomic(self._path(key), json.dumps(entry, ensure_ascii=False, sort_keys=True))
 
 
@@ -161,16 +153,16 @@ class MockBackend:
         terms = "\n".join(sorted(self.lexicon)).encode("utf-8")
         self.scope = {"lexicon": hashlib.sha256(terms).hexdigest()}
 
-    def complete(self, req: CompletionRequest) -> str:
+    def complete(self, prompt: str) -> str:
         for sentinel in _SENTINELS:
-            if req.prompt.startswith(sentinel):
-                payload = req.prompt[len(sentinel):].strip()
+            if prompt.startswith(sentinel):
+                payload = prompt[len(sentinel):].strip()
                 if sentinel == "REFINE:":
                     return self._refine(payload)
                 if sentinel == "SUMMARIZE:":
                     return self._summarize(payload)
                 return self._ner(payload)
-        head = req.prompt.split(":", 1)[0][:32]
+        head = prompt.split(":", 1)[0][:32]
         raise UnknownSentinel(f"mock backend knows {_SENTINELS}, got {head!r}")
 
     @staticmethod
@@ -203,54 +195,8 @@ class MockBackend:
 
 # -- live backends -----------------------------------------------------------
 
-def _http_post_json(url: str, body: dict, headers: dict, timeout: float) -> dict:
-    data = json.dumps(body).encode("utf-8")
-    request = urllib.request.Request(url, data=data,
-                                     headers={"Content-Type": "application/json", **headers})
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            return json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as e:
-        if e.code in (401, 403):
-            raise AuthError(f"HTTP {e.code} from {url}") from e
-        if e.code in (408, 429) or e.code >= 500:
-            raise TransientBackendError(f"HTTP {e.code}") from e
-        raise BackendUnavailable(f"HTTP {e.code} from {url}") from e
-    except urllib.error.URLError as e:
-        raise TransientBackendError(str(e)) from e
-
-
-class OpenAIChatBackend:
-    """Chat/completions JSON protocol (OpenAI-compatible servers)."""
-
-    prompt_style = "instruct"
-
-    def __init__(self, backend_id: str, url: str, api_key: str = "", model: str = "",
-                 timeout: float = 60.0):
-        self.backend_id = backend_id
-        self.url = url
-        self.api_key = api_key
-        self.model = model
-        self.timeout = timeout
-
-    @property
-    def scope(self) -> dict:
-        return {"url": self.url, "model": self.model}
-
-    def complete(self, req: CompletionRequest) -> str:
-        body = {"model": self.model, "temperature": req.temperature,
-                "max_tokens": req.max_output_tokens,
-                "messages": [{"role": "user", "content": req.prompt}]}
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        data = _http_post_json(self.url, body, headers, self.timeout)
-        try:
-            return data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as e:
-            raise BackendUnavailable(f"unexpected response shape: {e}") from e
-
-
-class LlamaServerBackend:
-    """llama.cpp-style /completion JSON protocol."""
+class _HTTPBackend:
+    """What both live protocols share: url, key, timeout and the JSON POST."""
 
     prompt_style = "instruct"
 
@@ -259,16 +205,52 @@ class LlamaServerBackend:
         self.url = url
         self.api_key = api_key
         self.timeout = timeout
+        self.scope = {"url": url}
 
-    @property
-    def scope(self) -> dict:
-        return {"url": self.url}
+    def _post(self, body: dict) -> dict:
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        request = urllib.request.Request(self.url, data=json.dumps(body).encode("utf-8"),
+                                         headers=headers)
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                return json.loads(resp.read().decode("utf-8"))
+        except urllib.error.HTTPError as e:
+            if e.code in (401, 403):
+                raise AuthError(f"HTTP {e.code} from {self.url}") from e
+            if e.code in (408, 429) or e.code >= 500:
+                raise TransientBackendError(f"HTTP {e.code}") from e
+            raise BackendUnavailable(f"HTTP {e.code} from {self.url}") from e
+        except urllib.error.URLError as e:
+            raise TransientBackendError(str(e)) from e
 
-    def complete(self, req: CompletionRequest) -> str:
-        body = {"prompt": req.prompt, "temperature": req.temperature,
-                "n_predict": req.max_output_tokens}
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        data = _http_post_json(self.url, body, headers, self.timeout)
+
+class OpenAIChatBackend(_HTTPBackend):
+    """Chat/completions JSON protocol (OpenAI-compatible servers)."""
+
+    def __init__(self, backend_id: str, url: str, api_key: str = "", model: str = "",
+                 timeout: float = 60.0):
+        super().__init__(backend_id, url, api_key, timeout)
+        self.model = model
+        self.scope = {"url": url, "model": model}
+
+    def complete(self, prompt: str) -> str:
+        data = self._post({"model": self.model, "temperature": TEMPERATURE,
+                           "max_tokens": MAX_OUTPUT_TOKENS,
+                           "messages": [{"role": "user", "content": prompt}]})
+        try:
+            return data["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as e:
+            raise BackendUnavailable(f"unexpected response shape: {e}") from e
+
+
+class LlamaServerBackend(_HTTPBackend):
+    """llama.cpp-style /completion JSON protocol."""
+
+    def complete(self, prompt: str) -> str:
+        data = self._post({"prompt": prompt, "temperature": TEMPERATURE,
+                           "n_predict": MAX_OUTPUT_TOKENS})
         content = data.get("content")
         if content is None:
             raise BackendUnavailable("response has no 'content' field")
@@ -292,14 +274,14 @@ class RetryPolicy:
 
 
 class Gateway:
-    """Front door for completions: cache -> rate limit -> backend with retries.
+    """Front door for one backend: cache -> rate limit -> backend with retries.
 
     With ``rate_limiter=None`` (the default) backend calls are not paced."""
 
-    def __init__(self, cache: ResponseCache | None = None,
+    def __init__(self, backend, cache: ResponseCache | None = None,
                  rate_limiter: TokenBucket | None = None,
                  retry: RetryPolicy | None = None, sleep=time.sleep):
-        self.backends: dict[str, object] = {}
+        self.backend = backend
         self.cache = cache
         self.rate_limiter = rate_limiter
         self.retry = retry or RetryPolicy()
@@ -307,22 +289,11 @@ class Gateway:
         self.backend_calls = 0
         self.cache_hits = 0
 
-    def register_backend(self, backend) -> None:
-        self.backends[backend.backend_id] = backend
-
-    def backend(self, backend_id: str):
-        try:
-            return self.backends[backend_id]
-        except KeyError:
-            raise UnknownBackend(f"backend {backend_id!r} not registered") from None
-
-    def prompt_style(self, backend_id: str) -> str:
-        return getattr(self.backend(backend_id), "prompt_style", "instruct")
-
-    def complete(self, req: CompletionRequest) -> str:
-        req.validate()
-        backend = self.backend(req.backend_id)
-        key = cache_key(req, getattr(backend, "scope", None))
+    def complete(self, prompt: str) -> str:
+        if not prompt:
+            raise ValueError("prompt must be non-empty")
+        backend_id = self.backend.backend_id
+        key = cache_key(prompt, self.backend)
         if self.cache is not None:
             cached = self.cache.get(key)
             if cached is not None:
@@ -331,37 +302,22 @@ class Gateway:
 
         if self.rate_limiter is not None:
             self.rate_limiter.acquire()
-        delays = self.retry.delays()
-        last_error: Exception | None = None
-        for attempt in range(self.retry.max_retries + 1):
+        for attempt, delay in enumerate([*self.retry.delays(), None], start=1):
             try:
                 self.backend_calls += 1
-                response = backend.complete(req)
+                response = self.backend.complete(prompt)
                 break
             except TransientBackendError as e:
-                last_error = e
-                try:
-                    delay = next(delays)
-                except StopIteration:
-                    delay = None
-                if attempt >= self.retry.max_retries or delay is None:
-                    raise BackendUnavailable(
-                        f"backend {req.backend_id!r} failed after "
-                        f"{attempt + 1} attempts: {last_error}") from e
+                if delay is None:  # retries spent
+                    raise BackendUnavailable(f"backend {backend_id!r} failed after "
+                                             f"{attempt} attempts: {e}") from e
                 self.sleep(delay)
-        else:  # pragma: no cover - loop always breaks or raises
-            raise BackendUnavailable(str(last_error))
 
         if not response or not response.strip():
-            raise ResponseEmpty(f"backend {req.backend_id!r} returned an empty completion")
+            raise ResponseEmpty(f"backend {backend_id!r} returned an empty completion")
         if self.cache is not None:
-            self.cache.put(key, response, req)
+            self.cache.put(key, response, prompt, backend_id)
         return response
-
-
-def mock_complete(req: CompletionRequest) -> str:
-    """Run the mock transformation directly (no cache, no retries)."""
-    return MockBackend().complete(req)
 
 
 @dataclass
@@ -384,21 +340,19 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
     cache = ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
     retry = RetryPolicy(max_retries=cfg.max_retries, base_delay=cfg.backoff_base,
                         max_delay=cfg.backoff_cap)
-    gw = Gateway(cache=cache, retry=retry)
     if cfg.backend == "mock":
         lexicon = load_symptom_lexicon(cfg.lexicon_path) if cfg.lexicon_path else None
-        gw.register_backend(MockBackend(lexicon))
-    elif cfg.backend in ("openai", "llama"):
-        url = os.environ.get(ENV_URL, cfg.url)
-        key = os.environ.get(ENV_KEY, cfg.api_key)
-        if not url:
-            raise UnknownBackend(f"live backend {cfg.backend!r} needs a url "
-                                 f"(config gateway.url or ${ENV_URL})")
-        gw.rate_limiter = TokenBucket(cfg.rate_per_sec, cfg.burst)
-        if cfg.backend == "openai":
-            gw.register_backend(OpenAIChatBackend(cfg.backend, url, key, cfg.model))
-        else:
-            gw.register_backend(LlamaServerBackend(cfg.backend, url, key))
-    else:
+        return Gateway(MockBackend(lexicon), cache=cache, retry=retry)
+    if cfg.backend not in ("openai", "llama"):
         raise UnknownBackend(f"unknown gateway backend {cfg.backend!r}")
-    return gw
+    url = os.environ.get(ENV_URL, cfg.url)
+    key = os.environ.get(ENV_KEY, cfg.api_key)
+    if not url:
+        raise UnknownBackend(f"live backend {cfg.backend!r} needs a url "
+                             f"(config gateway.url or ${ENV_URL})")
+    if cfg.backend == "openai":
+        backend = OpenAIChatBackend(cfg.backend, url, key, cfg.model)
+    else:
+        backend = LlamaServerBackend(cfg.backend, url, key)
+    return Gateway(backend, cache=cache, rate_limiter=TokenBucket(cfg.rate_per_sec, cfg.burst),
+                   retry=retry)

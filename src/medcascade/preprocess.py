@@ -1,11 +1,12 @@
 """The three LLM preprocessing layers: refinement, summarization, entity
 extraction, plus the per-record bundle store and failure ledger.
 
-Each layer is a prompt template over the gateway.  Two template styles ship
-with the package: ``sentinel`` (the bare ``REFINE:``/``SUMMARIZE:``/``NER:``
-prompts the mock backend understands) and ``instruct`` (full instructions for
-live chat models).  The style is chosen by the backend, and the hashes of the
-templates actually used are pinned into every bundle for provenance.
+Each layer sends one prompt through the gateway and gets one answer back.
+Two template styles ship with the package: ``sentinel`` (the bare
+``REFINE:``/``SUMMARIZE:``/``NER:`` prompts the mock backend understands)
+and ``instruct`` (full instructions for live chat models).  The gateway's
+backend names its style, and the hashes of the templates actually used are
+pinned into every bundle for provenance.
 
 Entity output is parsed line-oriented: ``category: surface, surface`` lines,
 or a bare comma-separated list (the mock's style), which is read as symptoms.
@@ -26,7 +27,7 @@ from .corpus import ComplaintRecord, scrub_pii
 from .atomic import write_atomic
 from .errors import (CorruptBundle, EmptySourceText, MedcascadeError, ParseFailure,
                      RefusalDetected, ResponseEmpty)
-from .gateway import CompletionRequest, Gateway
+from .gateway import Gateway
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +49,7 @@ _CATEGORY_ALIASES = {
     "دواء": "drug", "ادوية": "drug", "أدوية": "drug", "علاج": "drug",
 }
 
-DEFAULT_REFUSAL_PHRASES = (
+REFUSAL_PHRASES = (
     "i cannot", "i can't", "i am unable", "i'm unable", "as an ai",
     "لا أستطيع", "لا استطيع", "لا يمكنني",
 )
@@ -122,37 +123,32 @@ def _source_text(record: ComplaintRecord) -> str:
     return text
 
 
-def _is_refusal(output: str, phrases=DEFAULT_REFUSAL_PHRASES) -> bool:
+def _is_refusal(output: str) -> bool:
     lowered = output.lower()
-    return any(p in lowered for p in phrases)
+    return any(p in lowered for p in REFUSAL_PHRASES)
 
 
-def _ask(gw: Gateway, backend_id: str, prompt: str, max_output_tokens: int = 512) -> str:
-    req = CompletionRequest(prompt=prompt, max_output_tokens=max_output_tokens,
-                            temperature=0.0, backend_id=backend_id)
-    return gw.complete(req)
+def _ask(gw: Gateway, prompt: str) -> str:
+    return gw.complete(prompt)
 
 
-def refine(record: ComplaintRecord, gw: Gateway, backend_id: str = "mock",
-           prompts: PromptLibrary | None = None,
-           refusal_phrases=DEFAULT_REFUSAL_PHRASES) -> str:
+def refine(record: ComplaintRecord, gw: Gateway, prompts: PromptLibrary | None = None) -> str:
     """Cleaned restatement of the complaint, medical content preserved."""
     text = _source_text(record)
     prompts = prompts or PromptLibrary()
-    out = _ask(gw, backend_id, prompts.render(gw.prompt_style(backend_id), "refine", text))
-    if _is_refusal(out, refusal_phrases):
+    out = _ask(gw, prompts.render(gw.backend.prompt_style, "refine", text))
+    if _is_refusal(out):
         raise RefusalDetected(f"record {record.id!r}: refine output looks like a refusal")
     return out.strip()
 
 
-def summarize(record: ComplaintRecord, gw: Gateway, backend_id: str = "mock",
-              prompts: PromptLibrary | None = None,
-              refusal_phrases=DEFAULT_REFUSAL_PHRASES) -> str:
+def summarize(record: ComplaintRecord, gw: Gateway,
+              prompts: PromptLibrary | None = None) -> str:
     """Compressed complaint; never longer than the source (clamped post-hoc)."""
     text = _source_text(record)
     prompts = prompts or PromptLibrary()
-    out = _ask(gw, backend_id, prompts.render(gw.prompt_style(backend_id), "summarize", text))
-    if _is_refusal(out, refusal_phrases):
+    out = _ask(gw, prompts.render(gw.backend.prompt_style, "summarize", text))
+    if _is_refusal(out):
         raise RefusalDetected(f"record {record.id!r}: summary output looks like a refusal")
     out = out.strip()
     if len(out) > len(text):
@@ -222,7 +218,7 @@ def parse_entities(output: str, source_text: str) -> list[Entity]:
     return deduped
 
 
-def extract_entities(record: ComplaintRecord, gw: Gateway, backend_id: str = "mock",
+def extract_entities(record: ComplaintRecord, gw: Gateway,
                      prompts: PromptLibrary | None = None) -> list[Entity]:
     """Deduplicated, order-of-first-mention entity list for one record.
 
@@ -232,10 +228,10 @@ def extract_entities(record: ComplaintRecord, gw: Gateway, backend_id: str = "mo
     """
     text = _source_text(record)
     prompts = prompts or PromptLibrary()
-    prompt = prompts.render(gw.prompt_style(backend_id), "ner", text)
+    prompt = prompts.render(gw.backend.prompt_style, "ner", text)
     for attempt in range(2):
         try:
-            out = _ask(gw, backend_id, prompt)
+            out = _ask(gw, prompt)
         except ResponseEmpty:
             return []
         if not _is_refusal(out):
@@ -312,22 +308,20 @@ class LedgerEntry:
                 "error": self.error, "fatal": self.fatal}
 
 
-def run_bundle(records: list[ComplaintRecord], gw: Gateway, resume: bool = False,
-               store: BundleStore | None = None, backend_id: str = "mock",
-               prompts: PromptLibrary | None = None,
-               ledger_path: str | None = None) -> list[PreprocessBundle]:
+def run_bundle(records: list[ComplaintRecord], gw: Gateway, store: BundleStore,
+               resume: bool = False,
+               prompts: PromptLibrary | None = None) -> list[PreprocessBundle]:
     """Produce one bundle per record through all three layers.
 
     Never loses a record: stage failures are recorded in the failure ledger
     and the bundle degrades (fallback refined/summarized = scrubbed source,
-    entities = empty) instead of aborting the run.  With ``resume``, records
+    entities = empty) instead of aborting the run; the ledger is
+    ``failures.jsonl`` in the store's directory.  With ``resume``, records
     whose bundle already exists on disk are skipped outright.
     """
-    store = store or BundleStore("bundles")
     prompts = prompts or PromptLibrary()
-    ledger_path = ledger_path or os.path.join(store.directory, "failures.jsonl")
-    style = gw.prompt_style(backend_id)
-    hashes = prompts.hashes(style)
+    ledger_path = os.path.join(store.directory, "failures.jsonl")
+    hashes = prompts.hashes(gw.backend.prompt_style)
 
     bundles: list[PreprocessBundle] = []
     ledger: list[LedgerEntry] = []
@@ -346,17 +340,17 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway, resume: bool = False
             continue
 
         try:
-            refined = refine(source, gw, backend_id, prompts)
+            refined = refine(source, gw, prompts)
         except MedcascadeError as e:
             ledger.append(LedgerEntry(record.id, "refine", e.category, fatal=True))
             refined = scrubbed.strip()
         try:
-            summarized = summarize(source, gw, backend_id, prompts)
+            summarized = summarize(source, gw, prompts)
         except MedcascadeError as e:
             ledger.append(LedgerEntry(record.id, "summarize", e.category, fatal=True))
             summarized = scrubbed.strip()
         try:
-            entities = extract_entities(source, gw, backend_id, prompts)
+            entities = extract_entities(source, gw, prompts)
         except MedcascadeError as e:
             ledger.append(LedgerEntry(record.id, "ner", e.category, fatal=False))
             entities = []

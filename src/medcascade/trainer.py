@@ -195,8 +195,9 @@ def predict(model: MultiTaskModel, texts: list[str], batch_size: int = 8,
     """Eval-mode argmax per task; ties break to the lowest class index.
 
     Each text is padded to its own length bucket and batched only with texts
-    of the same bucket, so its scores do not depend on the other texts or on
-    how they are batched.  Scores and indices come back in input order.
+    of the same bucket, so its scores equal, to float64 rounding, those it
+    gets alone: the BLAS kernel can change with the batch's row count, so
+    the bytes can differ.  Scores and indices come back in input order.
     """
     ids, mask = model.encode_texts(texts)
     widths = np.asarray([bucket_width(int(n), model.encoder.max_len)
@@ -305,7 +306,6 @@ class TrainLog:
 @dataclass
 class TrainResult:
     best_params: dict[str, np.ndarray]
-    final_params: dict[str, np.ndarray]
     best_epoch: int
     log: TrainLog
     steps_taken: int
@@ -404,9 +404,8 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
         if avg > best_avg:
             best_avg, best_epoch, best_params = avg, epoch, model.snapshot()
 
-    return TrainResult(best_params=best_params, final_params=model.snapshot(),
-                       best_epoch=best_epoch, log=log, steps_taken=step,
-                       class_weight_maps=weight_maps)
+    return TrainResult(best_params=best_params, best_epoch=best_epoch, log=log,
+                       steps_taken=step, class_weight_maps=weight_maps)
 
 
 def _accuracy_on(model: MultiTaskModel, texts: list[str],

@@ -24,9 +24,7 @@ def small_vocab():
 
 @pytest.fixture
 def mock_gateway(tmp_path):
-    gw = Gateway(cache=ResponseCache(tmp_path / "cache"))
-    gw.register_backend(MockBackend())
-    return gw
+    return Gateway(MockBackend(), cache=ResponseCache(tmp_path / "cache"))
 
 
 @pytest.fixture

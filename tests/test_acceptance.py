@@ -173,8 +173,7 @@ def _toy_cell(epochs, seed=501, lr=2e-3, condition="normal", n_records=200):
     train_recs, val_recs, test_recs = stratified_split(records, (0.8, 0.1, 0.1), seed=7)
     store = None
     if condition != "normal":
-        gw = Gateway()
-        gw.register_backend(MockBackend())
+        gw = Gateway(MockBackend())
         store = BundleStore(os.path.join(os.environ.get("TMPDIR", "/tmp"),
                                          f"acc_bundles_{os.getpid()}"))
         run_bundle(records, gw, store=store)
@@ -301,8 +300,7 @@ def test_criterion_9_variant_construction(tmp_path):
     prefix of every augmented input; normal inputs equal the scrubbed source."""
     records, _ = generate_synthetic_corpus()
     records = scrub_records(records)
-    gw = Gateway()
-    gw.register_backend(MockBackend())
+    gw = Gateway(MockBackend())
     store = BundleStore(tmp_path / "bundles")
     run_bundle(records, gw, store=store)
 

@@ -116,7 +116,7 @@ class TestIdempotence:
     def test_preprocess_redoes_work_when_the_live_model_changes(self, workspace, capsys,
                                                                  monkeypatch):
         monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
-        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, **kwargs: [])
+        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store, **kwargs: [])
         assert run("ingest", "--config", "cfg.json") == 0
 
         def preprocess(model):
@@ -133,7 +133,7 @@ class TestIdempotence:
 
     def test_preprocess_redoes_work_when_the_mock_lexicon_changes(self, workspace, capsys,
                                                                    monkeypatch):
-        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, **kwargs: [])
+        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store, **kwargs: [])
         (workspace / "one_term.txt").write_text("fever\n", encoding="utf-8")
         assert run("ingest", "--config", "cfg.json") == 0
 
@@ -149,7 +149,7 @@ class TestIdempotence:
 
     def test_a_value_that_names_a_file_is_hashed_as_the_value(self, workspace, capsys,
                                                               monkeypatch):
-        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, **kwargs: [])
+        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store, **kwargs: [])
         assert run("ingest", "--config", "cfg.json") == 0
         stray = workspace / "mock"      # same name as the backend value
         for content in ("one", "two"):
@@ -161,7 +161,7 @@ class TestIdempotence:
     def test_bundle_directory_does_not_depend_on_the_live_url(self, workspace, monkeypatch):
         monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
         answer = {"choices": [{"message": {"content": "صداع"}}]}
-        monkeypatch.setattr(gateway, "_http_post_json", lambda *args: answer)
+        monkeypatch.setattr(gateway._HTTPBackend, "_post", lambda self, body: answer)
         trees = []
         for port in (9, 10):
             config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
@@ -188,6 +188,26 @@ class TestIdempotence:
         capsys.readouterr()
         assert run(*train) == 0
         assert "up to date" not in capsys.readouterr().out
+
+    def test_train_redoes_work_when_the_encoder_weights_change(self, workspace, capsys):
+        from medcascade.encoder import build_toy_encoder
+        toy = {"d_model": 16, "d_ff": 24, "n_layers": 1}
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config["model"] = {"weights_dir": "weights"}
+        (workspace / "exported.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", "exported.json") == 0
+        assert run("variants", "--config", "exported.json", "--condition", "normal") == 0
+        train = ("train", "--config", "exported.json", "--model", "exported",
+                 "--condition", "normal", "--no-finetune")
+        scores = workspace / "work" / "runs" / "exported__normal__frozen" / "scores.json"
+        outputs = []
+        for seed in (0, 0, 1):  # the same weights, then new weights in the same directory
+            build_toy_encoder(seed=seed, **toy).save_base("weights")
+            capsys.readouterr()
+            assert run(*train) == 0
+            outputs.append(("up to date" in capsys.readouterr().out, scores.read_bytes()))
+        assert [fresh for fresh, _ in outputs] == [False, True, False]
+        assert outputs[2][1] != outputs[0][1]
 
 
 class TestPredictionPass:

@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -9,136 +10,148 @@ from hypothesis import given, settings, strategies as st
 
 from medcascade.errors import (AuthError, BackendUnavailable, ResponseEmpty,
                                UnknownBackend, UnknownSentinel)
-from medcascade.gateway import (CompletionRequest, Gateway, GatewayConfig, MockBackend,
+from medcascade.gateway import (Gateway, GatewayConfig, LlamaServerBackend, MockBackend,
                                 OpenAIChatBackend, ResponseCache, RetryPolicy,
                                 TokenBucket, TransientBackendError, build_gateway,
-                                cache_key, load_symptom_lexicon, mock_complete)
+                                cache_key, load_symptom_lexicon)
+
+MOCK = MockBackend()
 
 
-def req(prompt, backend_id="mock", **kwargs):
-    return CompletionRequest(prompt=prompt, backend_id=backend_id, **kwargs)
+def mock_complete(prompt):
+    return MOCK.complete(prompt)
+
+
+def fake_backend(backend_id, scope=None):
+    return SimpleNamespace(backend_id=backend_id, scope=scope)
 
 
 class TestMockBackend:
     def test_refine_normalizes_whitespace(self):
-        assert mock_complete(req("REFINE: text  with   spaces")) == "text with spaces"
+        assert mock_complete("REFINE: text  with   spaces") == "text with spaces"
 
     def test_refine_synthesizes_age_header(self):
-        out = mock_complete(req("REFINE: والدتي عندها 65 سنة وتعاني من صداع"))
+        out = mock_complete("REFINE: والدتي عندها 65 سنة وتعاني من صداع")
         assert out == "Age: 65\nوالدتي عندها 65 سنة وتعاني من صداع"
 
     def test_refine_age_keyword_english(self):
-        out = mock_complete(req("REFINE: she is 65 years old"))
+        out = mock_complete("REFINE: she is 65 years old")
         assert out.startswith("Age: 65\n")
 
     def test_refine_plain_digits_no_header(self):
-        assert mock_complete(req("REFINE: took 5 pills daily")) == "took 5 pills daily"
+        assert mock_complete("REFINE: took 5 pills daily") == "took 5 pills daily"
 
     def test_summarize_first_two_sentences(self):
-        assert mock_complete(req("SUMMARIZE: A. B. C.")) == "A. B."
+        assert mock_complete("SUMMARIZE: A. B. C.") == "A. B."
 
     def test_summarize_single_sentence_identity(self):
-        assert mock_complete(req("SUMMARIZE: only one sentence here")) == \
+        assert mock_complete("SUMMARIZE: only one sentence here") == \
             "only one sentence here"
 
     def test_summarize_arabic_question_mark(self):
-        assert mock_complete(req("SUMMARIZE: الاولى؟ الثانية. الثالثة.")) == \
+        assert mock_complete("SUMMARIZE: الاولى؟ الثانية. الثالثة.") == \
             "الاولى؟ الثانية."
 
     def test_ner_lexicon_hits(self):
         backend = MockBackend(lexicon={"headache", "fever"})
-        out = backend.complete(req("NER: headache and fever"))
+        out = backend.complete("NER: headache and fever")
         assert out == "headache, fever"
 
     def test_ner_repeats_every_occurrence(self):
         backend = MockBackend(lexicon={"fever"})
-        assert backend.complete(req("NER: fever then fever")) == "fever, fever"
+        assert backend.complete("NER: fever then fever") == "fever, fever"
 
     def test_ner_strips_punctuation_keeps_surface(self):
         backend = MockBackend(lexicon={"fever"})
-        assert backend.complete(req("NER: Fever, then rest")) == "Fever"
+        assert backend.complete("NER: Fever, then rest") == "Fever"
 
     def test_ner_no_hits_empty(self):
         backend = MockBackend(lexicon={"fever"})
-        assert backend.complete(req("NER: nothing relevant")) == ""
+        assert backend.complete("NER: nothing relevant") == ""
 
     def test_unknown_sentinel(self):
         with pytest.raises(UnknownSentinel):
-            mock_complete(req("TRANSLATE: x"))
+            mock_complete("TRANSLATE: x")
 
     def test_bundled_lexicon_covers_arabic_and_english(self):
         lexicon = load_symptom_lexicon()
         assert {"headache", "fever", "سكري", "طفح"} <= lexicon
 
     def test_pure_function(self):
-        r = req("NER: headache and fever")
+        r = "NER: headache and fever"
         assert mock_complete(r) == mock_complete(r)
 
 
 class TestRequestValidation:
     def test_empty_prompt(self):
+        gw = Gateway(MockBackend())
         with pytest.raises(ValueError):
-            req("").validate()
-
-    def test_temperature_range(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="x", temperature=3.0, reproducible=False).validate()
-
-    def test_reproducible_requires_zero_temperature(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="x", temperature=0.5, reproducible=True).validate()
+            gw.complete("")
+        assert gw.backend_calls == 0
 
 
 class TestCache:
     def test_second_call_served_from_cache(self, tmp_path):
-        gw = Gateway(cache=ResponseCache(tmp_path))
-        gw.register_backend(MockBackend())
-        r = req("REFINE: hello   there")
+        gw = Gateway(MockBackend(), cache=ResponseCache(tmp_path))
+        r = "REFINE: hello   there"
         first = gw.complete(r)
         second = gw.complete(r)
         assert first == second == "hello there"
         assert gw.backend_calls == 1
         assert gw.cache_hits == 1
 
-    def test_key_equality_iff_request_equality(self):
-        a = req("REFINE: x")
-        assert cache_key(a) == cache_key(req("REFINE: x"))
-        assert cache_key(a) != cache_key(req("REFINE: y"))
-        assert cache_key(a) != cache_key(req("REFINE: x", max_output_tokens=9))
-        assert cache_key(a) != cache_key(CompletionRequest(
-            prompt="REFINE: x", temperature=1.0, reproducible=False))
-        assert cache_key(a) != cache_key(req("REFINE: x", backend_id="other"))
+    def test_key_equality_iff_prompt_and_backend_equality(self):
+        key = cache_key("REFINE: x", MOCK)
+        assert key == cache_key("REFINE: x", MockBackend())
+        assert key != cache_key("REFINE: y", MOCK)
+        assert key != cache_key("REFINE: x", fake_backend("other", MOCK.scope))
+
+    @pytest.mark.parametrize("backend, key", [
+        (MockBackend(),
+         "5100775bd171ceff55f6978edefe5582c9ebb1b41fcc71bfc6191d90b5446ade"),
+        (OpenAIChatBackend("openai", "http://127.0.0.1:9/v1", model="stub"),
+         "143811f5f9950700f1a1067a04baac3ecda9a387c092cd2d91c021037f6aae90"),
+        (LlamaServerBackend("llama", "http://127.0.0.1:9/completion"),
+         "aa280f69fc3517fd3a47449079a0e2bce54208ddd564b3c96a536b90368f0bc4"),
+    ], ids=["mock", "openai", "llama"])
+    def test_keys_are_pinned(self, backend, key):
+        # existing caches must keep hitting: these are the keys caches hold today
+        assert cache_key("REFINE: x", backend) == key
 
     def test_key_covers_the_backend_scope(self):
-        a = req("hi", backend_id="openai")
         scope = {"url": "http://127.0.0.1:1/v1", "model": "m1"}
-        assert cache_key(a) == cache_key(a, {})
-        assert cache_key(a) != cache_key(a, scope)
-        assert cache_key(a, scope) != cache_key(a, {**scope, "model": "m2"})
-        assert cache_key(a, scope) != cache_key(a, {**scope, "url": "http://127.0.0.1:2/v1"})
+        key = cache_key("hi", fake_backend("openai"))
+        assert key == cache_key("hi", fake_backend("openai", {}))
+        assert key != cache_key("hi", fake_backend("openai", scope))
+        assert cache_key("hi", fake_backend("openai", scope)) != \
+            cache_key("hi", fake_backend("openai", {**scope, "model": "m2"}))
+        assert cache_key("hi", fake_backend("openai", scope)) != \
+            cache_key("hi", fake_backend("openai", {**scope, "url": "http://127.0.0.1:2/v1"}))
 
     @given(st.text(min_size=1, max_size=80), st.text(min_size=1, max_size=80))
     @settings(max_examples=100, deadline=None)
     def test_key_property(self, p1, p2):
-        k1, k2 = cache_key(req(p1)), cache_key(req(p2))
+        k1, k2 = cache_key(p1, MOCK), cache_key(p2, MOCK)
         assert (k1 == k2) == (p1 == p2)
 
     def test_cache_file_named_by_key(self, tmp_path):
         cache = ResponseCache(tmp_path)
-        r = req("REFINE: x")
-        cache.put(cache_key(r), "x", r)
-        assert (tmp_path / f"{cache_key(r)}.json").exists()
-        assert cache.get(cache_key(r)) == "x"
+        key = cache_key("REFINE: x", MOCK)
+        cache.put(key, "x", "REFINE: x", "mock")
+        path = tmp_path / f"{key}.json"
+        assert cache.get(key) == "x"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert set(entry) == {"key", "response", "created_at", "request"}
+        assert entry["request"] == {"prompt": "REFINE: x", "max_output_tokens": 512,
+                                    "temperature": 0.0, "backend_id": "mock"}
 
     @pytest.mark.parametrize("damage", [b'{"key": "k", "resp', b"", b"\xff\xfe", b"null",
                                         b'{"key": "k"}'],
                              ids=["truncated", "empty", "not-utf8", "not-object", "no-response"])
     def test_damaged_entry_is_a_miss_and_put_overwrites_it(self, tmp_path, damage):
-        gw = Gateway(cache=ResponseCache(tmp_path))
-        backend = MockBackend()
-        gw.register_backend(backend)
-        r = req("REFINE: hello   there")
-        path = tmp_path / f"{cache_key(r, backend.scope)}.json"
+        gw = Gateway(MockBackend(), cache=ResponseCache(tmp_path))
+        r = "REFINE: hello   there"
+        path = tmp_path / f"{cache_key(r, gw.backend)}.json"
         path.write_bytes(damage)
         assert gw.complete(r) == "hello there"
         assert (gw.backend_calls, gw.cache_hits) == (1, 0)
@@ -150,13 +163,14 @@ class TestCache:
 class FlakyBackend:
     backend_id = "flaky"
     prompt_style = "instruct"
+    scope = None
 
     def __init__(self, failures, response="ok"):
         self.failures = failures
         self.response = response
         self.calls = 0
 
-    def complete(self, request):
+    def complete(self, prompt):
         self.calls += 1
         if self.calls <= self.failures:
             raise TransientBackendError("boom")
@@ -166,22 +180,21 @@ class FlakyBackend:
 class TestRetry:
     def test_retries_then_succeeds(self):
         sleeps = []
-        gw = Gateway(retry=RetryPolicy(max_retries=3, base_delay=0.5),
-                     sleep=sleeps.append)
         backend = FlakyBackend(failures=2)
-        gw.register_backend(backend)
-        assert gw.complete(req("x", backend_id="flaky")) == "ok"
+        gw = Gateway(backend, retry=RetryPolicy(max_retries=3, base_delay=0.5),
+                     sleep=sleeps.append)
+        assert gw.complete("x") == "ok"
         assert backend.calls == 3
         assert sleeps == [0.5, 1.0]
         assert sleeps == sorted(sleeps)  # nondecreasing backoff
 
     def test_exhausted_raises_backend_unavailable(self):
         sleeps = []
-        gw = Gateway(retry=RetryPolicy(max_retries=2), sleep=sleeps.append)
         backend = FlakyBackend(failures=99)
-        gw.register_backend(backend)
-        with pytest.raises(BackendUnavailable):
-            gw.complete(req("x", backend_id="flaky"))
+        gw = Gateway(backend, retry=RetryPolicy(max_retries=2), sleep=sleeps.append)
+        with pytest.raises(BackendUnavailable,
+                           match="^backend 'flaky' failed after 3 attempts: boom$"):
+            gw.complete("x")
         assert backend.calls == 3  # 1 + max_retries, never more
         assert len(sleeps) == 2
 
@@ -191,14 +204,16 @@ class TestRetry:
         assert delays == [1.0, 4.0, 6.0, 6.0, 6.0]
 
     def test_empty_response_raises(self):
-        gw = Gateway()
-        gw.register_backend(FlakyBackend(failures=0, response="  "))
+        gw = Gateway(FlakyBackend(failures=0, response="  "))
         with pytest.raises(ResponseEmpty):
-            gw.complete(req("x", backend_id="flaky"))
+            gw.complete("x")
 
-    def test_unregistered_backend(self):
-        with pytest.raises(UnknownBackend):
-            Gateway().complete(req("x", backend_id="nope"))
+    def test_no_retries_means_one_attempt(self):
+        backend = FlakyBackend(failures=99)
+        gw = Gateway(backend, retry=RetryPolicy(max_retries=0), sleep=pytest.fail)
+        with pytest.raises(BackendUnavailable, match="after 1 attempts"):
+            gw.complete("x")
+        assert backend.calls == 1
 
 
 class TestTokenBucket:
@@ -219,10 +234,13 @@ class TestTokenBucket:
 
 class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
+    last_body = b""
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
+        raw = self.rfile.read(length)
+        type(self).last_body = raw
+        body = json.loads(raw)
         if self.behavior == "auth":
             self.send_response(401)
             self.end_headers()
@@ -232,8 +250,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(503)
             self.end_headers()
             return
-        payload = {"choices": [{"message": {
-            "content": f"echo:{body['messages'][0]['content']}"}}]}
+        if self.path.endswith("/completion"):
+            payload = {"content": f"echo:{body['prompt']}"}
+        else:
+            payload = {"choices": [{"message": {
+                "content": f"echo:{body['messages'][0]['content']}"}}]}
         data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -259,35 +280,41 @@ def http_server():
 class TestHttpBackends:
     def test_openai_roundtrip(self, http_server):
         _Handler.behavior = "ok"
-        gw = Gateway()
-        gw.register_backend(OpenAIChatBackend("openai", http_server, api_key="k"))
-        assert gw.complete(req("hi", backend_id="openai")) == "echo:hi"
+        gw = Gateway(OpenAIChatBackend("openai", http_server, api_key="k"))
+        assert gw.complete("hi") == "echo:hi"
+
+    def test_request_bodies_are_pinned(self, http_server):
+        _Handler.behavior = "ok"
+        assert OpenAIChatBackend("openai", http_server, model="stub").complete("hi") == "echo:hi"
+        assert _Handler.last_body == (b'{"model": "stub", "temperature": 0.0, "max_tokens": 512, '
+                                      b'"messages": [{"role": "user", "content": "hi"}]}')
+        llama_url = http_server.replace("/v1/chat/completions", "/completion")
+        assert LlamaServerBackend("llama", llama_url).complete("hi") == "echo:hi"
+        assert _Handler.last_body == b'{"prompt": "hi", "temperature": 0.0, "n_predict": 512}'
 
     def test_invalid_key_auth_error(self, http_server):
         _Handler.behavior = "auth"
-        gw = Gateway(sleep=lambda s: None)
-        gw.register_backend(OpenAIChatBackend("openai", http_server, api_key="bad"))
+        gw = Gateway(OpenAIChatBackend("openai", http_server, api_key="bad"),
+                     sleep=lambda s: None)
         with pytest.raises(AuthError):
-            gw.complete(req("hi", backend_id="openai"))
+            gw.complete("hi")
         _Handler.behavior = "ok"
 
     def test_transient_503_retried(self, http_server):
         _Handler.behavior = "flaky_then_ok"
-        gw = Gateway(sleep=lambda s: None)
-        gw.register_backend(OpenAIChatBackend("openai", http_server))
-        assert gw.complete(req("hi", backend_id="openai")) == "echo:hi"
+        gw = Gateway(OpenAIChatBackend("openai", http_server), sleep=lambda s: None)
+        assert gw.complete("hi") == "echo:hi"
 
 
 class TestConcurrency:
     def test_concurrent_callers_share_cache_safely(self, tmp_path):
         import concurrent.futures
 
-        gw = Gateway(cache=ResponseCache(tmp_path))
-        gw.register_backend(MockBackend())
+        gw = Gateway(MockBackend(), cache=ResponseCache(tmp_path))
         prompts = [f"REFINE: text number {i % 5}  padded" for i in range(40)]
 
         def call(prompt):
-            return gw.complete(req(prompt))
+            return gw.complete(prompt)
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(call, prompts))
@@ -302,7 +329,7 @@ class TestConcurrency:
 class TestBuildGateway:
     def test_mock_default(self, tmp_path):
         gw = build_gateway(GatewayConfig(backend="mock", cache_dir=str(tmp_path / "c")))
-        assert gw.complete(req("REFINE: a  b")) == "a b"
+        assert gw.complete("REFINE: a  b") == "a b"
 
     def test_live_backend_needs_url(self):
         with pytest.raises(UnknownBackend):
@@ -313,7 +340,7 @@ class TestBuildGateway:
         monkeypatch.setenv("MEDCASCADE_LLM_URL", http_server)
         monkeypatch.setenv("MEDCASCADE_LLM_KEY", "secret")
         gw = build_gateway(GatewayConfig(backend="openai"))
-        assert gw.complete(req("hi", backend_id="openai")) == "echo:hi"
+        assert gw.complete("hi") == "echo:hi"
 
     def test_models_sharing_a_cache_dir_each_call_the_backend(self, monkeypatch, http_server,
                                                               tmp_path):
@@ -323,7 +350,7 @@ class TestBuildGateway:
         for model in ("model-a", "model-b", "model-a"):
             gw = build_gateway(GatewayConfig(backend="openai", model=model,
                                              cache_dir=str(tmp_path / "c")))
-            assert gw.complete(req("hi", backend_id="openai")) == "echo:hi"
+            assert gw.complete("hi") == "echo:hi"
             calls.append((gw.backend_calls, gw.cache_hits))
         assert calls == [(1, 0), (1, 0), (0, 1)]
 
@@ -334,7 +361,7 @@ class TestBuildGateway:
         for lexicon in ("", str(one_term), str(one_term)):
             gw = build_gateway(GatewayConfig(backend="mock", lexicon_path=lexicon,
                                              cache_dir=str(tmp_path / "c")))
-            answers.append((gw.complete(req("NER: fever and headache")),
+            answers.append((gw.complete("NER: fever and headache"),
                             gw.backend_calls, gw.cache_hits))
         assert answers == [("fever, headache", 1, 0), ("fever", 1, 0), ("fever", 0, 1)]
 
@@ -360,7 +387,7 @@ class TestBuildGateway:
         sys.setprofile(profile)
         try:
             for i in range(30):  # three times the default burst
-                gw.complete(req(f"REFINE: record {i}"))
+                gw.complete(f"REFINE: record {i}")
         finally:
             sys.setprofile(previous)
         assert gw.backend_calls == 30

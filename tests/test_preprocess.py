@@ -4,7 +4,7 @@ import re
 import pytest
 
 from medcascade.errors import EmptySourceText, ParseFailure, RefusalDetected, UserError
-from medcascade.gateway import Gateway
+from medcascade.gateway import Gateway, MockBackend, RetryPolicy, TransientBackendError
 from medcascade.preprocess import (BundleStore, Entity, PreprocessBundle, PromptLibrary,
                                    extract_entities, parse_entities, refine, run_bundle,
                                    summarize)
@@ -24,22 +24,21 @@ class ScriptedBackend:
 
     backend_id = "scripted"
     prompt_style = "instruct"
+    scope = None
 
     def __init__(self, responses):
         self.responses = list(responses)
         self.prompts = []
 
-    def complete(self, request):
-        self.prompts.append(request.prompt)
+    def complete(self, prompt):
+        self.prompts.append(prompt)
         if len(self.responses) > 1:
             return self.responses.pop(0)
         return self.responses[0]
 
 
 def scripted_gateway(responses):
-    gw = Gateway()
-    gw.register_backend(ScriptedBackend(responses))
-    return gw
+    return Gateway(ScriptedBackend(responses))
 
 
 class TestRefine:
@@ -70,7 +69,7 @@ class TestRefine:
     def test_refusal_detected(self):
         gw = scripted_gateway(["I cannot help with medical questions."])
         with pytest.raises(RefusalDetected):
-            refine(make_record(), gw, backend_id="scripted")
+            refine(make_record(), gw)
 
 
 class TestSummarize:
@@ -92,14 +91,14 @@ class TestSummarize:
         source = "شكوى المريض الاصلية هنا بطول معقول نسبيا."
         long_reply = "جملة اولى قصيرة. " + "هذه جملة ثانية طويلة جدا " * 5 + "."
         gw = scripted_gateway([long_reply])
-        out = summarize(make_record(text=source), gw, backend_id="scripted")
+        out = summarize(make_record(text=source), gw)
         assert out == "جملة اولى قصيرة."
         assert len(out) <= len(source)
 
     def test_overlong_single_sentence_hard_cut(self):
         source = "نص قصير."
         gw = scripted_gateway(["كلمة " * 40])
-        out = summarize(make_record(text=source), gw, backend_id="scripted")
+        out = summarize(make_record(text=source), gw)
         assert 0 < len(out) <= len(source)
 
 
@@ -161,10 +160,9 @@ class TestExtractEntities:
 
     def test_reprompt_recovers(self):
         backend = ScriptedBackend(["location: cairo", "symptom: fever"])
-        gw = Gateway()
-        gw.register_backend(backend)
+        gw = Gateway(backend)
         rec = make_record(text="fever since yesterday")
-        entities = extract_entities(rec, gw, backend_id="scripted")
+        entities = extract_entities(rec, gw)
         assert [e.surface for e in entities] == ["fever"]
         assert len(backend.prompts) == 2
         assert "Reminder" in backend.prompts[1]
@@ -172,7 +170,7 @@ class TestExtractEntities:
     def test_parse_failure_after_reprompt(self):
         gw = scripted_gateway(["location: cairo"])
         with pytest.raises(ParseFailure):
-            extract_entities(make_record(text="fever"), gw, backend_id="scripted")
+            extract_entities(make_record(text="fever"), gw)
 
 
 class TestBundleStore:
@@ -234,9 +232,7 @@ class TestRunBundle:
     def test_resume_skips_existing(self, tmp_path):
         store = BundleStore(tmp_path / "bundles")
         records = self._records()
-        gw = Gateway()  # no cache: backend calls reflect actual work
-        from medcascade.gateway import MockBackend
-        gw.register_backend(MockBackend())
+        gw = Gateway(MockBackend())  # no cache: backend calls reflect actual work
         run_bundle(records[:3], gw, store=store)
         calls_after_first = gw.backend_calls
         assert calls_after_first == 9  # 3 records x 3 stages
@@ -248,7 +244,7 @@ class TestRunBundle:
         store = BundleStore(tmp_path / "bundles")
         gw = scripted_gateway(["location: cairo"])  # refine/summarize get junk too
         records = [make_record(rid="r1", text="fever now. more text.")]
-        bundles = run_bundle(records, gw, store=store, backend_id="scripted")
+        bundles = run_bundle(records, gw, store=store)
         assert len(bundles) == 1
         assert bundles[0].entities == []
         ledger_path = tmp_path / "bundles" / "failures.jsonl"
@@ -261,17 +257,15 @@ class TestRunBundle:
         class DeadBackend:
             backend_id = "dead"
             prompt_style = "instruct"
+            scope = None
 
-            def complete(self, request):
-                from medcascade.gateway import TransientBackendError
+            def complete(self, prompt):
                 raise TransientBackendError("down")
 
-        from medcascade.gateway import RetryPolicy
-        gw = Gateway(retry=RetryPolicy(max_retries=1), sleep=lambda s: None)
-        gw.register_backend(DeadBackend())
+        gw = Gateway(DeadBackend(), retry=RetryPolicy(max_retries=1), sleep=lambda s: None)
         store = BundleStore(tmp_path / "bundles")
         records = [make_record(rid="r1", text="نص المريض هنا.")]
-        bundles = run_bundle(records, gw, store=store, backend_id="dead")
+        bundles = run_bundle(records, gw, store=store)
         # degraded bundle still produced, failures ledgered as fatal
         assert bundles[0].refined == "نص المريض هنا."
         entries = [json.loads(l) for l in
@@ -287,9 +281,7 @@ class TestRunBundle:
         digests = []
         for run in ("a", "b"):
             store = BundleStore(tmp_path / run)
-            gw = Gateway()
-            from medcascade.gateway import MockBackend
-            gw.register_backend(MockBackend())
+            gw = Gateway(MockBackend())
             run_bundle(records, gw, store=store)
             files = sorted((tmp_path / run).glob("*.json"))
             digests.append([f.read_bytes() for f in files])

@@ -24,8 +24,7 @@ def records():
 @pytest.fixture
 def store(tmp_path, records):
     store = BundleStore(tmp_path / "bundles")
-    gw = Gateway()
-    gw.register_backend(MockBackend())
+    gw = Gateway(MockBackend())
     run_bundle(records, gw, store=store)
     return store
 
@@ -91,8 +90,7 @@ class TestBuildVariant:
 
     def test_scrubs_unscrubbed_input(self, store, records):
         dirty = [make_record(rid="r1", text="عندي سكري خفيف. رقمي 01234567890")]
-        gw = Gateway()
-        gw.register_backend(MockBackend())
+        gw = Gateway(MockBackend())
         local_store = BundleStore(store.directory + "_dirty")
         run_bundle(dirty, gw, store=local_store)
         variant = build_variant(dirty, local_store, "normal")
