@@ -2,8 +2,8 @@ import json
 import sys
 import threading
 import time
-from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,38 +18,34 @@ from medcascade.gateway import (Gateway, GatewayConfig, LlamaServerBackend, Mock
 MOCK = MockBackend()
 
 
-def mock_complete(prompt):
-    return MOCK.complete(prompt)
-
-
 def fake_backend(backend_id, scope=None):
     return SimpleNamespace(backend_id=backend_id, scope=scope)
 
 
 class TestMockBackend:
     def test_refine_normalizes_whitespace(self):
-        assert mock_complete("REFINE: text  with   spaces") == "text with spaces"
+        assert MOCK.complete("REFINE: text  with   spaces") == "text with spaces"
 
     def test_refine_synthesizes_age_header(self):
-        out = mock_complete("REFINE: والدتي عندها 65 سنة وتعاني من صداع")
+        out = MOCK.complete("REFINE: والدتي عندها 65 سنة وتعاني من صداع")
         assert out == "Age: 65\nوالدتي عندها 65 سنة وتعاني من صداع"
 
     def test_refine_age_keyword_english(self):
-        out = mock_complete("REFINE: she is 65 years old")
+        out = MOCK.complete("REFINE: she is 65 years old")
         assert out.startswith("Age: 65\n")
 
     def test_refine_plain_digits_no_header(self):
-        assert mock_complete("REFINE: took 5 pills daily") == "took 5 pills daily"
+        assert MOCK.complete("REFINE: took 5 pills daily") == "took 5 pills daily"
 
     def test_summarize_first_two_sentences(self):
-        assert mock_complete("SUMMARIZE: A. B. C.") == "A. B."
+        assert MOCK.complete("SUMMARIZE: A. B. C.") == "A. B."
 
     def test_summarize_single_sentence_identity(self):
-        assert mock_complete("SUMMARIZE: only one sentence here") == \
+        assert MOCK.complete("SUMMARIZE: only one sentence here") == \
             "only one sentence here"
 
     def test_summarize_arabic_question_mark(self):
-        assert mock_complete("SUMMARIZE: الاولى؟ الثانية. الثالثة.") == \
+        assert MOCK.complete("SUMMARIZE: الاولى؟ الثانية. الثالثة.") == \
             "الاولى؟ الثانية."
 
     def test_ner_lexicon_hits(self):
@@ -71,7 +67,7 @@ class TestMockBackend:
 
     def test_unknown_sentinel(self):
         with pytest.raises(UnknownSentinel):
-            mock_complete("TRANSLATE: x")
+            MOCK.complete("TRANSLATE: x")
 
     def test_bundled_lexicon_covers_arabic_and_english(self):
         lexicon = load_symptom_lexicon()
@@ -79,7 +75,7 @@ class TestMockBackend:
 
     def test_pure_function(self):
         r = "NER: headache and fever"
-        assert mock_complete(r) == mock_complete(r)
+        assert MOCK.complete(r) == MOCK.complete(r)
 
 
 class TestRequestValidation:
