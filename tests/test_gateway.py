@@ -96,7 +96,7 @@ class TestCache:
         assert gw.backend_calls == 1
         assert gw.cache_hits == 1
 
-    def test_key_equality_iff_prompt_and_backend_equality(self):
+    def test_key_equality_iff_request_equality(self):
         key = cache_key("REFINE: x", MOCK)
         assert key == cache_key("REFINE: x", MockBackend())
         assert key != cache_key("REFINE: y", MOCK)
