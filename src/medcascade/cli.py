@@ -34,6 +34,20 @@ from .variants import CONDITIONS, build_variant, load_variant, variant_paths, wr
 SPLITS = ("train", "val", "test")
 
 
+def _sources(*modules: str) -> list[str]:
+    return [os.path.join(os.path.dirname(os.path.abspath(__file__)), f"{m}.py") for m in modules]
+
+
+# The modules whose code writes each stage's bytes.  Their source is part of
+# the stage's input hash, so a code change reruns the stage.
+STAGE_SOURCES = {
+    "ingest": _sources("corpus"),
+    "preprocess": _sources("corpus", "gateway", "preprocess"),
+    "variants": _sources("corpus", "preprocess", "variants"),
+    "train": _sources("encoder", "lora", "trainer", "evaluator", "tokenizers", "variants"),
+}
+
+
 # -- shared helpers ------------------------------------------------------------
 
 def _hash_inputs(files: list[str], *values) -> str:
@@ -102,7 +116,8 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
         raise MissingUpstreamArtifact(f"corpus {cfg.corpus} not found")
     split_cfg = {"ratios": list(cfg.split.ratios), "seed": cfg.split.seed,
                  "stratify_task": cfg.split.stratify_task}
-    input_hash = _hash_inputs([cfg.corpus, manifest_path_for(cfg.corpus)], split_cfg)
+    input_hash = _hash_inputs(
+        [cfg.corpus, manifest_path_for(cfg.corpus), *STAGE_SOURCES["ingest"]], split_cfg)
     state = os.path.join(cfg.splits_dir(), ".state.json")
     outputs = [_split_path(cfg, part) for part in SPLITS]
     if _up_to_date(state, input_hash, outputs):
@@ -131,8 +146,9 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     prompts = PromptLibrary()
     gw = build_gateway(replace(cfg.gateway, backend=backend, cache_dir=cfg.cache_dir()))
     # the scope holds a live backend's url and model, the mock's lexicon
-    input_hash = _hash_inputs(split_paths, backend, gw.backend.scope,
-                              prompts.hashes("sentinel"), prompts.hashes("instruct"))
+    input_hash = _hash_inputs([*split_paths, *STAGE_SOURCES["preprocess"]], backend,
+                              gw.backend.scope, prompts.hashes("sentinel"),
+                              prompts.hashes("instruct"))
     state = _preprocess_state(cfg)
     if _up_to_date(state, input_hash, [cfg.bundles_dir()]):
         print("preprocess: up to date (0 gateway calls)")
@@ -159,7 +175,8 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
     store = BundleStore(cfg.bundles_dir())
     if any(c != "normal" for c in conditions):
         _require(_preprocess_state(cfg), "preprocess")
-    input_hash = _hash_inputs(split_paths, store.store_hash(), sorted(conditions))
+    input_hash = _hash_inputs([*split_paths, *STAGE_SOURCES["variants"]], store.store_hash(),
+                              sorted(conditions))
     state = os.path.join(cfg.variants_dir(), ".state.json")
     outputs = [variant_paths(cfg.variants_dir(), c, part)[0]
                for c in conditions for part in SPLITS]
@@ -199,7 +216,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
                     "model": cfg.to_json()["model"], "arm": arm}
     weight_files = [os.path.join(cfg.model.weights_dir, name) for name in
                     ("config.json", "weights.npz", "vocab.txt")] if cfg.model.weights_dir else []
-    input_hash = _hash_inputs([*variant_files, manifest_path, *weight_files], relevant_cfg)
+    input_hash = _hash_inputs(
+        [*variant_files, manifest_path, *weight_files, *STAGE_SOURCES["train"]], relevant_cfg)
     state = os.path.join(cell_dir, ".state.json")
     if _up_to_date(state, input_hash, [os.path.join(cell_dir, "scores.json")]):
         print(f"train[{cell}]: up to date")

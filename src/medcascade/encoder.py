@@ -13,11 +13,23 @@ attached low-rank adapters; classification heads live in ``trainer``.
 The backward pass therefore threads d(pooled) down through every block,
 collects adapter gradients along the way, and discards everything else.
 
-Hot-path choices: every linear layer runs as one 2-D GEMM over all B*L
-rows; a training forward evaluates erf once per GELU and keeps the GELU
-derivative for backward, and an eval forward keeps no per-layer cache.
-Random base weights are drawn one matrix per child seed stream, on a few
-threads, so they depend on the seed and shapes only.
+Hot-path choices:
+
+- Padding-free: the forward packs the real tokens (``mask != 0``) of the
+  batch into one ``(N, d_model)`` matrix, row-major.  Embeddings, every
+  linear layer (one 2-D GEMM), residual adds, LayerNorm and GELU run on
+  those N rows; only the attention core scatters q/k/v into the padded
+  ``(B, H, L, d_head)`` layout and gathers the context back.  Padding (the
+  trainer's length buckets) therefore shapes the attention core only.
+- Under ``cls`` pooling the top layer computes keys and values for all N
+  rows but everything else (query, attention core, output projection, FFN,
+  both LayerNorms) for the B [CLS] rows only, the rows that reach the output.
+- Backward mirrors the forward, and at layer 0, below which nothing trains,
+  it back-propagates only into adapters: no input gradient is formed.
+- A training forward evaluates erf once per GELU and keeps the GELU
+  derivative for backward; an eval forward keeps no per-layer cache.
+- Random base weights are drawn one matrix per child seed stream, on a few
+  threads, so they depend on the seed and shapes only.
 """
 
 from __future__ import annotations
@@ -31,7 +43,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .atomic import write_atomic
 from .errors import EncoderUnavailable, ShapeMismatch
@@ -53,10 +64,17 @@ PRETRAINED_BACKENDS = (
 )
 
 
+def _erf_term(x: np.ndarray) -> np.ndarray:
+    """``1 + erf(x/√2)``.  scipy is imported on first use: only GELU needs it,
+    and the stages that never run the encoder start without it."""
+    from scipy.special import erf
+    return 1.0 + erf(x * _SQRT1_2)
+
+
 def gelu(x: np.ndarray, return_term: bool = False):
     """Exact GELU, ``0.5 x (1 + erf(x/√2))``; with ``return_term`` also the
     ``1 + erf(x/√2)`` term, so :func:`gelu_grad` need not evaluate erf again."""
-    term = 1.0 + erf(x * _SQRT1_2)
+    term = _erf_term(x)
     y = 0.5 * x * term
     return (y, term) if return_term else y
 
@@ -64,14 +82,8 @@ def gelu(x: np.ndarray, return_term: bool = False):
 def gelu_grad(x: np.ndarray, term: np.ndarray | None = None) -> np.ndarray:
     """d gelu / dx; ``term`` is the one :func:`gelu` returns for the same x."""
     if term is None:
-        term = 1.0 + erf(x * _SQRT1_2)
+        term = _erf_term(x)
     return 0.5 * term + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-
-
-def _matmul_2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` for an ``x`` with any leading axes, run as one 2-D GEMM over
-    the flattened rows; a 3-D ``x`` would run one GEMM per leading index."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
 
 
 def _draw_normal(shapes: dict[str, tuple], std: float, seed: int) -> dict[str, np.ndarray]:
@@ -113,12 +125,32 @@ class EncoderConfig:
 
 
 @dataclass
+class _Rows:
+    """Where the rows of a packed ``(N, D)`` matrix sit in a padded ``(B, L)``
+    batch: ``flat`` holds each row's index into the B*L positions, in
+    row-major order."""
+    shape: tuple[int, int]
+    flat: np.ndarray
+
+    def scatter(self, t: np.ndarray) -> np.ndarray:
+        """Packed ``(N, D)`` -> padded ``(B, L, D)``, zeros where no row sits."""
+        out = np.zeros((self.shape[0] * self.shape[1], t.shape[-1]))
+        out[self.flat] = t
+        return out.reshape(*self.shape, -1)
+
+    def gather(self, t: np.ndarray) -> np.ndarray:
+        """Padded ``(B, L, D)`` -> packed ``(N, D)``."""
+        return t.reshape(self.shape[0] * self.shape[1], -1)[self.flat]
+
+
+@dataclass
 class _Cache:
     """Per-forward intermediates needed by backward."""
-    ids: np.ndarray
     mask: np.ndarray
+    rows: _Rows             # the packed real tokens
+    seq: np.ndarray         # (N,) sequence of each packed row
+    first: np.ndarray       # (B,) packed row of each sequence's position 0
     layers: list = field(default_factory=list)
-    pooled_from: np.ndarray | None = None
 
 
 class NumpyTransformerEncoder:
@@ -225,8 +257,7 @@ class NumpyTransformerEncoder:
     def _linear(self, name: str, x: np.ndarray, training: bool, rng, cache: list | None):
         """x W^T + b (+ the adapter delta); appends what backward needs to ``cache``
         unless it is None."""
-        W = self.params[f"{name}.W"]
-        y = _matmul_2d(x, W.T) + self.params[f"{name}.b"]
+        y = x @ self.params[f"{name}.W"].T + self.params[f"{name}.b"]
         entry = {"name": name}
         adapter = self.adapters.adapters.get(name)
         if adapter is not None:
@@ -237,13 +268,16 @@ class NumpyTransformerEncoder:
             cache.append(entry)
         return y
 
-    def _linear_backward(self, dy: np.ndarray, entry: dict) -> np.ndarray:
+    def _linear_backward(self, dy: np.ndarray, entry: dict, need_dx: bool = True):
+        """Accumulates the adapter gradients; returns d(input), or None
+        without ``need_dx``."""
         name = entry["name"]
-        dx = _matmul_2d(dy, self.params[f"{name}.W"])
+        dx = dy @ self.params[f"{name}.W"] if need_dx else None
         adapter = entry.get("adapter")
         if adapter is not None:
-            dxd, dA, dB = adapter_backward(adapter, dy, entry["saved"])
-            dx = dx + dxd
+            dxd, dA, dB = adapter_backward(adapter, dy, entry["saved"], need_dx=need_dx)
+            if need_dx:
+                dx = dx + dxd
             g = self._adapter_grads.setdefault(name, {"A": np.zeros_like(adapter.A),
                                                       "B": np.zeros_like(adapter.B)})
             g["A"] += dA
@@ -268,56 +302,73 @@ class NumpyTransformerEncoder:
                             - dxhat.sum(axis=-1, keepdims=True)
                             - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
 
-    def _attention(self, i: int, x: np.ndarray, mask: np.ndarray, training, rng, lin_cache):
-        c = self.config
-        B, L, D = x.shape
-        H, dh = c.n_heads, D // c.n_heads
+    def _heads(self, t: np.ndarray, rows: _Rows) -> np.ndarray:
+        """Packed ``(n, D)`` -> padded ``(B, H, l, d_head)``."""
+        H = self.config.n_heads
+        return rows.scatter(t).reshape(*rows.shape, H, -1).transpose(0, 2, 1, 3)
 
-        def split(t):
-            return t.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+    @staticmethod
+    def _merge_heads(t: np.ndarray, rows: _Rows) -> np.ndarray:
+        """Padded ``(B, H, l, d_head)`` -> packed ``(n, D)``."""
+        return rows.gather(t.transpose(0, 2, 1, 3))
 
-        q = split(self._linear(f"layer.{i}.attn.query", x, training, rng, lin_cache))
-        k = split(self._linear(f"layer.{i}.attn.key", x, training, rng, lin_cache))
-        v = split(self._linear(f"layer.{i}.attn.value", x, training, rng, lin_cache))
+    def _attention(self, i: int, xq: np.ndarray, x: np.ndarray, q_rows: _Rows, rows: _Rows,
+                   mask: np.ndarray, training, rng, lin_cache):
+        """Self-attention output for the query rows ``xq`` (placed by ``q_rows``)
+        over the keys and values of the packed rows ``x`` (placed by ``rows``)."""
+        def project(proj, t, at):
+            return self._heads(self._linear(f"layer.{i}.attn.{proj}", t, training, rng,
+                                            lin_cache), at)
 
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
+        q, k, v = project("query", xq, q_rows), project("key", x, rows), project("value", x, rows)
+
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(q.shape[-1])
         scores = scores + NEG_INF * (1.0 - mask)[:, None, None, :]
         scores = scores - scores.max(axis=-1, keepdims=True)
         expo = np.exp(scores)
         probs = expo / expo.sum(axis=-1, keepdims=True)
 
-        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, L, D)
+        ctx = self._merge_heads(probs @ v, q_rows)
         out = self._linear(f"layer.{i}.attn.output", ctx, training, rng, lin_cache)
         if lin_cache is None:
             return out, None
-        return out, {"q": q, "k": k, "v": v, "probs": probs}
+        return out, {"q": q, "k": k, "v": v, "probs": probs, "q_rows": q_rows}
 
-    def _attention_backward(self, dout: np.ndarray, att, lin_cache_iter) -> np.ndarray:
-        c = self.config
-        q, k, v, probs = att["q"], att["k"], att["v"], att["probs"]
-        B, H, L, dh = q.shape
+    def _attention_backward(self, dout: np.ndarray, att, lin: list, rows: _Rows, bottom: bool):
+        """(d query rows, d key/value rows) from d(attention output).
 
-        dctx = self._linear_backward(dout, next(lin_cache_iter))  # output proj
-        dctx = dctx.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+        At the ``bottom`` layer nothing below trains: only the projections that
+        carry an adapter are back-propagated, and both results are None.
+        """
+        q, k, v, probs, q_rows = att["q"], att["k"], att["v"], att["probs"], att["q_rows"]
+        wanted_q, wanted_k, wanted_v = (not bottom or "adapter" in e for e in lin[:3])
 
-        dprobs = dctx @ v.transpose(0, 1, 3, 2)
-        dv = probs.transpose(0, 1, 3, 2) @ dctx
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dscores /= np.sqrt(dh)
-        dq = dscores @ k
-        dk = dscores.transpose(0, 1, 3, 2) @ q
-
-        def merge_heads(t):
-            return t.transpose(0, 2, 1, 3).reshape(B, L, H * dh)
-
-        dxv = self._linear_backward(merge_heads(dv), next(lin_cache_iter))  # value proj
-        dxk = self._linear_backward(merge_heads(dk), next(lin_cache_iter))  # key proj
-        dxq = self._linear_backward(merge_heads(dq), next(lin_cache_iter))  # query proj
-        return dxq + dxk + dxv
+        dctx = self._heads(self._linear_backward(dout, lin[3]), q_rows)  # output proj
+        if wanted_v:
+            dv = probs.transpose(0, 1, 3, 2) @ dctx
+            dxv = self._linear_backward(self._merge_heads(dv, rows), lin[2], need_dx=not bottom)
+        if wanted_q or wanted_k:
+            dprobs = dctx @ v.transpose(0, 1, 3, 2)
+            dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+            dscores /= np.sqrt(q.shape[-1])
+        if wanted_k:
+            dk = dscores.transpose(0, 1, 3, 2) @ q
+            dxk = self._linear_backward(self._merge_heads(dk, rows), lin[1], need_dx=not bottom)
+        if wanted_q:
+            dq = dscores @ k
+            dxq = self._linear_backward(self._merge_heads(dq, q_rows), lin[0],
+                                       need_dx=not bottom)
+        if bottom:
+            return None, None
+        return dxq, dxk + dxv
 
     def forward(self, ids: np.ndarray, mask: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None, return_cache: bool = False):
         """Pooled representations (B, d_model) for padded id/mask batches.
+
+        Every sequence must start with an unmasked [CLS] at position 0.  The
+        result does not depend on how far a batch is padded, to float64
+        rounding.
 
         With ``return_cache`` also the per-layer values ``backward_adapters``
         needs: each linear's adapter inputs, the attention q/k/v/probs, the
@@ -330,19 +381,27 @@ class NumpyTransformerEncoder:
         mask = np.asarray(mask, dtype=float)
         if ids.ndim != 2 or ids.shape != mask.shape:
             raise ShapeMismatch(f"ids {ids.shape} vs mask {mask.shape}")
-        if ids.shape[1] > c.max_len:
-            raise ShapeMismatch(f"sequence length {ids.shape[1]} exceeds max_len {c.max_len}")
-        L = ids.shape[1]
+        B, L = ids.shape
+        if L > c.max_len:
+            raise ShapeMismatch(f"sequence length {L} exceeds max_len {c.max_len}")
+        if L == 0 or np.any(mask[:, 0] == 0):
+            raise ShapeMismatch("every sequence needs an unmasked [CLS] at position 0")
 
-        cache = _Cache(ids=ids, mask=mask)
+        seq, pos = np.nonzero(mask)
+        rows = _Rows((B, L), seq * L + pos)
+        cache = _Cache(mask=mask, rows=rows, seq=seq, first=np.flatnonzero(pos == 0))
         p = self.params
-        x = p["embeddings.word"][ids] + p["embeddings.position"][:L] + p["embeddings.token_type"][0]
+        x = p["embeddings.word"][ids[seq, pos]] + p["embeddings.position"][pos] \
+            + p["embeddings.token_type"][0]
         x, _ = self._layer_norm(x, p["embeddings.ln.gamma"], p["embeddings.ln.beta"], c.layer_norm_eps)
 
         for i in range(c.n_layers):
+            # under cls pooling only the top layer's [CLS] rows reach the output
+            cls_only = c.pooling == "cls" and i == c.n_layers - 1
+            xq, q_rows = (x[cache.first], _Rows((B, 1), np.arange(B))) if cls_only else (x, rows)
             lin_cache: list | None = [] if return_cache else None
-            att_out, att = self._attention(i, x, mask, training, rng, lin_cache)
-            h1, ln1 = self._layer_norm(x + att_out, p[f"layer.{i}.attn.ln.gamma"],
+            att_out, att = self._attention(i, xq, x, q_rows, rows, mask, training, rng, lin_cache)
+            h1, ln1 = self._layer_norm(xq + att_out, p[f"layer.{i}.attn.ln.gamma"],
                                        p[f"layer.{i}.attn.ln.beta"], c.layer_norm_eps)
             u = self._linear(f"layer.{i}.ffn.inner", h1, training, rng, lin_cache)
             if return_cache:
@@ -359,11 +418,11 @@ class NumpyTransformerEncoder:
             x = h2
 
         if c.pooling == "cls":
-            pooled = x[:, 0, :]
+            pooled = x if c.n_layers else x[cache.first]
         else:
-            counts = mask.sum(axis=1, keepdims=True)
-            pooled = (x * mask[:, :, None]).sum(axis=1) / counts
-        cache.pooled_from = x
+            weighted = x * mask.ravel()[rows.flat][:, None]
+            pooled = np.add.reduceat(weighted, cache.first, axis=0) \
+                / mask.sum(axis=1, keepdims=True)
         if return_cache:
             return pooled, cache
         return pooled
@@ -373,19 +432,16 @@ class NumpyTransformerEncoder:
     def backward_adapters(self, cache: _Cache, d_pooled: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
         """Backprop d(pooled) through the stack; return {target: {A, B}} grads.
 
-        Gradients for frozen base parameters are never materialized.
+        Gradients for frozen base parameters are never materialized, nor is
+        any gradient below layer 0.
         """
         c = self.config
         self._adapter_grads = {}
-        B, L, D = cache.pooled_from.shape
-
         if c.pooling == "cls":
-            dx = np.zeros((B, L, D))
-            dx[:, 0, :] = d_pooled
+            dx = d_pooled     # the top layer's output rows are the [CLS] rows
         else:
             counts = cache.mask.sum(axis=1, keepdims=True)
-            dx = (d_pooled / counts)[:, None, :] * cache.mask[:, :, None]
-            dx = np.ascontiguousarray(dx)
+            dx = (d_pooled / counts)[cache.seq] * cache.mask.ravel()[cache.rows.flat][:, None]
 
         for i in range(c.n_layers - 1, -1, -1):
             layer = cache.layers[i]
@@ -396,9 +452,15 @@ class NumpyTransformerEncoder:
             du = dg * layer["dgelu"]
             dh1 = d_res2 + self._linear_backward(du, lin[4])   # ffn inner
             d_res1 = self._layer_norm_backward(dh1, layer["ln1"])
-            datt_in = self._attention_backward(
-                d_res1, layer["att"], iter([lin[3], lin[2], lin[1], lin[0]]))
-            dx = d_res1 + datt_in
+            dxq, dxkv = self._attention_backward(d_res1, layer["att"], lin, cache.rows,
+                                                 bottom=i == 0)
+            if i == 0:
+                break
+            if c.pooling == "cls" and i == c.n_layers - 1:   # the [CLS]-only top layer
+                dx = dxkv
+                dx[cache.first] += d_res1 + dxq
+            else:
+                dx = d_res1 + (dxq + dxkv)
 
         grads = self._adapter_grads
         self._adapter_grads = {}
@@ -447,13 +509,17 @@ def build_toy_encoder(seed: int = 0, **overrides) -> NumpyTransformerEncoder:
 
 def resolve_encoder(backend_id: str, weights_dir: str | None = None, seed: int = 0,
                     pooling: str = "cls", **toy_overrides) -> NumpyTransformerEncoder:
-    """Map a backend identifier from config to an encoder instance."""
+    """Map a backend identifier from config to an encoder instance.
+
+    A set ``weights_dir`` is loaded whatever the backend id, ``toy`` included;
+    without one, ``toy`` is the randomly initialized encoder.
+    """
+    if weights_dir:
+        return NumpyTransformerEncoder.from_pretrained_dir(weights_dir, pooling=pooling)
     if backend_id == "toy":
         return build_toy_encoder(seed=seed, pooling=pooling, **toy_overrides)
-    if backend_id in PRETRAINED_BACKENDS or weights_dir:
-        if not weights_dir:
-            raise EncoderUnavailable(
-                f"backend {backend_id!r} needs model.weights_dir pointing at exported "
-                "weights (medcascade.hf_export.export_encoder writes them)")
-        return NumpyTransformerEncoder.from_pretrained_dir(weights_dir, pooling=pooling)
+    if backend_id in PRETRAINED_BACKENDS:
+        raise EncoderUnavailable(
+            f"backend {backend_id!r} needs model.weights_dir pointing at exported "
+            "weights (medcascade.hf_export.export_encoder writes them)")
     raise EncoderUnavailable(f"unknown encoder backend {backend_id!r}")

@@ -128,13 +128,17 @@ def adapter_delta(adapter: LoraAdapter, x: np.ndarray, training: bool = False,
     return adapter.scaling * (z @ adapter.B.T), (x, z, mask)
 
 
-def adapter_backward(adapter: LoraAdapter, dy: np.ndarray, saved: tuple) -> tuple:
-    """Gradients (dx, dA, dB) of the adapter delta, given d(delta) = ``dy``."""
+def adapter_backward(adapter: LoraAdapter, dy: np.ndarray, saved: tuple,
+                     need_dx: bool = True) -> tuple:
+    """Gradients (dx, dA, dB) of the adapter delta, given d(delta) = ``dy``;
+    dx is None without ``need_dx``."""
     xd, z, mask = saved
     scale = adapter.scaling
     dB = scale * dy.reshape(-1, adapter.d_out).T @ z.reshape(-1, adapter.rank)
     dz = scale * (dy @ adapter.B)
     dA = dz.reshape(-1, adapter.rank).T @ xd.reshape(-1, adapter.d_in)
+    if not need_dx:
+        return None, dA, dB
     dx = dz @ adapter.A
     if mask is not None:
         dx = dx * mask

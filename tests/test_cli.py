@@ -209,6 +209,49 @@ class TestIdempotence:
         assert [fresh for fresh, _ in outputs] == [False, True, False]
         assert outputs[2][1] != outputs[0][1]
 
+    def test_train_redoes_work_when_the_code_that_writes_it_changes(self, workspace, capsys,
+                                                                    monkeypatch):
+        source = workspace / "module.py"
+        source.write_text("VERSION = 1\n", encoding="utf-8")
+        monkeypatch.setitem(cli.STAGE_SOURCES, "train", [str(source)])
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        train = ("train", "--config", "cfg.json", "--condition", "normal", "--no-finetune")
+        fresh = []
+        for version in (1, 1, 2):
+            source.write_text(f"VERSION = {version}\n", encoding="utf-8")
+            capsys.readouterr()
+            assert run(*train) == 0
+            fresh.append("up to date" not in capsys.readouterr().out)
+        assert fresh == [True, False, True]
+
+    def test_every_stage_hashes_modules_that_exist(self):
+        assert set(cli.STAGE_SOURCES) == {"ingest", "preprocess", "variants", "train"}
+        for paths in cli.STAGE_SOURCES.values():
+            assert paths and all(os.path.isfile(p) for p in paths)
+        assert {os.path.basename(p) for p in cli.STAGE_SOURCES["train"]} == {
+            "encoder.py", "lora.py", "trainer.py", "evaluator.py", "tokenizers.py", "variants.py"}
+
+
+class TestEncoderWeights:
+    def _frozen_predictions(self, workspace, name, model):
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config.update(workdir=name, model=model)
+        (workspace / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", f"{name}.json") == 0
+        assert run("variants", "--config", f"{name}.json", "--condition", "normal") == 0
+        assert run("train", "--config", f"{name}.json", "--condition", "normal",
+                   "--no-finetune") == 0
+        cell = workspace / name / "runs" / "toy__normal__frozen"
+        return (cell / "predictions.jsonl").read_bytes()
+
+    def test_a_weights_dir_is_loaded_for_the_toy_backend(self, workspace, capsys):
+        from medcascade.encoder import build_toy_encoder
+        build_toy_encoder(seed=5).save_base("weights")
+        exported = self._frozen_predictions(workspace, "exported", {"weights_dir": "weights"})
+        assert exported == self._frozen_predictions(workspace, "seed5", {"seed": 5})
+        assert exported != self._frozen_predictions(workspace, "seed11", {})
+
 
 class TestPredictionPass:
     @pytest.mark.parametrize("arm", [[], ["--no-finetune"]], ids=["finetuned", "frozen"])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from medcascade import encoder as encoder_module
-from medcascade.encoder import (EncoderConfig, NumpyTransformerEncoder, build_toy_encoder,
-                                gelu, gelu_grad, resolve_encoder)
+from medcascade.encoder import (NEG_INF, EncoderConfig, NumpyTransformerEncoder,
+                                build_toy_encoder, gelu, gelu_grad, resolve_encoder)
 from medcascade.errors import EncoderUnavailable, ShapeMismatch, VocabInvalid
 from medcascade.lora import adapted_forward, adapter_backward, adapter_delta
 from medcascade.tokenizers import HashWordTokenizer, WordPieceTokenizer
@@ -289,6 +289,185 @@ class TestHotPath:
         assert enc.forward(ids, mask).tobytes() == cached.tobytes()
         assert len(caches) == 6 * enc.config.n_layers
         assert all(c is None for c in caches)
+
+
+ALL_LINEARS = ("attn.query", "attn.key", "attn.value", "attn.output", "ffn.inner", "ffn.outer")
+
+
+def _padded_reference(enc, ids, mask, d_pooled):
+    """Pooled outputs and adapter gradients of the padded encoder: every one of
+    the B*L positions runs through every layer, and pooling reads the top
+    layer's full output.  No dropout."""
+    c, p = enc.config, enc.params
+    B, L = ids.shape
+    H, dh = c.n_heads, c.d_model // c.n_heads
+    eps = c.layer_norm_eps
+    ln, ln_back = enc._layer_norm, enc._layer_norm_backward
+    grads = {}
+
+    def linear(name, x, tape):
+        y = x @ p[f"{name}.W"].T + p[f"{name}.b"]
+        adapter, saved = enc.adapters.adapters.get(name), None
+        if adapter is not None:
+            delta, saved = adapter_delta(adapter, x)
+            y = y + delta
+        tape.append((name, adapter, saved))
+        return y
+
+    def linear_back(dy, entry):
+        name, adapter, saved = entry
+        dx = dy @ p[f"{name}.W"]
+        if adapter is not None:
+            dxd, dA, dB = adapter_backward(adapter, dy, saved)
+            g = grads.setdefault(name, {"A": 0.0, "B": 0.0})
+            g["A"], g["B"] = g["A"] + dA, g["B"] + dB
+            dx = dx + dxd
+        return dx
+
+    def split(t):
+        return t.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(B, L, H * dh)
+
+    x = p["embeddings.word"][ids] + p["embeddings.position"][:L] + p["embeddings.token_type"][0]
+    x, _ = ln(x, p["embeddings.ln.gamma"], p["embeddings.ln.beta"], eps)
+    layers = []
+    for i in range(c.n_layers):
+        pre, tape = f"layer.{i}.", []
+        q, k, v = (split(linear(f"{pre}attn.{n}", x, tape)) for n in ("query", "key", "value"))
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + NEG_INF * (1 - mask)[:, None, None, :]
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        att = linear(f"{pre}attn.output", merge(probs @ v), tape)
+        h1, ln1 = ln(x + att, p[f"{pre}attn.ln.gamma"], p[f"{pre}attn.ln.beta"], eps)
+        u = linear(f"{pre}ffn.inner", h1, tape)
+        f_out = linear(f"{pre}ffn.outer", gelu(u), tape)
+        x, ln2 = ln(h1 + f_out, p[f"{pre}ffn.ln.gamma"], p[f"{pre}ffn.ln.beta"], eps)
+        layers.append((tape, q, k, v, probs, ln1, ln2, u))
+
+    counts = mask.sum(axis=1, keepdims=True)
+    if c.pooling == "cls":
+        pooled = x[:, 0]
+        dx = np.zeros_like(x)
+        dx[:, 0] = d_pooled
+    else:
+        pooled = (x * mask[:, :, None]).sum(axis=1) / counts
+        dx = (d_pooled / counts)[:, None, :] * mask[:, :, None]
+    for tape, q, k, v, probs, ln1, ln2, u in reversed(layers):
+        d_res2 = ln_back(dx, ln2)
+        du = linear_back(d_res2, tape[5]) * gelu_grad(u)
+        d_res1 = ln_back(d_res2 + linear_back(du, tape[4]), ln1)
+        dctx = split(linear_back(d_res1, tape[3]))
+        dprobs = dctx @ v.transpose(0, 1, 3, 2)
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) / np.sqrt(dh)
+        dx = (d_res1 + linear_back(merge(dscores @ k), tape[0])
+              + linear_back(merge(dscores.transpose(0, 1, 3, 2) @ q), tape[1])
+              + linear_back(merge(probs.transpose(0, 1, 3, 2) @ dctx), tape[2]))
+    return pooled, grads
+
+
+def _masks(lengths, width, hole=None):
+    mask = np.zeros((len(lengths), width))
+    for row, n in enumerate(lengths):
+        mask[row, :n] = 1.0
+    if hole is not None:
+        mask[hole] = 0.0
+    return mask
+
+
+class TestPacking:
+    # (encoder shape, row lengths, padded width, a masked position inside a row)
+    CASES = [(dict(), (10, 7, 1), 12, (1, 3)),
+             (dict(), (10, 10, 10), 10, None),
+             (dict(d_model=192, n_heads=3, d_ff=768, n_layers=3), (37, 20, 5, 1, 33), 40, None)]
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    @pytest.mark.parametrize("overrides,lengths,width,hole", CASES,
+                             ids=["toy-uneven", "toy-unpadded", "wide-uneven"])
+    def test_pooled_and_adapter_grads_match_the_padded_reference(self, pooling, overrides,
+                                                                 lengths, width, hole):
+        enc = build_toy_encoder(seed=4, pooling=pooling, **overrides)
+        adapters = enc.build_adapters(rank=2, alpha=4.0, dropout_rate=0.0, seed=9,
+                                      patterns=ALL_LINEARS)
+        rng = np.random.default_rng(1)
+        for _, adapter in adapters:
+            adapter.B[:] = rng.normal(0, 0.3, adapter.B.shape)
+        enc.attach_adapters(adapters)
+        ids = rng.integers(0, enc.config.vocab_size, size=(len(lengths), width))
+        mask = _masks(lengths, width, hole)
+        d_pooled = rng.normal(size=(len(lengths), enc.d_model))
+
+        pooled, cache = enc.forward(ids, mask, return_cache=True)
+        grads = enc.backward_adapters(cache, d_pooled)
+        ref_pooled, ref_grads = _padded_reference(enc, ids, mask, d_pooled)
+
+        # Packing changes GEMM row counts, so the two agree to float64
+        # rounding: within K * eps of the largest term, K summing the
+        # lengths of the dot products a value passes through.
+        c = enc.config
+        tol = c.d_ff * c.n_layers * np.finfo(float).eps
+
+        def close(got, want):
+            return got.shape == want.shape and np.all(
+                np.abs(got - want) <= tol * (np.abs(want).max() + 1))
+
+        assert close(pooled, ref_pooled)
+        assert sorted(grads) == sorted(ref_grads) == sorted(name for name, _ in adapters)
+        for name in grads:
+            assert close(grads[name]["A"], ref_grads[name]["A"]), name
+            assert close(grads[name]["B"], ref_grads[name]["B"]), name
+
+    def test_a_masked_cls_position_is_refused(self):
+        enc = tiny_encoder()
+        ids = np.array([[2, 5, 7], [2, 9, 4]])
+        mask = np.array([[1.0, 1, 1], [0, 1, 1]])
+        with pytest.raises(ShapeMismatch, match="position 0"):
+            enc.forward(ids, mask)
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    def test_rows_each_linear_runs_on(self, pooling, monkeypatch):
+        enc = _with_random_adapters(tiny_encoder(pooling=pooling))
+        mask = _masks((6, 3, 1), 8)
+        ids = np.random.default_rng(3).integers(0, 64, size=mask.shape)
+        rows = {}
+
+        def linear(self, name, x, training, rng, cache):
+            rows[name] = x.shape
+            return NumpyTransformerEncoder._linear(enc, name, x, training, rng, cache)
+
+        monkeypatch.setattr(enc, "_linear", linear.__get__(enc))
+        _, cache = enc.forward(ids, mask, return_cache=True)
+        N, B, d = 10, 3, enc.d_model
+        top = {"query": B, "key": N, "value": N, "output": B, "inner": B, "outer": B} \
+            if pooling == "cls" else dict.fromkeys(("query", "key", "value", "output",
+                                                    "inner", "outer"), N)
+        for name, shape in rows.items():
+            n = top[name.split(".")[-1]] if name.startswith("layer.1.") else N
+            assert shape == (n, enc.config.d_ff if name.endswith("outer") else d), name
+
+    def test_layer_0_forms_no_input_gradient(self, monkeypatch):
+        enc = _with_random_adapters(tiny_encoder())
+        mask = _masks((6, 3, 1), 8)
+        ids = np.random.default_rng(3).integers(0, 64, size=mask.shape)
+        pooled, cache = enc.forward(ids, mask, return_cache=True)
+        calls = []
+
+        def linear_backward(self, dy, entry, need_dx=True):
+            dx = NumpyTransformerEncoder._linear_backward(enc, dy, entry, need_dx)
+            calls.append((entry["name"], need_dx, dx is None))
+            return dx
+
+        monkeypatch.setattr(enc, "_linear_backward", linear_backward.__get__(enc))
+        grads = enc.backward_adapters(cache, np.ones_like(pooled))
+        assert sorted(grads) == enc.adapter_targets()
+        layer0 = [call for call in calls if call[0].startswith("layer.0.attn.")]
+        assert [name for name, _, _ in layer0] == [
+            "layer.0.attn.output", "layer.0.attn.value", "layer.0.attn.query"]
+        assert [(need, none) for _, need, none in layer0] == [(True, False), (False, True),
+                                                            (False, True)]
+        assert all(need and not none for name, need, none in calls
+                   if not name.startswith("layer.0.attn."))
 
 
 class TestInit:

@@ -37,3 +37,12 @@ def test_every_trace_target_resolves_to_a_function():
         if isinstance(raw, (staticmethod, classmethod)):
             raw = raw.__func__
         assert inspect.isfunction(raw), f"{target} does not name a function"
+
+
+def test_forward_keeps_the_positional_parameters_the_tracer_reads():
+    # bench_trace names and tags a forward span from args[1..3] (ids, mask,
+    # training); a reorder would mislabel spans without failing any run
+    _patches()
+    from medcascade.encoder import NumpyTransformerEncoder
+    params = list(inspect.signature(NumpyTransformerEncoder.forward).parameters)
+    assert params[:4] == ["self", "ids", "mask", "training"]
