@@ -11,6 +11,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
+from .encoder import EncoderConfig
 from .errors import ConfigInvalid
 from .gateway import GatewayConfig
 from .trainer import TrainConfig
@@ -95,6 +96,19 @@ class PipelineConfig:
             raise ConfigInvalid("adapter.rank must be >= 1")
         if not 0.0 <= self.adapter.dropout < 1.0:
             raise ConfigInvalid("adapter.dropout must be in [0, 1)")
+        if self.split.stratify_task not in ("type", "severity"):  # the labels every record has
+            raise ConfigInvalid(f"split.stratify_task must be 'type' or 'severity', "
+                                f"got {self.split.stratify_task!r}")
+        if self.model.pooling not in ("cls", "mean"):
+            raise ConfigInvalid(f"model.pooling must be 'cls' or 'mean', "
+                                f"got {self.model.pooling!r}")
+        # model.seed and model.pooling set those two for every backend
+        toy_keys = set(EncoderConfig.__dataclass_fields__) - {"seed", "pooling"}
+        if not isinstance(self.model.toy, dict):
+            raise ConfigInvalid("model.toy must be an object")
+        unknown = set(self.model.toy) - toy_keys
+        if unknown:
+            raise ConfigInvalid(f"unknown keys in 'model.toy': {sorted(unknown)}")
 
 
 def _build_section(cls, data: dict, section: str):

@@ -19,8 +19,8 @@ Hot-path choices:
   batch into one ``(N, d_model)`` matrix, row-major.  Embeddings, every
   linear layer (one 2-D GEMM), residual adds, LayerNorm and GELU run on
   those N rows; only the attention core scatters q/k/v into the padded
-  ``(B, H, L, d_head)`` layout and gathers the context back.  Padding (the
-  trainer's length buckets) therefore shapes the attention core only.
+  ``(B, H, L, d_head)`` layout and gathers the context back.  Padding, up to
+  the batch's longest sequence, therefore shapes the attention core only.
 - Under ``cls`` pooling the top layer computes keys and values for all N
   rows but everything else (query, attention core, output projection, FFN,
   both LayerNorms) for the B [CLS] rows only, the rows that reach the output.
@@ -146,7 +146,7 @@ class _Rows:
 @dataclass
 class _Cache:
     """Per-forward intermediates needed by backward."""
-    mask: np.ndarray
+    counts: np.ndarray      # (B, 1) real tokens per sequence
     rows: _Rows             # the packed real tokens
     seq: np.ndarray         # (N,) sequence of each packed row
     first: np.ndarray       # (B,) packed row of each sequence's position 0
@@ -389,7 +389,8 @@ class NumpyTransformerEncoder:
 
         seq, pos = np.nonzero(mask)
         rows = _Rows((B, L), seq * L + pos)
-        cache = _Cache(mask=mask, rows=rows, seq=seq, first=np.flatnonzero(pos == 0))
+        cache = _Cache(counts=mask.sum(axis=1, keepdims=True), rows=rows, seq=seq,
+                       first=np.flatnonzero(pos == 0))
         p = self.params
         x = p["embeddings.word"][ids[seq, pos]] + p["embeddings.position"][pos] \
             + p["embeddings.token_type"][0]
@@ -420,9 +421,7 @@ class NumpyTransformerEncoder:
         if c.pooling == "cls":
             pooled = x if c.n_layers else x[cache.first]
         else:
-            weighted = x * mask.ravel()[rows.flat][:, None]
-            pooled = np.add.reduceat(weighted, cache.first, axis=0) \
-                / mask.sum(axis=1, keepdims=True)
+            pooled = np.add.reduceat(x, cache.first, axis=0) / cache.counts
         if return_cache:
             return pooled, cache
         return pooled
@@ -440,8 +439,7 @@ class NumpyTransformerEncoder:
         if c.pooling == "cls":
             dx = d_pooled     # the top layer's output rows are the [CLS] rows
         else:
-            counts = cache.mask.sum(axis=1, keepdims=True)
-            dx = (d_pooled / counts)[cache.seq] * cache.mask.ravel()[cache.rows.flat][:, None]
+            dx = (d_pooled / cache.counts)[cache.seq]
 
         for i in range(c.n_layers - 1, -1, -1):
             layer = cache.layers[i]

@@ -55,9 +55,6 @@ class LoraAdapter:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    def num_params(self) -> int:
-        return self.A.size + self.B.size
-
 
 @dataclass
 class AdapterSet:
@@ -73,9 +70,6 @@ class AdapterSet:
 
     def __getitem__(self, target_name: str) -> LoraAdapter:
         return self.adapters[target_name]
-
-    def num_params(self) -> int:
-        return sum(a.num_params() for a in self.adapters.values())
 
 
 def init_adapter(d_in: int, d_out: int, r: int = DEFAULT_RANK, alpha: float = DEFAULT_ALPHA,

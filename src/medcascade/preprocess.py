@@ -32,7 +32,6 @@ from .gateway import Gateway
 logger = logging.getLogger(__name__)
 
 STAGES = ("refine", "summarize", "ner")
-ENTITY_CATEGORIES = ("symptom", "condition", "drug")
 
 _PROMPTS_ROOT = os.path.join(os.path.dirname(__file__), "prompts")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?؟])\s+")
@@ -308,6 +307,34 @@ class LedgerEntry:
                 "error": self.error, "fatal": self.fatal}
 
 
+def _process_record(record: ComplaintRecord, gw: Gateway, prompts: PromptLibrary,
+                    hashes: dict[str, str]) -> tuple[PreprocessBundle, list[LedgerEntry]]:
+    """One record's bundle through all three layers, and its ledger entries."""
+    scrubbed = scrub_pii(record.text)
+    if not scrubbed.strip():
+        return (PreprocessBundle(record.id, "", "", [], dict(hashes)),
+                [LedgerEntry(record.id, "refine", "EmptySourceText", fatal=True)])
+    source = ComplaintRecord(id=record.id, text=scrubbed, labels=record.labels,
+                             age=record.age, gender=record.gender)
+    ledger: list[LedgerEntry] = []
+    try:
+        refined = refine(source, gw, prompts)
+    except MedcascadeError as e:
+        ledger.append(LedgerEntry(record.id, "refine", e.category, fatal=True))
+        refined = scrubbed.strip()
+    try:
+        summarized = summarize(source, gw, prompts)
+    except MedcascadeError as e:
+        ledger.append(LedgerEntry(record.id, "summarize", e.category, fatal=True))
+        summarized = scrubbed.strip()
+    try:
+        entities = extract_entities(source, gw, prompts)
+    except MedcascadeError as e:
+        ledger.append(LedgerEntry(record.id, "ner", e.category, fatal=False))
+        entities = []
+    return PreprocessBundle(record.id, refined, summarized, entities, dict(hashes)), ledger
+
+
 def run_bundle(records: list[ComplaintRecord], gw: Gateway, store: BundleStore,
                resume: bool = False,
                prompts: PromptLibrary | None = None) -> list[PreprocessBundle]:
@@ -316,54 +343,31 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway, store: BundleStore,
     Never loses a record: stage failures are recorded in the failure ledger
     and the bundle degrades (fallback refined/summarized = scrubbed source,
     entities = empty) instead of aborting the run; the ledger is
-    ``failures.jsonl`` in the store's directory.  With ``resume``, records
-    whose bundle already exists on disk are skipped outright.
+    ``failures.jsonl`` in the store's directory, and each record's entries
+    are appended right after its bundle is saved.  With ``resume``, records
+    whose bundle already exists on disk are skipped outright; without it the
+    ledger starts empty.
     """
     prompts = prompts or PromptLibrary()
     ledger_path = os.path.join(store.directory, "failures.jsonl")
     hashes = prompts.hashes(gw.backend.prompt_style)
+    if not resume and os.path.exists(ledger_path):
+        os.remove(ledger_path)
 
     bundles: list[PreprocessBundle] = []
-    ledger: list[LedgerEntry] = []
     for record in records:
         if resume and store.exists(record.id):
             bundles.append(store.load(record.id))
             continue
-        scrubbed = scrub_pii(record.text)
-        source = ComplaintRecord(id=record.id, text=scrubbed, labels=record.labels,
-                                 age=record.age, gender=record.gender)
-        if not scrubbed.strip():
-            ledger.append(LedgerEntry(record.id, "refine", "EmptySourceText", fatal=True))
-            bundle = PreprocessBundle(record.id, "", "", [], dict(hashes))
-            store.save(bundle)
-            bundles.append(bundle)
-            continue
-
-        try:
-            refined = refine(source, gw, prompts)
-        except MedcascadeError as e:
-            ledger.append(LedgerEntry(record.id, "refine", e.category, fatal=True))
-            refined = scrubbed.strip()
-        try:
-            summarized = summarize(source, gw, prompts)
-        except MedcascadeError as e:
-            ledger.append(LedgerEntry(record.id, "summarize", e.category, fatal=True))
-            summarized = scrubbed.strip()
-        try:
-            entities = extract_entities(source, gw, prompts)
-        except MedcascadeError as e:
-            ledger.append(LedgerEntry(record.id, "ner", e.category, fatal=False))
-            entities = []
-
-        bundle = PreprocessBundle(record.id, refined, summarized, entities, dict(hashes))
+        bundle, ledger = _process_record(record, gw, prompts, hashes)
         store.save(bundle)
         bundles.append(bundle)
-
-    if ledger:
-        try:
-            with open(ledger_path, "a", encoding="utf-8") as fh:
-                for entry in ledger:
-                    fh.write(json.dumps(entry.to_json(), ensure_ascii=False, sort_keys=True) + "\n")
-        except OSError as e:
-            raise MedcascadeError(f"cannot write failure ledger {ledger_path}: {e}") from e
+        if ledger:
+            try:
+                with open(ledger_path, "a", encoding="utf-8") as fh:
+                    for entry in ledger:
+                        fh.write(json.dumps(entry.to_json(), ensure_ascii=False,
+                                            sort_keys=True) + "\n")
+            except OSError as e:
+                raise MedcascadeError(f"cannot write failure ledger {ledger_path}: {e}") from e
     return bundles

@@ -24,15 +24,6 @@ from .variants import DatasetVariant
 
 DEFAULT_TASKS = ("type", "severity")
 
-# Sequences pad to a multiple of this many tokens, capped at the encoder's
-# max_len, so little encoder work is spent on padding.
-PAD_STEP = 16
-
-
-def bucket_width(n_tokens: int, max_len: int) -> int:
-    """Padded width of a sequence of ``n_tokens`` tokens, [CLS] included."""
-    return min(max_len, -(-n_tokens // PAD_STEP) * PAD_STEP)
-
 
 # -- loss ---------------------------------------------------------------------
 
@@ -129,12 +120,11 @@ class MultiTaskModel:
                 f"record {record_id!r}: label {label!r} not in model's {task} vocabulary") from None
 
     def encode_texts(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, mask) batch padded to the largest length bucket among ``texts``
-        (see :func:`bucket_width`); the auxiliary tail after [AUX] is truncated
-        before the normal text when the sequence is longer than ``max_len``."""
+        """(ids, mask) batch padded to its longest sequence, [CLS] included; the
+        auxiliary tail after [AUX] is truncated before the normal text when the
+        sequence is longer than ``max_len``."""
         tok = self.encoder.tokenizer
-        max_len = self.encoder.max_len
-        budget = max_len - 1  # room for [CLS]
+        budget = self.encoder.max_len - 1  # room for [CLS]
         seqs = []
         for text in texts:
             content = tok.encode(text)
@@ -147,7 +137,7 @@ class MultiTaskModel:
                 else:
                     content = content[:budget]
             seqs.append([tok.cls_id] + content)
-        width = max((bucket_width(len(seq), max_len) for seq in seqs), default=0)
+        width = max((len(seq) for seq in seqs), default=0)
         ids = np.full((len(texts), width), tok.pad_id, dtype=np.int64)
         mask = np.zeros((len(texts), width))
         for row, seq in enumerate(seqs):
@@ -194,23 +184,22 @@ def predict(model: MultiTaskModel, texts: list[str], batch_size: int = 8,
             ) -> dict[str, dict[str, np.ndarray]]:
     """Eval-mode argmax per task; ties break to the lowest class index.
 
-    Each text is padded to its own length bucket and batched only with texts
-    of the same bucket, so its scores equal, to float64 rounding, those it
-    gets alone: the BLAS kernel can change with the batch's row count, so
-    the bytes can differ.  Scores and indices come back in input order.
+    Texts are batched in order of length, each batch padded to its longest
+    text.  A text's scores equal, to float64 rounding, those it gets alone:
+    the BLAS kernel can change with the batch's row count, so the bytes can
+    differ.  Scores and indices come back in input order.
     """
     ids, mask = model.encode_texts(texts)
-    widths = np.asarray([bucket_width(int(n), model.encoder.max_len)
-                         for n in mask.sum(axis=1)], dtype=np.int64)
+    lengths = mask.sum(axis=1).astype(np.int64)
+    order = np.argsort(lengths, kind="stable")
     scores = {task: np.zeros((len(texts), model.heads[task]["b"].shape[0]))
               for task in model.tasks}
-    for width in np.unique(widths):
-        rows = np.flatnonzero(widths == width)
-        for start in range(0, len(rows), batch_size):
-            sel = rows[start: start + batch_size]
-            logits, _, _ = model.forward(ids[sel, :width], mask[sel, :width], training=False)
-            for task in model.tasks:
-                scores[task][sel] = logits[task]
+    for start in range(0, len(order), batch_size):
+        sel = order[start: start + batch_size]
+        width = lengths[sel].max()
+        logits, _, _ = model.forward(ids[sel, :width], mask[sel, :width], training=False)
+        for task in model.tasks:
+            scores[task][sel] = logits[task]
     return {task: {"indices": np.argmax(scores[task], axis=1).astype(np.int64),
                    "scores": scores[task]}
             for task in model.tasks}
@@ -358,7 +347,6 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
     train_texts = [ex.input_text for ex in train_set.examples]
     val_texts = [ex.input_text for ex in val_set.examples]
     train_ids, train_mask = model.encode_texts(train_texts)
-    max_len = model.encoder.max_len
 
     n = len(train_texts)
     steps_per_epoch = int(np.ceil(n / cfg.batch_size))
@@ -377,7 +365,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
         epoch_losses = []
         for batch_i in range(steps_per_epoch):
             sel = perm[batch_i * cfg.batch_size: (batch_i + 1) * cfg.batch_size]
-            width = bucket_width(int(train_mask[sel].sum(axis=1).max()), max_len)
+            width = int(train_mask[sel].sum(axis=1).max())
             ids, mask = train_ids[sel, :width], train_mask[sel, :width]
             logits, pooled, cache = model.forward(ids, mask, training=True, rng=dropout_rng)
             targets = {t: train_targets[t][sel] for t in cfg.tasks}

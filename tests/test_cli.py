@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +332,26 @@ class TestErrors:
         (workspace / "bad.json").write_text(json.dumps({"trian": {}}), encoding="utf-8")
         assert run("ingest", "--config", "bad.json") == 1
 
+    @pytest.mark.parametrize("section, value, named", [
+        ("model", {"toy": {"seed": 3}}, "'model.toy': ['seed']"),
+        ("model", {"toy": {"pooling": "mean"}}, "'model.toy': ['pooling']"),
+        ("model", {"toy": {"d_modle": 32}}, "'model.toy': ['d_modle']"),
+        ("model", {"pooling": "max"}, "model.pooling"),
+        ("split", {"stratify_task": "foo"}, "split.stratify_task"),
+        ("split", {"stratify_task": "diagnosis"}, "split.stratify_task"),
+    ], ids=["toy-seed", "toy-pooling", "toy-typo", "pooling", "stratify-unknown",
+            "stratify-diagnosis"])
+    def test_config_value_deep_code_rejects_is_a_config_error(self, workspace, capsys,
+                                                              section, value, named):
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config[section] = value
+        (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert run("ingest", "--config", "bad.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: ")
+        assert named in err
+
     def test_missing_corpus(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json", "--corpus", "missing.jsonl") == 1
         assert "MissingUpstreamArtifact" in capsys.readouterr().err
@@ -342,3 +365,17 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             run("--version")
         assert exc.value.code == 0
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    """scipy is imported on first GELU; the stages that never run the encoder
+    start without its import time."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, medcascade.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

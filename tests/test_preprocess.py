@@ -37,6 +37,28 @@ class ScriptedBackend:
         return self.responses[0]
 
 
+class NerRefusingBackend(MockBackend):
+    """The mock, except that it refuses every NER prompt and raises
+    RuntimeError on a prompt that contains ``crash_on``."""
+
+    def __init__(self, crash_on=None):
+        super().__init__()
+        self.crash_on = crash_on
+
+    def complete(self, prompt):
+        if self.crash_on and self.crash_on in prompt:
+            raise RuntimeError("crash")
+        if prompt.startswith("NER:"):
+            return "I cannot help with that."
+        return super().complete(prompt)
+
+
+def _ledger(tmp_path):
+    """(record id, stage) of each failure ledger entry, in file order."""
+    lines = (tmp_path / "bundles" / "failures.jsonl").read_text().splitlines()
+    return [(e["record_id"], e["stage"]) for e in map(json.loads, lines)]
+
+
 def scripted_gateway(responses):
     return Gateway(ScriptedBackend(responses))
 
@@ -275,6 +297,21 @@ class TestRunBundle:
         assert fatal["refine"] and fatal["summarize"] and not fatal["ner"]
         # no record lost: every input id has a bundle, fatal ones degraded
         assert {b.record_id for b in bundles} == {"r1"}
+
+    def test_crash_then_resume_ledgers_each_failure_once(self, tmp_path):
+        store = BundleStore(tmp_path / "bundles")
+        records = self._records(3)
+        with pytest.raises(RuntimeError):
+            run_bundle(records, Gateway(NerRefusingBackend(crash_on="من 3 ايام")), store=store)
+        assert _ledger(tmp_path) == [("r0", "ner")]   # r0 finished before the crash
+        run_bundle(records, Gateway(NerRefusingBackend()), store=store, resume=True)
+        assert _ledger(tmp_path) == [("r0", "ner"), ("r1", "ner"), ("r2", "ner")]
+
+    def test_full_rerun_starts_an_empty_ledger(self, tmp_path):
+        store = BundleStore(tmp_path / "bundles")
+        for _ in range(2):
+            run_bundle(self._records(3), Gateway(NerRefusingBackend()), store=store)
+        assert _ledger(tmp_path) == [("r0", "ner"), ("r1", "ner"), ("r2", "ner")]
 
     def test_mock_pipeline_is_reproducible(self, tmp_path):
         records = self._records()

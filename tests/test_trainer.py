@@ -6,8 +6,8 @@ import pytest
 from medcascade.corpus import LabelSet
 from medcascade.encoder import build_toy_encoder
 from medcascade.errors import EmptyClass, IndexOutOfVocab, VocabMismatch
-from medcascade.trainer import (AdamW, MultiTaskModel, TrainConfig, bucket_width,
-                                class_weights, lr_schedule, predict, train, weighted_loss,
+from medcascade.trainer import (AdamW, MultiTaskModel, TrainConfig, class_weights,
+                                lr_schedule, predict, train, weighted_loss,
                                 weighted_loss_and_grad)
 from medcascade.variants import DatasetVariant, VariantExample
 
@@ -289,7 +289,7 @@ def words(n, stem="w"):
     return " ".join(f"{stem}{i}" for i in range(n))
 
 
-# token counts 4..71 with [CLS]: buckets 16, 32, 48 and 64, the last one truncated
+# token counts 4..71 with [CLS], the longest truncated to max_len 64
 MIXED_TEXTS = [words(n) for n in (3, 40, 15, 16, 70, 5, 31, 47, 2, 33)]
 
 
@@ -304,11 +304,6 @@ def bucket_model(seed=11, **shape):
 
 
 class TestLengthBuckets:
-    def test_bucket_width(self):
-        assert [bucket_width(n, 64) for n in (1, 16, 17, 32, 33, 64, 80)] == \
-            [16, 16, 32, 32, 48, 64, 64]
-        assert bucket_width(33, 40) == 40
-
     @pytest.mark.parametrize("shape", [{}, dict(d_model=128, n_heads=4, d_ff=256,
                                                 n_layers=3, max_len=128)],
                              ids=["toy", "wider"])
@@ -329,24 +324,24 @@ class TestLengthBuckets:
                                        rtol=0, atol=1e-12)
             assert list(bucketed[task]["indices"]) == list(np.argmax(padded[task], axis=1))
 
-    def test_encode_texts_pads_to_the_largest_bucket(self):
+    def test_encode_texts_pads_to_the_longest_sequence(self):
         model = bucket_model()
-        assert model.encode_texts([words(3)])[0].shape == (1, 16)
+        assert model.encode_texts([words(3)])[0].shape == (1, 4)
         assert model.encode_texts([words(3), words(15)])[0].shape == (2, 16)
-        assert model.encode_texts([words(3), words(16)])[0].shape == (2, 32)
-        assert model.encode_texts([words(40), words(3)])[0].shape == (2, 48)
+        assert model.encode_texts([words(3), words(16)])[0].shape == (2, 17)
+        assert model.encode_texts([words(40), words(3)])[0].shape == (2, 41)
         ids, mask = model.encode_texts([words(3), words(200)])
         assert ids.shape == mask.shape == (2, model.encoder.max_len)
         assert list(mask.sum(axis=1)) == [4, model.encoder.max_len]
 
-    def test_training_batch_is_as_wide_as_its_largest_bucket(self):
+    def test_training_batch_is_as_wide_as_its_longest_sequence(self):
         model = bucket_model(d_model=16, n_heads=2, d_ff=24, vocab_size=128)
         forward, widths = model.encoder.forward, []
 
         def recording(ids, mask, training=False, **kwargs):
             if training:
                 real = int(np.asarray(mask).sum(axis=1).max())
-                assert ids.shape[1] == bucket_width(real, model.encoder.max_len)
+                assert ids.shape[1] == real
                 widths.append(ids.shape[1])
             return forward(ids, mask, training=training, **kwargs)
 
@@ -358,6 +353,21 @@ class TestLengthBuckets:
         train(model, variant, variant, TrainConfig(batch_size=2, epochs=2, seed=3))
         assert len(widths) == 10
         assert len(set(widths)) > 1
+
+    def test_predict_forward_is_as_wide_as_its_longest_text(self):
+        model = bucket_model(d_model=16, n_heads=2, d_ff=24, vocab_size=128)
+        forward, batches = model.encoder.forward, []
+
+        def recording(ids, mask, training=False, **kwargs):
+            real = np.asarray(mask).sum(axis=1)
+            assert ids.shape[1] == real.max()
+            batches.append(sorted(real))
+            return forward(ids, mask, training=training, **kwargs)
+
+        model.encoder.forward = recording
+        predict(model, MIXED_TEXTS, batch_size=3)
+        # batched in order of length, so each batch is the next three lengths
+        assert batches == [[3, 4, 6], [16, 17, 32], [34, 41, 48], [64]]
 
     def test_predict_is_batch_invariant_across_interleaved_buckets(self):
         model = bucket_model(d_model=16, n_heads=2, d_ff=24, vocab_size=128)
