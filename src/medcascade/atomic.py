@@ -1,8 +1,20 @@
-"""The package's one file writer: temp file + rename, so readers never see a
-partial file and a failed write leaves the previous version in place."""
+"""The package's two file writers.
+
+``write_atomic`` replaces a whole file: temp file + rename, so readers never
+see a partial file and a failed write leaves the previous version in place.
+
+``append_jsonl`` adds one entry to an append-only JSONL log (the response
+cache, the bundle store, the failure ledger): one line of JSON written with a
+single ``os.write`` on an ``O_APPEND`` descriptor.  If the log does not end in
+a newline (a tail torn by a crash), the write starts with one, so the torn
+line stays a line of its own.  ``read_jsonl`` skips blank lines and lines
+that are not JSON objects, and never modifies the file; callers skip entries
+that lack their required fields, and a later entry for the same key wins.
+"""
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 
@@ -21,3 +33,39 @@ def write_atomic(path, data: str | bytes) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def append_jsonl(path, entry: dict) -> None:
+    """Append ``entry`` as one JSON line to ``path``, creating its directory."""
+    line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o644)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fd = os.open(path, flags, 0o644)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = b"\n" + line
+        os.write(fd, line)
+    finally:
+        os.close(fd)
+
+
+def read_jsonl(path) -> list[dict]:
+    """The JSON-object lines of ``path`` in file order; none if it is absent."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        return []
+    entries = []
+    for line in raw.split(b"\n"):
+        try:
+            entry = json.loads(line.decode("utf-8"))
+        except ValueError:  # blank, torn, not UTF-8 or not JSON
+            continue
+        if isinstance(entry, dict):
+            entries.append(entry)
+    return entries

@@ -91,8 +91,8 @@ def _require(path: str, produced_by: str) -> str:
 
 
 def _preprocess_state(cfg: PipelineConfig) -> str:
-    # beside the bundle directory, not in it: the bundle store hashes every
-    # JSON file in its directory, and this state changes with the live url
+    # beside the bundle directory, not in it: the bundle and ledger logs there
+    # do not depend on the live url, and this state does
     return os.path.join(cfg.workdir, ".preprocess.state.json")
 
 

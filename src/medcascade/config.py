@@ -109,6 +109,27 @@ class PipelineConfig:
         unknown = set(self.model.toy) - toy_keys
         if unknown:
             raise ConfigInvalid(f"unknown keys in 'model.toy': {sorted(unknown)}")
+        _check_types(EncoderConfig, self.model.toy, "model.toy")
+        gw = self.gateway
+        if not gw.rate_per_sec > 0:
+            raise ConfigInvalid(f"gateway.rate_per_sec must be > 0, got {gw.rate_per_sec}")
+        if not gw.burst >= 1:  # a bucket capped below one token never pays out
+            raise ConfigInvalid(f"gateway.burst must be >= 1, got {gw.burst}")
+        for key in ("max_retries", "backoff_base", "backoff_cap"):
+            if getattr(gw, key) < 0:
+                raise ConfigInvalid(f"gateway.{key} must be >= 0, got {getattr(gw, key)}")
+
+
+def _check_types(cls, data: dict, section: str) -> None:
+    """Each value must have the type of its dataclass default, where that is
+    int (not bool), float (int accepted) or str."""
+    for key, value in data.items():
+        expected = type(cls.__dataclass_fields__[key].default)
+        accepted = (int, float) if expected is float else (expected,)
+        if expected in (int, float, str) and (
+                isinstance(value, bool) or not isinstance(value, accepted)):
+            raise ConfigInvalid(f"{section}.{key} must be {expected.__name__}, "
+                                f"got {value!r}")
 
 
 def _build_section(cls, data: dict, section: str):
@@ -116,6 +137,7 @@ def _build_section(cls, data: dict, section: str):
     unknown = set(data) - known
     if unknown:
         raise ConfigInvalid(f"unknown keys in {section!r}: {sorted(unknown)}")
+    _check_types(cls, data, section)
     kwargs = dict(data)
     for key in ("ratios", "targets", "tasks"):
         if key in kwargs and isinstance(kwargs[key], list):

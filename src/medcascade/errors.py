@@ -93,15 +93,9 @@ class CorruptArtifact(UserError):
         return cls(f"{path} is unreadable: {type(error).__name__}: {error}")
 
 
-class CorruptBundle(CorruptArtifact):
-    pass
-
-
 # variants
 class MissingBundle(UserError):
-    def __init__(self, record_id):
-        self.record_id = record_id
-        super().__init__(f"no preprocess bundle for record {record_id!r}")
+    pass
 
 
 # adapter / trainer

@@ -12,13 +12,18 @@ payload after the sentinel, so every downstream stage is reproducible without
 network access.  Live backends speak chat/completions-style HTTP JSON;
 endpoint and key come from config with environment overrides
 (``MEDCASCADE_LLM_URL``, ``MEDCASCADE_LLM_KEY``).  Only live backends get a
-token-bucket rate limiter (``rate_per_sec``/``burst``); the mock runs in-process
-and is never paced.
+token-bucket rate limiter (``rate_per_sec``/``burst``), which paces every
+attempt, retries included; the mock runs in-process and is never paced.
+
+The response cache is one append-only log, ``<cache_dir>/responses.jsonl``,
+read once into memory: each completion is one appended line, a damaged or
+torn line is a miss, and a later line for a key wins.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import re
@@ -28,7 +33,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from .atomic import write_atomic
+from .atomic import append_jsonl, read_jsonl
 from .errors import (AuthError, BackendUnavailable, ResponseEmpty, UnknownBackend,
                      UnknownSentinel)
 
@@ -58,34 +63,42 @@ def cache_key(prompt: str, backend) -> str:
 
 
 class ResponseCache:
-    """Content-addressed on-disk cache, one JSON file per key.
+    """Content-addressed cache: one append-only JSONL log, indexed in memory.
 
-    Writes go through temp + rename, so concurrent writers can at worst
-    duplicate work, never corrupt an entry.  An entry that cannot be read
-    (truncated, not JSON) is a miss, and the next ``put`` overwrites it.
+    The log is read on the first ``get`` or ``put``; ``get`` is then a dict
+    lookup and ``put`` appends one line.  A line that cannot be read
+    (truncated, not JSON, no response) is a miss, and the next ``put`` of
+    its key appends a good line, which wins.
     """
 
     def __init__(self, directory: str):
-        self.directory = str(directory)
+        self.path = os.path.join(str(directory), "responses.jsonl")
+        self._index: dict[str, str] | None = None
+        self._lock = threading.Lock()
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.json")
+    def _entries(self) -> dict[str, str]:
+        if self._index is None:
+            self._index = {e["key"]: e["response"] for e in read_jsonl(self.path)
+                           if isinstance(e.get("key"), str)
+                           and isinstance(e.get("response"), str)}
+        return self._index
 
     def get(self, key: str) -> str | None:
-        try:
-            with open(self._path(key), encoding="utf-8") as fh:
-                return json.load(fh)["response"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
+        with self._lock:
+            return self._entries().get(key)
 
     def put(self, key: str, response: str, prompt: str, backend_id: str) -> None:
         entry = {"key": key, "response": response, "created_at": time.time(),
                  "request": _request_fields(prompt, backend_id)}
-        write_atomic(self._path(key), json.dumps(entry, ensure_ascii=False, sort_keys=True))
+        with self._lock:
+            index = self._entries()
+            append_jsonl(self.path, entry)
+            index[key] = response
 
 
 class TokenBucket:
-    """Simple thread-safe token bucket; serializes backend dispatch."""
+    """Thread-safe token bucket: paces backend dispatch to ``rate_per_sec``
+    after a burst of ``burst`` calls; it does not serialize the calls."""
 
     def __init__(self, rate_per_sec: float = 50.0, burst: float = 10.0,
                  clock=time.monotonic, sleep=time.sleep):
@@ -215,15 +228,19 @@ class _HTTPBackend:
                                          headers=headers)
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
+                raw = resp.read()
         except urllib.error.HTTPError as e:
             if e.code in (401, 403):
                 raise AuthError(f"HTTP {e.code} from {self.url}") from e
             if e.code in (408, 429) or e.code >= 500:
                 raise TransientBackendError(f"HTTP {e.code}") from e
             raise BackendUnavailable(f"HTTP {e.code} from {self.url}") from e
-        except urllib.error.URLError as e:
-            raise TransientBackendError(str(e)) from e
+        except (OSError, http.client.HTTPException) as e:  # refused, reset, timed out
+            raise TransientBackendError(f"{type(e).__name__}: {e}") from e
+        try:
+            return json.loads(raw.decode("utf-8"))
+        except ValueError as e:
+            raise BackendUnavailable(f"undecodable response from {self.url}: {e}") from e
 
 
 class OpenAIChatBackend(_HTTPBackend):
@@ -274,7 +291,8 @@ class RetryPolicy:
 
 
 class Gateway:
-    """Front door for one backend: cache -> rate limit -> backend with retries.
+    """Front door for one backend: cache -> backend with retries, each attempt
+    rate limited.
 
     With ``rate_limiter=None`` (the default) backend calls are not paced."""
 
@@ -300,9 +318,9 @@ class Gateway:
                 self.cache_hits += 1
                 return cached
 
-        if self.rate_limiter is not None:
-            self.rate_limiter.acquire()
         for attempt, delay in enumerate([*self.retry.delays(), None], start=1):
+            if self.rate_limiter is not None:
+                self.rate_limiter.acquire()
             try:
                 self.backend_calls += 1
                 response = self.backend.complete(prompt)

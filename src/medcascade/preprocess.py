@@ -12,6 +12,12 @@ Entity output is parsed line-oriented: ``category: surface, surface`` lines,
 or a bare comma-separated list (the mock's style), which is read as symptoms.
 An unparseable answer earns one reprompt with a format reminder, then the
 record degrades to an empty entity list.
+
+Bundles live in one append-only log, ``bundles.jsonl``, beside the failure
+ledger ``failures.jsonl``: one line per record, appended once its three
+layers are done, read once into an index by record id.  A damaged or torn
+line is skipped, so its record counts as not done; a later line for a
+record wins.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ import re
 from dataclasses import dataclass, field
 
 from .corpus import ComplaintRecord, scrub_pii
-from .atomic import write_atomic
-from .errors import (CorruptBundle, EmptySourceText, MedcascadeError, ParseFailure,
+from .atomic import append_jsonl, read_jsonl
+from .errors import (CorruptArtifact, EmptySourceText, MedcascadeError, ParseFailure,
                      RefusalDetected, ResponseEmpty)
 from .gateway import Gateway
 
@@ -247,52 +253,57 @@ def extract_entities(record: ComplaintRecord, gw: Gateway,
 
 # -- bundle store and orchestration -------------------------------------------
 
-_SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]")
-
-
-def _filename_for(record_id: str) -> str:
-    safe = _SAFE_NAME.sub("_", record_id)
-    if safe == record_id:
-        return f"{record_id}.json"
-    digest = hashlib.sha1(record_id.encode("utf-8")).hexdigest()[:8]
-    return f"{safe}-{digest}.json"
-
-
 class BundleStore:
-    """One JSON file per record id under a bundles directory."""
+    """Append-only log of bundles, ``bundles.jsonl`` in a bundles directory,
+    indexed by record id on first use."""
 
     def __init__(self, directory: str):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
+        self.path = os.path.join(self.directory, "bundles.jsonl")
+        self._index: dict[str, PreprocessBundle] | None = None
+        self._hash: str | None = None
 
-    def path_for(self, record_id: str) -> str:
-        return os.path.join(self.directory, _filename_for(record_id))
+    def _bundles(self) -> dict[str, PreprocessBundle]:
+        if self._index is None:
+            self._index = {}
+            for entry in read_jsonl(self.path):
+                try:
+                    bundle = PreprocessBundle.from_json(entry)
+                except CorruptArtifact.DECODE_ERRORS:  # a damaged line: not done
+                    continue
+                if isinstance(bundle.record_id, str):
+                    self._index[bundle.record_id] = bundle
+        return self._index
 
     def exists(self, record_id: str) -> bool:
-        return os.path.exists(self.path_for(record_id))
+        return record_id in self._bundles()
 
     def save(self, bundle: PreprocessBundle) -> None:
-        write_atomic(self.path_for(bundle.record_id),
-                     json.dumps(bundle.to_json(), ensure_ascii=False, sort_keys=True, indent=2))
+        index = self._bundles()
+        append_jsonl(self.path, bundle.to_json())
+        index[bundle.record_id] = bundle
+        self._hash = None
 
     def load(self, record_id: str) -> PreprocessBundle | None:
-        path = self.path_for(record_id)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return PreprocessBundle.from_json(json.load(fh))
-        except CorruptBundle.DECODE_ERRORS as e:
-            raise CorruptBundle.at(path, e) from e
+        return self._bundles().get(record_id)
+
+    def clear(self) -> None:
+        """Start an empty log."""
+        if os.path.exists(self.path):
+            os.remove(self.path)
+        self._index, self._hash = {}, None
 
     def store_hash(self) -> str:
-        h = hashlib.sha256()
-        for name in sorted(os.listdir(self.directory)):
-            if name.endswith(".json"):
-                h.update(name.encode("utf-8"))
-                with open(os.path.join(self.directory, name), "rb") as fh:
-                    h.update(fh.read())
-        return h.hexdigest()
+        """Digest of the bundles sorted by record id: neither the order of the
+        lines nor skipped lines change it."""
+        if self._hash is None:
+            h = hashlib.sha256()
+            for _, bundle in sorted(self._bundles().items()):
+                h.update(json.dumps(bundle.to_json(), ensure_ascii=False,
+                                    sort_keys=True).encode("utf-8") + b"\n")
+            self._hash = h.hexdigest()
+        return self._hash
 
 
 @dataclass
@@ -345,14 +356,16 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway, store: BundleStore,
     entities = empty) instead of aborting the run; the ledger is
     ``failures.jsonl`` in the store's directory, and each record's entries
     are appended right after its bundle is saved.  With ``resume``, records
-    whose bundle already exists on disk are skipped outright; without it the
-    ledger starts empty.
+    whose bundle the log holds are skipped outright; without it the bundle
+    log and the ledger start empty.
     """
     prompts = prompts or PromptLibrary()
     ledger_path = os.path.join(store.directory, "failures.jsonl")
     hashes = prompts.hashes(gw.backend.prompt_style)
-    if not resume and os.path.exists(ledger_path):
-        os.remove(ledger_path)
+    if not resume:
+        store.clear()
+        if os.path.exists(ledger_path):
+            os.remove(ledger_path)
 
     bundles: list[PreprocessBundle] = []
     for record in records:
@@ -362,12 +375,9 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway, store: BundleStore,
         bundle, ledger = _process_record(record, gw, prompts, hashes)
         store.save(bundle)
         bundles.append(bundle)
-        if ledger:
-            try:
-                with open(ledger_path, "a", encoding="utf-8") as fh:
-                    for entry in ledger:
-                        fh.write(json.dumps(entry.to_json(), ensure_ascii=False,
-                                            sort_keys=True) + "\n")
-            except OSError as e:
-                raise MedcascadeError(f"cannot write failure ledger {ledger_path}: {e}") from e
+        try:
+            for entry in ledger:
+                append_jsonl(ledger_path, entry.to_json())
+        except OSError as e:
+            raise MedcascadeError(f"cannot write failure ledger {ledger_path}: {e}") from e
     return bundles

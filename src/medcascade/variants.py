@@ -50,7 +50,7 @@ def build_variant(records: list[ComplaintRecord], bundles: BundleStore | None,
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}, expected one of {CONDITIONS}")
     if condition != "normal" and bundles is None:
-        raise MissingBundle("<no bundle store>")
+        raise MissingBundle(f"condition {condition!r} needs a bundle store")
 
     examples: list[VariantExample] = []
     empty_aux = 0
@@ -61,7 +61,8 @@ def build_variant(records: list[ComplaintRecord], bundles: BundleStore | None,
         else:
             bundle = bundles.load(record.id)
             if bundle is None:
-                raise MissingBundle(record.id)
+                raise MissingBundle(f"no preprocess bundle for record {record.id!r} "
+                                    f"in {bundles.path}")
             if condition == "refined":
                 aux = bundle.refined
             elif condition == "summarized":

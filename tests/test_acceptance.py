@@ -257,7 +257,7 @@ def _tree_bytes(root: str, keep) -> dict[str, bytes]:
 
 def test_criterion_7_pipeline_determinism(tmp_path):
     """Two full mock-backend runs (ingest -> report) from the same seed produce
-    byte-identical variant files, TrainLogs, and reports."""
+    byte-identical bundle logs, variant files, TrainLogs, and reports."""
     corpus = os.path.abspath(BUNDLED_CORPUS)
     trees = []
     for name in ("run_a", "run_b"):
@@ -268,9 +268,11 @@ def test_criterion_7_pipeline_determinism(tmp_path):
             return (rel.startswith("variants" + os.sep) and rel.endswith((".jsonl", ".json"))
                     and not rel.endswith(".state.json")) \
                 or rel.endswith("trainlog.csv") \
-                or rel.replace(os.sep, "/") in ("reports/report.json", "reports/report.md")
+                or rel.replace(os.sep, "/") in ("reports/report.json", "reports/report.md",
+                                                "bundles/bundles.jsonl")
         trees.append(_tree_bytes(workdir, keep))
     assert set(trees[0]) == set(trees[1])
+    assert os.path.join("bundles", "bundles.jsonl") in trees[0]
     assert any(k.endswith("trainlog.csv") for k in trees[0])
     assert "reports/report.json".replace("/", os.sep) in trees[0]
     for rel in trees[0]:

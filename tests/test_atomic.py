@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from medcascade import atomic
-from medcascade.atomic import write_atomic
+from medcascade.atomic import append_jsonl, read_jsonl, write_atomic
 
 
 class TestWriteAtomic:
@@ -34,6 +34,39 @@ class TestWriteAtomic:
             write_atomic(path, 42)
         assert path.read_text(encoding="utf-8") == "old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+
+class TestAppendJsonl:
+    def test_appends_one_line_per_entry_creating_the_directory(self, tmp_path):
+        path = tmp_path / "logs" / "a.jsonl"
+        append_jsonl(path, {"k": "سطر"})
+        append_jsonl(path, {"k": 2})
+        assert path.read_bytes() == '{"k": "سطر"}\n{"k": 2}\n'.encode("utf-8")
+        assert read_jsonl(path) == [{"k": "سطر"}, {"k": 2}]
+
+    def test_torn_tail_gets_its_own_line(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'{"k": 1}\n{"k": ')
+        append_jsonl(path, {"k": 3})
+        assert path.read_bytes() == b'{"k": 1}\n{"k": \n{"k": 3}\n'
+        assert read_jsonl(path) == [{"k": 1}, {"k": 3}]
+
+    def test_reader_skips_damaged_lines_and_never_writes(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        data = b'\n{"k": 1}\n\xff\xfe\nnull\n[1]\n{"k"\n  \n{"k": 2}'
+        path.write_bytes(data)
+        assert read_jsonl(path) == [{"k": 1}, {"k": 2}]
+        assert path.read_bytes() == data
+        assert read_jsonl(tmp_path / "absent.jsonl") == []
+
+
+def test_one_file_under_src_appends():
+    """The append-only logs share one writer: ``append_jsonl``."""
+    src = Path(__file__).resolve().parents[1] / "src" / "medcascade"
+    pattern = r"\bO_APPEND\b|open\([^)]*[\"']a[b+]?[\"']"
+    users = sorted(p.name for p in src.rglob("*.py")
+                   if re.search(pattern, p.read_text(encoding="utf-8")))
+    assert users == ["atomic.py"]
 
 
 def test_one_file_under_src_renames_into_place():

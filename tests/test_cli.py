@@ -88,16 +88,29 @@ class TestIdempotence:
         assert run("ingest", "--config", "cfg.json") == 0
         assert run("preprocess", "--config", "cfg.json") == 0
         # delete two bundles and the completion state: only those are redone
-        bundles = sorted((workspace / "work" / "bundles").glob("syn*.json"))
-        bundles[0].unlink()
-        bundles[1].unlink()
+        log = workspace / "work" / "bundles" / "bundles.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(b"".join(lines[2:]))
         (workspace / "work" / ".preprocess.state.json").unlink()
         capsys.readouterr()
         assert run("preprocess", "--config", "cfg.json", "--resume") == 0
         out = capsys.readouterr().out
         assert "60 bundles" in out
         # cache absorbs the repeated calls: no fresh backend traffic needed
-        assert "(0 gateway calls" in out
+        assert "(0 gateway calls, 6 cache hits)" in out
+        assert log.read_bytes().count(b"\n") == 60
+
+    def test_mock_preprocess_creates_three_files(self, workspace):
+        """One log per store, not one file per completion or bundle."""
+        corpus = Path(__file__).resolve().parents[1] / "data" / "synthetic" / "corpus.jsonl"
+        assert run("ingest", "--config", "cfg.json", "--corpus", str(corpus)) == 0
+        assert run("preprocess", "--config", "cfg.json", "--corpus", str(corpus)) == 0
+        work = workspace / "work"
+        created = sorted(str(p.relative_to(work)) for p in work.rglob("*")
+                         if p.is_file() and p.parts[len(work.parts)] != "splits")
+        assert created == [".preprocess.state.json", os.path.join("bundles", "bundles.jsonl"),
+                           os.path.join("cache", "responses.jsonl")]
+        assert (work / "bundles" / "bundles.jsonl").read_bytes().count(b"\n") == 200
 
 
     @pytest.mark.parametrize("state", [b'{"input_ha', b"[]", b"\xff\xfe"],
@@ -176,7 +189,7 @@ class TestIdempotence:
             assert run("preprocess", "--config", "live.json") == 0
             bundles = workspace / f"work{port}" / "bundles"
             trees.append({p.name: p.read_bytes() for p in bundles.iterdir()})
-        assert len(trees[0]) >= 60
+        assert trees[0]["bundles.jsonl"].count(b"\n") == 60
         assert trees[0] == trees[1]
 
     def test_train_redoes_work_when_the_label_vocabulary_changes(self, workspace, capsys):
@@ -277,13 +290,16 @@ class TestErrors:
     def test_damaged_bundle_is_a_user_error(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0
         assert run("preprocess", "--config", "cfg.json") == 0
-        bundle = sorted((workspace / "work" / "bundles").glob("syn*.json"))[0]
-        bundle.write_text('{"record_id": ', encoding="utf-8")
+        log = workspace / "work" / "bundles" / "bundles.jsonl"
+        first, rest = log.read_bytes().split(b"\n", 1)
+        record_id = json.loads(first)["record_id"]
+        log.write_bytes(first[:30] + b"\n" + rest)
         capsys.readouterr()
         assert run("variants", "--config", "cfg.json") == 1
         err = capsys.readouterr().err
-        assert err.startswith("CorruptBundle: ")
-        assert os.path.join("work", "bundles", bundle.name) in err
+        assert err.startswith("MissingBundle: ")
+        assert repr(record_id) in err
+        assert os.path.join("work", "bundles", "bundles.jsonl") in err
 
     @pytest.mark.parametrize("damaged", ["test.jsonl", "test.provenance.json"])
     def test_damaged_variant_file_is_a_user_error(self, workspace, capsys, damaged):
@@ -351,6 +367,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("ConfigInvalid: ")
         assert named in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("train.batch_size", "4"),
+        ("train.learning_rate", True),
+        ("adapter.rank", "8"),
+        ("model.toy.d_model", "16"),
+        ("gateway.rate_per_sec", 0),
+        ("gateway.burst", 0.5),
+        ("gateway.max_retries", -1),
+        ("gateway.backoff_base", -1),
+        ("gateway.backoff_cap", -0.5),
+    ])
+    def test_config_value_of_a_wrong_type_or_range_is_a_config_error(self, workspace, capsys,
+                                                                      key, value):
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        node = config
+        *parents, leaf = key.split(".")
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+        (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert run("ingest", "--config", "bad.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: ")
+        assert key in err
 
     def test_missing_corpus(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json", "--corpus", "missing.jsonl") == 1

@@ -2,7 +2,7 @@ import json
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
 import pytest
@@ -134,26 +134,50 @@ class TestCache:
         cache = ResponseCache(tmp_path)
         key = cache_key("REFINE: x", MOCK)
         cache.put(key, "x", "REFINE: x", "mock")
-        path = tmp_path / f"{key}.json"
         assert cache.get(key) == "x"
-        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["responses.jsonl"]
+        lines = (tmp_path / "responses.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1
+        entry = json.loads(lines[0])
         assert set(entry) == {"key", "response", "created_at", "request"}
+        assert entry["key"] == key
         assert entry["request"] == {"prompt": "REFINE: x", "max_output_tokens": 512,
                                     "temperature": 0.0, "backend_id": "mock"}
 
-    @pytest.mark.parametrize("damage", [b'{"key": "k", "resp', b"", b"\xff\xfe", b"null",
-                                        b'{"key": "k"}'],
+    @pytest.mark.parametrize("damage", [b'{"key": "KEY", "resp', b"", b"\xff\xfe", b"null",
+                                        b'{"key": "KEY"}'],
                              ids=["truncated", "empty", "not-utf8", "not-object", "no-response"])
     def test_damaged_entry_is_a_miss_and_put_overwrites_it(self, tmp_path, damage):
         gw = Gateway(MockBackend(), cache=ResponseCache(tmp_path))
         r = "REFINE: hello   there"
-        path = tmp_path / f"{cache_key(r, gw.backend)}.json"
-        path.write_bytes(damage)
+        key = cache_key(r, gw.backend)
+        log = tmp_path / "responses.jsonl"
+        log.write_bytes(damage.replace(b"KEY", key.encode()))
         assert gw.complete(r) == "hello there"
         assert (gw.backend_calls, gw.cache_hits) == (1, 0)
-        assert json.loads(path.read_text(encoding="utf-8"))["response"] == "hello there"
+        # the damaged line stays; the good line appended after it wins
+        assert log.read_bytes().startswith(damage.replace(b"KEY", key.encode()))
+        assert json.loads(log.read_bytes().split(b"\n")[-2])["response"] == "hello there"
         assert gw.complete(r) == "hello there"
         assert (gw.backend_calls, gw.cache_hits) == (1, 1)
+        assert ResponseCache(tmp_path).get(key) == "hello there"
+
+    def test_torn_last_line_is_skipped_and_the_next_put_starts_a_fresh_line(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put("a", "first", "REFINE: a", "mock")
+        cache.put("b", "second", "REFINE: b", "mock")
+        log = tmp_path / "responses.jsonl"
+        torn = b'{"key": "c", "response": "thi'
+        with open(log, "ab") as fh:
+            fh.write(torn)
+        cache = ResponseCache(tmp_path)
+        assert cache.get("c") is None
+        cache.put("d", "fourth", "REFINE: d", "mock")
+        lines = log.read_bytes().split(b"\n")
+        assert lines[2] == torn and lines[-1] == b""
+        assert json.loads(lines[3])["key"] == "d"
+        fresh = ResponseCache(tmp_path)
+        assert [fresh.get(k) for k in "abcd"] == ["first", "second", None, "fourth"]
 
 
 class FlakyBackend:
@@ -212,6 +236,23 @@ class TestRetry:
         assert backend.calls == 1
 
 
+class CountingLimiter:
+    def __init__(self):
+        self.acquires = 0
+
+    def acquire(self):
+        self.acquires += 1
+
+
+class TestRateLimit:
+    def test_every_attempt_takes_a_token(self):
+        backend = FlakyBackend(failures=2)
+        limiter = CountingLimiter()
+        gw = Gateway(backend, rate_limiter=limiter, sleep=lambda s: None)
+        assert gw.complete("x") == "ok"
+        assert limiter.acquires == backend.calls == gw.backend_calls == 3
+
+
 class TestTokenBucket:
     def test_serializes_when_bucket_empty(self):
         clock = {"t": 0.0}
@@ -246,6 +287,23 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(503)
             self.end_headers()
             return
+        if self.behavior == "disconnect_then_ok":   # close without a response
+            type(self).behavior = "ok"
+            self.close_connection = True
+            return
+        if self.behavior == "hang_then_ok":         # answer nothing past the timeout
+            type(self).behavior = "ok"
+            time.sleep(1.0)
+            self.close_connection = True
+            return
+        if self.behavior == "html":
+            data = b"<html><body>502 Bad Gateway</body></html>"
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+            return
         if self.path.endswith("/completion"):
             payload = {"content": f"echo:{body['prompt']}"}
         else:
@@ -264,7 +322,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()
@@ -302,6 +360,23 @@ class TestHttpBackends:
         assert gw.complete("hi") == "echo:hi"
 
 
+    @pytest.mark.parametrize("behavior", ["disconnect_then_ok", "hang_then_ok"])
+    def test_transport_failure_retried(self, http_server, behavior):
+        _Handler.behavior = behavior
+        gw = Gateway(OpenAIChatBackend("openai", http_server, timeout=0.5),
+                     sleep=lambda s: None)
+        assert gw.complete("hi") == "echo:hi"
+        assert gw.backend_calls == 2
+
+    def test_undecodable_body_is_backend_unavailable(self, http_server):
+        _Handler.behavior = "html"
+        gw = Gateway(OpenAIChatBackend("openai", http_server), sleep=lambda s: None)
+        with pytest.raises(BackendUnavailable, match="undecodable response"):
+            gw.complete("hi")
+        assert gw.backend_calls == 1
+        _Handler.behavior = "ok"
+
+
 class TestConcurrency:
     def test_concurrent_callers_share_cache_safely(self, tmp_path):
         import concurrent.futures
@@ -315,11 +390,9 @@ class TestConcurrency:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(call, prompts))
         assert results == [f"text number {i % 5} padded" for i in range(40)]
-        # 5 distinct requests -> 5 cache files, all valid JSON
-        files = list(tmp_path.glob("*.json"))
-        assert len(files) == 5
-        for path in files:
-            json.loads(path.read_text(encoding="utf-8"))
+        # 5 distinct requests -> 5 distinct keys in the log, every line valid JSON
+        lines = (tmp_path / "responses.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len({json.loads(line)["key"] for line in lines}) == 5
 
 
 class TestBuildGateway:

@@ -4,10 +4,12 @@ import re
 import pytest
 
 from medcascade.errors import EmptySourceText, ParseFailure, RefusalDetected, UserError
-from medcascade.gateway import Gateway, MockBackend, RetryPolicy, TransientBackendError
+from medcascade.gateway import (Gateway, MockBackend, ResponseCache, RetryPolicy,
+                                TransientBackendError)
 from medcascade.preprocess import (BundleStore, Entity, PreprocessBundle, PromptLibrary,
                                    extract_entities, parse_entities, refine, run_bundle,
                                    summarize)
+from medcascade.variants import build_variant
 
 from conftest import make_record
 
@@ -209,18 +211,26 @@ class TestBundleStore:
         store.save(bundle)
         assert store.exists("p/1:x")
         assert store.load("p/1:x").record_id == "p/1:x"
-        assert store.load("p_1_x") is None  # different id, different file
+        assert store.load("p_1_x") is None  # different id, different record
+        # record ids never become file names
+        assert sorted(p.name for p in (tmp_path / "bundles").iterdir()) == ["bundles.jsonl"]
+        assert BundleStore(tmp_path / "bundles").load("p/1:x") == bundle
 
     @pytest.mark.parametrize("damage", [b'{"record_id": "r1", "ref', b'{"record_id": "r1"}',
                                         b"[]"], ids=["truncated", "missing-keys", "not-object"])
     def test_damaged_bundle_is_a_user_error_naming_the_path(self, tmp_path, damage):
         store = BundleStore(tmp_path / "bundles")
         store.save(PreprocessBundle("r1", "a", "b", []))
-        path = store.path_for("r1")
-        with open(path, "wb") as fh:
-            fh.write(damage)
-        with pytest.raises(UserError, match=re.escape(path)):
-            store.load("r1")
+        store.save(PreprocessBundle("r2", "c", "d", []))
+        lines = open(store.path, "rb").read().split(b"\n")
+        with open(store.path, "wb") as fh:
+            fh.write(b"\n".join([damage, *lines[1:]]))
+        store = BundleStore(tmp_path / "bundles")
+        assert not store.exists("r1") and store.load("r1") is None
+        assert store.load("r2").refined == "c"
+        records = [make_record(rid=rid) for rid in ("r1", "r2")]
+        with pytest.raises(UserError, match=f"'r1' in {re.escape(store.path)}$"):
+            build_variant(records, store, "refined")
 
     def test_store_hash_changes_with_content(self, tmp_path):
         store = BundleStore(tmp_path / "bundles")
@@ -228,6 +238,24 @@ class TestBundleStore:
         h1 = store.store_hash()
         store.save(PreprocessBundle("r2", "c", "d", []))
         assert store.store_hash() != h1
+
+    def test_store_hash_ignores_line_order_and_skipped_lines(self, tmp_path):
+        one, two = PreprocessBundle("r1", "a", "b", []), PreprocessBundle("r2", "c", "d", [])
+        forward = BundleStore(tmp_path / "forward")
+        forward.save(one)
+        forward.save(two)
+        backward = BundleStore(tmp_path / "backward")
+        backward.save(two)
+        with open(backward.path, "ab") as fh:
+            fh.write(b'{"record_id": "r3", "ref\n')
+        backward.save(one)
+        assert BundleStore(tmp_path / "backward").store_hash() == forward.store_hash()
+
+    def test_later_line_wins(self, tmp_path):
+        store = BundleStore(tmp_path / "bundles")
+        store.save(PreprocessBundle("r1", "old", "b", []))
+        store.save(PreprocessBundle("r1", "new", "b", []))
+        assert BundleStore(tmp_path / "bundles").load("r1").refined == "new"
 
 
 class TestRunBundle:
@@ -315,14 +343,40 @@ class TestRunBundle:
 
     def test_mock_pipeline_is_reproducible(self, tmp_path):
         records = self._records()
-        digests = []
+        logs = []
         for run in ("a", "b"):
             store = BundleStore(tmp_path / run)
             gw = Gateway(MockBackend())
             run_bundle(records, gw, store=store)
-            files = sorted((tmp_path / run).glob("*.json"))
-            digests.append([f.read_bytes() for f in files])
-        assert digests[0] == digests[1]
+            logs.append((tmp_path / run / "bundles.jsonl").read_bytes())
+        assert logs[0].count(b"\n") == len(records)
+        assert logs[0] == logs[1]
+
+    def test_full_rerun_starts_an_empty_bundle_log(self, tmp_path):
+        store = BundleStore(tmp_path / "bundles")
+        run_bundle(self._records(3), Gateway(MockBackend()), store=store)
+        run_bundle(self._records(2), Gateway(MockBackend()), store=store)
+        assert (tmp_path / "bundles" / "bundles.jsonl").read_bytes().count(b"\n") == 2
+        assert not BundleStore(tmp_path / "bundles").exists("r2")
+
+    def test_resume_after_a_torn_bundle_log_redoes_only_the_torn_record(self, tmp_path):
+        records = self._records()
+        cache = tmp_path / "cache"
+        whole = BundleStore(tmp_path / "whole")
+        run_bundle(records, Gateway(MockBackend(), cache=ResponseCache(cache)), store=whole)
+        # a crash cuts the last line in the middle
+        log = tmp_path / "whole" / "bundles.jsonl"
+        data = log.read_bytes()
+        cut = data.rindex(b"\n", 0, len(data) - 1) + 40
+        log.write_bytes(data[:cut])
+        gw = Gateway(MockBackend(), cache=ResponseCache(cache))
+        store = BundleStore(tmp_path / "whole")
+        assert [store.exists(r.id) for r in records] == [True] * 4 + [False]
+        bundles = run_bundle(records, gw, store=store, resume=True)
+        assert len(bundles) == 5
+        assert (gw.backend_calls, gw.cache_hits) == (0, 3)
+        assert BundleStore(tmp_path / "whole").store_hash() == whole.store_hash()
+        assert log.read_bytes().split(b"\n")[4] == data[:cut].split(b"\n")[4]
 
 
 class TestPromptLibrary:
