@@ -2,6 +2,8 @@
 
 ``write_atomic`` replaces a whole file: temp file + rename, so readers never
 see a partial file and a failed write leaves the previous version in place.
+It also takes a function that writes into the open temp file, so an
+``np.savez`` archive is never built in memory first.
 
 ``append_jsonl`` adds one entry to an append-only JSONL log (the response
 cache, the bundle store, the failure ledger): one line of JSON written with a
@@ -17,17 +19,20 @@ from __future__ import annotations
 import json
 import os
 import threading
+from typing import BinaryIO, Callable
 
 
-def write_atomic(path, data: str | bytes) -> None:
-    """Write ``data`` (UTF-8 if text) to ``path``, creating its directory."""
+def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]) -> None:
+    """Write ``data`` (UTF-8 if text, or what a function writes into the
+    temp file) to ``path``, creating its directory."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    if isinstance(data, str):
-        data = data.encode("utf-8")
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            if callable(data):
+                data(fh)
+            else:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

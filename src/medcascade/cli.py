@@ -1,10 +1,12 @@
 """The ``medcascade`` command: ingest -> preprocess -> variants -> train -> report.
 
-Every subcommand is idempotent: it hashes its inputs, records the hash in a
-state sidecar next to its outputs, and short-circuits when nothing changed.
-All writes are atomic (temp + rename).  Exit codes: 0 success, 1 user error,
-2 internal error; failures print one machine-parseable ``Category: message``
-line on stderr.
+Every subcommand is idempotent: its state sidecar, written last, records the
+hash of its inputs and the hash of every file in the directories it writes.
+A rerun short-circuits only when both still match, so a changed input or a
+deleted, truncated or edited output redoes the stage (``preprocess`` from its
+response cache).  All writes are atomic (temp + rename).  Exit codes: 0
+success, 1 user error, 2 internal error; failures print one machine-parseable
+``Category: message`` line on stderr.
 """
 
 from __future__ import annotations
@@ -70,18 +72,27 @@ def _hash_inputs(files: list[str], *values) -> str:
     return h.hexdigest()
 
 
-def _up_to_date(state_path: str, input_hash: str, outputs: list[str]) -> bool:
-    if not os.path.exists(state_path) or not all(os.path.exists(p) for p in outputs):
-        return False
+def _state(state_path: str, input_hash: str, out_dirs: list[str]) -> dict:
+    """The input hash and a digest of the relative names and bytes of every
+    file under ``out_dirs``, the state file itself left out."""
+    base = os.path.dirname(state_path)
+    files = sorted(os.path.join(root, name) for d in out_dirs
+                   for root, _, names in os.walk(d) for name in names)
+    files = [f for f in files if f != state_path]
+    return {"input_hash": input_hash,
+            "outputs": _hash_inputs(files, [os.path.relpath(f, base) for f in files])}
+
+
+def _up_to_date(state_path: str, input_hash: str, out_dirs: list[str]) -> bool:
     try:
         with open(state_path, encoding="utf-8") as fh:
-            return json.load(fh).get("input_hash") == input_hash
-    except (OSError, ValueError, AttributeError):  # unreadable state: stale
+            return json.load(fh) == _state(state_path, input_hash, out_dirs)
+    except (OSError, ValueError):  # missing or unreadable state: stale
         return False
 
 
-def _write_state(state_path: str, input_hash: str) -> None:
-    write_atomic(state_path, json.dumps({"input_hash": input_hash}) + "\n")
+def _write_state(state_path: str, input_hash: str, out_dirs: list[str]) -> None:
+    write_atomic(state_path, json.dumps(_state(state_path, input_hash, out_dirs)) + "\n")
 
 
 def _require(path: str, produced_by: str) -> str:
@@ -104,11 +115,6 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name)
 
 
-def _load_split_records(cfg: PipelineConfig, part: str):
-    path = _require(_split_path(cfg, part), "ingest")
-    return load_corpus(path)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
@@ -119,8 +125,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     input_hash = _hash_inputs(
         [cfg.corpus, manifest_path_for(cfg.corpus), *STAGE_SOURCES["ingest"]], split_cfg)
     state = os.path.join(cfg.splits_dir(), ".state.json")
-    outputs = [_split_path(cfg, part) for part in SPLITS]
-    if _up_to_date(state, input_hash, outputs):
+    if _up_to_date(state, input_hash, [cfg.splits_dir()]):
         print("ingest: up to date")
         return 0
 
@@ -133,7 +138,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
             vocab=manifest.vocab, record_count=len(part_records),
             split={**split_cfg, "part": part_name})
         write_corpus(_split_path(cfg, part_name), part_records, part_manifest)
-    _write_state(state, input_hash)
+    _write_state(state, input_hash, [cfg.splits_dir()])
     sizes = "/".join(str(len(p)) for p in parts)
     print(f"ingest: {len(records)} records scrubbed and split {sizes} "
           f"into {cfg.splits_dir()}")
@@ -154,13 +159,10 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
         print("preprocess: up to date (0 gateway calls)")
         return 0
 
-    records = []
-    for part in SPLITS:
-        part_records, _ = _load_split_records(cfg, part)
-        records.extend(part_records)
+    records = [record for path in split_paths for record in load_corpus(path)[0]]
     store = BundleStore(cfg.bundles_dir())
     bundles = run_bundle(records, gw, store, resume=args.resume, prompts=prompts)
-    _write_state(state, input_hash)
+    _write_state(state, input_hash, [cfg.bundles_dir()])
     print(f"preprocess: {len(bundles)} bundles in {cfg.bundles_dir()} "
           f"({gw.backend_calls} gateway calls, {gw.cache_hits} cache hits)")
     return 0
@@ -168,9 +170,6 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
 
 def cmd_variants(cfg: PipelineConfig, args) -> int:
     conditions = tuple(args.condition) if args.condition else CONDITIONS
-    for condition in conditions:
-        if condition not in CONDITIONS:
-            raise UserError(f"unknown condition {condition!r}, expected one of {CONDITIONS}")
     split_paths = [_require(_split_path(cfg, part), "ingest") for part in SPLITS]
     store = BundleStore(cfg.bundles_dir())
     if any(c != "normal" for c in conditions):
@@ -178,20 +177,19 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
     input_hash = _hash_inputs([*split_paths, *STAGE_SOURCES["variants"]], store.store_hash(),
                               sorted(conditions))
     state = os.path.join(cfg.variants_dir(), ".state.json")
-    outputs = [variant_paths(cfg.variants_dir(), c, part)[0]
-               for c in conditions for part in SPLITS]
-    if _up_to_date(state, input_hash, outputs):
+    out_dirs = [os.path.join(cfg.variants_dir(), c) for c in conditions]
+    if _up_to_date(state, input_hash, out_dirs):
         print("variants: up to date")
         return 0
 
     total = 0
-    for part in SPLITS:
-        part_records, _ = _load_split_records(cfg, part)
+    for part, path in zip(SPLITS, split_paths):
+        part_records, _ = load_corpus(path)
         for condition in conditions:
             variant = build_variant(part_records, store, condition)
             write_variant(variant, cfg.variants_dir(), part)
             total += len(variant)
-    _write_state(state, input_hash)
+    _write_state(state, input_hash, out_dirs)
     print(f"variants: wrote {len(conditions)} condition(s) x {len(SPLITS)} splits "
           f"({total} examples) into {cfg.variants_dir()}")
     return 0
@@ -203,10 +201,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     fine_tuned = not args.no_finetune
     arm = "finetuned" if fine_tuned else "frozen"
     needed = SPLITS if fine_tuned else ("test",)
-    variant_files = []
-    for part in needed:
-        data_path, _ = variant_paths(cfg.variants_dir(), condition, part)
-        variant_files.append(_require(data_path, "variants"))
+    variant_files = [_require(variant_paths(cfg.variants_dir(), condition, part)[0], "variants")
+                     for part in needed]
     manifest_path = _require(manifest_path_for(_split_path(cfg, "train")), "ingest")
     vocab = read_manifest(manifest_path).vocab
 
@@ -219,7 +215,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     input_hash = _hash_inputs(
         [*variant_files, manifest_path, *weight_files, *STAGE_SOURCES["train"]], relevant_cfg)
     state = os.path.join(cell_dir, ".state.json")
-    if _up_to_date(state, input_hash, [os.path.join(cell_dir, "scores.json")]):
+    if _up_to_date(state, input_hash, [cell_dir]):
         print(f"train[{cell}]: up to date")
         return 0
 
@@ -227,22 +223,19 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
                               seed=cfg.model.seed, pooling=cfg.model.pooling,
                               **cfg.model.toy)
     train_cfg = cfg.train
+    model = MultiTaskModel.build(encoder, vocab, tasks=train_cfg.tasks,
+                                 head_seed=cfg.model.head_seed)
     result = None
     if fine_tuned:
         adapters = encoder.build_adapters(cfg.adapter.rank, cfg.adapter.alpha,
                                           cfg.adapter.dropout, cfg.adapter.seed,
                                           patterns=cfg.adapter.targets)
         encoder.attach_adapters(adapters)
-        model = MultiTaskModel.build(encoder, vocab, tasks=train_cfg.tasks,
-                                     head_seed=cfg.model.head_seed)
         train_variant = load_variant(cfg.variants_dir(), condition, "train")
         val_variant = load_variant(cfg.variants_dir(), condition, "val")
         result = train(model, train_variant, val_variant, train_cfg)
         model.restore(result.best_params)
         write_atomic(os.path.join(cell_dir, "trainlog.csv"), result.log.to_csv())
-    else:
-        model = MultiTaskModel.build(encoder, vocab, tasks=train_cfg.tasks,
-                                     head_seed=cfg.model.head_seed)
 
     test_variant = load_variant(cfg.variants_dir(), condition, "test")
     scores, preds = evaluate(model, test_variant, tasks=train_cfg.tasks)
@@ -266,7 +259,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         "best_epoch": result.best_epoch if result else None,
         "trainable_parameters": model.trainable_count(),
     }))
-    _write_state(state, input_hash)
+    _write_state(state, input_hash, [cell_dir])
     summary = ", ".join(f"{t} {s.accuracy:.3f}" for t, s in sorted(scores.items()))
     print(f"train[{cell}]: test accuracy {summary}")
     return 0

@@ -158,7 +158,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
         with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # not JSON, or not UTF-8
                 raise ConfigInvalid(f"config file {path} is not valid JSON: {e}") from e
 
     for key, value in (overrides or {}).items():

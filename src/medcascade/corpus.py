@@ -188,13 +188,16 @@ def load_corpus(path: str, format: str = "jsonl",
     rows = _jsonl_rows if format == "jsonl" else _csv_rows
     records: list[ComplaintRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in rows(fh):
-            rec = _parse_record(raw, line_no, manifest.vocab)
-            if rec.id in seen:
-                raise DuplicateId(rec.id)
-            seen.add(rec.id)
-            records.append(rec)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in rows(fh):
+                rec = _parse_record(raw, line_no, manifest.vocab)
+                if rec.id in seen:
+                    raise DuplicateId(rec.id)
+                seen.add(rec.id)
+                records.append(rec)
+    except UnicodeDecodeError as e:
+        raise CorruptArtifact.at(path, e) from e
     manifest.record_count = len(records)
     return records, manifest
 

@@ -35,17 +35,17 @@ Hot-path choices:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import re
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import EncoderUnavailable, ShapeMismatch
+from .errors import CorruptArtifact, EncoderUnavailable, ShapeMismatch
 from .lora import (AdapterSet, DEFAULT_TARGET_PATTERNS, adapter_backward, adapter_delta,
                    init_adapter)
 from .tokenizers import HashWordTokenizer, WordPieceTokenizer
@@ -469,9 +469,8 @@ class NumpyTransformerEncoder:
     def save_base(self, directory) -> None:
         write_atomic(os.path.join(directory, "config.json"),
                      json.dumps(self.config.__dict__, sort_keys=True, indent=2))
-        buf = io.BytesIO()
-        np.savez(buf, **self.params)
-        write_atomic(os.path.join(directory, "weights.npz"), buf.getvalue())
+        write_atomic(os.path.join(directory, "weights.npz"),
+                     lambda fh: np.savez(fh, **self.params))
 
     @classmethod
     def from_pretrained_dir(cls, directory, pooling: str = "cls") -> "NumpyTransformerEncoder":
@@ -484,13 +483,16 @@ class NumpyTransformerEncoder:
                 raise EncoderUnavailable(
                     f"{path} not found; export the encoder weights first "
                     "(see medcascade.hf_export.export_encoder)")
-        with open(cfg_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = set(EncoderConfig.__dataclass_fields__)
-        config = EncoderConfig(**{k: v for k, v in raw.items() if k in known})
+        try:
+            with open(cfg_path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+            known = set(EncoderConfig.__dataclass_fields__)
+            config = EncoderConfig(**{k: v for k, v in raw.items() if k in known})
+            with np.load(weights_path) as data:
+                params = {name: np.asarray(data[name], dtype=float) for name in data.files}
+        except (OSError, EOFError, zipfile.BadZipFile, *CorruptArtifact.DECODE_ERRORS) as e:
+            raise EncoderUnavailable(f"unreadable encoder export in {directory}: {e!r}") from e
         config.pooling = pooling
-        with np.load(weights_path) as data:
-            params = {name: np.asarray(data[name], dtype=float) for name in data.files}
         if os.path.exists(vocab_path):
             tokenizer = WordPieceTokenizer.from_vocab_file(
                 vocab_path, do_lower_case=bool(raw.get("do_lower_case", False)))

@@ -82,8 +82,8 @@ class EmptySourceText(UserError):
 
 
 class CorruptArtifact(UserError):
-    """A file the pipeline wrote earlier cannot be read back (truncated,
-    not JSON, missing keys); the message names the file."""
+    """A file on disk cannot be read back (truncated, not UTF-8, not JSON,
+    missing keys); the message names the file."""
 
     # what a damaged JSON file raises while it is decoded and unpacked
     DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)

@@ -11,7 +11,6 @@ alpha 8 (scale alpha/r = 0.5), dropout 5% on the adapter input.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -198,9 +197,7 @@ def save_adapter_set(path, adapters: AdapterSet, heads: dict[str, dict[str, np.n
         arrays[f"head.{task}.W"] = params["W"]
         arrays[f"head.{task}.b"] = params["b"]
     arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    write_atomic(path, buf.getvalue())
+    write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_adapter_set(path) -> tuple[AdapterSet, dict[str, dict[str, np.ndarray]], dict]:

@@ -1,6 +1,8 @@
+import io
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from medcascade import atomic
@@ -13,6 +15,14 @@ class TestWriteAtomic:
         write_atomic(tmp_path / "c.bin", b"\x00\xff")
         assert (tmp_path / "a" / "b.txt").read_bytes() == "سطر\n".encode("utf-8")
         assert (tmp_path / "c.bin").read_bytes() == b"\x00\xff"
+
+    def test_a_function_writes_into_the_temp_file(self, tmp_path):
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)}
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        write_atomic(tmp_path / "a.npz", lambda fh: np.savez(fh, **arrays))
+        assert (tmp_path / "a.npz").read_bytes() == buf.getvalue()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npz"]
 
     def test_failed_rename_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
         path = tmp_path / "state.json"

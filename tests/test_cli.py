@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,8 @@ from medcascade.synthetic import write_synthetic_corpus
 from medcascade.variants import load_variant
 
 
-@pytest.fixture
-def workspace(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _write_workspace():
+    """A 60-record corpus and a toy-encoder config in the working directory."""
     os.makedirs("data", exist_ok=True)
     write_synthetic_corpus("data/corpus.jsonl", n=60, seed=3)
     config = {
@@ -25,6 +25,12 @@ def workspace(tmp_path, monkeypatch):
     }
     with open("cfg.json", "w", encoding="utf-8") as fh:
         json.dump(config, fh)
+
+
+@pytest.fixture
+def workspace(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_workspace()
     return tmp_path
 
 
@@ -118,7 +124,7 @@ class TestIdempotence:
     def test_unreadable_state_is_stale(self, tmp_path, state):
         path = tmp_path / ".state.json"
         path.write_bytes(state)
-        assert not _up_to_date(str(path), "abc", [])
+        assert not _up_to_date(str(path), "abc", [str(tmp_path)])
 
     def test_ingest_redoes_work_when_state_is_truncated(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0
@@ -247,6 +253,69 @@ class TestIdempotence:
             assert paths and all(os.path.isfile(p) for p in paths)
         assert {os.path.basename(p) for p in cli.STAGE_SOURCES["train"]} == {
             "encoder.py", "lora.py", "trainer.py", "evaluator.py", "tokenizers.py", "variants.py"}
+
+
+CHAIN = [("ingest",), ("preprocess", "--backend", "mock"), ("variants", "--condition", "ner"),
+         ("train", "--condition", "ner"), ("train", "--condition", "ner", "--no-finetune"),
+         ("report",)]
+FINETUNED = "runs/toy__ner__finetuned"
+# one output of each kind, and the line of the stage that writes it
+DAMAGED = {
+    "splits/test.jsonl": "ingest:",
+    "splits/train.manifest.json": "ingest:",
+    "bundles/bundles.jsonl": "preprocess:",
+    "variants/ner/train.jsonl": "variants:",
+    "variants/ner/test.provenance.json": "variants:",
+    **{f"{FINETUNED}/{name}": "train[toy__ner__finetuned]:"
+       for name in ("checkpoint.npz", "predictions.jsonl", "trainlog.csv", "scores.json")},
+}
+
+
+def _run_chain() -> None:
+    for argv in CHAIN:
+        assert run(*argv, "--config", "cfg.json") == 0, argv
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def clean_chain(tmp_path_factory):
+    root = tmp_path_factory.mktemp("clean")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        _write_workspace()
+        _run_chain()
+    return root, _tree(root / "work")
+
+
+class TestDamagedOutputs:
+    """A stage whose outputs were deleted or cut short is not up to date: a
+    rerun of the chain redoes that stage and restores the clean bytes."""
+
+    @pytest.mark.parametrize("how", ["delete", "truncate"])
+    @pytest.mark.parametrize("damaged", sorted(DAMAGED))
+    def test_rerun_heals_to_the_clean_bytes(self, clean_chain, tmp_path, monkeypatch, capsys,
+                                            damaged, how):
+        clean_root, clean = clean_chain
+        shutil.copytree(clean_root, tmp_path, dirs_exist_ok=True)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "work" / damaged
+        if how == "delete":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        capsys.readouterr()
+        _run_chain()
+        lines = capsys.readouterr().out.splitlines()
+        assert _tree(tmp_path / "work") == clean
+        redone = [line for line in lines if line.startswith(DAMAGED[damaged])]
+        assert redone and "up to date" not in redone[0]
+        if damaged.startswith("bundles/"):  # redone from the warm response cache
+            assert "(0 gateway calls," in redone[0]
+        assert sum("up to date" in line for line in lines) == len(CHAIN) - 2
 
 
 class TestEncoderWeights:
@@ -397,6 +466,19 @@ class TestErrors:
     def test_missing_corpus(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json", "--corpus", "missing.jsonl") == 1
         assert "MissingUpstreamArtifact" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, workspace, capsys):
+        (workspace / "bad.json").write_bytes(b'{"workdir": "\xff"}')
+        assert run("ingest", "--config", "bad.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: ")
+        assert "bad.json" in err
+
+    def test_unknown_condition_is_a_usage_error(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("variants", "--config", "cfg.json", "--condition", "bogus")
+        assert exc.value.code == 1
+        assert "UsageError: " in capsys.readouterr().err
 
     def test_usage_error_exits_one(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:

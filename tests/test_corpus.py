@@ -69,6 +69,14 @@ class TestLoadCorpus:
         with pytest.raises(CorruptArtifact, match=re.escape(str(manifest))):
             load_corpus(corpus)
 
+    def test_corpus_cut_inside_a_character_names_the_file(self, corpus_files):
+        corpus, _ = corpus_files
+        raw = corpus.read_bytes()
+        cut = raw.index("حمى".encode("utf-8")) + 1  # inside the two-byte ح
+        corpus.write_bytes(raw[:cut])
+        with pytest.raises(CorruptArtifact, match=re.escape(str(corpus))):
+            load_corpus(corpus)
+
     def test_csv_import(self, tmp_path):
         csv_path = tmp_path / "c.csv"
         csv_path.write_text(

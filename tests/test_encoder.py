@@ -519,6 +519,14 @@ class TestPersistence:
         assert np.array_equal(enc.forward(ids, mask), reloaded.forward(ids, mask))
         assert enc.base_state_bytes() == reloaded.base_state_bytes()
 
+    @pytest.mark.parametrize("damaged", ["weights.npz", "config.json"])
+    def test_truncated_export_is_a_user_error(self, tmp_path, damaged):
+        tiny_encoder().save_base(tmp_path / "enc")
+        path = tmp_path / "enc" / damaged
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(EncoderUnavailable, match=re.escape(str(tmp_path / "enc"))):
+            NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "enc")
+
     def test_resolve_toy(self):
         enc = resolve_encoder("toy", seed=1, d_model=16, n_layers=1, n_heads=2,
                               d_ff=16, vocab_size=32, max_len=8)
