@@ -3,7 +3,8 @@
 ``write_atomic`` replaces a whole file: temp file + rename, so readers never
 see a partial file and a failed write leaves the previous version in place.
 It also takes a function that writes into the open temp file, so an
-``np.savez`` archive is never built in memory first.
+``np.savez`` archive is never built in memory first; the file is open for
+reading too, so the function may ``np.memmap`` it.
 
 ``append_jsonl`` adds one entry to an append-only JSONL log (the response
 cache, the bundle store, the failure ledger): one line of JSON written with a
@@ -28,7 +29,7 @@ def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]) -> None
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "w+b") as fh:
             if callable(data):
                 data(fh)
             else:

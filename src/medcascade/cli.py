@@ -48,6 +48,8 @@ STAGE_SOURCES = {
     "variants": _sources("corpus", "preprocess", "variants"),
     "train": _sources("encoder", "lora", "trainer", "evaluator", "tokenizers", "variants"),
 }
+# ``report`` renders every cell's ``scores.json`` with the evaluator alone.
+REPORT_SOURCES = _sources("evaluator")
 
 
 # -- shared helpers ------------------------------------------------------------
@@ -61,8 +63,8 @@ def _hash_inputs(files: list[str], *values) -> str:
     h = hashlib.sha256()
     for path in files:
         try:
-            with open(path, "rb") as fh:
-                h.update(hashlib.sha256(fh.read()).digest())
+            with open(path, "rb") as fh:  # streamed: a weights file is never held whole
+                h.update(hashlib.file_digest(fh, "sha256").digest())
         except FileNotFoundError:
             h.update(b"absent")
     h.update(b"\x00")
@@ -169,28 +171,34 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_variants(cfg: PipelineConfig, args) -> int:
-    conditions = tuple(args.condition) if args.condition else CONDITIONS
+    conditions = tuple(dict.fromkeys(args.condition or CONDITIONS))
     split_paths = [_require(_split_path(cfg, part), "ingest") for part in SPLITS]
     store = BundleStore(cfg.bundles_dir())
+    store_hash = None
     if any(c != "normal" for c in conditions):
         _require(_preprocess_state(cfg), "preprocess")
-    input_hash = _hash_inputs([*split_paths, *STAGE_SOURCES["variants"]], store.store_hash(),
-                              sorted(conditions))
-    state = os.path.join(cfg.variants_dir(), ".state.json")
-    out_dirs = [os.path.join(cfg.variants_dir(), c) for c in conditions]
-    if _up_to_date(state, input_hash, out_dirs):
+        store_hash = store.store_hash()
+    stale = {}   # condition -> (state path, input hash); each condition has its own state
+    for condition in conditions:
+        input_hash = _hash_inputs([*split_paths, *STAGE_SOURCES["variants"]], condition,
+                                  store_hash if condition != "normal" else None)
+        state = os.path.join(cfg.variants_dir(), condition, ".state.json")
+        if not _up_to_date(state, input_hash, [os.path.dirname(state)]):
+            stale[condition] = (state, input_hash)
+    if not stale:
         print("variants: up to date")
         return 0
 
     total = 0
     for part, path in zip(SPLITS, split_paths):
         part_records, _ = load_corpus(path)
-        for condition in conditions:
+        for condition in stale:
             variant = build_variant(part_records, store, condition)
             write_variant(variant, cfg.variants_dir(), part)
             total += len(variant)
-    _write_state(state, input_hash, out_dirs)
-    print(f"variants: wrote {len(conditions)} condition(s) x {len(SPLITS)} splits "
+    for state, input_hash in stale.values():
+        _write_state(state, input_hash, [os.path.dirname(state)])
+    print(f"variants: wrote {len(stale)} condition(s) x {len(SPLITS)} splits "
           f"({total} examples) into {cfg.variants_dir()}")
     return 0
 
@@ -221,7 +229,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
     encoder = resolve_encoder(model_id, weights_dir=cfg.model.weights_dir,
                               seed=cfg.model.seed, pooling=cfg.model.pooling,
-                              **cfg.model.toy)
+                              store_dir=cfg.encoders_dir(), **cfg.model.toy)
     train_cfg = cfg.train
     model = MultiTaskModel.build(encoder, vocab, tasks=train_cfg.tasks,
                                  head_seed=cfg.model.head_seed)
@@ -268,11 +276,19 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 def cmd_report(cfg: PipelineConfig, args) -> int:
     runs_dir = cfg.runs_dir()
     _require(runs_dir, "train")
+    scores_paths = [path for path in (os.path.join(runs_dir, entry, "scores.json")
+                                      for entry in sorted(os.listdir(runs_dir)))
+                    if os.path.isfile(path)]
+    if not scores_paths:
+        raise MissingUpstreamArtifact(f"no scores.json under {runs_dir}; run `medcascade train`")
+    input_hash = _hash_inputs([*scores_paths, *REPORT_SOURCES])
+    state = os.path.join(cfg.reports_dir(), ".state.json")
+    if _up_to_date(state, input_hash, [cfg.reports_dir()]):
+        print("report: up to date")
+        return 0
+
     cells = []
-    for entry in sorted(os.listdir(runs_dir)):
-        scores_path = os.path.join(runs_dir, entry, "scores.json")
-        if not os.path.isfile(scores_path):
-            continue
+    for scores_path in scores_paths:
         try:
             with open(scores_path, encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -283,9 +299,8 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
                        for t, s in data["tasks"].items()}))
         except CorruptArtifact.DECODE_ERRORS as e:
             raise CorruptArtifact.at(scores_path, e) from e
-    if not cells:
-        raise MissingUpstreamArtifact(f"no scores.json under {runs_dir}; run `medcascade train`")
     json_path, md_path = render_report(cells, cfg.reports_dir())
+    _write_state(state, input_hash, [cfg.reports_dir()])
     print(f"report: {len(cells)} cell(s) -> {json_path}, {md_path}")
     return 0
 

@@ -75,6 +75,11 @@ class PipelineConfig:
     def reports_dir(self) -> str:
         return os.path.join(self.workdir, "reports")
 
+    def encoders_dir(self) -> str:
+        """Random encoder bases shared by the cells of a workdir: a cache, not
+        an output, so deleting it is safe."""
+        return os.path.join(self.workdir, "encoders")
+
     def cache_dir(self) -> str:
         return self.gateway.cache_dir or os.path.join(self.workdir, "cache")
 

@@ -8,10 +8,11 @@ loads pretrained weights exported to ``weights.npz`` + ``vocab.txt`` (see
     h1 = LN(x + SelfAttention(x))
     h2 = LN(h1 + FFN(h1))
 
-Base parameters are always frozen.  Gradients are computed only for
-attached low-rank adapters; classification heads live in ``trainer``.
-The backward pass therefore threads d(pooled) down through every block,
-collects adapter gradients along the way, and discards everything else.
+Base parameters are always frozen, and random ones are read-only.
+Gradients are computed only for attached low-rank adapters; classification
+heads live in ``trainer``.  The backward pass therefore threads d(pooled)
+down through every block, collects adapter gradients along the way, and
+discards everything else.
 
 Hot-path choices:
 
@@ -29,7 +30,10 @@ Hot-path choices:
 - A training forward evaluates erf once per GELU and keeps the GELU
   derivative for backward; an eval forward keeps no per-layer cache.
 - Random base weights are drawn one matrix per child seed stream, on a few
-  threads, so they depend on the seed and shapes only.
+  threads, so they depend on the seed and shapes only.  ``train`` draws them
+  once per workdir, into ``<workdir>/encoders/<base_key>.npy``, and every
+  cell maps that file read-only instead of drawing again; a write into the
+  base raises, so the freeze contract holds by construction.
 """
 
 from __future__ import annotations
@@ -86,22 +90,25 @@ def gelu_grad(x: np.ndarray, term: np.ndarray | None = None) -> np.ndarray:
     return 0.5 * term + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
-def _draw_normal(shapes: dict[str, tuple], std: float, seed: int) -> dict[str, np.ndarray]:
-    """N(0, std^2) arrays, one per name, each from its own child stream of
+def _draw_normal(views: dict[str, np.ndarray], std: float, seed: int) -> None:
+    """Fill each array with N(0, std^2) draws from its own child stream of
     ``SeedSequence(seed)`` (the k-th name gets the k-th child).
 
-    The draws run on a few threads (numpy releases the GIL while it fills an
-    array); since every array has its own stream, the values do not depend on
-    how many threads there are or which one draws which array.  The workers
-    only draw numbers and call nothing else.
+    ``standard_normal(out=view)`` then ``view *= std`` gives the bits of
+    ``normal(0, std, size=view.shape)`` without a temporary.  The draws run on
+    a few threads (numpy releases the GIL while it fills an array); since
+    every array has its own stream, the values do not depend on how many
+    threads there are or which one draws which array.  The workers only draw
+    numbers and call nothing else.
     """
-    streams = np.random.SeedSequence(seed).spawn(len(shapes))
+    streams = np.random.SeedSequence(seed).spawn(len(views))
 
-    def draw(stream, shape):
-        return np.random.default_rng(stream).normal(0.0, std, size=shape)
+    def draw(stream, view):
+        np.random.default_rng(stream).standard_normal(out=view)
+        view *= std
 
     with ThreadPoolExecutor(max_workers=min(_INIT_WORKERS, os.cpu_count() or 1)) as pool:
-        return dict(zip(shapes, pool.map(draw, streams, shapes.values())))
+        list(pool.map(draw, streams, views.values()))
 
 
 @dataclass
@@ -122,6 +129,93 @@ class EncoderConfig:
             raise ShapeMismatch(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.pooling not in ("cls", "mean"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
+
+
+def _base_shapes(c: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every base parameter's shape, in parameter order."""
+    shapes = {"embeddings.word": (c.vocab_size, c.d_model),
+              "embeddings.position": (c.max_len, c.d_model),
+              "embeddings.token_type": (2, c.d_model),
+              "embeddings.ln.gamma": (c.d_model,), "embeddings.ln.beta": (c.d_model,)}
+    for i in range(c.n_layers):
+        for proj in ("query", "key", "value", "output"):
+            shapes[f"layer.{i}.attn.{proj}.W"] = (c.d_model, c.d_model)
+            shapes[f"layer.{i}.attn.{proj}.b"] = (c.d_model,)
+        shapes[f"layer.{i}.attn.ln.gamma"] = shapes[f"layer.{i}.attn.ln.beta"] = (c.d_model,)
+        shapes[f"layer.{i}.ffn.inner.W"] = (c.d_ff, c.d_model)
+        shapes[f"layer.{i}.ffn.inner.b"] = (c.d_ff,)
+        shapes[f"layer.{i}.ffn.outer.W"] = (c.d_model, c.d_ff)
+        shapes[f"layer.{i}.ffn.outer.b"] = (c.d_model,)
+        shapes[f"layer.{i}.ffn.ln.gamma"] = shapes[f"layer.{i}.ffn.ln.beta"] = (c.d_model,)
+    return shapes
+
+
+def _base_views(flat: np.ndarray, c: EncoderConfig) -> dict[str, np.ndarray]:
+    """The base parameters laid out over ``flat`` in parameter order."""
+    views, at = {}, 0
+    for name, shape in _base_shapes(c).items():
+        size = int(np.prod(shape))
+        views[name] = flat[at:at + size].reshape(shape)
+        at += size
+    return views
+
+
+def _fill_base(views: dict[str, np.ndarray], c: EncoderConfig) -> None:
+    """Gaussian weight matrices and embeddings, LayerNorm gains of one, zero
+    biases."""
+    drawn = {}
+    for name, view in views.items():
+        if name.endswith(".W") or name in ("embeddings.word", "embeddings.position"):
+            drawn[name] = view
+        else:
+            view.fill(1.0 if name.endswith(".gamma") else 0.0)
+    _draw_normal(drawn, c.init_std, c.seed)
+
+
+def base_key(c: EncoderConfig) -> str:
+    """Names a random base by what decides its bytes: the shapes, ``init_std``
+    and ``seed``, numpy's version (``Generator`` streams may change between
+    versions) and this module's source."""
+    decides = {k: getattr(c, k) for k in ("vocab_size", "d_model", "n_layers", "d_ff",
+                                          "max_len", "init_std", "seed")}
+    h = hashlib.sha256(json.dumps([decides, np.__version__], sort_keys=True).encode("utf-8"))
+    with open(__file__, "rb") as fh:
+        h.update(fh.read())
+    return h.hexdigest()
+
+
+def random_base(c: EncoderConfig, store_dir: str | None = None) -> dict[str, np.ndarray]:
+    """The random-init base parameters, read-only, so that no code can move
+    the frozen base.
+
+    Without ``store_dir`` they are drawn into memory.  With it, they are views
+    of ``<store_dir>/<base_key>.npy``, one flat float64 array mapped
+    read-only; a missing file, or one that is not such an array of the right
+    size, is drawn again into a temp file that replaces it atomically.  Every
+    encoder built with the same key and store shares one file and its pages.
+    """
+    size = sum(int(np.prod(shape)) for shape in _base_shapes(c).values())
+    if store_dir is None:
+        flat = np.empty(size)
+        _fill_base(_base_views(flat, c), c)
+        flat.flags.writeable = False
+        return _base_views(flat, c)
+    path = os.path.join(store_dir, f"{base_key(c)}.npy")
+    try:
+        flat = np.lib.format.open_memmap(path, mode="r")
+        stored = flat.dtype == np.float64 and flat.shape == (size,) \
+            and os.path.getsize(path) == flat.offset + flat.nbytes
+    except (OSError, ValueError):   # missing, or not an .npy that maps
+        stored = False
+    if not stored:
+        def draw(fh):
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": (size,)})
+            flat = np.memmap(fh, dtype=np.float64, mode="r+", offset=fh.tell(), shape=(size,))
+            _fill_base(_base_views(flat, c), c)
+        write_atomic(path, draw)
+        flat = np.lib.format.open_memmap(path, mode="r")
+    return _base_views(flat.view(np.ndarray), c)   # plain arrays over the map
 
 
 @dataclass
@@ -156,47 +250,16 @@ class _Cache:
 class NumpyTransformerEncoder:
     """Frozen-base transformer encoder over float64 numpy arrays."""
 
-    def __init__(self, config: EncoderConfig, tokenizer, params: dict[str, np.ndarray] | None = None):
+    def __init__(self, config: EncoderConfig, tokenizer, params: dict[str, np.ndarray]):
         config.validate()
         self.config = config
         self.tokenizer = tokenizer
         self.adapters: AdapterSet = AdapterSet()
         self._adapter_grads: dict[str, dict[str, np.ndarray]] = {}
-        self.params = params if params is not None else self._init_params()
+        self.params = params
         self._check_param_shapes()
 
     # -- construction ------------------------------------------------------
-
-    def _init_params(self) -> dict[str, np.ndarray]:
-        c = self.config
-        shapes = {"embeddings.word": (c.vocab_size, c.d_model),
-                  "embeddings.position": (c.max_len, c.d_model)}
-        for i in range(c.n_layers):
-            for proj in ("query", "key", "value", "output"):
-                shapes[f"layer.{i}.attn.{proj}.W"] = (c.d_model, c.d_model)
-            shapes[f"layer.{i}.ffn.inner.W"] = (c.d_ff, c.d_model)
-            shapes[f"layer.{i}.ffn.outer.W"] = (c.d_model, c.d_ff)
-        w = _draw_normal(shapes, c.init_std, c.seed)
-
-        p: dict[str, np.ndarray] = {}
-        p["embeddings.word"] = w["embeddings.word"]
-        p["embeddings.position"] = w["embeddings.position"]
-        p["embeddings.token_type"] = np.zeros((2, c.d_model))
-        p["embeddings.ln.gamma"] = np.ones(c.d_model)
-        p["embeddings.ln.beta"] = np.zeros(c.d_model)
-        for i in range(c.n_layers):
-            for proj in ("query", "key", "value", "output"):
-                p[f"layer.{i}.attn.{proj}.W"] = w[f"layer.{i}.attn.{proj}.W"]
-                p[f"layer.{i}.attn.{proj}.b"] = np.zeros(c.d_model)
-            p[f"layer.{i}.attn.ln.gamma"] = np.ones(c.d_model)
-            p[f"layer.{i}.attn.ln.beta"] = np.zeros(c.d_model)
-            p[f"layer.{i}.ffn.inner.W"] = w[f"layer.{i}.ffn.inner.W"]
-            p[f"layer.{i}.ffn.inner.b"] = np.zeros(c.d_ff)
-            p[f"layer.{i}.ffn.outer.W"] = w[f"layer.{i}.ffn.outer.W"]
-            p[f"layer.{i}.ffn.outer.b"] = np.zeros(c.d_model)
-            p[f"layer.{i}.ffn.ln.gamma"] = np.ones(c.d_model)
-            p[f"layer.{i}.ffn.ln.beta"] = np.zeros(c.d_model)
-        return p
 
     def _check_param_shapes(self) -> None:
         c = self.config
@@ -501,23 +564,29 @@ class NumpyTransformerEncoder:
         return cls(config, tokenizer, params=params)
 
 
-def build_toy_encoder(seed: int = 0, **overrides) -> NumpyTransformerEncoder:
-    """The small randomly initialized encoder used for desk-scale runs."""
+def build_toy_encoder(seed: int = 0, store_dir: str | None = None,
+                      **overrides) -> NumpyTransformerEncoder:
+    """The small randomly initialized encoder used for desk-scale runs; its
+    base is kept in ``store_dir`` if one is given (see :func:`random_base`)."""
     config = EncoderConfig(seed=seed, **overrides)
-    return NumpyTransformerEncoder(config, HashWordTokenizer(config.vocab_size))
+    return NumpyTransformerEncoder(config, HashWordTokenizer(config.vocab_size),
+                                   params=random_base(config, store_dir))
 
 
 def resolve_encoder(backend_id: str, weights_dir: str | None = None, seed: int = 0,
-                    pooling: str = "cls", **toy_overrides) -> NumpyTransformerEncoder:
+                    pooling: str = "cls", store_dir: str | None = None,
+                    **toy_overrides) -> NumpyTransformerEncoder:
     """Map a backend identifier from config to an encoder instance.
 
     A set ``weights_dir`` is loaded whatever the backend id, ``toy`` included;
-    without one, ``toy`` is the randomly initialized encoder.
+    without one, ``toy`` is the randomly initialized encoder, its base kept
+    in ``store_dir`` if one is given.
     """
     if weights_dir:
         return NumpyTransformerEncoder.from_pretrained_dir(weights_dir, pooling=pooling)
     if backend_id == "toy":
-        return build_toy_encoder(seed=seed, pooling=pooling, **toy_overrides)
+        return build_toy_encoder(seed=seed, store_dir=store_dir, pooling=pooling,
+                                 **toy_overrides)
     if backend_id in PRETRAINED_BACKENDS:
         raise EncoderUnavailable(
             f"backend {backend_id!r} needs model.weights_dir pointing at exported "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -255,6 +256,95 @@ class TestIdempotence:
             "encoder.py", "lora.py", "trainer.py", "evaluator.py", "tokenizers.py", "variants.py"}
 
 
+class TestStageState:
+    def test_each_variant_condition_keeps_its_own_state(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("preprocess", "--config", "cfg.json") == 0
+        capsys.readouterr()
+        outputs = []
+        for argv in ((), ("--condition", "normal"), ()):
+            assert run("variants", "--config", "cfg.json", *argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "wrote 4 condition(s)" in outputs[0]
+        assert outputs[1:] == ["variants: up to date\n"] * 2
+
+    def test_only_the_stale_conditions_are_built(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("preprocess", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json") == 0
+        (workspace / "work" / "variants" / "ner" / "test.jsonl").unlink()
+        capsys.readouterr()
+        assert run("variants", "--config", "cfg.json") == 0
+        assert "wrote 1 condition(s)" in capsys.readouterr().out
+
+    def test_report_is_up_to_date_until_its_outputs_change(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        assert run("train", "--config", "cfg.json", "--condition", "normal",
+                   "--no-finetune") == 0
+        assert run("report", "--config", "cfg.json") == 0
+        report = workspace / "work" / "reports" / "report.md"
+        clean = report.read_bytes()
+        capsys.readouterr()
+        assert run("report", "--config", "cfg.json") == 0
+        assert capsys.readouterr().out == "report: up to date\n"
+        report.unlink()
+        assert run("report", "--config", "cfg.json") == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert report.read_bytes() == clean
+
+    def test_a_file_is_hashed_in_chunks_to_the_digest_of_its_bytes(self, tmp_path):
+        path = tmp_path / "weights.bin"
+        data = bytes(range(256)) * 20_481    # 5 MiB and 256 bytes
+        path.write_bytes(data)
+        h = hashlib.sha256(hashlib.sha256(data).digest())
+        h.update(b"\x00")
+        h.update(b"7")
+        h.update(b"\x00")
+        assert cli._hash_inputs([str(path)], 7) == h.hexdigest()
+
+
+class TestEncoderStore:
+    TRAIN = ("train", "--config", "cfg.json", "--condition", "normal")
+
+    def _cells(self, workspace) -> dict[str, bytes]:
+        return _tree(workspace / "work" / "runs")
+
+    def test_the_second_train_maps_the_base_instead_of_drawing(self, workspace, monkeypatch):
+        from medcascade import encoder
+        draws = []
+        real = encoder._draw_normal
+        monkeypatch.setattr(encoder, "_draw_normal", lambda *a: draws.append(1) or real(*a))
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        assert run(*self.TRAIN) == 0
+        assert run(*self.TRAIN, "--no-finetune") == 0
+        assert len(draws) == 1
+        assert len(os.listdir(workspace / "work" / "encoders")) == 1
+        drawn = self._cells(workspace)
+        shutil.rmtree(workspace / "work" / "runs")
+        assert run(*self.TRAIN) == 0
+        assert run(*self.TRAIN, "--no-finetune") == 0
+        assert len(draws) == 1
+        assert self._cells(workspace) == drawn
+
+    def test_the_store_is_a_cache_not_an_output(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        assert run(*self.TRAIN) == 0
+        assert run(*self.TRAIN, "--no-finetune") == 0
+        cells = self._cells(workspace)
+        shutil.rmtree(workspace / "work" / "encoders")
+        capsys.readouterr()
+        assert run(*self.TRAIN) == 0
+        assert run(*self.TRAIN, "--no-finetune") == 0
+        assert capsys.readouterr().out.count("up to date") == 2
+        shutil.rmtree(workspace / "work" / "runs")
+        assert run(*self.TRAIN) == 0      # draws the base again, to the same bytes
+        assert run(*self.TRAIN, "--no-finetune") == 0
+        assert self._cells(workspace) == cells
+
+
 CHAIN = [("ingest",), ("preprocess", "--backend", "mock"), ("variants", "--condition", "ner"),
          ("train", "--condition", "ner"), ("train", "--condition", "ner", "--no-finetune"),
          ("report",)]
@@ -315,7 +405,8 @@ class TestDamagedOutputs:
         assert redone and "up to date" not in redone[0]
         if damaged.startswith("bundles/"):  # redone from the warm response cache
             assert "(0 gateway calls," in redone[0]
-        assert sum("up to date" in line for line in lines) == len(CHAIN) - 2
+        # only the damaged stage reruns: the report's inputs come back byte-identical
+        assert sum("up to date" in line for line in lines) == len(CHAIN) - 1
 
 
 class TestEncoderWeights:

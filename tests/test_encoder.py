@@ -509,6 +509,103 @@ class TestInit:
         assert large["embeddings.word"].shape == (200, 32)
 
 
+class TestBaseStore:
+    SHAPE = dict(d_model=16, n_layers=2, n_heads=2, d_ff=24, vocab_size=64, max_len=12)
+
+    def _config(self, **overrides):
+        return EncoderConfig(**{**self.SHAPE, "seed": 3, **overrides})
+
+    def _outputs(self, params):
+        enc = NumpyTransformerEncoder(self._config(), HashWordTokenizer(64), params=params)
+        ids = np.array([[2, 9, 17, 40, 0], [2, 33, 5, 0, 0]])
+        mask = (np.arange(5) < np.array([[4], [3]])).astype(float)
+        return enc.forward(ids, mask)
+
+    @pytest.mark.parametrize("field, value", [
+        ("vocab_size", 65), ("d_model", 32), ("n_layers", 3), ("d_ff", 25), ("max_len", 13),
+        ("init_std", 0.2), ("seed", 4)])
+    def test_the_key_covers_every_field_that_decides_the_bytes(self, field, value):
+        assert encoder_module.base_key(self._config(**{field: value})) \
+            != encoder_module.base_key(self._config())
+
+    @pytest.mark.parametrize("field, value", [
+        ("pooling", "mean"), ("n_heads", 4), ("layer_norm_eps", 1e-6)])
+    def test_the_key_ignores_fields_that_do_not_change_the_bytes(self, field, value):
+        assert encoder_module.base_key(self._config(**{field: value})) \
+            == encoder_module.base_key(self._config())
+
+    def test_the_key_covers_numpy_and_the_module_source(self, monkeypatch, tmp_path):
+        key = encoder_module.base_key(self._config())
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        assert encoder_module.base_key(self._config()) != key
+        monkeypatch.undo()
+        source = tmp_path / "encoder.py"
+        source.write_bytes(open(encoder_module.__file__, "rb").read() + b"# edited\n")
+        monkeypatch.setattr(encoder_module, "__file__", str(source))
+        assert encoder_module.base_key(self._config()) != key
+
+    def test_a_stored_base_has_the_bits_of_one_normal_draw_per_matrix(self, tmp_path):
+        c = self._config()
+        params = encoder_module.random_base(c, str(tmp_path))
+        drawn = [n for n in params if n.endswith(".W") or n.startswith("embeddings.word")
+                 or n.startswith("embeddings.position")]
+        streams = np.random.SeedSequence(c.seed).spawn(len(drawn))
+        for name, stream in zip(drawn, streams):
+            expected = np.random.default_rng(stream).normal(0.0, c.init_std, params[name].shape)
+            assert params[name].tobytes() == expected.tobytes(), name
+        in_memory = encoder_module.random_base(c)
+        assert list(in_memory) == list(params)
+        for name in params:
+            assert in_memory[name].tobytes() == params[name].tobytes(), name
+
+    def test_a_second_map_draws_nothing(self, tmp_path, monkeypatch):
+        draws = []
+        real = encoder_module._draw_normal
+        monkeypatch.setattr(encoder_module, "_draw_normal",
+                            lambda *a: draws.append(1) or real(*a))
+        first = encoder_module.random_base(self._config(), str(tmp_path))
+        second = encoder_module.random_base(self._config(), str(tmp_path))
+        assert len(draws) == 1 and len(os.listdir(tmp_path)) == 1
+        assert np.array_equal(self._outputs(first), self._outputs(second))
+
+    @pytest.mark.parametrize("damage", ["delete", "empty", "truncate", "header", "float32",
+                                        "longer", "trailing"])
+    def test_a_damaged_file_is_drawn_again(self, tmp_path, damage):
+        c = self._config()
+        clean = self._outputs(encoder_module.random_base(c, str(tmp_path)))
+        path = tmp_path / f"{encoder_module.base_key(c)}.npy"
+        data = path.read_bytes()
+        size = np.load(path, mmap_mode="r").size
+        if damage == "delete":
+            path.unlink()
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "truncate":
+            path.write_bytes(data[: len(data) // 2])
+        elif damage == "header":
+            path.write_bytes(b"PK\x03\x04" + data[4:])
+        elif damage == "float32":
+            np.save(path, np.ones(size, dtype=np.float32))
+        elif damage == "longer":
+            np.save(path, np.ones(size + 1))
+        else:
+            path.write_bytes(data + b"\0" * 8)
+        assert np.array_equal(self._outputs(encoder_module.random_base(c, str(tmp_path))),
+                              clean)
+        assert path.read_bytes() == data
+        assert os.listdir(tmp_path) == [path.name]   # no temp file left behind
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_every_base_parameter_is_read_only(self, tmp_path, stored):
+        enc = build_toy_encoder(seed=3, store_dir=str(tmp_path) if stored else None,
+                                **self.SHAPE)
+        for name, arr in enc.params.items():
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+            with pytest.raises(ValueError):
+                enc.params[name] += 1.0
+
+
 class TestPersistence:
     def test_save_and_reload_base(self, tmp_path):
         enc = tiny_encoder()
