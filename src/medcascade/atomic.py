@@ -1,10 +1,16 @@
-"""The package's two file writers.
+"""The package's file writers and its one JSON form.
 
 ``write_atomic`` replaces a whole file: temp file + rename, so readers never
 see a partial file and a failed write leaves the previous version in place.
 It also takes a function that writes into the open temp file, so an
 ``np.savez`` archive is never built in memory first; the file is open for
 reading too, so the function may ``np.memmap`` it.
+
+Every JSON artifact takes one form, so its bytes depend on its value alone:
+keys sorted and non-ASCII kept.  ``write_json`` indents one value by two
+spaces and ends it with a newline; ``write_jsonl`` and ``append_jsonl`` write
+one ``json_line`` per entry.  ``read_json`` reports a file it cannot decode
+or unpack as ``CorruptArtifact`` naming the file.
 
 ``append_jsonl`` adds one entry to an append-only JSONL log (the response
 cache, the bundle store, the failure ledger): one line of JSON written with a
@@ -21,6 +27,8 @@ import json
 import os
 import threading
 from typing import BinaryIO, Callable
+
+from .errors import CorruptArtifact
 
 
 def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]) -> None:
@@ -41,9 +49,34 @@ def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]) -> None
         raise
 
 
+def json_line(entry) -> str:
+    """``entry`` as one line of JSON, newline included."""
+    return json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def write_json(path, data) -> None:
+    """Write ``data`` to ``path`` as a JSON file, atomically."""
+    write_atomic(path, json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+
+
+def write_jsonl(path, entries) -> None:
+    """Write one ``json_line`` per entry to ``path``, atomically."""
+    write_atomic(path, "".join(json_line(entry) for entry in entries))
+
+
+def read_json(path, build=lambda data: data):
+    """``build`` of the JSON value in ``path``; a file that is not UTF-8 JSON
+    or that ``build`` cannot unpack raises ``CorruptArtifact``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except CorruptArtifact.DECODE_ERRORS as e:
+        raise CorruptArtifact.at(path, e) from e
+
+
 def append_jsonl(path, entry: dict) -> None:
     """Append ``entry`` as one JSON line to ``path``, creating its directory."""
-    line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    line = json_line(entry).encode("utf-8")
     flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
     try:
         fd = os.open(path, flags, 0o644)

@@ -17,10 +17,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
-from .atomic import write_atomic
+from .atomic import read_json, write_atomic, write_json
 from .config import PipelineConfig, load_config
 from .corpus import (CorpusManifest, load_corpus, manifest_path_for, read_manifest,
                      scrub_records, stratified_split, write_corpus)
@@ -30,7 +30,7 @@ from .evaluator import ReportCell, TaskScores, evaluate, prediction_dump, render
 from .gateway import build_gateway
 from .lora import save_adapter_set
 from .preprocess import BundleStore, PromptLibrary, run_bundle
-from .trainer import MultiTaskModel, run_manifest, train
+from .trainer import MultiTaskModel, train
 from .variants import CONDITIONS, build_variant, load_variant, variant_paths, write_variant
 
 SPLITS = ("train", "val", "test")
@@ -87,14 +87,13 @@ def _state(state_path: str, input_hash: str, out_dirs: list[str]) -> dict:
 
 def _up_to_date(state_path: str, input_hash: str, out_dirs: list[str]) -> bool:
     try:
-        with open(state_path, encoding="utf-8") as fh:
-            return json.load(fh) == _state(state_path, input_hash, out_dirs)
-    except (OSError, ValueError):  # missing or unreadable state: stale
+        return read_json(state_path) == _state(state_path, input_hash, out_dirs)
+    except (OSError, CorruptArtifact):  # missing or unreadable state: stale
         return False
 
 
 def _write_state(state_path: str, input_hash: str, out_dirs: list[str]) -> None:
-    write_atomic(state_path, json.dumps(_state(state_path, input_hash, out_dirs)) + "\n")
+    write_json(state_path, _state(state_path, input_hash, out_dirs))
 
 
 def _require(path: str, produced_by: str) -> str:
@@ -216,8 +215,9 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
     cell = f"{_slug(model_id)}__{condition}__{arm}"
     cell_dir = os.path.join(cfg.runs_dir(), cell)
-    relevant_cfg = {"adapter": cfg.to_json()["adapter"], "train": cfg.to_json()["train"],
-                    "model": cfg.to_json()["model"], "arm": arm}
+    cfg_json = cfg.to_json()
+    relevant_cfg = {"adapter": cfg_json["adapter"], "train": cfg_json["train"],
+                    "model": cfg_json["model"], "arm": arm}
     weight_files = [os.path.join(cfg.model.weights_dir, name) for name in
                     ("config.json", "weights.npz", "vocab.txt")] if cfg.model.weights_dir else []
     input_hash = _hash_inputs(
@@ -253,20 +253,18 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
                      extra_meta={"model_id": model_id, "condition": condition, "arm": arm})
     write_atomic(os.path.join(cell_dir, "predictions.jsonl"),
                  prediction_dump(model, test_variant, preds, tasks=train_cfg.tasks))
-    scores_payload = {
+    write_json(os.path.join(cell_dir, "scores.json"), {
         "model_id": model_id, "condition": condition, "fine_tuned": fine_tuned,
         "best_epoch": result.best_epoch if result else None,
-        "tasks": {t: s.to_json() for t, s in scores.items()},
-    }
-    write_atomic(os.path.join(cell_dir, "scores.json"),
-                 json.dumps(scores_payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-    write_atomic(os.path.join(cell_dir, "manifest.json"), run_manifest(train_cfg, {
-        "pipeline_config": cfg.to_json(), "model_id": model_id, "condition": condition,
-        "arm": arm, "input_hash": input_hash,
+        "tasks": {t: asdict(s) for t, s in scores.items()},
+    })
+    write_json(os.path.join(cell_dir, "manifest.json"), {
+        "train_config": cfg_json["train"], "pipeline_config": cfg_json,
+        "model_id": model_id, "condition": condition, "arm": arm, "input_hash": input_hash,
         "steps_taken": result.steps_taken if result else 0,
         "best_epoch": result.best_epoch if result else None,
         "trainable_parameters": model.trainable_count(),
-    }))
+    })
     _write_state(state, input_hash, [cell_dir])
     summary = ", ".join(f"{t} {s.accuracy:.3f}" for t, s in sorted(scores.items()))
     print(f"train[{cell}]: test accuracy {summary}")
@@ -287,18 +285,12 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
         print("report: up to date")
         return 0
 
-    cells = []
-    for scores_path in scores_paths:
-        try:
-            with open(scores_path, encoding="utf-8") as fh:
-                data = json.load(fh)
-            cells.append(ReportCell(
-                model_id=data["model_id"], condition=data["condition"],
-                fine_tuned=data["fine_tuned"],
-                tasks={t: TaskScores(**{k: v for k, v in s.items()})
-                       for t, s in data["tasks"].items()}))
-        except CorruptArtifact.DECODE_ERRORS as e:
-            raise CorruptArtifact.at(scores_path, e) from e
+    def cell(data: dict) -> ReportCell:
+        return ReportCell(model_id=data["model_id"], condition=data["condition"],
+                          fine_tuned=data["fine_tuned"],
+                          tasks={t: TaskScores(**s) for t, s in data["tasks"].items()})
+
+    cells = [read_json(path, build=cell) for path in scores_paths]
     json_path, md_path = render_report(cells, cfg.reports_dir())
     _write_state(state, input_hash, [cfg.reports_dir()])
     print(f"report: {len(cells)} cell(s) -> {json_path}, {md_path}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .encoder import EncoderConfig
 from .errors import ConfigInvalid
@@ -137,17 +137,17 @@ def _check_types(cls, data: dict, section: str) -> None:
                                 f"got {value!r}")
 
 
-def _build_section(cls, data: dict, section: str):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(data) - known
+def _build_section(default, data: dict, section: str):
+    """``default`` with the values of ``data`` in place of its own."""
+    unknown = set(data) - set(default.__dataclass_fields__)
     if unknown:
         raise ConfigInvalid(f"unknown keys in {section!r}: {sorted(unknown)}")
-    _check_types(cls, data, section)
+    _check_types(type(default), data, section)
     kwargs = dict(data)
     for key in ("ratios", "targets", "tasks"):
         if key in kwargs and isinstance(kwargs[key], list):
             kwargs[key] = tuple(kwargs[key])
-    return cls(**kwargs)
+    return replace(default, **kwargs)
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> PipelineConfig:
@@ -175,17 +175,13 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
             node = node.setdefault(part, {})
         node[parts[-1]] = value
 
-    sections = {"split": SplitConfig, "gateway": GatewayConfig,
-                "adapter": AdapterConfig, "train": TrainConfig, "model": ModelConfig}
+    defaults = PipelineConfig()
     kwargs: dict = {}
     for key, value in raw.items():
-        if key in sections:
+        if key in ("split", "gateway", "adapter", "train", "model"):
             if not isinstance(value, dict):
                 raise ConfigInvalid(f"section {key!r} must be an object")
-            if key == "train":
-                # keep the desk-scale default even for partial train sections
-                value = {"learning_rate": DESK_LEARNING_RATE, **value}
-            kwargs[key] = _build_section(sections[key], value, key)
+            kwargs[key] = _build_section(getattr(defaults, key), value, key)
         elif key in ("corpus", "corpus_format", "workdir"):
             kwargs[key] = value
         else:

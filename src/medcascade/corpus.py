@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import json_line, read_json, write_json, write_jsonl
 from .errors import ClassTooSmall, CorruptArtifact, DuplicateId, MalformedRecord, UnknownLabel
 
 GENDERS = ("male", "female", "unspecified")
@@ -101,11 +101,7 @@ def manifest_path_for(corpus_path: str) -> str:
 def read_manifest(path: str) -> CorpusManifest:
     """Load a manifest sidecar; an unreadable one raises ``CorruptArtifact``
     naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return CorpusManifest.from_json(json.load(fh))
-    except CorruptArtifact.DECODE_ERRORS as e:
-        raise CorruptArtifact.at(path, e) from e
+    return read_json(path, build=CorpusManifest.from_json)
 
 
 def _nfc(text: str) -> str:
@@ -206,18 +202,14 @@ def write_corpus(path: str, records: list[ComplaintRecord], manifest: CorpusMani
                  manifest_path: str | None = None) -> None:
     """Write JSONL + manifest sidecar atomically (temp file + rename)."""
     manifest = replace(manifest, record_count=len(records))
-    payload = "".join(json.dumps(r.to_json(), ensure_ascii=False, sort_keys=True) + "\n"
-                      for r in records)
-    write_atomic(path, payload)
-    write_atomic(manifest_path or manifest_path_for(path),
-                 json.dumps(manifest.to_json(), ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    write_jsonl(path, (r.to_json() for r in records))
+    write_json(manifest_path or manifest_path_for(path), manifest.to_json())
 
 
 def corpus_hash(records: list[ComplaintRecord]) -> str:
     h = hashlib.sha256()
     for r in records:
-        h.update(json.dumps(r.to_json(), ensure_ascii=False, sort_keys=True).encode("utf-8"))
-        h.update(b"\n")
+        h.update(json_line(r.to_json()).encode("utf-8"))
     return h.hexdigest()
 
 

@@ -38,17 +38,18 @@ Hot-path choices:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import re
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import write_atomic, write_json
 from .errors import CorruptArtifact, EncoderUnavailable, ShapeMismatch
 from .lora import (AdapterSet, DEFAULT_TARGET_PATTERNS, adapter_backward, adapter_delta,
                    init_adapter)
@@ -193,6 +194,8 @@ def random_base(c: EncoderConfig, store_dir: str | None = None) -> dict[str, np.
     read-only; a missing file, or one that is not such an array of the right
     size, is drawn again into a temp file that replaces it atomically.  Every
     encoder built with the same key and store shares one file and its pages.
+    A newly drawn base removes every other ``.npy`` in the store: one base
+    per store, so stale keys do not pile up.
     """
     size = sum(int(np.prod(shape)) for shape in _base_shapes(c).values())
     if store_dir is None:
@@ -215,6 +218,10 @@ def random_base(c: EncoderConfig, store_dir: str | None = None) -> dict[str, np.
             _fill_base(_base_views(flat, c), c)
         write_atomic(path, draw)
         flat = np.lib.format.open_memmap(path, mode="r")
+        for name in os.listdir(store_dir):
+            if name.endswith(".npy") and name != os.path.basename(path):
+                with contextlib.suppress(FileNotFoundError):   # removed meanwhile
+                    os.remove(os.path.join(store_dir, name))
     return _base_views(flat.view(np.ndarray), c)   # plain arrays over the map
 
 
@@ -530,8 +537,7 @@ class NumpyTransformerEncoder:
     # -- persistence -------------------------------------------------------
 
     def save_base(self, directory) -> None:
-        write_atomic(os.path.join(directory, "config.json"),
-                     json.dumps(self.config.__dict__, sort_keys=True, indent=2))
+        write_json(os.path.join(directory, "config.json"), asdict(self.config))
         write_atomic(os.path.join(directory, "weights.npz"),
                      lambda fh: np.savez(fh, **self.params))
 

@@ -8,14 +8,13 @@ detail, since a grid of single numbers cannot carry both metrics.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import json_line, write_atomic, write_json
 from .errors import EmptyInput, LengthMismatch, VocabMismatch
 from .trainer import MultiTaskModel, predict
 from .variants import DatasetVariant
@@ -31,11 +30,6 @@ class TaskScores:
     balanced_accuracy: float
     n: int
     confusion: list[list[int]]
-
-    def to_json(self) -> dict:
-        return {"task": self.task, "accuracy": self.accuracy,
-                "balanced_accuracy": self.balanced_accuracy, "n": self.n,
-                "confusion": self.confusion}
 
 
 def _check_lengths(preds, golds) -> None:
@@ -123,16 +117,11 @@ def prediction_dump(model: MultiTaskModel, dataset: DatasetVariant,
     """JSONL audit dump of ``evaluate``'s predictions: one line per
     (record, task) with pred and gold labels."""
     tasks = tuple(tasks) if tasks else model.tasks
-    lines = []
-    for i, ex in enumerate(dataset.examples):
-        for task in tasks:
-            vocab = model.task_vocabs[task]
-            lines.append(json.dumps(
-                {"record_id": ex.record_id, "task": task,
-                 "pred": vocab[int(preds[task]["indices"][i])],
-                 "gold": ex.labels.get(task)},
-                ensure_ascii=False, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    return "".join(
+        json_line({"record_id": ex.record_id, "task": task,
+                   "pred": model.task_vocabs[task][int(preds[task]["indices"][i])],
+                   "gold": ex.labels.get(task)})
+        for i, ex in enumerate(dataset.examples) for task in tasks)
 
 
 # -- report grid ---------------------------------------------------------------
@@ -162,10 +151,7 @@ class ReportCell:
         return avg_percent(self.tasks["type"].accuracy, self.tasks["severity"].accuracy)
 
     def to_json(self) -> dict:
-        return {"model_id": self.model_id, "condition": self.condition,
-                "fine_tuned": self.fine_tuned,
-                "tasks": {t: s.to_json() for t, s in self.tasks.items()},
-                "percent": {t: self.percent(t) for t in self.tasks},
+        return {**asdict(self), "percent": {t: self.percent(t) for t in self.tasks},
                 "avg_percent": self.avg()}
 
 
@@ -182,7 +168,7 @@ def render_report(cells: list[ReportCell], out_dir: str) -> tuple[str, str]:
             "cells": [c.to_json() for c in sorted(
                 cells, key=lambda c: (c.condition, c.model_id, not c.fine_tuned))]}
     json_path = os.path.join(out_dir, "report.json")
-    write_atomic(json_path, json.dumps(grid, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    write_json(json_path, grid)
 
     by_key = {(c.model_id, c.condition, c.fine_tuned): c for c in cells}
     model_ids = sorted({c.model_id for c in cells})

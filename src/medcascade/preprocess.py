@@ -23,14 +23,13 @@ record wins.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .corpus import ComplaintRecord, scrub_pii
-from .atomic import append_jsonl, read_jsonl
+from .atomic import append_jsonl, json_line, read_jsonl
 from .errors import (CorruptArtifact, EmptySourceText, MedcascadeError, ParseFailure,
                      RefusalDetected, ResponseEmpty)
 from .gateway import Gateway
@@ -69,10 +68,6 @@ class Entity:
     category: str
     normalized: bool = False
 
-    def to_json(self) -> dict:
-        return {"surface": self.surface, "category": self.category,
-                "normalized": self.normalized}
-
 
 @dataclass
 class PreprocessBundle:
@@ -81,12 +76,6 @@ class PreprocessBundle:
     summarized: str
     entities: list[Entity]
     prompt_hashes: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"record_id": self.record_id, "refined": self.refined,
-                "summarized": self.summarized,
-                "entities": [e.to_json() for e in self.entities],
-                "prompt_hashes": self.prompt_hashes}
 
     @classmethod
     def from_json(cls, data: dict) -> "PreprocessBundle":
@@ -281,7 +270,7 @@ class BundleStore:
 
     def save(self, bundle: PreprocessBundle) -> None:
         index = self._bundles()
-        append_jsonl(self.path, bundle.to_json())
+        append_jsonl(self.path, asdict(bundle))
         index[bundle.record_id] = bundle
         self._hash = None
 
@@ -300,8 +289,7 @@ class BundleStore:
         if self._hash is None:
             h = hashlib.sha256()
             for _, bundle in sorted(self._bundles().items()):
-                h.update(json.dumps(bundle.to_json(), ensure_ascii=False,
-                                    sort_keys=True).encode("utf-8") + b"\n")
+                h.update(json_line(asdict(bundle)).encode("utf-8"))
             self._hash = h.hexdigest()
         return self._hash
 
@@ -312,10 +300,6 @@ class LedgerEntry:
     stage: str
     error: str
     fatal: bool
-
-    def to_json(self) -> dict:
-        return {"record_id": self.record_id, "stage": self.stage,
-                "error": self.error, "fatal": self.fatal}
 
 
 def _process_record(record: ComplaintRecord, gw: Gateway, prompts: PromptLibrary,
@@ -377,7 +361,7 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway, store: BundleStore,
         bundles.append(bundle)
         try:
             for entry in ledger:
-                append_jsonl(ledger_path, entry.to_json())
+                append_jsonl(ledger_path, asdict(entry))
         except OSError as e:
             raise MedcascadeError(f"cannot write failure ledger {ledger_path}: {e}") from e
     return bundles

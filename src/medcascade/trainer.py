@@ -12,7 +12,6 @@ are the regime this package targets end to end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,12 +266,6 @@ class TrainConfig:
         if self.loss_mode not in ("plain", "class_weighted"):
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
 
-    def to_json(self) -> dict:
-        return {"batch_size": self.batch_size, "epochs": self.epochs,
-                "learning_rate": self.learning_rate, "seed": self.seed,
-                "loss_mode": self.loss_mode, "tasks": list(self.tasks),
-                "weight_decay": self.weight_decay, "warmup_frac": self.warmup_frac}
-
 
 @dataclass
 class TrainLog:
@@ -401,9 +394,3 @@ def _accuracy_on(model: MultiTaskModel, texts: list[str],
     preds = predict(model, texts)
     return {task: float(np.mean(preds[task]["indices"] == targets[task]))
             for task in tasks}
-
-
-def run_manifest(cfg: TrainConfig, extra: dict) -> str:
-    """Canonical JSON manifest embedding the resolved config and data hashes."""
-    return json.dumps({"train_config": cfg.to_json(), **extra},
-                      ensure_ascii=False, sort_keys=True, indent=2) + "\n"

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .atomic import write_atomic
+from .atomic import read_json, write_json, write_jsonl
 from .corpus import ComplaintRecord, LabelSet, corpus_hash, scrub_pii
 from .errors import CorruptArtifact, MissingBundle
 from .preprocess import BundleStore
@@ -95,11 +95,8 @@ def variant_paths(directory: str, condition: str, split: str) -> tuple[str, str]
 def write_variant(variant: DatasetVariant, directory: str, split: str) -> str:
     """JSONL of examples plus a provenance sidecar; atomic."""
     data_path, sidecar_path = variant_paths(directory, variant.condition, split)
-    payload = "".join(json.dumps(e.to_json(), ensure_ascii=False, sort_keys=True) + "\n"
-                      for e in variant.examples)
-    write_atomic(data_path, payload)
-    write_atomic(sidecar_path, json.dumps(variant.provenance, ensure_ascii=False,
-                                          sort_keys=True, indent=2) + "\n")
+    write_jsonl(data_path, (e.to_json() for e in variant.examples))
+    write_json(sidecar_path, variant.provenance)
     return data_path
 
 
@@ -120,11 +117,5 @@ def load_variant(directory: str, condition: str, split: str) -> DatasetVariant:
                                     diagnosis=labels.get("diagnosis"))))
     except CorruptArtifact.DECODE_ERRORS as e:
         raise CorruptArtifact.at(data_path, e) from e
-    provenance = {}
-    if os.path.exists(sidecar_path):
-        try:
-            with open(sidecar_path, encoding="utf-8") as fh:
-                provenance = json.load(fh)
-        except ValueError as e:
-            raise CorruptArtifact.at(sidecar_path, e) from e
+    provenance = read_json(sidecar_path) if os.path.exists(sidecar_path) else {}
     return DatasetVariant(condition=condition, examples=examples, provenance=provenance)

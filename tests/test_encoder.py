@@ -568,6 +568,17 @@ class TestBaseStore:
         assert len(draws) == 1 and len(os.listdir(tmp_path)) == 1
         assert np.array_equal(self._outputs(first), self._outputs(second))
 
+    def test_a_new_base_removes_the_stale_ones(self, tmp_path, monkeypatch):
+        encoder_module.random_base(self._config(), str(tmp_path))
+        (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        params = encoder_module.random_base(self._config(), str(tmp_path))
+        key = encoder_module.base_key(self._config())
+        monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == [f"{key}.npy", "notes.txt"]
+        assert np.array_equal(self._outputs(params), self._outputs(
+            encoder_module.random_base(self._config())))
+
     @pytest.mark.parametrize("damage", ["delete", "empty", "truncate", "header", "float32",
                                         "longer", "trailing"])
     def test_a_damaged_file_is_drawn_again(self, tmp_path, damage):
