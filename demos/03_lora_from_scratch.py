@@ -29,7 +29,7 @@ print("merge equivalence, max |difference|:",
 # ── 3. injecting adapters into the encoder's attention projections ───────────
 enc = build_toy_encoder(seed=11)
 adapters = enc.build_adapters(rank=16, alpha=8.0, dropout_rate=0.05, seed=12)
-print("\nadapter targets:", list(adapters.adapters))
+print("\nadapter targets:", list(adapters))
 enc.attach_adapters(adapters)
 
 head_dims = [(enc.d_model, 3), (enc.d_model, 2)]  # type + severity heads

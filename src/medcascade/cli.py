@@ -148,11 +148,10 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     split_paths = [_require(_split_path(cfg, part), "ingest") for part in SPLITS]
-    backend = args.backend or cfg.gateway.backend
     prompts = PromptLibrary()
-    gw = build_gateway(replace(cfg.gateway, backend=backend, cache_dir=cfg.cache_dir()))
+    gw = build_gateway(replace(cfg.gateway, cache_dir=cfg.cache_dir()))
     # the scope holds a live backend's url and model, the mock's lexicon
-    input_hash = _hash_inputs([*split_paths, *STAGE_SOURCES["preprocess"]], backend,
+    input_hash = _hash_inputs([*split_paths, *STAGE_SOURCES["preprocess"]], cfg.gateway.backend,
                               gw.backend.scope, prompts.hashes("sentinel"),
                               prompts.hashes("instruct"))
     state = _preprocess_state(cfg)
@@ -203,7 +202,7 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
-    model_id = args.model or cfg.model.backend_id
+    model_id = cfg.model.backend_id
     condition = args.condition
     fine_tuned = not args.no_finetune
     arm = "finetuned" if fine_tuned else "frozen"
@@ -230,8 +229,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     encoder = resolve_encoder(model_id, weights_dir=cfg.model.weights_dir,
                               seed=cfg.model.seed, pooling=cfg.model.pooling,
                               store_dir=cfg.encoders_dir(), **cfg.model.toy)
-    train_cfg = cfg.train
-    model = MultiTaskModel.build(encoder, vocab, tasks=train_cfg.tasks,
+    model = MultiTaskModel.build(encoder, vocab, tasks=cfg.train.tasks,
                                  head_seed=cfg.model.head_seed)
     result = None
     if fine_tuned:
@@ -241,25 +239,25 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         encoder.attach_adapters(adapters)
         train_variant = load_variant(cfg.variants_dir(), condition, "train")
         val_variant = load_variant(cfg.variants_dir(), condition, "val")
-        result = train(model, train_variant, val_variant, train_cfg)
+        result = train(model, train_variant, val_variant, cfg.train)
         model.restore(result.best_params)
         write_atomic(os.path.join(cell_dir, "trainlog.csv"), result.log.to_csv())
 
     test_variant = load_variant(cfg.variants_dir(), condition, "test")
-    scores, preds = evaluate(model, test_variant, tasks=train_cfg.tasks)
+    scores, preds = evaluate(model, test_variant)
 
     save_adapter_set(os.path.join(cell_dir, "checkpoint.npz"), model.encoder.adapters,
                      heads=model.heads,
                      extra_meta={"model_id": model_id, "condition": condition, "arm": arm})
     write_atomic(os.path.join(cell_dir, "predictions.jsonl"),
-                 prediction_dump(model, test_variant, preds, tasks=train_cfg.tasks))
+                 prediction_dump(model, test_variant, preds))
     write_json(os.path.join(cell_dir, "scores.json"), {
         "model_id": model_id, "condition": condition, "fine_tuned": fine_tuned,
         "best_epoch": result.best_epoch if result else None,
         "tasks": {t: asdict(s) for t, s in scores.items()},
     })
     write_json(os.path.join(cell_dir, "manifest.json"), {
-        "train_config": cfg_json["train"], "pipeline_config": cfg_json,
+        "pipeline_config": cfg_json,
         "model_id": model_id, "condition": condition, "arm": arm, "input_hash": input_hash,
         "steps_taken": result.steps_taken if result else 0,
         "best_epoch": result.best_epoch if result else None,
@@ -327,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="run the three LLM layers over all records")
     common(p)
     p.add_argument("--backend", choices=("mock", "openai", "llama"),
-                   help="gateway backend override")
+                   help="overrides gateway.backend")
     p.add_argument("--resume", action="store_true",
                    help="skip records whose bundle already exists")
     p.set_defaults(func=cmd_preprocess)
@@ -340,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train and evaluate one (model, condition) cell")
     common(p)
-    p.add_argument("--model", help="encoder backend id (default from config)")
+    p.add_argument("--model", help="encoder backend id; overrides model.backend_id")
     p.add_argument("--condition", required=True, choices=CONDITIONS)
     p.add_argument("--no-finetune", action="store_true",
                    help="evaluate the frozen encoder with random heads instead of training")
@@ -354,11 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if getattr(args, "workdir", None):
-        overrides["workdir"] = args.workdir
-    if getattr(args, "corpus", None):
-        overrides["corpus"] = args.corpus
+    # each flag overrides one config key, so stages read (and manifests record) cfg alone
+    flags = {"workdir": "workdir", "corpus": "corpus", "backend": "gateway.backend",
+             "model": "model.backend_id"}
+    overrides = {key: getattr(args, flag) for flag, key in flags.items()
+                 if getattr(args, flag, None)}
     try:
         cfg = load_config(args.config, overrides)
         return args.func(cfg, args)

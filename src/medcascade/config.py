@@ -173,6 +173,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigInvalid(f"section {part!r} must be an object")
         node[parts[-1]] = value
 
     defaults = PipelineConfig()

@@ -171,12 +171,11 @@ def _csv_rows(fh):
                                    "type": row.get("type"), "severity": row.get("severity")}}
 
 
-def load_corpus(path: str, format: str = "jsonl",
-                manifest_path: str | None = None) -> tuple[list[ComplaintRecord], CorpusManifest]:
+def load_corpus(path: str, format: str = "jsonl") -> tuple[list[ComplaintRecord], CorpusManifest]:
     """Load and validate a corpus; record order is preserved from the file."""
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown corpus format {format!r}")
-    manifest_path = manifest_path or manifest_path_for(path)
+    manifest_path = manifest_path_for(path)
     if not os.path.exists(manifest_path):
         raise MalformedRecord(0, "manifest", f"{manifest_path} not found")
     manifest = read_manifest(manifest_path)
@@ -198,12 +197,11 @@ def load_corpus(path: str, format: str = "jsonl",
     return records, manifest
 
 
-def write_corpus(path: str, records: list[ComplaintRecord], manifest: CorpusManifest,
-                 manifest_path: str | None = None) -> None:
+def write_corpus(path: str, records: list[ComplaintRecord], manifest: CorpusManifest) -> None:
     """Write JSONL + manifest sidecar atomically (temp file + rename)."""
     manifest = replace(manifest, record_count=len(records))
     write_jsonl(path, (r.to_json() for r in records))
-    write_json(manifest_path or manifest_path_for(path), manifest.to_json())
+    write_json(manifest_path_for(path), manifest.to_json())
 
 
 def corpus_hash(records: list[ComplaintRecord]) -> str:

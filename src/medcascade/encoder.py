@@ -51,7 +51,7 @@ import numpy as np
 
 from .atomic import write_atomic, write_json
 from .errors import CorruptArtifact, EncoderUnavailable, ShapeMismatch
-from .lora import (AdapterSet, DEFAULT_TARGET_PATTERNS, adapter_backward, adapter_delta,
+from .lora import (DEFAULT_TARGET_PATTERNS, LoraAdapter, adapter_backward, adapter_delta,
                    init_adapter)
 from .tokenizers import HashWordTokenizer, WordPieceTokenizer
 
@@ -261,7 +261,7 @@ class NumpyTransformerEncoder:
         config.validate()
         self.config = config
         self.tokenizer = tokenizer
-        self.adapters: AdapterSet = AdapterSet()
+        self.adapters: dict[str, LoraAdapter] = {}   # keyed by target name
         self._adapter_grads: dict[str, dict[str, np.ndarray]] = {}
         self.params = params
         self._check_param_shapes()
@@ -269,9 +269,14 @@ class NumpyTransformerEncoder:
     # -- construction ------------------------------------------------------
 
     def _check_param_shapes(self) -> None:
-        c = self.config
-        if self.params["embeddings.word"].shape != (c.vocab_size, c.d_model):
-            raise ShapeMismatch("embeddings.word does not match config")
+        """Every base parameter the config implies must be there, at its
+        shape; extra arrays are ignored."""
+        for name, shape in _base_shapes(self.config).items():
+            if name not in self.params:
+                raise ShapeMismatch(f"parameter {name} is missing")
+            if self.params[name].shape != shape:
+                raise ShapeMismatch(f"parameter {name} has shape {self.params[name].shape}, "
+                                    f"the config implies {shape}")
 
     # -- interface surface -------------------------------------------------
 
@@ -294,19 +299,18 @@ class NumpyTransformerEncoder:
                       if any(rx.search(name) for rx in compiled))
 
     def build_adapters(self, rank: int, alpha: float, dropout_rate: float, seed: int,
-                       patterns=DEFAULT_TARGET_PATTERNS) -> AdapterSet:
+                       patterns=DEFAULT_TARGET_PATTERNS) -> dict[str, LoraAdapter]:
         """Create zero-init adapters for every matching weight matrix."""
         shapes = self.named_weight_shapes()
-        adapters = AdapterSet()
+        adapters = {}
         for k, name in enumerate(self.adapter_targets(patterns)):
             d_out, d_in = shapes[name]
-            adapters.adapters[name] = init_adapter(
-                d_in, d_out, rank, alpha, dropout_rate, seed=seed + k, target_name=name)
+            adapters[name] = init_adapter(d_in, d_out, rank, alpha, dropout_rate, seed=seed + k)
         return adapters
 
-    def attach_adapters(self, adapters: AdapterSet) -> None:
+    def attach_adapters(self, adapters: dict[str, LoraAdapter]) -> None:
         shapes = self.named_weight_shapes()
-        for name, a in adapters:
+        for name, a in adapters.items():
             if name not in shapes:
                 raise ShapeMismatch(f"no weight matrix named {name!r}")
             if shapes[name] != (a.d_out, a.d_in):
@@ -329,7 +333,7 @@ class NumpyTransformerEncoder:
         unless it is None."""
         y = x @ self.params[f"{name}.W"].T + self.params[f"{name}.b"]
         entry = {"name": name}
-        adapter = self.adapters.adapters.get(name)
+        adapter = self.adapters.get(name)
         if adapter is not None:
             delta, saved = adapter_delta(adapter, x, training, rng)
             y = y + delta
@@ -567,7 +571,10 @@ class NumpyTransformerEncoder:
                 vocab_path, do_lower_case=bool(raw.get("do_lower_case", False)))
         else:
             tokenizer = HashWordTokenizer(config.vocab_size)
-        return cls(config, tokenizer, params=params)
+        try:
+            return cls(config, tokenizer, params=params)
+        except ShapeMismatch as e:
+            raise ShapeMismatch(f"encoder export in {directory}: {e}") from e
 
 
 def build_toy_encoder(seed: int = 0, store_dir: str | None = None,

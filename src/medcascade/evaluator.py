@@ -82,22 +82,19 @@ def confusion_matrix(preds, golds, n_classes: int) -> list[list[int]]:
     return matrix
 
 
-def evaluate(model: MultiTaskModel, dataset: DatasetVariant, tasks=None,
+def evaluate(model: MultiTaskModel, dataset: DatasetVariant,
              ) -> tuple[dict[str, TaskScores], dict[str, dict[str, np.ndarray]]]:
-    """Score one model on one variant; deterministic in its inputs.
+    """Score each of ``model.tasks`` on one variant; deterministic in its inputs.
 
     Returns the scores and the predictions they were computed from, so the
     prediction dump can reuse them instead of running the model again.
     """
-    tasks = tuple(tasks) if tasks else model.tasks
     if not dataset.examples:
         raise EmptyInput("dataset has no examples")
     texts = [ex.input_text for ex in dataset.examples]
     preds = predict(model, texts)
     scores: dict[str, TaskScores] = {}
-    for task in tasks:
-        if task not in model.task_vocabs:
-            raise VocabMismatch(f"model has no vocabulary for task {task!r}")
+    for task in model.tasks:
         vocab = model.task_vocabs[task]
         golds = [model.label_index(task, ex.labels.get(task), ex.record_id)
                  for ex in dataset.examples]
@@ -113,15 +110,14 @@ def evaluate(model: MultiTaskModel, dataset: DatasetVariant, tasks=None,
 
 
 def prediction_dump(model: MultiTaskModel, dataset: DatasetVariant,
-                    preds: dict[str, dict[str, np.ndarray]], tasks=None) -> str:
+                    preds: dict[str, dict[str, np.ndarray]]) -> str:
     """JSONL audit dump of ``evaluate``'s predictions: one line per
     (record, task) with pred and gold labels."""
-    tasks = tuple(tasks) if tasks else model.tasks
     return "".join(
         json_line({"record_id": ex.record_id, "task": task,
                    "pred": model.task_vocabs[task][int(preds[task]["indices"][i])],
                    "gold": ex.labels.get(task)})
-        for i, ex in enumerate(dataset.examples) for task in tasks)
+        for i, ex in enumerate(dataset.examples) for task in model.tasks)
 
 
 # -- report grid ---------------------------------------------------------------

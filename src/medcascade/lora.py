@@ -12,7 +12,7 @@ alpha 8 (scale alpha/r = 0.5), dropout 5% on the adapter input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class LoraAdapter:
     rank: int
     alpha: float
     dropout_rate: float
-    target_name: str = ""
 
     @property
     def d_in(self) -> int:
@@ -55,25 +54,8 @@ class LoraAdapter:
         return self.alpha / self.rank
 
 
-@dataclass
-class AdapterSet:
-    """All adapters of a model, keyed by the weight matrix they adapt."""
-
-    adapters: dict[str, LoraAdapter] = field(default_factory=dict)
-
-    def __iter__(self):
-        return iter(self.adapters.items())
-
-    def __len__(self):
-        return len(self.adapters)
-
-    def __getitem__(self, target_name: str) -> LoraAdapter:
-        return self.adapters[target_name]
-
-
 def init_adapter(d_in: int, d_out: int, r: int = DEFAULT_RANK, alpha: float = DEFAULT_ALPHA,
-                 dropout_rate: float = DEFAULT_DROPOUT, seed: int = 0,
-                 target_name: str = "") -> LoraAdapter:
+                 dropout_rate: float = DEFAULT_DROPOUT, seed: int = 0) -> LoraAdapter:
     """Create a fresh adapter: A ~ N(0, (1/r)^2), B = 0.
 
     Zero B guarantees the adapted model initially equals the base model.
@@ -88,8 +70,7 @@ def init_adapter(d_in: int, d_out: int, r: int = DEFAULT_RANK, alpha: float = DE
     rng = np.random.default_rng(seed)
     A = rng.normal(0.0, 1.0 / r, size=(r, d_in))
     B = np.zeros((d_out, r))
-    return LoraAdapter(A=A, B=B, rank=r, alpha=float(alpha),
-                       dropout_rate=float(dropout_rate), target_name=target_name)
+    return LoraAdapter(A=A, B=B, rank=r, alpha=float(alpha), dropout_rate=float(dropout_rate))
 
 
 def _check_vector_dim(name: str, arr: np.ndarray, dim: int) -> None:
@@ -157,17 +138,18 @@ def merge(adapter: LoraAdapter, W: np.ndarray) -> np.ndarray:
     return W + adapter.scaling * (adapter.B @ adapter.A)
 
 
-def count_trainable(adapters: AdapterSet, head_dims: list[tuple[int, int]] | None = None) -> int:
+def count_trainable(adapters: dict[str, LoraAdapter],
+                    head_dims: list[tuple[int, int]] | None = None) -> int:
     """Trainable-parameter count: sum of r*(d_in+d_out) over adapters plus
     (d_in*n_out + n_out) per affine head.  This must equal the number of
     parameters the optimizer actually updates."""
-    total = sum(a.rank * (a.d_in + a.d_out) for _, a in adapters)
+    total = sum(a.rank * (a.d_in + a.d_out) for a in adapters.values())
     for d_in, n_out in head_dims or []:
         total += d_in * n_out + n_out
     return total
 
 
-def save_adapter_set(path, adapters: AdapterSet, heads: dict[str, dict[str, np.ndarray]] | None = None,
+def save_adapter_set(path, adapters: dict[str, LoraAdapter], heads: dict[str, dict[str, np.ndarray]] | None = None,
                      extra_meta: dict | None = None) -> None:
     """Write adapters (+ optional head weights) to a self-describing .npz.
 
@@ -183,7 +165,7 @@ def save_adapter_set(path, adapters: AdapterSet, heads: dict[str, dict[str, np.n
     }
     if extra_meta:
         meta["extra"] = extra_meta
-    for i, (name, a) in enumerate(sorted(adapters.adapters.items())):
+    for i, (name, a) in enumerate(sorted(adapters.items())):
         key = f"adapter{i}"
         arrays[f"{key}.A"] = a.A
         arrays[f"{key}.B"] = a.B
@@ -200,18 +182,16 @@ def save_adapter_set(path, adapters: AdapterSet, heads: dict[str, dict[str, np.n
     write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
 
-def load_adapter_set(path) -> tuple[AdapterSet, dict[str, dict[str, np.ndarray]], dict]:
+def load_adapter_set(path) -> tuple[dict[str, LoraAdapter], dict[str, dict[str, np.ndarray]], dict]:
     """Inverse of :func:`save_adapter_set`. Returns (adapters, heads, extra_meta)."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         if meta.get("format") != "medcascade-adapters":
             raise ValueError(f"{path} is not an adapter checkpoint")
-        adapters = AdapterSet()
-        for key, info in meta["adapters"].items():
-            adapters.adapters[info["target_name"]] = LoraAdapter(
-                A=data[f"{key}.A"], B=data[f"{key}.B"], rank=info["rank"],
-                alpha=info["alpha"], dropout_rate=info["dropout_rate"],
-                target_name=info["target_name"])
+        adapters = {info["target_name"]: LoraAdapter(
+            A=data[f"{key}.A"], B=data[f"{key}.B"], rank=info["rank"],
+            alpha=info["alpha"], dropout_rate=info["dropout_rate"])
+            for key, info in meta["adapters"].items()}
         heads = {task: {"W": data[f"head.{task}.W"], "b": data[f"head.{task}.b"]}
                  for task in meta["heads"]}
     return adapters, heads, meta.get("extra", {})

@@ -18,6 +18,7 @@ import zlib
 from .errors import VocabInvalid
 
 AUX_TOKEN = "[AUX]"
+MAX_CHARS_PER_WORD = 100     # a longer word is one [UNK], as in BERT's WordPiece
 
 
 def _nfc(text: str) -> str:
@@ -25,7 +26,7 @@ def _nfc(text: str) -> str:
 
 
 class HashWordTokenizer:
-    """Hash whitespace-separated words into ``vocab_size`` buckets.
+    """Hash lowercased whitespace-separated words into ``vocab_size`` buckets.
 
     Ids 0..3 are reserved: [PAD]=0, [UNK]=1, [CLS]=2, [AUX]=3.  The hash is
     crc32, so ids are stable across processes and runs.
@@ -37,16 +38,13 @@ class HashWordTokenizer:
     aux_id = 3
     n_reserved = 4
 
-    def __init__(self, vocab_size: int = 512, lowercase: bool = True):
+    def __init__(self, vocab_size: int = 512):
         if vocab_size <= self.n_reserved:
             raise ValueError(f"vocab_size must exceed {self.n_reserved}")
         self.vocab_size = vocab_size
-        self.lowercase = lowercase
 
     def _word_id(self, word: str) -> int:
-        if self.lowercase:
-            word = word.lower()
-        bucket = zlib.crc32(word.encode("utf-8")) % (self.vocab_size - self.n_reserved)
+        bucket = zlib.crc32(word.lower().encode("utf-8")) % (self.vocab_size - self.n_reserved)
         return self.n_reserved + bucket
 
     def encode(self, text: str) -> list[int]:
@@ -62,11 +60,10 @@ class WordPieceTokenizer:
     """Greedy longest-match-first WordPiece over a BERT-style vocab.txt."""
 
     def __init__(self, vocab: dict[str, int], do_lower_case: bool = False,
-                 max_chars_per_word: int = 100, source: str = "vocab"):
+                 source: str = "vocab"):
         """``source`` names the vocabulary in errors (the file it came from)."""
         self.vocab = vocab
         self.do_lower_case = do_lower_case
-        self.max_chars_per_word = max_chars_per_word
         self.pad_id = vocab["[PAD]"]
         self.unk_id = vocab["[UNK]"]
         self.cls_id = vocab["[CLS]"]
@@ -124,7 +121,7 @@ class WordPieceTokenizer:
         return out
 
     def _wordpiece(self, word: str) -> list[int]:
-        if len(word) > self.max_chars_per_word:
+        if len(word) > MAX_CHARS_PER_WORD:
             return [self.unk_id]
         ids: list[int] = []
         start = 0

@@ -162,7 +162,7 @@ class MultiTaskModel:
         for task in self.tasks:
             params[f"head.{task}.W"] = self.heads[task]["W"]
             params[f"head.{task}.b"] = self.heads[task]["b"]
-        for name, adapter in self.encoder.adapters:
+        for name, adapter in self.encoder.adapters.items():
             params[f"adapter.{name}.A"] = adapter.A
             params[f"adapter.{name}.B"] = adapter.B
         return params
@@ -317,9 +317,10 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
     Deterministic in (model init, data, cfg.seed).
     """
     cfg.validate()
+    if tuple(cfg.tasks) != model.tasks:
+        raise VocabMismatch(f"train config tasks {tuple(cfg.tasks)} differ from the "
+                            f"model's tasks {model.tasks}")
     for task in cfg.tasks:
-        if task not in model.heads:
-            raise VocabMismatch(f"model has no head for task {task!r}")
         if model.heads[task]["W"].shape[0] != len(model.task_vocabs[task]):
             raise VocabMismatch(f"head for {task!r} has {model.heads[task]['W'].shape[0]} "
                                 f"classes, vocabulary has {len(model.task_vocabs[task])}")
@@ -371,7 +372,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
                 grads[f"head.{task}.W"] = dlogits[task].T @ pooled
                 grads[f"head.{task}.b"] = dlogits[task].sum(axis=0)
                 d_pooled += dlogits[task] @ model.heads[task]["W"]
-            if len(model.encoder.adapters):
+            if model.encoder.adapters:
                 for name, g in model.encoder.backward_adapters(cache, d_pooled).items():
                     grads[f"adapter.{name}.A"] = g["A"]
                     grads[f"adapter.{name}.B"] = g["B"]

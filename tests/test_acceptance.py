@@ -73,7 +73,7 @@ def _gradcheck_model():
                             vocab_size=64, max_len=12)
     adapters = enc.build_adapters(rank=2, alpha=4.0, dropout_rate=0.0, seed=302)
     rng = np.random.default_rng(303)
-    for _, adapter in adapters:
+    for adapter in adapters.values():
         adapter.A[:] = rng.normal(0, 0.5, adapter.A.shape)
         adapter.B[:] = rng.normal(0, 0.5, adapter.B.shape)
     enc.attach_adapters(adapters)

@@ -429,6 +429,44 @@ class TestEncoderWeights:
         assert exported != self._frozen_predictions(workspace, "seed11", {})
 
 
+    def test_the_model_flag_is_recorded_in_the_manifest(self, workspace):
+        from medcascade.encoder import build_toy_encoder
+        build_toy_encoder(seed=5).save_base("weights")
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config["model"] = {"weights_dir": "weights"}
+        (workspace / "exported.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", "exported.json") == 0
+        assert run("variants", "--config", "exported.json", "--condition", "normal") == 0
+        assert run("train", "--config", "exported.json", "--model", "exported",
+                   "--condition", "normal", "--no-finetune") == 0
+        cell = workspace / "work" / "runs" / "exported__normal__frozen"
+        manifest = json.loads((cell / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["model_id"] == "exported"
+        assert manifest["pipeline_config"]["model"]["backend_id"] == "exported"
+        assert "train_config" not in manifest   # pipeline_config.train holds it
+
+    def test_an_export_that_misses_a_parameter_is_a_user_error(self, workspace, capsys):
+        import numpy as np
+        from medcascade.encoder import build_toy_encoder
+        build_toy_encoder(seed=5).save_base("export_dir")
+        weights = workspace / "export_dir" / "weights.npz"
+        with np.load(weights) as data:
+            arrays = {name: data[name] for name in data.files
+                      if name != "layer.1.ffn.inner.W"}
+        np.savez(weights, **arrays)
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config["model"] = {"weights_dir": "export_dir"}
+        (workspace / "exported.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", "exported.json") == 0
+        assert run("variants", "--config", "exported.json", "--condition", "normal") == 0
+        capsys.readouterr()
+        assert run("train", "--config", "exported.json", "--condition", "normal",
+                   "--no-finetune") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ShapeMismatch: ")
+        assert "layer.1.ffn.inner.W" in err and "export_dir" in err
+
+
 class TestPredictionPass:
     @pytest.mark.parametrize("arm", [[], ["--no-finetune"]], ids=["finetuned", "frozen"])
     def test_train_predicts_the_test_set_once(self, workspace, monkeypatch, arm):

@@ -1,4 +1,7 @@
 import json
+import re
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +54,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid):
             load_config(path)
 
+    def test_override_into_a_section_that_is_not_an_object_is_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gateway": "x"}))
+        with pytest.raises(ConfigInvalid, match="'gateway' must be an object"):
+            load_config(path, {"gateway.backend": "mock"})
+
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"train": {"epochs": 0}}))
@@ -68,3 +77,21 @@ class TestLoadConfig:
     def test_serializes_round_trip(self):
         data = PipelineConfig().to_json()
         assert json.loads(json.dumps(data)) == data
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
+    block = re.sub(r"//[^\n]*", "", block)
+    assert json.loads(block) == PipelineConfig().to_json()
+
+
+def test_requires_python_covers_the_stdlib_the_package_uses():
+    # cli._hash_inputs calls hashlib.file_digest, new in Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["requires-python"] == ">=3.11"

@@ -135,11 +135,11 @@ class TestAdapters:
 
     def test_attach_rejects_bad_shapes(self):
         enc = tiny_encoder()
-        from medcascade.lora import AdapterSet, init_adapter
-        bad = AdapterSet({"layer.0.attn.query": init_adapter(8, 8, r=2)})
+        from medcascade.lora import init_adapter
+        bad = {"layer.0.attn.query": init_adapter(8, 8, r=2)}
         with pytest.raises(ShapeMismatch):
             enc.attach_adapters(bad)
-        missing = AdapterSet({"layer.9.attn.query": init_adapter(16, 16, r=2)})
+        missing = {"layer.9.attn.query": init_adapter(16, 16, r=2)}
         with pytest.raises(ShapeMismatch):
             enc.attach_adapters(missing)
 
@@ -148,7 +148,7 @@ class TestAdapters:
         enc = tiny_encoder()
         adapters = enc.build_adapters(rank=2, alpha=4.0, dropout_rate=0.3, seed=9)
         rng = np.random.default_rng(0)
-        for _, adapter in adapters:
+        for adapter in adapters.values():
             adapter.B[:] = rng.normal(0, 0.3, adapter.B.shape)
         enc.attach_adapters(adapters)
         name = "layer.1.attn.value"
@@ -163,7 +163,7 @@ class TestAdapters:
         enc = tiny_encoder(pooling=pooling)
         adapters = enc.build_adapters(rank=2, alpha=4.0, dropout_rate=dropout_rate, seed=9)
         rng = np.random.default_rng(0)
-        for _, adapter in adapters:
+        for adapter in adapters.values():
             adapter.B[:] = rng.normal(0, 0.3, adapter.B.shape)
         enc.attach_adapters(adapters)
         ids = rng.integers(0, 64, size=(3, 10))
@@ -184,7 +184,7 @@ class TestAdapters:
         h = 1e-6
         checked = 0
         fd_rng = np.random.default_rng(17)
-        for name, adapter in adapters:
+        for name, adapter in adapters.items():
             for mat_name in ("A", "B"):
                 mat = getattr(adapter, mat_name)
                 i = int(fd_rng.integers(mat.shape[0]))
@@ -216,7 +216,7 @@ class TestAdapters:
 def _with_random_adapters(enc, seed=9):
     adapters = enc.build_adapters(rank=2, alpha=4.0, dropout_rate=0.0, seed=seed)
     rng = np.random.default_rng(seed)
-    for _, adapter in adapters:
+    for adapter in adapters.values():
         adapter.B[:] = rng.normal(0, 0.3, adapter.B.shape)
     enc.attach_adapters(adapters)
     return enc
@@ -248,7 +248,7 @@ class TestHotPath:
             dx = enc._linear_backward(dy, cache[0])
 
             y_ref, dx_ref = x @ W.T + b, dy @ W
-            adapter = enc.adapters.adapters.get(name)
+            adapter = enc.adapters.get(name)
             if adapter is not None:
                 delta, saved = adapter_delta(adapter, x)
                 y_ref = y_ref + delta
@@ -307,7 +307,7 @@ def _padded_reference(enc, ids, mask, d_pooled):
 
     def linear(name, x, tape):
         y = x @ p[f"{name}.W"].T + p[f"{name}.b"]
-        adapter, saved = enc.adapters.adapters.get(name), None
+        adapter, saved = enc.adapters.get(name), None
         if adapter is not None:
             delta, saved = adapter_delta(adapter, x)
             y = y + delta
@@ -391,7 +391,7 @@ class TestPacking:
         adapters = enc.build_adapters(rank=2, alpha=4.0, dropout_rate=0.0, seed=9,
                                       patterns=ALL_LINEARS)
         rng = np.random.default_rng(1)
-        for _, adapter in adapters:
+        for adapter in adapters.values():
             adapter.B[:] = rng.normal(0, 0.3, adapter.B.shape)
         enc.attach_adapters(adapters)
         ids = rng.integers(0, enc.config.vocab_size, size=(len(lengths), width))
@@ -413,7 +413,7 @@ class TestPacking:
                 np.abs(got - want) <= tol * (np.abs(want).max() + 1))
 
         assert close(pooled, ref_pooled)
-        assert sorted(grads) == sorted(ref_grads) == sorted(name for name, _ in adapters)
+        assert sorted(grads) == sorted(ref_grads) == sorted(name for name, _ in adapters.items())
         for name in grads:
             assert close(grads[name]["A"], ref_grads[name]["A"]), name
             assert close(grads[name]["B"], ref_grads[name]["B"]), name

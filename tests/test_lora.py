@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from medcascade.errors import RankTooLarge, ShapeMismatch
-from medcascade.lora import (AdapterSet, LoraAdapter, adapted_forward, count_trainable,
-                             init_adapter, load_adapter_set, merge, save_adapter_set)
+from medcascade.lora import (LoraAdapter, adapted_forward, count_trainable, init_adapter,
+                             load_adapter_set, merge, save_adapter_set)
 
 
 class TestInitAdapter:
@@ -130,32 +130,30 @@ class TestMerge:
 
 class TestCountTrainable:
     def test_single_adapter(self):
-        adapters = AdapterSet({"w": init_adapter(64, 64, r=16)})
+        adapters = {"w": init_adapter(64, 64, r=16)}
         assert count_trainable(adapters) == 16 * 128  # 2048
 
     def test_head_only(self):
-        assert count_trainable(AdapterSet(), [(64, 5)]) == 64 * 5 + 5  # 325
+        assert count_trainable({}, [(64, 5)]) == 64 * 5 + 5  # 325
 
     def test_additive(self):
-        adapters = AdapterSet({"w": init_adapter(64, 64, r=16)})
+        adapters = {"w": init_adapter(64, 64, r=16)}
         assert count_trainable(adapters, [(64, 5)]) == 2048 + 325  # 2373
 
 
 class TestCheckpoint:
     def test_round_trip_independent_of_base(self, tmp_path):
-        adapters = AdapterSet({
-            "layer.0.attn.query": init_adapter(16, 16, r=4, seed=1,
-                                               target_name="layer.0.attn.query"),
-            "layer.1.attn.value": init_adapter(16, 16, r=2, seed=2, alpha=4.0,
-                                               target_name="layer.1.attn.value"),
-        })
+        adapters = {
+            "layer.0.attn.query": init_adapter(16, 16, r=4, seed=1),
+            "layer.1.attn.value": init_adapter(16, 16, r=2, seed=2, alpha=4.0),
+        }
         adapters["layer.0.attn.query"].B[:] = 0.5
         heads = {"type": {"W": np.ones((3, 16)), "b": np.zeros(3)}}
         path = tmp_path / "ckpt.npz"
         save_adapter_set(path, adapters, heads, extra_meta={"note": "test"})
         loaded, loaded_heads, extra = load_adapter_set(path)
-        assert set(loaded.adapters) == set(adapters.adapters)
-        for name, adapter in adapters:
+        assert set(loaded) == set(adapters)
+        for name, adapter in adapters.items():
             assert np.array_equal(loaded[name].A, adapter.A)
             assert np.array_equal(loaded[name].B, adapter.B)
             assert loaded[name].alpha == adapter.alpha
@@ -165,7 +163,7 @@ class TestCheckpoint:
 
     def test_loads_checkpoint_written_with_frozen_base_key(self, tmp_path):
         name = "layer.0.attn.query"
-        adapters = AdapterSet({name: init_adapter(8, 8, r=2, seed=1, target_name=name)})
+        adapters = {name: init_adapter(8, 8, r=2, seed=1)}
         path = tmp_path / "ckpt.npz"
         save_adapter_set(path, adapters)
         with np.load(path) as data:

@@ -196,6 +196,12 @@ class TestTrain:
         with pytest.raises(VocabMismatch):
             train(model, signal_variant(8), signal_variant(4, seed=9), self._cfg())
 
+    def test_config_tasks_other_than_the_models_are_a_vocab_mismatch(self):
+        model = tiny_model()   # heads for type and severity
+        with pytest.raises(VocabMismatch, match=r"\('type',\).*\('type', 'severity'\)"):
+            train(model, signal_variant(8), signal_variant(4, seed=9),
+                  self._cfg(tasks=("type",)))
+
     def test_vocab_mismatch_unknown_label(self):
         model = tiny_model()
         variant = signal_variant(8)
@@ -298,7 +304,7 @@ def bucket_model(seed=11, **shape):
     enc = build_toy_encoder(seed=seed, **shape)
     enc.attach_adapters(enc.build_adapters(rank=4, alpha=8.0, dropout_rate=0.1, seed=seed))
     rng = np.random.default_rng(seed)
-    for _, adapter in enc.adapters:
+    for adapter in enc.adapters.values():
         adapter.B[:] = rng.normal(0.0, 0.1, size=adapter.B.shape)
     return MultiTaskModel.build(enc, VOCAB, head_seed=seed)
 
