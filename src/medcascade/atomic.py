@@ -4,13 +4,15 @@
 see a partial file and a failed write leaves the previous version in place.
 It also takes a function that writes into the open temp file, so an
 ``np.savez`` archive is never built in memory first; the file is open for
-reading too, so the function may ``np.memmap`` it.
+reading too, so the function may ``np.memmap`` it, and what the function
+returns (such a map, say) is returned once the file is in place.
 
 Every JSON artifact takes one form, so its bytes depend on its value alone:
 keys sorted and non-ASCII kept.  ``write_json`` indents one value by two
 spaces and ends it with a newline; ``write_jsonl`` and ``append_jsonl`` write
 one ``json_line`` per entry.  ``read_json`` reports a file it cannot decode
-or unpack as ``CorruptArtifact`` naming the file.
+or unpack as ``CorruptArtifact`` naming the file, and ``check_types`` holds
+the values of a JSON object to the types of a dataclass's defaults.
 
 ``append_jsonl`` adds one entry to an append-only JSONL log (the response
 cache, the bundle store, the failure ledger): one line of JSON written with a
@@ -31,18 +33,21 @@ from typing import BinaryIO, Callable
 from .errors import CorruptArtifact
 
 
-def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]) -> None:
+def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]):
     """Write ``data`` (UTF-8 if text, or what a function writes into the
-    temp file) to ``path``, creating its directory."""
+    temp file) to ``path``, creating its directory; returns what the
+    function returns."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:
+        result = None
         with open(tmp, "w+b") as fh:
             if callable(data):
-                data(fh)
+                result = data(fh)
             else:
                 fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
+        return result
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -72,6 +77,18 @@ def read_json(path, build=lambda data: data):
             return build(json.load(fh))
     except CorruptArtifact.DECODE_ERRORS as e:
         raise CorruptArtifact.at(path, e) from e
+
+
+def check_types(cls, data: dict) -> None:
+    """Each value of ``data`` must have the type of ``cls``'s default for its
+    key, where that is int (not bool), float (int accepted) or str; else
+    ``TypeError`` naming the key."""
+    for key, value in data.items():
+        expected = type(cls.__dataclass_fields__[key].default)
+        accepted = (int, float) if expected is float else (expected,)
+        if expected in (int, float, str) and (
+                isinstance(value, bool) or not isinstance(value, accepted)):
+            raise TypeError(f"{key} must be {expected.__name__}, got {value!r}")
 
 
 def append_jsonl(path, entry: dict) -> None:

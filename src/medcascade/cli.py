@@ -24,7 +24,7 @@ from .atomic import read_json, write_atomic, write_json
 from .config import PipelineConfig, load_config
 from .corpus import (CorpusManifest, load_corpus, manifest_path_for, read_manifest,
                      scrub_records, stratified_split, write_corpus)
-from .encoder import resolve_encoder
+from .encoder import export_digests, resolve_encoder
 from .errors import CorruptArtifact, MedcascadeError, MissingUpstreamArtifact, UserError
 from .evaluator import ReportCell, TaskScores, evaluate, prediction_dump, render_report
 from .gateway import build_gateway
@@ -63,7 +63,7 @@ def _hash_inputs(files: list[str], *values) -> str:
     h = hashlib.sha256()
     for path in files:
         try:
-            with open(path, "rb") as fh:  # streamed: a weights file is never held whole
+            with open(path, "rb") as fh:  # streamed: a large file is never held whole
                 h.update(hashlib.file_digest(fh, "sha256").digest())
         except FileNotFoundError:
             h.update(b"absent")
@@ -217,10 +217,10 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     cfg_json = cfg.to_json()
     relevant_cfg = {"adapter": cfg_json["adapter"], "train": cfg_json["train"],
                     "model": cfg_json["model"], "arm": arm}
-    weight_files = [os.path.join(cfg.model.weights_dir, name) for name in
-                    ("config.json", "weights.npz", "vocab.txt")] if cfg.model.weights_dir else []
-    input_hash = _hash_inputs(
-        [*variant_files, manifest_path, *weight_files, *STAGE_SOURCES["train"]], relevant_cfg)
+    # an export is hashed once per invocation: the same digests key its stored base
+    digests = export_digests(cfg.model.weights_dir) if cfg.model.weights_dir else None
+    input_hash = _hash_inputs([*variant_files, manifest_path, *STAGE_SOURCES["train"]],
+                              relevant_cfg, digests)
     state = os.path.join(cell_dir, ".state.json")
     if _up_to_date(state, input_hash, [cell_dir]):
         print(f"train[{cell}]: up to date")
@@ -228,7 +228,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
     encoder = resolve_encoder(model_id, weights_dir=cfg.model.weights_dir,
                               seed=cfg.model.seed, pooling=cfg.model.pooling,
-                              store_dir=cfg.encoders_dir(), **cfg.model.toy)
+                              store_dir=cfg.encoders_dir(), digests=digests, **cfg.model.toy)
     model = MultiTaskModel.build(encoder, vocab, tasks=cfg.train.tasks,
                                  head_seed=cfg.model.head_seed)
     result = None

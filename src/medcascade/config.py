@@ -1,8 +1,10 @@
-"""Pipeline configuration: one JSON file, flag overrides, env overrides.
+"""Pipeline configuration: one JSON file and flag overrides.
 
-Precedence is flags > environment > file > defaults.  The resolved config is
-embedded into every run manifest so each artifact can be reproduced from its
-manifest alone.
+Precedence is flags > file > defaults; ``load_config`` reads no environment.
+The only environment overrides are ``MEDCASCADE_LLM_URL`` and
+``MEDCASCADE_LLM_KEY``, which ``gateway.build_gateway`` applies to a live
+backend.  The resolved config is embedded into every run manifest so each
+artifact can be reproduced from its manifest alone.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 
+from .atomic import check_types
 from .encoder import EncoderConfig
 from .errors import ConfigInvalid
 from .gateway import GatewayConfig
@@ -76,8 +79,8 @@ class PipelineConfig:
         return os.path.join(self.workdir, "reports")
 
     def encoders_dir(self) -> str:
-        """Random encoder bases shared by the cells of a workdir: a cache, not
-        an output, so deleting it is safe."""
+        """Encoder bases, random or exported, shared by the cells of a
+        workdir: a cache, not an output, so deleting it is safe."""
         return os.path.join(self.workdir, "encoders")
 
     def cache_dir(self) -> str:
@@ -126,15 +129,10 @@ class PipelineConfig:
 
 
 def _check_types(cls, data: dict, section: str) -> None:
-    """Each value must have the type of its dataclass default, where that is
-    int (not bool), float (int accepted) or str."""
-    for key, value in data.items():
-        expected = type(cls.__dataclass_fields__[key].default)
-        accepted = (int, float) if expected is float else (expected,)
-        if expected in (int, float, str) and (
-                isinstance(value, bool) or not isinstance(value, accepted)):
-            raise ConfigInvalid(f"{section}.{key} must be {expected.__name__}, "
-                                f"got {value!r}")
+    try:
+        check_types(cls, data)
+    except TypeError as e:
+        raise ConfigInvalid(f"{section}.{e}") from e
 
 
 def _build_section(default, data: dict, section: str):

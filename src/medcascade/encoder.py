@@ -8,7 +8,7 @@ loads pretrained weights exported to ``weights.npz`` + ``vocab.txt`` (see
     h1 = LN(x + SelfAttention(x))
     h2 = LN(h1 + FFN(h1))
 
-Base parameters are always frozen, and random ones are read-only.
+Base parameters are always frozen and read-only, random and pretrained alike.
 Gradients are computed only for attached low-rank adapters; classification
 heads live in ``trainer``.  The backward pass therefore threads d(pooled)
 down through every block, collects adapter gradients along the way, and
@@ -30,9 +30,12 @@ Hot-path choices:
 - A training forward evaluates erf once per GELU and keeps the GELU
   derivative for backward; an eval forward keeps no per-layer cache.
 - Random base weights are drawn one matrix per child seed stream, on a few
-  threads, so they depend on the seed and shapes only.  ``train`` draws them
-  once per workdir, into ``<workdir>/encoders/<base_key>.npy``, and every
-  cell maps that file read-only instead of drawing again; a write into the
+  threads, so they depend on the seed and shapes only.
+- Every base, random or pretrained, is one flat float64 array built by
+  ``frozen_base``.  ``train`` fills it once per workdir into
+  ``<workdir>/encoders/<key>.npy`` (a random base is drawn into it, an
+  export's parameters are copied from ``weights.npz``), and every cell maps
+  that file read-only instead of drawing or loading again; a write into the
   base raises, so the freeze contract holds by construction.
 """
 
@@ -46,10 +49,11 @@ import re
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .atomic import write_atomic, write_json
+from .atomic import check_types, write_atomic, write_json
 from .errors import CorruptArtifact, EncoderUnavailable, ShapeMismatch
 from .lora import (DEFAULT_TARGET_PATTERNS, LoraAdapter, adapter_backward, adapter_delta,
                    init_adapter)
@@ -126,6 +130,11 @@ class EncoderConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        least = {"vocab_size": HashWordTokenizer.n_reserved + 1, "d_model": 1, "n_layers": 0,
+                 "n_heads": 1, "d_ff": 1, "max_len": 1}
+        for key, value in least.items():
+            if getattr(self, key) < value:
+                raise ShapeMismatch(f"{key} must be >= {value}, got {getattr(self, key)}")
         if self.d_model % self.n_heads != 0:
             raise ShapeMismatch(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.pooling not in ("cls", "mean"):
@@ -173,37 +182,61 @@ def _fill_base(views: dict[str, np.ndarray], c: EncoderConfig) -> None:
     _draw_normal(drawn, c.init_std, c.seed)
 
 
+def _key(decides) -> str:
+    """Names a stored base by the JSON form of what decides its bytes, and by
+    this module's source, which fixes the layout."""
+    h = hashlib.sha256(json.dumps(decides, sort_keys=True).encode("utf-8"))
+    with open(__file__, "rb") as fh:
+        h.update(fh.read())
+    return h.hexdigest()
+
+
 def base_key(c: EncoderConfig) -> str:
     """Names a random base by what decides its bytes: the shapes, ``init_std``
     and ``seed``, numpy's version (``Generator`` streams may change between
     versions) and this module's source."""
     decides = {k: getattr(c, k) for k in ("vocab_size", "d_model", "n_layers", "d_ff",
                                           "max_len", "init_std", "seed")}
-    h = hashlib.sha256(json.dumps([decides, np.__version__], sort_keys=True).encode("utf-8"))
-    with open(__file__, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+    return _key([decides, np.__version__])
 
 
-def random_base(c: EncoderConfig, store_dir: str | None = None) -> dict[str, np.ndarray]:
-    """The random-init base parameters, read-only, so that no code can move
-    the frozen base.
+def export_digests(directory) -> dict[str, str | None]:
+    """The sha256 of each file of the encoder export in ``directory``, by
+    name; None for a file that cannot be read.  ``train`` takes them once per
+    invocation, for the cell's input hash and for the export's key in the
+    base store."""
+    digests = {}
+    for name in ("config.json", "weights.npz", "vocab.txt"):
+        try:
+            with open(os.path.join(directory, name), "rb") as fh:  # streamed, never held whole
+                digests[name] = hashlib.file_digest(fh, "sha256").hexdigest()
+        except OSError:
+            digests[name] = None
+    return digests
 
-    Without ``store_dir`` they are drawn into memory.  With it, they are views
-    of ``<store_dir>/<base_key>.npy``, one flat float64 array mapped
-    read-only; a missing file, or one that is not such an array of the right
-    size, is drawn again into a temp file that replaces it atomically.  Every
-    encoder built with the same key and store shares one file and its pages.
-    A newly drawn base removes every other ``.npy`` in the store: one base
-    per store, so stale keys do not pile up.
+
+def frozen_base(c: EncoderConfig, store_dir: str | None, key: str | None,
+                fill: Callable[[dict[str, np.ndarray]], None]) -> dict[str, np.ndarray]:
+    """The base parameters of ``c``, read-only views over one flat float64
+    array that ``fill(views)`` writes, so that no code can move a frozen base.
+
+    Without ``store_dir`` the array is filled in memory.  With it, it is
+    ``<store_dir>/<key>.npy`` mapped read-only; a missing file, or one that is
+    not such an array of the right size, is filled again into a temp file
+    that replaces it atomically.  The views map that temp file before the
+    rename publishes it, so no other process's sweep can remove it from under
+    them.  Every encoder built with the same key and store shares one file
+    and its pages.  A newly filled base removes every other ``.npy`` in the
+    store: one base per store, so stale keys do not pile up.
     """
+    c.validate()
     size = sum(int(np.prod(shape)) for shape in _base_shapes(c).values())
     if store_dir is None:
         flat = np.empty(size)
-        _fill_base(_base_views(flat, c), c)
+        fill(_base_views(flat, c))
         flat.flags.writeable = False
         return _base_views(flat, c)
-    path = os.path.join(store_dir, f"{base_key(c)}.npy")
+    path = os.path.join(store_dir, f"{key}.npy")
     try:
         flat = np.lib.format.open_memmap(path, mode="r")
         stored = flat.dtype == np.float64 and flat.shape == (size,) \
@@ -211,18 +244,37 @@ def random_base(c: EncoderConfig, store_dir: str | None = None) -> dict[str, np.
     except (OSError, ValueError):   # missing, or not an .npy that maps
         stored = False
     if not stored:
-        def draw(fh):
+        def write(fh):
             np.lib.format.write_array_header_1_0(
                 fh, {"descr": "<f8", "fortran_order": False, "shape": (size,)})
-            flat = np.memmap(fh, dtype=np.float64, mode="r+", offset=fh.tell(), shape=(size,))
-            _fill_base(_base_views(flat, c), c)
-        write_atomic(path, draw)
-        flat = np.lib.format.open_memmap(path, mode="r")
+            at = fh.tell()
+            fill(_base_views(np.memmap(fh, dtype=np.float64, mode="r+", offset=at,
+                                       shape=(size,)), c))
+            return np.memmap(fh, dtype=np.float64, mode="r", offset=at, shape=(size,))
+        flat = write_atomic(path, write)
         for name in os.listdir(store_dir):
             if name.endswith(".npy") and name != os.path.basename(path):
                 with contextlib.suppress(FileNotFoundError):   # removed meanwhile
                     os.remove(os.path.join(store_dir, name))
     return _base_views(flat.view(np.ndarray), c)   # plain arrays over the map
+
+
+def random_base(c: EncoderConfig, store_dir: str | None = None) -> dict[str, np.ndarray]:
+    """The random-init base parameters: a :func:`frozen_base` drawn by
+    :func:`_fill_base` and kept under :func:`base_key`."""
+    return frozen_base(c, store_dir, base_key(c), lambda views: _fill_base(views, c))
+
+
+def _checked(params, name: str, shape: tuple[int, ...]):
+    """``params[name]``: a base parameter the config implies, which must be
+    there at ``shape``."""
+    if name not in params:
+        raise ShapeMismatch(f"parameter {name} is missing")
+    array = params[name]
+    if array.shape != shape:
+        raise ShapeMismatch(f"parameter {name} has shape {array.shape}, "
+                            f"the config implies {shape}")
+    return array
 
 
 @dataclass
@@ -264,19 +316,8 @@ class NumpyTransformerEncoder:
         self.adapters: dict[str, LoraAdapter] = {}   # keyed by target name
         self._adapter_grads: dict[str, dict[str, np.ndarray]] = {}
         self.params = params
-        self._check_param_shapes()
-
-    # -- construction ------------------------------------------------------
-
-    def _check_param_shapes(self) -> None:
-        """Every base parameter the config implies must be there, at its
-        shape; extra arrays are ignored."""
-        for name, shape in _base_shapes(self.config).items():
-            if name not in self.params:
-                raise ShapeMismatch(f"parameter {name} is missing")
-            if self.params[name].shape != shape:
-                raise ShapeMismatch(f"parameter {name} has shape {self.params[name].shape}, "
-                                    f"the config implies {shape}")
+        for name, shape in _base_shapes(config).items():   # extra arrays are ignored
+            _checked(params, name, shape)
 
     # -- interface surface -------------------------------------------------
 
@@ -546,8 +587,17 @@ class NumpyTransformerEncoder:
                      lambda fh: np.savez(fh, **self.params))
 
     @classmethod
-    def from_pretrained_dir(cls, directory, pooling: str = "cls") -> "NumpyTransformerEncoder":
-        """Load a BERT-style encoder exported by ``hf_export`` (or save_base)."""
+    def from_pretrained_dir(cls, directory, pooling: str = "cls", store_dir: str | None = None,
+                            digests: dict | None = None) -> "NumpyTransformerEncoder":
+        """A BERT-style encoder exported by ``hf_export`` (or ``save_base``).
+
+        Its base is a :func:`frozen_base` keyed by the export's ``config.json``
+        and ``weights.npz`` (their :func:`export_digests`, taken here unless
+        ``digests`` is given).  Filling it copies each parameter from
+        ``weights.npz`` into its view, one archive member at a time; a stored
+        base is mapped without loading the archive at all.  A damaged export
+        is a ``UserError`` naming ``directory``.
+        """
         cfg_path = os.path.join(directory, "config.json")
         weights_path = os.path.join(directory, "weights.npz")
         vocab_path = os.path.join(directory, "vocab.txt")
@@ -556,25 +606,39 @@ class NumpyTransformerEncoder:
                 raise EncoderUnavailable(
                     f"{path} not found; export the encoder weights first "
                     "(see medcascade.hf_export.export_encoder)")
+
+        def copy(views):
+            try:
+                with np.load(weights_path) as data:
+                    for name, view in views.items():
+                        view[...] = _checked(data, name, view.shape)
+            except (OSError, EOFError, zipfile.BadZipFile, *CorruptArtifact.DECODE_ERRORS) as e:
+                raise EncoderUnavailable(
+                    f"unreadable encoder export in {directory}: {e!r}") from e
+
         try:
             with open(cfg_path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            known = set(EncoderConfig.__dataclass_fields__)
-            config = EncoderConfig(**{k: v for k, v in raw.items() if k in known})
-            with np.load(weights_path) as data:
-                params = {name: np.asarray(data[name], dtype=float) for name in data.files}
-        except (OSError, EOFError, zipfile.BadZipFile, *CorruptArtifact.DECODE_ERRORS) as e:
+            fields = {k: v for k, v in raw.items()   # the export's pooling is overridden
+                      if k in EncoderConfig.__dataclass_fields__ and k != "pooling"}
+            check_types(EncoderConfig, fields)
+        except (OSError, *CorruptArtifact.DECODE_ERRORS) as e:
             raise EncoderUnavailable(f"unreadable encoder export in {directory}: {e!r}") from e
-        config.pooling = pooling
+        config = EncoderConfig(**fields, pooling=pooling)
+        key = None
+        if store_dir is not None:
+            digests = digests or export_digests(directory)
+            key = _key(["export", digests["config.json"], digests["weights.npz"]])
+        try:
+            params = frozen_base(config, store_dir, key, copy)
+        except ShapeMismatch as e:
+            raise ShapeMismatch(f"encoder export in {directory}: {e}") from e
         if os.path.exists(vocab_path):
             tokenizer = WordPieceTokenizer.from_vocab_file(
                 vocab_path, do_lower_case=bool(raw.get("do_lower_case", False)))
         else:
             tokenizer = HashWordTokenizer(config.vocab_size)
-        try:
-            return cls(config, tokenizer, params=params)
-        except ShapeMismatch as e:
-            raise ShapeMismatch(f"encoder export in {directory}: {e}") from e
+        return cls(config, tokenizer, params=params)
 
 
 def build_toy_encoder(seed: int = 0, store_dir: str | None = None,
@@ -582,21 +646,24 @@ def build_toy_encoder(seed: int = 0, store_dir: str | None = None,
     """The small randomly initialized encoder used for desk-scale runs; its
     base is kept in ``store_dir`` if one is given (see :func:`random_base`)."""
     config = EncoderConfig(seed=seed, **overrides)
-    return NumpyTransformerEncoder(config, HashWordTokenizer(config.vocab_size),
-                                   params=random_base(config, store_dir))
+    params = random_base(config, store_dir)   # validates the config first
+    return NumpyTransformerEncoder(config, HashWordTokenizer(config.vocab_size), params=params)
 
 
 def resolve_encoder(backend_id: str, weights_dir: str | None = None, seed: int = 0,
                     pooling: str = "cls", store_dir: str | None = None,
+                    digests: dict | None = None,
                     **toy_overrides) -> NumpyTransformerEncoder:
     """Map a backend identifier from config to an encoder instance.
 
-    A set ``weights_dir`` is loaded whatever the backend id, ``toy`` included;
-    without one, ``toy`` is the randomly initialized encoder, its base kept
-    in ``store_dir`` if one is given.
+    A set ``weights_dir`` is loaded whatever the backend id, ``toy`` included
+    (``digests`` are its :func:`export_digests`, if already taken); without
+    one, ``toy`` is the randomly initialized encoder.  Either base is kept in
+    ``store_dir`` if one is given.
     """
     if weights_dir:
-        return NumpyTransformerEncoder.from_pretrained_dir(weights_dir, pooling=pooling)
+        return NumpyTransformerEncoder.from_pretrained_dir(
+            weights_dir, pooling=pooling, store_dir=store_dir, digests=digests)
     if backend_id == "toy":
         return build_toy_encoder(seed=seed, store_dir=store_dir, pooling=pooling,
                                  **toy_overrides)

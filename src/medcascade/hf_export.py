@@ -4,7 +4,9 @@ Optional: needs the ``hf`` extra (transformers + torch).  The output
 directory (config.json, weights.npz, vocab.txt) is what
 ``NumpyTransformerEncoder.from_pretrained_dir`` and the pretrained backend
 ids in ``resolve_encoder`` consume, so heavyweight dependencies are confined
-to this one-off conversion step.
+to this one-off conversion step.  ``train`` reads ``weights.npz`` once, into
+the workdir's base store (``encoder.frozen_base``), and maps the stored copy
+read-only from then on.
 """
 
 from __future__ import annotations

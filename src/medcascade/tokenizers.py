@@ -62,6 +62,9 @@ class WordPieceTokenizer:
     def __init__(self, vocab: dict[str, int], do_lower_case: bool = False,
                  source: str = "vocab"):
         """``source`` names the vocabulary in errors (the file it came from)."""
+        missing = [t for t in ("[PAD]", "[UNK]", "[CLS]") if t not in vocab]
+        if missing:
+            raise VocabInvalid(f"{source} has no {', '.join(missing)} token")
         self.vocab = vocab
         self.do_lower_case = do_lower_case
         self.pad_id = vocab["[PAD]"]
@@ -82,9 +85,12 @@ class WordPieceTokenizer:
     @classmethod
     def from_vocab_file(cls, path, **kwargs) -> "WordPieceTokenizer":
         vocab: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh):
-                vocab[line.rstrip("\n")] = i
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for i, line in enumerate(fh):
+                    vocab[line.rstrip("\n")] = i
+        except UnicodeDecodeError as e:
+            raise VocabInvalid(f"{path} is not UTF-8 text: {e}") from e
         return cls(vocab, source=str(path), **kwargs)
 
     @property

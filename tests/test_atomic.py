@@ -42,6 +42,11 @@ class TestWriteAtomic:
         assert path.read_text(encoding="utf-8") == "old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
 
+    def test_a_function_result_is_returned_once_the_file_is_in_place(self, tmp_path):
+        path = tmp_path / "a.bin"
+        assert write_atomic(path, lambda fh: fh.write(b"abc") and path.exists()) is False
+        assert path.read_bytes() == b"abc"
+
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text("old", encoding="utf-8")

@@ -445,6 +445,51 @@ class TestEncoderWeights:
         assert manifest["pipeline_config"]["model"]["backend_id"] == "exported"
         assert "train_config" not in manifest   # pipeline_config.train holds it
 
+    def _exported_config(self, workspace, export="weights") -> str:
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config["model"] = {"weights_dir": export}
+        (workspace / "exported.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", "exported.json") == 0
+        assert run("variants", "--config", "exported.json", "--condition", "normal") == 0
+        return "exported.json"
+
+    def test_an_export_is_mapped_from_the_store_and_loaded_once(self, workspace, monkeypatch):
+        import builtins
+
+        import numpy as np
+        from medcascade.encoder import build_toy_encoder
+        build_toy_encoder(seed=5).save_base("weights")
+        config = self._exported_config(workspace)
+        weights = os.path.join("weights", "weights.npz")
+        opens, loads = [], []
+        real_open, real_load = builtins.open, np.load
+        monkeypatch.setattr(builtins, "open", lambda f, *a, **k: (
+            opens.append(1) if os.fspath(f) == weights else None) or real_open(f, *a, **k))
+        monkeypatch.setattr(np, "load", lambda f, *a, **k: (
+            loads.append(1) if os.fspath(f) == weights else None) or real_load(f, *a, **k))
+        counts = []
+        for arm in ((), ("--no-finetune",)):
+            opens.clear()
+            loads.clear()
+            assert run("train", "--config", config, "--condition", "normal", *arm) == 0
+            counts.append((len(opens), len(loads)))
+        # the first cell hashes the export and copies it into the store; the
+        # second only hashes it, and maps the stored base
+        assert counts == [(2, 1), (1, 0)]
+        assert [p.suffix for p in (workspace / "work" / "encoders").iterdir()] == [".npy"]
+
+    def test_an_export_with_a_damaged_vocabulary_is_a_user_error(self, workspace, capsys):
+        from medcascade.encoder import build_toy_encoder
+        build_toy_encoder(seed=5).save_base("export_dir")
+        (workspace / "export_dir" / "vocab.txt").write_text("[UNK]\n[CLS]\n[SEP]\n",
+                                                            encoding="utf-8")
+        config = self._exported_config(workspace, "export_dir")
+        capsys.readouterr()
+        assert run("train", "--config", config, "--condition", "normal", "--no-finetune") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("VocabInvalid: ")
+        assert "[PAD]" in err and "export_dir" in err
+
     def test_an_export_that_misses_a_parameter_is_a_user_error(self, workspace, capsys):
         import numpy as np
         from medcascade.encoder import build_toy_encoder
@@ -545,6 +590,22 @@ class TestErrors:
     def test_unknown_config_key(self, workspace, capsys):
         (workspace / "bad.json").write_text(json.dumps({"trian": {}}), encoding="utf-8")
         assert run("ingest", "--config", "bad.json") == 1
+
+    @pytest.mark.parametrize("toy, named", [({"n_heads": 0}, "n_heads"),
+                                            ({"d_model": -4}, "d_model"),
+                                            ({"vocab_size": 3}, "vocab_size")],
+                             ids=["n_heads-0", "d_model-negative", "vocab_size-3"])
+    def test_a_toy_shape_no_encoder_has_is_a_user_error(self, workspace, capsys, toy, named):
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config["model"]["toy"].update(toy)
+        (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", "bad.json") == 0
+        assert run("variants", "--config", "bad.json", "--condition", "normal") == 0
+        capsys.readouterr()
+        assert run("train", "--config", "bad.json", "--condition", "normal",
+                   "--no-finetune") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ShapeMismatch: ") and named in err
 
     @pytest.mark.parametrize("section, value, named", [
         ("model", {"toy": {"seed": 3}}, "'model.toy': ['seed']"),

@@ -1,5 +1,8 @@
+import ast
+import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from medcascade import encoder as encoder_module
 from medcascade.encoder import (NEG_INF, EncoderConfig, NumpyTransformerEncoder,
                                 build_toy_encoder, gelu, gelu_grad, resolve_encoder)
-from medcascade.errors import EncoderUnavailable, ShapeMismatch, VocabInvalid
+from medcascade.errors import EncoderUnavailable, ShapeMismatch, UserError, VocabInvalid
 from medcascade.lora import adapted_forward, adapter_backward, adapter_delta
 from medcascade.tokenizers import HashWordTokenizer, WordPieceTokenizer
 
@@ -606,10 +609,35 @@ class TestBaseStore:
         assert path.read_bytes() == data
         assert os.listdir(tmp_path) == [path.name]   # no temp file left behind
 
-    @pytest.mark.parametrize("stored", [False, True])
-    def test_every_base_parameter_is_read_only(self, tmp_path, stored):
-        enc = build_toy_encoder(seed=3, store_dir=str(tmp_path) if stored else None,
-                                **self.SHAPE)
+    def test_a_base_swept_right_after_its_rename_still_maps(self, tmp_path, monkeypatch):
+        """Another process's sweep may remove the file the moment it is
+        published: the views already map the bytes this process wrote."""
+        real = encoder_module.write_atomic
+
+        def swept(path, data):
+            result = real(path, data)
+            os.remove(path)
+            return result
+
+        monkeypatch.setattr(encoder_module, "write_atomic", swept)
+        c = self._config()
+        params = encoder_module.random_base(c, str(tmp_path))
+        assert os.listdir(tmp_path) == []
+        in_memory = encoder_module.random_base(c)
+        for name in in_memory:
+            assert params[name].tobytes() == in_memory[name].tobytes(), name
+
+    @pytest.mark.parametrize("stored, exported", [(False, False), (True, False),
+                                                  (False, True), (True, True)],
+                             ids=["False", "True", "exported-False", "exported-True"])
+    def test_every_base_parameter_is_read_only(self, tmp_path, stored, exported):
+        store = str(tmp_path / "store") if stored else None
+        if exported:
+            build_toy_encoder(seed=3, **self.SHAPE).save_base(tmp_path / "export")
+            enc = NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "export",
+                                                              store_dir=store)
+        else:
+            enc = build_toy_encoder(seed=3, store_dir=store, **self.SHAPE)
         for name, arr in enc.params.items():
             with pytest.raises(ValueError):
                 arr[...] = 0.0
@@ -635,6 +663,26 @@ class TestPersistence:
         with pytest.raises(EncoderUnavailable, match=re.escape(str(tmp_path / "enc"))):
             NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "enc")
 
+    @pytest.mark.parametrize("damage", ["config-type", "config-heads", "vocab-no-pad",
+                                        "vocab-not-utf8"])
+    def test_a_damaged_export_is_a_user_error_naming_it(self, tmp_path, damage):
+        export = tmp_path / "enc"
+        tiny_encoder().save_base(export)
+        config = json.loads((export / "config.json").read_text(encoding="utf-8"))
+        vocab = ["[PAD]", "[UNK]", "[CLS]", "[SEP]"] + [f"w{i}" for i in range(60)]
+        if damage == "config-type":
+            config["d_model"] = "16"
+        elif damage == "config-heads":
+            config["n_heads"] = 0
+        elif damage == "vocab-no-pad":
+            vocab.remove("[PAD]")
+        (export / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        (export / "vocab.txt").write_text("\n".join(vocab) + "\n", encoding="utf-8")
+        if damage == "vocab-not-utf8":
+            (export / "vocab.txt").write_bytes(b"[PAD]\n\xff\xfe\n")
+        with pytest.raises(UserError, match=re.escape(str(export))):
+            NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(tmp_path / "s"))
+
     def test_resolve_toy(self):
         enc = resolve_encoder("toy", seed=1, d_model=16, n_layers=1, n_heads=2,
                               d_ff=16, vocab_size=32, max_len=8)
@@ -647,6 +695,106 @@ class TestPersistence:
     def test_resolve_unknown(self):
         with pytest.raises(EncoderUnavailable):
             resolve_encoder("not-a-backend")
+
+
+class TestExportStore:
+    """An export's base is a stored, read-only map like a random base."""
+    SHAPE = TestBaseStore.SHAPE
+
+    @pytest.fixture
+    def export(self, tmp_path):
+        build_toy_encoder(seed=3, **self.SHAPE).save_base(tmp_path / "export")
+        return tmp_path / "export"
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """The paths ``np.load`` is called on."""
+        calls = []
+        real = np.load
+        monkeypatch.setattr(np, "load",
+                            lambda f, *a, **k: calls.append(str(f)) or real(f, *a, **k))
+        return calls
+
+    def test_a_stored_export_has_its_bits_and_is_loaded_once(self, tmp_path, export, loads):
+        store = tmp_path / "store"
+        first = NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
+        second = NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
+        assert loads == [str(export / "weights.npz")]
+        assert len(os.listdir(store)) == 1
+        in_memory = NumpyTransformerEncoder.from_pretrained_dir(export)
+        with np.load(export / "weights.npz") as data:
+            for name, arr in second.params.items():
+                assert arr.tobytes() == data[name].tobytes() == first.params[name].tobytes()
+                assert in_memory.params[name].tobytes() == arr.tobytes(), name
+
+    def test_given_digests_are_not_taken_again(self, tmp_path, export, monkeypatch):
+        digests = encoder_module.export_digests(export)
+        monkeypatch.setattr(encoder_module, "export_digests", lambda d: pytest.fail("hashed"))
+        enc = resolve_encoder("toy", weights_dir=str(export), store_dir=str(tmp_path / "s"),
+                              digests=digests)
+        assert enc.base_state_bytes() == tiny_encoder().base_state_bytes()
+
+    def test_a_new_export_gets_a_new_key_and_sweeps_the_old(self, tmp_path, export):
+        store = tmp_path / "store"
+        NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
+        old = os.listdir(store)
+        build_toy_encoder(seed=4, **self.SHAPE).save_base(export)
+        enc = NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
+        assert len(os.listdir(store)) == 1 and os.listdir(store) != old
+        assert enc.base_state_bytes() == tiny_encoder(seed=4).base_state_bytes()
+
+    def test_a_new_vocabulary_keeps_the_stored_base(self, tmp_path, export, loads):
+        """The key covers the files that decide the base's bytes, and the
+        vocabulary is not one of them."""
+        store = tmp_path / "store"
+        NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
+        stored = os.listdir(store)
+        (export / "vocab.txt").write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\n", encoding="utf-8")
+        enc = NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
+        assert isinstance(enc.tokenizer, WordPieceTokenizer)
+        assert os.listdir(store) == stored and len(loads) == 1
+
+    @pytest.mark.parametrize("damage", ["missing", "shape"])
+    def test_a_bad_parameter_is_never_published(self, tmp_path, export, damage):
+        with np.load(export / "weights.npz") as data:
+            arrays = {name: data[name] for name in data.files}
+        if damage == "missing":
+            del arrays["layer.1.ffn.inner.W"]
+        else:
+            arrays["layer.1.ffn.inner.W"] = arrays["layer.1.ffn.inner.W"][:, :-1]
+        np.savez(export / "weights.npz", **arrays)
+        store = tmp_path / "store"
+        with pytest.raises(ShapeMismatch, match=re.escape(str(export))) as err:
+            NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
+        assert "layer.1.ffn.inner.W" in str(err.value)
+        assert os.listdir(store) == []
+
+
+def test_one_function_under_src_maps_a_file():
+    """Every frozen base goes through ``encoder.frozen_base``: no other
+    function calls ``np.memmap`` or ``open_memmap``."""
+    src = Path(__file__).resolve().parents[1] / "src" / "medcascade"
+    users = set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outer = [node for top in tree.body
+                 for node in ([top] if not isinstance(top, ast.ClassDef) else top.body)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for fn in outer:
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and \
+                        ast.unparse(call.func).split(".")[-1] in ("memmap", "open_memmap"):
+                    users.add(f"{path.name}:{fn.name}")
+    assert users == {"encoder.py:frozen_base"}
+
+
+def test_only_the_encoder_and_its_writer_name_the_export_weights():
+    """``encoder`` reads an export and ``hf_export`` writes one; no other
+    module knows its file names."""
+    src = Path(__file__).resolve().parents[1] / "src" / "medcascade"
+    users = sorted(p.name for p in src.rglob("*.py")
+                   if "weights.npz" in p.read_text(encoding="utf-8"))
+    assert users == ["encoder.py", "hf_export.py"]
 
 
 class TestHuggingFaceParity:
