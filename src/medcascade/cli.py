@@ -29,7 +29,7 @@ from .errors import CorruptArtifact, MedcascadeError, MissingUpstreamArtifact, U
 from .evaluator import ReportCell, TaskScores, evaluate, prediction_dump, render_report
 from .gateway import build_gateway
 from .lora import save_adapter_set
-from .preprocess import BundleStore, PromptLibrary, run_bundle
+from .preprocess import BundleStore, run_bundle, template_hashes
 from .trainer import MultiTaskModel, train
 from .variants import CONDITIONS, build_variant, load_variant, variant_paths, write_variant
 
@@ -148,12 +148,11 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     split_paths = [_require(_split_path(cfg, part), "ingest") for part in SPLITS]
-    prompts = PromptLibrary()
     gw = build_gateway(replace(cfg.gateway, cache_dir=cfg.cache_dir()))
     # the scope holds a live backend's url and model, the mock's lexicon
     input_hash = _hash_inputs([*split_paths, *STAGE_SOURCES["preprocess"]], cfg.gateway.backend,
-                              gw.backend.scope, prompts.hashes("sentinel"),
-                              prompts.hashes("instruct"))
+                              gw.backend.scope, template_hashes("sentinel"),
+                              template_hashes("instruct"))
     state = _preprocess_state(cfg)
     if _up_to_date(state, input_hash, [cfg.bundles_dir()]):
         print("preprocess: up to date (0 gateway calls)")
@@ -161,7 +160,7 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
 
     records = [record for path in split_paths for record in load_corpus(path)[0]]
     store = BundleStore(cfg.bundles_dir())
-    bundles = run_bundle(records, gw, store, resume=args.resume, prompts=prompts)
+    bundles = run_bundle(records, gw, store, resume=args.resume)
     _write_state(state, input_hash, [cfg.bundles_dir()])
     print(f"preprocess: {len(bundles)} bundles in {cfg.bundles_dir()} "
           f"({gw.backend_calls} gateway calls, {gw.cache_hits} cache hits)")

@@ -98,8 +98,16 @@ class PipelineConfig:
             self.train.validate()
         except ValueError as e:
             raise ConfigInvalid(str(e)) from e
-        if len(self.split.ratios) != 3:
-            raise ConfigInvalid(f"split.ratios must have 3 entries, got {self.split.ratios}")
+        if self.corpus_format not in ("jsonl", "csv"):
+            raise ConfigInvalid(f"corpus_format must be 'jsonl' or 'csv', "
+                                f"got {self.corpus_format!r}")
+        ratios = self.split.ratios
+        if not (isinstance(ratios, (list, tuple)) and len(ratios) == 3 and all(
+                isinstance(r, (int, float)) and not isinstance(r, bool) and r > 0
+                for r in ratios)):
+            raise ConfigInvalid(f"split.ratios must be 3 positive numbers, got {ratios!r}")
+        if abs(sum(ratios) - 1.0) > 1e-9:
+            raise ConfigInvalid(f"split.ratios must sum to 1, got {ratios!r}")
         if self.adapter.rank < 1:
             raise ConfigInvalid("adapter.rank must be >= 1")
         if not 0.0 <= self.adapter.dropout < 1.0:

@@ -104,10 +104,6 @@ def read_manifest(path: str) -> CorpusManifest:
     return read_json(path, build=CorpusManifest.from_json)
 
 
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
-
-
 def _parse_record(raw: dict, line_no: int, vocab: dict[str, list[str]]) -> ComplaintRecord:
     rid = raw.get("id")
     if not isinstance(rid, str) or not rid:
@@ -140,9 +136,9 @@ def _parse_record(raw: dict, line_no: int, vocab: dict[str, list[str]]) -> Compl
         raise UnknownLabel(rid, "severity", severity)
     if diagnosis is not None and "diagnosis" in vocab and diagnosis not in vocab["diagnosis"]:
         raise UnknownLabel(rid, "diagnosis", diagnosis)
-    return ComplaintRecord(id=rid, text=_nfc(text), age=age, gender=gender,
-                           labels=LabelSet(condition_type=ctype, severity=severity,
-                                           diagnosis=diagnosis))
+    return ComplaintRecord(id=rid, text=unicodedata.normalize("NFC", text), age=age,
+                           gender=gender, labels=LabelSet(condition_type=ctype,
+                                                          severity=severity, diagnosis=diagnosis))
 
 
 def _jsonl_rows(fh):

@@ -277,6 +277,19 @@ def _checked(params, name: str, shape: tuple[int, ...]):
     return array
 
 
+def write_export(directory, config: dict, params: dict[str, np.ndarray],
+                 vocab: list[str] | None = None) -> None:
+    """Write the export :meth:`NumpyTransformerEncoder.from_pretrained_dir`
+    reads: ``weights.npz``, ``vocab.txt`` (one token per line, in id order)
+    if ``vocab`` is given, and ``config.json`` last.  Each file is replaced
+    atomically, so an export that fails part-way leaves the previous one's
+    files in place."""
+    write_atomic(os.path.join(directory, "weights.npz"), lambda fh: np.savez(fh, **params))
+    if vocab is not None:
+        write_atomic(os.path.join(directory, "vocab.txt"), "".join(f"{t}\n" for t in vocab))
+    write_json(os.path.join(directory, "config.json"), config)
+
+
 @dataclass
 class _Rows:
     """Where the rows of a packed ``(N, D)`` matrix sit in a padded ``(B, L)``
@@ -582,9 +595,7 @@ class NumpyTransformerEncoder:
     # -- persistence -------------------------------------------------------
 
     def save_base(self, directory) -> None:
-        write_json(os.path.join(directory, "config.json"), asdict(self.config))
-        write_atomic(os.path.join(directory, "weights.npz"),
-                     lambda fh: np.savez(fh, **self.params))
+        write_export(directory, asdict(self.config), self.params)
 
     @classmethod
     def from_pretrained_dir(cls, directory, pooling: str = "cls", store_dir: str | None = None,

@@ -42,8 +42,7 @@ def _check_lengths(preds, golds) -> None:
 def accuracy(preds, golds) -> float:
     """Fraction of exact matches."""
     _check_lengths(preds, golds)
-    matches = sum(1 for p, g in zip(preds, golds) if p == g)
-    return matches / len(golds)
+    return _rates(_confusion(preds, golds, dict.fromkeys([*golds, *preds])))[0]
 
 
 def balanced_accuracy(preds, golds, vocab) -> float:
@@ -55,23 +54,8 @@ def balanced_accuracy(preds, golds, vocab) -> float:
     excluded from the mean.
     """
     _check_lengths(preds, golds)
-    if all(isinstance(g, (int, np.integer)) for g in golds):
-        classes = list(range(len(vocab)))
-    else:
-        classes = list(vocab)
-    class_set = set(classes)
-    for g in set(golds):
-        if g not in class_set:
-            raise VocabMismatch(f"gold label {g!r} not in vocabulary")
-    gold_set = set(golds)
-    recalls = []
-    for cls in classes:
-        if cls not in gold_set:
-            continue
-        correct = sum(1 for p, g in zip(preds, golds) if g == cls and p == cls)
-        total = sum(1 for g in golds if g == cls)
-        recalls.append(correct / total)
-    return sum(recalls) / len(recalls)
+    indices = all(isinstance(g, (int, np.integer)) for g in golds)
+    return _rates(_confusion(preds, golds, range(len(vocab)) if indices else vocab))[1]
 
 
 def confusion_matrix(preds, golds, n_classes: int) -> list[list[int]]:
@@ -80,6 +64,24 @@ def confusion_matrix(preds, golds, n_classes: int) -> list[list[int]]:
     for p, g in zip(preds, golds):
         matrix[int(g)][int(p)] += 1
     return matrix
+
+
+def _confusion(preds, golds, classes) -> list[list[int]]:
+    """``confusion_matrix`` of labels from ``classes``, rows in its order."""
+    index = {cls: i for i, cls in enumerate(classes)}
+    for label in {*golds, *preds}:
+        if label not in index:
+            raise VocabMismatch(f"label {label!r} not in vocabulary")
+    return confusion_matrix([index[p] for p in preds], [index[g] for g in golds], len(index))
+
+
+def _rates(matrix: list[list[int]]) -> tuple[float, float]:
+    """Accuracy and balanced accuracy off a confusion matrix's rows: the
+    diagonal over all counts, and the mean recall of the rows that hold a
+    gold, summed in row order."""
+    recalls = [row[i] / sum(row) for i, row in enumerate(matrix) if sum(row)]
+    correct = sum(row[i] for i, row in enumerate(matrix))
+    return correct / sum(map(sum, matrix)), sum(recalls) / len(recalls)
 
 
 def evaluate(model: MultiTaskModel, dataset: DatasetVariant,
@@ -91,21 +93,16 @@ def evaluate(model: MultiTaskModel, dataset: DatasetVariant,
     """
     if not dataset.examples:
         raise EmptyInput("dataset has no examples")
+    targets = model.targets(dataset)
     texts = [ex.input_text for ex in dataset.examples]
     preds = predict(model, texts)
     scores: dict[str, TaskScores] = {}
-    for task in model.tasks:
-        vocab = model.task_vocabs[task]
-        golds = [model.label_index(task, ex.labels.get(task), ex.record_id)
-                 for ex in dataset.examples]
-        task_preds = [int(i) for i in preds[task]["indices"]]
-        scores[task] = TaskScores(
-            task=task,
-            accuracy=accuracy(task_preds, golds),
-            balanced_accuracy=balanced_accuracy(task_preds, golds, vocab),
-            n=len(golds),
-            confusion=confusion_matrix(task_preds, golds, len(vocab)),
-        )
+    for task, golds in targets.items():
+        confusion = confusion_matrix(preds[task]["indices"], golds,
+                                     len(model.task_vocabs[task]))
+        acc, balanced = _rates(confusion)
+        scores[task] = TaskScores(task=task, accuracy=acc, balanced_accuracy=balanced,
+                                  n=len(golds), confusion=confusion)
     return scores, preds
 
 

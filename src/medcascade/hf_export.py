@@ -11,11 +11,9 @@ read-only from then on.
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 
+from .encoder import write_export
 from .errors import EncoderUnavailable
 
 _STATIC_RENAMES = {
@@ -80,7 +78,6 @@ def export_encoder(model_id: str, out_dir: str, pooling: str = "cls") -> str:
     params = convert_state_dict(state)
     hf_cfg = model.config
 
-    os.makedirs(out_dir, exist_ok=True)
     config = {
         "vocab_size": hf_cfg.vocab_size,
         "d_model": hf_cfg.hidden_size,
@@ -93,11 +90,6 @@ def export_encoder(model_id: str, out_dir: str, pooling: str = "cls") -> str:
         "do_lower_case": bool(getattr(tokenizer, "do_lower_case", False)),
         "source_model": model_id,
     }
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(config, fh, sort_keys=True, indent=2)
-    np.savez(os.path.join(out_dir, "weights.npz"), **params)
     vocab = sorted(tokenizer.get_vocab().items(), key=lambda kv: kv[1])
-    with open(os.path.join(out_dir, "vocab.txt"), "w", encoding="utf-8") as fh:
-        for token, _ in vocab:
-            fh.write(token + "\n")
+    write_export(out_dir, config, params, [token for token, _ in vocab])
     return out_dir

@@ -27,6 +27,7 @@ import logging
 import os
 import re
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from .corpus import ComplaintRecord, scrub_pii
 from .atomic import append_jsonl, json_line, read_jsonl
@@ -38,7 +39,7 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("refine", "summarize", "ner")
 
-_PROMPTS_ROOT = os.path.join(os.path.dirname(__file__), "prompts")
+_PROMPTS_ROOT = Path(__file__).parent / "prompts"
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?؟])\s+")
 _ITEM_SPLIT = re.compile(r"[,،;؛]")
 
@@ -86,26 +87,21 @@ class PreprocessBundle:
                    prompt_hashes=data.get("prompt_hashes", {}))
 
 
-class PromptLibrary:
-    """Versioned prompt templates, one file per (style, stage)."""
+# Read once per process, at import, so the layers open no file and a missing
+# template fails before the first gateway call.
+TEMPLATES = {(style, stage): (_PROMPTS_ROOT / style / f"{stage}.txt").read_text(encoding="utf-8")
+             for style in ("sentinel", "instruct") for stage in STAGES}
 
-    def __init__(self, root: str = _PROMPTS_ROOT):
-        self.root = root
-        self._templates: dict[tuple[str, str], str] = {}
-        for style in ("sentinel", "instruct"):
-            for stage in STAGES:
-                path = os.path.join(root, style, f"{stage}.txt")
-                with open(path, encoding="utf-8") as fh:
-                    self._templates[(style, stage)] = fh.read()
 
-    def render(self, style: str, stage: str, text: str) -> str:
-        return self._templates[(style, stage)].format(text=text)
+def render(style: str, stage: str, text: str) -> str:
+    """The ``style`` template of ``stage`` with ``text`` in place."""
+    return TEMPLATES[(style, stage)].format(text=text)
 
-    def hash(self, style: str, stage: str) -> str:
-        return hashlib.sha256(self._templates[(style, stage)].encode("utf-8")).hexdigest()
 
-    def hashes(self, style: str) -> dict[str, str]:
-        return {stage: self.hash(style, stage) for stage in STAGES}
+def template_hashes(style: str) -> dict[str, str]:
+    """The sha256 of each stage's template in ``style``, by stage."""
+    return {stage: hashlib.sha256(TEMPLATES[(style, stage)].encode("utf-8")).hexdigest()
+            for stage in STAGES}
 
 
 def _source_text(record: ComplaintRecord) -> str:
@@ -126,22 +122,19 @@ def _ask(gw: Gateway, prompt: str) -> str:
     return gw.complete(prompt)
 
 
-def refine(record: ComplaintRecord, gw: Gateway, prompts: PromptLibrary | None = None) -> str:
+def refine(record: ComplaintRecord, gw: Gateway) -> str:
     """Cleaned restatement of the complaint, medical content preserved."""
     text = _source_text(record)
-    prompts = prompts or PromptLibrary()
-    out = _ask(gw, prompts.render(gw.backend.prompt_style, "refine", text))
+    out = _ask(gw, render(gw.backend.prompt_style, "refine", text))
     if _is_refusal(out):
         raise RefusalDetected(f"record {record.id!r}: refine output looks like a refusal")
     return out.strip()
 
 
-def summarize(record: ComplaintRecord, gw: Gateway,
-              prompts: PromptLibrary | None = None) -> str:
+def summarize(record: ComplaintRecord, gw: Gateway) -> str:
     """Compressed complaint; never longer than the source (clamped post-hoc)."""
     text = _source_text(record)
-    prompts = prompts or PromptLibrary()
-    out = _ask(gw, prompts.render(gw.backend.prompt_style, "summarize", text))
+    out = _ask(gw, render(gw.backend.prompt_style, "summarize", text))
     if _is_refusal(out):
         raise RefusalDetected(f"record {record.id!r}: summary output looks like a refusal")
     out = out.strip()
@@ -212,8 +205,7 @@ def parse_entities(output: str, source_text: str) -> list[Entity]:
     return deduped
 
 
-def extract_entities(record: ComplaintRecord, gw: Gateway,
-                     prompts: PromptLibrary | None = None) -> list[Entity]:
+def extract_entities(record: ComplaintRecord, gw: Gateway) -> list[Entity]:
     """Deduplicated, order-of-first-mention entity list for one record.
 
     On an unparseable or refusal answer, reprompts once with a format
@@ -221,8 +213,7 @@ def extract_entities(record: ComplaintRecord, gw: Gateway,
     means no entities.
     """
     text = _source_text(record)
-    prompts = prompts or PromptLibrary()
-    prompt = prompts.render(gw.backend.prompt_style, "ner", text)
+    prompt = render(gw.backend.prompt_style, "ner", text)
     for attempt in range(2):
         try:
             out = _ask(gw, prompt)
@@ -302,7 +293,7 @@ class LedgerEntry:
     fatal: bool
 
 
-def _process_record(record: ComplaintRecord, gw: Gateway, prompts: PromptLibrary,
+def _process_record(record: ComplaintRecord, gw: Gateway,
                     hashes: dict[str, str]) -> tuple[PreprocessBundle, list[LedgerEntry]]:
     """One record's bundle through all three layers, and its ledger entries."""
     scrubbed = scrub_pii(record.text)
@@ -313,17 +304,17 @@ def _process_record(record: ComplaintRecord, gw: Gateway, prompts: PromptLibrary
                              age=record.age, gender=record.gender)
     ledger: list[LedgerEntry] = []
     try:
-        refined = refine(source, gw, prompts)
+        refined = refine(source, gw)
     except MedcascadeError as e:
         ledger.append(LedgerEntry(record.id, "refine", e.category, fatal=True))
         refined = scrubbed.strip()
     try:
-        summarized = summarize(source, gw, prompts)
+        summarized = summarize(source, gw)
     except MedcascadeError as e:
         ledger.append(LedgerEntry(record.id, "summarize", e.category, fatal=True))
         summarized = scrubbed.strip()
     try:
-        entities = extract_entities(source, gw, prompts)
+        entities = extract_entities(source, gw)
     except MedcascadeError as e:
         ledger.append(LedgerEntry(record.id, "ner", e.category, fatal=False))
         entities = []
@@ -331,8 +322,7 @@ def _process_record(record: ComplaintRecord, gw: Gateway, prompts: PromptLibrary
 
 
 def run_bundle(records: list[ComplaintRecord], gw: Gateway, store: BundleStore,
-               resume: bool = False,
-               prompts: PromptLibrary | None = None) -> list[PreprocessBundle]:
+               resume: bool = False) -> list[PreprocessBundle]:
     """Produce one bundle per record through all three layers.
 
     Never loses a record: stage failures are recorded in the failure ledger
@@ -343,9 +333,8 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway, store: BundleStore,
     whose bundle the log holds are skipped outright; without it the bundle
     log and the ledger start empty.
     """
-    prompts = prompts or PromptLibrary()
     ledger_path = os.path.join(store.directory, "failures.jsonl")
-    hashes = prompts.hashes(gw.backend.prompt_style)
+    hashes = template_hashes(gw.backend.prompt_style)
     if not resume:
         store.clear()
         if os.path.exists(ledger_path):
@@ -356,7 +345,7 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway, store: BundleStore,
         if resume and store.exists(record.id):
             bundles.append(store.load(record.id))
             continue
-        bundle, ledger = _process_record(record, gw, prompts, hashes)
+        bundle, ledger = _process_record(record, gw, hashes)
         store.save(bundle)
         bundles.append(bundle)
         try:

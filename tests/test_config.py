@@ -66,6 +66,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid):
             load_config(path)
 
+    def test_unknown_corpus_format_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"corpus_format": "xml"}))
+        with pytest.raises(ConfigInvalid, match="corpus_format"):
+            load_config(path)
+
+    @pytest.mark.parametrize("ratios", [[0.8, 0.2, 0.0], [0.9, 0.2, -0.1], [0.8, 0.1, 0.05],
+                                        [0.8, 0.1, "0.1"]])
+    def test_bad_split_ratios_rejected(self, tmp_path, ratios):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"split": {"ratios": ratios}}))
+        with pytest.raises(ConfigInvalid, match="split.ratios"):
+            load_config(path)
+
     def test_derived_paths_under_workdir(self):
         cfg = PipelineConfig(workdir="w")
         assert cfg.splits_dir().startswith("w")

@@ -2,7 +2,9 @@ import ast
 import json
 import os
 import re
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -695,6 +697,70 @@ class TestPersistence:
     def test_resolve_unknown(self):
         with pytest.raises(EncoderUnavailable):
             resolve_encoder("not-a-backend")
+
+
+class TestExportWriter:
+    """``hf_export.export_encoder`` run on stand-ins for torch and transformers
+    that serve a toy encoder's parameters under their Hugging Face names."""
+
+    VOCAB = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[unused0]"] + [f"w{i}" for i in range(59)]
+
+    @staticmethod
+    def fake_hf(monkeypatch, enc):
+        from medcascade import hf_export
+        static = {ours: theirs for theirs, ours in hf_export._STATIC_RENAMES.items()}
+        layer = {ours: theirs for theirs, ours in hf_export._LAYER_RENAMES.items()}
+
+        def hf_name(name):
+            if name in static:
+                return static[name]
+            _, i, rest = name.split(".", 2)
+            return f"encoder.layer.{i}.{layer[rest]}"
+
+        def tensor(array):
+            return SimpleNamespace(detach=lambda: SimpleNamespace(
+                cpu=lambda: SimpleNamespace(numpy=lambda: array)))
+
+        c = enc.config
+        model = SimpleNamespace(
+            state_dict=lambda: {hf_name(n): tensor(a) for n, a in enc.params.items()},
+            config=SimpleNamespace(vocab_size=c.vocab_size, hidden_size=c.d_model,
+                                   num_hidden_layers=c.n_layers, num_attention_heads=c.n_heads,
+                                   intermediate_size=c.d_ff, max_position_embeddings=c.max_len,
+                                   layer_norm_eps=c.layer_norm_eps))
+        vocab = TestExportWriter.VOCAB
+        tokenizer = SimpleNamespace(get_vocab=lambda: {t: i for i, t in enumerate(vocab)},
+                                    do_lower_case=False)
+        monkeypatch.setitem(sys.modules, "torch", SimpleNamespace())
+        monkeypatch.setitem(sys.modules, "transformers", SimpleNamespace(
+            AutoModel=SimpleNamespace(from_pretrained=lambda _: model),
+            AutoTokenizer=SimpleNamespace(from_pretrained=lambda _: tokenizer)))
+        return hf_export.export_encoder
+
+    def test_an_export_round_trips_through_from_pretrained_dir(self, tmp_path, monkeypatch):
+        enc = tiny_encoder()
+        export = self.fake_hf(monkeypatch, enc)("some/bert", str(tmp_path / "enc"))
+        loaded = NumpyTransformerEncoder.from_pretrained_dir(export)
+        assert loaded.base_state_bytes() == enc.base_state_bytes()
+        assert loaded.tokenizer.vocab == {t: i for i, t in enumerate(self.VOCAB)}
+        config = (tmp_path / "enc" / "config.json").read_text(encoding="utf-8")
+        assert config.endswith("}\n") and json.loads(config)["source_model"] == "some/bert"
+
+    def test_a_failed_export_leaves_the_previous_one_readable(self, tmp_path, monkeypatch):
+        first = tiny_encoder(seed=3)
+        export = self.fake_hf(monkeypatch, first)("some/bert", str(tmp_path / "enc"))
+
+        def torn_savez(file, **arrays):
+            file.write(b"PK\x03\x04")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError):
+            self.fake_hf(monkeypatch, tiny_encoder(seed=4))("some/bert", export)
+        monkeypatch.undo()
+        loaded = NumpyTransformerEncoder.from_pretrained_dir(export)
+        assert loaded.base_state_bytes() == first.base_state_bytes()
+        assert sorted(os.listdir(export)) == ["config.json", "vocab.txt", "weights.npz"]
 
 
 class TestExportStore:

@@ -6,9 +6,9 @@ import pytest
 from medcascade.errors import EmptySourceText, ParseFailure, RefusalDetected, UserError
 from medcascade.gateway import (Gateway, MockBackend, ResponseCache, RetryPolicy,
                                 TransientBackendError)
-from medcascade.preprocess import (BundleStore, Entity, PreprocessBundle, PromptLibrary,
-                                   extract_entities, parse_entities, refine, run_bundle,
-                                   summarize)
+from medcascade.preprocess import (BundleStore, Entity, PreprocessBundle,
+                                   extract_entities, parse_entities, refine, render,
+                                   run_bundle, summarize, template_hashes)
 from medcascade.variants import build_variant
 
 from conftest import make_record
@@ -379,23 +379,30 @@ class TestRunBundle:
         assert log.read_bytes().split(b"\n")[4] == data[:cut].split(b"\n")[4]
 
 
-class TestPromptLibrary:
+class TestTemplates:
     def test_templates_render_text(self):
-        lib = PromptLibrary()
         for style in ("sentinel", "instruct"):
             for stage in ("refine", "summarize", "ner"):
-                rendered = lib.render(style, stage, "PAYLOAD")
+                rendered = render(style, stage, "PAYLOAD")
                 assert "PAYLOAD" in rendered
 
     def test_sentinel_templates_start_with_sentinel(self):
-        lib = PromptLibrary()
-        assert lib.render("sentinel", "refine", "x").startswith("REFINE:")
-        assert lib.render("sentinel", "summarize", "x").startswith("SUMMARIZE:")
-        assert lib.render("sentinel", "ner", "x").startswith("NER:")
+        assert render("sentinel", "refine", "x").startswith("REFINE:")
+        assert render("sentinel", "summarize", "x").startswith("SUMMARIZE:")
+        assert render("sentinel", "ner", "x").startswith("NER:")
 
     def test_hashes_stable_and_distinct(self):
-        lib = PromptLibrary()
-        hashes = lib.hashes("instruct")
+        hashes = template_hashes("instruct")
         assert set(hashes) == {"refine", "summarize", "ner"}
         assert len(set(hashes.values())) == 3
-        assert hashes == PromptLibrary().hashes("instruct")
+        assert hashes == template_hashes("instruct")
+
+    def test_the_layers_open_no_file(self, monkeypatch):
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"a layer opened {args[0]!r}")
+
+        record = make_record("r1", SOURCE_COMPLAINT)
+        gw = Gateway(MockBackend())
+        monkeypatch.setattr("builtins.open", no_open)
+        assert refine(record, gw) and summarize(record, gw)
+        assert isinstance(extract_entities(record, gw), list)

@@ -1,8 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from medcascade import encoder as encoder_module, trainer as trainer_module
 from medcascade.corpus import LabelSet
 from medcascade.encoder import build_toy_encoder
 from medcascade.errors import EmptyClass, IndexOutOfVocab, VocabMismatch
@@ -228,6 +230,18 @@ class TestTrain:
         result = train(model, signal_variant(12), signal_variant(4, seed=9),
                        self._cfg(loss_mode="class_weighted"))
         assert set(result.class_weight_maps) == {"type", "severity"}
+
+    def test_no_training_cache_is_live_while_validating(self, monkeypatch):
+        live = []
+
+        def counting_predict(model, texts, **kwargs):
+            gc.collect()
+            live.append(sum(isinstance(o, encoder_module._Cache) for o in gc.get_objects()))
+            return predict(model, texts, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "predict", counting_predict)
+        train(tiny_model(), signal_variant(8), signal_variant(4, seed=9), self._cfg(epochs=2))
+        assert live == [0, 0]
 
     def test_best_params_selected_by_val_avg(self):
         model = tiny_model(seed=8)
