@@ -40,11 +40,10 @@ encoder.attach_adapters(
 model = MultiTaskModel.build(encoder, manifest.vocab, head_seed=13)
 print(f"\ntrainable parameters: {model.trainable_count()}")
 
-cfg = TrainConfig(batch_size=4, epochs=25, learning_rate=2e-3, seed=5,
-                  loss_mode="class_weighted")
-result = train(model, train_v, val_v, cfg)
+cfg = TrainConfig(batch_size=4, epochs=25, learning_rate=2e-3, seed=5)
+result = train(model, train_v, val_v, cfg)   # class-weighted cross-entropy
 for row in result.log.rows[::6]:
-    accs = " ".join(f"{t}={row['val_acc'][t]:.2f}" for t in cfg.tasks)
+    accs = " ".join(f"{t}={row['val_acc'][t]:.2f}" for t in model.tasks)
     print(f"  epoch {row['epoch']:>2}  loss {row['train_loss']:.3f}  val {accs}")
 print(f"best epoch by validation average: {result.best_epoch}")
 

@@ -225,11 +225,9 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         print(f"train[{cell}]: up to date")
         return 0
 
-    encoder = resolve_encoder(model_id, weights_dir=cfg.model.weights_dir,
-                              seed=cfg.model.seed, pooling=cfg.model.pooling,
+    encoder = resolve_encoder(model_id, weights_dir=cfg.model.weights_dir, seed=cfg.model.seed,
                               store_dir=cfg.encoders_dir(), digests=digests, **cfg.model.toy)
-    model = MultiTaskModel.build(encoder, vocab, tasks=cfg.train.tasks,
-                                 head_seed=cfg.model.head_seed)
+    model = MultiTaskModel.build(encoder, vocab, head_seed=cfg.model.head_seed)
     result = None
     if fine_tuned:
         adapters = encoder.build_adapters(cfg.adapter.rank, cfg.adapter.alpha,

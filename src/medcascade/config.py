@@ -42,7 +42,6 @@ class AdapterConfig:
 @dataclass
 class ModelConfig:
     backend_id: str = "toy"
-    pooling: str = "cls"
     weights_dir: str = ""
     seed: int = 11
     head_seed: int = 13
@@ -90,7 +89,6 @@ class PipelineConfig:
         data = asdict(self)
         data["split"]["ratios"] = list(self.split.ratios)
         data["adapter"]["targets"] = list(self.adapter.targets)
-        data["train"]["tasks"] = list(self.train.tasks)
         return data
 
     def validate(self) -> None:
@@ -115,11 +113,7 @@ class PipelineConfig:
         if self.split.stratify_task not in ("type", "severity"):  # the labels every record has
             raise ConfigInvalid(f"split.stratify_task must be 'type' or 'severity', "
                                 f"got {self.split.stratify_task!r}")
-        if self.model.pooling not in ("cls", "mean"):
-            raise ConfigInvalid(f"model.pooling must be 'cls' or 'mean', "
-                                f"got {self.model.pooling!r}")
-        # model.seed and model.pooling set those two for every backend
-        toy_keys = set(EncoderConfig.__dataclass_fields__) - {"seed", "pooling"}
+        toy_keys = set(EncoderConfig.__dataclass_fields__) - {"seed"}   # model.seed sets it
         if not isinstance(self.model.toy, dict):
             raise ConfigInvalid("model.toy must be an object")
         unknown = set(self.model.toy) - toy_keys
@@ -147,10 +141,10 @@ def _build_section(default, data: dict, section: str):
     """``default`` with the values of ``data`` in place of its own."""
     unknown = set(data) - set(default.__dataclass_fields__)
     if unknown:
-        raise ConfigInvalid(f"unknown keys in {section!r}: {sorted(unknown)}")
+        raise ConfigInvalid(f"unknown config keys {sorted(f'{section}.{k}' for k in unknown)}")
     _check_types(type(default), data, section)
     kwargs = dict(data)
-    for key in ("ratios", "targets", "tasks"):
+    for key in ("ratios", "targets"):
         if key in kwargs and isinstance(kwargs[key], list):
             kwargs[key] = tuple(kwargs[key])
     return replace(default, **kwargs)

@@ -22,9 +22,10 @@ Hot-path choices:
   those N rows; only the attention core scatters q/k/v into the padded
   ``(B, H, L, d_head)`` layout and gathers the context back.  Padding, up to
   the batch's longest sequence, therefore shapes the attention core only.
-- Under ``cls`` pooling the top layer computes keys and values for all N
-  rows but everything else (query, attention core, output projection, FFN,
-  both LayerNorms) for the B [CLS] rows only, the rows that reach the output.
+- The output is each sequence's top-layer [CLS] state, so the top layer
+  computes keys and values for all N rows but everything else (query,
+  attention core, output projection, FFN, both LayerNorms) for the B [CLS]
+  rows only.
 - Backward mirrors the forward, and at layer 0, below which nothing trains,
   it back-propagates only into adapters: no input gradient is formed.
 - A training forward evaluates erf once per GELU and keeps the GELU
@@ -124,7 +125,6 @@ class EncoderConfig:
     n_heads: int = 2
     d_ff: int = 128
     max_len: int = 64
-    pooling: str = "cls"          # "cls" or "mean"
     layer_norm_eps: float = 1e-12
     init_std: float = 0.1
     seed: int = 0
@@ -137,8 +137,6 @@ class EncoderConfig:
                 raise ShapeMismatch(f"{key} must be >= {value}, got {getattr(self, key)}")
         if self.d_model % self.n_heads != 0:
             raise ShapeMismatch(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.pooling not in ("cls", "mean"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
 
 
 def _base_shapes(c: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -312,9 +310,7 @@ class _Rows:
 @dataclass
 class _Cache:
     """Per-forward intermediates needed by backward."""
-    counts: np.ndarray      # (B, 1) real tokens per sequence
     rows: _Rows             # the packed real tokens
-    seq: np.ndarray         # (N,) sequence of each packed row
     first: np.ndarray       # (B,) packed row of each sequence's position 0
     layers: list = field(default_factory=list)
 
@@ -492,7 +488,8 @@ class NumpyTransformerEncoder:
 
     def forward(self, ids: np.ndarray, mask: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None, return_cache: bool = False):
-        """Pooled representations (B, d_model) for padded id/mask batches.
+        """Each sequence's top-layer [CLS] state, (B, d_model), for padded
+        id/mask batches.
 
         Every sequence must start with an unmasked [CLS] at position 0.  The
         result does not depend on how far a batch is padded, to float64
@@ -517,16 +514,15 @@ class NumpyTransformerEncoder:
 
         seq, pos = np.nonzero(mask)
         rows = _Rows((B, L), seq * L + pos)
-        cache = _Cache(counts=mask.sum(axis=1, keepdims=True), rows=rows, seq=seq,
-                       first=np.flatnonzero(pos == 0))
+        cache = _Cache(rows=rows, first=np.flatnonzero(pos == 0))
         p = self.params
         x = p["embeddings.word"][ids[seq, pos]] + p["embeddings.position"][pos] \
             + p["embeddings.token_type"][0]
         x, _ = self._layer_norm(x, p["embeddings.ln.gamma"], p["embeddings.ln.beta"], c.layer_norm_eps)
 
         for i in range(c.n_layers):
-            # under cls pooling only the top layer's [CLS] rows reach the output
-            cls_only = c.pooling == "cls" and i == c.n_layers - 1
+            # only the top layer's [CLS] rows reach the output
+            cls_only = i == c.n_layers - 1
             xq, q_rows = (x[cache.first], _Rows((B, 1), np.arange(B))) if cls_only else (x, rows)
             lin_cache: list | None = [] if return_cache else None
             att_out, att = self._attention(i, xq, x, q_rows, rows, mask, training, rng, lin_cache)
@@ -546,10 +542,7 @@ class NumpyTransformerEncoder:
                                      "dgelu": dgelu})
             x = h2
 
-        if c.pooling == "cls":
-            pooled = x if c.n_layers else x[cache.first]
-        else:
-            pooled = np.add.reduceat(x, cache.first, axis=0) / cache.counts
+        pooled = x if c.n_layers else x[cache.first]
         if return_cache:
             return pooled, cache
         return pooled
@@ -564,10 +557,7 @@ class NumpyTransformerEncoder:
         """
         c = self.config
         self._adapter_grads = {}
-        if c.pooling == "cls":
-            dx = d_pooled     # the top layer's output rows are the [CLS] rows
-        else:
-            dx = (d_pooled / cache.counts)[cache.seq]
+        dx = d_pooled     # the top layer's output rows are the [CLS] rows
 
         for i in range(c.n_layers - 1, -1, -1):
             layer = cache.layers[i]
@@ -582,7 +572,7 @@ class NumpyTransformerEncoder:
                                                  bottom=i == 0)
             if i == 0:
                 break
-            if c.pooling == "cls" and i == c.n_layers - 1:   # the [CLS]-only top layer
+            if i == c.n_layers - 1:   # the [CLS]-only top layer
                 dx = dxkv
                 dx[cache.first] += d_res1 + dxq
             else:
@@ -598,7 +588,7 @@ class NumpyTransformerEncoder:
         write_export(directory, asdict(self.config), self.params)
 
     @classmethod
-    def from_pretrained_dir(cls, directory, pooling: str = "cls", store_dir: str | None = None,
+    def from_pretrained_dir(cls, directory, store_dir: str | None = None,
                             digests: dict | None = None) -> "NumpyTransformerEncoder":
         """A BERT-style encoder exported by ``hf_export`` (or ``save_base``).
 
@@ -630,12 +620,13 @@ class NumpyTransformerEncoder:
         try:
             with open(cfg_path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            fields = {k: v for k, v in raw.items()   # the export's pooling is overridden
-                      if k in EncoderConfig.__dataclass_fields__ and k != "pooling"}
+            # keys that are no EncoderConfig field, such as an older export's
+            # "pooling", are ignored
+            fields = {k: v for k, v in raw.items() if k in EncoderConfig.__dataclass_fields__}
             check_types(EncoderConfig, fields)
         except (OSError, *CorruptArtifact.DECODE_ERRORS) as e:
             raise EncoderUnavailable(f"unreadable encoder export in {directory}: {e!r}") from e
-        config = EncoderConfig(**fields, pooling=pooling)
+        config = EncoderConfig(**fields)
         key = None
         if store_dir is not None:
             digests = digests or export_digests(directory)
@@ -662,8 +653,7 @@ def build_toy_encoder(seed: int = 0, store_dir: str | None = None,
 
 
 def resolve_encoder(backend_id: str, weights_dir: str | None = None, seed: int = 0,
-                    pooling: str = "cls", store_dir: str | None = None,
-                    digests: dict | None = None,
+                    store_dir: str | None = None, digests: dict | None = None,
                     **toy_overrides) -> NumpyTransformerEncoder:
     """Map a backend identifier from config to an encoder instance.
 
@@ -674,10 +664,9 @@ def resolve_encoder(backend_id: str, weights_dir: str | None = None, seed: int =
     """
     if weights_dir:
         return NumpyTransformerEncoder.from_pretrained_dir(
-            weights_dir, pooling=pooling, store_dir=store_dir, digests=digests)
+            weights_dir, store_dir=store_dir, digests=digests)
     if backend_id == "toy":
-        return build_toy_encoder(seed=seed, store_dir=store_dir, pooling=pooling,
-                                 **toy_overrides)
+        return build_toy_encoder(seed=seed, store_dir=store_dir, **toy_overrides)
     if backend_id in PRETRAINED_BACKENDS:
         raise EncoderUnavailable(
             f"backend {backend_id!r} needs model.weights_dir pointing at exported "

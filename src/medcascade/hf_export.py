@@ -58,12 +58,16 @@ def convert_state_dict(state_dict: dict) -> dict[str, np.ndarray]:
             layer_no, sub = rest.split(".", 1)
             if sub in _LAYER_RENAMES:
                 params[f"layer.{layer_no}.{_LAYER_RENAMES[sub]}"] = array
-        # pooler and task heads are dropped: pooling happens downstream
+        # the pooler and task heads are dropped: the encoder's output is the [CLS] state
     return params
 
 
-def export_encoder(model_id: str, out_dir: str, pooling: str = "cls") -> str:
-    """Download ``model_id`` via transformers and write the numpy layout."""
+def export_encoder(model_id: str, out_dir: str) -> str:
+    """Download ``model_id`` via transformers and write the numpy layout.
+
+    ``config.json`` holds the shape, the tokenizer's casing and ``model_id``;
+    it names no pooling, since the numpy encoder always outputs the [CLS]
+    state (an older export's ``"pooling"`` entry is ignored on load)."""
     try:
         import torch  # noqa: F401
         from transformers import AutoModel, AutoTokenizer
@@ -85,7 +89,6 @@ def export_encoder(model_id: str, out_dir: str, pooling: str = "cls") -> str:
         "n_heads": hf_cfg.num_attention_heads,
         "d_ff": hf_cfg.intermediate_size,
         "max_len": hf_cfg.max_position_embeddings,
-        "pooling": pooling,
         "layer_norm_eps": hf_cfg.layer_norm_eps,
         "do_lower_case": bool(getattr(tokenizer, "do_lower_case", False)),
         "source_model": model_id,

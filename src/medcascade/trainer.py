@@ -13,6 +13,7 @@ are the regime this package targets end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import EmptyClass, IndexOutOfVocab, NonFiniteLoss, VocabMismatch
 from .lora import count_trainable
 from .variants import DatasetVariant
 
-DEFAULT_TASKS = ("type", "severity")
+TASKS = ("type", "severity")     # every model classifies both, from one encoder
 
 
 # -- loss ---------------------------------------------------------------------
@@ -95,21 +96,20 @@ class MultiTaskModel:
     encoder: object
     heads: dict[str, dict[str, np.ndarray]]
     task_vocabs: dict[str, list[str]]
-    tasks: tuple[str, ...] = DEFAULT_TASKS
+    tasks: ClassVar[tuple[str, ...]] = TASKS
 
     @classmethod
     def build(cls, encoder, task_vocabs: dict[str, list[str]],
-              tasks=DEFAULT_TASKS, head_seed: int = 0) -> "MultiTaskModel":
+              head_seed: int = 0) -> "MultiTaskModel":
         rng = np.random.default_rng(head_seed)
         heads = {}
-        for task in tasks:
+        for task in cls.tasks:
             if task not in task_vocabs:
                 raise VocabMismatch(f"no vocabulary for task {task!r}")
             k = len(task_vocabs[task])
             heads[task] = {"W": rng.normal(0.0, 0.02, size=(k, encoder.d_model)),
                            "b": np.zeros(k)}
-        return cls(encoder=encoder, heads=heads, task_vocabs=dict(task_vocabs),
-                   tasks=tuple(tasks))
+        return cls(encoder=encoder, heads=heads, task_vocabs=dict(task_vocabs))
 
     def label_index(self, task: str, label: str | None, record_id: str = "?") -> int:
         if label is None:
@@ -263,16 +263,12 @@ class TrainConfig:
     epochs: int = 25
     learning_rate: float = 2e-4
     seed: int = 0
-    loss_mode: str = "class_weighted"     # class_weighted | plain
-    tasks: tuple[str, ...] = DEFAULT_TASKS
     weight_decay: float = 0.01
     warmup_frac: float = 0.1
 
     def validate(self) -> None:
         if self.batch_size < 1 or self.epochs < 1 or self.learning_rate <= 0:
             raise ValueError("batch_size, epochs must be >= 1 and learning_rate > 0")
-        if self.loss_mode not in ("plain", "class_weighted"):
-            raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
 
 
 @dataclass
@@ -299,7 +295,6 @@ class TrainResult:
     best_epoch: int
     log: TrainLog
     steps_taken: int
-    class_weight_maps: dict[str, dict[str, float]] | None
 
 
 def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVariant,
@@ -311,10 +306,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
     Deterministic in (model init, data, cfg.seed).
     """
     cfg.validate()
-    if tuple(cfg.tasks) != model.tasks:
-        raise VocabMismatch(f"train config tasks {tuple(cfg.tasks)} differ from the "
-                            f"model's tasks {model.tasks}")
-    for task in cfg.tasks:
+    for task in model.tasks:
         if model.heads[task]["W"].shape[0] != len(model.task_vocabs[task]):
             raise VocabMismatch(f"head for {task!r} has {model.heads[task]['W'].shape[0]} "
                                 f"classes, vocabulary has {len(model.task_vocabs[task])}")
@@ -322,15 +314,10 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
     train_targets = model.targets(train_set)
     val_targets = model.targets(val_set)
 
-    weight_maps: dict[str, dict[str, float]] | None = None
-    weights: dict[str, np.ndarray] | None = None
-    if cfg.loss_mode == "class_weighted":
-        weight_maps, weights = {}, {}
-        for task in cfg.tasks:
-            vocab = model.task_vocabs[task]
-            wmap = class_weights(label_counts(train_set.examples, task))
-            weight_maps[task] = wmap
-            weights[task] = np.asarray([wmap.get(cls, 1.0) for cls in vocab])
+    weights = {}
+    for task in model.tasks:
+        wmap = class_weights(label_counts(train_set.examples, task))
+        weights[task] = np.asarray([wmap.get(cls, 1.0) for cls in model.task_vocabs[task]])
 
     train_texts = [ex.input_text for ex in train_set.examples]
     val_texts = [ex.input_text for ex in val_set.examples]
@@ -345,7 +332,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
     shuffle_rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(cfg.seed + 1)
 
-    log = TrainLog(tasks=cfg.tasks)
+    log = TrainLog(tasks=model.tasks)
     best_avg, best_epoch, best_params = -1.0, -1, model.snapshot()
     step = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -356,13 +343,13 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
             width = int(train_mask[sel].sum(axis=1).max())
             ids, mask = train_ids[sel, :width], train_mask[sel, :width]
             logits, pooled, cache = model.forward(ids, mask, training=True, rng=dropout_rng)
-            targets = {t: train_targets[t][sel] for t in cfg.tasks}
+            targets = {t: train_targets[t][sel] for t in model.tasks}
             loss, dlogits = weighted_loss_and_grad(logits, targets, weights)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"epoch{epoch}/batch{batch_i}", loss)
             grads: dict[str, np.ndarray] = {}
             d_pooled = np.zeros_like(pooled)
-            for task in cfg.tasks:
+            for task in model.tasks:
                 grads[f"head.{task}.W"] = dlogits[task].T @ pooled
                 grads[f"head.{task}.b"] = dlogits[task].sum(axis=0)
                 d_pooled += dlogits[task] @ model.heads[task]["W"]
@@ -378,18 +365,18 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
         # validating (dropping it after every step made the mock grid ~9% slower
         # on a 2-vCPU machine)
         logits = pooled = cache = None
-        val_acc = _accuracy_on(model, val_texts, val_targets, cfg.tasks)
+        val_acc = _accuracy_on(model, val_texts, val_targets)
         log.append(epoch, float(np.mean(epoch_losses)), val_acc)
-        avg = float(np.mean([val_acc[t] for t in cfg.tasks]))
+        avg = float(np.mean([val_acc[t] for t in model.tasks]))
         if avg > best_avg:
             best_avg, best_epoch, best_params = avg, epoch, model.snapshot()
 
     return TrainResult(best_params=best_params, best_epoch=best_epoch, log=log,
-                       steps_taken=step, class_weight_maps=weight_maps)
+                       steps_taken=step)
 
 
 def _accuracy_on(model: MultiTaskModel, texts: list[str],
-                 targets: dict[str, np.ndarray], tasks) -> dict[str, float]:
+                 targets: dict[str, np.ndarray]) -> dict[str, float]:
     preds = predict(model, texts)
     return {task: float(np.mean(preds[task]["indices"] == targets[task]))
-            for task in tasks}
+            for task in model.tasks}

@@ -614,8 +614,11 @@ class TestErrors:
         ("model", {"pooling": "max"}, "model.pooling"),
         ("split", {"stratify_task": "foo"}, "split.stratify_task"),
         ("split", {"stratify_task": "diagnosis"}, "split.stratify_task"),
+        ("model", {"pooling": "cls"}, "model.pooling"),
+        ("train", {"loss_mode": "class_weighted"}, "train.loss_mode"),
+        ("train", {"tasks": ["type", "severity"]}, "train.tasks"),
     ], ids=["toy-seed", "toy-pooling", "toy-typo", "pooling", "stratify-unknown",
-            "stratify-diagnosis"])
+            "stratify-diagnosis", "removed-pooling", "removed-loss_mode", "removed-tasks"])
     def test_config_value_deep_code_rejects_is_a_config_error(self, workspace, capsys,
                                                               section, value, named):
         config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))

@@ -102,14 +102,6 @@ class TestForward:
         b = enc.forward(padded_ids, padded_mask)
         assert np.allclose(a, b, atol=1e-12)
 
-    def test_mean_pooling_ignores_padding(self):
-        enc = tiny_encoder(pooling="mean")
-        ids = np.array([[2, 5, 7, 0, 0]])
-        mask = np.array([[1.0, 1, 1, 0, 0]])
-        a = enc.forward(ids, mask)
-        b = enc.forward(ids[:, :3], mask[:, :3])
-        assert np.allclose(a, b, atol=1e-12)
-
     def test_too_long_sequence_rejected(self):
         enc = tiny_encoder(max_len=4)
         with pytest.raises(ShapeMismatch):
@@ -164,8 +156,8 @@ class TestAdapters:
                                    rng=np.random.default_rng(5))
         assert y.tobytes() == expected.tobytes()
 
-    def _grad_check(self, pooling, dropout_rate=0.0):
-        enc = tiny_encoder(pooling=pooling)
+    def _grad_check(self, dropout_rate=0.0):
+        enc = tiny_encoder()
         adapters = enc.build_adapters(rank=2, alpha=4.0, dropout_rate=dropout_rate, seed=9)
         rng = np.random.default_rng(0)
         for adapter in adapters.values():
@@ -208,14 +200,11 @@ class TestAdapters:
         assert checked == 8
 
     def test_adapter_grads_match_fd_cls(self):
-        self._grad_check("cls")
-
-    def test_adapter_grads_match_fd_mean(self):
-        self._grad_check("mean")
+        self._grad_check()
 
     def test_adapter_grads_match_fd_with_dropout(self):
         # fixed dropout seed makes the loss a deterministic function
-        self._grad_check("cls", dropout_rate=0.3)
+        self._grad_check(dropout_rate=0.3)
 
 
 def _with_random_adapters(enc, seed=9):
@@ -301,8 +290,8 @@ ALL_LINEARS = ("attn.query", "attn.key", "attn.value", "attn.output", "ffn.inner
 
 def _padded_reference(enc, ids, mask, d_pooled):
     """Pooled outputs and adapter gradients of the padded encoder: every one of
-    the B*L positions runs through every layer, and pooling reads the top
-    layer's full output.  No dropout."""
+    the B*L positions runs through every layer, and the [CLS] state is read
+    off the top layer's full output.  No dropout."""
     c, p = enc.config, enc.params
     B, L = ids.shape
     H, dh = c.n_heads, c.d_model // c.n_heads
@@ -351,14 +340,9 @@ def _padded_reference(enc, ids, mask, d_pooled):
         x, ln2 = ln(h1 + f_out, p[f"{pre}ffn.ln.gamma"], p[f"{pre}ffn.ln.beta"], eps)
         layers.append((tape, q, k, v, probs, ln1, ln2, u))
 
-    counts = mask.sum(axis=1, keepdims=True)
-    if c.pooling == "cls":
-        pooled = x[:, 0]
-        dx = np.zeros_like(x)
-        dx[:, 0] = d_pooled
-    else:
-        pooled = (x * mask[:, :, None]).sum(axis=1) / counts
-        dx = (d_pooled / counts)[:, None, :] * mask[:, :, None]
+    pooled = x[:, 0]
+    dx = np.zeros_like(x)
+    dx[:, 0] = d_pooled
     for tape, q, k, v, probs, ln1, ln2, u in reversed(layers):
         d_res2 = ln_back(dx, ln2)
         du = linear_back(d_res2, tape[5]) * gelu_grad(u)
@@ -387,12 +371,11 @@ class TestPacking:
              (dict(), (10, 10, 10), 10, None),
              (dict(d_model=192, n_heads=3, d_ff=768, n_layers=3), (37, 20, 5, 1, 33), 40, None)]
 
-    @pytest.mark.parametrize("pooling", ["cls", "mean"])
     @pytest.mark.parametrize("overrides,lengths,width,hole", CASES,
                              ids=["toy-uneven", "toy-unpadded", "wide-uneven"])
-    def test_pooled_and_adapter_grads_match_the_padded_reference(self, pooling, overrides,
-                                                                 lengths, width, hole):
-        enc = build_toy_encoder(seed=4, pooling=pooling, **overrides)
+    def test_pooled_and_adapter_grads_match_the_padded_reference(self, overrides, lengths,
+                                                                 width, hole):
+        enc = build_toy_encoder(seed=4, **overrides)
         adapters = enc.build_adapters(rank=2, alpha=4.0, dropout_rate=0.0, seed=9,
                                       patterns=ALL_LINEARS)
         rng = np.random.default_rng(1)
@@ -430,9 +413,8 @@ class TestPacking:
         with pytest.raises(ShapeMismatch, match="position 0"):
             enc.forward(ids, mask)
 
-    @pytest.mark.parametrize("pooling", ["cls", "mean"])
-    def test_rows_each_linear_runs_on(self, pooling, monkeypatch):
-        enc = _with_random_adapters(tiny_encoder(pooling=pooling))
+    def test_rows_each_linear_runs_on(self, monkeypatch):
+        enc = _with_random_adapters(tiny_encoder())
         mask = _masks((6, 3, 1), 8)
         ids = np.random.default_rng(3).integers(0, 64, size=mask.shape)
         rows = {}
@@ -444,9 +426,7 @@ class TestPacking:
         monkeypatch.setattr(enc, "_linear", linear.__get__(enc))
         _, cache = enc.forward(ids, mask, return_cache=True)
         N, B, d = 10, 3, enc.d_model
-        top = {"query": B, "key": N, "value": N, "output": B, "inner": B, "outer": B} \
-            if pooling == "cls" else dict.fromkeys(("query", "key", "value", "output",
-                                                    "inner", "outer"), N)
+        top = {"query": B, "key": N, "value": N, "output": B, "inner": B, "outer": B}
         for name, shape in rows.items():
             n = top[name.split(".")[-1]] if name.startswith("layer.1.") else N
             assert shape == (n, enc.config.d_ff if name.endswith("outer") else d), name
@@ -533,8 +513,7 @@ class TestBaseStore:
         assert encoder_module.base_key(self._config(**{field: value})) \
             != encoder_module.base_key(self._config())
 
-    @pytest.mark.parametrize("field, value", [
-        ("pooling", "mean"), ("n_heads", 4), ("layer_norm_eps", 1e-6)])
+    @pytest.mark.parametrize("field, value", [("n_heads", 4), ("layer_norm_eps", 1e-6)])
     def test_the_key_ignores_fields_that_do_not_change_the_bytes(self, field, value):
         assert encoder_module.base_key(self._config(**{field: value})) \
             == encoder_module.base_key(self._config())
@@ -656,6 +635,15 @@ class TestPersistence:
         mask = np.ones((1, 3))
         assert np.array_equal(enc.forward(ids, mask), reloaded.forward(ids, mask))
         assert enc.base_state_bytes() == reloaded.base_state_bytes()
+
+    def test_an_older_export_naming_a_pooling_still_loads(self, tmp_path):
+        enc = tiny_encoder()
+        enc.save_base(tmp_path / "enc")
+        path = tmp_path / "enc" / "config.json"
+        config = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**config, "pooling": "mean"}), encoding="utf-8")
+        reloaded = NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "enc")
+        assert reloaded.config == enc.config
 
     @pytest.mark.parametrize("damaged", ["weights.npz", "config.json"])
     def test_truncated_export_is_a_user_error(self, tmp_path, damaged):

@@ -198,12 +198,6 @@ class TestTrain:
         with pytest.raises(VocabMismatch):
             train(model, signal_variant(8), signal_variant(4, seed=9), self._cfg())
 
-    def test_config_tasks_other_than_the_models_are_a_vocab_mismatch(self):
-        model = tiny_model()   # heads for type and severity
-        with pytest.raises(VocabMismatch, match=r"\('type',\).*\('type', 'severity'\)"):
-            train(model, signal_variant(8), signal_variant(4, seed=9),
-                  self._cfg(tasks=("type",)))
-
     def test_vocab_mismatch_unknown_label(self):
         model = tiny_model()
         variant = signal_variant(8)
@@ -225,11 +219,19 @@ class TestTrain:
         total_changed = sum(model.trainable_params()[k].size for k in changed)
         assert total_changed == model.trainable_count()
 
-    def test_class_weighted_mode_records_weights(self):
-        model = tiny_model()
-        result = train(model, signal_variant(12), signal_variant(4, seed=9),
-                       self._cfg(loss_mode="class_weighted"))
-        assert set(result.class_weight_maps) == {"type", "severity"}
+    def test_the_loss_weights_each_class_by_its_inverse_training_frequency(self, monkeypatch):
+        seen = []
+
+        def recording(logits, targets, weights=None):
+            seen.append({task: list(w) for task, w in weights.items()})
+            return weighted_loss_and_grad(logits, targets, weights)
+
+        monkeypatch.setattr(trainer_module, "weighted_loss_and_grad", recording)
+        # 5 chronic / 4 acute and 5 mild / 4 severe: w = N / (K * count)
+        variant = DatasetVariant(condition="normal", examples=signal_variant(12).examples[:9])
+        train(tiny_model(), variant, signal_variant(4, seed=9), self._cfg(epochs=1))
+        assert seen and all(w == {"type": [9 / 10, 9 / 8], "severity": [9 / 10, 9 / 8]}
+                            for w in seen)
 
     def test_no_training_cache_is_live_while_validating(self, monkeypatch):
         live = []
@@ -327,9 +329,8 @@ class TestLengthBuckets:
     @pytest.mark.parametrize("shape", [{}, dict(d_model=128, n_heads=4, d_ff=256,
                                                 n_layers=3, max_len=128)],
                              ids=["toy", "wider"])
-    @pytest.mark.parametrize("pooling", ["cls", "mean"])
-    def test_bucketed_outputs_match_pad_to_max_len(self, shape, pooling):
-        model = bucket_model(pooling=pooling, **shape)
+    def test_bucketed_outputs_match_pad_to_max_len(self, shape):
+        model = bucket_model(**shape)
         texts = MIXED_TEXTS + [words(100, "x")]
         ids, mask = model.encode_texts(texts)
         max_len = model.encoder.max_len
