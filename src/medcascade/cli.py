@@ -12,6 +12,7 @@ success, 1 user error, 2 internal error; failures print one machine-parseable
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -36,20 +37,10 @@ from .variants import CONDITIONS, build_variant, load_variant, variant_paths, wr
 SPLITS = ("train", "val", "test")
 
 
-def _sources(*modules: str) -> list[str]:
-    return [os.path.join(os.path.dirname(os.path.abspath(__file__)), f"{m}.py") for m in modules]
-
-
-# The modules whose code writes each stage's bytes.  Their source is part of
-# the stage's input hash, so a code change reruns the stage.
-STAGE_SOURCES = {
-    "ingest": _sources("corpus"),
-    "preprocess": _sources("corpus", "gateway", "preprocess"),
-    "variants": _sources("corpus", "preprocess", "variants"),
-    "train": _sources("encoder", "lora", "trainer", "evaluator", "tokenizers", "variants"),
-}
-# ``report`` renders every cell's ``scores.json`` with the evaluator alone.
-REPORT_SOURCES = _sources("evaluator")
+# Every module of the package.  Their source is part of each stage's input
+# hash, so any code change reruns every stage: no list of the modules that
+# decide a stage's bytes can fall out of date.
+SOURCES = sorted(glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__)), "*.py")))
 
 
 # -- shared helpers ------------------------------------------------------------
@@ -124,7 +115,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     split_cfg = {"ratios": list(cfg.split.ratios), "seed": cfg.split.seed,
                  "stratify_task": cfg.split.stratify_task}
     input_hash = _hash_inputs(
-        [cfg.corpus, manifest_path_for(cfg.corpus), *STAGE_SOURCES["ingest"]], split_cfg)
+        [cfg.corpus, manifest_path_for(cfg.corpus), *SOURCES], split_cfg)
     state = os.path.join(cfg.splits_dir(), ".state.json")
     if _up_to_date(state, input_hash, [cfg.splits_dir()]):
         print("ingest: up to date")
@@ -150,7 +141,7 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     split_paths = [_require(_split_path(cfg, part), "ingest") for part in SPLITS]
     gw = build_gateway(replace(cfg.gateway, cache_dir=cfg.cache_dir()))
     # the scope holds a live backend's url and model, the mock's lexicon
-    input_hash = _hash_inputs([*split_paths, *STAGE_SOURCES["preprocess"]], cfg.gateway.backend,
+    input_hash = _hash_inputs([*split_paths, *SOURCES], cfg.gateway.backend,
                               gw.backend.scope, template_hashes("sentinel"),
                               template_hashes("instruct"))
     state = _preprocess_state(cfg)
@@ -177,7 +168,7 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
         store_hash = store.store_hash()
     stale = {}   # condition -> (state path, input hash); each condition has its own state
     for condition in conditions:
-        input_hash = _hash_inputs([*split_paths, *STAGE_SOURCES["variants"]], condition,
+        input_hash = _hash_inputs([*split_paths, *SOURCES], condition,
                                   store_hash if condition != "normal" else None)
         state = os.path.join(cfg.variants_dir(), condition, ".state.json")
         if not _up_to_date(state, input_hash, [os.path.dirname(state)]):
@@ -218,7 +209,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
                     "model": cfg_json["model"], "arm": arm}
     # an export is hashed once per invocation: the same digests key its stored base
     digests = export_digests(cfg.model.weights_dir) if cfg.model.weights_dir else None
-    input_hash = _hash_inputs([*variant_files, manifest_path, *STAGE_SOURCES["train"]],
+    input_hash = _hash_inputs([*variant_files, manifest_path, *SOURCES],
                               relevant_cfg, digests)
     state = os.path.join(cell_dir, ".state.json")
     if _up_to_date(state, input_hash, [cell_dir]):
@@ -274,7 +265,7 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
                     if os.path.isfile(path)]
     if not scores_paths:
         raise MissingUpstreamArtifact(f"no scores.json under {runs_dir}; run `medcascade train`")
-    input_hash = _hash_inputs([*scores_paths, *REPORT_SOURCES])
+    input_hash = _hash_inputs([*scores_paths, *SOURCES])
     state = os.path.join(cfg.reports_dir(), ".state.json")
     if _up_to_date(state, input_hash, [cfg.reports_dir()]):
         print("report: up to date")

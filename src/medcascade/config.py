@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field, replace
 
 from .atomic import check_types
 from .encoder import EncoderConfig
 from .errors import ConfigInvalid
 from .gateway import GatewayConfig
+from .lora import DEFAULT_ALPHA, DEFAULT_DROPOUT, DEFAULT_RANK, DEFAULT_TARGET_PATTERNS
 from .trainer import TrainConfig
 
 # suits the desk-scale toy encoder; full-size encoders want ~2e-4 (TrainConfig's default)
@@ -32,10 +34,10 @@ class SplitConfig:
 
 @dataclass
 class AdapterConfig:
-    rank: int = 16
-    alpha: float = 8.0
-    dropout: float = 0.05
-    targets: tuple[str, ...] = ("attn.query", "attn.value")
+    rank: int = DEFAULT_RANK
+    alpha: float = DEFAULT_ALPHA
+    dropout: float = DEFAULT_DROPOUT
+    targets: tuple[str, ...] = DEFAULT_TARGET_PATTERNS
     seed: int = 12
 
 
@@ -110,6 +112,17 @@ class PipelineConfig:
             raise ConfigInvalid("adapter.rank must be >= 1")
         if not 0.0 <= self.adapter.dropout < 1.0:
             raise ConfigInvalid("adapter.dropout must be in [0, 1)")
+        for pattern in self.adapter.targets:
+            try:
+                re.compile(pattern)
+            except (re.error, TypeError) as e:
+                raise ConfigInvalid(f"adapter.targets: {pattern!r} is not a regular "
+                                    f"expression ({e})") from e
+        for key in ("split.seed", "adapter.seed", "train.seed", "model.seed", "model.head_seed"):
+            section, name = key.split(".")
+            seed = getattr(getattr(self, section), name)
+            if seed < 0:   # numpy takes no negative seed
+                raise ConfigInvalid(f"{key} must be >= 0, got {seed}")
         if self.split.stratify_task not in ("type", "severity"):  # the labels every record has
             raise ConfigInvalid(f"split.stratify_task must be 'type' or 'severity', "
                                 f"got {self.split.stratify_task!r}")

@@ -22,10 +22,9 @@ Hot-path choices:
   those N rows; only the attention core scatters q/k/v into the padded
   ``(B, H, L, d_head)`` layout and gathers the context back.  Padding, up to
   the batch's longest sequence, therefore shapes the attention core only.
-- The output is each sequence's top-layer [CLS] state, so the top layer
-  computes keys and values for all N rows but everything else (query,
-  attention core, output projection, FFN, both LayerNorms) for the B [CLS]
-  rows only.
+- The output is the top-layer [CLS] state, so the top layer computes keys
+  and values for all N rows but everything else (query, attention core,
+  output projection, FFN, both LayerNorms) for the B [CLS] rows only.
 - Backward mirrors the forward, and at layer 0, below which nothing trains,
   it back-propagates only into adapters: no input gradient is formed.
 - A training forward evaluates erf once per GELU and keeps the GELU
@@ -344,9 +343,18 @@ class NumpyTransformerEncoder:
                 if name.endswith(".W")}
 
     def adapter_targets(self, patterns=DEFAULT_TARGET_PATTERNS) -> list[str]:
-        compiled = [re.compile(p) for p in patterns]
-        return sorted(name for name in self.named_weight_shapes()
-                      if any(rx.search(name) for rx in compiled))
+        """The weight matrices some pattern matches (``re.search``), sorted;
+        ``ShapeMismatch`` for no pattern, or for one that matches none."""
+        if not patterns:
+            raise ShapeMismatch("no adapter target patterns given")
+        names = self.named_weight_shapes()
+        targets = set()
+        for pattern in patterns:
+            matched = {name for name in names if re.search(pattern, name)}
+            if not matched:
+                raise ShapeMismatch(f"adapter target {pattern!r} matches no weight matrix")
+            targets |= matched
+        return sorted(targets)
 
     def build_adapters(self, rank: int, alpha: float, dropout_rate: float, seed: int,
                        patterns=DEFAULT_TARGET_PATTERNS) -> dict[str, LoraAdapter]:
@@ -488,8 +496,7 @@ class NumpyTransformerEncoder:
 
     def forward(self, ids: np.ndarray, mask: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None, return_cache: bool = False):
-        """Each sequence's top-layer [CLS] state, (B, d_model), for padded
-        id/mask batches.
+        """The top-layer [CLS] states (B, d_model) of padded id/mask batches.
 
         Every sequence must start with an unmasked [CLS] at position 0.  The
         result does not depend on how far a batch is padded, to float64

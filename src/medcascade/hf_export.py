@@ -63,11 +63,8 @@ def convert_state_dict(state_dict: dict) -> dict[str, np.ndarray]:
 
 
 def export_encoder(model_id: str, out_dir: str) -> str:
-    """Download ``model_id`` via transformers and write the numpy layout.
-
-    ``config.json`` holds the shape, the tokenizer's casing and ``model_id``;
-    it names no pooling, since the numpy encoder always outputs the [CLS]
-    state (an older export's ``"pooling"`` entry is ignored on load)."""
+    """Download ``model_id`` via transformers and write the numpy layout; its
+    ``config.json`` names no pooling, as the encoder always outputs [CLS]."""
     try:
         import torch  # noqa: F401
         from transformers import AutoModel, AutoTokenizer

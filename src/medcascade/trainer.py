@@ -273,18 +273,17 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
-    tasks: tuple[str, ...]
     rows: list[dict] = field(default_factory=list)
 
     def append(self, epoch: int, train_loss: float, val_acc: dict[str, float]) -> None:
         self.rows.append({"epoch": epoch, "train_loss": train_loss, "val_acc": val_acc})
 
     def to_csv(self) -> str:
-        header = "epoch,train_loss," + ",".join(f"val_acc_{t}" for t in self.tasks)
+        header = "epoch,train_loss," + ",".join(f"val_acc_{t}" for t in TASKS)
         lines = [header]
         for row in self.rows:
             cells = [str(row["epoch"]), repr(row["train_loss"])]
-            cells += [repr(row["val_acc"][t]) for t in self.tasks]
+            cells += [repr(row["val_acc"][t]) for t in TASKS]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -332,7 +331,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
     shuffle_rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(cfg.seed + 1)
 
-    log = TrainLog(tasks=model.tasks)
+    log = TrainLog()
     best_avg, best_epoch, best_params = -1.0, -1, model.snapshot()
     step = 0
     for epoch in range(1, cfg.epochs + 1):

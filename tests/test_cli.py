@@ -236,7 +236,7 @@ class TestIdempotence:
                                                                     monkeypatch):
         source = workspace / "module.py"
         source.write_text("VERSION = 1\n", encoding="utf-8")
-        monkeypatch.setitem(cli.STAGE_SOURCES, "train", [str(source)])
+        monkeypatch.setattr(cli, "SOURCES", [str(source)])
         assert run("ingest", "--config", "cfg.json") == 0
         assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
         train = ("train", "--config", "cfg.json", "--condition", "normal", "--no-finetune")
@@ -249,11 +249,23 @@ class TestIdempotence:
         assert fresh == [True, False, True]
 
     def test_every_stage_hashes_modules_that_exist(self):
-        assert set(cli.STAGE_SOURCES) == {"ingest", "preprocess", "variants", "train"}
-        for paths in cli.STAGE_SOURCES.values():
-            assert paths and all(os.path.isfile(p) for p in paths)
-        assert {os.path.basename(p) for p in cli.STAGE_SOURCES["train"]} == {
-            "encoder.py", "lora.py", "trainer.py", "evaluator.py", "tokenizers.py", "variants.py"}
+        assert cli.SOURCES == sorted(cli.SOURCES)
+        assert all(os.path.isfile(p) for p in cli.SOURCES)
+        assert {"atomic.py", "cli.py", "corpus.py", "encoder.py", "trainer.py"} <= {
+            os.path.basename(p) for p in cli.SOURCES}
+
+    def test_train_hashes_every_module_of_the_package(self, workspace, monkeypatch):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        hashed = []
+        real = cli._hash_inputs
+        monkeypatch.setattr(cli, "_hash_inputs",
+                            lambda files, *values: hashed.append(files) or real(files, *values))
+        assert run("train", "--config", "cfg.json", "--condition", "normal", "--no-finetune") == 0
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        modules = {os.path.join(package, name) for name in os.listdir(package)
+                   if name.endswith(".py")}
+        assert modules <= set(hashed[0])   # the cell's input hash
 
 
 class TestStageState:
@@ -617,8 +629,10 @@ class TestErrors:
         ("model", {"pooling": "cls"}, "model.pooling"),
         ("train", {"loss_mode": "class_weighted"}, "train.loss_mode"),
         ("train", {"tasks": ["type", "severity"]}, "train.tasks"),
+        ("adapter", {"targets": ["attn.query", "["]}, "adapter.targets: '['"),
     ], ids=["toy-seed", "toy-pooling", "toy-typo", "pooling", "stratify-unknown",
-            "stratify-diagnosis", "removed-pooling", "removed-loss_mode", "removed-tasks"])
+            "stratify-diagnosis", "removed-pooling", "removed-loss_mode", "removed-tasks",
+            "target-not-a-regex"])
     def test_config_value_deep_code_rejects_is_a_config_error(self, workspace, capsys,
                                                               section, value, named):
         config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
@@ -640,6 +654,11 @@ class TestErrors:
         ("gateway.max_retries", -1),
         ("gateway.backoff_base", -1),
         ("gateway.backoff_cap", -0.5),
+        ("split.seed", -1),
+        ("adapter.seed", -1),
+        ("train.seed", -1),
+        ("model.seed", -1),
+        ("model.head_seed", -1),
     ])
     def test_config_value_of_a_wrong_type_or_range_is_a_config_error(self, workspace, capsys,
                                                                       key, value):

@@ -1,7 +1,4 @@
-"""The fast demos run end to end, so an API change cannot break them silently.
-
-Demos 04 and 05 train encoders and take much longer; they are not run here.
-"""
+"""Every demo runs end to end, so an API change cannot break one silently."""
 
 import os
 import subprocess
@@ -11,10 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FAST_DEMOS = ("01_corpus_and_pii.py", "02_mock_preprocessing.py", "03_lora_from_scratch.py")
+DEMOS = ("01_corpus_and_pii.py", "02_mock_preprocessing.py", "03_lora_from_scratch.py",
+         "04_train_and_evaluate.py", "05_full_pipeline_cli.py")
 
 
-@pytest.mark.parametrize("demo", FAST_DEMOS)
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
     src = str(ROOT / "src")
     env = {**os.environ, "TMPDIR": str(tmp_path),

@@ -121,6 +121,14 @@ class TestAdapters:
         assert targets == ["layer.0.attn.query", "layer.0.attn.value",
                            "layer.1.attn.query", "layer.1.attn.value"]
 
+    @pytest.mark.parametrize("patterns, named", [(("attn.query", "attn.qeury"), "'attn.qeury'"),
+                                                 ((), "no adapter target")],
+                             ids=["unmatched", "empty"])
+    def test_targets_that_adapt_no_matrix_are_refused(self, patterns, named):
+        with pytest.raises(ShapeMismatch, match=named):
+            tiny_encoder().build_adapters(rank=2, alpha=4.0, dropout_rate=0.0, seed=7,
+                                          patterns=patterns)
+
     def test_zero_init_adapters_leave_output_unchanged(self):
         enc = tiny_encoder()
         ids = np.array([[2, 5, 7, 9, 11]])
