@@ -623,16 +623,15 @@ class TestErrors:
         ("model", {"toy": {"seed": 3}}, "'model.toy': ['seed']"),
         ("model", {"toy": {"pooling": "mean"}}, "'model.toy': ['pooling']"),
         ("model", {"toy": {"d_modle": 32}}, "'model.toy': ['d_modle']"),
-        ("model", {"pooling": "max"}, "model.pooling"),
-        ("split", {"stratify_task": "foo"}, "split.stratify_task"),
-        ("split", {"stratify_task": "diagnosis"}, "split.stratify_task"),
+        # removed keys, refused even at the one value they could take
         ("model", {"pooling": "cls"}, "model.pooling"),
         ("train", {"loss_mode": "class_weighted"}, "train.loss_mode"),
         ("train", {"tasks": ["type", "severity"]}, "train.tasks"),
+        ("split", {"stratify_task": "foo"}, "split.stratify_task"),
+        ("split", {"stratify_task": "diagnosis"}, "split.stratify_task"),
         ("adapter", {"targets": ["attn.query", "["]}, "adapter.targets: '['"),
-    ], ids=["toy-seed", "toy-pooling", "toy-typo", "pooling", "stratify-unknown",
-            "stratify-diagnosis", "removed-pooling", "removed-loss_mode", "removed-tasks",
-            "target-not-a-regex"])
+    ], ids=["toy-seed", "toy-pooling", "toy-typo", "pooling", "loss_mode", "tasks",
+            "stratify-unknown", "stratify-diagnosis", "target-not-a-regex"])
     def test_config_value_deep_code_rejects_is_a_config_error(self, workspace, capsys,
                                                               section, value, named):
         config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
