@@ -81,10 +81,15 @@ def read_json(path, build=lambda data: data):
 
 def check_types(cls, data: dict) -> None:
     """Each value of ``data`` must have the type of ``cls``'s default for its
-    key, where that is int (not bool), float (int accepted) or str; else
-    ``TypeError`` naming the key."""
+    key, where that is int (not bool), float (int accepted), str, or a tuple
+    (a list, as JSON has no tuple, or a tuple); else ``TypeError`` naming the
+    key."""
     for key, value in data.items():
         expected = type(cls.__dataclass_fields__[key].default)
+        if expected is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"{key} must be a list, got {value!r}")
+            continue
         accepted = (int, float) if expected is float else (expected,)
         if expected in (int, float, str) and (
                 isinstance(value, bool) or not isinstance(value, accepted)):

@@ -29,6 +29,9 @@ Hot-path choices:
   it back-propagates only into adapters: no input gradient is formed.
 - A training forward evaluates erf once per GELU and keeps the GELU
   derivative for backward; an eval forward keeps no per-layer cache.
+- A training cache is single-use: backward frees each layer's entry as it
+  finishes with it, so one step's activations are gone before the next
+  forward builds its own.  Adapter dropout masks are kept as booleans.
 - Random base weights are drawn one matrix per child seed stream, on a few
   threads, so they depend on the seed and shapes only.
 - Every base, random or pretrained, is one flat float64 array built by
@@ -504,9 +507,10 @@ class NumpyTransformerEncoder:
 
         With ``return_cache`` also the per-layer values ``backward_adapters``
         needs: each linear's adapter inputs, the attention q/k/v/probs, the
-        LayerNorm statistics and the GELU derivative at the FFN input.
-        Without it (every eval forward) none of these are kept past the layer
-        that made them.
+        LayerNorm statistics and the GELU derivative at the FFN input.  The
+        cache serves one ``backward_adapters`` call, which frees it layer by
+        layer.  Without it (every eval forward) none of these are kept past
+        the layer that made them.
         """
         c = self.config
         ids = np.asarray(ids, dtype=np.int64)
@@ -560,14 +564,20 @@ class NumpyTransformerEncoder:
         """Backprop d(pooled) through the stack; return {target: {A, B}} grads.
 
         Gradients for frozen base parameters are never materialized, nor is
-        any gradient below layer 0.
+        any gradient below layer 0.  The cache is single-use: each layer's
+        entry is taken off ``cache.layers`` as backward reaches it, top layer
+        first, so its activations are freed as soon as they are used, and a
+        second call on the same cache is a ``ValueError``.
         """
         c = self.config
+        if len(cache.layers) != c.n_layers:
+            raise ValueError(f"the cache holds {len(cache.layers)} of {c.n_layers} layers: "
+                             "backward_adapters has already consumed it")
         self._adapter_grads = {}
         dx = d_pooled     # the top layer's output rows are the [CLS] rows
 
         for i in range(c.n_layers - 1, -1, -1):
-            layer = cache.layers[i]
+            layer = cache.layers.pop()
             # linears were cached in call order: q, k, v, att-out, ffn-in, ffn-out
             lin = layer["lin"]
             d_res2 = self._layer_norm_backward(dx, layer["ln2"])

@@ -79,9 +79,9 @@ def _check_vector_dim(name: str, arr: np.ndarray, dim: int) -> None:
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: entries are 0 or 1/(1-rate)."""
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
+    """Boolean keep-mask of inverted dropout: an entry is kept with
+    probability 1 - rate, and a kept entry is scaled by 1/(1-rate)."""
+    return rng.random(shape) >= rate
 
 
 def adapter_delta(adapter: LoraAdapter, x: np.ndarray, training: bool = False,
@@ -90,23 +90,24 @@ def adapter_delta(adapter: LoraAdapter, x: np.ndarray, training: bool = False,
 
     ``d`` is inverted dropout on x when ``training`` and the adapter has a
     nonzero dropout rate; identity otherwise.  Accepts single vectors or any
-    batch of vectors along leading axes.
+    batch of vectors along leading axes.  The dropout mask is kept as
+    booleans, one byte per entry.
     """
-    mask = None
+    keep = None
     if training and adapter.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training-mode adapter forward with dropout needs an rng")
-        mask = dropout_mask(x.shape, adapter.dropout_rate, rng)
-        x = x * mask
+        keep = dropout_mask(x.shape, adapter.dropout_rate, rng)
+        x = x * (keep / (1.0 - adapter.dropout_rate))
     z = x @ adapter.A.T
-    return adapter.scaling * (z @ adapter.B.T), (x, z, mask)
+    return adapter.scaling * (z @ adapter.B.T), (x, z, keep)
 
 
 def adapter_backward(adapter: LoraAdapter, dy: np.ndarray, saved: tuple,
                      need_dx: bool = True) -> tuple:
     """Gradients (dx, dA, dB) of the adapter delta, given d(delta) = ``dy``;
     dx is None without ``need_dx``."""
-    xd, z, mask = saved
+    xd, z, keep = saved
     scale = adapter.scaling
     dB = scale * dy.reshape(-1, adapter.d_out).T @ z.reshape(-1, adapter.rank)
     dz = scale * (dy @ adapter.B)
@@ -114,8 +115,8 @@ def adapter_backward(adapter: LoraAdapter, dy: np.ndarray, saved: tuple,
     if not need_dx:
         return None, dA, dB
     dx = dz @ adapter.A
-    if mask is not None:
-        dx = dx * mask
+    if keep is not None:   # the forward's scaled mask, rebuilt bit for bit
+        dx = dx * (keep / (1.0 - adapter.dropout_rate))
     return dx, dA, dB
 
 

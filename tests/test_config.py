@@ -80,6 +80,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid, match="split.ratios"):
             load_config(path)
 
+    @pytest.mark.parametrize("targets", ["attn.query", {"attn.query": 1}])
+    def test_adapter_targets_must_be_a_list(self, tmp_path, targets):
+        # a string would be iterated per character, and "." adapts every matrix
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"adapter": {"targets": targets}}))
+        with pytest.raises(ConfigInvalid, match="adapter.targets must be a list"):
+            load_config(path)
+
     def test_derived_paths_under_workdir(self):
         cfg = PipelineConfig(workdir="w")
         assert cfg.splits_dir().startswith("w")

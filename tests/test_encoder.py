@@ -462,6 +462,16 @@ class TestPacking:
         assert all(need and not none for name, need, none in calls
                    if not name.startswith("layer.0.attn."))
 
+    def test_a_cache_serves_one_backward(self):
+        enc = _with_random_adapters(tiny_encoder())
+        mask = _masks((6, 3, 1), 8)
+        ids = np.random.default_rng(3).integers(0, 64, size=mask.shape)
+        pooled, cache = enc.forward(ids, mask, return_cache=True)
+        enc.backward_adapters(cache, np.ones_like(pooled))
+        assert cache.layers == []    # every layer freed once backward is done with it
+        with pytest.raises(ValueError, match="already consumed"):
+            enc.backward_adapters(cache, np.ones_like(pooled))
+
 
 class TestInit:
     BIG = dict(d_model=32, n_heads=2, d_ff=48, n_layers=3, vocab_size=96)

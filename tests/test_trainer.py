@@ -245,6 +245,21 @@ class TestTrain:
         train(tiny_model(), signal_variant(8), signal_variant(4, seed=9), self._cfg(epochs=2))
         assert live == [0, 0]
 
+    def test_no_earlier_step_holds_layer_activations_when_a_step_starts(self, monkeypatch):
+        live = []
+        forward = encoder_module.NumpyTransformerEncoder.forward
+
+        def counting_forward(self, *args, return_cache=False, **kwargs):
+            if return_cache:
+                gc.collect()
+                live.append(sum(len(o.layers) for o in gc.get_objects()
+                                if isinstance(o, encoder_module._Cache)))
+            return forward(self, *args, return_cache=return_cache, **kwargs)
+
+        monkeypatch.setattr(encoder_module.NumpyTransformerEncoder, "forward", counting_forward)
+        train(tiny_model(), signal_variant(8), signal_variant(4, seed=9), self._cfg(epochs=2))
+        assert live == [0, 0, 0, 0]   # 2 epochs of 2 steps
+
     def test_best_params_selected_by_val_avg(self):
         model = tiny_model(seed=8)
         result = train(model, signal_variant(24), signal_variant(8, seed=9),
