@@ -13,7 +13,8 @@ A numpy library covering the full experiment pipeline:
 - ``encoder``    a numpy transformer encoder with adapter injection and
                  manual backprop for the trainable parameters
 - ``trainer``    multi-task heads, imbalance-weighted loss, AdamW training
-- ``evaluator``  accuracy / balanced accuracy and the report grid
+- ``evaluator``  eval-mode prediction, accuracy / balanced accuracy and
+                 the report grid
 - ``cli``        the ``medcascade`` command (ingest .. report)
 """
 

@@ -23,8 +23,8 @@ from dataclasses import asdict, replace
 from . import __version__
 from .atomic import read_json, write_atomic, write_json
 from .config import PipelineConfig, load_config
-from .corpus import (CorpusManifest, load_corpus, manifest_path_for, read_manifest,
-                     scrub_records, stratified_split, write_corpus)
+from .corpus import (CorpusManifest, corpus_format, load_corpus, manifest_path_for,
+                     read_manifest, scrub_records, stratified_split, write_corpus)
 from .encoder import export_digests, resolve_encoder
 from .errors import CorruptArtifact, MedcascadeError, MissingUpstreamArtifact, UserError
 from .evaluator import ReportCell, TaskScores, evaluate, prediction_dump, render_report
@@ -112,19 +112,17 @@ def _slug(name: str) -> str:
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
     if not os.path.exists(cfg.corpus):
         raise MissingUpstreamArtifact(f"corpus {cfg.corpus} not found")
-    split_cfg = {"ratios": list(cfg.split.ratios), "seed": cfg.split.seed,
-                 "stratify_task": cfg.split.stratify_task}
-    input_hash = _hash_inputs(
-        [cfg.corpus, manifest_path_for(cfg.corpus), *SOURCES], split_cfg)
+    split_cfg = {"ratios": list(cfg.split.ratios), "seed": cfg.split.seed}
+    input_hash = _hash_inputs([cfg.corpus, manifest_path_for(cfg.corpus), *SOURCES],
+                              split_cfg, corpus_format(cfg.corpus))
     state = os.path.join(cfg.splits_dir(), ".state.json")
     if _up_to_date(state, input_hash, [cfg.splits_dir()]):
         print("ingest: up to date")
         return 0
 
-    records, manifest = load_corpus(cfg.corpus, cfg.corpus_format)
+    records, manifest = load_corpus(cfg.corpus)
     records = scrub_records(records)
-    parts = stratified_split(records, cfg.split.ratios, cfg.split.seed,
-                             stratify_task=cfg.split.stratify_task)
+    parts = stratified_split(records, cfg.split.ratios, cfg.split.seed)
     for part_name, part_records in zip(SPLITS, parts):
         part_manifest = CorpusManifest(
             vocab=manifest.vocab, record_count=len(part_records),
@@ -151,7 +149,7 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
 
     records = [record for path in split_paths for record in load_corpus(path)[0]]
     store = BundleStore(cfg.bundles_dir())
-    bundles = run_bundle(records, gw, store, resume=args.resume)
+    bundles = run_bundle(records, gw, store)
     _write_state(state, input_hash, [cfg.bundles_dir()])
     print(f"preprocess: {len(bundles)} bundles in {cfg.bundles_dir()} "
           f"({gw.backend_calls} gateway calls, {gw.cache_hits} cache hits)")
@@ -314,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--backend", choices=("mock", "openai", "llama"),
                    help="overrides gateway.backend")
-    p.add_argument("--resume", action="store_true",
-                   help="skip records whose bundle already exists")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("variants", help="build evaluation-condition datasets")

@@ -29,7 +29,6 @@ DESK_LEARNING_RATE = 2e-3
 class SplitConfig:
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 7
-    stratify_task: str = "type"
 
 
 @dataclass
@@ -52,8 +51,7 @@ class ModelConfig:
 
 @dataclass
 class PipelineConfig:
-    corpus: str = "data/synthetic/corpus.jsonl"
-    corpus_format: str = "jsonl"
+    corpus: str = "data/synthetic/corpus.jsonl"   # read as CSV if it ends in .csv
     workdir: str = "work"
     split: SplitConfig = field(default_factory=SplitConfig)
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
@@ -98,9 +96,6 @@ class PipelineConfig:
             self.train.validate()
         except ValueError as e:
             raise ConfigInvalid(str(e)) from e
-        if self.corpus_format not in ("jsonl", "csv"):
-            raise ConfigInvalid(f"corpus_format must be 'jsonl' or 'csv', "
-                                f"got {self.corpus_format!r}")
         ratios = self.split.ratios
         if not (isinstance(ratios, (list, tuple)) and len(ratios) == 3 and all(
                 isinstance(r, (int, float)) and not isinstance(r, bool) and r > 0
@@ -123,16 +118,13 @@ class PipelineConfig:
             seed = getattr(getattr(self, section), name)
             if seed < 0:   # numpy takes no negative seed
                 raise ConfigInvalid(f"{key} must be >= 0, got {seed}")
-        if self.split.stratify_task not in ("type", "severity"):  # the labels every record has
-            raise ConfigInvalid(f"split.stratify_task must be 'type' or 'severity', "
-                                f"got {self.split.stratify_task!r}")
         toy_keys = set(EncoderConfig.__dataclass_fields__) - {"seed"}   # model.seed sets it
         if not isinstance(self.model.toy, dict):
             raise ConfigInvalid("model.toy must be an object")
         unknown = set(self.model.toy) - toy_keys
         if unknown:
             raise ConfigInvalid(f"unknown keys in 'model.toy': {sorted(unknown)}")
-        _check_types(EncoderConfig, self.model.toy, "model.toy")
+        _check_types(EncoderConfig, self.model.toy, "model.toy.")
         gw = self.gateway
         if not gw.rate_per_sec > 0:
             raise ConfigInvalid(f"gateway.rate_per_sec must be > 0, got {gw.rate_per_sec}")
@@ -143,11 +135,11 @@ class PipelineConfig:
                 raise ConfigInvalid(f"gateway.{key} must be >= 0, got {getattr(gw, key)}")
 
 
-def _check_types(cls, data: dict, section: str) -> None:
+def _check_types(cls, data: dict, prefix: str = "") -> None:
     try:
         check_types(cls, data)
     except TypeError as e:
-        raise ConfigInvalid(f"{section}.{e}") from e
+        raise ConfigInvalid(f"{prefix}{e}") from e
 
 
 def _build_section(default, data: dict, section: str):
@@ -155,7 +147,7 @@ def _build_section(default, data: dict, section: str):
     unknown = set(data) - set(default.__dataclass_fields__)
     if unknown:
         raise ConfigInvalid(f"unknown config keys {sorted(f'{section}.{k}' for k in unknown)}")
-    _check_types(type(default), data, section)
+    _check_types(type(default), data, f"{section}.")
     kwargs = dict(data)
     for key in ("ratios", "targets"):
         if key in kwargs and isinstance(kwargs[key], list):
@@ -178,6 +170,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
                 raw = json.load(fh)
             except ValueError as e:  # not JSON, or not UTF-8
                 raise ConfigInvalid(f"config file {path} is not valid JSON: {e}") from e
+        if not isinstance(raw, dict):
+            raise ConfigInvalid(f"config file {path} must hold a JSON object")
 
     for key, value in (overrides or {}).items():
         if value is None:
@@ -197,13 +191,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
             if not isinstance(value, dict):
                 raise ConfigInvalid(f"section {key!r} must be an object")
             kwargs[key] = _build_section(getattr(defaults, key), value, key)
-        elif key in ("corpus", "corpus_format", "workdir"):
+        elif key in ("corpus", "workdir"):
+            _check_types(PipelineConfig, {key: value})
             kwargs[key] = value
         else:
             raise ConfigInvalid(f"unknown config key {key!r}")
-    try:
-        cfg = PipelineConfig(**kwargs)
-    except TypeError as e:
-        raise ConfigInvalid(str(e)) from e
+    cfg = PipelineConfig(**kwargs)
     cfg.validate()
     return cfg

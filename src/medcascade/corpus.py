@@ -167,16 +167,20 @@ def _csv_rows(fh):
                                    "type": row.get("type"), "severity": row.get("severity")}}
 
 
-def load_corpus(path: str, format: str = "jsonl") -> tuple[list[ComplaintRecord], CorpusManifest]:
-    """Load and validate a corpus; record order is preserved from the file."""
-    if format not in ("jsonl", "csv"):
-        raise ValueError(f"unknown corpus format {format!r}")
+def corpus_format(path: str) -> str:
+    """``csv`` for a path ending in ``.csv``, else ``jsonl``."""
+    return "csv" if str(path).endswith(".csv") else "jsonl"
+
+
+def load_corpus(path: str) -> tuple[list[ComplaintRecord], CorpusManifest]:
+    """Load and validate a corpus, read as ``corpus_format(path)``; record
+    order is preserved from the file."""
     manifest_path = manifest_path_for(path)
     if not os.path.exists(manifest_path):
         raise MalformedRecord(0, "manifest", f"{manifest_path} not found")
     manifest = read_manifest(manifest_path)
 
-    rows = _jsonl_rows if format == "jsonl" else _csv_rows
+    rows = _csv_rows if corpus_format(path) == "csv" else _jsonl_rows
     records: list[ComplaintRecord] = []
     seen: set[str] = set()
     try:
@@ -238,9 +242,9 @@ def scrub_pii(text: str) -> str:
 # -- stratified split --------------------------------------------------------
 
 def stratified_split(records: list[ComplaintRecord], ratios: tuple[float, float, float],
-                     seed: int, stratify_task: str = "type",
+                     seed: int,
                      ) -> tuple[list[ComplaintRecord], list[ComplaintRecord], list[ComplaintRecord]]:
-    """Split into (train, val, test) stratified on one task's label.
+    """Split into (train, val, test) stratified on the Type label.
 
     Per class, counts follow the largest-remainder method (within one record
     of the exact ratios); every split is then guaranteed at least one record
@@ -252,7 +256,7 @@ def stratified_split(records: list[ComplaintRecord], ratios: tuple[float, float,
 
     by_class: dict[str, list[int]] = {}
     for idx, rec in enumerate(records):
-        by_class.setdefault(rec.labels.get(stratify_task), []).append(idx)
+        by_class.setdefault(rec.labels.condition_type, []).append(idx)
     for cls, idxs in sorted(by_class.items()):
         if len(idxs) < 3:
             raise ClassTooSmall(cls, len(idxs), 3)

@@ -11,13 +11,16 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .atomic import json_line, write_atomic, write_json
 from .errors import EmptyInput, LengthMismatch, VocabMismatch
-from .trainer import MultiTaskModel, predict
 from .variants import DatasetVariant
+
+if TYPE_CHECKING:   # trainer imports this module
+    from .trainer import MultiTaskModel
 
 METRIC_NOTE = ("Headline cells are plain accuracy; balanced accuracy per cell "
                "is in report.json under tasks.<task>.balanced_accuracy.")
@@ -84,6 +87,31 @@ def _rates(matrix: list[list[int]]) -> tuple[float, float]:
     return correct / sum(map(sum, matrix)), sum(recalls) / len(recalls)
 
 
+def predict(model: MultiTaskModel, texts: list[str], batch_size: int = 8,
+            ) -> dict[str, dict[str, np.ndarray]]:
+    """Eval-mode argmax per task; ties break to the lowest class index.
+
+    Texts are batched in order of length, each batch padded to its longest
+    text.  A text's scores equal, to float64 rounding, those it gets alone:
+    the BLAS kernel can change with the batch's row count, so the bytes can
+    differ.  Scores and indices come back in input order.
+    """
+    ids, mask = model.encode_texts(texts)
+    lengths = mask.sum(axis=1).astype(np.int64)
+    order = np.argsort(lengths, kind="stable")
+    scores = {task: np.zeros((len(texts), model.heads[task]["b"].shape[0]))
+              for task in model.tasks}
+    for start in range(0, len(order), batch_size):
+        sel = order[start: start + batch_size]
+        width = lengths[sel].max()
+        logits, _, _ = model.forward(ids[sel, :width], mask[sel, :width], training=False)
+        for task in model.tasks:
+            scores[task][sel] = logits[task]
+    return {task: {"indices": np.argmax(scores[task], axis=1).astype(np.int64),
+                   "scores": scores[task]}
+            for task in model.tasks}
+
+
 def evaluate(model: MultiTaskModel, dataset: DatasetVariant,
              ) -> tuple[dict[str, TaskScores], dict[str, dict[str, np.ndarray]]]:
     """Score each of ``model.tasks`` on one variant; deterministic in its inputs.
@@ -93,9 +121,14 @@ def evaluate(model: MultiTaskModel, dataset: DatasetVariant,
     """
     if not dataset.examples:
         raise EmptyInput("dataset has no examples")
-    targets = model.targets(dataset)
-    texts = [ex.input_text for ex in dataset.examples]
-    preds = predict(model, texts)
+    preds = predict(model, [ex.input_text for ex in dataset.examples])
+    return score_predictions(model, preds, model.targets(dataset)), preds
+
+
+def score_predictions(model: MultiTaskModel, preds: dict[str, dict[str, np.ndarray]],
+                      targets: dict[str, np.ndarray]) -> dict[str, TaskScores]:
+    """Each task's scores off the confusion matrix of ``predict``'s indices
+    against its class-index ``targets``."""
     scores: dict[str, TaskScores] = {}
     for task, golds in targets.items():
         confusion = confusion_matrix(preds[task]["indices"], golds,
@@ -103,7 +136,7 @@ def evaluate(model: MultiTaskModel, dataset: DatasetVariant,
         acc, balanced = _rates(confusion)
         scores[task] = TaskScores(task=task, accuracy=acc, balanced_accuracy=balanced,
                                   n=len(golds), confusion=confusion)
-    return scores, preds
+    return scores
 
 
 def prediction_dump(model: MultiTaskModel, dataset: DatasetVariant,

@@ -280,14 +280,14 @@ class LlamaServerBackend(_HTTPBackend):
 class RetryPolicy:
     max_retries: int = 3
     base_delay: float = 0.5
-    factor: float = 2.0
     max_delay: float = 8.0
 
     def delays(self):
+        """``base_delay``, doubling per retry, each capped at ``max_delay``."""
         d = self.base_delay
         for _ in range(self.max_retries):
             yield min(d, self.max_delay)
-            d *= self.factor
+            d *= 2
 
 
 class Gateway:

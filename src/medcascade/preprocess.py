@@ -256,9 +256,6 @@ class BundleStore:
                     self._index[bundle.record_id] = bundle
         return self._index
 
-    def exists(self, record_id: str) -> bool:
-        return record_id in self._bundles()
-
     def save(self, bundle: PreprocessBundle) -> None:
         index = self._bundles()
         append_jsonl(self.path, asdict(bundle))
@@ -321,30 +318,26 @@ def _process_record(record: ComplaintRecord, gw: Gateway,
     return PreprocessBundle(record.id, refined, summarized, entities, dict(hashes)), ledger
 
 
-def run_bundle(records: list[ComplaintRecord], gw: Gateway, store: BundleStore,
-               resume: bool = False) -> list[PreprocessBundle]:
+def run_bundle(records: list[ComplaintRecord], gw: Gateway,
+               store: BundleStore) -> list[PreprocessBundle]:
     """Produce one bundle per record through all three layers.
 
     Never loses a record: stage failures are recorded in the failure ledger
     and the bundle degrades (fallback refined/summarized = scrubbed source,
     entities = empty) instead of aborting the run; the ledger is
     ``failures.jsonl`` in the store's directory, and each record's entries
-    are appended right after its bundle is saved.  With ``resume``, records
-    whose bundle the log holds are skipped outright; without it the bundle
-    log and the ledger start empty.
+    are appended right after its bundle is saved.  The bundle log and the
+    ledger start empty; a rerun after a crash replays the finished records
+    from the gateway's response cache.
     """
     ledger_path = os.path.join(store.directory, "failures.jsonl")
     hashes = template_hashes(gw.backend.prompt_style)
-    if not resume:
-        store.clear()
-        if os.path.exists(ledger_path):
-            os.remove(ledger_path)
+    store.clear()
+    if os.path.exists(ledger_path):
+        os.remove(ledger_path)
 
     bundles: list[PreprocessBundle] = []
     for record in records:
-        if resume and store.exists(record.id):
-            bundles.append(store.load(record.id))
-            continue
         bundle, ledger = _process_record(record, gw, hashes)
         store.save(bundle)
         bundles.append(bundle)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .corpus import label_counts
 from .errors import EmptyClass, IndexOutOfVocab, NonFiniteLoss, VocabMismatch
+from .evaluator import predict, score_predictions
 from .lora import count_trainable
 from .variants import DatasetVariant
 
@@ -186,31 +187,6 @@ class MultiTaskModel:
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
         for name, arr in self.trainable_params().items():
             arr[:] = snapshot[name]
-
-
-def predict(model: MultiTaskModel, texts: list[str], batch_size: int = 8,
-            ) -> dict[str, dict[str, np.ndarray]]:
-    """Eval-mode argmax per task; ties break to the lowest class index.
-
-    Texts are batched in order of length, each batch padded to its longest
-    text.  A text's scores equal, to float64 rounding, those it gets alone:
-    the BLAS kernel can change with the batch's row count, so the bytes can
-    differ.  Scores and indices come back in input order.
-    """
-    ids, mask = model.encode_texts(texts)
-    lengths = mask.sum(axis=1).astype(np.int64)
-    order = np.argsort(lengths, kind="stable")
-    scores = {task: np.zeros((len(texts), model.heads[task]["b"].shape[0]))
-              for task in model.tasks}
-    for start in range(0, len(order), batch_size):
-        sel = order[start: start + batch_size]
-        width = lengths[sel].max()
-        logits, _, _ = model.forward(ids[sel, :width], mask[sel, :width], training=False)
-        for task in model.tasks:
-            scores[task][sel] = logits[task]
-    return {task: {"indices": np.argmax(scores[task], axis=1).astype(np.int64),
-                   "scores": scores[task]}
-            for task in model.tasks}
 
 
 # -- optimizer ------------------------------------------------------------------
@@ -388,7 +364,8 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
         # left of its cache before validating (a model without adapters never
         # runs backward, so there it is the whole cache)
         logits = pooled = cache = None
-        val_acc = _accuracy_on(model, val_texts, val_targets)
+        scores = score_predictions(model, predict(model, val_texts), val_targets)
+        val_acc = {task: s.accuracy for task, s in scores.items()}
         log.append(epoch, float(np.mean(epoch_losses)), val_acc)
         avg = float(np.mean([val_acc[t] for t in model.tasks]))
         if avg > best_avg:
@@ -396,10 +373,3 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
 
     return TrainResult(best_params=best_params, best_epoch=best_epoch, log=log,
                        steps_taken=step)
-
-
-def _accuracy_on(model: MultiTaskModel, texts: list[str],
-                 targets: dict[str, np.ndarray]) -> dict[str, float]:
-    preds = predict(model, texts)
-    return {task: float(np.mean(preds[task]["indices"] == targets[task]))
-            for task in model.tasks}

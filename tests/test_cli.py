@@ -81,8 +81,17 @@ class TestIdempotence:
         capsys.readouterr()
         assert run("ingest", "--config", "cfg.json") == 0
         assert "up to date" in capsys.readouterr().out
-        assert run("preprocess", "--config", "cfg.json", "--resume") == 0
+        assert run("preprocess", "--config", "cfg.json") == 0
         assert "0 gateway calls" in capsys.readouterr().out
+
+    def test_ingest_redoes_work_when_the_corpus_format_changes(self, workspace, capsys):
+        # the same bytes under a .csv name are read as CSV, which they are not;
+        # both names share the manifest data/corpus.manifest.json
+        shutil.copy("data/corpus.jsonl", "data/corpus.csv")
+        assert run("ingest", "--config", "cfg.json") == 0
+        capsys.readouterr()
+        assert run("ingest", "--config", "cfg.json", "--corpus", "data/corpus.csv") == 1
+        assert capsys.readouterr().err.startswith("MalformedRecord: ")
 
     def test_ingest_redoes_work_when_corpus_changes(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0
@@ -91,21 +100,27 @@ class TestIdempotence:
         assert run("ingest", "--config", "cfg.json") == 0
         assert "up to date" not in capsys.readouterr().out
 
-    def test_resume_after_partial_preprocess(self, workspace, capsys):
+    def test_rerun_after_partial_preprocess(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0
         assert run("preprocess", "--config", "cfg.json") == 0
-        # delete two bundles and the completion state: only those are redone
         log = workspace / "work" / "bundles" / "bundles.jsonl"
-        lines = log.read_bytes().splitlines(keepends=True)
-        log.write_bytes(b"".join(lines[2:]))
+        whole = log.read_bytes()
+        # a crash after the first two bundles, before the completion state
+        log.write_bytes(b"".join(whole.splitlines(keepends=True)[:2]))
         (workspace / "work" / ".preprocess.state.json").unlink()
         capsys.readouterr()
-        assert run("preprocess", "--config", "cfg.json", "--resume") == 0
+        assert run("preprocess", "--config", "cfg.json") == 0
         out = capsys.readouterr().out
-        assert "60 bundles" in out
-        # cache absorbs the repeated calls: no fresh backend traffic needed
-        assert "(0 gateway calls, 6 cache hits)" in out
-        assert log.read_bytes().count(b"\n") == 60
+        # the cache replays every record's three completions: no backend traffic
+        assert "preprocess: 60 bundles" in out
+        assert "(0 gateway calls, 180 cache hits)" in out
+        assert log.read_bytes() == whole
+
+    def test_resume_flag_is_gone(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("preprocess", "--config", "cfg.json", "--resume")
+        assert exc.value.code == 1
+        assert "UsageError: " in capsys.readouterr().err
 
     def test_mock_preprocess_creates_three_files(self, workspace):
         """One log per store, not one file per completion or bundle."""
@@ -139,7 +154,7 @@ class TestIdempotence:
     def test_preprocess_redoes_work_when_the_live_model_changes(self, workspace, capsys,
                                                                  monkeypatch):
         monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
-        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store, **kwargs: [])
+        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store: [])
         assert run("ingest", "--config", "cfg.json") == 0
 
         def preprocess(model):
@@ -156,7 +171,7 @@ class TestIdempotence:
 
     def test_preprocess_redoes_work_when_the_mock_lexicon_changes(self, workspace, capsys,
                                                                    monkeypatch):
-        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store, **kwargs: [])
+        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store: [])
         (workspace / "one_term.txt").write_text("fever\n", encoding="utf-8")
         assert run("ingest", "--config", "cfg.json") == 0
 
@@ -172,7 +187,7 @@ class TestIdempotence:
 
     def test_a_value_that_names_a_file_is_hashed_as_the_value(self, workspace, capsys,
                                                               monkeypatch):
-        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store, **kwargs: [])
+        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store: [])
         assert run("ingest", "--config", "cfg.json") == 0
         stray = workspace / "mock"      # same name as the backend value
         for content in ("one", "two"):
@@ -603,6 +618,18 @@ class TestErrors:
         (workspace / "bad.json").write_text(json.dumps({"trian": {}}), encoding="utf-8")
         assert run("ingest", "--config", "bad.json") == 1
 
+    @pytest.mark.parametrize("config, named", [
+        ({"corpus": ["x"]}, "corpus must be str"),
+        ({"corpus": "data/corpus.jsonl", "workdir": 5}, "workdir must be str"),
+        ([1, 2], "bad.json must hold a JSON object"),
+    ], ids=["corpus-list", "workdir-int", "not-an-object"])
+    def test_config_of_a_wrong_shape_is_a_config_error(self, workspace, capsys,
+                                                       config, named):
+        (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", "bad.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: ") and named in err
+
     @pytest.mark.parametrize("toy, named", [({"n_heads": 0}, "n_heads"),
                                             ({"d_model": -4}, "d_model"),
                                             ({"vocab_size": 3}, "vocab_size")],
@@ -627,11 +654,14 @@ class TestErrors:
         ("model", {"pooling": "cls"}, "model.pooling"),
         ("train", {"loss_mode": "class_weighted"}, "train.loss_mode"),
         ("train", {"tasks": ["type", "severity"]}, "train.tasks"),
+        ("split", {"stratify_task": "type"}, "split.stratify_task"),
+        ("corpus_format", "jsonl", "corpus_format"),
         ("split", {"stratify_task": "foo"}, "split.stratify_task"),
         ("split", {"stratify_task": "diagnosis"}, "split.stratify_task"),
         ("adapter", {"targets": ["attn.query", "["]}, "adapter.targets: '['"),
     ], ids=["toy-seed", "toy-pooling", "toy-typo", "pooling", "loss_mode", "tasks",
-            "stratify-unknown", "stratify-diagnosis", "target-not-a-regex"])
+            "stratify-type", "corpus_format", "stratify-unknown", "stratify-diagnosis",
+            "target-not-a-regex"])
     def test_config_value_deep_code_rejects_is_a_config_error(self, workspace, capsys,
                                                               section, value, named):
         config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))

@@ -86,7 +86,7 @@ class TestLoadCorpus:
         (tmp_path / "c.manifest.json").write_text(json.dumps(
             {"schema_version": 1, "vocab": {"type": ["chronic", "acute"],
                                             "severity": ["mild", "severe"]}}))
-        records, manifest = load_corpus(csv_path, format="csv")
+        records, manifest = load_corpus(csv_path)   # read as CSV by its suffix
         assert len(records) == 2
         assert records[0].age == 25
         assert records[1].age is None

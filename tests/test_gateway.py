@@ -219,9 +219,9 @@ class TestRetry:
         assert len(sleeps) == 2
 
     def test_backoff_capped(self):
-        policy = RetryPolicy(max_retries=5, base_delay=1.0, factor=4.0, max_delay=6.0)
+        policy = RetryPolicy(max_retries=5, base_delay=1.0, max_delay=6.0)
         delays = list(policy.delays())
-        assert delays == [1.0, 4.0, 6.0, 6.0, 6.0]
+        assert delays == [1.0, 2.0, 4.0, 6.0, 6.0]
 
     def test_empty_response_raises(self):
         gw = Gateway(FlakyBackend(failures=0, response="  "))

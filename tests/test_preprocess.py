@@ -209,7 +209,6 @@ class TestBundleStore:
         store = BundleStore(tmp_path / "bundles")
         bundle = PreprocessBundle("p/1:x", "a", "b", [])
         store.save(bundle)
-        assert store.exists("p/1:x")
         assert store.load("p/1:x").record_id == "p/1:x"
         assert store.load("p_1_x") is None  # different id, different record
         # record ids never become file names
@@ -226,7 +225,7 @@ class TestBundleStore:
         with open(store.path, "wb") as fh:
             fh.write(b"\n".join([damage, *lines[1:]]))
         store = BundleStore(tmp_path / "bundles")
-        assert not store.exists("r1") and store.load("r1") is None
+        assert store.load("r1") is None
         assert store.load("r2").refined == "c"
         records = [make_record(rid=rid) for rid in ("r1", "r2")]
         with pytest.raises(UserError, match=f"'r1' in {re.escape(store.path)}$"):
@@ -279,16 +278,15 @@ class TestRunBundle:
             assert set(bundle.prompt_hashes) == {"refine", "summarize", "ner"}
         assert not (tmp_path / "bundles" / "failures.jsonl").exists()
 
-    def test_resume_skips_existing(self, tmp_path):
+    def test_rerun_replays_finished_records_from_the_cache(self, mock_gateway, tmp_path):
         store = BundleStore(tmp_path / "bundles")
         records = self._records()
-        gw = Gateway(MockBackend())  # no cache: backend calls reflect actual work
-        run_bundle(records[:3], gw, store=store)
-        calls_after_first = gw.backend_calls
-        assert calls_after_first == 9  # 3 records x 3 stages
-        bundles = run_bundle(records, gw, resume=True, store=store)
+        run_bundle(records[:3], mock_gateway, store=store)
+        assert mock_gateway.backend_calls == 9  # 3 records x 3 stages
+        bundles = run_bundle(records, mock_gateway, store=store)
         assert len(bundles) == 5
-        assert gw.backend_calls == calls_after_first + 6  # only records 4-5 processed
+        # only records 4-5 reach the backend
+        assert (mock_gateway.backend_calls, mock_gateway.cache_hits) == (15, 9)
 
     def test_ner_failure_degrades_with_ledger(self, tmp_path):
         store = BundleStore(tmp_path / "bundles")
@@ -326,14 +324,20 @@ class TestRunBundle:
         # no record lost: every input id has a bundle, fatal ones degraded
         assert {b.record_id for b in bundles} == {"r1"}
 
-    def test_crash_then_resume_ledgers_each_failure_once(self, tmp_path):
+    def test_crash_then_rerun_ledgers_each_failure_once(self, tmp_path):
         store = BundleStore(tmp_path / "bundles")
         records = self._records(3)
+        cache = ResponseCache(tmp_path / "cache")
         with pytest.raises(RuntimeError):
-            run_bundle(records, Gateway(NerRefusingBackend(crash_on="من 3 ايام")), store=store)
+            run_bundle(records, Gateway(NerRefusingBackend(crash_on="من 3 ايام"), cache=cache),
+                       store=store)
         assert _ledger(tmp_path) == [("r0", "ner")]   # r0 finished before the crash
-        run_bundle(records, Gateway(NerRefusingBackend()), store=store, resume=True)
+        gw = Gateway(NerRefusingBackend(), cache=ResponseCache(tmp_path / "cache"))
+        run_bundle(records, gw, store=store)
         assert _ledger(tmp_path) == [("r0", "ner"), ("r1", "ner"), ("r2", "ner")]
+        # r0's four completions (NER is asked twice) come from the cache; the
+        # crash came on r1's first prompt
+        assert (gw.backend_calls, gw.cache_hits) == (8, 4)
 
     def test_full_rerun_starts_an_empty_ledger(self, tmp_path):
         store = BundleStore(tmp_path / "bundles")
@@ -357,26 +361,24 @@ class TestRunBundle:
         run_bundle(self._records(3), Gateway(MockBackend()), store=store)
         run_bundle(self._records(2), Gateway(MockBackend()), store=store)
         assert (tmp_path / "bundles" / "bundles.jsonl").read_bytes().count(b"\n") == 2
-        assert not BundleStore(tmp_path / "bundles").exists("r2")
+        assert BundleStore(tmp_path / "bundles").load("r2") is None
 
-    def test_resume_after_a_torn_bundle_log_redoes_only_the_torn_record(self, tmp_path):
+    def test_rerun_after_a_torn_bundle_log_calls_no_backend(self, tmp_path):
         records = self._records()
         cache = tmp_path / "cache"
-        whole = BundleStore(tmp_path / "whole")
-        run_bundle(records, Gateway(MockBackend(), cache=ResponseCache(cache)), store=whole)
+        run_bundle(records, Gateway(MockBackend(), cache=ResponseCache(cache)),
+                   store=BundleStore(tmp_path / "bundles"))
         # a crash cuts the last line in the middle
-        log = tmp_path / "whole" / "bundles.jsonl"
+        log = tmp_path / "bundles" / "bundles.jsonl"
         data = log.read_bytes()
-        cut = data.rindex(b"\n", 0, len(data) - 1) + 40
-        log.write_bytes(data[:cut])
+        log.write_bytes(data[:data.rindex(b"\n", 0, len(data) - 1) + 40])
+        store = BundleStore(tmp_path / "bundles")
+        assert [store.load(r.id) is not None for r in records] == [True] * 4 + [False]
         gw = Gateway(MockBackend(), cache=ResponseCache(cache))
-        store = BundleStore(tmp_path / "whole")
-        assert [store.exists(r.id) for r in records] == [True] * 4 + [False]
-        bundles = run_bundle(records, gw, store=store, resume=True)
+        bundles = run_bundle(records, gw, store=store)
         assert len(bundles) == 5
-        assert (gw.backend_calls, gw.cache_hits) == (0, 3)
-        assert BundleStore(tmp_path / "whole").store_hash() == whole.store_hash()
-        assert log.read_bytes().split(b"\n")[4] == data[:cut].split(b"\n")[4]
+        assert (gw.backend_calls, gw.cache_hits) == (0, 15)
+        assert log.read_bytes() == data
 
 
 class TestTemplates:
