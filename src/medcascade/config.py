@@ -174,8 +174,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
             raise ConfigInvalid(f"config file {path} must hold a JSON object")
 
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
         node = raw
         parts = key.split(".")
         for part in parts[:-1]:

@@ -3,7 +3,10 @@
 Canonical storage is JSONL (one record per line, UTF-8) with a JSON manifest
 sidecar declaring the label vocabularies; CSV is import-only.  Label
 vocabularies are closed: a record whose label is missing from the manifest
-is rejected at load time rather than becoming a silent new class.
+is rejected at load time rather than becoming a silent new class.  A record
+carries the two labels the tasks score, Type and Severity; any other label
+key (older corpora carry ``diagnosis``) is ignored, and any other manifest
+vocabulary passes through to the split manifests as data.
 """
 
 from __future__ import annotations
@@ -30,20 +33,16 @@ SCHEMA_VERSION = 1
 class LabelSet:
     condition_type: str
     severity: str
-    diagnosis: str | None = None
 
-    def get(self, task: str) -> str | None:
+    def get(self, task: str) -> str:
         if task == "type":
             return self.condition_type
         if task == "severity":
             return self.severity
-        if task == "diagnosis":
-            return self.diagnosis
         raise KeyError(task)
 
     def to_json(self) -> dict:
-        return {"diagnosis": self.diagnosis, "type": self.condition_type,
-                "severity": self.severity}
+        return {"type": self.condition_type, "severity": self.severity}
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,14 @@ class CorpusManifest:
     split: dict | None = None     # {"ratios": [...], "seed": int, "part": "train"}
 
     def validate(self) -> None:
+        if not isinstance(self.vocab, dict):
+            raise MalformedRecord(0, "vocab", "must be an object")
         for task in ("type", "severity"):
             if task not in self.vocab:
                 raise MalformedRecord(0, f"vocab.{task}", "missing vocabulary")
         for task, classes in self.vocab.items():
+            if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+                raise MalformedRecord(0, f"vocab.{task}", "must be a list of strings")
             if len(classes) < 2:
                 raise MalformedRecord(0, f"vocab.{task}", "needs >= 2 entries")
             if len(set(classes)) != len(classes):
@@ -125,7 +128,6 @@ def _parse_record(raw: dict, line_no: int, vocab: dict[str, list[str]]) -> Compl
         raise MalformedRecord(line_no, "labels", "must be an object")
     ctype = labels_raw.get("type")
     severity = labels_raw.get("severity")
-    diagnosis = labels_raw.get("diagnosis")
     if not isinstance(ctype, str):
         raise MalformedRecord(line_no, "labels.type", "required")
     if not isinstance(severity, str):
@@ -134,11 +136,8 @@ def _parse_record(raw: dict, line_no: int, vocab: dict[str, list[str]]) -> Compl
         raise UnknownLabel(rid, "type", ctype)
     if severity not in vocab["severity"]:
         raise UnknownLabel(rid, "severity", severity)
-    if diagnosis is not None and "diagnosis" in vocab and diagnosis not in vocab["diagnosis"]:
-        raise UnknownLabel(rid, "diagnosis", diagnosis)
     return ComplaintRecord(id=rid, text=unicodedata.normalize("NFC", text), age=age,
-                           gender=gender, labels=LabelSet(condition_type=ctype,
-                                                          severity=severity, diagnosis=diagnosis))
+                           gender=gender, labels=LabelSet(condition_type=ctype, severity=severity))
 
 
 def _jsonl_rows(fh):
@@ -163,8 +162,7 @@ def _csv_rows(fh):
             raise MalformedRecord(line_no, "age", str(e)) from e
         yield line_no, {"id": row.get("id"), "text": row.get("text"), "age": age,
                         "gender": row.get("gender") or None,
-                        "labels": {"diagnosis": row.get("diagnosis") or None,
-                                   "type": row.get("type"), "severity": row.get("severity")}}
+                        "labels": {"type": row.get("type"), "severity": row.get("severity")}}
 
 
 def corpus_format(path: str) -> str:
@@ -294,10 +292,9 @@ def scrub_records(records: list[ComplaintRecord]) -> list[ComplaintRecord]:
 
 def label_counts(records, task: str) -> dict[str, int]:
     """Count per label of ``task`` over records or variant examples, in order
-    of first appearance; missing labels are skipped."""
+    of first appearance."""
     counts: dict[str, int] = {}
     for r in records:
         label = r.labels.get(task)
-        if label is not None:
-            counts[label] = counts.get(label, 0) + 1
+        counts[label] = counts.get(label, 0) + 1
     return counts

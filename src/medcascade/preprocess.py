@@ -17,7 +17,8 @@ Bundles live in one append-only log, ``bundles.jsonl``, beside the failure
 ledger ``failures.jsonl``: one line per record, appended once its three
 layers are done, read once into an index by record id.  A damaged or torn
 line is skipped, so its record counts as not done; a later line for a
-record wins.
+record wins.  Each bundle records the sha256 of the scrubbed text its layers
+were given, so a variant never joins new text to the outputs of old text.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class PreprocessBundle:
     summarized: str
     entities: list[Entity]
     prompt_hashes: dict[str, str] = field(default_factory=dict)
+    source_sha256: str = ""   # of the scrubbed text the layers were given
 
     @classmethod
     def from_json(cls, data: dict) -> "PreprocessBundle":
@@ -84,7 +86,8 @@ class PreprocessBundle:
                    summarized=data["summarized"],
                    entities=[Entity(e["surface"], e["category"], e.get("normalized", False))
                              for e in data["entities"]],
-                   prompt_hashes=data.get("prompt_hashes", {}))
+                   prompt_hashes=data.get("prompt_hashes", {}),
+                   source_sha256=data.get("source_sha256", ""))
 
 
 # Read once per process, at import, so the layers open no file and a missing
@@ -98,10 +101,13 @@ def render(style: str, stage: str, text: str) -> str:
     return TEMPLATES[(style, stage)].format(text=text)
 
 
+def text_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def template_hashes(style: str) -> dict[str, str]:
     """The sha256 of each stage's template in ``style``, by stage."""
-    return {stage: hashlib.sha256(TEMPLATES[(style, stage)].encode("utf-8")).hexdigest()
-            for stage in STAGES}
+    return {stage: text_sha256(TEMPLATES[(style, stage)]) for stage in STAGES}
 
 
 def _source_text(record: ComplaintRecord) -> str:
@@ -294,9 +300,6 @@ def _process_record(record: ComplaintRecord, gw: Gateway,
                     hashes: dict[str, str]) -> tuple[PreprocessBundle, list[LedgerEntry]]:
     """One record's bundle through all three layers, and its ledger entries."""
     scrubbed = scrub_pii(record.text)
-    if not scrubbed.strip():
-        return (PreprocessBundle(record.id, "", "", [], dict(hashes)),
-                [LedgerEntry(record.id, "refine", "EmptySourceText", fatal=True)])
     source = ComplaintRecord(id=record.id, text=scrubbed, labels=record.labels,
                              age=record.age, gender=record.gender)
     ledger: list[LedgerEntry] = []
@@ -315,7 +318,8 @@ def _process_record(record: ComplaintRecord, gw: Gateway,
     except MedcascadeError as e:
         ledger.append(LedgerEntry(record.id, "ner", e.category, fatal=False))
         entities = []
-    return PreprocessBundle(record.id, refined, summarized, entities, dict(hashes)), ledger
+    return (PreprocessBundle(record.id, refined, summarized, entities, dict(hashes),
+                             text_sha256(scrubbed)), ledger)
 
 
 def run_bundle(records: list[ComplaintRecord], gw: Gateway,

@@ -5,7 +5,8 @@ clinical taxonomies.  Every record's text contains one type-marker token and
 one severity-marker token, so a bag-of-words linear model can separate the
 classes; markers are in the mock NER lexicon, which keeps the signal alive
 in every preprocessing condition.  A minority of records carry PII spans so
-ingestion has something to scrub.
+ingestion has something to scrub.  Records carry the Type and Severity
+labels only.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from .corpus import ComplaintRecord, CorpusManifest, LabelSet, write_corpus
 
 TYPE_CLASSES = ("chronic", "acute", "skin")
 SEVERITY_CLASSES = ("mild", "severe")
-DIAGNOSIS_CLASSES = ("diabetes", "hypertension", "influenza", "tonsillitis",
-                     "eczema", "dermatitis")
 
 TYPE_MARKERS = {
     "chronic": ("سكري", "ضغط", "مزمن"),
@@ -25,13 +24,6 @@ TYPE_MARKERS = {
     "skin": ("طفح", "اكزيما", "حكة"),
 }
 SEVERITY_MARKERS = {"mild": ("خفيف", "بسيط"), "severe": ("شديد", "قوي")}
-
-_DIAGNOSIS_FOR_MARKER = {
-    "سكري": "diabetes", "ضغط": "hypertension",
-    "انفلونزا": "influenza", "حمى": "tonsillitis", "التهاب": "tonsillitis",
-    "اكزيما": "eczema", "طفح": "dermatitis", "حكة": "dermatitis",
-}
-_DIAGNOSIS_FALLBACK = {"chronic": "diabetes", "acute": "influenza", "skin": "eczema"}
 
 _OPENERS = ("السلام عليكم يا دكتور.", "لو سمحت يا دكتور.", "مرحبا دكتور.", "تحية طيبة.")
 _UNITS = ("ايام", "اسابيع", "شهور")
@@ -72,19 +64,14 @@ def generate_synthetic_corpus(n: int = 200, seed: int = 2024,
             sentences.append(str(rng.choice(_PII_SENTENCES)))
         sentences.append(str(rng.choice(_CLOSERS)))
 
-        diagnosis = None
-        if rng.random() < 0.8:
-            diagnosis = _DIAGNOSIS_FOR_MARKER.get(type_marker, _DIAGNOSIS_FALLBACK[ctype])
-
+        rng.random()  # drew a diagnosis label once; kept so every later record stays the same
         records.append(ComplaintRecord(
             id=f"syn{i:04d}", text=" ".join(sentences), age=age, gender=gender,
-            labels=LabelSet(condition_type=ctype, severity=severity, diagnosis=diagnosis)))
+            labels=LabelSet(condition_type=ctype, severity=severity)))
 
-    manifest = CorpusManifest(vocab={
-        "type": list(TYPE_CLASSES),
-        "severity": list(SEVERITY_CLASSES),
-        "diagnosis": list(DIAGNOSIS_CLASSES),
-    }, record_count=len(records))
+    manifest = CorpusManifest(vocab={"type": list(TYPE_CLASSES),
+                                     "severity": list(SEVERITY_CLASSES)},
+                              record_count=len(records))
     return records, manifest
 
 

@@ -93,10 +93,6 @@ class WordPieceTokenizer:
             raise VocabInvalid(f"{path} is not UTF-8 text: {e}") from e
         return cls(vocab, source=str(path), **kwargs)
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
-
     @staticmethod
     def _is_punct(ch: str) -> bool:
         cp = ord(ch)

@@ -4,7 +4,8 @@ Augmented conditions append one preprocessing output to the scrubbed source
 text behind a reserved ``[AUX]`` separator, so the normal condition stays a
 strict ablation and any single-input encoder can consume the result.  Labels
 are copied unchanged; an empty auxiliary falls back to the normal text and
-is counted, not dropped.
+is counted, not dropped.  A bundle made from other text than the record's
+scrubbed text is stale and counts as missing.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from .atomic import read_json, write_json, write_jsonl
 from .corpus import ComplaintRecord, LabelSet, corpus_hash, scrub_pii
 from .errors import CorruptArtifact, MissingBundle
-from .preprocess import BundleStore
+from .preprocess import BundleStore, text_sha256
 
 CONDITIONS = ("normal", "refined", "summarized", "ner")
 AUX_SEP = " [AUX] "
@@ -60,9 +61,9 @@ def build_variant(records: list[ComplaintRecord], bundles: BundleStore | None,
             input_text = normal_text
         else:
             bundle = bundles.load(record.id)
-            if bundle is None:
-                raise MissingBundle(f"no preprocess bundle for record {record.id!r} "
-                                    f"in {bundles.path}")
+            if bundle is None or bundle.source_sha256 != text_sha256(normal_text):
+                raise MissingBundle(f"run `medcascade preprocess`: no bundle for the current "
+                                    f"text of record {record.id!r} in {bundles.path}")
             if condition == "refined":
                 aux = bundle.refined
             elif condition == "summarized":
@@ -113,8 +114,7 @@ def load_variant(directory: str, condition: str, split: str) -> DatasetVariant:
                 labels = raw["labels"]
                 examples.append(VariantExample(
                     record_id=raw["record_id"], input_text=raw["input_text"],
-                    labels=LabelSet(condition_type=labels["type"], severity=labels["severity"],
-                                    diagnosis=labels.get("diagnosis"))))
+                    labels=LabelSet(condition_type=labels["type"], severity=labels["severity"])))
     except CorruptArtifact.DECODE_ERRORS as e:
         raise CorruptArtifact.at(data_path, e) from e
     provenance = read_json(sidecar_path) if os.path.exists(sidecar_path) else {}

@@ -11,10 +11,9 @@ VOCAB = {"type": ["chronic", "acute"], "severity": ["mild", "severe"],
 
 
 def make_record(rid="r1", text="عندي صداع شديد من 3 ايام.", ctype="chronic",
-                severity="severe", diagnosis=None, age=40, gender="female"):
+                severity="severe", age=40, gender="female"):
     return ComplaintRecord(id=rid, text=text, age=age, gender=gender,
-                           labels=LabelSet(condition_type=ctype, severity=severity,
-                                           diagnosis=diagnosis))
+                           labels=LabelSet(condition_type=ctype, severity=severity))
 
 
 @pytest.fixture

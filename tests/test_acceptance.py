@@ -308,8 +308,7 @@ def test_criterion_9_variant_construction(tmp_path):
 
     variants = {c: build_variant(records, store, c) for c in CONDITIONS}
     label_multisets = {
-        c: sorted((ex.labels.condition_type, ex.labels.severity, ex.labels.diagnosis or "")
-                  for ex in v.examples)
+        c: sorted((ex.labels.condition_type, ex.labels.severity) for ex in v.examples)
         for c, v in variants.items()}
     assert all(m == label_multisets["normal"] for m in label_multisets.values())
 

@@ -120,12 +120,12 @@ class TestJsonForm:
     def test_a_record_serializes_as_its_fields(self):
         bundle = PreprocessBundle("r1", "نص", "ملخص", [Entity("صداع", "symptom"),
                                                       Entity("fever", "symptom", True)],
-                                  {"refine": "h1"})
+                                  {"refine": "h1"}, "d1")
         assert asdict(bundle) == {
             "record_id": "r1", "refined": "نص", "summarized": "ملخص",
             "entities": [{"surface": "صداع", "category": "symptom", "normalized": False},
                          {"surface": "fever", "category": "symptom", "normalized": True}],
-            "prompt_hashes": {"refine": "h1"}}
+            "prompt_hashes": {"refine": "h1"}, "source_sha256": "d1"}
         assert PreprocessBundle.from_json(asdict(bundle)) == bundle
 
 

@@ -73,6 +73,55 @@ class TestPipelineSmoke:
         assert run("report", "--config", "cfg.json") == 1
         assert "MissingUpstreamArtifact" in capsys.readouterr().err
 
+    def test_report_over_runs_without_scores(self, workspace, capsys):
+        (workspace / "work" / "runs" / "toy__normal__frozen").mkdir(parents=True)
+        assert run("report", "--config", "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("MissingUpstreamArtifact: ") and "no scores.json" in err
+
+    def test_an_older_corpus_with_a_diagnosis_label_gives_the_same_splits(self, workspace):
+        with open("data/corpus.jsonl", encoding="utf-8") as src, \
+                open("data/old.jsonl", "w", encoding="utf-8") as dst:
+            for i, line in enumerate(src):
+                record = json.loads(line)
+                record["labels"]["diagnosis"] = ("flu", None)[i % 2]
+                dst.write(json.dumps(record, ensure_ascii=False) + "\n")
+        manifest = json.loads(Path("data/corpus.manifest.json").read_text(encoding="utf-8"))
+        manifest["vocab"]["diagnosis"] = ["flu", "eczema"]
+        Path("data/old.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("ingest", "--config", "cfg.json", "--corpus", "data/old.jsonl",
+                   "--workdir", "old") == 0
+        for part in ("train", "val", "test"):
+            new, old = (Path(w, "splits", f"{part}.jsonl").read_bytes() for w in ("work", "old"))
+            assert old == new
+            assert json.loads(Path("old", "splits", f"{part}.manifest.json").read_text(
+                encoding="utf-8"))["vocab"]["diagnosis"] == ["flu", "eczema"]
+
+    def test_variants_refuse_bundles_of_text_that_changed(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("preprocess", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json") == 0
+        lines = Path("data/corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["text"] += " وكمان عندي كحة."
+        lines[0] = json.dumps(record, ensure_ascii=False) + "\n"
+        Path("data/corpus.jsonl").write_text("".join(lines), encoding="utf-8")
+        assert run("ingest", "--config", "cfg.json") == 0
+        capsys.readouterr()
+        assert run("variants", "--config", "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("MissingBundle: ") and repr(record["id"]) in err
+        assert "medcascade preprocess" in err
+        assert run("preprocess", "--config", "cfg.json") == 0
+        assert "(3 gateway calls, 177 cache hits)" in capsys.readouterr().out
+        assert run("variants", "--config", "cfg.json") == 0
+        variants = str(workspace / "work" / "variants")
+        (example,) = [ex for part in ("train", "val", "test")
+                      for ex in load_variant(variants, "refined", part).examples
+                      if ex.record_id == record["id"]]
+        assert example.input_text.count("كحة") == 2   # the new text and its refinement
+
 
 class TestIdempotence:
     def test_rerun_short_circuits(self, workspace, capsys):
@@ -622,7 +671,8 @@ class TestErrors:
         ({"corpus": ["x"]}, "corpus must be str"),
         ({"corpus": "data/corpus.jsonl", "workdir": 5}, "workdir must be str"),
         ([1, 2], "bad.json must hold a JSON object"),
-    ], ids=["corpus-list", "workdir-int", "not-an-object"])
+        ({"gateway": 5}, "'gateway' must be an object"),
+    ], ids=["corpus-list", "workdir-int", "not-an-object", "gateway-int"])
     def test_config_of_a_wrong_shape_is_a_config_error(self, workspace, capsys,
                                                        config, named):
         (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
@@ -688,6 +738,9 @@ class TestErrors:
         ("train.seed", -1),
         ("model.seed", -1),
         ("model.head_seed", -1),
+        ("adapter.rank", 0),
+        ("adapter.dropout", 1.0),
+        ("model.toy", []),
     ])
     def test_config_value_of_a_wrong_type_or_range_is_a_config_error(self, workspace, capsys,
                                                                       key, value):
@@ -703,6 +756,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("ConfigInvalid: ")
         assert key in err
+
+    def test_ingest_without_the_manifest_is_malformed(self, workspace, capsys):
+        (workspace / "data" / "corpus.manifest.json").unlink()
+        assert run("ingest", "--config", "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("MalformedRecord: ")
+        assert str(Path("data", "corpus.manifest.json")) in err
 
     def test_missing_corpus(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json", "--corpus", "missing.jsonl") == 1

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,46 @@ class TestLoadCorpus:
         assert exc.value.line_no == 4
         assert exc.value.field == "age"
 
+    @pytest.mark.parametrize("line, field", [
+        ('{"id": "p9", "text": "x", "labels": ["acute", "mild"]}', "labels"),
+        ('{"id": "p9", "text": "x", "labels": {"severity": "mild"}}', "labels.type"),
+        ('{"id": "p9", "text": "x", "labels": {"type": "acute"}}', "labels.severity"),
+        ('{"id": "p9", "text": "x", "gender": "other", '
+         '"labels": {"type": "acute", "severity": "mild"}}', "gender"),
+        ('{"id": "p9", "text": "x", "labels"', "json"),
+    ], ids=["labels-not-object", "no-type", "no-severity", "unknown-gender", "not-json"])
+    def test_bad_line_names_its_line_and_field(self, corpus_files, line, field):
+        corpus, _ = corpus_files
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(MalformedRecord) as exc:
+            load_corpus(corpus)
+        assert (exc.value.line_no, exc.value.field) == (4, field)
+
+    def test_type_outside_the_vocabulary_rejected(self, corpus_files):
+        corpus, _ = corpus_files
+        bad = {"id": "p9", "text": "x", "labels": {"type": "viral", "severity": "mild"}}
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        with pytest.raises(UnknownLabel, match="viral"):
+            load_corpus(corpus)
+
+    @pytest.mark.parametrize("vocab, field", [
+        ({"type": ["chronic", "acute"], "severity": "mild"}, "vocab.severity"),
+        ({"type": ["chronic", "acute"], "severity": ["mild", 2]}, "vocab.severity"),
+        ([["chronic", "acute"], ["mild", "severe"]], "vocab"),
+        ({"type": ["chronic", "acute"]}, "vocab.severity"),
+        ({"type": ["chronic", "acute", "chronic"], "severity": ["mild", "severe"]},
+         "vocab.type"),
+    ], ids=["string", "non-string-entry", "vocab-not-object", "no-severity", "repeated-entry"])
+    def test_manifest_vocab_of_a_wrong_shape_is_malformed(self, corpus_files, vocab, field):
+        # a string would pass as its characters: "mild" has 4 distinct ones
+        corpus, manifest = corpus_files
+        manifest.write_text(json.dumps({"schema_version": 1, "vocab": vocab}), encoding="utf-8")
+        with pytest.raises(MalformedRecord) as exc:
+            load_corpus(corpus)
+        assert exc.value.field == field
+
     def test_empty_text_rejected(self, corpus_files):
         corpus, _ = corpus_files
         bad = {"id": "p9", "text": "   ", "age": None, "gender": None,
@@ -90,6 +131,18 @@ class TestLoadCorpus:
         assert len(records) == 2
         assert records[0].age == 25
         assert records[1].age is None
+
+    def test_csv_age_that_is_not_a_number_names_its_line(self, tmp_path):
+        csv_path = tmp_path / "c.csv"
+        csv_path.write_text("id,text,age,gender,type,severity\n"
+                            "c1,fever,25,male,acute,mild\n"
+                            "c2,fatigue,abc,,chronic,severe\n", encoding="utf-8")
+        (tmp_path / "c.manifest.json").write_text(json.dumps(
+            {"schema_version": 1, "vocab": {"type": ["chronic", "acute"],
+                                            "severity": ["mild", "severe"]}}))
+        with pytest.raises(MalformedRecord) as exc:
+            load_corpus(csv_path)
+        assert (exc.value.line_no, exc.value.field) == (3, "age")
 
     def test_round_trip(self, corpus_files, tmp_path):
         corpus, _ = corpus_files
@@ -224,3 +277,12 @@ class TestHelpers:
         manifest.vocab["severity"] = ["only"]
         with pytest.raises(MalformedRecord):
             manifest.validate()
+
+
+def test_readme_corpus_format_names_the_record_and_label_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    line = re.search(r"\*\*Corpus\*\*: JSONL `(\{.*?\}\})`", readme, re.S).group(1)
+    labels = re.search(r'"labels": \{(.*?)\}', line, re.S).group(1)
+    written = make_record().to_json()
+    assert re.findall(r'"(\w+)"', line.replace(labels, "")) == list(written)
+    assert re.findall(r'"(\w+)"', labels) == list(written["labels"])

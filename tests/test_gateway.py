@@ -278,8 +278,8 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         type(self).last_body = raw
         body = json.loads(raw)
-        if self.behavior == "auth":
-            self.send_response(401)
+        if self.behavior in ("auth", "bad_request"):
+            self.send_response(401 if self.behavior == "auth" else 400)
             self.end_headers()
             return
         if self.behavior == "flaky_then_ok":
@@ -304,7 +304,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(data)
             return
-        if self.path.endswith("/completion"):
+        if self.behavior == "empty_object":
+            payload = {}
+        elif self.path.endswith("/completion"):
             payload = {"content": f"echo:{body['prompt']}"}
         else:
             payload = {"choices": [{"message": {
@@ -372,6 +374,22 @@ class TestHttpBackends:
         _Handler.behavior = "html"
         gw = Gateway(OpenAIChatBackend("openai", http_server), sleep=lambda s: None)
         with pytest.raises(BackendUnavailable, match="undecodable response"):
+            gw.complete("hi")
+        assert gw.backend_calls == 1
+        _Handler.behavior = "ok"
+
+
+    @pytest.mark.parametrize("behavior, backend, named", [
+        ("bad_request", OpenAIChatBackend, "HTTP 400"),
+        ("empty_object", OpenAIChatBackend, "unexpected response shape"),
+        ("empty_object", LlamaServerBackend, "no 'content' field"),
+    ], ids=["http-400", "openai-no-choices", "llama-no-content"])
+    def test_a_bad_answer_is_backend_unavailable_and_not_retried(self, http_server, behavior,
+                                                                 backend, named):
+        _Handler.behavior = behavior
+        url = http_server.replace("/v1/chat/completions", "/completion")
+        gw = Gateway(backend("live", url), sleep=lambda s: None)
+        with pytest.raises(BackendUnavailable, match=named):
             gw.complete("hi")
         assert gw.backend_calls == 1
         _Handler.behavior = "ok"
@@ -461,6 +479,15 @@ class TestBuildGateway:
             sys.setprofile(previous)
         assert gw.backend_calls == 30
         assert slept == []
+
+    def test_llama_backend_is_built_behind_a_limiter(self, monkeypatch, http_server):
+        _Handler.behavior = "ok"
+        monkeypatch.setenv("MEDCASCADE_LLM_URL",
+                           http_server.replace("/v1/chat/completions", "/completion"))
+        gw = build_gateway(GatewayConfig(backend="llama", rate_per_sec=7.0, burst=3.0))
+        assert isinstance(gw.backend, LlamaServerBackend)
+        assert isinstance(gw.rate_limiter, TokenBucket)
+        assert gw.complete("hi") == "echo:hi"
 
     def test_live_backend_gets_the_configured_limiter(self, monkeypatch):
         monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)

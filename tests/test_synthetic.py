@@ -14,8 +14,6 @@ class TestSyntheticCorpus:
         for record in records:
             assert record.labels.condition_type in manifest.vocab["type"]
             assert record.labels.severity in manifest.vocab["severity"]
-            if record.labels.diagnosis is not None:
-                assert record.labels.diagnosis in manifest.vocab["diagnosis"]
 
     def test_deterministic(self):
         a, _ = generate_synthetic_corpus(seed=2024)
