@@ -14,13 +14,14 @@ one ``json_line`` per entry.  ``read_json`` reports a file it cannot decode
 or unpack as ``CorruptArtifact`` naming the file, and ``check_types`` holds
 the values of a JSON object to the types of a dataclass's defaults.
 
-``append_jsonl`` adds one entry to an append-only JSONL log (the response
-cache, the bundle store, the failure ledger): one line of JSON written with a
-single ``os.write`` on an ``O_APPEND`` descriptor.  If the log does not end in
-a newline (a tail torn by a crash), the write starts with one, so the torn
-line stays a line of its own.  ``read_jsonl`` skips blank lines and lines
-that are not JSON objects, and never modifies the file; callers skip entries
-that lack their required fields, and a later entry for the same key wins.
+``append_jsonl`` adds one entry to the package's one append-only log, the
+response cache: one line of JSON written with a single ``os.write`` on an
+``O_APPEND`` descriptor.  If the log does not end in a newline (a tail torn
+by a crash), the write starts with one, so the torn line stays a line of its
+own.  ``read_jsonl`` reads that log and the whole-file JSONL artifacts (the
+bundle log, the failure ledger) alike: it skips blank lines and lines that
+are not JSON objects, and never modifies the file; callers skip entries that
+lack their required fields, and a later entry for the same key wins.
 """
 
 from __future__ import annotations

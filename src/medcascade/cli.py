@@ -93,12 +93,6 @@ def _require(path: str, produced_by: str) -> str:
     return path
 
 
-def _preprocess_state(cfg: PipelineConfig) -> str:
-    # beside the bundle directory, not in it: the bundle and ledger logs there
-    # do not depend on the live url, and this state does
-    return os.path.join(cfg.workdir, ".preprocess.state.json")
-
-
 def _split_path(cfg: PipelineConfig, part: str) -> str:
     return os.path.join(cfg.splits_dir(), f"{part}.jsonl")
 
@@ -142,7 +136,9 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     input_hash = _hash_inputs([*split_paths, *SOURCES], cfg.gateway.backend,
                               gw.backend.scope, template_hashes("sentinel"),
                               template_hashes("instruct"))
-    state = _preprocess_state(cfg)
+    # beside the bundle directory, not in it: every file there is the same
+    # for any live url, and this state, which hashes the url, is not
+    state = os.path.join(cfg.workdir, ".preprocess.state.json")
     if _up_to_date(state, input_hash, [cfg.bundles_dir()]):
         print("preprocess: up to date (0 gateway calls)")
         return 0
@@ -162,7 +158,7 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
     store = BundleStore(cfg.bundles_dir())
     store_hash = None
     if any(c != "normal" for c in conditions):
-        _require(_preprocess_state(cfg), "preprocess")
+        _require(store.path, "preprocess")
         store_hash = store.store_hash()
     stale = {}   # condition -> (state path, input hash); each condition has its own state
     for condition in conditions:

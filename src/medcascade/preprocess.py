@@ -13,12 +13,14 @@ or a bare comma-separated list (the mock's style), which is read as symptoms.
 An unparseable answer earns one reprompt with a format reminder, then the
 record degrades to an empty entity list.
 
-Bundles live in one append-only log, ``bundles.jsonl``, beside the failure
-ledger ``failures.jsonl``: one line per record, appended once its three
-layers are done, read once into an index by record id.  A damaged or torn
-line is skipped, so its record counts as not done; a later line for a
-record wins.  Each bundle records the sha256 of the scrubbed text its layers
-were given, so a variant never joins new text to the outputs of old text.
+Bundles live in ``bundles.jsonl``, beside the failure ledger
+``failures.jsonl``: one line per record, each file written whole and
+atomically once every record is done, so a crash part-way through a run
+leaves the previous run's files as they were.  The log is read once into an
+index by record id.  A damaged or torn line is skipped, so its record counts
+as not done; a later line for a record wins.  Each bundle records the sha256
+of the scrubbed text its layers were given, so a variant never joins new
+text to the outputs of old text.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .corpus import ComplaintRecord, scrub_pii
-from .atomic import append_jsonl, json_line, read_jsonl
+from .atomic import json_line, read_jsonl, write_jsonl
 from .errors import (CorruptArtifact, EmptySourceText, MedcascadeError, ParseFailure,
                      RefusalDetected, ResponseEmpty)
 from .gateway import Gateway
@@ -240,12 +242,11 @@ def extract_entities(record: ComplaintRecord, gw: Gateway) -> list[Entity]:
 # -- bundle store and orchestration -------------------------------------------
 
 class BundleStore:
-    """Append-only log of bundles, ``bundles.jsonl`` in a bundles directory,
-    indexed by record id on first use."""
+    """The bundle log, ``bundles.jsonl`` in a bundles directory, indexed by
+    record id on first use."""
 
     def __init__(self, directory: str):
         self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, "bundles.jsonl")
         self._index: dict[str, PreprocessBundle] | None = None
         self._hash: str | None = None
@@ -262,20 +263,13 @@ class BundleStore:
                     self._index[bundle.record_id] = bundle
         return self._index
 
-    def save(self, bundle: PreprocessBundle) -> None:
-        index = self._bundles()
-        append_jsonl(self.path, asdict(bundle))
-        index[bundle.record_id] = bundle
-        self._hash = None
+    def save(self, bundles: list[PreprocessBundle]) -> None:
+        """Replace the log with ``bundles``, one line each, atomically."""
+        write_jsonl(self.path, [asdict(bundle) for bundle in bundles])
+        self._index, self._hash = {bundle.record_id: bundle for bundle in bundles}, None
 
     def load(self, record_id: str) -> PreprocessBundle | None:
         return self._bundles().get(record_id)
-
-    def clear(self) -> None:
-        """Start an empty log."""
-        if os.path.exists(self.path):
-            os.remove(self.path)
-        self._index, self._hash = {}, None
 
     def store_hash(self) -> str:
         """Digest of the bundles sorted by record id: neither the order of the
@@ -326,28 +320,21 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
                store: BundleStore) -> list[PreprocessBundle]:
     """Produce one bundle per record through all three layers.
 
-    Never loses a record: stage failures are recorded in the failure ledger
-    and the bundle degrades (fallback refined/summarized = scrubbed source,
-    entities = empty) instead of aborting the run; the ledger is
-    ``failures.jsonl`` in the store's directory, and each record's entries
-    are appended right after its bundle is saved.  The bundle log and the
-    ledger start empty; a rerun after a crash replays the finished records
-    from the gateway's response cache.
+    Never loses a record: stage failures go to the failure ledger and the
+    bundle degrades (fallback refined/summarized = scrubbed source, entities
+    = empty) instead of aborting the run.  Once every record is done, the
+    bundle log and the ledger (``failures.jsonl`` in the store's directory,
+    empty when nothing failed) are each written whole, so a crash before
+    then leaves the previous run's files in place; a rerun replays the
+    finished records from the gateway's response cache.
     """
-    ledger_path = os.path.join(store.directory, "failures.jsonl")
     hashes = template_hashes(gw.backend.prompt_style)
-    store.clear()
-    if os.path.exists(ledger_path):
-        os.remove(ledger_path)
-
     bundles: list[PreprocessBundle] = []
+    ledger: list[LedgerEntry] = []
     for record in records:
-        bundle, ledger = _process_record(record, gw, hashes)
-        store.save(bundle)
+        bundle, entries = _process_record(record, gw, hashes)
         bundles.append(bundle)
-        try:
-            for entry in ledger:
-                append_jsonl(ledger_path, asdict(entry))
-        except OSError as e:
-            raise MedcascadeError(f"cannot write failure ledger {ledger_path}: {e}") from e
+        ledger += entries
+    store.save(bundles)
+    write_jsonl(os.path.join(store.directory, "failures.jsonl"), map(asdict, ledger))
     return bundles

@@ -236,8 +236,6 @@ class TrainConfig:
     epochs: int = 25
     learning_rate: float = 2e-4
     seed: int = 0
-    weight_decay: float = 0.01
-    warmup_frac: float = 0.1
 
     def validate(self) -> None:
         if self.batch_size < 1 or self.epochs < 1 or self.learning_rate <= 0:
@@ -323,7 +321,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
     total_steps = cfg.epochs * steps_per_epoch
 
     params = model.trainable_params()
-    optimizer = AdamW(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    optimizer = AdamW(params, lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(cfg.seed + 1)
 
@@ -352,7 +350,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
                 for name, g in model.encoder.backward_adapters(cache, d_pooled).items():
                     grads[f"adapter.{name}.A"] = g["A"]
                     grads[f"adapter.{name}.B"] = g["B"]
-            optimizer.step(grads, lr_scale=lr_schedule(step, total_steps, cfg.warmup_frac))
+            optimizer.step(grads, lr_scale=lr_schedule(step, total_steps))
             step += 1
             epoch_losses.append(loss)
 

@@ -60,6 +60,25 @@ class TestPipelineSmoke:
                          "predictions.jsonl", "checkpoint.npz"):
             assert (run_dir / artifact).exists()
 
+    def test_each_state_sits_beside_its_stages_outputs(self, workspace):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("preprocess", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json") == 0
+        assert run("train", "--config", "cfg.json", "--condition", "ner", "--no-finetune") == 0
+        assert run("report", "--config", "cfg.json") == 0
+        work = workspace / "work"
+        states = sorted(str(p.relative_to(work)) for p in work.rglob("*state.json"))
+        assert states == [".preprocess.state.json",
+                          os.path.join("reports", ".state.json"),
+                          os.path.join("runs", "toy__ner__frozen", ".state.json"),
+                          os.path.join("splits", ".state.json"),
+                          *(os.path.join("variants", c, ".state.json")
+                            for c in ("ner", "normal", "refined", "summarized"))]
+        # preprocess's sits beside bundles/: every file in it is the same for
+        # any live url, and the state, which hashes the url, is not
+        assert sorted(p.name for p in (work / "bundles").iterdir()) == \
+            ["bundles.jsonl", "failures.jsonl"]
+
     def test_variants_before_preprocess(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0
         assert run("variants", "--config", "cfg.json") == 1
@@ -154,7 +173,7 @@ class TestIdempotence:
         assert run("preprocess", "--config", "cfg.json") == 0
         log = workspace / "work" / "bundles" / "bundles.jsonl"
         whole = log.read_bytes()
-        # a crash after the first two bundles, before the completion state
+        # a log cut to two bundles, and no state
         log.write_bytes(b"".join(whole.splitlines(keepends=True)[:2]))
         (workspace / "work" / ".preprocess.state.json").unlink()
         capsys.readouterr()
@@ -171,8 +190,8 @@ class TestIdempotence:
         assert exc.value.code == 1
         assert "UsageError: " in capsys.readouterr().err
 
-    def test_mock_preprocess_creates_three_files(self, workspace):
-        """One log per store, not one file per completion or bundle."""
+    def test_mock_preprocess_writes_one_file_per_store(self, workspace):
+        """One file per store, not one per completion or bundle."""
         corpus = Path(__file__).resolve().parents[1] / "data" / "synthetic" / "corpus.jsonl"
         assert run("ingest", "--config", "cfg.json", "--corpus", str(corpus)) == 0
         assert run("preprocess", "--config", "cfg.json", "--corpus", str(corpus)) == 0
@@ -180,7 +199,9 @@ class TestIdempotence:
         created = sorted(str(p.relative_to(work)) for p in work.rglob("*")
                          if p.is_file() and p.parts[len(work.parts)] != "splits")
         assert created == [".preprocess.state.json", os.path.join("bundles", "bundles.jsonl"),
+                           os.path.join("bundles", "failures.jsonl"),
                            os.path.join("cache", "responses.jsonl")]
+        assert (work / "bundles" / "failures.jsonl").read_bytes() == b""
         assert (work / "bundles" / "bundles.jsonl").read_bytes().count(b"\n") == 200
 
 
@@ -620,6 +641,23 @@ class TestErrors:
         assert repr(record_id) in err
         assert os.path.join("work", "bundles", "bundles.jsonl") in err
 
+    def test_a_non_finite_loss_is_an_internal_error_and_writes_no_state(self, workspace,
+                                                                        capsys, monkeypatch):
+        def nan_loss(logits, targets, weights):
+            _, dlogits = loss_and_grad(logits, targets, weights)
+            return float("nan"), dlogits
+
+        loss_and_grad = trainer.weighted_loss_and_grad
+        monkeypatch.setattr(trainer, "weighted_loss_and_grad", nan_loss)
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        capsys.readouterr()
+        assert run("train", "--config", "cfg.json", "--condition", "normal") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("NonFiniteLoss: ")
+        assert not (workspace / "work" / "runs" / "toy__normal__finetuned"
+                    / ".state.json").exists()
+
     @pytest.mark.parametrize("damaged", ["test.jsonl", "test.provenance.json"])
     def test_damaged_variant_file_is_a_user_error(self, workspace, capsys, damaged):
         assert run("ingest", "--config", "cfg.json") == 0
@@ -705,13 +743,15 @@ class TestErrors:
         ("train", {"loss_mode": "class_weighted"}, "train.loss_mode"),
         ("train", {"tasks": ["type", "severity"]}, "train.tasks"),
         ("split", {"stratify_task": "type"}, "split.stratify_task"),
+        ("train", {"weight_decay": 0.01}, "train.weight_decay"),
+        ("train", {"warmup_frac": 0.1}, "train.warmup_frac"),
         ("corpus_format", "jsonl", "corpus_format"),
         ("split", {"stratify_task": "foo"}, "split.stratify_task"),
         ("split", {"stratify_task": "diagnosis"}, "split.stratify_task"),
         ("adapter", {"targets": ["attn.query", "["]}, "adapter.targets: '['"),
     ], ids=["toy-seed", "toy-pooling", "toy-typo", "pooling", "loss_mode", "tasks",
-            "stratify-type", "corpus_format", "stratify-unknown", "stratify-diagnosis",
-            "target-not-a-regex"])
+            "stratify-type", "weight_decay", "warmup_frac", "corpus_format",
+            "stratify-unknown", "stratify-diagnosis", "target-not-a-regex"])
     def test_config_value_deep_code_rejects_is_a_config_error(self, workspace, capsys,
                                                               section, value, named):
         config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))

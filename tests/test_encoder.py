@@ -56,6 +56,16 @@ class TestWordPieceTokenizer:
         tok = WordPieceTokenizer(self._vocab())
         assert tok.encode("xyzzy") == [tok.unk_id]
 
+    def test_a_word_over_100_characters_is_one_unk(self):
+        vocab = {t: i for i, t in enumerate(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "a", "##a"])}
+        tok = WordPieceTokenizer(vocab)
+        assert tok.encode("a" * 100) == [4] + [5] * 99
+        assert tok.encode("a" * 101) == [tok.unk_id]
+
+    def test_do_lower_case(self):
+        assert WordPieceTokenizer(self._vocab(), do_lower_case=True).encode("FEVER") == [5]
+        assert WordPieceTokenizer(self._vocab()).encode("FEVER") == [1]
+
     def test_punctuation_split(self):
         tok = WordPieceTokenizer(self._vocab())
         assert tok.encode("fever,fever") == [5, 10, 5]
@@ -64,6 +74,9 @@ class TestWordPieceTokenizer:
         tok = WordPieceTokenizer(self._vocab())
         assert tok.aux_id == 4
         assert tok.encode("fever [AUX] fever") == [5, 4, 5]
+        # a vocab that has [AUX] itself uses it
+        vocab = {**self._vocab(), "[AUX]": 12}
+        assert WordPieceTokenizer(vocab).encode("fever [AUX] fever") == [5, 12, 5]
 
     def test_vocab_without_an_aux_slot_is_refused(self, tmp_path):
         vocab = {t: i for i, t in enumerate(["[PAD]", "[UNK]", "[CLS]", "fever"])}
@@ -669,6 +682,13 @@ class TestPersistence:
         path = tmp_path / "enc" / damaged
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(EncoderUnavailable, match=re.escape(str(tmp_path / "enc"))):
+            NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "enc")
+
+    def test_an_export_without_weights_is_unavailable_naming_the_file(self, tmp_path):
+        tiny_encoder().save_base(tmp_path / "enc")
+        (tmp_path / "enc" / "weights.npz").unlink()
+        with pytest.raises(EncoderUnavailable,
+                           match=re.escape(str(tmp_path / "enc" / "weights.npz"))):
             NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "enc")
 
     @pytest.mark.parametrize("damage", ["config-type", "config-heads", "vocab-no-pad",

@@ -20,6 +20,13 @@ class TestInitAdapter:
             init_adapter(64, 64, r=128)
         with pytest.raises(RankTooLarge):
             init_adapter(64, 256, r=65)
+        with pytest.raises(RankTooLarge, match=">= 1"):
+            init_adapter(64, 64, r=0)
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
+    def test_dropout_rate_outside_zero_to_one_is_refused(self, rate):
+        with pytest.raises(ValueError, match="dropout_rate"):
+            init_adapter(8, 8, r=2, dropout_rate=rate)
 
     def test_deterministic_in_seed(self):
         a = init_adapter(32, 48, r=4, seed=9)
@@ -177,3 +184,14 @@ class TestCheckpoint:
         loaded, heads, extra = load_adapter_set(path)
         assert np.array_equal(loaded[name].A, adapters[name].A)
         assert (heads, extra) == ({}, {})
+
+    @pytest.mark.parametrize("meta", [{"format": "something-else"}, None],
+                             ids=["other-format", "no-meta"])
+    def test_an_archive_that_is_not_a_checkpoint_is_refused(self, tmp_path, meta):
+        path = tmp_path / "other.npz"
+        arrays = {"w": np.zeros(3)}
+        if meta is not None:
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="not an adapter checkpoint"):
+            load_adapter_set(path)

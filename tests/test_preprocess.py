@@ -1,8 +1,10 @@
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 
+from medcascade.atomic import json_line
 from medcascade.errors import EmptySourceText, ParseFailure, RefusalDetected, UserError
 from medcascade.gateway import (Gateway, MockBackend, ResponseCache, RetryPolicy,
                                 TransientBackendError)
@@ -59,6 +61,14 @@ def _ledger(tmp_path):
     """(record id, stage) of each failure ledger entry, in file order."""
     lines = (tmp_path / "bundles" / "failures.jsonl").read_text().splitlines()
     return [(e["record_id"], e["stage"]) for e in map(json.loads, lines)]
+
+
+def _write_log(directory, *lines):
+    """A bundle log of ``lines`` (bundles or raw bytes), written by hand."""
+    directory.mkdir()
+    (directory / "bundles.jsonl").write_bytes(b"".join(
+        line if isinstance(line, bytes) else json_line(asdict(line)).encode("utf-8")
+        for line in lines))
 
 
 def scripted_gateway(responses):
@@ -125,6 +135,11 @@ class TestSummarize:
         out = summarize(make_record(text=source), gw)
         assert 0 < len(out) <= len(source)
 
+    def test_refusal_detected(self):
+        gw = scripted_gateway(["لا أستطيع تلخيص هذا النص."])
+        with pytest.raises(RefusalDetected, match="summary"):
+            summarize(make_record(), gw)
+
 
 class TestParseEntities:
     def test_labeled_lines(self):
@@ -145,6 +160,12 @@ class TestParseEntities:
         out = "symptom: fever\nlocation: cairo"
         entities = parse_entities(out, "fever in cairo")
         assert [e.surface for e in entities] == ["fever"]
+
+    def test_a_line_without_a_colon_among_category_lines_is_dropped(self):
+        entities = parse_entities("symptom: fever\njust some words", "fever")
+        assert entities == [Entity("fever", "symptom")]
+        with pytest.raises(ParseFailure):
+            parse_entities("location: cairo\njust some words", "text")
 
     def test_only_unknown_categories_is_parse_failure(self):
         with pytest.raises(ParseFailure):
@@ -202,13 +223,14 @@ class TestBundleStore:
         store = BundleStore(tmp_path / "bundles")
         bundle = PreprocessBundle("r1", "refined", "summary",
                                   [Entity("fever", "symptom")], {"refine": "abc"})
-        store.save(bundle)
+        store.save([bundle])
         assert store.load("r1") == bundle
+        assert BundleStore(tmp_path / "bundles").load("r1") == bundle
 
     def test_hostile_record_id_sanitized(self, tmp_path):
         store = BundleStore(tmp_path / "bundles")
         bundle = PreprocessBundle("p/1:x", "a", "b", [])
-        store.save(bundle)
+        store.save([bundle])
         assert store.load("p/1:x").record_id == "p/1:x"
         assert store.load("p_1_x") is None  # different id, different record
         # record ids never become file names
@@ -218,12 +240,7 @@ class TestBundleStore:
     @pytest.mark.parametrize("damage", [b'{"record_id": "r1", "ref', b'{"record_id": "r1"}',
                                         b"[]"], ids=["truncated", "missing-keys", "not-object"])
     def test_damaged_bundle_is_a_user_error_naming_the_path(self, tmp_path, damage):
-        store = BundleStore(tmp_path / "bundles")
-        store.save(PreprocessBundle("r1", "a", "b", []))
-        store.save(PreprocessBundle("r2", "c", "d", []))
-        lines = open(store.path, "rb").read().split(b"\n")
-        with open(store.path, "wb") as fh:
-            fh.write(b"\n".join([damage, *lines[1:]]))
+        _write_log(tmp_path / "bundles", damage + b"\n", PreprocessBundle("r2", "c", "d", []))
         store = BundleStore(tmp_path / "bundles")
         assert store.load("r1") is None
         assert store.load("r2").refined == "c"
@@ -233,27 +250,22 @@ class TestBundleStore:
 
     def test_store_hash_changes_with_content(self, tmp_path):
         store = BundleStore(tmp_path / "bundles")
-        store.save(PreprocessBundle("r1", "a", "b", []))
+        one = PreprocessBundle("r1", "a", "b", [])
+        store.save([one])
         h1 = store.store_hash()
-        store.save(PreprocessBundle("r2", "c", "d", []))
+        store.save([one, PreprocessBundle("r2", "c", "d", [])])
         assert store.store_hash() != h1
 
     def test_store_hash_ignores_line_order_and_skipped_lines(self, tmp_path):
         one, two = PreprocessBundle("r1", "a", "b", []), PreprocessBundle("r2", "c", "d", [])
         forward = BundleStore(tmp_path / "forward")
-        forward.save(one)
-        forward.save(two)
-        backward = BundleStore(tmp_path / "backward")
-        backward.save(two)
-        with open(backward.path, "ab") as fh:
-            fh.write(b'{"record_id": "r3", "ref\n')
-        backward.save(one)
+        forward.save([one, two])
+        _write_log(tmp_path / "backward", two, b'{"record_id": "r3", "ref\n', one)
         assert BundleStore(tmp_path / "backward").store_hash() == forward.store_hash()
 
     def test_later_line_wins(self, tmp_path):
-        store = BundleStore(tmp_path / "bundles")
-        store.save(PreprocessBundle("r1", "old", "b", []))
-        store.save(PreprocessBundle("r1", "new", "b", []))
+        _write_log(tmp_path / "bundles", PreprocessBundle("r1", "old", "b", []),
+                   PreprocessBundle("r1", "new", "b", []))
         assert BundleStore(tmp_path / "bundles").load("r1").refined == "new"
 
 
@@ -276,7 +288,7 @@ class TestRunBundle:
             for entity in bundle.entities:
                 assert entity.normalized or entity.surface in source[bundle.record_id]
             assert set(bundle.prompt_hashes) == {"refine", "summarize", "ner"}
-        assert not (tmp_path / "bundles" / "failures.jsonl").exists()
+        assert (tmp_path / "bundles" / "failures.jsonl").read_bytes() == b""
 
     def test_rerun_replays_finished_records_from_the_cache(self, mock_gateway, tmp_path):
         store = BundleStore(tmp_path / "bundles")
@@ -331,13 +343,26 @@ class TestRunBundle:
         with pytest.raises(RuntimeError):
             run_bundle(records, Gateway(NerRefusingBackend(crash_on="من 3 ايام"), cache=cache),
                        store=store)
-        assert _ledger(tmp_path) == [("r0", "ner")]   # r0 finished before the crash
+        # nothing is published before the last record is done
+        assert not (tmp_path / "bundles").exists()
         gw = Gateway(NerRefusingBackend(), cache=ResponseCache(tmp_path / "cache"))
         run_bundle(records, gw, store=store)
         assert _ledger(tmp_path) == [("r0", "ner"), ("r1", "ner"), ("r2", "ner")]
         # r0's four completions (NER is asked twice) come from the cache; the
         # crash came on r1's first prompt
         assert (gw.backend_calls, gw.cache_hits) == (8, 4)
+
+    def test_a_crash_in_a_second_run_leaves_the_first_runs_files(self, tmp_path):
+        store = BundleStore(tmp_path / "bundles")
+        run_bundle(self._records(3), Gateway(NerRefusingBackend()), store=store)
+        files = {name: (tmp_path / "bundles" / name).read_bytes()
+                 for name in ("bundles.jsonl", "failures.jsonl")}
+        assert files["bundles.jsonl"].count(b"\n") == 3
+        assert files["failures.jsonl"].count(b"\n") == 3
+        with pytest.raises(RuntimeError):
+            run_bundle(self._records(4), Gateway(NerRefusingBackend(crash_on="من 4 ايام")),
+                       store=BundleStore(tmp_path / "bundles"))
+        assert {p.name: p.read_bytes() for p in (tmp_path / "bundles").iterdir()} == files
 
     def test_full_rerun_starts_an_empty_ledger(self, tmp_path):
         store = BundleStore(tmp_path / "bundles")
