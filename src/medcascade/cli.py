@@ -118,9 +118,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     records = scrub_records(records)
     parts = stratified_split(records, cfg.split.ratios, cfg.split.seed)
     for part_name, part_records in zip(SPLITS, parts):
-        part_manifest = CorpusManifest(
-            vocab=manifest.vocab, record_count=len(part_records),
-            split={**split_cfg, "part": part_name})
+        part_manifest = CorpusManifest(vocab=manifest.vocab, split={**split_cfg, "part": part_name})
         write_corpus(_split_path(cfg, part_name), part_records, part_manifest)
     _write_state(state, input_hash, [cfg.splits_dir()])
     sizes = "/".join(str(len(p)) for p in parts)
@@ -346,7 +344,7 @@ def main(argv=None) -> int:
     except MedcascadeError as e:
         print(f"{e.category}: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # pragma: no cover - internal errors
+    except Exception as e:  # anything else is a bug: an internal error
         print(f"InternalError: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

@@ -325,7 +325,6 @@ class NumpyTransformerEncoder:
         self.config = config
         self.tokenizer = tokenizer
         self.adapters: dict[str, LoraAdapter] = {}   # keyed by target name
-        self._adapter_grads: dict[str, dict[str, np.ndarray]] = {}
         self.params = params
         for name, shape in _base_shapes(config).items():   # extra arrays are ignored
             _checked(params, name, shape)
@@ -403,9 +402,9 @@ class NumpyTransformerEncoder:
             cache.append(entry)
         return y
 
-    def _linear_backward(self, dy: np.ndarray, entry: dict, need_dx: bool = True):
-        """Accumulates the adapter gradients; returns d(input), or None
-        without ``need_dx``."""
+    def _linear_backward(self, dy: np.ndarray, entry: dict, grads: dict, need_dx: bool = True):
+        """Puts the adapter's (dA, dB) in ``grads`` under its target name; returns
+        d(input), or None without ``need_dx``."""
         name = entry["name"]
         dx = dy @ self.params[f"{name}.W"] if need_dx else None
         adapter = entry.get("adapter")
@@ -413,10 +412,7 @@ class NumpyTransformerEncoder:
             dxd, dA, dB = adapter_backward(adapter, dy, entry["saved"], need_dx=need_dx)
             if need_dx:
                 dx = dx + dxd
-            g = self._adapter_grads.setdefault(name, {"A": np.zeros_like(adapter.A),
-                                                      "B": np.zeros_like(adapter.B)})
-            g["A"] += dA
-            g["B"] += dB
+            grads[name] = {"A": dA, "B": dB}
         return dx
 
     @staticmethod
@@ -469,7 +465,7 @@ class NumpyTransformerEncoder:
             return out, None
         return out, {"q": q, "k": k, "v": v, "probs": probs, "q_rows": q_rows}
 
-    def _attention_backward(self, dout: np.ndarray, att, lin: list, rows: _Rows, bottom: bool):
+    def _attention_backward(self, dout, att, lin: list, rows: _Rows, bottom: bool, grads: dict):
         """(d query rows, d key/value rows) from d(attention output).
 
         At the ``bottom`` layer nothing below trains: only the projections that
@@ -478,21 +474,23 @@ class NumpyTransformerEncoder:
         q, k, v, probs, q_rows = att["q"], att["k"], att["v"], att["probs"], att["q_rows"]
         wanted_q, wanted_k, wanted_v = (not bottom or "adapter" in e for e in lin[:3])
 
-        dctx = self._heads(self._linear_backward(dout, lin[3]), q_rows)  # output proj
+        dctx = self._heads(self._linear_backward(dout, lin[3], grads), q_rows)  # output proj
         if wanted_v:
             dv = probs.transpose(0, 1, 3, 2) @ dctx
-            dxv = self._linear_backward(self._merge_heads(dv, rows), lin[2], need_dx=not bottom)
+            dxv = self._linear_backward(self._merge_heads(dv, rows), lin[2], grads,
+                                        need_dx=not bottom)
         if wanted_q or wanted_k:
             dprobs = dctx @ v.transpose(0, 1, 3, 2)
             dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
             dscores /= np.sqrt(q.shape[-1])
         if wanted_k:
             dk = dscores.transpose(0, 1, 3, 2) @ q
-            dxk = self._linear_backward(self._merge_heads(dk, rows), lin[1], need_dx=not bottom)
+            dxk = self._linear_backward(self._merge_heads(dk, rows), lin[1], grads,
+                                        need_dx=not bottom)
         if wanted_q:
             dq = dscores @ k
-            dxq = self._linear_backward(self._merge_heads(dq, q_rows), lin[0],
-                                       need_dx=not bottom)
+            dxq = self._linear_backward(self._merge_heads(dq, q_rows), lin[0], grads,
+                                        need_dx=not bottom)
         if bottom:
             return None, None
         return dxq, dxk + dxv
@@ -573,7 +571,7 @@ class NumpyTransformerEncoder:
         if len(cache.layers) != c.n_layers:
             raise ValueError(f"the cache holds {len(cache.layers)} of {c.n_layers} layers: "
                              "backward_adapters has already consumed it")
-        self._adapter_grads = {}
+        grads: dict[str, dict[str, np.ndarray]] = {}
         dx = d_pooled     # the top layer's output rows are the [CLS] rows
 
         for i in range(c.n_layers - 1, -1, -1):
@@ -581,12 +579,12 @@ class NumpyTransformerEncoder:
             # linears were cached in call order: q, k, v, att-out, ffn-in, ffn-out
             lin = layer["lin"]
             d_res2 = self._layer_norm_backward(dx, layer["ln2"])
-            dg = self._linear_backward(d_res2, lin[5])         # ffn outer
+            dg = self._linear_backward(d_res2, lin[5], grads)         # ffn outer
             du = dg * layer["dgelu"]
-            dh1 = d_res2 + self._linear_backward(du, lin[4])   # ffn inner
+            dh1 = d_res2 + self._linear_backward(du, lin[4], grads)   # ffn inner
             d_res1 = self._layer_norm_backward(dh1, layer["ln1"])
             dxq, dxkv = self._attention_backward(d_res1, layer["att"], lin, cache.rows,
-                                                 bottom=i == 0)
+                                                 i == 0, grads)
             if i == 0:
                 break
             if i == c.n_layers - 1:   # the [CLS]-only top layer
@@ -594,9 +592,6 @@ class NumpyTransformerEncoder:
                 dx[cache.first] += d_res1 + dxq
             else:
                 dx = d_res1 + (dxq + dxkv)
-
-        grads = self._adapter_grads
-        self._adapter_grads = {}
         return grads
 
     # -- persistence -------------------------------------------------------

@@ -238,9 +238,18 @@ class _HTTPBackend:
         except (OSError, http.client.HTTPException) as e:  # refused, reset, timed out
             raise TransientBackendError(f"{type(e).__name__}: {e}") from e
         try:
-            return json.loads(raw.decode("utf-8"))
+            data = json.loads(raw.decode("utf-8"))
         except ValueError as e:
             raise BackendUnavailable(f"undecodable response from {self.url}: {e}") from e
+        if not isinstance(data, dict):
+            raise BackendUnavailable(f"response from {self.url} is not a JSON object")
+        return data
+
+    @staticmethod
+    def _text(content) -> str:
+        if not isinstance(content, str):
+            raise BackendUnavailable(f"the completion is {type(content).__name__}, not a string")
+        return content
 
 
 class OpenAIChatBackend(_HTTPBackend):
@@ -257,7 +266,7 @@ class OpenAIChatBackend(_HTTPBackend):
                            "max_tokens": MAX_OUTPUT_TOKENS,
                            "messages": [{"role": "user", "content": prompt}]})
         try:
-            return data["choices"][0]["message"]["content"]
+            return self._text(data["choices"][0]["message"]["content"])
         except (KeyError, IndexError, TypeError) as e:
             raise BackendUnavailable(f"unexpected response shape: {e}") from e
 
@@ -268,10 +277,9 @@ class LlamaServerBackend(_HTTPBackend):
     def complete(self, prompt: str) -> str:
         data = self._post({"prompt": prompt, "temperature": TEMPERATURE,
                            "n_predict": MAX_OUTPUT_TOKENS})
-        content = data.get("content")
-        if content is None:
+        if "content" not in data:
             raise BackendUnavailable("response has no 'content' field")
-        return content
+        return self._text(data["content"])
 
 
 # -- gateway -----------------------------------------------------------------

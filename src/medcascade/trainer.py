@@ -21,7 +21,6 @@ import numpy as np
 from .corpus import label_counts
 from .errors import EmptyClass, IndexOutOfVocab, NonFiniteLoss, VocabMismatch
 from .evaluator import predict, score_predictions
-from .lora import count_trainable
 from .variants import DatasetVariant
 
 TASKS = ("type", "severity")     # every model classifies both, from one encoder
@@ -111,9 +110,7 @@ class MultiTaskModel:
                            "b": np.zeros(k)}
         return cls(encoder=encoder, heads=heads, task_vocabs=dict(task_vocabs))
 
-    def label_index(self, task: str, label: str | None, record_id: str = "?") -> int:
-        if label is None:
-            raise VocabMismatch(f"record {record_id!r} has no {task} label")
+    def label_index(self, task: str, label: str, record_id: str = "?") -> int:
         try:
             return self.task_vocabs[task].index(label)
         except ValueError:
@@ -152,10 +149,6 @@ class MultiTaskModel:
             mask[row, : len(seq)] = 1.0
         return ids, mask
 
-    def logits_from_pooled(self, pooled: np.ndarray) -> dict[str, np.ndarray]:
-        return {task: pooled @ self.heads[task]["W"].T + self.heads[task]["b"]
-                for task in self.tasks}
-
     def forward(self, ids: np.ndarray, mask: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None):
         if training:
@@ -163,7 +156,9 @@ class MultiTaskModel:
                                                  return_cache=True)
         else:
             pooled, cache = self.encoder.forward(ids, mask), None
-        return self.logits_from_pooled(pooled), pooled, cache
+        logits = {task: pooled @ self.heads[task]["W"].T + self.heads[task]["b"]
+                  for task in self.tasks}
+        return logits, pooled, cache
 
     def trainable_params(self) -> dict[str, np.ndarray]:
         params: dict[str, np.ndarray] = {}
@@ -175,9 +170,8 @@ class MultiTaskModel:
             params[f"adapter.{name}.B"] = adapter.B
         return params
 
-    def trainable_count(self) -> int:
-        head_dims = [(self.encoder.d_model, len(self.task_vocabs[t])) for t in self.tasks]
-        return count_trainable(self.encoder.adapters, head_dims)
+    def trainable_count(self) -> int:   # what AdamW updates
+        return sum(arr.size for arr in self.trainable_params().values())
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.trainable_params().items()}
@@ -294,7 +288,8 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
     """Run cfg.epochs of seeded mini-batch AdamW over the training variant.
 
     Logs per-epoch train loss and per-task validation accuracy; returns the
-    parameters with the best validation average accuracy plus the final ones.
+    parameters of the epoch with the best validation average accuracy (the
+    first such epoch on a tie), leaving the model at its final parameters.
     Deterministic in (model init, data, cfg.seed).
     """
     cfg.validate()
@@ -326,7 +321,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
     dropout_rng = np.random.default_rng(cfg.seed + 1)
 
     log = TrainLog()
-    best_avg, best_epoch, best_params = -1.0, -1, model.snapshot()
+    best_avg = -1.0   # below any accuracy, so epoch 1 always sets the best
     step = 0
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(n)

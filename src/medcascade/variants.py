@@ -111,10 +111,11 @@ def load_variant(directory: str, condition: str, split: str) -> DatasetVariant:
                 if not line.strip():
                     continue
                 raw = json.loads(line)
-                labels = raw["labels"]
-                examples.append(VariantExample(
-                    record_id=raw["record_id"], input_text=raw["input_text"],
-                    labels=LabelSet(condition_type=labels["type"], severity=labels["severity"])))
+                fields = (raw["record_id"], raw["input_text"],
+                          raw["labels"]["type"], raw["labels"]["severity"])
+                if not all(isinstance(f, str) for f in fields):
+                    raise TypeError("record_id, input_text and both labels must be strings")
+                examples.append(VariantExample(*fields[:2], LabelSet(*fields[2:])))
     except CorruptArtifact.DECODE_ERRORS as e:
         raise CorruptArtifact.at(data_path, e) from e
     provenance = read_json(sidecar_path) if os.path.exists(sidecar_path) else {}

@@ -658,18 +658,39 @@ class TestErrors:
         assert not (workspace / "work" / "runs" / "toy__normal__finetuned"
                     / ".state.json").exists()
 
-    @pytest.mark.parametrize("damaged", ["test.jsonl", "test.provenance.json"])
-    def test_damaged_variant_file_is_a_user_error(self, workspace, capsys, damaged):
+    @pytest.mark.parametrize("damaged, edit", [
+        ("test.jsonl", None),
+        ("test.provenance.json", None),
+        ("test.jsonl", lambda line: {**line, "input_text": 5}),
+        ("test.jsonl", lambda line: {**line, "record_id": ["r1"]}),
+        ("test.jsonl", lambda line: {**line, "labels": {**line["labels"], "type": None}}),
+        ("test.jsonl", lambda line: {**line, "labels": {**line["labels"], "severity": 2}}),
+    ], ids=["test.jsonl", "test.provenance.json", "input_text-number", "record_id-list",
+            "type-null", "severity-number"])
+    def test_damaged_variant_file_is_a_user_error(self, workspace, capsys, damaged, edit):
         assert run("ingest", "--config", "cfg.json") == 0
         assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
         path = workspace / "work" / "variants" / "normal" / damaged
-        path.write_bytes(path.read_bytes()[:-7])
+        if edit is None:   # cut short
+            path.write_bytes(path.read_bytes()[:-7])
+        else:              # one field of the first line of the wrong type
+            first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+            path.write_text(json.dumps(edit(json.loads(first))) + "\n" + rest, encoding="utf-8")
         capsys.readouterr()
         assert run("train", "--config", "cfg.json", "--condition", "normal",
                    "--no-finetune") == 1
         err = capsys.readouterr().err
         assert err.startswith("CorruptArtifact: ")
         assert os.path.join("work", "variants", "normal", damaged) in err
+
+    def test_any_other_exception_is_one_internal_error_line(self, workspace, capsys,
+                                                            monkeypatch):
+        def broken(*args):
+            raise RuntimeError("split exploded")
+
+        monkeypatch.setattr(cli, "stratified_split", broken)
+        assert run("ingest", "--config", "cfg.json") == 2
+        assert capsys.readouterr().err == "InternalError: RuntimeError: split exploded\n"
 
     def test_damaged_split_manifest_is_a_user_error(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0

@@ -23,6 +23,14 @@ class TestLoadCorpus:
         assert records[0].labels.condition_type == "acute"
         assert records[2].gender == "unspecified"
 
+    def test_blank_lines_are_skipped(self, corpus_files):
+        corpus, _ = corpus_files
+        lines = Path(corpus).read_text(encoding="utf-8").splitlines(keepends=True)
+        Path(corpus).write_text(lines[0] + "\n   \n" + "".join(lines[1:]), encoding="utf-8")
+        records, manifest = load_corpus(corpus)
+        assert [r.id for r in records] == ["p1", "p2", "p3"]
+        assert manifest.record_count == 3
+
     def test_unknown_label_rejected(self, tmp_path, corpus_files):
         corpus, _ = corpus_files
         bad = {"id": "p9", "text": "x", "age": None, "gender": None,
@@ -228,6 +236,12 @@ class TestStratifiedSplit:
         assert a == b
         c = stratified_split(records, (0.8, 0.1, 0.1), seed=8)
         assert a != c
+
+    @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.8, 0.2, 0.0), (0.8, 0.1, 0.2)],
+                             ids=["two-parts", "empty-part", "sum-over-1"])
+    def test_bad_ratios_rejected(self, ratios):
+        with pytest.raises(ValueError, match="three positive fractions summing to 1"):
+            stratified_split(self._records(10), ratios, seed=7)
 
     def test_class_too_small(self):
         records = self._records(10) + self._records(2, "acute", start=10)

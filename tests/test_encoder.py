@@ -40,6 +40,10 @@ class TestHashWordTokenizer:
         ids = tok.encode("many different words " * 20)
         assert all(tok.n_reserved <= i < 64 for i in ids)
 
+    def test_a_vocabulary_of_only_reserved_ids_is_refused(self):
+        with pytest.raises(ValueError, match="vocab_size must exceed 4"):
+            HashWordTokenizer(vocab_size=4)
+
 
 class TestWordPieceTokenizer:
     def _vocab(self):
@@ -119,6 +123,14 @@ class TestForward:
         enc = tiny_encoder(max_len=4)
         with pytest.raises(ShapeMismatch):
             enc.forward(np.zeros((1, 5), dtype=int), np.ones((1, 5)))
+
+    def test_ids_and_mask_of_different_shapes_rejected(self):
+        with pytest.raises(ShapeMismatch, match=re.escape("ids (1, 4) vs mask (1, 3)")):
+            tiny_encoder().forward(np.full((1, 4), 2), np.ones((1, 3)))
+
+    def test_d_model_not_divisible_by_n_heads_rejected(self):
+        with pytest.raises(ShapeMismatch, match="d_model 16 not divisible by n_heads 3"):
+            tiny_encoder(n_heads=3)
 
     def test_gelu_grad_matches_fd(self):
         x = np.linspace(-3, 3, 31)
@@ -258,9 +270,9 @@ class TestHotPath:
             x = rng.normal(size=(*batch, W.shape[1]))
             dy = rng.normal(size=(*batch, W.shape[0]))
             cache: list = []
-            enc._adapter_grads = {}
+            grads: dict = {}
             y = enc._linear(name, x, False, None, cache)
-            dx = enc._linear_backward(dy, cache[0])
+            dx = enc._linear_backward(dy, cache[0], grads)
 
             y_ref, dx_ref = x @ W.T + b, dy @ W
             adapter = enc.adapters.get(name)
@@ -269,8 +281,8 @@ class TestHotPath:
                 y_ref = y_ref + delta
                 dxd, dA, dB = adapter_backward(adapter, dy, saved)
                 dx_ref = dx_ref + dxd
-                assert enc._adapter_grads[name]["A"].tobytes() == dA.tobytes()
-                assert enc._adapter_grads[name]["B"].tobytes() == dB.tobytes()
+                assert grads[name]["A"].tobytes() == dA.tobytes()
+                assert grads[name]["B"].tobytes() == dB.tobytes()
             assert y.shape == y_ref.shape and dx.shape == dx_ref.shape
             assert np.all(np.abs(y - y_ref) <= W.shape[1] * eps * (np.abs(x) @ np.abs(W).T + 1))
             assert np.all(np.abs(dx - dx_ref) <= W.shape[0] * eps * (np.abs(dy) @ np.abs(W) + 1))
@@ -459,8 +471,8 @@ class TestPacking:
         pooled, cache = enc.forward(ids, mask, return_cache=True)
         calls = []
 
-        def linear_backward(self, dy, entry, need_dx=True):
-            dx = NumpyTransformerEncoder._linear_backward(enc, dy, entry, need_dx)
+        def linear_backward(self, dy, entry, grads, need_dx=True):
+            dx = NumpyTransformerEncoder._linear_backward(enc, dy, entry, grads, need_dx)
             calls.append((entry["name"], need_dx, dx is None))
             return dx
 
@@ -762,6 +774,13 @@ class TestExportWriter:
             AutoModel=SimpleNamespace(from_pretrained=lambda _: model),
             AutoTokenizer=SimpleNamespace(from_pretrained=lambda _: tokenizer)))
         return hf_export.export_encoder
+
+    def test_without_the_hf_extra_the_export_is_refused(self, tmp_path, monkeypatch):
+        from medcascade import hf_export
+        monkeypatch.setitem(sys.modules, "torch", None)   # `import torch` raises ImportError
+        with pytest.raises(EncoderUnavailable, match="needs the 'hf' extra"):
+            hf_export.export_encoder("some/bert", str(tmp_path / "enc"))
+        assert not (tmp_path / "enc").exists()
 
     def test_an_export_round_trips_through_from_pretrained_dir(self, tmp_path, monkeypatch):
         enc = tiny_encoder()

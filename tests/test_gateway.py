@@ -269,6 +269,15 @@ class TestTokenBucket:
         assert slept and abs(slept[0] - 0.5) < 1e-9
 
 
+# answers of a wrong shape, served as JSON whatever the path
+_ODD_PAYLOADS = {
+    "empty_object": {},
+    "json_list": [],
+    "number_content": {"content": 5},
+    "list_content": {"choices": [{"message": {"content": [{"type": "text", "text": "hi"}]}}]},
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
     last_body = b""
@@ -304,8 +313,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(data)
             return
-        if self.behavior == "empty_object":
-            payload = {}
+        if self.behavior in _ODD_PAYLOADS:
+            payload = _ODD_PAYLOADS[self.behavior]
         elif self.path.endswith("/completion"):
             payload = {"content": f"echo:{body['prompt']}"}
         else:
@@ -383,7 +392,11 @@ class TestHttpBackends:
         ("bad_request", OpenAIChatBackend, "HTTP 400"),
         ("empty_object", OpenAIChatBackend, "unexpected response shape"),
         ("empty_object", LlamaServerBackend, "no 'content' field"),
-    ], ids=["http-400", "openai-no-choices", "llama-no-content"])
+        ("json_list", LlamaServerBackend, "not a JSON object"),
+        ("number_content", LlamaServerBackend, "the completion is int, not a string"),
+        ("list_content", OpenAIChatBackend, "the completion is list, not a string"),
+    ], ids=["http-400", "openai-no-choices", "llama-no-content", "llama-list-body",
+            "llama-number-content", "openai-list-content"])
     def test_a_bad_answer_is_backend_unavailable_and_not_retried(self, http_server, behavior,
                                                                  backend, named):
         _Handler.behavior = behavior

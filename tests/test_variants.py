@@ -51,6 +51,10 @@ class TestBuildVariant:
         assert ex.input_text == "كلام بدون اعراض معروفة هنا."
         assert variant.provenance["empty_aux_count"] == 1
 
+    def test_an_augmented_condition_needs_a_store(self, records):
+        with pytest.raises(MissingBundle, match="condition 'ner' needs a bundle store"):
+            build_variant(records, None, "ner")
+
     def test_missing_bundle(self, records, store):
         extra = records + [make_record(rid="r9", text="نص جديد.")]
         with pytest.raises(MissingBundle) as exc:
@@ -105,6 +109,15 @@ class TestVariantFiles:
         loaded = load_variant(tmp_path / "variants", "ner", "train")
         assert loaded.examples == variant.examples
         assert loaded.provenance == variant.provenance
+
+    def test_blank_lines_are_skipped(self, tmp_path, records, store):
+        variant = build_variant(records, store, "ner")
+        path = write_variant(variant, tmp_path / "variants", "train")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join([lines[0], "\n", " \n", *lines[1:]]))
+        assert load_variant(tmp_path / "variants", "ner", "train").examples == variant.examples
 
     def test_provenance_tracks_sources(self, tmp_path, records, store):
         variant = build_variant(records, store, "refined")
