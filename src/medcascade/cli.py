@@ -217,13 +217,13 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
                                           cfg.adapter.dropout, cfg.adapter.seed,
                                           patterns=cfg.adapter.targets)
         encoder.attach_adapters(adapters)
-        train_variant = load_variant(cfg.variants_dir(), condition, "train")
-        val_variant = load_variant(cfg.variants_dir(), condition, "val")
+        train_variant = load_variant(cfg.variants_dir(), condition, "train", vocab)
+        val_variant = load_variant(cfg.variants_dir(), condition, "val", vocab)
         result = train(model, train_variant, val_variant, cfg.train)
         model.restore(result.best_params)
         write_atomic(os.path.join(cell_dir, "trainlog.csv"), result.log.to_csv())
 
-    test_variant = load_variant(cfg.variants_dir(), condition, "test")
+    test_variant = load_variant(cfg.variants_dir(), condition, "test", vocab)
     scores, preds = evaluate(model, test_variant)
 
     save_adapter_set(os.path.join(cell_dir, "checkpoint.npz"), model.encoder.adapters,

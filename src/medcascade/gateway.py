@@ -1,5 +1,5 @@
 """Uniform LLM access: a ``Gateway`` wraps one backend with an on-disk
-response cache, retries, and rate limiting for live backends.
+response cache, deferred retries, and rate limiting for live backends.
 
 A backend has a ``backend_id``, a ``prompt_style`` (the template set the
 preprocessing layers render), a ``scope`` (the settings that decide its
@@ -14,6 +14,10 @@ endpoint and key come from config with environment overrides
 (``MEDCASCADE_LLM_URL``, ``MEDCASCADE_LLM_KEY``).  Only live backends get a
 token-bucket rate limiter (``rate_per_sec``/``burst``), which paces every
 attempt, retries included; the mock runs in-process and is never paced.
+The gateway never sleeps through a transient failure (connection trouble,
+429, 5xx): while the prompt has retries left it raises ``RetryLater`` with the
+back-off delay, or a longer ``Retry-After``, capped at ``max_delay``, and the
+caller (``preprocess.run_bundle``) does other work before it asks again.
 
 The response cache is one append-only log, ``<cache_dir>/responses.jsonl``,
 read once into memory: each completion is one appended line, a damaged or
@@ -124,7 +128,20 @@ class TokenBucket:
 
 
 class TransientBackendError(Exception):
-    """Retryable failure (connection trouble, 429/5xx)."""
+    """Retryable failure (connection trouble, 429/5xx), with a 429/503's ``Retry-After``."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
+class RetryLater(Exception):
+    """Ask again after ``delay`` seconds; not a ``MedcascadeError``, so no
+    layer or ledger catches it."""
+
+    def __init__(self, delay: float):
+        super().__init__(f"retry in {delay:g} s")
+        self.delay = delay
 
 
 # -- mock backend ------------------------------------------------------------
@@ -233,7 +250,9 @@ class _HTTPBackend:
             if e.code in (401, 403):
                 raise AuthError(f"HTTP {e.code} from {self.url}") from e
             if e.code in (408, 429) or e.code >= 500:
-                raise TransientBackendError(f"HTTP {e.code}") from e
+                wait = (e.headers.get("Retry-After") or "").strip() if e.code in (429, 503) else ""
+                raise TransientBackendError(f"HTTP {e.code}", float(wait) if wait.isascii()
+                                            and wait.isdigit() else None) from e
             raise BackendUnavailable(f"HTTP {e.code} from {self.url}") from e
         except (OSError, http.client.HTTPException) as e:  # refused, reset, timed out
             raise TransientBackendError(f"{type(e).__name__}: {e}") from e
@@ -290,30 +309,28 @@ class RetryPolicy:
     base_delay: float = 0.5
     max_delay: float = 8.0
 
-    def delays(self):
-        """``base_delay``, doubling per retry, each capped at ``max_delay``."""
-        d = self.base_delay
-        for _ in range(self.max_retries):
-            yield min(d, self.max_delay)
-            d *= 2
+    def delay(self, retry: int) -> float:
+        """``base_delay`` doubled per earlier retry, capped at ``max_delay`` (overflow-safe)."""
+        return min(self.base_delay * 2.0 ** min(retry - 1, 1023), self.max_delay)
 
 
 class Gateway:
-    """Front door for one backend: cache -> backend with retries, each attempt
-    rate limited.
-
-    With ``rate_limiter=None`` (the default) backend calls are not paced."""
+    """Front door for one backend: cache -> backend, each attempt rate limited
+    (not paced with ``rate_limiter=None``, the default).  A caller waits out
+    a ``RetryLater`` on ``clock`` and ``sleep``."""
 
     def __init__(self, backend, cache: ResponseCache | None = None,
                  rate_limiter: TokenBucket | None = None,
-                 retry: RetryPolicy | None = None, sleep=time.sleep):
+                 retry: RetryPolicy | None = None, clock=time.monotonic, sleep=time.sleep):
         self.backend = backend
         self.cache = cache
         self.rate_limiter = rate_limiter
         self.retry = retry or RetryPolicy()
+        self.clock = clock
         self.sleep = sleep
         self.backend_calls = 0
         self.cache_hits = 0
+        self._attempts: dict[str, int] = {}   # cache key -> failed attempts so far
 
     def complete(self, prompt: str) -> str:
         if not prompt:
@@ -326,18 +343,19 @@ class Gateway:
                 self.cache_hits += 1
                 return cached
 
-        for attempt, delay in enumerate([*self.retry.delays(), None], start=1):
-            if self.rate_limiter is not None:
-                self.rate_limiter.acquire()
-            try:
-                self.backend_calls += 1
-                response = self.backend.complete(prompt)
-                break
-            except TransientBackendError as e:
-                if delay is None:  # retries spent
-                    raise BackendUnavailable(f"backend {backend_id!r} failed after "
-                                             f"{attempt} attempts: {e}") from e
-                self.sleep(delay)
+        if self.rate_limiter is not None:
+            self.rate_limiter.acquire()
+        attempt = self._attempts.pop(key, 0) + 1
+        try:
+            self.backend_calls += 1
+            response = self.backend.complete(prompt)
+        except TransientBackendError as e:
+            if attempt > self.retry.max_retries:
+                raise BackendUnavailable(f"backend {backend_id!r} failed after "
+                                         f"{attempt} attempts: {e}") from e
+            self._attempts[key] = attempt
+            delay = max(self.retry.delay(attempt), e.retry_after or 0.0)
+            raise RetryLater(min(delay, self.retry.max_delay)) from e
 
         if not response or not response.strip():
             raise ResponseEmpty(f"backend {backend_id!r} returned an empty completion")

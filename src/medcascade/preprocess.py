@@ -13,10 +13,13 @@ or a bare comma-separated list (the mock's style), which is read as symptoms.
 An unparseable answer earns one reprompt with a format reminder, then the
 record degrades to an empty entity list.
 
-Bundles live in ``bundles.jsonl``, beside the failure ledger
-``failures.jsonl``: one line per record, each file written whole and
-atomically once every record is done, so a crash part-way through a run
-leaves the previous run's files as they were.  The log is read once into an
+``run_bundle`` runs every record's three layers as (record, layer) tasks on
+one thread.  A task whose gateway call must be retried waits out its back-off
+parked while the other tasks run; the stage sleeps only when no task is
+ready.  Bundles live in ``bundles.jsonl``, beside the failure ledger
+``failures.jsonl``: each file written whole, atomically and in record order
+once every task is done, so a crash part-way through a run leaves the
+previous run's files as they were.  The log is read once into an
 index by record id.  A damaged or torn line is skipped, so its record counts
 as not done; a later line for a record wins.  Each bundle records the sha256
 of the scrubbed text its layers were given, so a variant never joins new
@@ -26,17 +29,18 @@ text to the outputs of old text.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import logging
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .corpus import ComplaintRecord, scrub_pii
 from .atomic import json_line, read_jsonl, write_jsonl
 from .errors import (CorruptArtifact, EmptySourceText, MedcascadeError, ParseFailure,
                      RefusalDetected, ResponseEmpty)
-from .gateway import Gateway
+from .gateway import Gateway, RetryLater
 
 logger = logging.getLogger(__name__)
 
@@ -290,51 +294,43 @@ class LedgerEntry:
     fatal: bool
 
 
-def _process_record(record: ComplaintRecord, gw: Gateway,
-                    hashes: dict[str, str]) -> tuple[PreprocessBundle, list[LedgerEntry]]:
-    """One record's bundle through all three layers, and its ledger entries."""
-    scrubbed = scrub_pii(record.text)
-    source = ComplaintRecord(id=record.id, text=scrubbed, labels=record.labels,
-                             age=record.age, gender=record.gender)
-    ledger: list[LedgerEntry] = []
-    try:
-        refined = refine(source, gw)
-    except MedcascadeError as e:
-        ledger.append(LedgerEntry(record.id, "refine", e.category, fatal=True))
-        refined = scrubbed.strip()
-    try:
-        summarized = summarize(source, gw)
-    except MedcascadeError as e:
-        ledger.append(LedgerEntry(record.id, "summarize", e.category, fatal=True))
-        summarized = scrubbed.strip()
-    try:
-        entities = extract_entities(source, gw)
-    except MedcascadeError as e:
-        ledger.append(LedgerEntry(record.id, "ner", e.category, fatal=False))
-        entities = []
-    return (PreprocessBundle(record.id, refined, summarized, entities, dict(hashes),
-                             text_sha256(scrubbed)), ledger)
-
-
 def run_bundle(records: list[ComplaintRecord], gw: Gateway,
                store: BundleStore) -> list[PreprocessBundle]:
     """Produce one bundle per record through all three layers.
 
-    Never loses a record: stage failures go to the failure ledger and the
-    bundle degrades (fallback refined/summarized = scrubbed source, entities
-    = empty) instead of aborting the run.  Once every record is done, the
-    bundle log and the ledger (``failures.jsonl`` in the store's directory,
-    empty when nothing failed) are each written whole, so a crash before
-    then leaves the previous run's files in place; a rerun replays the
+    Tasks run in record then ``STAGES`` order, due retries first.  A task
+    whose gateway call raises ``RetryLater`` is parked until its delay has
+    passed on ``gw.clock``, then runs its layer again from the start;
+    ``gw.sleep`` waits only when no task is ready.  A failed stage goes to
+    the ledger and the bundle degrades (refined/summarized = scrubbed
+    source, entities = empty), so no record is lost.  A rerun replays the
     finished records from the gateway's response cache.
     """
     hashes = template_hashes(gw.backend.prompt_style)
-    bundles: list[PreprocessBundle] = []
-    ledger: list[LedgerEntry] = []
-    for record in records:
-        bundle, entries = _process_record(record, gw, hashes)
-        bundles.append(bundle)
-        ledger += entries
+    sources = [replace(r, text=scrub_pii(r.text)) for r in records]
+    fresh = ((i, k) for i in range(len(records)) for k in range(len(STAGES)))
+    parked: list[tuple[float, tuple[int, int]]] = []   # heap of (due, (record, stage))
+    done, failed = {}, {}
+    while len(done) < len(STAGES) * len(records):
+        now = gw.clock()
+        if parked and parked[0][0] <= now:
+            task = heapq.heappop(parked)[1]
+        elif (task := next(fresh, None)) is None:   # only parked tasks are left
+            gw.sleep(parked[0][0] - now)
+            task = heapq.heappop(parked)[1]
+        i, stage = task[0], STAGES[task[1]]
+        # by module name at call time, so a rebound layer is the one called
+        layer = {"refine": refine, "summarize": summarize, "ner": extract_entities}[stage]
+        try:
+            done[task] = layer(sources[i], gw)
+        except RetryLater as later:
+            heapq.heappush(parked, (gw.clock() + later.delay, task))
+        except MedcascadeError as e:
+            done[task] = [] if stage == "ner" else sources[i].text.strip()
+            failed[task] = LedgerEntry(records[i].id, stage, e.category, fatal=stage != "ner")
+    bundles = [PreprocessBundle(r.id, *(done[i, k] for k in range(len(STAGES))), dict(hashes),
+                                text_sha256(sources[i].text)) for i, r in enumerate(records)]
     store.save(bundles)
-    write_jsonl(os.path.join(store.directory, "failures.jsonl"), map(asdict, ledger))
+    write_jsonl(os.path.join(store.directory, "failures.jsonl"),
+                (asdict(failed[task]) for task in sorted(failed)))
     return bundles

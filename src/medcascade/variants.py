@@ -101,8 +101,10 @@ def write_variant(variant: DatasetVariant, directory: str, split: str) -> str:
     return data_path
 
 
-def load_variant(directory: str, condition: str, split: str) -> DatasetVariant:
-    """Read a variant back; a damaged file raises :class:`CorruptArtifact`."""
+def load_variant(directory: str, condition: str, split: str,
+                 vocab: dict[str, list[str]] | None = None) -> DatasetVariant:
+    """Read a variant back; a damaged file, or a label outside ``vocab``,
+    raises :class:`CorruptArtifact`."""
     data_path, sidecar_path = variant_paths(directory, condition, split)
     examples: list[VariantExample] = []
     try:
@@ -115,6 +117,10 @@ def load_variant(directory: str, condition: str, split: str) -> DatasetVariant:
                           raw["labels"]["type"], raw["labels"]["severity"])
                 if not all(isinstance(f, str) for f in fields):
                     raise TypeError("record_id, input_text and both labels must be strings")
+                for task, label in zip(("type", "severity"), fields[2:]):
+                    if vocab is not None and label not in vocab[task]:
+                        raise ValueError(f"record {fields[0]!r}: {task} label {label!r} "
+                                         "is not in the corpus vocabulary")
                 examples.append(VariantExample(*fields[:2], LabelSet(*fields[2:])))
     except CorruptArtifact.DECODE_ERRORS as e:
         raise CorruptArtifact.at(data_path, e) from e

@@ -683,6 +683,24 @@ class TestErrors:
         assert err.startswith("CorruptArtifact: ")
         assert os.path.join("work", "variants", "normal", damaged) in err
 
+    @pytest.mark.parametrize("task", ["type", "severity"])
+    def test_a_variant_label_outside_the_vocabulary_names_its_file(self, workspace, capsys,
+                                                                   task):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        path = workspace / "work" / "variants" / "normal" / "test.jsonl"
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        example = json.loads(first)
+        example["labels"][task] = "zzz"
+        path.write_text(json.dumps(example) + "\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        assert run("train", "--config", "cfg.json", "--condition", "normal",
+                   "--no-finetune") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ")
+        assert os.path.join("work", "variants", "normal", "test.jsonl") in err
+        assert f"{example['record_id']!r}: {task} label 'zzz'" in err
+
     def test_any_other_exception_is_one_internal_error_line(self, workspace, capsys,
                                                             monkeypatch):
         def broken(*args):

@@ -8,10 +8,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medcascade.errors import (AuthError, BackendUnavailable, ResponseEmpty,
+from medcascade.errors import (AuthError, BackendUnavailable, MedcascadeError, ResponseEmpty,
                                UnknownBackend, UnknownSentinel)
 from medcascade.gateway import (Gateway, GatewayConfig, LlamaServerBackend, MockBackend,
-                                OpenAIChatBackend, ResponseCache, RetryPolicy,
+                                OpenAIChatBackend, ResponseCache, RetryLater, RetryPolicy,
                                 TokenBucket, TransientBackendError, build_gateway,
                                 cache_key, load_symptom_lexicon)
 
@@ -197,13 +197,22 @@ class FlakyBackend:
         return self.response
 
 
+def complete_retrying(gw, prompt, sleep=lambda s: None):
+    """``gw.complete(prompt)`` as a caller that waits out each ``RetryLater``
+    with ``sleep(delay)`` and asks again."""
+    while True:
+        try:
+            return gw.complete(prompt)
+        except RetryLater as later:
+            sleep(later.delay)
+
+
 class TestRetry:
     def test_retries_then_succeeds(self):
         sleeps = []
         backend = FlakyBackend(failures=2)
-        gw = Gateway(backend, retry=RetryPolicy(max_retries=3, base_delay=0.5),
-                     sleep=sleeps.append)
-        assert gw.complete("x") == "ok"
+        gw = Gateway(backend, retry=RetryPolicy(max_retries=3, base_delay=0.5))
+        assert complete_retrying(gw, "x", sleeps.append) == "ok"
         assert backend.calls == 3
         assert sleeps == [0.5, 1.0]
         assert sleeps == sorted(sleeps)  # nondecreasing backoff
@@ -211,28 +220,72 @@ class TestRetry:
     def test_exhausted_raises_backend_unavailable(self):
         sleeps = []
         backend = FlakyBackend(failures=99)
-        gw = Gateway(backend, retry=RetryPolicy(max_retries=2), sleep=sleeps.append)
+        gw = Gateway(backend, retry=RetryPolicy(max_retries=2))
         with pytest.raises(BackendUnavailable,
                            match="^backend 'flaky' failed after 3 attempts: boom$"):
-            gw.complete("x")
+            complete_retrying(gw, "x", sleeps.append)
         assert backend.calls == 3  # 1 + max_retries, never more
         assert len(sleeps) == 2
 
     def test_backoff_capped(self):
         policy = RetryPolicy(max_retries=5, base_delay=1.0, max_delay=6.0)
-        delays = list(policy.delays())
+        delays = [policy.delay(retry) for retry in range(1, 6)]
         assert delays == [1.0, 2.0, 4.0, 6.0, 6.0]
+
+    def test_a_long_retry_count_stays_capped(self):
+        # doubling 0.5 s 1024 times overflows a float
+        assert RetryPolicy(max_retries=5000).delay(1025) == 8.0
 
     def test_empty_response_raises(self):
         gw = Gateway(FlakyBackend(failures=0, response="  "))
         with pytest.raises(ResponseEmpty):
             gw.complete("x")
 
+    def test_a_transient_failure_is_deferred_not_slept(self):
+        backend = FlakyBackend(failures=2)
+        gw = Gateway(backend, retry=RetryPolicy(max_retries=3, base_delay=0.5),
+                     sleep=pytest.fail)
+        delays = []
+        for _ in range(2):
+            with pytest.raises(RetryLater) as later:
+                gw.complete("x")
+            delays.append(later.value.delay)
+        assert not isinstance(later.value, MedcascadeError)
+        assert gw.complete("x") == "ok"
+        assert delays == [0.5, 1.0] and backend.calls == gw.backend_calls == 3
+
+    def test_attempts_are_counted_per_prompt(self):
+        class FlakyPerPrompt(FlakyBackend):
+            """Fails the first ``failures`` attempts of each prompt, then echoes it."""
+
+            def __init__(self, failures):
+                super().__init__(failures)
+                self.prompts = []
+
+            def complete(self, prompt):
+                self.prompts.append(prompt)
+                if self.prompts.count(prompt) <= self.failures:
+                    raise TransientBackendError("boom")
+                return prompt
+
+        gw = Gateway(FlakyPerPrompt(failures=2), retry=RetryPolicy(max_retries=2))
+        delays = []
+        for prompt in ("a", "b", "a", "b"):
+            with pytest.raises(RetryLater) as later:
+                gw.complete(prompt)
+            delays.append((prompt, later.value.delay))
+        assert delays == [("a", 0.5), ("b", 0.5), ("a", 1.0), ("b", 1.0)]
+        assert (gw.complete("b"), gw.complete("a")) == ("b", "a")
+        # a prompt that succeeded starts counting afresh
+        with pytest.raises(RetryLater) as later:
+            gw.complete("c")
+        assert later.value.delay == 0.5
+
     def test_no_retries_means_one_attempt(self):
         backend = FlakyBackend(failures=99)
-        gw = Gateway(backend, retry=RetryPolicy(max_retries=0), sleep=pytest.fail)
+        gw = Gateway(backend, retry=RetryPolicy(max_retries=0))
         with pytest.raises(BackendUnavailable, match="after 1 attempts"):
-            gw.complete("x")
+            complete_retrying(gw, "x", pytest.fail)
         assert backend.calls == 1
 
 
@@ -248,8 +301,8 @@ class TestRateLimit:
     def test_every_attempt_takes_a_token(self):
         backend = FlakyBackend(failures=2)
         limiter = CountingLimiter()
-        gw = Gateway(backend, rate_limiter=limiter, sleep=lambda s: None)
-        assert gw.complete("x") == "ok"
+        gw = Gateway(backend, rate_limiter=limiter)
+        assert complete_retrying(gw, "x") == "ok"
         assert limiter.acquires == backend.calls == gw.backend_calls == 3
 
 
@@ -280,6 +333,7 @@ _ODD_PAYLOADS = {
 
 class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
+    retry_status, retry_after = 503, ""
     last_body = b""
 
     def do_POST(self):
@@ -294,6 +348,13 @@ class _Handler(BaseHTTPRequestHandler):
         if self.behavior == "flaky_then_ok":
             type(self).behavior = "ok"
             self.send_response(503)
+            self.end_headers()
+            return
+        if self.behavior == "retry_after_then_ok":
+            type(self).behavior = "ok"
+            self.send_response(self.retry_status)
+            self.send_header("Retry-After", self.retry_after)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         if self.behavior == "disconnect_then_ok":   # close without a response
@@ -367,16 +428,32 @@ class TestHttpBackends:
 
     def test_transient_503_retried(self, http_server):
         _Handler.behavior = "flaky_then_ok"
-        gw = Gateway(OpenAIChatBackend("openai", http_server), sleep=lambda s: None)
-        assert gw.complete("hi") == "echo:hi"
+        gw = Gateway(OpenAIChatBackend("openai", http_server))
+        assert complete_retrying(gw, "hi") == "echo:hi"
 
+
+    @pytest.mark.parametrize("status, header, delay", [
+        (503, "3", 3.0), (429, "3", 3.0), (503, "0", 0.5), (429, "30", 8.0),
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5), (429, "soon", 0.5), (503, "-3", 0.5),
+        (503, "1.5", 0.5), (502, "3", 0.5),
+    ], ids=["503", "429", "shorter-than-policy", "capped", "http-date", "unparseable",
+            "negative", "fraction", "not-429-or-503"])
+    def test_retry_after_lengthens_the_deferral(self, http_server, status, header, delay):
+        _Handler.behavior = "retry_after_then_ok"
+        _Handler.retry_status, _Handler.retry_after = status, header
+        # the default policy: 0.5 s first, capped at 8 s
+        gw = Gateway(OpenAIChatBackend("openai", http_server), sleep=pytest.fail)
+        with pytest.raises(RetryLater) as later:
+            gw.complete("hi")
+        assert later.value.delay == delay
+        assert gw.complete("hi") == "echo:hi"
+        assert gw.backend_calls == 2
 
     @pytest.mark.parametrize("behavior", ["disconnect_then_ok", "hang_then_ok"])
     def test_transport_failure_retried(self, http_server, behavior):
         _Handler.behavior = behavior
-        gw = Gateway(OpenAIChatBackend("openai", http_server, timeout=0.5),
-                     sleep=lambda s: None)
-        assert gw.complete("hi") == "echo:hi"
+        gw = Gateway(OpenAIChatBackend("openai", http_server, timeout=0.5))
+        assert complete_retrying(gw, "hi") == "echo:hi"
         assert gw.backend_calls == 2
 
     def test_undecodable_body_is_backend_unavailable(self, http_server):

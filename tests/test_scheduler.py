@@ -1,0 +1,176 @@
+"""The preprocess stage's scheduler: ``run_bundle`` parks a (record, layer)
+task whose gateway call must be retried and keeps serving the others."""
+
+import json
+import re
+
+import pytest
+
+from medcascade import preprocess
+from medcascade.gateway import Gateway, MockBackend, RetryPolicy, TransientBackendError
+from medcascade.preprocess import BundleStore, run_bundle
+
+from conftest import make_record
+
+# binary fractions, so the fake clock's sums are exact
+LATENCY = 0.125
+POLICY = RetryPolicy(max_retries=2, base_delay=0.5, max_delay=8.0)
+_STAGE_OF = {"REFINE": "refine", "SUMMARIZE": "summarize", "NER": "ner"}
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []   # (time, seconds, (record, stage) pairs started so far)
+        self.started = set()
+
+    def __call__(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append((self.now, seconds, frozenset(self.started)))
+        self.now += seconds
+
+
+class ClockedBackend(MockBackend):
+    """The mock on a fake clock: every call takes ``LATENCY`` seconds.  The
+    first attempt of each ``fail_first`` (record, stage) pair and every
+    attempt of each ``fail_always`` pair fail transiently; the NER answers
+    of ``refuse_ner`` records are refusals."""
+
+    def __init__(self, clock, fail_first=(), fail_always=(), refuse_ner=()):
+        super().__init__(lexicon={"fever", "cough"})
+        self.clock = clock
+        self.fail_first, self.fail_always = set(fail_first), set(fail_always)
+        self.refuse_ner = set(refuse_ner)
+        self.calls = []   # (sent at, failed at or None, (record, stage))
+
+    def complete(self, prompt):
+        pair = (int(re.search(r"record (\d+)", prompt).group(1)),
+                _STAGE_OF[prompt.split(":", 1)[0]])
+        sent = self.clock.now
+        self.clock.started.add(pair)
+        self.clock.now += LATENCY
+        first = all(call[2] != pair for call in self.calls)
+        fails = pair in self.fail_always or (first and pair in self.fail_first)
+        self.calls.append((sent, self.clock.now if fails else None, pair))
+        if fails:
+            raise TransientBackendError("HTTP 503")
+        if pair[1] == "ner" and pair[0] in self.refuse_ner:
+            return "I cannot help with that."
+        return super().complete(prompt)
+
+
+def _records(n):
+    return [make_record(rid=f"r{i}", text=f"record {i} has fever. then a cough. more.")
+            for i in range(n)]
+
+
+def _run(tmp_path, name, n, **failures):
+    clock = FakeClock()
+    backend = ClockedBackend(clock, **failures)
+    gw = Gateway(backend, retry=POLICY, clock=clock, sleep=clock.sleep)
+    run_bundle(_records(n), gw, BundleStore(tmp_path / name))
+    files = {f: (tmp_path / name / f).read_bytes() for f in ("bundles.jsonl", "failures.jsonl")}
+    return backend, clock, files
+
+
+def _ledger(files):
+    return [json.loads(line) for line in files["failures.jsonl"].splitlines()]
+
+
+def _order(backend):
+    return [pair for _, _, pair in backend.calls]
+
+
+class TestDeferredRetries:
+    def test_later_records_are_served_before_a_parked_retry_is_due(self, tmp_path):
+        backend, clock, _ = _run(tmp_path, "b", 4, fail_first={(0, "refine")})
+        order = _order(backend)
+        retry = order.index((0, "refine"), 1)
+        # the retry is due 0.5 s after the failure ends: four calls of 0.125 s
+        assert order[1:retry] == [(0, "summarize"), (0, "ner"), (1, "refine"), (1, "summarize")]
+        assert clock.sleeps == []
+
+    def test_no_retry_is_sent_before_its_failure_time_plus_its_delay(self, tmp_path):
+        backend, _, _ = _run(tmp_path, "b", 3,
+                             fail_first={(0, "refine"), (1, "ner"), (2, "summarize")},
+                             fail_always={(1, "refine")})
+        retried = 0
+        for k, (_, failed_at, pair) in enumerate(backend.calls):
+            if failed_at is None:
+                continue
+            attempt = sum(1 for call in backend.calls[:k + 1] if call[2] == pair)
+            later = [call for call in backend.calls[k + 1:] if call[2] == pair]
+            if later:
+                retried += 1
+                assert later[0][0] >= failed_at + POLICY.delay(attempt)
+        assert retried == 5   # one each for three fail_first pairs, two for fail_always
+
+    def test_the_stage_sleeps_only_when_no_task_is_ready(self, tmp_path):
+        backend, clock, _ = _run(tmp_path, "b", 2,
+                                 fail_first={(1, "refine"), (1, "summarize"), (1, "ner")})
+        assert clock.sleeps, "every task of the last record was parked at once"
+        every_pair = {(i, stage) for i in range(2) for stage in preprocess.STAGES}
+        for _, seconds, started in clock.sleeps:
+            assert started == every_pair   # no fresh task was waiting
+            assert seconds > 0             # and no parked one was due
+        # r1's refine failed at 0.5 and is due at 1.0; the last fresh call ended
+        # at 0.75, and its summarize and ner are due as each retry before them ends
+        assert [entry[:2] for entry in clock.sleeps] == [(0.75, 0.25)]
+
+    def test_each_prompt_gets_at_most_one_plus_max_retries_attempts(self, tmp_path):
+        backend, _, files = _run(tmp_path, "b", 3, fail_first={(0, "ner"), (2, "refine")},
+                                 fail_always={(1, "summarize")})
+        attempts = {}
+        for pair in _order(backend):
+            attempts[pair] = attempts.get(pair, 0) + 1
+        assert attempts.pop((1, "summarize")) == 1 + POLICY.max_retries
+        assert attempts.pop((0, "ner")) == attempts.pop((2, "refine")) == 2
+        assert set(attempts.values()) == {1}
+        assert _ledger(files) == [{"record_id": "r1", "stage": "summarize",
+                                   "error": "BackendUnavailable", "fatal": True}]
+
+    def test_deferred_runs_write_the_bytes_of_a_run_without_failures(self, tmp_path):
+        _, _, clean = _run(tmp_path, "clean", 4, refuse_ner={1, 3})
+        backend, clock, deferred = _run(
+            tmp_path, "deferred", 4, refuse_ner={1, 3},
+            fail_first={(0, "refine"), (1, "ner"), (2, "summarize"), (3, "refine"),
+                        (3, "summarize"), (3, "ner")})
+        assert _order(backend) != sorted(_order(backend), key=lambda p: p[0])
+        assert clock.sleeps
+        assert deferred == clean
+        assert clean["failures.jsonl"].count(b"\n") == 2
+
+    def test_fatal_failures_are_ledgered_in_record_order(self, tmp_path):
+        # r2's refusal is ledgered at once, r0's and r4's failures only after
+        # their retries: the ledger still lists them by record
+        _, _, files = _run(tmp_path, "b", 5, refuse_ner={2},
+                           fail_always={(0, "summarize"), (4, "refine")})
+        assert [(e["record_id"], e["stage"]) for e in _ledger(files)] == \
+            [("r0", "summarize"), ("r2", "ner"), ("r4", "refine")]
+
+
+class TestLayerLookup:
+    def test_run_bundle_calls_the_layers_bound_at_call_time(self, tmp_path, monkeypatch):
+        called = []
+        for name in ("refine", "summarize", "extract_entities"):
+            def traced(record, gw, _layer=getattr(preprocess, name), _name=name):
+                called.append((record.id, _name))
+                return _layer(record, gw)
+            monkeypatch.setattr(preprocess, name, traced)
+        run_bundle(_records(2), Gateway(MockBackend()), BundleStore(tmp_path / "b"))
+        assert called == [(f"r{i}", name) for i in range(2)
+                          for name in ("refine", "summarize", "extract_entities")]
+
+
+@pytest.mark.parametrize("max_retries", [0, 1])
+def test_a_no_op_sleep_does_not_spin(tmp_path, max_retries):
+    """With the real clock and a sleep that returns at once, a parked task
+    runs when nothing else is ready instead of being polled for."""
+    clock = FakeClock()
+    backend = ClockedBackend(clock, fail_always={(0, "refine")})
+    gw = Gateway(backend, retry=RetryPolicy(max_retries=max_retries, base_delay=3600.0),
+                 sleep=lambda seconds: None)
+    run_bundle(_records(1), gw, BundleStore(tmp_path / "b"))
+    assert _order(backend).count((0, "refine")) == 1 + max_retries
