@@ -9,15 +9,18 @@ request asks for ``MAX_OUTPUT_TOKENS`` at ``TEMPERATURE`` 0.
 The mock backend understands three prompt sentinels (``REFINE:``,
 ``SUMMARIZE:``, ``NER:``) and applies a fixed pure transformation to the
 payload after the sentinel, so every downstream stage is reproducible without
-network access.  Live backends speak chat/completions-style HTTP JSON;
+network access.  Live backends speak chat/completions-style HTTP JSON over
+``http.client``, one direct connection per request (no proxy, no redirects);
 endpoint and key come from config with environment overrides
 (``MEDCASCADE_LLM_URL``, ``MEDCASCADE_LLM_KEY``).  Only live backends get a
 token-bucket rate limiter (``rate_per_sec``/``burst``), which paces every
-attempt, retries included; the mock runs in-process and is never paced.
-The gateway never sleeps through a transient failure (connection trouble,
-429, 5xx): while the prompt has retries left it raises ``RetryLater`` with the
-back-off delay, or a longer ``Retry-After``, capped at ``max_delay``, and the
-caller (``preprocess.run_bundle``) does other work before it asks again.
+attempt, retries included; the mock runs in-process and is never paced.  The
+gateway never sleeps through a transient failure (connection trouble, 429,
+5xx): while the prompt has retries left it raises ``RetryLater`` with the
+back-off delay, or a longer ``Retry-After``, capped at ``max_delay``; asked
+not to block, it has a live backend ``send`` the request and raises
+``InFlight``.  The caller (``preprocess.run_bundle``) does other work before
+asking again.
 
 The response cache is one append-only log, ``<cache_dir>/responses.jsonl``,
 read once into memory: each completion is one appended line, a damaged or
@@ -33,8 +36,7 @@ import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
 
 from .atomic import append_jsonl, read_jsonl
@@ -144,6 +146,15 @@ class RetryLater(Exception):
         self.delay = delay
 
 
+class InFlight(Exception):
+    """A request sent, its reply unread: set ``ready`` once ``sock`` is readable or
+    ``deadline`` (``time.monotonic``) is past, then ask again.  Not a ``MedcascadeError``."""
+
+    def __init__(self, sock, deadline: float):
+        super().__init__("reply pending")
+        self.sock, self.deadline, self.ready = sock, deadline, sock is None
+
+
 # -- mock backend ------------------------------------------------------------
 
 _SENTINELS = ("REFINE:", "SUMMARIZE:", "NER:")
@@ -226,7 +237,7 @@ class MockBackend:
 # -- live backends -----------------------------------------------------------
 
 class _HTTPBackend:
-    """What both live protocols share: url, key, timeout and the JSON POST."""
+    """What both live protocols share: url, key, timeout and the JSON POST, sent then read."""
 
     prompt_style = "instruct"
 
@@ -236,26 +247,47 @@ class _HTTPBackend:
         self.api_key = api_key
         self.timeout = timeout
         self.scope = {"url": url}
+        self._sent: dict[str, tuple] = {}   # prompt -> (connection, deadline, the send's error)
 
-    def _post(self, body: dict) -> dict:
+    def send(self, prompt: str) -> InFlight:
+        """Write the request for ``prompt`` (HTTPS when the url says so); a failed one is ready."""
+        url = urllib.parse.urlsplit(self.url)
+        conn = (http.client.HTTPSConnection if url.scheme == "https"
+                else http.client.HTTPConnection)(url.netloc, timeout=self.timeout)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        request = urllib.request.Request(self.url, data=json.dumps(body).encode("utf-8"),
-                                         headers=headers)
+        deadline, error = time.monotonic() + self.timeout, None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                raw = resp.read()
-        except urllib.error.HTTPError as e:
-            if e.code in (401, 403):
-                raise AuthError(f"HTTP {e.code} from {self.url}") from e
-            if e.code in (408, 429) or e.code >= 500:
-                wait = (e.headers.get("Retry-After") or "").strip() if e.code in (429, 503) else ""
-                raise TransientBackendError(f"HTTP {e.code}", float(wait) if wait.isascii()
-                                            and wait.isdigit() else None) from e
-            raise BackendUnavailable(f"HTTP {e.code} from {self.url}") from e
+            conn.request("POST", urllib.parse.urlunsplit(("", "", url.path or "/", url.query, "")),
+                         json.dumps(self._body(prompt)).encode("utf-8"), headers)
+        except (OSError, http.client.HTTPException) as e:   # raised by ``complete``
+            error = e
+        self._sent[prompt] = (conn, deadline, error)
+        return InFlight(None if error else conn.sock, deadline)
+
+    def _post(self, prompt: str) -> dict:
+        if prompt not in self._sent:
+            self.send(prompt)
+        conn, deadline, error = self._sent.pop(prompt)
+        try:
+            if error is not None:
+                raise error
+            conn.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+            with conn.getresponse() as resp:
+                status, raw = resp.status, resp.read()
+                wait = (resp.getheader("Retry-After") or "").strip()
         except (OSError, http.client.HTTPException) as e:  # refused, reset, timed out
             raise TransientBackendError(f"{type(e).__name__}: {e}") from e
+        finally:
+            conn.close()
+        if status in (401, 403):
+            raise AuthError(f"HTTP {status} from {self.url}")
+        if status in (408, 429) or status >= 500:
+            raise TransientBackendError(f"HTTP {status}", float(wait) if status in (429, 503)
+                                        and wait.isascii() and wait.isdigit() else None)
+        if not 200 <= status < 300:   # redirects are not followed
+            raise BackendUnavailable(f"HTTP {status} from {self.url}")
         try:
             data = json.loads(raw.decode("utf-8"))
         except ValueError as e:
@@ -280,10 +312,12 @@ class OpenAIChatBackend(_HTTPBackend):
         self.model = model
         self.scope = {"url": url, "model": model}
 
+    def _body(self, prompt: str) -> dict:
+        return {"model": self.model, "temperature": TEMPERATURE, "max_tokens": MAX_OUTPUT_TOKENS,
+                "messages": [{"role": "user", "content": prompt}]}
+
     def complete(self, prompt: str) -> str:
-        data = self._post({"model": self.model, "temperature": TEMPERATURE,
-                           "max_tokens": MAX_OUTPUT_TOKENS,
-                           "messages": [{"role": "user", "content": prompt}]})
+        data = self._post(prompt)
         try:
             return self._text(data["choices"][0]["message"]["content"])
         except (KeyError, IndexError, TypeError) as e:
@@ -293,9 +327,11 @@ class OpenAIChatBackend(_HTTPBackend):
 class LlamaServerBackend(_HTTPBackend):
     """llama.cpp-style /completion JSON protocol."""
 
+    def _body(self, prompt: str) -> dict:
+        return {"prompt": prompt, "temperature": TEMPERATURE, "n_predict": MAX_OUTPUT_TOKENS}
+
     def complete(self, prompt: str) -> str:
-        data = self._post({"prompt": prompt, "temperature": TEMPERATURE,
-                           "n_predict": MAX_OUTPUT_TOKENS})
+        data = self._post(prompt)
         if "content" not in data:
             raise BackendUnavailable("response has no 'content' field")
         return self._text(data["content"])
@@ -331,8 +367,11 @@ class Gateway:
         self.backend_calls = 0
         self.cache_hits = 0
         self._attempts: dict[str, int] = {}   # cache key -> failed attempts so far
+        self._in_flight: dict[str, InFlight] = {}   # cache key -> exchange sent, not read
 
-    def complete(self, prompt: str) -> str:
+    def complete(self, prompt: str, block: bool = True) -> str:
+        """The answer to ``prompt``.  ``block=False`` raises a sent request's ``InFlight``
+        until it is ``ready``; an exchange takes one token and one count, however many ask."""
         if not prompt:
             raise ValueError("prompt must be non-empty")
         backend_id = self.backend.backend_id
@@ -343,11 +382,18 @@ class Gateway:
                 self.cache_hits += 1
                 return cached
 
-        if self.rate_limiter is not None:
-            self.rate_limiter.acquire()
+        flight = self._in_flight.get(key)
+        if flight is None:
+            if self.rate_limiter is not None:
+                self.rate_limiter.acquire()
+            self.backend_calls += 1
+            if not block and hasattr(self.backend, "send"):
+                flight = self._in_flight[key] = self.backend.send(prompt)
+        if flight is not None and not block and not flight.ready:
+            raise flight.with_traceback(None)
+        self._in_flight.pop(key, None)
         attempt = self._attempts.pop(key, 0) + 1
         try:
-            self.backend_calls += 1
             response = self.backend.complete(prompt)
         except TransientBackendError as e:
             if attempt > self.retry.max_retries:

@@ -14,16 +14,15 @@ An unparseable answer earns one reprompt with a format reminder, then the
 record degrades to an empty entity list.
 
 ``run_bundle`` runs every record's three layers as (record, layer) tasks on
-one thread.  A task whose gateway call must be retried waits out its back-off
-parked while the other tasks run; the stage sleeps only when no task is
-ready.  Bundles live in ``bundles.jsonl``, beside the failure ledger
-``failures.jsonl``: each file written whole, atomically and in record order
-once every task is done, so a crash part-way through a run leaves the
-previous run's files as they were.  The log is read once into an
-index by record id.  A damaged or torn line is skipped, so its record counts
-as not done; a later line for a record wins.  Each bundle records the sha256
-of the scrubbed text its layers were given, so a variant never joins new
-text to the outputs of old text.
+one thread, up to four live requests in flight: a task waits on its reply's
+socket, or parked out a retry's back-off, while the other tasks run.  Bundles
+live in ``bundles.jsonl``, beside the failure ledger ``failures.jsonl``: each
+file written whole, atomically and in record order once every task is done,
+so a crash part-way through a run leaves the previous run's files as they
+were.  The log is read once into an index by record id.  A damaged or torn line
+is skipped, so its record counts as not done; a later line for a record
+wins.  Each bundle records the sha256 of the scrubbed text its layers were
+given, so a variant never joins new text to the outputs of old text.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ import heapq
 import logging
 import os
 import re
+import selectors
+import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -40,11 +41,12 @@ from .corpus import ComplaintRecord, scrub_pii
 from .atomic import json_line, read_jsonl, write_jsonl
 from .errors import (CorruptArtifact, EmptySourceText, MedcascadeError, ParseFailure,
                      RefusalDetected, ResponseEmpty)
-from .gateway import Gateway, RetryLater
+from .gateway import Gateway, InFlight, RetryLater
 
 logger = logging.getLogger(__name__)
 
 STAGES = ("refine", "summarize", "ner")
+_IN_FLIGHT = 4   # open exchanges at most; rate_per_sec and burst pace the server
 
 _PROMPTS_ROOT = Path(__file__).parent / "prompts"
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?؟])\s+")
@@ -294,40 +296,72 @@ class LedgerEntry:
     fatal: bool
 
 
+class _TaskGateway:
+    """``gw`` for one task: never blocks, and replays a restarted layer's answers uncounted."""
+
+    def __init__(self, gw: Gateway):
+        self.gw, self.backend, self.answers = gw, gw.backend, {}
+
+    def complete(self, prompt: str) -> str:
+        if prompt not in self.answers:
+            self.answers[prompt] = self.gw.complete(prompt, block=False)
+        return self.answers[prompt]
+
+
 def run_bundle(records: list[ComplaintRecord], gw: Gateway,
                store: BundleStore) -> list[PreprocessBundle]:
     """Produce one bundle per record through all three layers.
 
-    Tasks run in record then ``STAGES`` order, due retries first.  A task
-    whose gateway call raises ``RetryLater`` is parked until its delay has
-    passed on ``gw.clock``, then runs its layer again from the start;
-    ``gw.sleep`` waits only when no task is ready.  A failed stage goes to
-    the ledger and the bundle degrades (refined/summarized = scrubbed
-    source, entities = empty), so no record is lost.  A rerun replays the
-    finished records from the gateway's response cache.
+    Tasks whose reply has arrived run first, in record then ``STAGES`` order,
+    then due retries and fresh tasks while fewer than ``_IN_FLIGHT`` exchanges
+    are open.  A task that raises ``InFlight`` waits on its socket, one that
+    raises ``RetryLater`` until its delay has passed on ``gw.clock``; the stage
+    waits in ``select``, or ``gw.sleep`` when nothing is in flight.  A failed
+    stage goes to the ledger and the bundle degrades (refined/summarized =
+    scrubbed source, entities = empty), so no record is lost.
     """
     hashes = template_hashes(gw.backend.prompt_style)
     sources = [replace(r, text=scrub_pii(r.text)) for r in records]
     fresh = ((i, k) for i in range(len(records)) for k in range(len(STAGES)))
     parked: list[tuple[float, tuple[int, int]]] = []   # heap of (due, (record, stage))
-    done, failed = {}, {}
-    while len(done) < len(STAGES) * len(records):
-        now = gw.clock()
-        if parked and parked[0][0] <= now:
-            task = heapq.heappop(parked)[1]
-        elif (task := next(fresh, None)) is None:   # only parked tasks are left
-            gw.sleep(parked[0][0] - now)
-            task = heapq.heappop(parked)[1]
-        i, stage = task[0], STAGES[task[1]]
-        # by module name at call time, so a rebound layer is the one called
-        layer = {"refine": refine, "summarize": summarize, "ner": extract_entities}[stage]
-        try:
-            done[task] = layer(sources[i], gw)
-        except RetryLater as later:
-            heapq.heappush(parked, (gw.clock() + later.delay, task))
-        except MedcascadeError as e:
-            done[task] = [] if stage == "ner" else sources[i].text.strip()
-            failed[task] = LedgerEntry(records[i].id, stage, e.category, fatal=stage != "ner")
+    arrived: list[tuple[int, int]] = []   # heap of tasks whose reply is ready or overdue
+    views, done, failed = {}, {}, {}
+    with selectors.DefaultSelector() as sel:   # socket -> (its InFlight, the tasks waiting)
+        while len(done) < len(STAGES) * len(records):
+            now, task, flights = gw.clock(), None, list(sel.get_map().values())
+            if arrived:
+                task = heapq.heappop(arrived)
+            elif len(flights) < _IN_FLIGHT:
+                task = heapq.heappop(parked)[1] if parked and parked[0][0] <= now \
+                    else next(fresh, None)
+            if task is None and flights:   # wait for a reply, a deadline or a due retry
+                due = [parked[0][0] - now] if parked and len(flights) < _IN_FLIGHT else []
+                wait = min([key.data[0].deadline - time.monotonic() for key in flights] + due)
+                readable = {key.fileobj for key, _ in sel.select(max(wait, 0.0))}
+                for key in flights:   # unregistered before any task can read and close it
+                    if key.fileobj in readable or key.data[0].deadline <= time.monotonic():
+                        sel.unregister(key.fileobj)
+                        key.data[0].ready = True
+                        for waiting in key.data[1]:
+                            heapq.heappush(arrived, waiting)
+                continue
+            if task is None:   # only parked tasks are left
+                gw.sleep(parked[0][0] - now)
+                task = heapq.heappop(parked)[1]
+            i, stage = task[0], STAGES[task[1]]
+            # by module name at call time, so a rebound layer is the one called
+            layer = {"refine": refine, "summarize": summarize, "ner": extract_entities}[stage]
+            try:
+                done[task] = layer(sources[i], views.setdefault(task, _TaskGateway(gw)))
+            except InFlight as flight:   # one registration per exchange, however many wait
+                if flight.sock not in sel.get_map():
+                    sel.register(flight.sock, selectors.EVENT_READ, (flight, []))
+                sel.get_key(flight.sock).data[1].append(task)
+            except RetryLater as later:
+                heapq.heappush(parked, (gw.clock() + later.delay, task))
+            except MedcascadeError as e:
+                done[task] = [] if stage == "ner" else sources[i].text.strip()
+                failed[task] = LedgerEntry(records[i].id, stage, e.category, stage != "ner")
     bundles = [PreprocessBundle(r.id, *(done[i, k] for k in range(len(STAGES))), dict(hashes),
                                 text_sha256(sources[i].text)) for i, r in enumerate(records)]
     store.save(bundles)

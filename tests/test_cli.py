@@ -269,7 +269,7 @@ class TestIdempotence:
     def test_bundle_directory_does_not_depend_on_the_live_url(self, workspace, monkeypatch):
         monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
         answer = {"choices": [{"message": {"content": "صداع"}}]}
-        monkeypatch.setattr(gateway._HTTPBackend, "_post", lambda self, body: answer)
+        monkeypatch.setattr(gateway._HTTPBackend, "_post", lambda self, prompt: answer)
         trees = []
         for port in (9, 10):
             config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))

@@ -1,4 +1,8 @@
 import json
+import select
+import selectors
+import socket
+import ssl
 import sys
 import threading
 import time
@@ -10,10 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from medcascade.errors import (AuthError, BackendUnavailable, MedcascadeError, ResponseEmpty,
                                UnknownBackend, UnknownSentinel)
-from medcascade.gateway import (Gateway, GatewayConfig, LlamaServerBackend, MockBackend,
-                                OpenAIChatBackend, ResponseCache, RetryLater, RetryPolicy,
-                                TokenBucket, TransientBackendError, build_gateway,
+from medcascade.gateway import (Gateway, GatewayConfig, InFlight, LlamaServerBackend,
+                                MockBackend, OpenAIChatBackend, ResponseCache, RetryLater,
+                                RetryPolicy, TokenBucket, TransientBackendError, build_gateway,
                                 cache_key, load_symptom_lexicon)
+from medcascade.preprocess import BundleStore, run_bundle
+
+from conftest import make_record
 
 MOCK = MockBackend()
 
@@ -335,14 +342,17 @@ class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
     retry_status, retry_after = 503, ""
     last_body = b""
+    bodies = []   # every request body, in arrival order
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         raw = self.rfile.read(length)
         type(self).last_body = raw
+        self.bodies.append(raw)
         body = json.loads(raw)
-        if self.behavior in ("auth", "bad_request"):
-            self.send_response(401 if self.behavior == "auth" else 400)
+        if self.behavior in ("auth", "bad_request", "redirect"):
+            self.send_response({"auth": 401, "bad_request": 400, "redirect": 302}[self.behavior])
+            self.send_header("Location", self.path)
             self.end_headers()
             return
         if self.behavior == "flaky_then_ok":
@@ -467,12 +477,13 @@ class TestHttpBackends:
 
     @pytest.mark.parametrize("behavior, backend, named", [
         ("bad_request", OpenAIChatBackend, "HTTP 400"),
+        ("redirect", OpenAIChatBackend, "HTTP 302"),
         ("empty_object", OpenAIChatBackend, "unexpected response shape"),
         ("empty_object", LlamaServerBackend, "no 'content' field"),
         ("json_list", LlamaServerBackend, "not a JSON object"),
         ("number_content", LlamaServerBackend, "the completion is int, not a string"),
         ("list_content", OpenAIChatBackend, "the completion is list, not a string"),
-    ], ids=["http-400", "openai-no-choices", "llama-no-content", "llama-list-body",
+    ], ids=["http-400", "http-302-not-followed", "openai-no-choices", "llama-no-content", "llama-list-body",
             "llama-number-content", "openai-list-content"])
     def test_a_bad_answer_is_backend_unavailable_and_not_retried(self, http_server, behavior,
                                                                  backend, named):
@@ -483,6 +494,109 @@ class TestHttpBackends:
             gw.complete("hi")
         assert gw.backend_calls == 1
         _Handler.behavior = "ok"
+
+
+class TestInFlight:
+    def test_a_call_that_does_not_block_sends_then_reads_on_one_token(self, http_server):
+        _Handler.behavior = "ok"
+        limiter = CountingLimiter()
+        gw = Gateway(OpenAIChatBackend("openai", http_server), rate_limiter=limiter,
+                     sleep=pytest.fail)
+        with pytest.raises(InFlight) as flight:
+            gw.complete("hi", block=False)
+        assert not isinstance(flight.value, MedcascadeError)
+        assert select.select([flight.value.sock], [], [], 5.0)[0]
+        with pytest.raises(InFlight):   # not read until the caller says it is ready
+            gw.complete("hi", block=False)
+        flight.value.ready = True
+        assert gw.complete("hi", block=False) == "echo:hi"
+        assert limiter.acquires == gw.backend_calls == 1
+
+    def test_the_mock_never_raises_in_flight(self, tmp_path, monkeypatch):
+        calls = []
+
+        def complete(gw, prompt, block=True, _complete=Gateway.complete):
+            try:
+                answer = _complete(gw, prompt, block)
+            except InFlight:
+                calls.append((block, "InFlight"))
+                raise
+            calls.append((block, "answered"))
+            return answer
+
+        monkeypatch.setattr(Gateway, "complete", complete)
+        run_bundle([make_record(rid=f"r{i}") for i in range(3)], Gateway(MockBackend()),
+                   BundleStore(tmp_path / "b"))
+        assert calls == [(False, "answered")] * 9
+
+    def test_a_failed_send_is_ready_at_once_and_transient(self):
+        with socket.socket() as sock:   # a port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        gw = Gateway(OpenAIChatBackend("openai", f"http://127.0.0.1:{port}/v1"),
+                     retry=RetryPolicy(max_retries=1), sleep=pytest.fail)
+        with pytest.raises(RetryLater):
+            gw.complete("hi", block=False)
+        with pytest.raises(BackendUnavailable, match="after 2 attempts: ConnectionRefusedError"):
+            gw.complete("hi", block=False)
+        assert gw.backend_calls == 2
+
+    def test_an_https_url_speaks_tls(self):
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            def answer_in_plain_http():
+                conn, _ = server.accept()
+                with conn:
+                    conn.recv(4096)   # the TLS client hello
+                    conn.sendall(b"HTTP/1.0 200 OK\r\n\r\n")
+
+            thread = threading.Thread(target=answer_in_plain_http)
+            thread.start()
+            url = f"https://127.0.0.1:{server.getsockname()[1]}/v1"
+            gw = Gateway(OpenAIChatBackend("openai", url, timeout=5.0))
+            with pytest.raises(RetryLater) as later:
+                gw.complete("hi")
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert isinstance(later.value.__cause__.__cause__, ssl.SSLError)
+
+    @pytest.mark.parametrize("cached, calls", [(True, (3, 3)), (False, (6, 0))],
+                             ids=["cache", "no-cache"])
+    def test_a_duplicated_record_waits_on_the_same_exchange(self, http_server, tmp_path,
+                                                            monkeypatch, cached, calls):
+        class CheckedSelector(selectors.DefaultSelector):
+            """Fails on a socket closed while registered, or registered twice."""
+
+            def register(self, fileobj, events, data=None):
+                assert fileobj not in self.get_map()
+                return super().register(fileobj, events, data)
+
+            def select(self, timeout=None):
+                assert all(key.fileobj.fileno() != -1 for key in self.get_map().values())
+                return super().select(timeout)
+
+        monkeypatch.setattr(selectors, "DefaultSelector", CheckedSelector)
+        _Handler.behavior, _Handler.bodies = "ok", []
+        limiter = CountingLimiter()
+        gw = Gateway(OpenAIChatBackend("openai", http_server), rate_limiter=limiter,
+                     cache=ResponseCache(tmp_path / "cache") if cached else None)
+        records = [make_record(rid=rid, text="fever since monday.") for rid in ("r0", "r1")]
+        bundles = run_bundle(records, gw, BundleStore(tmp_path / "b"))
+        # as in a serial run: the second record's prompts are cache hits,
+        # or new calls without a cache
+        assert (gw.backend_calls, gw.cache_hits) == calls
+        assert len(_Handler.bodies) == limiter.acquires == calls[0]
+        assert bundles[1].refined == bundles[0].refined.replace("r0", "r1")
+
+    def test_a_hung_exchange_fails_once_after_its_timeout(self, http_server, tmp_path):
+        _Handler.behavior, _Handler.bodies = "hang_then_ok", []   # one request hangs 1 s
+        gw = Gateway(OpenAIChatBackend("openai", http_server, timeout=0.4),
+                     retry=RetryPolicy(max_retries=1, base_delay=0.01))
+        started = time.monotonic()
+        run_bundle([make_record(text="fever since monday.")], gw, BundleStore(tmp_path / "b"))
+        # one timeout and the retry's latency; a second timeout would pass 0.8 s
+        assert 0.4 <= time.monotonic() - started < 0.7
+        assert gw.backend_calls == len(_Handler.bodies) == 4
+        assert (tmp_path / "b" / "failures.jsonl").read_bytes() == b""
 
 
 class TestConcurrency:

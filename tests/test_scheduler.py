@@ -1,14 +1,20 @@
 """The preprocess stage's scheduler: ``run_bundle`` parks a (record, layer)
-task whose gateway call must be retried and keeps serving the others."""
+task whose gateway call must be retried, or whose reply is still out, and
+keeps serving the others."""
 
+import asyncio
 import json
 import re
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 from medcascade import preprocess
-from medcascade.gateway import Gateway, MockBackend, RetryPolicy, TransientBackendError
-from medcascade.preprocess import BundleStore, run_bundle
+from medcascade.gateway import (Gateway, MockBackend, OpenAIChatBackend, ResponseCache,
+                                RetryLater, RetryPolicy, TransientBackendError)
+from medcascade.preprocess import (FORMAT_REMINDER, BundleStore, extract_entities, refine,
+                                   run_bundle, summarize)
 
 from conftest import make_record
 
@@ -174,3 +180,188 @@ def test_a_no_op_sleep_does_not_spin(tmp_path, max_retries):
                  sleep=lambda seconds: None)
     run_bundle(_records(1), gw, BundleStore(tmp_path / "b"))
     assert _order(backend).count((0, "refine")) == 1 + max_retries
+
+
+class GarbledThenBusy(MockBackend):
+    """The mock, except that record 0's first NER answer cannot be parsed and
+    the first attempt of its reprompt gets a 503."""
+
+    def __init__(self):
+        super().__init__(lexicon={"fever", "cough"})
+        self.prompts = []
+
+    def complete(self, prompt):
+        self.prompts.append(prompt)
+        if prompt.startswith("NER:") and "record 0" in prompt:
+            if FORMAT_REMINDER not in prompt:
+                return "answer: unclear"
+            if self.prompts.count(prompt) == 1:
+                raise TransientBackendError("HTTP 503")
+        return super().complete(prompt)
+
+
+class SerialGateway:
+    """``gw`` as a caller that waits out each ``RetryLater`` in place sees it."""
+
+    def __init__(self, gw):
+        self.gw, self.backend = gw, gw.backend
+
+    def complete(self, prompt):
+        while True:
+            try:
+                return self.gw.complete(prompt)
+            except RetryLater:
+                pass
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+def test_a_restarted_layer_does_not_ask_its_earlier_prompts_again(tmp_path, cached):
+    counts = []
+    for scheduled in (False, True):
+        clock = FakeClock()
+        gw = Gateway(GarbledThenBusy(), retry=POLICY, clock=clock, sleep=clock.sleep,
+                     cache=ResponseCache(tmp_path / f"cache{scheduled}") if cached else None)
+        if scheduled:
+            run_bundle(_records(2), gw, BundleStore(tmp_path / "b"))
+        else:
+            for record in _records(2):
+                for layer in (refine, summarize, extract_entities):
+                    layer(record, SerialGateway(gw))
+        counts.append((gw.backend_calls, gw.cache_hits))
+    # r0: refine, summarize, the garbled NER answer, the reprompt's 503 and
+    # its retry; r1: three prompts
+    assert counts == [(8, 0), (8, 0)]
+
+
+# -- live requests in flight ------------------------------------------------------
+
+class ReverseOrderLLM:
+    """A chat/completions server on localhost and one asyncio thread.  It holds
+    each request until none has come for ``QUIET`` seconds, then answers the
+    held ones newest first.  The first attempt of each prompt of a record that
+    says "flaky" gets a 503; the NER answers of a "garbled" record cannot be
+    parsed.  ``most_open`` is the most connections it ever had open at once."""
+
+    QUIET = 0.02
+
+    def __init__(self):
+        self.prompts, self.answered, self.held = [], [], []
+        self.open = self.most_open = 0
+        self.timer = None
+
+    def __enter__(self):
+        self.loop = asyncio.new_event_loop()
+        self.server = self.loop.run_until_complete(
+            asyncio.start_server(self._handle, "127.0.0.1", 0))
+        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
+        self.thread.start()
+        port = self.server.sockets[0].getsockname()[1]
+        self.url = f"http://127.0.0.1:{port}/v1/chat/completions"
+        return self
+
+    def __exit__(self, *exc):
+        async def close():
+            self.server.close()
+            await self.server.wait_closed()
+
+        asyncio.run_coroutine_threadsafe(close(), self.loop).result(timeout=5.0)
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(timeout=5.0)
+        assert not self.thread.is_alive()
+        self.loop.close()
+
+    def _answer(self, prompt, first):
+        text = prompt.split("Complaint:\n", 1)[1].split("\n", 1)[0]
+        if "flaky" in text and first:
+            return 503, ""
+        if "entities" in prompt:
+            return 200, "answer: unclear" if "garbled" in text else f"symptom: {text.split()[1]}"
+        if "Summarize" in prompt:
+            return 200, text[:len(text) // 2]
+        return 200, f"Medical complaint: {text}"
+
+    def _release(self):
+        held, self.held = self.held, []
+        for n, release in enumerate(reversed(held)):
+            self.loop.call_later(0.002 * n, release.set_result, None)
+
+    async def _handle(self, reader, writer):
+        self.open += 1
+        self.most_open = max(self.most_open, self.open)
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+            prompt = json.loads(await reader.readexactly(length))["messages"][0]["content"]
+            first = prompt not in self.prompts
+            self.prompts.append(prompt)
+            release = self.loop.create_future()
+            self.held.append(release)
+            if self.timer is not None:
+                self.timer.cancel()
+            self.timer = self.loop.call_later(self.QUIET, self._release)
+            await release
+            status, content = self._answer(prompt, first)
+            body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+            self.answered.append(prompt)
+            self.open -= 1   # before the client can see the answer and connect again
+            writer.write(b"HTTP/1.1 %d -\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+                         % (status, len(body), body))
+            await writer.drain()
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+
+def _live_records():
+    kinds = ["", "flaky", "", "garbled", "", "", "flaky", "", "", "garbled"]
+    return [make_record(rid=f"r{i}", text=f"record{i} fever {kind} since monday. then a cough.")
+            for i, kind in enumerate(kinds)]
+
+
+def _live_run(tmp_path, name, serial=False):
+    with ReverseOrderLLM() as server:
+        backend = OpenAIChatBackend("openai", server.url, timeout=5.0)
+        if serial:   # the same protocol without ``send``: every call blocks
+            backend = SimpleNamespace(backend_id=backend.backend_id, scope=backend.scope,
+                                      prompt_style=backend.prompt_style,
+                                      complete=backend.complete)
+        gw = Gateway(backend, cache=ResponseCache(tmp_path / name / "cache"),
+                     retry=RetryPolicy(max_retries=2, base_delay=0.01))
+        run_bundle(_live_records(), gw, BundleStore(tmp_path / name))
+    files = {f: (tmp_path / name / f).read_bytes() for f in ("bundles.jsonl", "failures.jsonl")}
+    return gw, server, files
+
+
+class TestInFlight:
+    def test_replies_in_reverse_order_give_a_serial_runs_bytes_and_counts(self, tmp_path):
+        serial_gw, serial_server, serial = _live_run(tmp_path, "serial", serial=True)
+        gw, server, overlapped = _live_run(tmp_path, "overlapped")
+        assert server.answered != server.prompts   # the replies did come out of order
+        assert overlapped == serial
+        assert [json.loads(line)["record_id"] for line in serial["failures.jsonl"].splitlines()] \
+            == ["r3", "r9"]
+        assert (gw.backend_calls, gw.cache_hits) == (serial_gw.backend_calls,
+                                                     serial_gw.cache_hits) == (38, 0)
+        # 30 prompts, a reprompt for each garbled record, a retry for each
+        # prompt of a flaky one
+        assert len(server.prompts) == len(serial_server.prompts) == 38
+        assert serial_server.most_open == 1
+
+    def test_at_most_four_requests_are_in_flight(self, tmp_path):
+        _, server, _ = _live_run(tmp_path, "b")
+        assert 1 < server.most_open <= preprocess._IN_FLIGHT == 4
+
+    def test_no_thread_is_started(self, tmp_path, monkeypatch):
+        counts, ask = [], preprocess._ask
+
+        def counting_ask(gw, prompt):
+            counts.append(threading.active_count())
+            return ask(gw, prompt)
+
+        monkeypatch.setattr(preprocess, "_ask", counting_ask)
+        with ReverseOrderLLM() as server:
+            before = threading.active_count()
+            gw = Gateway(OpenAIChatBackend("openai", server.url, timeout=5.0),
+                         retry=RetryPolicy(base_delay=0.01))
+            run_bundle(_live_records()[:4], gw, BundleStore(tmp_path / "b"))
+        assert len(counts) > 12 and set(counts) == {before}
