@@ -7,10 +7,11 @@ from a shell:
     medcascade train      --config cfg.json --model toy --condition <c> [--no-finetune]
     medcascade report     --config cfg.json
 
-Every command is idempotent: it short-circuits only when the hash of its
-inputs and the hash of the files in the directories it writes both match its
-state file, so rerunning the script is cheap, and a deleted or damaged output
-is redone (``preprocess`` from the response cache, with no backend calls).
+Every command is idempotent: its state file holds one digest per input
+(each module, input file and setting) and per file it wrote, and it
+short-circuits only when all of them still match.  So rerunning the script is
+cheap, and a deleted or damaged output is redone (``preprocess`` from the
+response cache, with no backend calls).
 Run from the repository root:
 python demos/05_full_pipeline_cli.py
 """

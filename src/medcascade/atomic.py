@@ -14,6 +14,9 @@ one ``json_line`` per entry.  ``read_json`` reports a file it cannot decode
 or unpack as ``CorruptArtifact`` naming the file, and ``check_types`` holds
 the values of a JSON object to the types of a dataclass's defaults.
 
+``file_digest``, the package's one file hash, streams a file's bytes through
+sha256, so a large file is never held whole.
+
 ``append_jsonl`` adds one entry to the package's one append-only log, the
 response cache: one line of JSON written with a single ``os.write`` on an
 ``O_APPEND`` descriptor.  If the log does not end in a newline (a tail torn
@@ -26,6 +29,7 @@ lack their required fields, and a later entry for the same key wins.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -53,6 +57,16 @@ def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def file_digest(path) -> str | None:
+    """The sha256 hex digest of the bytes of ``path``; None for a file that
+    is missing or cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.file_digest(fh, "sha256").hexdigest()
+    except OSError:
+        return None
 
 
 def json_line(entry) -> str:

@@ -1,12 +1,12 @@
 """The ``medcascade`` command: ingest -> preprocess -> variants -> train -> report.
 
-Every subcommand is idempotent: its state sidecar, written last, records the
-hash of its inputs and the hash of every file in the directories it writes.
-A rerun short-circuits only when both still match, so a changed input or a
-deleted, truncated or edited output redoes the stage (``preprocess`` from its
-response cache).  All writes are atomic (temp + rename).  Exit codes: 0
-success, 1 user error, 2 internal error; failures print one machine-parseable
-``Category: message`` line on stderr.
+Every subcommand is idempotent: its state sidecar, written last, maps each
+input (``code <module>.py``, ``file <role>``, a config value) and each
+``output <path>`` to its sha256.  A rerun short-circuits only when all still
+match, so a changed input or a deleted, truncated or edited output redoes the
+stage (``preprocess`` from its response cache).  All writes are atomic (temp
++ rename).  Exit codes: 0 success, 1 user error, 2 internal error; failures
+print one machine-parseable ``Category: message`` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
-import json
 import os
 import re
 import sys
 from dataclasses import asdict, replace
 
 from . import __version__
-from .atomic import read_json, write_atomic, write_json
+from .atomic import file_digest, json_line, read_json, write_atomic, write_json
 from .config import PipelineConfig, load_config
 from .corpus import (CorpusManifest, corpus_format, load_corpus, manifest_path_for,
                      read_manifest, scrub_records, stratified_split, write_corpus)
@@ -37,54 +36,62 @@ from .variants import CONDITIONS, build_variant, load_variant, variant_paths, wr
 SPLITS = ("train", "val", "test")
 
 
-# Every module of the package.  Their source is part of each stage's input
-# hash, so any code change reruns every stage: no list of the modules that
-# decide a stage's bytes can fall out of date.
+# Every module of the package.  Each is a dependency of every stage, so any
+# code change reruns every stage: no list of the modules that decide a
+# stage's bytes can fall out of date.
 SOURCES = sorted(glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__)), "*.py")))
 
 
 # -- shared helpers ------------------------------------------------------------
 
-def _hash_inputs(files: list[str], *values) -> str:
-    """Digest of the contents of ``files`` and the JSON form of ``values``.
-
-    A value is hashed as itself even when it names a file.  A missing file
-    hashes as absent; the stage that needs it reports it.
-    """
-    h = hashlib.sha256()
-    for path in files:
-        try:
-            with open(path, "rb") as fh:  # streamed: a large file is never held whole
-                h.update(hashlib.file_digest(fh, "sha256").digest())
-        except FileNotFoundError:
-            h.update(b"absent")
-    h.update(b"\x00")
-    for value in values:
-        h.update(json.dumps(value, sort_keys=True, default=str).encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
+def _digest(value) -> str:
+    """The sha256 of ``value``'s JSON form: a value is hashed as itself even
+    when it names a file, and a live url is never stored in plain text."""
+    return hashlib.sha256(json_line(value).encode("utf-8")).hexdigest()
 
 
-def _state(state_path: str, input_hash: str, out_dirs: list[str]) -> dict:
-    """The input hash and a digest of the relative names and bytes of every
-    file under ``out_dirs``, the state file itself left out."""
-    base = os.path.dirname(state_path)
-    files = sorted(os.path.join(root, name) for d in out_dirs
-                   for root, _, names in os.walk(d) for name in names)
-    files = [f for f in files if f != state_path]
-    return {"input_hash": input_hash,
-            "outputs": _hash_inputs(files, [os.path.relpath(f, base) for f in files])}
+def _inputs(files: dict[str, str], **values) -> dict[str, str | None]:
+    """The digests of every module, each file of ``files`` by role (None when
+    absent: the stage that needs it reports it) and each value, by name."""
+    named = {f"code {os.path.basename(path)}": file_digest(path) for path in SOURCES}
+    named.update({f"file {role}": file_digest(path) for role, path in files.items()})
+    named.update({name: _digest(value) for name, value in values.items()})
+    return named
 
 
-def _up_to_date(state_path: str, input_hash: str, out_dirs: list[str]) -> bool:
+def _trace(state: str, inputs: dict, out_dirs: list[str]) -> dict:
+    """``inputs`` and the digest of every file under ``out_dirs``, named by
+    its path from the state's directory; the state file itself left out."""
+    base = os.path.dirname(state)
+    outputs = (os.path.join(root, name) for d in out_dirs
+               for root, _, names in os.walk(d) for name in names)
+    return {**inputs, **{f"output {os.path.relpath(path, base)}": file_digest(path)
+                         for path in outputs if path != state}}
+
+
+def _stale(state: str, inputs: dict, out_dirs: list[str]) -> list[str]:
+    """The sorted names whose digests differ from those ``state`` records;
+    ``["state"]`` when it is missing or not a readable JSON object."""
     try:
-        return read_json(state_path) == _state(state_path, input_hash, out_dirs)
-    except (OSError, CorruptArtifact):  # missing or unreadable state: stale
-        return False
+        stored = read_json(state, build=lambda data: {**data})
+    except (OSError, CorruptArtifact):
+        return ["state"]
+    current = _trace(state, inputs, out_dirs)
+    return sorted(name for name in stored.keys() | current.keys()
+                  if stored.get(name) != current.get(name))   # None: absent either way
 
 
-def _write_state(state_path: str, input_hash: str, out_dirs: list[str]) -> None:
-    write_json(state_path, _state(state_path, input_hash, out_dirs))
+def _stage(label: str, state: str, inputs: dict, out_dirs: list[str], work,
+           current: str = "up to date") -> int:
+    """Print ``label: current`` while ``state`` matches; else run ``work``,
+    record the state and print ``label:`` and the line ``work`` returns."""
+    if not _stale(state, inputs, out_dirs):
+        print(f"{label}: {current}")
+        return 0
+    line = work()
+    write_json(state, _trace(state, inputs, out_dirs))
+    print(f"{label}: {line}")
+    return 0
 
 
 def _require(path: str, produced_by: str) -> str:
@@ -107,64 +114,57 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     if not os.path.exists(cfg.corpus):
         raise MissingUpstreamArtifact(f"corpus {cfg.corpus} not found")
     split_cfg = {"ratios": list(cfg.split.ratios), "seed": cfg.split.seed}
-    input_hash = _hash_inputs([cfg.corpus, manifest_path_for(cfg.corpus), *SOURCES],
-                              split_cfg, corpus_format(cfg.corpus))
-    state = os.path.join(cfg.splits_dir(), ".state.json")
-    if _up_to_date(state, input_hash, [cfg.splits_dir()]):
-        print("ingest: up to date")
-        return 0
+    inputs = _inputs({"corpus": cfg.corpus, "manifest": manifest_path_for(cfg.corpus)},
+                     split=split_cfg, format=corpus_format(cfg.corpus))
 
-    records, manifest = load_corpus(cfg.corpus)
-    records = scrub_records(records)
-    parts = stratified_split(records, cfg.split.ratios, cfg.split.seed)
-    for part_name, part_records in zip(SPLITS, parts):
-        part_manifest = CorpusManifest(vocab=manifest.vocab, split={**split_cfg, "part": part_name})
-        write_corpus(_split_path(cfg, part_name), part_records, part_manifest)
-    _write_state(state, input_hash, [cfg.splits_dir()])
-    sizes = "/".join(str(len(p)) for p in parts)
-    print(f"ingest: {len(records)} records scrubbed and split {sizes} "
-          f"into {cfg.splits_dir()}")
-    return 0
+    def work() -> str:
+        records, manifest = load_corpus(cfg.corpus)
+        records = scrub_records(records)
+        parts = stratified_split(records, cfg.split.ratios, cfg.split.seed)
+        for part_name, part_records in zip(SPLITS, parts):
+            write_corpus(_split_path(cfg, part_name), part_records, CorpusManifest(
+                vocab=manifest.vocab, split={**split_cfg, "part": part_name}))
+        sizes = "/".join(str(len(p)) for p in parts)
+        return f"{len(records)} records scrubbed and split {sizes} into {cfg.splits_dir()}"
+
+    return _stage("ingest", os.path.join(cfg.splits_dir(), ".state.json"), inputs,
+                  [cfg.splits_dir()], work)
 
 
 def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     split_paths = [_require(_split_path(cfg, part), "ingest") for part in SPLITS]
     gw = build_gateway(replace(cfg.gateway, cache_dir=cfg.cache_dir()))
     # the scope holds a live backend's url and model, the mock's lexicon
-    input_hash = _hash_inputs([*split_paths, *SOURCES], cfg.gateway.backend,
-                              gw.backend.scope, template_hashes("sentinel"),
-                              template_hashes("instruct"))
+    inputs = _inputs(dict(zip(SPLITS, split_paths)), backend=cfg.gateway.backend,
+                     scope=gw.backend.scope,
+                     templates=[template_hashes("sentinel"), template_hashes("instruct")])
+
+    def work() -> str:
+        records = [record for path in split_paths for record in load_corpus(path)[0]]
+        bundles = run_bundle(records, gw, BundleStore(cfg.bundles_dir()))
+        return (f"{len(bundles)} bundles in {cfg.bundles_dir()} "
+                f"({gw.backend_calls} gateway calls, {gw.cache_hits} cache hits)")
+
     # beside the bundle directory, not in it: every file there is the same
     # for any live url, and this state, which hashes the url, is not
-    state = os.path.join(cfg.workdir, ".preprocess.state.json")
-    if _up_to_date(state, input_hash, [cfg.bundles_dir()]):
-        print("preprocess: up to date (0 gateway calls)")
-        return 0
-
-    records = [record for path in split_paths for record in load_corpus(path)[0]]
-    store = BundleStore(cfg.bundles_dir())
-    bundles = run_bundle(records, gw, store)
-    _write_state(state, input_hash, [cfg.bundles_dir()])
-    print(f"preprocess: {len(bundles)} bundles in {cfg.bundles_dir()} "
-          f"({gw.backend_calls} gateway calls, {gw.cache_hits} cache hits)")
-    return 0
+    return _stage("preprocess", os.path.join(cfg.workdir, ".preprocess.state.json"), inputs,
+                  [cfg.bundles_dir()], work, current="up to date (0 gateway calls)")
 
 
 def cmd_variants(cfg: PipelineConfig, args) -> int:
     conditions = tuple(dict.fromkeys(args.condition or CONDITIONS))
     split_paths = [_require(_split_path(cfg, part), "ingest") for part in SPLITS]
     store = BundleStore(cfg.bundles_dir())
-    store_hash = None
     if any(c != "normal" for c in conditions):
         _require(store.path, "preprocess")
-        store_hash = store.store_hash()
-    stale = {}   # condition -> (state path, input hash); each condition has its own state
+    shared = _inputs(dict(zip(SPLITS, split_paths)))
+    stale = {}   # condition -> (state path, inputs); each condition has its own state
     for condition in conditions:
-        input_hash = _hash_inputs([*split_paths, *SOURCES], condition,
-                                  store_hash if condition != "normal" else None)
+        inputs = {**shared, "condition": _digest(condition),
+                  "bundles": _digest(store.store_hash() if condition != "normal" else None)}
         state = os.path.join(cfg.variants_dir(), condition, ".state.json")
-        if not _up_to_date(state, input_hash, [os.path.dirname(state)]):
-            stale[condition] = (state, input_hash)
+        if _stale(state, inputs, [os.path.dirname(state)]):
+            stale[condition] = (state, inputs)
     if not stale:
         print("variants: up to date")
         return 0
@@ -176,8 +176,8 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
             variant = build_variant(part_records, store, condition)
             write_variant(variant, cfg.variants_dir(), part)
             total += len(variant)
-    for state, input_hash in stale.values():
-        _write_state(state, input_hash, [os.path.dirname(state)])
+    for state, inputs in stale.values():
+        write_json(state, _trace(state, inputs, [os.path.dirname(state)]))
     print(f"variants: wrote {len(stale)} condition(s) x {len(SPLITS)} splits "
           f"({total} examples) into {cfg.variants_dir()}")
     return 0
@@ -197,82 +197,74 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     cell = f"{_slug(model_id)}__{condition}__{arm}"
     cell_dir = os.path.join(cfg.runs_dir(), cell)
     cfg_json = cfg.to_json()
-    relevant_cfg = {"adapter": cfg_json["adapter"], "train": cfg_json["train"],
-                    "model": cfg_json["model"], "arm": arm}
     # an export is hashed once per invocation: the same digests key its stored base
     digests = export_digests(cfg.model.weights_dir) if cfg.model.weights_dir else None
-    input_hash = _hash_inputs([*variant_files, manifest_path, *SOURCES],
-                              relevant_cfg, digests)
-    state = os.path.join(cell_dir, ".state.json")
-    if _up_to_date(state, input_hash, [cell_dir]):
-        print(f"train[{cell}]: up to date")
-        return 0
+    inputs = _inputs(dict(zip(needed, variant_files), manifest=manifest_path),
+                     adapter=cfg_json["adapter"], train=cfg_json["train"],
+                     model=cfg_json["model"], arm=arm, export=digests)
 
-    encoder = resolve_encoder(model_id, weights_dir=cfg.model.weights_dir, seed=cfg.model.seed,
-                              store_dir=cfg.encoders_dir(), digests=digests, **cfg.model.toy)
-    model = MultiTaskModel.build(encoder, vocab, head_seed=cfg.model.head_seed)
-    result = None
-    if fine_tuned:
-        adapters = encoder.build_adapters(cfg.adapter.rank, cfg.adapter.alpha,
-                                          cfg.adapter.dropout, cfg.adapter.seed,
-                                          patterns=cfg.adapter.targets)
-        encoder.attach_adapters(adapters)
-        train_variant = load_variant(cfg.variants_dir(), condition, "train", vocab)
-        val_variant = load_variant(cfg.variants_dir(), condition, "val", vocab)
-        result = train(model, train_variant, val_variant, cfg.train)
-        model.restore(result.best_params)
-        write_atomic(os.path.join(cell_dir, "trainlog.csv"), result.log.to_csv())
+    def work() -> str:
+        encoder = resolve_encoder(model_id, weights_dir=cfg.model.weights_dir, seed=cfg.model.seed,
+                                  store_dir=cfg.encoders_dir(), digests=digests, **cfg.model.toy)
+        model = MultiTaskModel.build(encoder, vocab, head_seed=cfg.model.head_seed)
+        result = None
+        if fine_tuned:
+            encoder.attach_adapters(encoder.build_adapters(
+                cfg.adapter.rank, cfg.adapter.alpha, cfg.adapter.dropout, cfg.adapter.seed,
+                patterns=cfg.adapter.targets))
+            train_variant = load_variant(cfg.variants_dir(), condition, "train", vocab)
+            val_variant = load_variant(cfg.variants_dir(), condition, "val", vocab)
+            result = train(model, train_variant, val_variant, cfg.train)
+            model.restore(result.best_params)
+            write_atomic(os.path.join(cell_dir, "trainlog.csv"), result.log.to_csv())
 
-    test_variant = load_variant(cfg.variants_dir(), condition, "test", vocab)
-    scores, preds = evaluate(model, test_variant)
+        test_variant = load_variant(cfg.variants_dir(), condition, "test", vocab)
+        scores, preds = evaluate(model, test_variant)
 
-    save_adapter_set(os.path.join(cell_dir, "checkpoint.npz"), model.encoder.adapters,
-                     heads=model.heads,
-                     extra_meta={"model_id": model_id, "condition": condition, "arm": arm})
-    write_atomic(os.path.join(cell_dir, "predictions.jsonl"),
-                 prediction_dump(model, test_variant, preds))
-    write_json(os.path.join(cell_dir, "scores.json"), {
-        "model_id": model_id, "condition": condition, "fine_tuned": fine_tuned,
-        "best_epoch": result.best_epoch if result else None,
-        "tasks": {t: asdict(s) for t, s in scores.items()},
-    })
-    write_json(os.path.join(cell_dir, "manifest.json"), {
-        "pipeline_config": cfg_json,
-        "model_id": model_id, "condition": condition, "arm": arm, "input_hash": input_hash,
-        "steps_taken": result.steps_taken if result else 0,
-        "best_epoch": result.best_epoch if result else None,
-        "trainable_parameters": model.trainable_count(),
-    })
-    _write_state(state, input_hash, [cell_dir])
-    summary = ", ".join(f"{t} {s.accuracy:.3f}" for t, s in sorted(scores.items()))
-    print(f"train[{cell}]: test accuracy {summary}")
-    return 0
+        save_adapter_set(os.path.join(cell_dir, "checkpoint.npz"), model.encoder.adapters,
+                         heads=model.heads,
+                         extra_meta={"model_id": model_id, "condition": condition, "arm": arm})
+        write_atomic(os.path.join(cell_dir, "predictions.jsonl"),
+                     prediction_dump(model, test_variant, preds))
+        write_json(os.path.join(cell_dir, "scores.json"), {
+            "model_id": model_id, "condition": condition, "fine_tuned": fine_tuned,
+            "best_epoch": result.best_epoch if result else None,
+            "tasks": {t: asdict(s) for t, s in scores.items()},
+        })
+        write_json(os.path.join(cell_dir, "manifest.json"), {
+            "pipeline_config": cfg_json,
+            "model_id": model_id, "condition": condition, "arm": arm, "inputs": inputs,
+            "steps_taken": result.steps_taken if result else 0,
+            "best_epoch": result.best_epoch if result else None,
+            "trainable_parameters": model.trainable_count(),
+        })
+        summary = ", ".join(f"{t} {s.accuracy:.3f}" for t, s in sorted(scores.items()))
+        return f"test accuracy {summary}"
+
+    return _stage(f"train[{cell}]", os.path.join(cell_dir, ".state.json"), inputs,
+                  [cell_dir], work)
 
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
     runs_dir = cfg.runs_dir()
     _require(runs_dir, "train")
-    scores_paths = [path for path in (os.path.join(runs_dir, entry, "scores.json")
-                                      for entry in sorted(os.listdir(runs_dir)))
-                    if os.path.isfile(path)]
+    scores_paths = {entry: path for entry in sorted(os.listdir(runs_dir))
+                    if os.path.isfile(path := os.path.join(runs_dir, entry, "scores.json"))}
     if not scores_paths:
         raise MissingUpstreamArtifact(f"no scores.json under {runs_dir}; run `medcascade train`")
-    input_hash = _hash_inputs([*scores_paths, *SOURCES])
-    state = os.path.join(cfg.reports_dir(), ".state.json")
-    if _up_to_date(state, input_hash, [cfg.reports_dir()]):
-        print("report: up to date")
-        return 0
 
     def cell(data: dict) -> ReportCell:
         return ReportCell(model_id=data["model_id"], condition=data["condition"],
                           fine_tuned=data["fine_tuned"],
                           tasks={t: TaskScores(**s) for t, s in data["tasks"].items()})
 
-    cells = [read_json(path, build=cell) for path in scores_paths]
-    json_path, md_path = render_report(cells, cfg.reports_dir())
-    _write_state(state, input_hash, [cfg.reports_dir()])
-    print(f"report: {len(cells)} cell(s) -> {json_path}, {md_path}")
-    return 0
+    def work() -> str:
+        cells = [read_json(path, build=cell) for path in scores_paths.values()]
+        json_path, md_path = render_report(cells, cfg.reports_dir())
+        return f"{len(cells)} cell(s) -> {json_path}, {md_path}"
+
+    return _stage("report", os.path.join(cfg.reports_dir(), ".state.json"),
+                  _inputs(scores_paths), [cfg.reports_dir()], work)
 
 
 # -- entry point -----------------------------------------------------------------

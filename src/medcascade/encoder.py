@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atomic import check_types, write_atomic, write_json
+from .atomic import check_types, file_digest, write_atomic, write_json
 from .errors import CorruptArtifact, EncoderUnavailable, ShapeMismatch
 from .lora import (DEFAULT_TARGET_PATTERNS, LoraAdapter, adapter_backward, adapter_delta,
                    init_adapter)
@@ -185,10 +185,8 @@ def _fill_base(views: dict[str, np.ndarray], c: EncoderConfig) -> None:
 def _key(decides) -> str:
     """Names a stored base by the JSON form of what decides its bytes, and by
     this module's source, which fixes the layout."""
-    h = hashlib.sha256(json.dumps(decides, sort_keys=True).encode("utf-8"))
-    with open(__file__, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+    key = json.dumps([decides, file_digest(__file__)], sort_keys=True)
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
 def base_key(c: EncoderConfig) -> str:
@@ -201,18 +199,11 @@ def base_key(c: EncoderConfig) -> str:
 
 
 def export_digests(directory) -> dict[str, str | None]:
-    """The sha256 of each file of the encoder export in ``directory``, by
-    name; None for a file that cannot be read.  ``train`` takes them once per
-    invocation, for the cell's input hash and for the export's key in the
-    base store."""
-    digests = {}
-    for name in ("config.json", "weights.npz", "vocab.txt"):
-        try:
-            with open(os.path.join(directory, name), "rb") as fh:  # streamed, never held whole
-                digests[name] = hashlib.file_digest(fh, "sha256").hexdigest()
-        except OSError:
-            digests[name] = None
-    return digests
+    """The ``file_digest`` of each file of the encoder export in ``directory``,
+    by name.  ``train`` takes them once per invocation, for the cell's state
+    and for the export's key in the base store."""
+    return {name: file_digest(os.path.join(directory, name))
+            for name in ("config.json", "weights.npz", "vocab.txt")}
 
 
 def frozen_base(c: EncoderConfig, store_dir: str | None, key: str | None,
@@ -622,7 +613,8 @@ class NumpyTransformerEncoder:
 
         def copy(views):
             try:
-                with np.load(weights_path) as data:
+                # np.load(path) would leak its handle on a damaged archive
+                with open(weights_path, "rb") as fh, np.load(fh) as data:
                     for name, view in views.items():
                         view[...] = _checked(data, name, view.shape)
             except (OSError, EOFError, zipfile.BadZipFile, *CorruptArtifact.DECODE_ERRORS) as e:

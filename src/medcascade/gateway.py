@@ -34,14 +34,13 @@ import http.client
 import json
 import os
 import re
-import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 
 from .atomic import append_jsonl, read_jsonl
-from .errors import (AuthError, BackendUnavailable, ResponseEmpty, UnknownBackend,
-                     UnknownSentinel)
+from .errors import (AuthError, BackendUnavailable, ConfigInvalid, ResponseEmpty,
+                     UnknownBackend, UnknownSentinel)
 
 ENV_URL = "MEDCASCADE_LLM_URL"
 ENV_KEY = "MEDCASCADE_LLM_KEY"
@@ -80,7 +79,6 @@ class ResponseCache:
     def __init__(self, directory: str):
         self.path = os.path.join(str(directory), "responses.jsonl")
         self._index: dict[str, str] | None = None
-        self._lock = threading.Lock()
 
     def _entries(self) -> dict[str, str]:
         if self._index is None:
@@ -90,21 +88,18 @@ class ResponseCache:
         return self._index
 
     def get(self, key: str) -> str | None:
-        with self._lock:
-            return self._entries().get(key)
+        return self._entries().get(key)
 
     def put(self, key: str, response: str, prompt: str, backend_id: str) -> None:
         entry = {"key": key, "response": response, "created_at": time.time(),
                  "request": _request_fields(prompt, backend_id)}
-        with self._lock:
-            index = self._entries()
-            append_jsonl(self.path, entry)
-            index[key] = response
+        append_jsonl(self.path, entry)
+        self._entries()[key] = response
 
 
 class TokenBucket:
-    """Thread-safe token bucket: paces backend dispatch to ``rate_per_sec``
-    after a burst of ``burst`` calls; it does not serialize the calls."""
+    """Token bucket: paces backend dispatch to ``rate_per_sec`` after a burst
+    of ``burst`` calls; it does not serialize the calls."""
 
     def __init__(self, rate_per_sec: float = 50.0, burst: float = 10.0,
                  clock=time.monotonic, sleep=time.sleep):
@@ -114,19 +109,16 @@ class TokenBucket:
         self.updated = clock()
         self.clock = clock
         self.sleep = sleep
-        self._lock = threading.Lock()
 
     def acquire(self) -> None:
         while True:
-            with self._lock:
-                now = self.clock()
-                self.tokens = min(self.capacity, self.tokens + (now - self.updated) * self.rate)
-                self.updated = now
-                if self.tokens >= 1.0:
-                    self.tokens -= 1.0
-                    return
-                wait = (1.0 - self.tokens) / self.rate
-            self.sleep(wait)
+            now = self.clock()
+            self.tokens = min(self.capacity, self.tokens + (now - self.updated) * self.rate)
+            self.updated = now
+            if self.tokens >= 1.0:
+                self.tokens -= 1.0
+                return
+            self.sleep((1.0 - self.tokens) / self.rate)
 
 
 class TransientBackendError(Exception):
@@ -440,6 +432,14 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
     if not url:
         raise UnknownBackend(f"live backend {cfg.backend!r} needs a url "
                              f"(config gateway.url or ${ENV_URL})")
+    source = f"${ENV_URL}" if ENV_URL in os.environ else "gateway.url"
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port   # raises ValueError unless the port is a number from 0 to 65535
+    except ValueError as e:
+        raise ConfigInvalid(f"{source} is not a valid url: {e}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigInvalid(f"{source} must be an http:// or https:// url with a host")
     if cfg.backend == "openai":
         backend = OpenAIChatBackend(cfg.backend, url, key, cfg.model)
     else:

@@ -185,7 +185,7 @@ def save_adapter_set(path, adapters: dict[str, LoraAdapter], heads: dict[str, di
 
 def load_adapter_set(path) -> tuple[dict[str, LoraAdapter], dict[str, dict[str, np.ndarray]], dict]:
     """Inverse of :func:`save_adapter_set`. Returns (adapters, heads, extra_meta)."""
-    with np.load(path) as data:
+    with open(path, "rb") as fh, np.load(fh) as data:   # np.load(path) leaks on a bad archive
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8")) if "__meta__" in data else {}
         if meta.get("format") != "medcascade-adapters":
             raise ValueError(f"{path} is not an adapter checkpoint")

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from medcascade import cli, evaluator, gateway, trainer
-from medcascade.cli import _up_to_date, main
+from medcascade.atomic import file_digest
+from medcascade.cli import _stale, main
 from medcascade.synthetic import write_synthetic_corpus
 from medcascade.variants import load_variant
 
@@ -210,7 +211,7 @@ class TestIdempotence:
     def test_unreadable_state_is_stale(self, tmp_path, state):
         path = tmp_path / ".state.json"
         path.write_bytes(state)
-        assert not _up_to_date(str(path), "abc", [str(tmp_path)])
+        assert _stale(str(path), {}, [str(tmp_path)]) == ["state"]
 
     def test_ingest_redoes_work_when_state_is_truncated(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0
@@ -219,7 +220,7 @@ class TestIdempotence:
         capsys.readouterr()
         assert run("ingest", "--config", "cfg.json") == 0
         assert "up to date" not in capsys.readouterr().out
-        assert json.loads(state.read_text(encoding="utf-8"))["input_hash"]
+        assert json.loads(state.read_text(encoding="utf-8"))["file corpus"]
 
     def test_preprocess_redoes_work_when_the_live_model_changes(self, workspace, capsys,
                                                                  monkeypatch):
@@ -342,15 +343,12 @@ class TestIdempotence:
     def test_train_hashes_every_module_of_the_package(self, workspace, monkeypatch):
         assert run("ingest", "--config", "cfg.json") == 0
         assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
-        hashed = []
-        real = cli._hash_inputs
-        monkeypatch.setattr(cli, "_hash_inputs",
-                            lambda files, *values: hashed.append(files) or real(files, *values))
         assert run("train", "--config", "cfg.json", "--condition", "normal", "--no-finetune") == 0
         package = os.path.dirname(os.path.abspath(cli.__file__))
-        modules = {os.path.join(package, name) for name in os.listdir(package)
-                   if name.endswith(".py")}
-        assert modules <= set(hashed[0])   # the cell's input hash
+        modules = {f"code {name}": file_digest(os.path.join(package, name))
+                   for name in os.listdir(package) if name.endswith(".py")}
+        state = workspace / "work" / "runs" / "toy__normal__frozen" / ".state.json"
+        assert modules.items() <= json.loads(state.read_text(encoding="utf-8")).items()
 
 
 class TestStageState:
@@ -394,11 +392,115 @@ class TestStageState:
         path = tmp_path / "weights.bin"
         data = bytes(range(256)) * 20_481    # 5 MiB and 256 bytes
         path.write_bytes(data)
-        h = hashlib.sha256(hashlib.sha256(data).digest())
-        h.update(b"\x00")
-        h.update(b"7")
-        h.update(b"\x00")
-        assert cli._hash_inputs([str(path)], 7) == h.hexdigest()
+        assert file_digest(path) == hashlib.sha256(data).hexdigest()
+        assert file_digest(tmp_path / "absent.bin") is None
+
+
+class TestNamedTrace:
+    """A stale stage's state names what changed: ``_stale`` returns the names
+    of the dependencies whose digests differ."""
+
+    @pytest.fixture
+    def reasons(self, monkeypatch):
+        """What each ``_stale`` call returned."""
+        seen = []
+        real = cli._stale
+        monkeypatch.setattr(cli, "_stale", lambda *a: seen.append(real(*a)) or seen[-1])
+        return seen
+
+    def test_a_corpus_byte(self, workspace, reasons):
+        assert run("ingest", "--config", "cfg.json") == 0
+        corpus = workspace / "data" / "corpus.jsonl"
+        data = corpus.read_bytes()
+        corpus.write_bytes(data.replace(b'"age": 2', b'"age": 3', 1))
+        reasons.clear()
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert reasons == [["file corpus"]]
+
+    def test_a_config_key(self, workspace, reasons):
+        train = ("train", "--config", "cfg.json", "--condition", "normal", "--no-finetune")
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        assert run(*train) == 0
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config["train"]["epochs"] += 1
+        (workspace / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        reasons.clear()
+        assert run(*train) == 0
+        assert reasons == [["train"]]
+
+    def test_a_module(self, workspace, reasons, monkeypatch):
+        source = workspace / "module.py"
+        source.write_text("VERSION = 1\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "SOURCES", [str(source)])
+        assert run("ingest", "--config", "cfg.json") == 0
+        source.write_text("VERSION = 2\n", encoding="utf-8")
+        reasons.clear()
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert reasons == [["code module.py"]]
+
+    def test_a_deleted_output(self, workspace, reasons):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        (workspace / "work" / "variants" / "normal" / "test.jsonl").unlink()
+        reasons.clear()
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        assert reasons == [["output test.jsonl"]]
+
+    def test_a_missing_state(self, workspace, reasons):
+        assert run("ingest", "--config", "cfg.json") == 0
+        (workspace / "work" / "splits" / ".state.json").unlink()
+        reasons.clear()
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert reasons == [["state"]]
+
+    def test_no_state_holds_an_absolute_path_or_a_live_url(self, workspace, monkeypatch):
+        monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
+        monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store: [])
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config.update(workdir=str(workspace / "work"), corpus=str(workspace / config["corpus"]),
+                      gateway={"backend": "openai", "url": "http://127.0.0.1:9/v1"})
+        (workspace / "abs.json").write_text(json.dumps(config), encoding="utf-8")
+        for argv in (("ingest",), ("preprocess",), ("variants", "--condition", "normal"),
+                     ("train", "--condition", "normal", "--no-finetune"), ("report",)):
+            assert run(*argv, "--config", "abs.json") == 0, argv
+        states = sorted((workspace / "work").rglob("*state.json"))
+        assert len(states) == 5
+        for path in states:
+            text = path.read_text(encoding="utf-8")
+            assert str(workspace) not in text, path
+            for name in json.loads(text):
+                assert not os.path.isabs(name.partition(" ")[2]), (path, name)
+        preprocess = (workspace / "work" / ".preprocess.state.json").read_text(encoding="utf-8")
+        assert "127.0.0.1" not in preprocess and "scope" in json.loads(preprocess)
+
+
+class TestLiveUrl:
+    """A malformed live url is refused before any request, and no state is
+    written, so the next run does not call the stage up to date."""
+
+    @pytest.mark.parametrize("url", ["ftp://localhost/v1", "http:///v1", "localhost:8080/v1",
+                                     "http://localhost:abc/v1", "http://localhost:99999/v1"])
+    @pytest.mark.parametrize("source", ["gateway.url", "$MEDCASCADE_LLM_URL"])
+    def test_a_malformed_url_is_a_config_error(self, workspace, capsys, monkeypatch,
+                                               url, source):
+        monkeypatch.setattr(gateway._HTTPBackend, "send",
+                            lambda self, prompt: pytest.fail("a request was sent"))
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config["gateway"] = {"backend": "openai", "url": "http://127.0.0.1:9/v1"}
+        if source == "gateway.url":
+            monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
+            config["gateway"]["url"] = url
+        else:
+            monkeypatch.setenv("MEDCASCADE_LLM_URL", url)
+        (workspace / "live.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", "live.json") == 0
+        capsys.readouterr()
+        assert run("preprocess", "--config", "live.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: ") and source in err
+        assert not (workspace / "work" / ".preprocess.state.json").exists()
+        assert not (workspace / "work" / "bundles").exists()
 
 
 class TestEncoderStore:
@@ -562,8 +664,9 @@ class TestEncoderWeights:
         real_open, real_load = builtins.open, np.load
         monkeypatch.setattr(builtins, "open", lambda f, *a, **k: (
             opens.append(1) if os.fspath(f) == weights else None) or real_open(f, *a, **k))
-        monkeypatch.setattr(np, "load", lambda f, *a, **k: (
-            loads.append(1) if os.fspath(f) == weights else None) or real_load(f, *a, **k))
+        monkeypatch.setattr(np, "load", lambda f, *a, **k: (   # f is an open handle
+            loads.append(1) if getattr(f, "name", None) == weights else None)
+            or real_load(f, *a, **k))
         counts = []
         for arm in ((), ("--no-finetune",)):
             opens.clear()

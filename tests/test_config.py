@@ -113,7 +113,7 @@ def test_readme_config_block_is_the_defaults():
 
 
 def test_requires_python_covers_the_stdlib_the_package_uses():
-    # cli._hash_inputs calls hashlib.file_digest, new in Python 3.11
+    # atomic.file_digest calls hashlib.file_digest, new in Python 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["requires-python"] == ">=3.11"

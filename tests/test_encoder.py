@@ -567,7 +567,7 @@ class TestBaseStore:
         assert encoder_module.base_key(self._config()) != key
         monkeypatch.undo()
         source = tmp_path / "encoder.py"
-        source.write_bytes(open(encoder_module.__file__, "rb").read() + b"# edited\n")
+        source.write_bytes(Path(encoder_module.__file__).read_bytes() + b"# edited\n")
         monkeypatch.setattr(encoder_module, "__file__", str(source))
         assert encoder_module.base_key(self._config()) != key
 
@@ -819,11 +819,11 @@ class TestExportStore:
 
     @pytest.fixture
     def loads(self, monkeypatch):
-        """The paths ``np.load`` is called on."""
+        """The paths of the files ``np.load`` is called on."""
         calls = []
         real = np.load
-        monkeypatch.setattr(np, "load",
-                            lambda f, *a, **k: calls.append(str(f)) or real(f, *a, **k))
+        monkeypatch.setattr(np, "load", lambda f, *a, **k: calls.append(
+            str(getattr(f, "name", f))) or real(f, *a, **k))
         return calls
 
     def test_a_stored_export_has_its_bits_and_is_loaded_once(self, tmp_path, export, loads):
