@@ -15,7 +15,8 @@ or unpack as ``CorruptArtifact`` naming the file, and ``check_types`` holds
 the values of a JSON object to the types of a dataclass's defaults.
 
 ``file_digest``, the package's one file hash, streams a file's bytes through
-sha256, so a large file is never held whole.
+sha256, so a large file is never held whole; ``text_digest`` is its one hash
+of in-memory content, the sha256 of a string's UTF-8 bytes.
 
 ``append_jsonl`` adds one entry to the package's one append-only log, the
 response cache: one line of JSON written with a single ``os.write`` on an
@@ -67,6 +68,11 @@ def file_digest(path) -> str | None:
             return hashlib.file_digest(fh, "sha256").hexdigest()
     except OSError:
         return None
+
+
+def text_digest(text: str) -> str:
+    """The sha256 hex digest of the UTF-8 bytes of ``text``."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def json_line(entry) -> str:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import glob
-import hashlib
 import os
 import re
 import sys
 from dataclasses import asdict, replace
 
 from . import __version__
-from .atomic import file_digest, json_line, read_json, write_atomic, write_json
+from .atomic import file_digest, json_line, read_json, text_digest, write_atomic, write_json
 from .config import PipelineConfig, load_config
 from .corpus import (CorpusManifest, corpus_format, load_corpus, manifest_path_for,
                      read_manifest, scrub_records, stratified_split, write_corpus)
@@ -47,7 +46,7 @@ SOURCES = sorted(glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__
 def _digest(value) -> str:
     """The sha256 of ``value``'s JSON form: a value is hashed as itself even
     when it names a file, and a live url is never stored in plain text."""
-    return hashlib.sha256(json_line(value).encode("utf-8")).hexdigest()
+    return text_digest(json_line(value))
 
 
 def _inputs(files: dict[str, str], **values) -> dict[str, str | None]:

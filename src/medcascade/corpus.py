@@ -12,7 +12,6 @@ vocabulary passes through to the split manifests as data.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 import re
@@ -21,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atomic import json_line, read_json, write_json, write_jsonl
+from .atomic import json_line, read_json, text_digest, write_json, write_jsonl
 from .errors import ClassTooSmall, CorruptArtifact, DuplicateId, MalformedRecord, UnknownLabel
 
 GENDERS = ("male", "female", "unspecified")
@@ -203,10 +202,7 @@ def write_corpus(path: str, records: list[ComplaintRecord], manifest: CorpusMani
 
 
 def corpus_hash(records: list[ComplaintRecord]) -> str:
-    h = hashlib.sha256()
-    for r in records:
-        h.update(json_line(r.to_json()).encode("utf-8"))
-    return h.hexdigest()
+    return text_digest("".join(json_line(r.to_json()) for r in records))
 
 
 # -- PII scrubbing ----------------------------------------------------------

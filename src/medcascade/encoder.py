@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atomic import check_types, file_digest, write_atomic, write_json
+from .atomic import check_types, file_digest, text_digest, write_atomic, write_json
 from .errors import CorruptArtifact, EncoderUnavailable, ShapeMismatch
 from .lora import (DEFAULT_TARGET_PATTERNS, LoraAdapter, adapter_backward, adapter_delta,
                    init_adapter)
@@ -185,8 +185,7 @@ def _fill_base(views: dict[str, np.ndarray], c: EncoderConfig) -> None:
 def _key(decides) -> str:
     """Names a stored base by the JSON form of what decides its bytes, and by
     this module's source, which fixes the layout."""
-    key = json.dumps([decides, file_digest(__file__)], sort_keys=True)
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()
+    return text_digest(json.dumps([decides, file_digest(__file__)], sort_keys=True))
 
 
 def base_key(c: EncoderConfig) -> str:

@@ -12,15 +12,18 @@ payload after the sentinel, so every downstream stage is reproducible without
 network access.  Live backends speak chat/completions-style HTTP JSON over
 ``http.client``, one direct connection per request (no proxy, no redirects);
 endpoint and key come from config with environment overrides
-(``MEDCASCADE_LLM_URL``, ``MEDCASCADE_LLM_KEY``).  Only live backends get a
-token-bucket rate limiter (``rate_per_sec``/``burst``), which paces every
-attempt, retries included; the mock runs in-process and is never paced.  The
-gateway never sleeps through a transient failure (connection trouble, 429,
-5xx): while the prompt has retries left it raises ``RetryLater`` with the
-back-off delay, or a longer ``Retry-After``, capped at ``max_delay``; asked
-not to block, it has a live backend ``send`` the request and raises
-``InFlight``.  The caller (``preprocess.run_bundle``) does other work before
-asking again.
+(``MEDCASCADE_LLM_URL``, ``MEDCASCADE_LLM_KEY``).  A backend parses its url
+once, when built, and refuses one that is not http or https with a host, a
+port other than 0 and no user info: the key goes in ``api_key``.  Only live
+backends get a token-bucket rate limiter (``rate_per_sec``/``burst``), which
+paces every attempt, retries included; the mock runs in-process and is never
+paced.  The gateway never sleeps through a transient failure (connection
+trouble, 429, 5xx): while the prompt has retries left it raises ``RetryLater``
+with the back-off delay, or a longer ``Retry-After``, capped at ``max_delay``;
+asked not to block, it has a live backend ``send`` the request and raises
+``InFlight``, the one record of that exchange and the owner of its connection,
+which it later hands to the backend's ``complete``.  The caller
+(``preprocess.run_bundle``) does other work before asking again.
 
 The response cache is one append-only log, ``<cache_dir>/responses.jsonl``,
 read once into memory: each completion is one appended line, a damaged or
@@ -29,7 +32,6 @@ torn line is a miss, and a later line for a key wins.
 
 from __future__ import annotations
 
-import hashlib
 import http.client
 import json
 import os
@@ -38,7 +40,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 
-from .atomic import append_jsonl, read_jsonl
+from .atomic import append_jsonl, read_jsonl, text_digest
 from .errors import (AuthError, BackendUnavailable, ConfigInvalid, ResponseEmpty,
                      UnknownBackend, UnknownSentinel)
 
@@ -63,8 +65,7 @@ def cache_key(prompt: str, backend) -> str:
     fields = _request_fields(prompt, backend.backend_id)
     if backend.scope:
         fields["scope"] = backend.scope
-    canon = json.dumps(fields, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return text_digest(json.dumps(fields, sort_keys=True, ensure_ascii=False))
 
 
 class ResponseCache:
@@ -139,12 +140,15 @@ class RetryLater(Exception):
 
 
 class InFlight(Exception):
-    """A request sent, its reply unread: set ``ready`` once ``sock`` is readable or
-    ``deadline`` (``time.monotonic``) is past, then ask again.  Not a ``MedcascadeError``."""
+    """One exchange, a request on ``conn`` whose reply is unread: set ``ready`` once ``sock``
+    is readable or ``deadline`` (``time.monotonic``) is past, then ask again.  A failed send
+    keeps its ``error`` and no ``sock``, so it is ready at once.  Not a ``MedcascadeError``."""
 
-    def __init__(self, sock, deadline: float):
+    def __init__(self, conn, deadline: float, error: Exception | None = None):
         super().__init__("reply pending")
-        self.sock, self.deadline, self.ready = sock, deadline, sock is None
+        self.conn, self.deadline, self.error = conn, deadline, error
+        self.sock = None if error else conn.sock
+        self.ready = self.sock is None
 
 
 # -- mock backend ------------------------------------------------------------
@@ -183,8 +187,7 @@ class MockBackend:
 
     def __init__(self, lexicon: set[str] | None = None):
         self.lexicon = lexicon if lexicon is not None else load_symptom_lexicon()
-        terms = "\n".join(sorted(self.lexicon)).encode("utf-8")
-        self.scope = {"lexicon": hashlib.sha256(terms).hexdigest()}
+        self.scope = {"lexicon": text_digest("\n".join(sorted(self.lexicon)))}
 
     def complete(self, prompt: str) -> str:
         for sentinel in _SENTINELS:
@@ -229,50 +232,54 @@ class MockBackend:
 # -- live backends -----------------------------------------------------------
 
 class _HTTPBackend:
-    """What both live protocols share: url, key, timeout and the JSON POST, sent then read."""
+    """What both live protocols share: the url, parsed and checked once (a bad one is a
+    ``ValueError``), the key, the timeout and the JSON POST, sent then read."""
 
     prompt_style = "instruct"
 
     def __init__(self, backend_id: str, url: str, api_key: str = "", timeout: float = 60.0):
+        parts = urllib.parse.urlsplit(url)   # .port raises unless a number from 0 to 65535
+        if (parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0
+                or parts.username is not None):
+            raise ValueError("use http or https, a host, a port other than 0 and no user info"
+                             f" (a key goes in gateway.api_key or ${ENV_KEY})")
         self.backend_id = backend_id
         self.url = url
         self.api_key = api_key
         self.timeout = timeout
         self.scope = {"url": url}
-        self._sent: dict[str, tuple] = {}   # prompt -> (connection, deadline, the send's error)
+        self._https, self._host, self._port = parts.scheme == "https", parts.hostname, parts.port
+        self._path = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
 
     def send(self, prompt: str) -> InFlight:
-        """Write the request for ``prompt`` (HTTPS when the url says so); a failed one is ready."""
-        url = urllib.parse.urlsplit(self.url)
-        conn = (http.client.HTTPSConnection if url.scheme == "https"
-                else http.client.HTTPConnection)(url.netloc, timeout=self.timeout)
+        """Write the request for ``prompt`` on a new connection; a failed one is ready."""
+        conn = (http.client.HTTPSConnection if self._https
+                else http.client.HTTPConnection)(self._host, self._port, timeout=self.timeout)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         deadline, error = time.monotonic() + self.timeout, None
         try:
-            conn.request("POST", urllib.parse.urlunsplit(("", "", url.path or "/", url.query, "")),
-                         json.dumps(self._body(prompt)).encode("utf-8"), headers)
-        except (OSError, http.client.HTTPException) as e:   # raised by ``complete``
+            conn.request("POST", self._path, json.dumps(self._body(prompt)).encode("utf-8"),
+                         headers)
+        except (OSError, http.client.HTTPException) as e:   # raised by ``_post``
             error = e
-        self._sent[prompt] = (conn, deadline, error)
-        return InFlight(None if error else conn.sock, deadline)
+        return InFlight(conn, deadline, error)
 
-    def _post(self, prompt: str) -> dict:
-        if prompt not in self._sent:
-            self.send(prompt)
-        conn, deadline, error = self._sent.pop(prompt)
+    def _post(self, prompt: str, flight: InFlight | None) -> dict:
+        """The JSON reply of ``flight``, or of an exchange sent here when there is none."""
+        flight = flight or self.send(prompt)
         try:
-            if error is not None:
-                raise error
-            conn.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
-            with conn.getresponse() as resp:
+            if flight.error is not None:
+                raise flight.error
+            flight.conn.sock.settimeout(max(flight.deadline - time.monotonic(), 1e-3))
+            with flight.conn.getresponse() as resp:
                 status, raw = resp.status, resp.read()
                 wait = (resp.getheader("Retry-After") or "").strip()
         except (OSError, http.client.HTTPException) as e:  # refused, reset, timed out
             raise TransientBackendError(f"{type(e).__name__}: {e}") from e
         finally:
-            conn.close()
+            flight.conn.close()
         if status in (401, 403):
             raise AuthError(f"HTTP {status} from {self.url}")
         if status in (408, 429) or status >= 500:
@@ -308,8 +315,8 @@ class OpenAIChatBackend(_HTTPBackend):
         return {"model": self.model, "temperature": TEMPERATURE, "max_tokens": MAX_OUTPUT_TOKENS,
                 "messages": [{"role": "user", "content": prompt}]}
 
-    def complete(self, prompt: str) -> str:
-        data = self._post(prompt)
+    def complete(self, prompt: str, flight: InFlight | None = None) -> str:
+        data = self._post(prompt, flight)
         try:
             return self._text(data["choices"][0]["message"]["content"])
         except (KeyError, IndexError, TypeError) as e:
@@ -322,8 +329,8 @@ class LlamaServerBackend(_HTTPBackend):
     def _body(self, prompt: str) -> dict:
         return {"prompt": prompt, "temperature": TEMPERATURE, "n_predict": MAX_OUTPUT_TOKENS}
 
-    def complete(self, prompt: str) -> str:
-        data = self._post(prompt)
+    def complete(self, prompt: str, flight: InFlight | None = None) -> str:
+        data = self._post(prompt, flight)
         if "content" not in data:
             raise BackendUnavailable("response has no 'content' field")
         return self._text(data["content"])
@@ -386,7 +393,8 @@ class Gateway:
         self._in_flight.pop(key, None)
         attempt = self._attempts.pop(key, 0) + 1
         try:
-            response = self.backend.complete(prompt)
+            response = (self.backend.complete(prompt) if flight is None
+                        else self.backend.complete(prompt, flight))
         except TransientBackendError as e:
             if attempt > self.retry.max_retries:
                 raise BackendUnavailable(f"backend {backend_id!r} failed after "
@@ -432,17 +440,13 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
     if not url:
         raise UnknownBackend(f"live backend {cfg.backend!r} needs a url "
                              f"(config gateway.url or ${ENV_URL})")
-    source = f"${ENV_URL}" if ENV_URL in os.environ else "gateway.url"
     try:
-        parts = urllib.parse.urlsplit(url)
-        parts.port   # raises ValueError unless the port is a number from 0 to 65535
+        if cfg.backend == "openai":
+            backend = OpenAIChatBackend(cfg.backend, url, key, cfg.model)
+        else:
+            backend = LlamaServerBackend(cfg.backend, url, key)
     except ValueError as e:
+        source = f"${ENV_URL}" if ENV_URL in os.environ else "gateway.url"
         raise ConfigInvalid(f"{source} is not a valid url: {e}") from None
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ConfigInvalid(f"{source} must be an http:// or https:// url with a host")
-    if cfg.backend == "openai":
-        backend = OpenAIChatBackend(cfg.backend, url, key, cfg.model)
-    else:
-        backend = LlamaServerBackend(cfg.backend, url, key)
     return Gateway(backend, cache=cache, rate_limiter=TokenBucket(cfg.rate_per_sec, cfg.burst),
                    retry=retry)

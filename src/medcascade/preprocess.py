@@ -27,7 +27,6 @@ given, so a variant never joins new text to the outputs of old text.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import logging
 import os
@@ -38,7 +37,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .corpus import ComplaintRecord, scrub_pii
-from .atomic import json_line, read_jsonl, write_jsonl
+from .atomic import json_line, read_jsonl, text_digest, write_jsonl
 from .errors import (CorruptArtifact, EmptySourceText, MedcascadeError, ParseFailure,
                      RefusalDetected, ResponseEmpty)
 from .gateway import Gateway, InFlight, RetryLater
@@ -109,13 +108,9 @@ def render(style: str, stage: str, text: str) -> str:
     return TEMPLATES[(style, stage)].format(text=text)
 
 
-def text_sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def template_hashes(style: str) -> dict[str, str]:
     """The sha256 of each stage's template in ``style``, by stage."""
-    return {stage: text_sha256(TEMPLATES[(style, stage)]) for stage in STAGES}
+    return {stage: text_digest(TEMPLATES[(style, stage)]) for stage in STAGES}
 
 
 def _source_text(record: ComplaintRecord) -> str:
@@ -281,10 +276,8 @@ class BundleStore:
         """Digest of the bundles sorted by record id: neither the order of the
         lines nor skipped lines change it."""
         if self._hash is None:
-            h = hashlib.sha256()
-            for _, bundle in sorted(self._bundles().items()):
-                h.update(json_line(asdict(bundle)).encode("utf-8"))
-            self._hash = h.hexdigest()
+            self._hash = text_digest("".join(json_line(asdict(bundle))
+                                             for _, bundle in sorted(self._bundles().items())))
         return self._hash
 
 
@@ -363,7 +356,7 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
                 done[task] = [] if stage == "ner" else sources[i].text.strip()
                 failed[task] = LedgerEntry(records[i].id, stage, e.category, stage != "ner")
     bundles = [PreprocessBundle(r.id, *(done[i, k] for k in range(len(STAGES))), dict(hashes),
-                                text_sha256(sources[i].text)) for i, r in enumerate(records)]
+                                text_digest(sources[i].text)) for i, r in enumerate(records)]
     store.save(bundles)
     write_jsonl(os.path.join(store.directory, "failures.jsonl"),
                 (asdict(failed[task]) for task in sorted(failed)))

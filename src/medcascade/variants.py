@@ -14,10 +14,10 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .atomic import read_json, write_json, write_jsonl
+from .atomic import read_json, text_digest, write_json, write_jsonl
 from .corpus import ComplaintRecord, LabelSet, corpus_hash, scrub_pii
 from .errors import CorruptArtifact, MissingBundle
-from .preprocess import BundleStore, text_sha256
+from .preprocess import BundleStore
 
 CONDITIONS = ("normal", "refined", "summarized", "ner")
 AUX_SEP = " [AUX] "
@@ -61,7 +61,7 @@ def build_variant(records: list[ComplaintRecord], bundles: BundleStore | None,
             input_text = normal_text
         else:
             bundle = bundles.load(record.id)
-            if bundle is None or bundle.source_sha256 != text_sha256(normal_text):
+            if bundle is None or bundle.source_sha256 != text_digest(normal_text):
                 raise MissingBundle(f"run `medcascade preprocess`: no bundle for the current "
                                     f"text of record {record.id!r} in {bundles.path}")
             if condition == "refined":

@@ -270,7 +270,7 @@ class TestIdempotence:
     def test_bundle_directory_does_not_depend_on_the_live_url(self, workspace, monkeypatch):
         monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
         answer = {"choices": [{"message": {"content": "صداع"}}]}
-        monkeypatch.setattr(gateway._HTTPBackend, "_post", lambda self, prompt: answer)
+        monkeypatch.setattr(gateway._HTTPBackend, "_post", lambda self, prompt, flight: answer)
         trees = []
         for port in (9, 10):
             config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
@@ -480,7 +480,8 @@ class TestLiveUrl:
     written, so the next run does not call the stage up to date."""
 
     @pytest.mark.parametrize("url", ["ftp://localhost/v1", "http:///v1", "localhost:8080/v1",
-                                     "http://localhost:abc/v1", "http://localhost:99999/v1"])
+                                     "http://localhost:abc/v1", "http://localhost:99999/v1",
+                                     "http://localhost:0/v1", "http://user:pw@localhost:8080/v1"])
     @pytest.mark.parametrize("source", ["gateway.url", "$MEDCASCADE_LLM_URL"])
     def test_a_malformed_url_is_a_config_error(self, workspace, capsys, monkeypatch,
                                                url, source):
