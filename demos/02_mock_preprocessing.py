@@ -1,7 +1,8 @@
 """The three LLM preprocessing layers over the deterministic mock backend.
 
-The mock understands REFINE:/SUMMARIZE:/NER: prompts and applies a fixed
-transformation, so everything here is reproducible offline.  Swapping in a
+The mock is sent the same prompts as a live model, tells the three layers'
+prompts apart by their templates, and applies a fixed transformation, so
+everything here is reproducible offline.  Swapping in a
 live backend is a config change (gateway.backend = "openai" or "llama" plus
 MEDCASCADE_LLM_URL / MEDCASCADE_LLM_KEY).
 

@@ -10,9 +10,9 @@ returns (such a map, say) is returned once the file is in place.
 Every JSON artifact takes one form, so its bytes depend on its value alone:
 keys sorted and non-ASCII kept.  ``write_json`` indents one value by two
 spaces and ends it with a newline; ``write_jsonl`` and ``append_jsonl`` write
-one ``json_line`` per entry.  ``read_json`` reports a file it cannot decode
-or unpack as ``CorruptArtifact`` naming the file, and ``check_types`` holds
-the values of a JSON object to the types of a dataclass's defaults.
+one ``json_line`` per entry.  ``read_json`` reports a file it cannot open,
+decode or unpack as ``CorruptArtifact`` naming the file, and ``check_types``
+holds the values of a JSON object to the types of a dataclass's defaults.
 
 ``file_digest``, the package's one file hash, streams a file's bytes through
 sha256, so a large file is never held whole; ``text_digest`` is its one hash
@@ -91,12 +91,13 @@ def write_jsonl(path, entries) -> None:
 
 
 def read_json(path, build=lambda data: data):
-    """``build`` of the JSON value in ``path``; a file that is not UTF-8 JSON
-    or that ``build`` cannot unpack raises ``CorruptArtifact``."""
+    """``build`` of the JSON value in ``path``; a file that cannot be opened
+    (missing, a directory), is not UTF-8 JSON or that ``build`` cannot unpack
+    raises ``CorruptArtifact``."""
     try:
         with open(path, encoding="utf-8") as fh:
             return build(json.load(fh))
-    except CorruptArtifact.DECODE_ERRORS as e:
+    except (OSError, *CorruptArtifact.DECODE_ERRORS) as e:
         raise CorruptArtifact.at(path, e) from e
 
 

@@ -73,7 +73,7 @@ def _stale(state: str, inputs: dict, out_dirs: list[str]) -> list[str]:
     ``["state"]`` when it is missing or not a readable JSON object."""
     try:
         stored = read_json(state, build=lambda data: {**data})
-    except (OSError, CorruptArtifact):
+    except CorruptArtifact:
         return ["state"]
     current = _trace(state, inputs, out_dirs)
     return sorted(name for name in stored.keys() | current.keys()
@@ -136,7 +136,7 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     # the scope holds a live backend's url and model, the mock's lexicon
     inputs = _inputs(dict(zip(SPLITS, split_paths)), backend=cfg.gateway.backend,
                      scope=gw.backend.scope,
-                     templates=[template_hashes("sentinel"), template_hashes("instruct")])
+                     templates=template_hashes())
 
     def work() -> str:
         records = [record for path in split_paths for record in load_corpus(path)[0]]

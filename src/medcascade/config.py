@@ -163,13 +163,13 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     """
     raw: dict = {}
     if path:
-        if not os.path.exists(path):
-            raise ConfigInvalid(f"config file {path} not found")
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except ValueError as e:  # not JSON, or not UTF-8
-                raise ConfigInvalid(f"config file {path} is not valid JSON: {e}") from e
+        except OSError as e:  # missing, or a directory
+            raise ConfigInvalid(f"config file {path} cannot be read: {e.strerror}") from e
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise ConfigInvalid(f"config file {path} is not valid JSON: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigInvalid(f"config file {path} must hold a JSON object")
 

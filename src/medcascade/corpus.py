@@ -148,6 +148,8 @@ def _jsonl_rows(fh):
             raw = json.loads(line)
         except json.JSONDecodeError as e:
             raise MalformedRecord(line_no, "json", str(e)) from e
+        if not isinstance(raw, dict):
+            raise MalformedRecord(line_no, "json", "must be an object")
         yield line_no, raw
 
 
@@ -188,7 +190,7 @@ def load_corpus(path: str) -> tuple[list[ComplaintRecord], CorpusManifest]:
                     raise DuplicateId(rec.id)
                 seen.add(rec.id)
                 records.append(rec)
-    except UnicodeDecodeError as e:
+    except (UnicodeDecodeError, OSError) as e:   # not UTF-8, or a directory
         raise CorruptArtifact.at(path, e) from e
     manifest.record_count = len(records)
     return records, manifest

@@ -1,29 +1,29 @@
 """Uniform LLM access: a ``Gateway`` wraps one backend with an on-disk
 response cache, deferred retries, and rate limiting for live backends.
 
-A backend has a ``backend_id``, a ``prompt_style`` (the template set the
-preprocessing layers render), a ``scope`` (the settings that decide its
+A backend has a ``backend_id``, a ``scope`` (the settings that decide its
 answers, hashed into cache keys) and ``complete(prompt) -> str``.  Every
-request asks for ``MAX_OUTPUT_TOKENS`` at ``TEMPERATURE`` 0.
+request asks for ``MAX_OUTPUT_TOKENS`` at ``TEMPERATURE`` 0, and every
+backend is sent the same prompts, the preprocessing layers' templates.
 
-The mock backend understands three prompt sentinels (``REFINE:``,
-``SUMMARIZE:``, ``NER:``) and applies a fixed pure transformation to the
-payload after the sentinel, so every downstream stage is reproducible without
-network access.  Live backends speak chat/completions-style HTTP JSON over
-``http.client``, one direct connection per request (no proxy, no redirects);
-endpoint and key come from config with environment overrides
-(``MEDCASCADE_LLM_URL``, ``MEDCASCADE_LLM_KEY``).  A backend parses its url
-once, when built, and refuses one that is not http or https with a host, a
-port other than 0 and no user info: the key goes in ``api_key``.  Only live
-backends get a token-bucket rate limiter (``rate_per_sec``/``burst``), which
-paces every attempt, retries included; the mock runs in-process and is never
-paced.  The gateway never sleeps through a transient failure (connection
-trouble, 429, 5xx): while the prompt has retries left it raises ``RetryLater``
-with the back-off delay, or a longer ``Retry-After``, capped at ``max_delay``;
-asked not to block, it has a live backend ``send`` the request and raises
-``InFlight``, the one record of that exchange and the owner of its connection,
-which it later hands to the backend's ``complete``.  The caller
-(``preprocess.run_bundle``) does other work before asking again.
+The mock backend tells the three layers' prompts apart by their templates'
+text before ``{text}`` and applies a fixed pure transformation to what
+follows, so every downstream stage is reproducible without network access.
+Live backends speak chat/completions-style HTTP JSON over ``http.client``, one
+direct connection per request (no proxy, no redirects); endpoint and key come
+from config with environment overrides (``MEDCASCADE_LLM_URL``,
+``MEDCASCADE_LLM_KEY``).  A backend parses its url once, when built, and
+refuses one that is not http or https with a host, a port other than 0 and no
+user info: the key goes in ``api_key``.  Only live backends get a token-bucket
+rate limiter (``rate_per_sec``/``burst``), which paces every attempt, retries
+included; the mock runs in-process and is never paced.  The gateway never
+sleeps through a transient failure (connection trouble, 429, 5xx): while the
+prompt has retries left it raises ``RetryLater`` with the back-off delay, or a
+longer ``Retry-After``, capped at ``max_delay``; asked not to block, it has a
+live backend ``send`` the request and raises ``InFlight``, the one record of
+that exchange and the owner of its connection, which it later hands to the
+backend's ``complete``.  The caller (``preprocess.run_bundle``) does other
+work before asking again.
 
 The response cache is one append-only log, ``<cache_dir>/responses.jsonl``,
 read once into memory: each completion is one appended line, a damaged or
@@ -153,7 +153,6 @@ class InFlight(Exception):
 
 # -- mock backend ------------------------------------------------------------
 
-_SENTINELS = ("REFINE:", "SUMMARIZE:", "NER:")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?؟])\s+")
 _TOKEN_EDGE_PUNCT = ".,;:!?،؛()[]{}\"'«»"
 
@@ -173,33 +172,33 @@ def load_symptom_lexicon(path: str | None = None) -> set[str]:
 class MockBackend:
     """Pure, deterministic stand-in for the completion LLM.
 
-    REFINE    -> whitespace-normalized payload, prefixed with an ``Age: N``
+    It answers the layers' prompts (``preprocess.TEMPLATES``), telling each
+    stage by its template's text before ``{text}``; what follows, stripped,
+    is the payload:
+
+    refine    -> whitespace-normalized payload, prefixed with an ``Age: N``
                  header when a digit run is followed by an age keyword.
-    SUMMARIZE -> first two sentences of the payload.
-    NER       -> comma-joined payload tokens found in the symptom lexicon
+    summarize -> first two sentences of the payload.
+    ner       -> comma-joined payload tokens found in the symptom lexicon
                  (every occurrence, original surface form).
 
     ``scope`` holds a digest of the lexicon, since it decides NER answers.
     """
 
     backend_id = "mock"
-    prompt_style = "sentinel"
 
     def __init__(self, lexicon: set[str] | None = None):
+        from .preprocess import TEMPLATES   # here: preprocess imports this module
         self.lexicon = lexicon if lexicon is not None else load_symptom_lexicon()
         self.scope = {"lexicon": text_digest("\n".join(sorted(self.lexicon)))}
+        answers = {"refine": self._refine, "summarize": self._summarize, "ner": self._ner}
+        self._heads = {TEMPLATES[stage].partition("{text}")[0]: answers[stage] for stage in answers}
 
     def complete(self, prompt: str) -> str:
-        for sentinel in _SENTINELS:
-            if prompt.startswith(sentinel):
-                payload = prompt[len(sentinel):].strip()
-                if sentinel == "REFINE:":
-                    return self._refine(payload)
-                if sentinel == "SUMMARIZE:":
-                    return self._summarize(payload)
-                return self._ner(payload)
-        head = prompt.split(":", 1)[0][:32]
-        raise UnknownSentinel(f"mock backend knows {_SENTINELS}, got {head!r}")
+        for head, answer in self._heads.items():
+            if prompt.startswith(head):
+                return answer(prompt[len(head):].strip())
+        raise UnknownSentinel(f"the mock answers only the layers' prompts, got {prompt[:32]!r}")
 
     @staticmethod
     def _refine(payload: str) -> str:
@@ -234,8 +233,6 @@ class MockBackend:
 class _HTTPBackend:
     """What both live protocols share: the url, parsed and checked once (a bad one is a
     ``ValueError``), the key, the timeout and the JSON POST, sent then read."""
-
-    prompt_style = "instruct"
 
     def __init__(self, backend_id: str, url: str, api_key: str = "", timeout: float = 60.0):
         parts = urllib.parse.urlsplit(url)   # .port raises unless a number from 0 to 65535

@@ -2,11 +2,9 @@
 extraction, plus the per-record bundle store and failure ledger.
 
 Each layer sends one prompt through the gateway and gets one answer back.
-Two template styles ship with the package: ``sentinel`` (the bare
-``REFINE:``/``SUMMARIZE:``/``NER:`` prompts the mock backend understands)
-and ``instruct`` (full instructions for live chat models).  The gateway's
-backend names its style, and the hashes of the templates actually used are
-pinned into every bundle for provenance.
+One template per stage ships with the package, full instructions for a chat
+model, and every backend, the mock included, is sent the same prompts.  The
+hashes of the templates are pinned into every bundle for provenance.
 
 Entity output is parsed line-oriented: ``category: surface, surface`` lines,
 or a bare comma-separated list (the mock's style), which is read as symptoms.
@@ -99,18 +97,18 @@ class PreprocessBundle:
 
 # Read once per process, at import, so the layers open no file and a missing
 # template fails before the first gateway call.
-TEMPLATES = {(style, stage): (_PROMPTS_ROOT / style / f"{stage}.txt").read_text(encoding="utf-8")
-             for style in ("sentinel", "instruct") for stage in STAGES}
+TEMPLATES = {stage: (_PROMPTS_ROOT / f"{stage}.txt").read_text(encoding="utf-8")
+             for stage in STAGES}
 
 
-def render(style: str, stage: str, text: str) -> str:
-    """The ``style`` template of ``stage`` with ``text`` in place."""
-    return TEMPLATES[(style, stage)].format(text=text)
+def render(stage: str, text: str) -> str:
+    """The template of ``stage`` with ``text`` in place."""
+    return TEMPLATES[stage].format(text=text)
 
 
-def template_hashes(style: str) -> dict[str, str]:
-    """The sha256 of each stage's template in ``style``, by stage."""
-    return {stage: text_digest(TEMPLATES[(style, stage)]) for stage in STAGES}
+def template_hashes() -> dict[str, str]:
+    """The sha256 of each stage's template, by stage."""
+    return {stage: text_digest(TEMPLATES[stage]) for stage in STAGES}
 
 
 def _source_text(record: ComplaintRecord) -> str:
@@ -134,7 +132,7 @@ def _ask(gw: Gateway, prompt: str) -> str:
 def refine(record: ComplaintRecord, gw: Gateway) -> str:
     """Cleaned restatement of the complaint, medical content preserved."""
     text = _source_text(record)
-    out = _ask(gw, render(gw.backend.prompt_style, "refine", text))
+    out = _ask(gw, render("refine", text))
     if _is_refusal(out):
         raise RefusalDetected(f"record {record.id!r}: refine output looks like a refusal")
     return out.strip()
@@ -143,7 +141,7 @@ def refine(record: ComplaintRecord, gw: Gateway) -> str:
 def summarize(record: ComplaintRecord, gw: Gateway) -> str:
     """Compressed complaint; never longer than the source (clamped post-hoc)."""
     text = _source_text(record)
-    out = _ask(gw, render(gw.backend.prompt_style, "summarize", text))
+    out = _ask(gw, render("summarize", text))
     if _is_refusal(out):
         raise RefusalDetected(f"record {record.id!r}: summary output looks like a refusal")
     out = out.strip()
@@ -222,7 +220,7 @@ def extract_entities(record: ComplaintRecord, gw: Gateway) -> list[Entity]:
     means no entities.
     """
     text = _source_text(record)
-    prompt = render(gw.backend.prompt_style, "ner", text)
+    prompt = render("ner", text)
     for attempt in range(2):
         try:
             out = _ask(gw, prompt)
@@ -293,7 +291,7 @@ class _TaskGateway:
     """``gw`` for one task: never blocks, and replays a restarted layer's answers uncounted."""
 
     def __init__(self, gw: Gateway):
-        self.gw, self.backend, self.answers = gw, gw.backend, {}
+        self.gw, self.answers = gw, {}
 
     def complete(self, prompt: str) -> str:
         if prompt not in self.answers:
@@ -313,7 +311,7 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
     stage goes to the ledger and the bundle degrades (refined/summarized =
     scrubbed source, entities = empty), so no record is lost.
     """
-    hashes = template_hashes(gw.backend.prompt_style)
+    hashes = template_hashes()
     sources = [replace(r, text=scrub_pii(r.text)) for r in records]
     fresh = ((i, k) for i in range(len(records)) for k in range(len(STAGES)))
     parked: list[tuple[float, tuple[int, int]]] = []   # heap of (due, (record, stage))

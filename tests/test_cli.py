@@ -958,6 +958,49 @@ class TestErrors:
         assert err.startswith("ConfigInvalid: ")
         assert "bad.json" in err
 
+    @pytest.mark.parametrize("line", ['["not", "an", "object"]', '"just a string"'],
+                             ids=["list", "string"])
+    def test_a_corpus_line_that_is_not_an_object_is_malformed(self, workspace, capsys, line):
+        corpus = workspace / "data" / "corpus.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus.write_text("".join([lines[0], line + "\n", *lines[1:]]), encoding="utf-8")
+        assert run("ingest", "--config", "cfg.json") == 1
+        assert capsys.readouterr().err == \
+            "MalformedRecord: line 2: bad field 'json': must be an object\n"
+
+    def test_a_split_line_that_is_not_an_object_is_malformed(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        split = workspace / "work" / "splits" / "val.jsonl"
+        lines = split.read_text(encoding="utf-8").splitlines(keepends=True)
+        split.write_text("".join(['["not", "an", "object"]\n', *lines[1:]]), encoding="utf-8")
+        capsys.readouterr()
+        assert run("preprocess", "--config", "cfg.json") == 1
+        assert capsys.readouterr().err == \
+            "MalformedRecord: line 1: bad field 'json': must be an object\n"
+
+    def test_a_config_path_that_is_a_directory_is_a_config_error(self, workspace, capsys):
+        (workspace / "conf.d").mkdir()
+        assert run("ingest", "--config", "conf.d") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: ") and "conf.d" in err
+
+    def test_a_corpus_path_that_is_a_directory_is_a_user_error(self, workspace, capsys):
+        data = workspace / "data"
+        (data / "dir.jsonl").mkdir()
+        shutil.copy(data / "corpus.manifest.json", data / "dir.manifest.json")
+        assert run("ingest", "--config", "cfg.json", "--corpus", "data/dir.jsonl") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ") and "data/dir.jsonl" in err
+
+    def test_a_manifest_that_is_a_directory_is_a_user_error(self, workspace, capsys):
+        manifest = workspace / "data" / "corpus.manifest.json"
+        manifest.unlink()
+        manifest.mkdir()
+        assert run("ingest", "--config", "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ")
+        assert str(Path("data", "corpus.manifest.json")) in err
+
     def test_unknown_condition_is_a_usage_error(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:
             run("variants", "--config", "cfg.json", "--condition", "bogus")

@@ -40,11 +40,7 @@ def test_store_hash(tmp_path):
 
 
 def test_template_hashes():
-    assert template_hashes("sentinel") == {
-        "refine": "b61be113aeacd7c6d30cf63ae1ff3f584fa585b8fd8fb0dcf16d72b4a3eeecd2",
-        "summarize": "d81880e04b747106eb9a49dfcdd6826db1bbcd65e63ce55222abb3cc41862aa4",
-        "ner": "96f23256bbbdce3f2535600817f34c44ebe48cb60ed7b58d4e4d2d46577fc16f"}
-    assert template_hashes("instruct") == {
+    assert template_hashes() == {
         "refine": "608fb382b619ceb22d752ff3251f68db788c9c059c2e147f78f5971157d5a1e4",
         "summarize": "aea1fee31551443ae4693d5cb5173ddb31b0ce72e907878730b8cd834d2a9425",
         "ner": "97b775917bd9057ee735277239a6fafac51296e1f94d93bc85ab36f7136aa8d9"}

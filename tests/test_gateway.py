@@ -18,7 +18,7 @@ from medcascade.gateway import (Gateway, GatewayConfig, InFlight, LlamaServerBac
                                 MockBackend, OpenAIChatBackend, ResponseCache, RetryLater,
                                 RetryPolicy, TokenBucket, TransientBackendError, build_gateway,
                                 cache_key, load_symptom_lexicon)
-from medcascade.preprocess import BundleStore, run_bundle
+from medcascade.preprocess import BundleStore, render, run_bundle
 
 from conftest import make_record
 
@@ -31,57 +31,59 @@ def fake_backend(backend_id, scope=None):
 
 class TestMockBackend:
     def test_refine_normalizes_whitespace(self):
-        assert MOCK.complete("REFINE: text  with   spaces") == "text with spaces"
+        assert MOCK.complete(render("refine", "text  with   spaces")) == "text with spaces"
 
     def test_refine_synthesizes_age_header(self):
-        out = MOCK.complete("REFINE: والدتي عندها 65 سنة وتعاني من صداع")
+        out = MOCK.complete(render("refine", "والدتي عندها 65 سنة وتعاني من صداع"))
         assert out == "Age: 65\nوالدتي عندها 65 سنة وتعاني من صداع"
 
     def test_refine_age_keyword_english(self):
-        out = MOCK.complete("REFINE: she is 65 years old")
+        out = MOCK.complete(render("refine", "she is 65 years old"))
         assert out.startswith("Age: 65\n")
 
     def test_refine_plain_digits_no_header(self):
-        assert MOCK.complete("REFINE: took 5 pills daily") == "took 5 pills daily"
+        assert MOCK.complete(render("refine", "took 5 pills daily")) == "took 5 pills daily"
 
     def test_summarize_first_two_sentences(self):
-        assert MOCK.complete("SUMMARIZE: A. B. C.") == "A. B."
+        assert MOCK.complete(render("summarize", "A. B. C.")) == "A. B."
 
     def test_summarize_single_sentence_identity(self):
-        assert MOCK.complete("SUMMARIZE: only one sentence here") == \
+        assert MOCK.complete(render("summarize", "only one sentence here")) == \
             "only one sentence here"
 
     def test_summarize_arabic_question_mark(self):
-        assert MOCK.complete("SUMMARIZE: الاولى؟ الثانية. الثالثة.") == \
+        assert MOCK.complete(render("summarize", "الاولى؟ الثانية. الثالثة.")) == \
             "الاولى؟ الثانية."
 
     def test_ner_lexicon_hits(self):
         backend = MockBackend(lexicon={"headache", "fever"})
-        out = backend.complete("NER: headache and fever")
+        out = backend.complete(render("ner", "headache and fever"))
         assert out == "headache, fever"
 
     def test_ner_repeats_every_occurrence(self):
         backend = MockBackend(lexicon={"fever"})
-        assert backend.complete("NER: fever then fever") == "fever, fever"
+        assert backend.complete(render("ner", "fever then fever")) == "fever, fever"
 
     def test_ner_strips_punctuation_keeps_surface(self):
         backend = MockBackend(lexicon={"fever"})
-        assert backend.complete("NER: Fever, then rest") == "Fever"
+        assert backend.complete(render("ner", "Fever, then rest")) == "Fever"
 
     def test_ner_no_hits_empty(self):
         backend = MockBackend(lexicon={"fever"})
-        assert backend.complete("NER: nothing relevant") == ""
+        assert backend.complete(render("ner", "nothing relevant")) == ""
 
     def test_unknown_sentinel(self):
         with pytest.raises(UnknownSentinel):
             MOCK.complete("TRANSLATE: x")
+        with pytest.raises(UnknownSentinel):   # the bare sentinel prompts are gone
+            MOCK.complete("REFINE: x")
 
     def test_bundled_lexicon_covers_arabic_and_english(self):
         lexicon = load_symptom_lexicon()
         assert {"headache", "fever", "سكري", "طفح"} <= lexicon
 
     def test_pure_function(self):
-        r = "NER: headache and fever"
+        r = render("ner", "headache and fever")
         assert MOCK.complete(r) == MOCK.complete(r)
 
 
@@ -96,7 +98,7 @@ class TestRequestValidation:
 class TestCache:
     def test_second_call_served_from_cache(self, tmp_path):
         gw = Gateway(MockBackend(), cache=ResponseCache(tmp_path))
-        r = "REFINE: hello   there"
+        r = render("refine", "hello   there")
         first = gw.complete(r)
         second = gw.complete(r)
         assert first == second == "hello there"
@@ -156,7 +158,7 @@ class TestCache:
                              ids=["truncated", "empty", "not-utf8", "not-object", "no-response"])
     def test_damaged_entry_is_a_miss_and_put_overwrites_it(self, tmp_path, damage):
         gw = Gateway(MockBackend(), cache=ResponseCache(tmp_path))
-        r = "REFINE: hello   there"
+        r = render("refine", "hello   there")
         key = cache_key(r, gw.backend)
         log = tmp_path / "responses.jsonl"
         log.write_bytes(damage.replace(b"KEY", key.encode()))
@@ -189,7 +191,6 @@ class TestCache:
 
 class FlakyBackend:
     backend_id = "flaky"
-    prompt_style = "instruct"
     scope = None
 
     def __init__(self, failures, response="ok"):
@@ -604,7 +605,7 @@ class TestConcurrency:
         import concurrent.futures
 
         gw = Gateway(MockBackend(), cache=ResponseCache(tmp_path))
-        prompts = [f"REFINE: text number {i % 5}  padded" for i in range(40)]
+        prompts = [render("refine", f"text number {i % 5}  padded") for i in range(40)]
 
         def call(prompt):
             return gw.complete(prompt)
@@ -620,7 +621,7 @@ class TestConcurrency:
 class TestBuildGateway:
     def test_mock_default(self, tmp_path):
         gw = build_gateway(GatewayConfig(backend="mock", cache_dir=str(tmp_path / "c")))
-        assert gw.complete("REFINE: a  b") == "a b"
+        assert gw.complete(render("refine", "a  b")) == "a b"
 
     def test_live_backend_needs_url(self):
         with pytest.raises(UnknownBackend):
@@ -652,7 +653,7 @@ class TestBuildGateway:
         for lexicon in ("", str(one_term), str(one_term)):
             gw = build_gateway(GatewayConfig(backend="mock", lexicon_path=lexicon,
                                              cache_dir=str(tmp_path / "c")))
-            answers.append((gw.complete("NER: fever and headache"),
+            answers.append((gw.complete(render("ner", "fever and headache")),
                             gw.backend_calls, gw.cache_hits))
         assert answers == [("fever, headache", 1, 0), ("fever", 1, 0), ("fever", 0, 1)]
 
@@ -678,7 +679,7 @@ class TestBuildGateway:
         sys.setprofile(profile)
         try:
             for i in range(30):  # three times the default burst
-                gw.complete(f"REFINE: record {i}")
+                gw.complete(render("refine", f"record {i}"))
         finally:
             sys.setprofile(previous)
         assert gw.backend_calls == 30

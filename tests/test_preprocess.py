@@ -8,7 +8,7 @@ from medcascade.atomic import json_line
 from medcascade.errors import EmptySourceText, ParseFailure, RefusalDetected, UserError
 from medcascade.gateway import (Gateway, MockBackend, ResponseCache, RetryPolicy,
                                 TransientBackendError)
-from medcascade.preprocess import (BundleStore, Entity, PreprocessBundle,
+from medcascade.preprocess import (TEMPLATES, BundleStore, Entity, PreprocessBundle,
                                    extract_entities, parse_entities, refine, render,
                                    run_bundle, summarize, template_hashes)
 from medcascade.variants import build_variant
@@ -27,7 +27,6 @@ class ScriptedBackend:
     """Returns queued responses in order; repeats the last one when drained."""
 
     backend_id = "scripted"
-    prompt_style = "instruct"
     scope = None
 
     def __init__(self, responses):
@@ -52,7 +51,7 @@ class NerRefusingBackend(MockBackend):
     def complete(self, prompt):
         if self.crash_on and self.crash_on in prompt:
             raise RuntimeError("crash")
-        if prompt.startswith("NER:"):
+        if prompt.startswith(TEMPLATES["ner"].partition("{text}")[0]):
             return "I cannot help with that."
         return super().complete(prompt)
 
@@ -316,7 +315,6 @@ class TestRunBundle:
     def test_gateway_failure_falls_back_fatally(self, tmp_path):
         class DeadBackend:
             backend_id = "dead"
-            prompt_style = "instruct"
             scope = None
 
             def complete(self, prompt):
@@ -408,21 +406,15 @@ class TestRunBundle:
 
 class TestTemplates:
     def test_templates_render_text(self):
-        for style in ("sentinel", "instruct"):
-            for stage in ("refine", "summarize", "ner"):
-                rendered = render(style, stage, "PAYLOAD")
-                assert "PAYLOAD" in rendered
-
-    def test_sentinel_templates_start_with_sentinel(self):
-        assert render("sentinel", "refine", "x").startswith("REFINE:")
-        assert render("sentinel", "summarize", "x").startswith("SUMMARIZE:")
-        assert render("sentinel", "ner", "x").startswith("NER:")
+        for stage in ("refine", "summarize", "ner"):
+            rendered = render(stage, "PAYLOAD")
+            assert "PAYLOAD" in rendered
 
     def test_hashes_stable_and_distinct(self):
-        hashes = template_hashes("instruct")
+        hashes = template_hashes()
         assert set(hashes) == {"refine", "summarize", "ner"}
         assert len(set(hashes.values())) == 3
-        assert hashes == template_hashes("instruct")
+        assert hashes == template_hashes()
 
     def test_the_layers_open_no_file(self, monkeypatch):
         def no_open(*args, **kwargs):

@@ -13,15 +13,20 @@ import pytest
 from medcascade import preprocess
 from medcascade.gateway import (Gateway, MockBackend, OpenAIChatBackend, ResponseCache,
                                 RetryLater, RetryPolicy, TransientBackendError)
-from medcascade.preprocess import (FORMAT_REMINDER, BundleStore, extract_entities, refine,
-                                   run_bundle, summarize)
+from medcascade.preprocess import (FORMAT_REMINDER, TEMPLATES, BundleStore, extract_entities,
+                                   refine, run_bundle, summarize)
 
 from conftest import make_record
 
 # binary fractions, so the fake clock's sums are exact
 LATENCY = 0.125
 POLICY = RetryPolicy(max_retries=2, base_delay=0.5, max_delay=8.0)
-_STAGE_OF = {"REFINE": "refine", "SUMMARIZE": "summarize", "NER": "ner"}
+
+
+def _stage_of(prompt):
+    """The layer whose template ``prompt`` was rendered from."""
+    return next(stage for stage, template in TEMPLATES.items()
+                if prompt.startswith(template.partition("{text}")[0]))
 
 
 class FakeClock:
@@ -52,8 +57,7 @@ class ClockedBackend(MockBackend):
         self.calls = []   # (sent at, failed at or None, (record, stage))
 
     def complete(self, prompt):
-        pair = (int(re.search(r"record (\d+)", prompt).group(1)),
-                _STAGE_OF[prompt.split(":", 1)[0]])
+        pair = (int(re.search(r"record (\d+)", prompt).group(1)), _stage_of(prompt))
         sent = self.clock.now
         self.clock.started.add(pair)
         self.clock.now += LATENCY
@@ -192,7 +196,7 @@ class GarbledThenBusy(MockBackend):
 
     def complete(self, prompt):
         self.prompts.append(prompt)
-        if prompt.startswith("NER:") and "record 0" in prompt:
+        if _stage_of(prompt) == "ner" and "record 0" in prompt:
             if FORMAT_REMINDER not in prompt:
                 return "answer: unclear"
             if self.prompts.count(prompt) == 1:
@@ -204,7 +208,7 @@ class SerialGateway:
     """``gw`` as a caller that waits out each ``RetryLater`` in place sees it."""
 
     def __init__(self, gw):
-        self.gw, self.backend = gw, gw.backend
+        self.gw = gw
 
     def complete(self, prompt):
         while True:
@@ -323,7 +327,6 @@ def _live_run(tmp_path, name, serial=False):
         backend = OpenAIChatBackend("openai", server.url, timeout=5.0)
         if serial:   # the same protocol without ``send``: every call blocks
             backend = SimpleNamespace(backend_id=backend.backend_id, scope=backend.scope,
-                                      prompt_style=backend.prompt_style,
                                       complete=backend.complete)
         gw = Gateway(backend, cache=ResponseCache(tmp_path / name / "cache"),
                      retry=RetryPolicy(max_retries=2, base_delay=0.01))
