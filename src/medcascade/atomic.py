@@ -11,8 +11,9 @@ Every JSON artifact takes one form, so its bytes depend on its value alone:
 keys sorted and non-ASCII kept.  ``write_json`` indents one value by two
 spaces and ends it with a newline; ``write_jsonl`` and ``append_jsonl`` write
 one ``json_line`` per entry.  ``read_json`` reports a file it cannot open,
-decode or unpack as ``CorruptArtifact`` naming the file, and ``check_types``
-holds the values of a JSON object to the types of a dataclass's defaults.
+decode or unpack, and ``read_jsonl`` one it cannot open, as
+``CorruptArtifact`` naming the file; ``check_types`` holds the values of a
+JSON object to the types of a dataclass's defaults.
 
 ``file_digest``, the package's one file hash, streams a file's bytes through
 sha256, so a large file is never held whole; ``text_digest`` is its one hash
@@ -42,10 +43,11 @@ from .errors import CorruptArtifact
 def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]):
     """Write ``data`` (UTF-8 if text, or what a function writes into the
     temp file) to ``path``, creating its directory; returns what the
-    function returns."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    function returns.  A path of the wrong kind (a file in place of its
+    directory, a directory at ``path``) raises ``CorruptArtifact``."""
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         result = None
         with open(tmp, "w+b") as fh:
             if callable(data):
@@ -54,9 +56,11 @@ def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]):
                 fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
         return result
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(e, (FileExistsError, IsADirectoryError, NotADirectoryError)):
+            raise CorruptArtifact.at(path, e, "unwritable") from e
         raise
 
 
@@ -143,6 +147,8 @@ def read_jsonl(path) -> list[dict]:
             raw = fh.read()
     except FileNotFoundError:
         return []
+    except OSError as e:
+        raise CorruptArtifact.at(path, e) from e
     entries = []
     for line in raw.split(b"\n"):
         try:

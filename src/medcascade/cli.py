@@ -1,12 +1,13 @@
 """The ``medcascade`` command: ingest -> preprocess -> variants -> train -> report.
 
-Every subcommand is idempotent: its state sidecar, written last, maps each
-input (``code <module>.py``, ``file <role>``, a config value) and each
-``output <path>`` to its sha256.  A rerun short-circuits only when all still
-match, so a changed input or a deleted, truncated or edited output redoes the
-stage (``preprocess`` from its response cache).  All writes are atomic (temp
-+ rename).  Exit codes: 0 success, 1 user error, 2 internal error; failures
-print one machine-parseable ``Category: message`` line on stderr.
+Every stage, and each condition of ``variants``, runs through ``_stage``: its
+state sidecar, written after its outputs, maps each input (``code
+<module>.py``, ``file <role>``, a config value) and each ``output <path>`` to
+its sha256.  A rerun prints ``<label>: up to date`` only while all still
+match; else it redoes the stage (``preprocess`` from its response cache) and
+prints ``<label>:`` and what it did.  All writes are atomic (temp + rename).
+Exit codes: 0 success, 1 user error, 2 internal error; failures print one
+machine-parseable ``Category: message`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import re
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 
 from . import __version__
 from .atomic import file_digest, json_line, read_json, text_digest, write_atomic, write_json
@@ -58,37 +60,34 @@ def _inputs(files: dict[str, str], **values) -> dict[str, str | None]:
     return named
 
 
-def _trace(state: str, inputs: dict, out_dirs: list[str]) -> dict:
-    """``inputs`` and the digest of every file under ``out_dirs``, named by
+def _trace(state: str, inputs: dict, out_dir: str) -> dict:
+    """``inputs`` and the digest of every file under ``out_dir``, named by
     its path from the state's directory; the state file itself left out."""
     base = os.path.dirname(state)
-    outputs = (os.path.join(root, name) for d in out_dirs
-               for root, _, names in os.walk(d) for name in names)
+    outputs = (os.path.join(root, name) for root, _, names in os.walk(out_dir) for name in names)
     return {**inputs, **{f"output {os.path.relpath(path, base)}": file_digest(path)
                          for path in outputs if path != state}}
 
 
-def _stale(state: str, inputs: dict, out_dirs: list[str]) -> list[str]:
+def _stale(state: str, inputs: dict, out_dir: str) -> list[str]:
     """The sorted names whose digests differ from those ``state`` records;
     ``["state"]`` when it is missing or not a readable JSON object."""
     try:
         stored = read_json(state, build=lambda data: {**data})
     except CorruptArtifact:
         return ["state"]
-    current = _trace(state, inputs, out_dirs)
+    current = _trace(state, inputs, out_dir)
     return sorted(name for name in stored.keys() | current.keys()
                   if stored.get(name) != current.get(name))   # None: absent either way
 
 
-def _stage(label: str, state: str, inputs: dict, out_dirs: list[str], work,
-           current: str = "up to date") -> int:
-    """Print ``label: current`` while ``state`` matches; else run ``work``,
+def _stage(label: str, state: str, inputs: dict, out_dir: str, work) -> int:
+    """Print ``label: up to date`` while ``state`` matches; else run ``work``,
     record the state and print ``label:`` and the line ``work`` returns."""
-    if not _stale(state, inputs, out_dirs):
-        print(f"{label}: {current}")
-        return 0
-    line = work()
-    write_json(state, _trace(state, inputs, out_dirs))
+    line = "up to date"
+    if _stale(state, inputs, out_dir):
+        line = work()
+        write_json(state, _trace(state, inputs, out_dir))
     print(f"{label}: {line}")
     return 0
 
@@ -127,7 +126,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
         return f"{len(records)} records scrubbed and split {sizes} into {cfg.splits_dir()}"
 
     return _stage("ingest", os.path.join(cfg.splits_dir(), ".state.json"), inputs,
-                  [cfg.splits_dir()], work)
+                  cfg.splits_dir(), work)
 
 
 def cmd_preprocess(cfg: PipelineConfig, args) -> int:
@@ -135,8 +134,7 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     gw = build_gateway(replace(cfg.gateway, cache_dir=cfg.cache_dir()))
     # the scope holds a live backend's url and model, the mock's lexicon
     inputs = _inputs(dict(zip(SPLITS, split_paths)), backend=cfg.gateway.backend,
-                     scope=gw.backend.scope,
-                     templates=template_hashes())
+                     scope=gw.backend.scope, templates=template_hashes())
 
     def work() -> str:
         records = [record for path in split_paths for record in load_corpus(path)[0]]
@@ -147,7 +145,7 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     # beside the bundle directory, not in it: every file there is the same
     # for any live url, and this state, which hashes the url, is not
     return _stage("preprocess", os.path.join(cfg.workdir, ".preprocess.state.json"), inputs,
-                  [cfg.bundles_dir()], work, current="up to date (0 gateway calls)")
+                  cfg.bundles_dir(), work)
 
 
 def cmd_variants(cfg: PipelineConfig, args) -> int:
@@ -157,28 +155,22 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
     if any(c != "normal" for c in conditions):
         _require(store.path, "preprocess")
     shared = _inputs(dict(zip(SPLITS, split_paths)))
-    stale = {}   # condition -> (state path, inputs); each condition has its own state
+    splits = []   # each split's records: read once, when the first stale condition is built
+
+    def work(condition: str, out_dir: str) -> str:
+        if not splits:
+            splits.extend(load_corpus(path)[0] for path in split_paths)
+        variants = [build_variant(records, store, condition) for records in splits]
+        for part, variant in zip(SPLITS, variants):
+            write_variant(variant, cfg.variants_dir(), part)
+        return f"{'/'.join(str(len(v)) for v in variants)} examples into {out_dir}"
+
     for condition in conditions:
+        out_dir = os.path.join(cfg.variants_dir(), condition)
         inputs = {**shared, "condition": _digest(condition),
                   "bundles": _digest(store.store_hash() if condition != "normal" else None)}
-        state = os.path.join(cfg.variants_dir(), condition, ".state.json")
-        if _stale(state, inputs, [os.path.dirname(state)]):
-            stale[condition] = (state, inputs)
-    if not stale:
-        print("variants: up to date")
-        return 0
-
-    total = 0
-    for part, path in zip(SPLITS, split_paths):
-        part_records, _ = load_corpus(path)
-        for condition in stale:
-            variant = build_variant(part_records, store, condition)
-            write_variant(variant, cfg.variants_dir(), part)
-            total += len(variant)
-    for state, inputs in stale.values():
-        write_json(state, _trace(state, inputs, [os.path.dirname(state)]))
-    print(f"variants: wrote {len(stale)} condition(s) x {len(SPLITS)} splits "
-          f"({total} examples) into {cfg.variants_dir()}")
+        _stage(f"variants[{condition}]", os.path.join(out_dir, ".state.json"), inputs, out_dir,
+               partial(work, condition, out_dir))
     return 0
 
 
@@ -241,7 +233,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         return f"test accuracy {summary}"
 
     return _stage(f"train[{cell}]", os.path.join(cell_dir, ".state.json"), inputs,
-                  [cell_dir], work)
+                  cell_dir, work)
 
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
@@ -263,7 +255,7 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
         return f"{len(cells)} cell(s) -> {json_path}, {md_path}"
 
     return _stage("report", os.path.join(cfg.reports_dir(), ".state.json"),
-                  _inputs(scores_paths), [cfg.reports_dir()], work)
+                  _inputs(scores_paths), cfg.reports_dir(), work)
 
 
 # -- entry point -----------------------------------------------------------------
@@ -284,38 +276,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"medcascade {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def stage(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="pipeline config JSON file")
         p.add_argument("--workdir", help="override workdir")
         p.add_argument("--corpus", help="override corpus path")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("ingest", help="load, scrub, and split the corpus")
-    common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("preprocess", help="run the three LLM layers over all records")
-    common(p)
+    stage("ingest", cmd_ingest, "load, scrub, and split the corpus")
+    p = stage("preprocess", cmd_preprocess, "run the three LLM layers over all records")
     p.add_argument("--backend", choices=("mock", "openai", "llama"),
                    help="overrides gateway.backend")
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("variants", help="build evaluation-condition datasets")
-    common(p)
+    p = stage("variants", cmd_variants, "build evaluation-condition datasets")
     p.add_argument("--condition", action="append", choices=CONDITIONS,
                    help="build only this condition (repeatable; default all)")
-    p.set_defaults(func=cmd_variants)
-
-    p = sub.add_parser("train", help="train and evaluate one (model, condition) cell")
-    common(p)
+    p = stage("train", cmd_train, "train and evaluate one (model, condition) cell")
     p.add_argument("--model", help="encoder backend id; overrides model.backend_id")
     p.add_argument("--condition", required=True, choices=CONDITIONS)
     p.add_argument("--no-finetune", action="store_true",
                    help="evaluate the frozen encoder with random heads instead of training")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("report", help="aggregate run outputs into the report grid")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    stage("report", cmd_report, "aggregate run outputs into the report grid")
     return parser
 
 

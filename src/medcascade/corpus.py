@@ -102,8 +102,11 @@ def manifest_path_for(corpus_path: str) -> str:
 
 def read_manifest(path: str) -> CorpusManifest:
     """Load a manifest sidecar; an unreadable one raises ``CorruptArtifact``
-    naming the file."""
-    return read_json(path, build=CorpusManifest.from_json)
+    and an invalid one ``MalformedRecord``, each naming the file."""
+    try:
+        return read_json(path, build=CorpusManifest.from_json)
+    except MalformedRecord as e:
+        raise e.in_file(path) from None
 
 
 def _parse_record(raw: dict, line_no: int, vocab: dict[str, list[str]]) -> ComplaintRecord:
@@ -190,6 +193,8 @@ def load_corpus(path: str) -> tuple[list[ComplaintRecord], CorpusManifest]:
                     raise DuplicateId(rec.id)
                 seen.add(rec.id)
                 records.append(rec)
+    except MalformedRecord as e:
+        raise e.in_file(path) from None
     except (UnicodeDecodeError, OSError) as e:   # not UTF-8, or a directory
         raise CorruptArtifact.at(path, e) from e
     manifest.record_count = len(records)

@@ -26,6 +26,11 @@ class MalformedRecord(UserError):
         self.field = field
         super().__init__(f"line {line_no}: bad field {field!r}" + (f": {detail}" if detail else ""))
 
+    def in_file(self, path) -> "MalformedRecord":
+        """This error, its message naming ``path`` first."""
+        self.args = (f"{path}, {self}",)
+        return self
+
 
 class UnknownLabel(UserError):
     def __init__(self, record_id, task, label):
@@ -89,8 +94,9 @@ class CorruptArtifact(UserError):
     DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
     @classmethod
-    def at(cls, path, error: Exception) -> "CorruptArtifact":
-        return cls(f"{path} is unreadable: {type(error).__name__}: {error}")
+    def at(cls, path, error: Exception, how: str = "unreadable") -> "CorruptArtifact":
+        detail = error.strerror if isinstance(error, OSError) and error.strerror else error
+        return cls(f"{path} is {how}: {type(error).__name__}: {detail}")
 
 
 # variants

@@ -159,9 +159,9 @@ _TOKEN_EDGE_PUNCT = ".,;:!?،؛()[]{}\"'«»"
 AGE_KEYWORDS = ("سنة", "سنه", "عام", "عاما", "عامًا", "سنين", "years", "year", "yrs", "yr")
 
 
-def load_symptom_lexicon(path: str | None = None) -> set[str]:
+def load_symptom_lexicon() -> set[str]:
     terms = set()
-    with open(path or _LEXICON_PATH, encoding="utf-8") as fh:
+    with open(_LEXICON_PATH, encoding="utf-8") as fh:
         for line in fh:
             term = line.strip().lower()
             if term and not term.startswith("#"):
@@ -419,7 +419,6 @@ class GatewayConfig:
     max_retries: int = 3
     backoff_base: float = 0.5
     backoff_cap: float = 8.0
-    lexicon_path: str = ""
 
 
 def build_gateway(cfg: GatewayConfig) -> Gateway:
@@ -428,8 +427,7 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
     retry = RetryPolicy(max_retries=cfg.max_retries, base_delay=cfg.backoff_base,
                         max_delay=cfg.backoff_cap)
     if cfg.backend == "mock":
-        lexicon = load_symptom_lexicon(cfg.lexicon_path) if cfg.lexicon_path else None
-        return Gateway(MockBackend(lexicon), cache=cache, retry=retry)
+        return Gateway(MockBackend(), cache=cache, retry=retry)
     if cfg.backend not in ("openai", "llama"):
         raise UnknownBackend(f"unknown gateway backend {cfg.backend!r}")
     url = os.environ.get(ENV_URL, cfg.url)

@@ -309,7 +309,8 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
     raises ``RetryLater`` until its delay has passed on ``gw.clock``; the stage
     waits in ``select``, or ``gw.sleep`` when nothing is in flight.  A failed
     stage goes to the ledger and the bundle degrades (refined/summarized =
-    scrubbed source, entities = empty), so no record is lost.
+    scrubbed source, entities = empty), so no record is lost; an unreadable
+    response cache is no stage's failure and stops the run.
     """
     hashes = template_hashes()
     sources = [replace(r, text=scrub_pii(r.text)) for r in records]
@@ -350,6 +351,8 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
                 sel.get_key(flight.sock).data[1].append(task)
             except RetryLater as later:
                 heapq.heappush(parked, (gw.clock() + later.delay, task))
+            except CorruptArtifact:   # an unreadable response cache fails no one record
+                raise
             except MedcascadeError as e:
                 done[task] = [] if stage == "ner" else sources[i].text.strip()
                 failed[task] = LedgerEntry(records[i].id, stage, e.category, stage != "ner")

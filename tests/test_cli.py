@@ -12,7 +12,7 @@ from medcascade import cli, evaluator, gateway, trainer
 from medcascade.atomic import file_digest
 from medcascade.cli import _stale, main
 from medcascade.synthetic import write_synthetic_corpus
-from medcascade.variants import load_variant
+from medcascade.variants import CONDITIONS, load_variant
 
 
 def _write_workspace():
@@ -147,11 +147,14 @@ class TestIdempotence:
     def test_rerun_short_circuits(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0
         assert run("preprocess", "--config", "cfg.json") == 0
+        cache = workspace / "work" / "cache" / "responses.jsonl"
+        cached = cache.read_bytes()
         capsys.readouterr()
         assert run("ingest", "--config", "cfg.json") == 0
         assert "up to date" in capsys.readouterr().out
         assert run("preprocess", "--config", "cfg.json") == 0
-        assert "0 gateway calls" in capsys.readouterr().out
+        assert capsys.readouterr().out == "preprocess: up to date\n"
+        assert cache.read_bytes() == cached     # every backend call appends to the cache
 
     def test_ingest_redoes_work_when_the_corpus_format_changes(self, workspace, capsys):
         # the same bytes under a .csv name are read as CSV, which they are not;
@@ -243,18 +246,19 @@ class TestIdempotence:
     def test_preprocess_redoes_work_when_the_mock_lexicon_changes(self, workspace, capsys,
                                                                    monkeypatch):
         monkeypatch.setattr(cli, "run_bundle", lambda records, gw, store: [])
-        (workspace / "one_term.txt").write_text("fever\n", encoding="utf-8")
+        lexicon = workspace / "symptom_lexicon.txt"      # a copy of the bundled lexicon
+        shutil.copy(gateway._LEXICON_PATH, lexicon)
+        monkeypatch.setattr(gateway, "_LEXICON_PATH", str(lexicon))
         assert run("ingest", "--config", "cfg.json") == 0
 
-        def preprocess(lexicon):
-            config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
-            config["gateway"] = {"backend": "mock", "lexicon_path": lexicon}
-            (workspace / "lex.json").write_text(json.dumps(config), encoding="utf-8")
+        def preprocess(terms):
+            if terms is not None:
+                lexicon.write_text(terms, encoding="utf-8")
             capsys.readouterr()
-            assert run("preprocess", "--config", "lex.json") == 0
+            assert run("preprocess", "--config", "cfg.json") == 0
             return "up to date" in capsys.readouterr().out
 
-        assert [preprocess(p) for p in ("", "", "one_term.txt")] == [False, True, False]
+        assert [preprocess(t) for t in (None, None, "fever\n")] == [False, True, False]
 
     def test_a_value_that_names_a_file_is_hashed_as_the_value(self, workspace, capsys,
                                                               monkeypatch):
@@ -360,8 +364,11 @@ class TestStageState:
         for argv in ((), ("--condition", "normal"), ()):
             assert run("variants", "--config", "cfg.json", *argv) == 0
             outputs.append(capsys.readouterr().out)
-        assert "wrote 4 condition(s)" in outputs[0]
-        assert outputs[1:] == ["variants: up to date\n"] * 2
+        dirs = {c: os.path.join("work", "variants", c) for c in CONDITIONS}
+        assert outputs[0] == "".join(f"variants[{c}]: 48/6/6 examples into {dirs[c]}\n"
+                                     for c in CONDITIONS)
+        assert outputs[1:] == ["variants[normal]: up to date\n",
+                               "".join(f"variants[{c}]: up to date\n" for c in CONDITIONS)]
 
     def test_only_the_stale_conditions_are_built(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0
@@ -370,7 +377,54 @@ class TestStageState:
         (workspace / "work" / "variants" / "ner" / "test.jsonl").unlink()
         capsys.readouterr()
         assert run("variants", "--config", "cfg.json") == 0
-        assert "wrote 1 condition(s)" in capsys.readouterr().out
+        ner = os.path.join("work", "variants", "ner")
+        assert capsys.readouterr().out == ("variants[normal]: up to date\n"
+                                           "variants[refined]: up to date\n"
+                                           "variants[summarized]: up to date\n"
+                                           f"variants[ner]: 48/6/6 examples into {ner}\n")
+
+    def test_an_interrupted_run_keeps_the_conditions_it_finished(self, workspace, capsys,
+                                                                monkeypatch):
+        class Crash(BaseException):
+            pass
+
+        real = cli.write_variant
+
+        def write_variant(variant, directory, part):
+            if (variant.condition, part) == ("refined", "val"):   # the second condition
+                raise Crash
+            return real(variant, directory, part)
+
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("preprocess", "--config", "cfg.json") == 0
+        monkeypatch.setattr(cli, "write_variant", write_variant)
+        with pytest.raises(Crash):
+            run("variants", "--config", "cfg.json")
+        monkeypatch.setattr(cli, "write_variant", real)
+        capsys.readouterr()
+        assert run("variants", "--config", "cfg.json") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "variants[normal]: up to date"
+        assert [line.partition(":")[0] for line in lines[1:] if "up to date" not in line] == \
+            ["variants[refined]", "variants[summarized]", "variants[ner]"]
+        variants = workspace / "work" / "variants"
+        resumed = _tree(variants)
+        shutil.rmtree(variants)
+        assert run("variants", "--config", "cfg.json") == 0
+        assert _tree(variants) == resumed
+
+    def test_the_splits_are_read_once_and_only_for_a_stale_condition(self, workspace,
+                                                                     monkeypatch):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("preprocess", "--config", "cfg.json") == 0
+        reads = []
+        real = cli.load_corpus
+        monkeypatch.setattr(cli, "load_corpus", lambda path: reads.append(path) or real(path))
+        assert run("variants", "--config", "cfg.json") == 0
+        assert len(reads) == 3
+        reads.clear()
+        assert run("variants", "--config", "cfg.json") == 0
+        assert reads == []
 
     def test_report_is_up_to_date_until_its_outputs_change(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0
@@ -446,6 +500,24 @@ class TestNamedTrace:
         reasons.clear()
         assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
         assert reasons == [["output test.jsonl"]]
+
+    def test_a_changed_bundle_log(self, workspace, reasons, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("preprocess", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json") == 0
+        log = workspace / "work" / "bundles" / "bundles.jsonl"
+        first, *rest = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        bundle = json.loads(first)
+        bundle["refined"] += " وصداع"
+        log.write_text("".join([json.dumps(bundle, ensure_ascii=False) + "\n", *rest]),
+                       encoding="utf-8")
+        reasons.clear()
+        capsys.readouterr()
+        assert run("variants", "--config", "cfg.json") == 0
+        assert reasons == [[], ["bundles"], ["bundles"], ["bundles"]]
+        built = [line.partition(":")[0] for line in capsys.readouterr().out.splitlines()
+                 if "up to date" not in line]
+        assert built == ["variants[refined]", "variants[summarized]", "variants[ner]"]
 
     def test_a_missing_state(self, workspace, reasons):
         assert run("ingest", "--config", "cfg.json") == 0
@@ -554,8 +626,8 @@ DAMAGED = {
     "splits/test.jsonl": "ingest:",
     "splits/train.manifest.json": "ingest:",
     "bundles/bundles.jsonl": "preprocess:",
-    "variants/ner/train.jsonl": "variants:",
-    "variants/ner/test.provenance.json": "variants:",
+    "variants/ner/train.jsonl": "variants[ner]:",
+    "variants/ner/test.provenance.json": "variants[ner]:",
     **{f"{FINETUNED}/{name}": "train[toy__ner__finetuned]:"
        for name in ("checkpoint.npz", "predictions.jsonl", "trainlog.csv", "scores.json")},
 }
@@ -966,7 +1038,7 @@ class TestErrors:
         corpus.write_text("".join([lines[0], line + "\n", *lines[1:]]), encoding="utf-8")
         assert run("ingest", "--config", "cfg.json") == 1
         assert capsys.readouterr().err == \
-            "MalformedRecord: line 2: bad field 'json': must be an object\n"
+            "MalformedRecord: data/corpus.jsonl, line 2: bad field 'json': must be an object\n"
 
     def test_a_split_line_that_is_not_an_object_is_malformed(self, workspace, capsys):
         assert run("ingest", "--config", "cfg.json") == 0
@@ -975,8 +1047,46 @@ class TestErrors:
         split.write_text("".join(['["not", "an", "object"]\n', *lines[1:]]), encoding="utf-8")
         capsys.readouterr()
         assert run("preprocess", "--config", "cfg.json") == 1
+        val = os.path.join("work", "splits", "val.jsonl")
         assert capsys.readouterr().err == \
-            "MalformedRecord: line 1: bad field 'json': must be an object\n"
+            f"MalformedRecord: {val}, line 1: bad field 'json': must be an object\n"
+
+    def test_a_split_manifest_without_a_vocabulary_names_its_file(self, workspace, capsys):
+        assert run("ingest", "--config", "cfg.json") == 0
+        manifest = workspace / "work" / "splits" / "test.manifest.json"
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        del data["vocab"]["type"]
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run("preprocess", "--config", "cfg.json") == 1
+        name = os.path.join("work", "splits", "test.manifest.json")
+        assert capsys.readouterr().err == \
+            f"MalformedRecord: {name}, line 0: bad field 'vocab.type': missing vocabulary\n"
+
+    @pytest.mark.parametrize("stage, before, path, kind", [
+        ("preprocess", [("ingest",)], "cache/responses.jsonl", "directory"),
+        ("variants", [("ingest",)], "bundles/bundles.jsonl", "directory"),
+        ("ingest", [], "splits/.state.json", "directory"),
+        ("report", [("ingest",), ("variants", "--condition", "normal"),
+                    ("train", "--condition", "normal", "--no-finetune")],
+         "reports/report.md", "directory"),
+        ("ingest", [], "splits", "file"),
+    ], ids=["response-cache", "bundle-log", "state", "report", "splits-directory"])
+    def test_a_path_of_the_wrong_kind_is_a_user_error_naming_it(self, workspace, capsys,
+                                                                stage, before, path, kind):
+        for argv in before:
+            assert run(*argv, "--config", "cfg.json") == 0
+        target = workspace / "work" / path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if kind == "directory":
+            target.mkdir()
+        else:
+            target.write_bytes(b"")
+        capsys.readouterr()
+        assert run(stage, "--config", "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ") and os.path.join("work", path) in err, err
+        assert ".tmp." not in err
 
     def test_a_config_path_that_is_a_directory_is_a_config_error(self, workspace, capsys):
         (workspace / "conf.d").mkdir()

@@ -48,6 +48,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid):
             load_config(path)
 
+    def test_the_mock_lexicon_is_not_a_config_key(self, tmp_path):
+        # the mock reads its bundled lexicon; the key that pointed elsewhere is gone
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gateway": {"lexicon_path": "terms.txt"}}))
+        with pytest.raises(ConfigInvalid, match="gateway.lexicon_path"):
+            load_config(path)
+
     def test_removed_gateway_extra_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"gateway": {"extra": {}}}))

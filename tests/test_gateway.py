@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from medcascade import gateway
 from medcascade.errors import (AuthError, BackendUnavailable, MedcascadeError, ResponseEmpty,
                                UnknownBackend, UnknownSentinel)
 from medcascade.gateway import (Gateway, GatewayConfig, InFlight, LlamaServerBackend,
@@ -646,13 +647,13 @@ class TestBuildGateway:
             calls.append((gw.backend_calls, gw.cache_hits))
         assert calls == [(1, 0), (1, 0), (0, 1)]
 
-    def test_lexicons_sharing_a_cache_dir_each_call_the_backend(self, tmp_path):
+    def test_lexicons_sharing_a_cache_dir_each_call_the_backend(self, tmp_path, monkeypatch):
         one_term = tmp_path / "one_term.txt"
         one_term.write_text("fever\n", encoding="utf-8")
         answers = []
-        for lexicon in ("", str(one_term), str(one_term)):
-            gw = build_gateway(GatewayConfig(backend="mock", lexicon_path=lexicon,
-                                             cache_dir=str(tmp_path / "c")))
+        for lexicon in (gateway._LEXICON_PATH, str(one_term), str(one_term)):
+            monkeypatch.setattr(gateway, "_LEXICON_PATH", lexicon)
+            gw = build_gateway(GatewayConfig(backend="mock", cache_dir=str(tmp_path / "c")))
             answers.append((gw.complete(render("ner", "fever and headache")),
                             gw.backend_calls, gw.cache_hits))
         assert answers == [("fever, headache", 1, 0), ("fever", 1, 0), ("fever", 0, 1)]
