@@ -1,8 +1,9 @@
 """Fine-tune the toy encoder on the NER-augmented condition and evaluate.
 
 Takes ~20 seconds on a laptop CPU.  The same code drives the full-size
-Arabic encoders once their weights are exported (see medcascade.hf_export);
-only the encoder construction line changes.
+Arabic encoders from a downloaded Hugging Face snapshot
+(NumpyTransformerEncoder.from_pretrained_dir); only the encoder construction
+line changes.
 
 Run from the repository root:  python demos/04_train_and_evaluate.py
 """

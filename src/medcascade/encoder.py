@@ -1,9 +1,11 @@
 """Numpy transformer encoder with adapter injection and manual backprop.
 
 One architecture serves two roles: a tiny randomly initialized encoder for
-desk-scale training and tests ("toy"), and a BERT-compatible encoder that
-loads pretrained weights exported to ``weights.npz`` + ``vocab.txt`` (see
-``hf_export`` for the converter).  The layout per block is post-LayerNorm:
+desk-scale training and tests ("toy"), and a BERT-compatible encoder loaded
+from a Hugging Face BERT snapshot as it is downloaded (``config.json``,
+``model.safetensors`` and optionally ``vocab.txt`` and
+``tokenizer_config.json``), read with numpy alone.  The layout per block is
+post-LayerNorm:
 
     h1 = LN(x + SelfAttention(x))
     h2 = LN(h1 + FFN(h1))
@@ -36,10 +38,10 @@ Hot-path choices:
   threads, so they depend on the seed and shapes only.
 - Every base, random or pretrained, is one flat float64 array built by
   ``frozen_base``.  ``train`` fills it once per workdir into
-  ``<workdir>/encoders/<key>.npy`` (a random base is drawn into it, an
-  export's parameters are copied from ``weights.npz``), and every cell maps
-  that file read-only instead of drawing or loading again; a write into the
-  base raises, so the freeze contract holds by construction.
+  ``<workdir>/encoders/<key>.npy`` (a random base is drawn into it, a
+  snapshot's tensors are read from ``model.safetensors``), and every cell
+  maps that file read-only instead of drawing or loading again; a write into
+  the base raises, so the freeze contract holds by construction.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ import hashlib
 import json
 import os
 import re
-import zipfile
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -66,14 +68,60 @@ NEG_INF = -1e30
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _INIT_WORKERS = 4      # threads drawing the random base weights, at most one per CPU
+_KEPT_BASES = 3        # a store keeps this many most recently used bases: the paper's encoders
 
-# The published Arabic encoders this pipeline targets; usable once their
-# weights are exported locally (they need a weights_dir, not a network call).
+# The published Arabic encoders this pipeline targets; usable once a snapshot
+# of one is downloaded (they need a weights_dir, not a network call).
 PRETRAINED_BACKENDS = (
     "CAMeL-Lab/bert-base-arabic-camelbert-mix",
     "aubmindlab/bert-base-arabert",
     "asafaya/bert-base-arabic",
 )
+
+
+# Each EncoderConfig field a snapshot's config.json sets: Hugging Face's key,
+# and BertConfig's default for a missing key.
+_HF_CONFIG = {"vocab_size": ("vocab_size", 30522), "d_model": ("hidden_size", 768),
+              "n_layers": ("num_hidden_layers", 12), "n_heads": ("num_attention_heads", 12),
+              "d_ff": ("intermediate_size", 3072),
+              "max_len": ("max_position_embeddings", 512),
+              "layer_norm_eps": ("layer_norm_eps", 1e-12)}
+# The architecture the encoder computes, as BertConfig names it and defaults to.
+_HF_REQUIRED = {"hidden_act": "gelu", "position_embedding_type": "absolute"}
+# Hugging Face's BERT tensor names (after an optional ``bert.``) of our base
+# parameters; a block's are below ``encoder.layer.<i>.``.
+_HF_NAMES = {
+    "embeddings.word": "embeddings.word_embeddings.weight",
+    "embeddings.position": "embeddings.position_embeddings.weight",
+    "embeddings.token_type": "embeddings.token_type_embeddings.weight",
+    "embeddings.ln.gamma": "embeddings.LayerNorm.weight",
+    "embeddings.ln.beta": "embeddings.LayerNorm.bias",
+    "attn.query.W": "attention.self.query.weight",
+    "attn.query.b": "attention.self.query.bias",
+    "attn.key.W": "attention.self.key.weight",
+    "attn.key.b": "attention.self.key.bias",
+    "attn.value.W": "attention.self.value.weight",
+    "attn.value.b": "attention.self.value.bias",
+    "attn.output.W": "attention.output.dense.weight",
+    "attn.output.b": "attention.output.dense.bias",
+    "attn.ln.gamma": "attention.output.LayerNorm.weight",
+    "attn.ln.beta": "attention.output.LayerNorm.bias",
+    "ffn.inner.W": "intermediate.dense.weight",
+    "ffn.inner.b": "intermediate.dense.bias",
+    "ffn.outer.W": "output.dense.weight",
+    "ffn.outer.b": "output.dense.bias",
+    "ffn.ln.gamma": "output.LayerNorm.weight",
+    "ffn.ln.beta": "output.LayerNorm.bias",
+}
+_DTYPES = {"F32": "<f4", "F64": "<f8"}   # the safetensors dtypes a snapshot's weights may have
+
+
+def _hf_name(name: str) -> str:
+    """Hugging Face's name of the base parameter ``name``."""
+    if name.startswith("layer."):
+        _, i, rest = name.split(".", 2)
+        return f"encoder.layer.{i}.{_HF_NAMES[rest]}"
+    return _HF_NAMES[name]
 
 
 def _erf_term(x: np.ndarray) -> np.ndarray:
@@ -198,11 +246,11 @@ def base_key(c: EncoderConfig) -> str:
 
 
 def export_digests(directory) -> dict[str, str | None]:
-    """The ``file_digest`` of each file of the encoder export in ``directory``,
-    by name.  ``train`` takes them once per invocation, for the cell's state
-    and for the export's key in the base store."""
-    return {name: file_digest(os.path.join(directory, name))
-            for name in ("config.json", "weights.npz", "vocab.txt")}
+    """The ``file_digest`` of each file of the snapshot in ``directory`` that
+    the encoder reads, by name.  ``train`` takes them once per invocation, for
+    the cell's state and for the snapshot's key in the base store."""
+    return {name: file_digest(os.path.join(directory, name)) for name in
+            ("config.json", "model.safetensors", "vocab.txt", "tokenizer_config.json")}
 
 
 def frozen_base(c: EncoderConfig, store_dir: str | None, key: str | None,
@@ -216,8 +264,9 @@ def frozen_base(c: EncoderConfig, store_dir: str | None, key: str | None,
     that replaces it atomically.  The views map that temp file before the
     rename publishes it, so no other process's sweep can remove it from under
     them.  Every encoder built with the same key and store shares one file
-    and its pages.  A newly filled base removes every other ``.npy`` in the
-    store: one base per store, so stale keys do not pile up.
+    and its pages.  Each use sets the file's mtime; a newly filled base
+    removes all but the ``_KEPT_BASES`` most recently used, so stale keys do
+    not pile up and a grid alternating between encoders fills each once.
     """
     c.validate()
     size = sum(int(np.prod(shape)) for shape in _base_shapes(c).values())
@@ -242,10 +291,16 @@ def frozen_base(c: EncoderConfig, store_dir: str | None, key: str | None,
                                        shape=(size,)), c))
             return np.memmap(fh, dtype=np.float64, mode="r", offset=at, shape=(size,))
         flat = write_atomic(path, write)
-        for name in os.listdir(store_dir):
-            if name.endswith(".npy") and name != os.path.basename(path):
-                with contextlib.suppress(FileNotFoundError):   # removed meanwhile
-                    os.remove(os.path.join(store_dir, name))
+    # the clock's time, finer than the kernel's file times, keeps quick uses in
+    # order; a base swept meanwhile, or a read-only store, keeps its mtime
+    with contextlib.suppress(OSError):
+        os.utime(path, ns=(time.time_ns(),) * 2)
+    if not stored:
+        with contextlib.suppress(FileNotFoundError):   # removed meanwhile: swept next time
+            bases = [entry for entry in os.scandir(store_dir) if entry.name.endswith(".npy")]
+            bases.sort(key=lambda entry: entry.stat().st_mtime_ns, reverse=True)
+            for stale in bases[_KEPT_BASES:]:
+                os.remove(stale.path)
     return _base_views(flat.view(np.ndarray), c)   # plain arrays over the map
 
 
@@ -255,29 +310,23 @@ def random_base(c: EncoderConfig, store_dir: str | None = None) -> dict[str, np.
     return frozen_base(c, store_dir, base_key(c), lambda views: _fill_base(views, c))
 
 
-def _checked(params, name: str, shape: tuple[int, ...]):
-    """``params[name]``: a base parameter the config implies, which must be
-    there at ``shape``."""
-    if name not in params:
-        raise ShapeMismatch(f"parameter {name} is missing")
-    array = params[name]
-    if array.shape != shape:
-        raise ShapeMismatch(f"parameter {name} has shape {array.shape}, "
-                            f"the config implies {shape}")
-    return array
-
-
-def write_export(directory, config: dict, params: dict[str, np.ndarray],
-                 vocab: list[str] | None = None) -> None:
-    """Write the export :meth:`NumpyTransformerEncoder.from_pretrained_dir`
-    reads: ``weights.npz``, ``vocab.txt`` (one token per line, in id order)
-    if ``vocab`` is given, and ``config.json`` last.  Each file is replaced
-    atomically, so an export that fails part-way leaves the previous one's
-    files in place."""
-    write_atomic(os.path.join(directory, "weights.npz"), lambda fh: np.savez(fh, **params))
-    if vocab is not None:
-        write_atomic(os.path.join(directory, "vocab.txt"), "".join(f"{t}\n" for t in vocab))
-    write_json(os.path.join(directory, "config.json"), config)
+def _safetensors_index(fh, size: int) -> tuple[int, dict]:
+    """The byte buffer's offset in the safetensors file ``fh`` of ``size`` bytes,
+    and each tensor's header entry by its name without ``bert.``; ``ValueError``
+    for a header longer than the file, or offsets that overlap or run past it."""
+    length = int.from_bytes(fh.read(8), "little")
+    if length > size - 8:   # also a file shorter than the length itself
+        raise ValueError(f"a header of {length} bytes in a file of {size}")
+    header = json.loads(fh.read(length))
+    header.pop("__metadata__", None)
+    end = 0
+    for name, entry in sorted(header.items(), key=lambda item: item[1]["data_offsets"]):
+        begin, stop = entry["data_offsets"]
+        if not end <= begin <= stop <= size - 8 - length:
+            raise ValueError(f"tensor {name}'s bytes {begin}..{stop} overlap another's "
+                             "or run past the file")
+        end = stop
+    return 8 + length, {name.removeprefix("bert."): entry for name, entry in header.items()}
 
 
 @dataclass
@@ -317,7 +366,9 @@ class NumpyTransformerEncoder:
         self.adapters: dict[str, LoraAdapter] = {}   # keyed by target name
         self.params = params
         for name, shape in _base_shapes(config).items():   # extra arrays are ignored
-            _checked(params, name, shape)
+            if name not in params or params[name].shape != shape:
+                got = params[name].shape if name in params else "missing"
+                raise ShapeMismatch(f"parameter {name} is {got}, the config implies {shape}")
 
     # -- interface surface -------------------------------------------------
 
@@ -587,62 +638,105 @@ class NumpyTransformerEncoder:
     # -- persistence -------------------------------------------------------
 
     def save_base(self, directory) -> None:
-        write_export(directory, asdict(self.config), self.params)
+        """Write the base as the Hugging Face BERT snapshot
+        :meth:`from_pretrained_dir` reads: ``model.safetensors`` (F64 tensors
+        under Hugging Face's names), then ``config.json`` with Hugging Face's
+        keys.  Each file is replaced atomically, so a save that fails
+        part-way leaves the previous snapshot's files in place."""
+        params = {_hf_name(name): self.params[name] for name in _base_shapes(self.config)}
+        header, at = {}, 0
+        for name, array in params.items():
+            header[name] = {"dtype": "F64", "shape": list(array.shape),
+                            "data_offsets": [at, at + array.size * 8]}
+            at += array.size * 8
+        head = json.dumps(header).encode()
+        head += b" " * (-len(head) % 8)   # the buffer starts 8-byte aligned, as the spec asks
+
+        def write(fh):
+            fh.write(len(head).to_bytes(8, "little") + head)
+            for array in params.values():
+                fh.write(np.ascontiguousarray(array, dtype="<f8"))
+
+        write_atomic(os.path.join(directory, "model.safetensors"), write)
+        write_json(os.path.join(directory, "config.json"),
+                   {hf: getattr(self.config, ours) for ours, (hf, _) in _HF_CONFIG.items()})
 
     @classmethod
     def from_pretrained_dir(cls, directory, store_dir: str | None = None,
                             digests: dict | None = None) -> "NumpyTransformerEncoder":
-        """A BERT-style encoder exported by ``hf_export`` (or ``save_base``).
+        """The encoder of a Hugging Face BERT snapshot (or :meth:`save_base`'s).
 
-        Its base is a :func:`frozen_base` keyed by the export's ``config.json``
-        and ``weights.npz`` (their :func:`export_digests`, taken here unless
-        ``digests`` is given).  Filling it copies each parameter from
-        ``weights.npz`` into its view, one archive member at a time; a stored
-        base is mapped without loading the archive at all.  A damaged export
-        is a ``UserError`` naming ``directory``.
+        ``config.json`` has Hugging Face's keys, a missing one meaning its
+        default.  ``model.safetensors`` holds F32 or F64 tensors, named with or
+        without ``bert.``; others (the pooler, ``cls.*``) are ignored.  An
+        optional ``vocab.txt`` gives a WordPiece tokenizer, which lower-cases
+        unless ``tokenizer_config.json`` sets ``do_lower_case`` false.  The base
+        is a :func:`frozen_base` keyed by the :func:`export_digests` of
+        ``config.json`` and ``model.safetensors``; filling it parses the header
+        once and reads each tensor into its view.  A damaged snapshot is a
+        ``UserError`` naming ``directory``.
         """
         cfg_path = os.path.join(directory, "config.json")
-        weights_path = os.path.join(directory, "weights.npz")
+        weights_path = os.path.join(directory, "model.safetensors")
         vocab_path = os.path.join(directory, "vocab.txt")
+        tok_path = os.path.join(directory, "tokenizer_config.json")
         for path in (cfg_path, weights_path):
             if not os.path.exists(path):
                 raise EncoderUnavailable(
-                    f"{path} not found; export the encoder weights first "
-                    "(see medcascade.hf_export.export_encoder)")
+                    f"{path} not found; model.weights_dir must name a Hugging Face BERT "
+                    "snapshot: config.json, model.safetensors, and optionally vocab.txt "
+                    "and tokenizer_config.json")
 
         def copy(views):
             try:
-                # np.load(path) would leak its handle on a damaged archive
-                with open(weights_path, "rb") as fh, np.load(fh) as data:
+                with open(weights_path, "rb") as fh:
+                    start, index = _safetensors_index(fh, os.fstat(fh.fileno()).st_size)
                     for name, view in views.items():
-                        view[...] = _checked(data, name, view.shape)
-            except (OSError, EOFError, zipfile.BadZipFile, *CorruptArtifact.DECODE_ERRORS) as e:
+                        hf = _hf_name(name)
+                        entry = index.get(hf)
+                        if entry is None or tuple(entry["shape"]) != view.shape:
+                            got = "missing" if entry is None else entry["shape"]
+                            raise ShapeMismatch(f"tensor {hf} ({name}) is {got}, the config "
+                                                f"implies {list(view.shape)}")
+                        dtype = _DTYPES.get(entry["dtype"])
+                        begin, stop = entry["data_offsets"]
+                        if dtype is None or stop - begin != view.size * np.dtype(dtype).itemsize:
+                            raise ValueError(f"tensor {hf} is {entry['dtype']} in "
+                                             f"{stop - begin} bytes, not F32 or F64 of its shape")
+                        fh.seek(start + begin)
+                        view[...] = np.fromfile(fh, dtype, count=view.size).reshape(view.shape)
+            except (OSError, *CorruptArtifact.DECODE_ERRORS) as e:
                 raise EncoderUnavailable(
                     f"unreadable encoder export in {directory}: {e!r}") from e
 
         try:
             with open(cfg_path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            # keys that are no EncoderConfig field, such as an older export's
-            # "pooling", are ignored
-            fields = {k: v for k, v in raw.items() if k in EncoderConfig.__dataclass_fields__}
+            fields = {ours: raw.get(hf, default) for ours, (hf, default) in _HF_CONFIG.items()}
             check_types(EncoderConfig, fields)
+            do_lower_case = True   # BertTokenizer's default
+            if os.path.exists(tok_path):
+                with open(tok_path, encoding="utf-8") as fh:
+                    do_lower_case = bool(json.load(fh).get("do_lower_case", True))
         except (OSError, *CorruptArtifact.DECODE_ERRORS) as e:
             raise EncoderUnavailable(f"unreadable encoder export in {directory}: {e!r}") from e
+        for key, value in _HF_REQUIRED.items():
+            if raw.get(key, value) != value:
+                raise EncoderUnavailable(f"{cfg_path}: {key} {raw[key]!r} is not supported; "
+                                         f"the encoder computes {value!r}")
         config = EncoderConfig(**fields)
-        key = None
-        if store_dir is not None:
-            digests = digests or export_digests(directory)
-            key = _key(["export", digests["config.json"], digests["weights.npz"]])
         try:
+            config.validate()   # the tokenizer needs a valid vocab_size
+            # read before the base is filled, so that a damaged vocabulary fills none
+            tokenizer = HashWordTokenizer(config.vocab_size) if not os.path.exists(vocab_path) \
+                else WordPieceTokenizer.from_vocab_file(vocab_path, do_lower_case=do_lower_case)
+            key = None
+            if store_dir is not None:
+                digests = digests or export_digests(directory)
+                key = _key(["export", digests["config.json"], digests["model.safetensors"]])
             params = frozen_base(config, store_dir, key, copy)
         except ShapeMismatch as e:
             raise ShapeMismatch(f"encoder export in {directory}: {e}") from e
-        if os.path.exists(vocab_path):
-            tokenizer = WordPieceTokenizer.from_vocab_file(
-                vocab_path, do_lower_case=bool(raw.get("do_lower_case", False)))
-        else:
-            tokenizer = HashWordTokenizer(config.vocab_size)
         return cls(config, tokenizer, params=params)
 
 
@@ -672,6 +766,6 @@ def resolve_encoder(backend_id: str, weights_dir: str | None = None, seed: int =
         return build_toy_encoder(seed=seed, store_dir=store_dir, **toy_overrides)
     if backend_id in PRETRAINED_BACKENDS:
         raise EncoderUnavailable(
-            f"backend {backend_id!r} needs model.weights_dir pointing at exported "
-            "weights (medcascade.hf_export.export_encoder writes them)")
+            f"backend {backend_id!r} needs model.weights_dir naming a downloaded Hugging "
+            "Face snapshot of it (config.json, model.safetensors, vocab.txt)")
     raise EncoderUnavailable(f"unknown encoder backend {backend_id!r}")

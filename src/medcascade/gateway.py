@@ -153,7 +153,7 @@ class InFlight(Exception):
 
 # -- mock backend ------------------------------------------------------------
 
-_SENTENCE_SPLIT = re.compile(r"(?<=[.!?؟])\s+")
+SENTENCE_SPLIT = re.compile(r"(?<=[.!?؟])\s+")   # preprocess cuts summaries with it too
 _TOKEN_EDGE_PUNCT = ".,;:!?،؛()[]{}\"'«»"
 
 AGE_KEYWORDS = ("سنة", "سنه", "عام", "عاما", "عامًا", "سنين", "years", "year", "yrs", "yr")
@@ -216,7 +216,7 @@ class MockBackend:
 
     @staticmethod
     def _summarize(payload: str) -> str:
-        sentences = _SENTENCE_SPLIT.split(payload.strip())
+        sentences = SENTENCE_SPLIT.split(payload.strip())
         return " ".join(sentences[:2])
 
     def _ner(self, payload: str) -> str:

@@ -38,7 +38,7 @@ from .corpus import ComplaintRecord, scrub_pii
 from .atomic import json_line, read_jsonl, text_digest, write_jsonl
 from .errors import (CorruptArtifact, EmptySourceText, MedcascadeError, ParseFailure,
                      RefusalDetected, ResponseEmpty)
-from .gateway import Gateway, InFlight, RetryLater
+from .gateway import SENTENCE_SPLIT, Gateway, InFlight, RetryLater
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +46,6 @@ STAGES = ("refine", "summarize", "ner")
 _IN_FLIGHT = 4   # open exchanges at most; rate_per_sec and burst pace the server
 
 _PROMPTS_ROOT = Path(__file__).parent / "prompts"
-_SENTENCE_SPLIT = re.compile(r"(?<=[.!?؟])\s+")
 _ITEM_SPLIT = re.compile(r"[,،;؛]")
 
 NONE_MARKERS = {"none", "n/a", "-", "لا يوجد", "لا شيء", "لا توجد"}
@@ -155,7 +154,7 @@ def _truncate_to_len(text: str, limit: int) -> str:
     """Cut at a sentence boundary if one fits, otherwise hard-cut."""
     kept: list[str] = []
     total = 0
-    for sentence in _SENTENCE_SPLIT.split(text):
+    for sentence in SENTENCE_SPLIT.split(text):
         extra = len(sentence) + (1 if kept else 0)
         if total + extra > limit:
             break

@@ -89,8 +89,8 @@ class WordPieceTokenizer:
             with open(path, encoding="utf-8") as fh:
                 for i, line in enumerate(fh):
                     vocab[line.rstrip("\n")] = i
-        except UnicodeDecodeError as e:
-            raise VocabInvalid(f"{path} is not UTF-8 text: {e}") from e
+        except (OSError, UnicodeDecodeError) as e:   # a directory, unreadable, not UTF-8
+            raise VocabInvalid(f"{path} is not a readable UTF-8 text file: {e}") from e
         return cls(vocab, source=str(path), **kwargs)
 
     @staticmethod

@@ -18,9 +18,10 @@ from .atomic import read_json, text_digest, write_json, write_jsonl
 from .corpus import ComplaintRecord, LabelSet, corpus_hash, scrub_pii
 from .errors import CorruptArtifact, MissingBundle
 from .preprocess import BundleStore
+from .tokenizers import AUX_TOKEN
 
 CONDITIONS = ("normal", "refined", "summarized", "ner")
-AUX_SEP = " [AUX] "
+AUX_SEP = f" {AUX_TOKEN} "
 ENTITY_JOIN = "، "
 
 

@@ -1,4 +1,6 @@
 import json
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,28 @@ def make_record(rid="r1", text="عندي صداع شديد من 3 ايام.", ct
                 severity="severe", age=40, gender="female"):
     return ComplaintRecord(id=rid, text=text, age=age, gender=gender,
                            labels=LabelSet(condition_type=ctype, severity=severity))
+
+
+def safetensors_bytes(header: dict, buffer: bytes, pad: int = 0) -> bytes:
+    """A safetensors file as the format's spec lays it out: the header's length
+    (8 bytes, little-endian), the JSON header followed by ``pad`` spaces, then
+    the byte buffer."""
+    head = json.dumps(header).encode() + b" " * pad
+    return struct.pack("<Q", len(head)) + head + buffer
+
+
+def read_safetensors(path) -> tuple[dict, bytes]:
+    """The JSON header and the byte buffer of the safetensors file ``path``."""
+    data = Path(path).read_bytes()
+    (length,) = struct.unpack("<Q", data[:8])
+    return json.loads(data[8:8 + length]), data[8 + length:]
+
+
+def edit_safetensors_header(path, edit) -> None:
+    """Rewrite ``path`` with ``edit(header)`` applied to its header, keeping its buffer."""
+    header, buffer = read_safetensors(path)
+    edit(header)
+    Path(path).write_bytes(safetensors_bytes(header, buffer))
 
 
 @pytest.fixture

@@ -14,6 +14,8 @@ from medcascade.cli import _stale, main
 from medcascade.synthetic import write_synthetic_corpus
 from medcascade.variants import CONDITIONS, load_variant
 
+from conftest import edit_safetensors_header
+
 
 def _write_workspace():
     """A 60-record corpus and a toy-encoder config in the working directory."""
@@ -732,23 +734,24 @@ class TestEncoderWeights:
         from medcascade.encoder import build_toy_encoder
         build_toy_encoder(seed=5).save_base("weights")
         config = self._exported_config(workspace)
-        weights = os.path.join("weights", "weights.npz")
-        opens, loads = [], []
-        real_open, real_load = builtins.open, np.load
+        weights = os.path.join("weights", "model.safetensors")
+        opens, reads = [], []
+        real_open, real_fromfile = builtins.open, np.fromfile
         monkeypatch.setattr(builtins, "open", lambda f, *a, **k: (
             opens.append(1) if os.fspath(f) == weights else None) or real_open(f, *a, **k))
-        monkeypatch.setattr(np, "load", lambda f, *a, **k: (   # f is an open handle
-            loads.append(1) if getattr(f, "name", None) == weights else None)
-            or real_load(f, *a, **k))
+        monkeypatch.setattr(np, "fromfile", lambda f, *a, **k: (   # f is an open handle
+            reads.append(1) if getattr(f, "name", None) == weights else None)
+            or real_fromfile(f, *a, **k))
         counts = []
         for arm in ((), ("--no-finetune",)):
             opens.clear()
-            loads.clear()
+            reads.clear()
             assert run("train", "--config", config, "--condition", "normal", *arm) == 0
-            counts.append((len(opens), len(loads)))
-        # the first cell hashes the export and copies it into the store; the
-        # second only hashes it, and maps the stored base
-        assert counts == [(2, 1), (1, 0)]
+            counts.append((len(opens), len(reads)))
+        # the first cell hashes the export and copies it into the store, one
+        # read per tensor (5 embedding tensors and 16 per layer); the second
+        # only hashes it, and maps the stored base
+        assert counts == [(2, 5 + 16 * 2), (1, 0)]
         assert [p.suffix for p in (workspace / "work" / "encoders").iterdir()] == [".npy"]
 
     def test_an_export_with_a_damaged_vocabulary_is_a_user_error(self, workspace, capsys):
@@ -763,15 +766,23 @@ class TestEncoderWeights:
         assert err.startswith("VocabInvalid: ")
         assert "[PAD]" in err and "export_dir" in err
 
-    def test_an_export_that_misses_a_parameter_is_a_user_error(self, workspace, capsys):
-        import numpy as np
+    def test_an_export_whose_vocabulary_is_a_directory_is_a_user_error(self, workspace,
+                                                                        capsys):
         from medcascade.encoder import build_toy_encoder
         build_toy_encoder(seed=5).save_base("export_dir")
-        weights = workspace / "export_dir" / "weights.npz"
-        with np.load(weights) as data:
-            arrays = {name: data[name] for name in data.files
-                      if name != "layer.1.ffn.inner.W"}
-        np.savez(weights, **arrays)
+        (workspace / "export_dir" / "vocab.txt").mkdir()
+        config = self._exported_config(workspace, "export_dir")
+        capsys.readouterr()
+        assert run("train", "--config", config, "--condition", "normal", "--no-finetune") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("VocabInvalid: ")
+        assert os.path.join("export_dir", "vocab.txt") in err
+
+    def test_an_export_that_misses_a_parameter_is_a_user_error(self, workspace, capsys):
+        from medcascade.encoder import build_toy_encoder
+        build_toy_encoder(seed=5).save_base("export_dir")
+        edit_safetensors_header(workspace / "export_dir" / "model.safetensors", lambda header:
+                                header.pop("encoder.layer.1.intermediate.dense.weight"))
         config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
         config["model"] = {"weights_dir": "export_dir"}
         (workspace / "exported.json").write_text(json.dumps(config), encoding="utf-8")

@@ -2,9 +2,8 @@ import ast
 import json
 import os
 import re
-import sys
+import struct
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +14,8 @@ from medcascade.encoder import (NEG_INF, EncoderConfig, NumpyTransformerEncoder,
 from medcascade.errors import EncoderUnavailable, ShapeMismatch, UserError, VocabInvalid
 from medcascade.lora import adapted_forward, adapter_backward, adapter_delta
 from medcascade.tokenizers import HashWordTokenizer, WordPieceTokenizer
+
+from conftest import edit_safetensors_header, read_safetensors, safetensors_bytes
 
 
 def tiny_encoder(seed=3, **overrides):
@@ -595,16 +596,27 @@ class TestBaseStore:
         assert len(draws) == 1 and len(os.listdir(tmp_path)) == 1
         assert np.array_equal(self._outputs(first), self._outputs(second))
 
-    def test_a_new_base_removes_the_stale_ones(self, tmp_path, monkeypatch):
-        encoder_module.random_base(self._config(), str(tmp_path))
+    def test_alternating_bases_are_each_filled_once(self, tmp_path, monkeypatch):
+        draws = []
+        real = encoder_module._draw_normal
+        monkeypatch.setattr(encoder_module, "_draw_normal",
+                            lambda *a: draws.append(1) or real(*a))
+        for seed in (11, 12, 11, 12):
+            encoder_module.random_base(self._config(seed=seed), str(tmp_path))
+        assert len(draws) == 2 and len(os.listdir(tmp_path)) == 2
+
+    def test_a_new_base_removes_the_stale_ones(self, tmp_path):
+        """A store keeps the three most recently used bases: a fourth key
+        removes the one used least recently, whatever order they were filled in."""
         (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
-        monkeypatch.setattr(np, "__version__", "0.0.0")
-        params = encoder_module.random_base(self._config(), str(tmp_path))
-        key = encoder_module.base_key(self._config())
-        monkeypatch.undo()
-        assert sorted(os.listdir(tmp_path)) == [f"{key}.npy", "notes.txt"]
+        for seed in (11, 12, 13, 11):   # 11 is filled first but used after 12
+            encoder_module.random_base(self._config(seed=seed), str(tmp_path))
+        params = encoder_module.random_base(self._config(seed=14), str(tmp_path))
+        kept = sorted(f"{encoder_module.base_key(self._config(seed=seed))}.npy"
+                      for seed in (11, 13, 14))
+        assert sorted(os.listdir(tmp_path)) == sorted(kept + ["notes.txt"])
         assert np.array_equal(self._outputs(params), self._outputs(
-            encoder_module.random_base(self._config())))
+            encoder_module.random_base(self._config(seed=14))))
 
     @pytest.mark.parametrize("damage", ["delete", "empty", "truncate", "header", "float32",
                                         "longer", "trailing"])
@@ -669,6 +681,110 @@ class TestBaseStore:
                 enc.params[name] += 1.0
 
 
+# transformers' BertModel name of each toy-encoder parameter, written out here so
+# that the reader's own name map is checked against it
+HF_EMBEDDINGS = {"embeddings.word": "embeddings.word_embeddings.weight",
+                 "embeddings.position": "embeddings.position_embeddings.weight",
+                 "embeddings.token_type": "embeddings.token_type_embeddings.weight",
+                 "embeddings.ln.gamma": "embeddings.LayerNorm.weight",
+                 "embeddings.ln.beta": "embeddings.LayerNorm.bias"}
+HF_MODULES = {"attn.query": "attention.self.query", "attn.key": "attention.self.key",
+              "attn.value": "attention.self.value", "attn.output": "attention.output.dense",
+              "attn.ln": "attention.output.LayerNorm", "ffn.inner": "intermediate.dense",
+              "ffn.outer": "output.dense", "ffn.ln": "output.LayerNorm"}
+HF_LEAVES = {"W": "weight", "b": "bias", "gamma": "weight", "beta": "bias"}
+
+
+def hf_name(name: str) -> str:
+    if name in HF_EMBEDDINGS:
+        return HF_EMBEDDINGS[name]
+    _, i, rest = name.split(".", 2)
+    module, leaf = rest.rsplit(".", 1)
+    return f"encoder.layer.{i}.{HF_MODULES[module]}.{HF_LEAVES[leaf]}"
+
+
+def hand_written_snapshot(directory, enc, vocab=None, tokenizer_config=None):
+    """A snapshot laid out as a Hugging Face BertForMaskedLM checkpoint would
+    be: F32 tensors under ``bert.`` names, with a pooler, an int64
+    ``position_ids`` and an MLM head the encoder does not use, ``__metadata__``,
+    a space-padded header, and Hugging Face's config keys."""
+    c = enc.config
+    tensors = {"cls.predictions.bias": np.zeros(c.vocab_size, "<f4"),
+               "bert.embeddings.position_ids": np.arange(c.max_len, dtype="<i8")[None],
+               **{f"bert.{hf_name(n)}": a.astype("<f4") for n, a in enc.params.items()},
+               "bert.pooler.dense.weight": np.ones((c.d_model, c.d_model), "<f4")}
+    header, buffer = {"__metadata__": {"format": "pt"}}, b""
+    for name, array in tensors.items():
+        header[name] = {"dtype": {"<f4": "F32", "<i8": "I64"}[array.dtype.str],
+                        "shape": list(array.shape),
+                        "data_offsets": [len(buffer), len(buffer) + array.nbytes]}
+        buffer += array.tobytes()
+    directory.mkdir()
+    (directory / "model.safetensors").write_bytes(safetensors_bytes(header, buffer, pad=5))
+    config = {"architectures": ["BertForMaskedLM"], "model_type": "bert", "hidden_act": "gelu",
+              "hidden_size": c.d_model, "num_hidden_layers": c.n_layers,
+              "num_attention_heads": c.n_heads, "intermediate_size": c.d_ff,
+              "max_position_embeddings": c.max_len, "vocab_size": c.vocab_size,
+              "type_vocab_size": 2, "position_embedding_type": "absolute"}
+    (directory / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    if vocab is not None:
+        (directory / "vocab.txt").write_text("".join(f"{t}\n" for t in vocab), encoding="utf-8")
+    if tokenizer_config is not None:
+        (directory / "tokenizer_config.json").write_text(json.dumps(tokenizer_config),
+                                                        encoding="utf-8")
+    return directory
+
+
+def snapshot_config(c: EncoderConfig) -> EncoderConfig:
+    """``c`` as a snapshot's config.json gives it back: its shapes and
+    ``layer_norm_eps``, with the defaults of fields that only draw a random base."""
+    return EncoderConfig(**{k: getattr(c, k) for k in (
+        "vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len", "layer_norm_eps")})
+
+
+SNAPSHOT_VOCAB = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[unused0]"] + [f"w{i}" for i in range(59)]
+
+
+class TestSnapshotReader:
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_a_hand_written_snapshot_loads_the_float32_parameters(self, tmp_path, stored):
+        enc = tiny_encoder()
+        snapshot = hand_written_snapshot(tmp_path / "snap", enc)
+        store = str(tmp_path / "store") if stored else None
+        loaded = NumpyTransformerEncoder.from_pretrained_dir(snapshot, store_dir=store)
+        assert sorted(loaded.params) == sorted(enc.params)
+        for name, array in enc.params.items():
+            expected = array.astype(np.float32).astype(np.float64)
+            assert loaded.params[name].tobytes() == expected.tobytes(), name
+        assert loaded.config == snapshot_config(enc.config)
+        assert isinstance(loaded.tokenizer, HashWordTokenizer)
+
+    def test_a_missing_config_key_means_bert_s_default(self, tmp_path):
+        snapshot = hand_written_snapshot(tmp_path / "snap", tiny_encoder(max_len=512))
+        config = json.loads((snapshot / "config.json").read_text(encoding="utf-8"))
+        del config["max_position_embeddings"], config["hidden_act"]
+        (snapshot / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert NumpyTransformerEncoder.from_pretrained_dir(snapshot).config.max_len == 512
+
+    @pytest.mark.parametrize("tokenizer_config, lower", [
+        (None, True), ({}, True), ({"do_lower_case": False}, False),
+        ({"do_lower_case": True}, True)])
+    def test_do_lower_case_comes_from_the_tokenizer_config(self, tmp_path, tokenizer_config,
+                                                          lower):
+        snapshot = hand_written_snapshot(tmp_path / "snap", tiny_encoder(), SNAPSHOT_VOCAB,
+                                         tokenizer_config)
+        tokenizer = NumpyTransformerEncoder.from_pretrained_dir(snapshot).tokenizer
+        assert isinstance(tokenizer, WordPieceTokenizer)
+        assert tokenizer.do_lower_case is lower
+        assert tokenizer.vocab == {t: i for i, t in enumerate(SNAPSHOT_VOCAB)}
+
+
+def damage_tensor(export, edit, name="encoder.layer.1.intermediate.dense.weight"):
+    """Apply ``edit`` to the header entry of tensor ``name`` of ``export``'s
+    ``model.safetensors``."""
+    edit_safetensors_header(export / "model.safetensors", lambda header: edit(header, name))
+
+
 class TestPersistence:
     def test_save_and_reload_base(self, tmp_path):
         enc = tiny_encoder()
@@ -680,15 +796,19 @@ class TestPersistence:
         assert enc.base_state_bytes() == reloaded.base_state_bytes()
 
     def test_an_older_export_naming_a_pooling_still_loads(self, tmp_path):
+        """Config keys the encoder does not read, such as an older export's
+        ``pooling`` or Hugging Face's ``architectures``, are ignored."""
         enc = tiny_encoder()
         enc.save_base(tmp_path / "enc")
         path = tmp_path / "enc" / "config.json"
         config = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**config, "pooling": "mean"}), encoding="utf-8")
+        path.write_text(json.dumps({**config, "pooling": "mean", "model_type": "bert",
+                                    "architectures": ["BertModel"]}), encoding="utf-8")
         reloaded = NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "enc")
-        assert reloaded.config == enc.config
+        assert reloaded.config == snapshot_config(enc.config)
+        assert reloaded.base_state_bytes() == enc.base_state_bytes()
 
-    @pytest.mark.parametrize("damaged", ["weights.npz", "config.json"])
+    @pytest.mark.parametrize("damaged", ["model.safetensors", "config.json"])
     def test_truncated_export_is_a_user_error(self, tmp_path, damaged):
         tiny_encoder().save_base(tmp_path / "enc")
         path = tmp_path / "enc" / damaged
@@ -698,30 +818,59 @@ class TestPersistence:
 
     def test_an_export_without_weights_is_unavailable_naming_the_file(self, tmp_path):
         tiny_encoder().save_base(tmp_path / "enc")
-        (tmp_path / "enc" / "weights.npz").unlink()
+        (tmp_path / "enc" / "model.safetensors").unlink()
         with pytest.raises(EncoderUnavailable,
-                           match=re.escape(str(tmp_path / "enc" / "weights.npz"))):
+                           match=re.escape(str(tmp_path / "enc" / "model.safetensors"))):
             NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "enc")
 
-    @pytest.mark.parametrize("damage", ["config-type", "config-heads", "vocab-no-pad",
-                                        "vocab-not-utf8"])
+    @pytest.mark.parametrize("damage", [
+        "config-type", "config-heads", "hidden-act-relu", "position-relative-key",
+        "vocab-no-pad", "vocab-not-utf8", "vocab-directory", "tokenizer-config-not-json",
+        "weights-npz-only", "F16", "BF16", "overlap", "past-end", "long-header"])
     def test_a_damaged_export_is_a_user_error_naming_it(self, tmp_path, damage):
         export = tmp_path / "enc"
         tiny_encoder().save_base(export)
+        weights = export / "model.safetensors"
         config = json.loads((export / "config.json").read_text(encoding="utf-8"))
         vocab = ["[PAD]", "[UNK]", "[CLS]", "[SEP]"] + [f"w{i}" for i in range(60)]
         if damage == "config-type":
-            config["d_model"] = "16"
+            config["hidden_size"] = "16"
         elif damage == "config-heads":
-            config["n_heads"] = 0
+            config["num_attention_heads"] = 0
+        elif damage == "hidden-act-relu":
+            config["hidden_act"] = "relu"
+        elif damage == "position-relative-key":
+            config["position_embedding_type"] = "relative_key"
         elif damage == "vocab-no-pad":
             vocab.remove("[PAD]")
+        elif damage == "weights-npz-only":
+            np.savez(export / "weights.npz", **tiny_encoder().params)
+            weights.unlink()
+        elif damage in ("F16", "BF16"):
+            damage_tensor(export, lambda header, name: header[name].update(dtype=damage))
+        elif damage == "overlap":   # on a tensor of the same size
+            damage_tensor(export, lambda header, name: header[name].update(
+                data_offsets=header["encoder.layer.0.intermediate.dense.weight"]["data_offsets"]))
+        elif damage == "past-end":
+            size = weights.stat().st_size
+            damage_tensor(export, lambda header, name: header[name].update(
+                data_offsets=[size, size + 24 * 16 * 8]))
+        elif damage == "long-header":
+            weights.write_bytes(struct.pack("<Q", weights.stat().st_size)
+                                + weights.read_bytes()[8:])
         (export / "config.json").write_text(json.dumps(config), encoding="utf-8")
         (export / "vocab.txt").write_text("\n".join(vocab) + "\n", encoding="utf-8")
         if damage == "vocab-not-utf8":
             (export / "vocab.txt").write_bytes(b"[PAD]\n\xff\xfe\n")
+        elif damage == "vocab-directory":
+            (export / "vocab.txt").unlink()
+            (export / "vocab.txt").mkdir()
+        elif damage == "tokenizer-config-not-json":
+            (export / "tokenizer_config.json").write_text("{do_lower_case", encoding="utf-8")
+        store = tmp_path / "s"
         with pytest.raises(UserError, match=re.escape(str(export))):
-            NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(tmp_path / "s"))
+            NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
+        assert not store.exists() or os.listdir(store) == []
 
     def test_resolve_toy(self):
         enc = resolve_encoder("toy", seed=1, d_model=16, n_layers=1, n_heads=2,
@@ -729,7 +878,7 @@ class TestPersistence:
         assert enc.d_model == 16
 
     def test_resolve_pretrained_without_weights_dir(self):
-        with pytest.raises(EncoderUnavailable):
+        with pytest.raises(EncoderUnavailable, match="model.safetensors"):
             resolve_encoder("CAMeL-Lab/bert-base-arabic-camelbert-mix")
 
     def test_resolve_unknown(self):
@@ -738,74 +887,48 @@ class TestPersistence:
 
 
 class TestExportWriter:
-    """``hf_export.export_encoder`` run on stand-ins for torch and transformers
-    that serve a toy encoder's parameters under their Hugging Face names."""
+    """``save_base`` writes a Hugging Face BERT snapshot: F64 safetensors under
+    Hugging Face's names and a config.json with Hugging Face's keys."""
 
-    VOCAB = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[unused0]"] + [f"w{i}" for i in range(59)]
-
-    @staticmethod
-    def fake_hf(monkeypatch, enc):
-        from medcascade import hf_export
-        static = {ours: theirs for theirs, ours in hf_export._STATIC_RENAMES.items()}
-        layer = {ours: theirs for theirs, ours in hf_export._LAYER_RENAMES.items()}
-
-        def hf_name(name):
-            if name in static:
-                return static[name]
-            _, i, rest = name.split(".", 2)
-            return f"encoder.layer.{i}.{layer[rest]}"
-
-        def tensor(array):
-            return SimpleNamespace(detach=lambda: SimpleNamespace(
-                cpu=lambda: SimpleNamespace(numpy=lambda: array)))
-
-        c = enc.config
-        model = SimpleNamespace(
-            state_dict=lambda: {hf_name(n): tensor(a) for n, a in enc.params.items()},
-            config=SimpleNamespace(vocab_size=c.vocab_size, hidden_size=c.d_model,
-                                   num_hidden_layers=c.n_layers, num_attention_heads=c.n_heads,
-                                   intermediate_size=c.d_ff, max_position_embeddings=c.max_len,
-                                   layer_norm_eps=c.layer_norm_eps))
-        vocab = TestExportWriter.VOCAB
-        tokenizer = SimpleNamespace(get_vocab=lambda: {t: i for i, t in enumerate(vocab)},
-                                    do_lower_case=False)
-        monkeypatch.setitem(sys.modules, "torch", SimpleNamespace())
-        monkeypatch.setitem(sys.modules, "transformers", SimpleNamespace(
-            AutoModel=SimpleNamespace(from_pretrained=lambda _: model),
-            AutoTokenizer=SimpleNamespace(from_pretrained=lambda _: tokenizer)))
-        return hf_export.export_encoder
-
-    def test_without_the_hf_extra_the_export_is_refused(self, tmp_path, monkeypatch):
-        from medcascade import hf_export
-        monkeypatch.setitem(sys.modules, "torch", None)   # `import torch` raises ImportError
-        with pytest.raises(EncoderUnavailable, match="needs the 'hf' extra"):
-            hf_export.export_encoder("some/bert", str(tmp_path / "enc"))
-        assert not (tmp_path / "enc").exists()
-
-    def test_an_export_round_trips_through_from_pretrained_dir(self, tmp_path, monkeypatch):
+    def test_an_export_round_trips_through_from_pretrained_dir(self, tmp_path):
         enc = tiny_encoder()
-        export = self.fake_hf(monkeypatch, enc)("some/bert", str(tmp_path / "enc"))
-        loaded = NumpyTransformerEncoder.from_pretrained_dir(export)
+        enc.save_base(tmp_path / "enc")
+        header, buffer = read_safetensors(tmp_path / "enc" / "model.safetensors")
+        assert sorted(header) == sorted(hf_name(name) for name in enc.params)
+        head_length = (tmp_path / "enc" / "model.safetensors").read_bytes()[:8]
+        assert int.from_bytes(head_length, "little") % 8 == 0   # an aligned buffer
+        for name, array in enc.params.items():
+            entry = header[hf_name(name)]
+            begin, stop = entry["data_offsets"]
+            assert entry["dtype"] == "F64" and entry["shape"] == list(array.shape)
+            assert buffer[begin:stop] == array.astype("<f8").tobytes(), name
+        loaded = NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "enc")
         assert loaded.base_state_bytes() == enc.base_state_bytes()
-        assert loaded.tokenizer.vocab == {t: i for i, t in enumerate(self.VOCAB)}
         config = (tmp_path / "enc" / "config.json").read_text(encoding="utf-8")
-        assert config.endswith("}\n") and json.loads(config)["source_model"] == "some/bert"
+        assert config.endswith("}\n") and json.loads(config) == {
+            "hidden_size": 16, "num_hidden_layers": 2, "num_attention_heads": 2,
+            "intermediate_size": 24, "max_position_embeddings": 12, "vocab_size": 64,
+            "layer_norm_eps": 1e-12}
 
     def test_a_failed_export_leaves_the_previous_one_readable(self, tmp_path, monkeypatch):
-        first = tiny_encoder(seed=3)
-        export = self.fake_hf(monkeypatch, first)("some/bert", str(tmp_path / "enc"))
+        first, second = tiny_encoder(seed=3), tiny_encoder(seed=4)
+        first.save_base(tmp_path / "enc")
+        written = []
+        real = np.ascontiguousarray
 
-        def torn_savez(file, **arrays):
-            file.write(b"PK\x03\x04")
-            raise OSError("disk full")
+        def torn(array, *args, **kwargs):   # the disk fills up at the third tensor
+            written.append(1)
+            if len(written) == 3:
+                raise OSError("disk full")
+            return real(array, *args, **kwargs)
 
-        monkeypatch.setattr(np, "savez", torn_savez)
+        monkeypatch.setattr(np, "ascontiguousarray", torn)
         with pytest.raises(OSError):
-            self.fake_hf(monkeypatch, tiny_encoder(seed=4))("some/bert", export)
+            second.save_base(tmp_path / "enc")
         monkeypatch.undo()
-        loaded = NumpyTransformerEncoder.from_pretrained_dir(export)
+        loaded = NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "enc")
         assert loaded.base_state_bytes() == first.base_state_bytes()
-        assert sorted(os.listdir(export)) == ["config.json", "vocab.txt", "weights.npz"]
+        assert sorted(os.listdir(tmp_path / "enc")) == ["config.json", "model.safetensors"]
 
 
 class TestExportStore:
@@ -818,25 +941,25 @@ class TestExportStore:
         return tmp_path / "export"
 
     @pytest.fixture
-    def loads(self, monkeypatch):
-        """The paths of the files ``np.load`` is called on."""
+    def reads(self, monkeypatch):
+        """The files ``np.fromfile`` reads a tensor from, one entry per tensor."""
         calls = []
-        real = np.load
-        monkeypatch.setattr(np, "load", lambda f, *a, **k: calls.append(
+        real = np.fromfile
+        monkeypatch.setattr(np, "fromfile", lambda f, *a, **k: calls.append(
             str(getattr(f, "name", f))) or real(f, *a, **k))
         return calls
 
-    def test_a_stored_export_has_its_bits_and_is_loaded_once(self, tmp_path, export, loads):
+    def test_a_stored_export_has_its_bits_and_is_loaded_once(self, tmp_path, export, reads):
         store = tmp_path / "store"
         first = NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
         second = NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
-        assert loads == [str(export / "weights.npz")]
+        assert reads == [str(export / "model.safetensors")] * len(first.params)
         assert len(os.listdir(store)) == 1
         in_memory = NumpyTransformerEncoder.from_pretrained_dir(export)
-        with np.load(export / "weights.npz") as data:
-            for name, arr in second.params.items():
-                assert arr.tobytes() == data[name].tobytes() == first.params[name].tobytes()
-                assert in_memory.params[name].tobytes() == arr.tobytes(), name
+        saved = build_toy_encoder(seed=3, **self.SHAPE)
+        for name, arr in second.params.items():
+            assert arr.tobytes() == saved.params[name].tobytes() == first.params[name].tobytes()
+            assert in_memory.params[name].tobytes() == arr.tobytes(), name
 
     def test_given_digests_are_not_taken_again(self, tmp_path, export, monkeypatch):
         digests = encoder_module.export_digests(export)
@@ -846,34 +969,37 @@ class TestExportStore:
         assert enc.base_state_bytes() == tiny_encoder().base_state_bytes()
 
     def test_a_new_export_gets_a_new_key_and_sweeps_the_old(self, tmp_path, export):
+        """Each new export in the directory is a new key; the store keeps the
+        three most recently used, so the fourth sweeps the first."""
         store = tmp_path / "store"
         NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
-        old = os.listdir(store)
-        build_toy_encoder(seed=4, **self.SHAPE).save_base(export)
-        enc = NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
-        assert len(os.listdir(store)) == 1 and os.listdir(store) != old
-        assert enc.base_state_bytes() == tiny_encoder(seed=4).base_state_bytes()
+        first = set(os.listdir(store))
+        counts, first_kept = [], []
+        for seed in (4, 5, 6):
+            build_toy_encoder(seed=seed, **self.SHAPE).save_base(export)
+            enc = NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
+            assert enc.base_state_bytes() == tiny_encoder(seed=seed).base_state_bytes()
+            counts.append(len(os.listdir(store)))
+            first_kept.append(first <= set(os.listdir(store)))
+        assert counts == [2, 3, 3] and first_kept == [True, True, False]
 
-    def test_a_new_vocabulary_keeps_the_stored_base(self, tmp_path, export, loads):
+    def test_a_new_vocabulary_keeps_the_stored_base(self, tmp_path, export, reads):
         """The key covers the files that decide the base's bytes, and the
         vocabulary is not one of them."""
         store = tmp_path / "store"
         NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
-        stored = os.listdir(store)
+        stored, filled = os.listdir(store), len(reads)
         (export / "vocab.txt").write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\n", encoding="utf-8")
         enc = NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
         assert isinstance(enc.tokenizer, WordPieceTokenizer)
-        assert os.listdir(store) == stored and len(loads) == 1
+        assert os.listdir(store) == stored and len(reads) == filled
 
     @pytest.mark.parametrize("damage", ["missing", "shape"])
     def test_a_bad_parameter_is_never_published(self, tmp_path, export, damage):
-        with np.load(export / "weights.npz") as data:
-            arrays = {name: data[name] for name in data.files}
         if damage == "missing":
-            del arrays["layer.1.ffn.inner.W"]
+            damage_tensor(export, lambda header, name: header.pop(name))
         else:
-            arrays["layer.1.ffn.inner.W"] = arrays["layer.1.ffn.inner.W"][:, :-1]
-        np.savez(export / "weights.npz", **arrays)
+            damage_tensor(export, lambda header, name: header[name].update(shape=[24, 15]))
         store = tmp_path / "store"
         with pytest.raises(ShapeMismatch, match=re.escape(str(export))) as err:
             NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
@@ -899,23 +1025,24 @@ def test_one_function_under_src_maps_a_file():
     assert users == {"encoder.py:frozen_base"}
 
 
-def test_only_the_encoder_and_its_writer_name_the_export_weights():
-    """``encoder`` reads an export and ``hf_export`` writes one; no other
-    module knows its file names."""
+def test_only_the_encoder_names_the_snapshot_weights():
+    """``encoder`` reads and writes a snapshot; no other module knows its file
+    names, and nothing names the older ``weights.npz`` layout."""
     src = Path(__file__).resolve().parents[1] / "src" / "medcascade"
-    users = sorted(p.name for p in src.rglob("*.py")
-                   if "weights.npz" in p.read_text(encoding="utf-8"))
-    assert users == ["encoder.py", "hf_export.py"]
+    texts = {p.name: p.read_text(encoding="utf-8") for p in src.rglob("*.py")}
+    assert sorted(name for name, text in texts.items() if "model.safetensors" in text) \
+        == ["encoder.py"]
+    assert not any("weights.npz" in text or "zipfile" in text for text in texts.values())
 
 
 class TestHuggingFaceParity:
     """Cross-checks the numpy forward pass against the reference transformer
-    implementation on a tiny random BERT; skips when the hf extra is absent."""
+    implementation on a tiny random BERT; skips when torch and transformers
+    are not installed."""
 
     def test_forward_matches_transformers(self, tmp_path):
         torch = pytest.importorskip("torch")
         transformers = pytest.importorskip("transformers")
-        from medcascade.hf_export import convert_state_dict
 
         cfg = transformers.BertConfig(
             vocab_size=50, hidden_size=16, num_hidden_layers=2,
@@ -925,12 +1052,8 @@ class TestHuggingFaceParity:
         torch.manual_seed(0)
         hf_model = transformers.BertModel(cfg)
         hf_model.eval()
-
-        params = convert_state_dict(
-            {k: v.numpy() for k, v in hf_model.state_dict().items()})
-        my_cfg = EncoderConfig(vocab_size=50, d_model=16, n_layers=2, n_heads=2,
-                               d_ff=24, max_len=12, layer_norm_eps=cfg.layer_norm_eps)
-        enc = NumpyTransformerEncoder(my_cfg, HashWordTokenizer(50), params=params)
+        hf_model.save_pretrained(tmp_path / "snapshot", safe_serialization=True)
+        enc = NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "snapshot")
 
         ids = np.array([[2, 5, 7, 9, 4], [2, 11, 13, 0, 0]])
         mask = np.array([[1.0, 1, 1, 1, 1], [1, 1, 1, 0, 0]])
