@@ -1,11 +1,12 @@
 """The ``medcascade`` command: ingest -> preprocess -> variants -> train -> report.
 
-Every stage, and each condition of ``variants``, runs through ``_stage``: its
-state sidecar, written after its outputs, maps each input (``code
-<module>.py``, ``file <role>``, a config value) and each ``output <path>`` to
-its sha256.  A rerun prints ``<label>: up to date`` only while all still
-match; else it redoes the stage (``preprocess`` from its response cache) and
-prints ``<label>:`` and what it did.  All writes are atomic (temp + rename).
+Every stage, and each condition of ``variants`` and ``train``, runs through
+``_stage``: its state sidecar, written after its outputs, maps each input
+(``code <module>.py``, ``file <role>``, a config value) and each ``output
+<path>`` to its sha256.  A rerun prints ``<label>: up to date`` only while all
+still match; else it redoes the stage (``preprocess`` from its response cache)
+and prints ``<label>:`` and what it did.  ``train`` resolves its encoder once,
+at the first stale cell.  All writes are atomic (temp + rename).
 Exit codes: 0 success, 1 user error, 2 internal error; failures print one
 machine-parseable ``Category: message`` line on stderr.
 """
@@ -18,7 +19,7 @@ import os
 import re
 import sys
 from dataclasses import asdict, replace
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 from .atomic import file_digest, json_line, read_json, text_digest, write_atomic, write_json
@@ -102,6 +103,11 @@ def _split_path(cfg: PipelineConfig, part: str) -> str:
     return os.path.join(cfg.splits_dir(), f"{part}.jsonl")
 
 
+def _conditions(args) -> tuple[str, ...]:
+    """The ``--condition`` values, each once in the order given; all by default."""
+    return tuple(dict.fromkeys(args.condition or CONDITIONS))
+
+
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name)
 
@@ -149,7 +155,7 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_variants(cfg: PipelineConfig, args) -> int:
-    conditions = tuple(dict.fromkeys(args.condition or CONDITIONS))
+    conditions = _conditions(args)
     split_paths = [_require(_split_path(cfg, part), "ingest") for part in SPLITS]
     store = BundleStore(cfg.bundles_dir())
     if any(c != "normal" for c in conditions):
@@ -176,31 +182,27 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
     model_id = cfg.model.backend_id
-    condition = args.condition
     fine_tuned = not args.no_finetune
     arm = "finetuned" if fine_tuned else "frozen"
     needed = SPLITS if fine_tuned else ("test",)
-    variant_files = [_require(variant_paths(cfg.variants_dir(), condition, part)[0], "variants")
-                     for part in needed]
+    # every selected condition's variants, before the first cell runs
+    variant_files = {c: [_require(variant_paths(cfg.variants_dir(), c, part)[0], "variants")
+                         for part in needed] for c in _conditions(args)}
     manifest_path = _require(manifest_path_for(_split_path(cfg, "train")), "ingest")
     vocab = read_manifest(manifest_path).vocab
-
-    cell = f"{_slug(model_id)}__{condition}__{arm}"
-    cell_dir = os.path.join(cfg.runs_dir(), cell)
     cfg_json = cfg.to_json()
     # an export is hashed once per invocation: the same digests key its stored base
     digests = export_digests(cfg.model.weights_dir) if cfg.model.weights_dir else None
-    inputs = _inputs(dict(zip(needed, variant_files), manifest=manifest_path),
-                     adapter=cfg_json["adapter"], train=cfg_json["train"],
-                     model=cfg_json["model"], arm=arm, export=digests)
+    # resolved at the first stale cell, and shared by the later ones
+    encoder = cache(lambda: resolve_encoder(
+        model_id, weights_dir=cfg.model.weights_dir, seed=cfg.model.seed,
+        store_dir=cfg.encoders_dir(), digests=digests, **cfg.model.toy))
 
-    def work() -> str:
-        encoder = resolve_encoder(model_id, weights_dir=cfg.model.weights_dir, seed=cfg.model.seed,
-                                  store_dir=cfg.encoders_dir(), digests=digests, **cfg.model.toy)
-        model = MultiTaskModel.build(encoder, vocab, head_seed=cfg.model.head_seed)
+    def work(condition: str, cell_dir: str, inputs: dict) -> str:
+        model = MultiTaskModel.build(encoder(), vocab, head_seed=cfg.model.head_seed)
         result = None
-        if fine_tuned:
-            encoder.attach_adapters(encoder.build_adapters(
+        if fine_tuned:   # the cell's own adapters, seeded as in a row of one
+            model.encoder.attach_adapters(model.encoder.build_adapters(
                 cfg.adapter.rank, cfg.adapter.alpha, cfg.adapter.dropout, cfg.adapter.seed,
                 patterns=cfg.adapter.targets))
             train_variant = load_variant(cfg.variants_dir(), condition, "train", vocab)
@@ -232,8 +234,15 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         summary = ", ".join(f"{t} {s.accuracy:.3f}" for t, s in sorted(scores.items()))
         return f"test accuracy {summary}"
 
-    return _stage(f"train[{cell}]", os.path.join(cell_dir, ".state.json"), inputs,
-                  cell_dir, work)
+    for condition, files in variant_files.items():
+        cell = f"{_slug(model_id)}__{condition}__{arm}"
+        cell_dir = os.path.join(cfg.runs_dir(), cell)
+        inputs = _inputs(dict(zip(needed, files), manifest=manifest_path),
+                         adapter=cfg_json["adapter"], train=cfg_json["train"],
+                         model=cfg_json["model"], arm=arm, export=digests)
+        _stage(f"train[{cell}]", os.path.join(cell_dir, ".state.json"), inputs, cell_dir,
+               partial(work, condition, cell_dir, inputs))
+    return 0
 
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
@@ -276,11 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"medcascade {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage(name: str, func, help: str) -> argparse.ArgumentParser:
+    def stage(name: str, func, help: str, row: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="pipeline config JSON file")
         p.add_argument("--workdir", help="override workdir")
         p.add_argument("--corpus", help="override corpus path")
+        if row:   # the stage runs once per condition (see _conditions)
+            p.add_argument("--condition", action="append", choices=CONDITIONS,
+                           help="only this condition (repeatable; default all)")
         p.set_defaults(func=func)
         return p
 
@@ -288,12 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = stage("preprocess", cmd_preprocess, "run the three LLM layers over all records")
     p.add_argument("--backend", choices=("mock", "openai", "llama"),
                    help="overrides gateway.backend")
-    p = stage("variants", cmd_variants, "build evaluation-condition datasets")
-    p.add_argument("--condition", action="append", choices=CONDITIONS,
-                   help="build only this condition (repeatable; default all)")
-    p = stage("train", cmd_train, "train and evaluate one (model, condition) cell")
+    stage("variants", cmd_variants, "build evaluation-condition datasets", row=True)
+    p = stage("train", cmd_train, "train and evaluate one cell per condition", row=True)
     p.add_argument("--model", help="encoder backend id; overrides model.backend_id")
-    p.add_argument("--condition", required=True, choices=CONDITIONS)
     p.add_argument("--no-finetune", action="store_true",
                    help="evaluate the frozen encoder with random heads instead of training")
     stage("report", cmd_report, "aggregate run outputs into the report grid")

@@ -186,7 +186,7 @@ def load_corpus(path: str) -> tuple[list[ComplaintRecord], CorpusManifest]:
     records: list[ComplaintRecord] = []
     seen: set[str] = set()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:   # a BOM, as Excel writes, is skipped
             for line_no, raw in rows(fh):
                 rec = _parse_record(raw, line_no, manifest.vocab)
                 if rec.id in seen:

@@ -669,12 +669,13 @@ class NumpyTransformerEncoder:
         ``config.json`` has Hugging Face's keys, a missing one meaning its
         default.  ``model.safetensors`` holds F32 or F64 tensors, named with or
         without ``bert.``; others (the pooler, ``cls.*``) are ignored.  An
-        optional ``vocab.txt`` gives a WordPiece tokenizer, which lower-cases
-        unless ``tokenizer_config.json`` sets ``do_lower_case`` false.  The base
-        is a :func:`frozen_base` keyed by the :func:`export_digests` of
-        ``config.json`` and ``model.safetensors``; filling it parses the header
-        once and reads each tensor into its view.  A damaged snapshot is a
-        ``UserError`` naming ``directory``.
+        optional ``vocab.txt`` gives a WordPiece tokenizer, which takes
+        ``do_lower_case`` (default true) and ``strip_accents`` from
+        ``tokenizer_config.json``.  The base is a :func:`frozen_base` keyed by
+        the :func:`export_digests` of ``config.json`` and
+        ``model.safetensors``; filling it parses the header once and reads
+        each tensor into its view.  A damaged snapshot is a ``UserError``
+        naming ``directory``.
         """
         cfg_path = os.path.join(directory, "config.json")
         weights_path = os.path.join(directory, "model.safetensors")
@@ -714,10 +715,11 @@ class NumpyTransformerEncoder:
                 raw = json.load(fh)
             fields = {ours: raw.get(hf, default) for ours, (hf, default) in _HF_CONFIG.items()}
             check_types(EncoderConfig, fields)
-            do_lower_case = True   # BertTokenizer's default
+            tok_cfg = {}   # BertTokenizer's defaults: lower-case, and so strip accents
             if os.path.exists(tok_path):
                 with open(tok_path, encoding="utf-8") as fh:
-                    do_lower_case = bool(json.load(fh).get("do_lower_case", True))
+                    tok_cfg = json.load(fh)
+            lower, strip = bool(tok_cfg.get("do_lower_case", True)), tok_cfg.get("strip_accents")
         except (OSError, *CorruptArtifact.DECODE_ERRORS) as e:
             raise EncoderUnavailable(f"unreadable encoder export in {directory}: {e!r}") from e
         for key, value in _HF_REQUIRED.items():
@@ -729,7 +731,8 @@ class NumpyTransformerEncoder:
             config.validate()   # the tokenizer needs a valid vocab_size
             # read before the base is filled, so that a damaged vocabulary fills none
             tokenizer = HashWordTokenizer(config.vocab_size) if not os.path.exists(vocab_path) \
-                else WordPieceTokenizer.from_vocab_file(vocab_path, do_lower_case=do_lower_case)
+                else WordPieceTokenizer.from_vocab_file(vocab_path, do_lower_case=lower,
+                                                        strip_accents=strip)
             key = None
             if store_dir is not None:
                 digests = digests or export_digests(directory)

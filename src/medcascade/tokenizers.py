@@ -60,13 +60,17 @@ class WordPieceTokenizer:
     """Greedy longest-match-first WordPiece over a BERT-style vocab.txt."""
 
     def __init__(self, vocab: dict[str, int], do_lower_case: bool = False,
-                 source: str = "vocab"):
-        """``source`` names the vocabulary in errors (the file it came from)."""
+                 strip_accents: bool | None = None, source: str = "vocab"):
+        """``source`` names the vocabulary in errors (the file it came from).
+        As in ``BertTokenizer``, an unset ``strip_accents`` follows
+        ``do_lower_case``; stripping drops combining marks (category ``Mn``
+        after NFD), Arabic harakat among them."""
         missing = [t for t in ("[PAD]", "[UNK]", "[CLS]") if t not in vocab]
         if missing:
             raise VocabInvalid(f"{source} has no {', '.join(missing)} token")
         self.vocab = vocab
         self.do_lower_case = do_lower_case
+        self.strip_accents = do_lower_case if strip_accents is None else bool(strip_accents)
         self.pad_id = vocab["[PAD]"]
         self.unk_id = vocab["[UNK]"]
         self.cls_id = vocab["[CLS]"]
@@ -101,26 +105,14 @@ class WordPieceTokenizer:
         return unicodedata.category(ch).startswith("P")
 
     def _basic_tokens(self, text: str) -> list[str]:
+        """Words split at whitespace, each punctuation character a word of its own."""
         text = _nfc(text)
         if self.do_lower_case:
             text = text.lower()
-        out: list[str] = []
-        word = []
-        for ch in text:
-            if ch.isspace():
-                if word:
-                    out.append("".join(word))
-                    word = []
-            elif self._is_punct(ch):
-                if word:
-                    out.append("".join(word))
-                    word = []
-                out.append(ch)
-            else:
-                word.append(ch)
-        if word:
-            out.append("".join(word))
-        return out
+        if self.strip_accents:
+            text = "".join(ch for ch in unicodedata.normalize("NFD", text)
+                           if unicodedata.category(ch) != "Mn")
+        return "".join(f" {ch} " if self._is_punct(ch) else ch for ch in text).split()
 
     def _wordpiece(self, word: str) -> list[int]:
         if len(word) > MAX_CHARS_PER_WORD:

@@ -619,6 +619,111 @@ class TestEncoderStore:
         assert self._cells(workspace) == cells
 
 
+BUNDLED_CORPUS = Path(__file__).resolve().parents[1] / "data" / "synthetic" / "corpus.jsonl"
+
+
+@pytest.fixture(scope="module")
+def bundled_variants(tmp_path_factory):
+    """A workdir holding the variants of the bundled corpus (toy encoder, 1 epoch)."""
+    root = tmp_path_factory.mktemp("bundled")
+    (root / "cfg.json").write_text(json.dumps(
+        {"corpus": str(BUNDLED_CORPUS), "workdir": "work", "train": {"epochs": 1}}))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for argv in (("ingest",), ("preprocess",), ("variants",)):
+            assert run(*argv, "--config", "cfg.json") == 0
+    return root
+
+
+class TestTrainRow:
+    """``train`` runs one cell per selected condition (all by default), each
+    through its own stage state, with the encoder resolved once."""
+
+    ARMS = ((), ("--no-finetune",))
+
+    @pytest.fixture
+    def variants(self, bundled_variants, tmp_path, monkeypatch):
+        shutil.copytree(bundled_variants, tmp_path, dirs_exist_ok=True)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.fixture
+    def resolves(self, monkeypatch):
+        calls = []
+        real = cli.resolve_encoder
+        monkeypatch.setattr(cli, "resolve_encoder",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    def test_a_row_writes_the_bytes_of_one_cell_per_invocation(self, variants):
+        for arm in self.ARMS:
+            assert run("train", "--config", "cfg.json", *arm) == 0
+        row = _tree(variants / "work" / "runs")
+        shutil.rmtree(variants / "work" / "runs")
+        for condition in CONDITIONS:
+            for arm in self.ARMS:
+                assert run("train", "--config", "cfg.json", "--condition", condition, *arm) == 0
+        assert {name.partition("/")[0] for name in row} == {
+            f"toy__{c}__{arm}" for c in CONDITIONS for arm in ("finetuned", "frozen")}
+        # every file byte for byte: trainlogs, scores, predictions, checkpoints,
+        # manifests and states
+        assert row == _tree(variants / "work" / "runs")
+
+    def test_a_stale_row_resolves_the_encoder_once_and_a_current_one_never(self, variants,
+                                                                            resolves, capsys):
+        assert run("train", "--config", "cfg.json") == 0
+        assert len(resolves) == 1
+        resolves.clear()
+        capsys.readouterr()
+        assert run("train", "--config", "cfg.json") == 0
+        assert resolves == []
+        assert capsys.readouterr().out == "".join(
+            f"train[toy__{c}__finetuned]: up to date\n" for c in CONDITIONS)
+
+    def test_only_the_stale_cells_rerun_and_every_cell_prints_in_order(self, variants,
+                                                                       resolves, capsys):
+        assert run("train", "--config", "cfg.json", "--no-finetune") == 0
+        runs = variants / "work" / "runs"
+        clean = _tree(runs)
+        (runs / "toy__refined__frozen" / "scores.json").unlink()
+        (runs / "toy__ner__frozen" / "predictions.jsonl").write_text("", encoding="utf-8")
+        resolves.clear()
+        capsys.readouterr()
+        assert run("train", "--config", "cfg.json", "--no-finetune") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(":")[0] for line in lines] == \
+            [f"train[toy__{c}__frozen]" for c in CONDITIONS]
+        assert ["up to date" in line for line in lines] == [True, False, True, False]
+        assert len(resolves) == 1
+        assert _tree(runs) == clean
+
+    def test_a_repeated_condition_runs_once_in_the_order_given(self, variants, capsys):
+        capsys.readouterr()
+        assert run("train", "--config", "cfg.json", "--no-finetune", "--condition", "ner",
+                   "--condition", "normal", "--condition", "ner") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(":")[0] for line in lines] == \
+            ["train[toy__ner__frozen]", "train[toy__normal__frozen]"]
+        assert sorted(os.listdir(variants / "work" / "runs")) == \
+            ["toy__ner__frozen", "toy__normal__frozen"]
+
+    def test_an_unknown_condition_in_a_row_is_a_usage_error(self, variants, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--config", "cfg.json", "--condition", "normal", "--condition", "bogus")
+        assert exc.value.code == 1
+        assert "UsageError: " in capsys.readouterr().err
+        assert not (variants / "work" / "runs").exists()
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_a_condition_without_variants_fails_before_any_cell(self, variants, capsys, arm):
+        (variants / "work" / "variants" / "ner" / "test.jsonl").unlink()
+        assert run("train", "--config", "cfg.json", *arm) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("MissingUpstreamArtifact: ")
+        assert os.path.join("variants", "ner", "test.jsonl") in err
+        assert not (variants / "work" / "runs").exists()
+
+
 CHAIN = [("ingest",), ("preprocess", "--backend", "mock"), ("variants", "--condition", "ner"),
          ("train", "--condition", "ner"), ("train", "--condition", "ner", "--no-finetune"),
          ("report",)]
@@ -753,6 +858,26 @@ class TestEncoderWeights:
         # only hashes it, and maps the stored base
         assert counts == [(2, 5 + 16 * 2), (1, 0)]
         assert [p.suffix for p in (workspace / "work" / "encoders").iterdir()] == [".npy"]
+
+    def test_a_frozen_row_opens_the_export_once_to_hash_and_once_to_fill(self, workspace,
+                                                                         monkeypatch, capsys):
+        import builtins
+
+        from medcascade.encoder import build_toy_encoder
+        build_toy_encoder(seed=5).save_base("weights")
+        config = self._exported_config(workspace)
+        assert run("preprocess", "--config", config) == 0
+        assert run("variants", "--config", config) == 0
+        weights = os.path.join("weights", "model.safetensors")
+        opens = []
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", lambda f, *a, **k: (
+            opens.append(1) if os.fspath(f) == weights else None) or real_open(f, *a, **k))
+        capsys.readouterr()
+        assert run("train", "--config", config, "--no-finetune") == 0
+        assert len(opens) == 2
+        assert [line.partition(":")[0] for line in capsys.readouterr().out.splitlines()] == \
+            [f"train[toy__{c}__frozen]" for c in CONDITIONS]
 
     def test_an_export_with_a_damaged_vocabulary_is_a_user_error(self, workspace, capsys):
         from medcascade.encoder import build_toy_encoder

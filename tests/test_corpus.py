@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 from pathlib import Path
@@ -139,6 +140,23 @@ class TestLoadCorpus:
         assert len(records) == 2
         assert records[0].age == 25
         assert records[1].age is None
+
+    def test_a_jsonl_corpus_with_a_utf8_bom_loads(self, corpus_files):
+        corpus, _ = corpus_files
+        clean = load_corpus(corpus)[0]
+        corpus.write_bytes(codecs.BOM_UTF8 + corpus.read_bytes())
+        assert load_corpus(corpus)[0] == clean
+
+    def test_a_csv_corpus_with_a_utf8_bom_loads(self, tmp_path):
+        # Excel's "CSV UTF-8" export begins the file with one
+        csv_path = tmp_path / "c.csv"
+        csv_path.write_bytes(codecs.BOM_UTF8 + "id,text,age,gender,type,severity\n"
+                             "c1,حمى وسعال,25,male,acute,mild\n".encode("utf-8"))
+        (tmp_path / "c.manifest.json").write_text(json.dumps(
+            {"schema_version": 1, "vocab": {"type": ["chronic", "acute"],
+                                            "severity": ["mild", "severe"]}}))
+        [record], _ = load_corpus(csv_path)
+        assert (record.id, record.text, record.age) == ("c1", "حمى وسعال", 25)
 
     def test_csv_age_that_is_not_a_number_names_its_line(self, tmp_path):
         csv_path = tmp_path / "c.csv"

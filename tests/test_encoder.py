@@ -3,10 +3,12 @@ import json
 import os
 import re
 import struct
+import unicodedata
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from medcascade import encoder as encoder_module
 from medcascade.encoder import (NEG_INF, EncoderConfig, NumpyTransformerEncoder,
@@ -74,6 +76,54 @@ class TestWordPieceTokenizer:
     def test_punctuation_split(self):
         tok = WordPieceTokenizer(self._vocab())
         assert tok.encode("fever,fever") == [5, 10, 5]
+
+    def test_whitespace_and_punctuation_end_words(self):
+        tok = WordPieceTokenizer(self._vocab())
+        assert tok._basic_tokens("  fever,\t\u00a0head!!ache \n") == \
+            ["fever", ",", "head", "!", "!", "ache"]
+        assert tok._basic_tokens("حمى، صداع؟") == ["حمى", "،", "صداع", "؟"]
+        assert tok._basic_tokens(" \t ") == []
+
+    @staticmethod
+    def _reference_basic_tokens(text, is_punct):
+        """A character loop over the rule: whitespace ends a word, and each
+        punctuation character is a word of its own."""
+        out, word = [], []
+        for ch in text:
+            if ch.isspace() or is_punct(ch):
+                if word:
+                    out.append("".join(word))
+                    word = []
+                if not ch.isspace():
+                    out.append(ch)
+            else:
+                word.append(ch)
+        return out + (["".join(word)] if word else [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("ab حمىكتب،؟!?.,-\t\n\u00a0\u3000\u064e\u0301"
+                                            "\u2028\u00e9"), max_size=30) | st.text(max_size=30))
+    def test_basic_tokens_match_the_character_loop(self, text):
+        tok = WordPieceTokenizer(self._vocab())
+        nfc = unicodedata.normalize("NFC", text)
+        assert tok._basic_tokens(text) == self._reference_basic_tokens(nfc, tok._is_punct)
+
+    def test_lower_casing_strips_accents_as_bert_does(self):
+        vocab = {**self._vocab(), "كتب": 12, "cafe": 13}
+        lower = WordPieceTokenizer(vocab, do_lower_case=True)
+        assert lower.encode("كَتَبَ") == [12]           # harakat are combining marks
+        assert lower.encode("Café") == [13]
+        assert lower.encode("CAFE\u0301") == [13]       # decomposed already
+        cased = WordPieceTokenizer(vocab)
+        assert cased.encode("كَتَبَ") == [cased.unk_id]
+        assert cased.encode("café") == [cased.unk_id]
+
+    @pytest.mark.parametrize("lower, strip, expected", [
+        (False, True, 13), (True, False, 14), (False, False, 14), (True, True, 13)])
+    def test_an_explicit_strip_accents_wins(self, lower, strip, expected):
+        vocab = {**self._vocab(), "cafe": 13, "café": 14}
+        tok = WordPieceTokenizer(vocab, do_lower_case=lower, strip_accents=strip)
+        assert tok.encode("café") == [expected]
 
     def test_aux_maps_to_unused_slot(self):
         tok = WordPieceTokenizer(self._vocab())
@@ -777,6 +827,18 @@ class TestSnapshotReader:
         assert isinstance(tokenizer, WordPieceTokenizer)
         assert tokenizer.do_lower_case is lower
         assert tokenizer.vocab == {t: i for i, t in enumerate(SNAPSHOT_VOCAB)}
+
+
+    @pytest.mark.parametrize("tokenizer_config, strip", [
+        (None, True), ({"do_lower_case": False}, False), ({"strip_accents": False}, False),
+        ({"do_lower_case": False, "strip_accents": True}, True),
+        ({"strip_accents": None}, True)])
+    def test_strip_accents_comes_from_the_tokenizer_config(self, tmp_path, tokenizer_config,
+                                                           strip):
+        snapshot = hand_written_snapshot(tmp_path / "snap", tiny_encoder(), SNAPSHOT_VOCAB,
+                                         tokenizer_config)
+        tokenizer = NumpyTransformerEncoder.from_pretrained_dir(snapshot).tokenizer
+        assert tokenizer.strip_accents is strip
 
 
 def damage_tensor(export, edit, name="encoder.layer.1.intermediate.dense.weight"):
