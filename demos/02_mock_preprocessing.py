@@ -13,7 +13,7 @@ import tempfile
 
 from medcascade.corpus import load_corpus, scrub_records
 from medcascade.gateway import Gateway, MockBackend, ResponseCache
-from medcascade.preprocess import BundleStore, extract_entities, refine, run_bundle, summarize
+from medcascade.preprocess import BundleStore, run_bundle
 
 records, _ = load_corpus("data/synthetic/corpus.jsonl")
 records = scrub_records(records)[:5]
@@ -21,20 +21,20 @@ records = scrub_records(records)[:5]
 workdir = tempfile.mkdtemp(prefix="medcascade_demo_")
 gw = Gateway(MockBackend(), cache=ResponseCache(f"{workdir}/cache"))
 
-# ── 1. the three layers on one record ────────────────────────────────────────
-record = records[0]
-print("source:    ", record.text)
-print("refined:   ", refine(record, gw).replace("\n", " / "))
-print("summarized:", summarize(record, gw))
-print("entities:  ", [(e.surface, e.category) for e in extract_entities(record, gw)])
-
-# ── 2. batch orchestration with a bundle store ───────────────────────────────
+# ── 1. batch orchestration with a bundle store ───────────────────────────────
 store = BundleStore(f"{workdir}/bundles")
 bundles = run_bundle(records, gw, store=store)
-print(f"\n{len(bundles)} bundles written to {store.directory}")
+print(f"{len(bundles)} bundles written to {store.directory}")
 print(f"gateway calls so far: {gw.backend_calls}, cache hits: {gw.cache_hits}")
+
+# ── 2. the three layers of one record, read from its bundle ─────────────────
+record, bundle = records[0], bundles[0]
+print("\nsource:    ", record.text)
+print("refined:   ", bundle.refined.replace("\n", " / "))
+print("summarized:", bundle.summarized)
+print("entities:  ", [(e.surface, e.category) for e in bundle.entities])
 
 # ── 3. a second run is free: the cache short-circuits the backend ────────────
 run_bundle(records, gw, store=BundleStore(f"{workdir}/bundles2"))
-print(f"after rerun: gateway calls {gw.backend_calls} (unchanged), "
+print(f"\nafter rerun: gateway calls {gw.backend_calls} (unchanged), "
       f"cache hits {gw.cache_hits}")

@@ -19,11 +19,11 @@ rate limiter (``rate_per_sec``/``burst``), which paces every attempt, retries
 included; the mock runs in-process and is never paced.  The gateway never
 sleeps through a transient failure (connection trouble, 429, 5xx): while the
 prompt has retries left it raises ``RetryLater`` with the back-off delay, or a
-longer ``Retry-After``, capped at ``max_delay``; asked not to block, it has a
-live backend ``send`` the request and raises ``InFlight``, the one record of
-that exchange and the owner of its connection, which it later hands to the
-backend's ``complete``.  The caller (``preprocess.run_bundle``) does other
-work before asking again.
+longer ``Retry-After``, capped at ``max_delay``.  A live backend ``send``s the
+request, and the gateway raises its ``InFlight``, the one record of that
+exchange and the owner of its connection, until it is ready, then hands it to
+the backend's ``complete``; a backend without ``send`` answers in the call.
+The caller (``preprocess.run_bundle``) does other work before asking again.
 
 The response cache is one append-only log, ``<cache_dir>/responses.jsonl``,
 read once into memory: each completion is one appended line, a damaged or
@@ -365,8 +365,8 @@ class Gateway:
         self._attempts: dict[str, int] = {}   # cache key -> failed attempts so far
         self._in_flight: dict[str, InFlight] = {}   # cache key -> exchange sent, not read
 
-    def complete(self, prompt: str, block: bool = True) -> str:
-        """The answer to ``prompt``.  ``block=False`` raises a sent request's ``InFlight``
+    def complete(self, prompt: str) -> str:
+        """The answer to ``prompt``.  A request sent by the backend raises its ``InFlight``
         until it is ``ready``; an exchange takes one token and one count, however many ask."""
         if not prompt:
             raise ValueError("prompt must be non-empty")
@@ -383,9 +383,9 @@ class Gateway:
             if self.rate_limiter is not None:
                 self.rate_limiter.acquire()
             self.backend_calls += 1
-            if not block and hasattr(self.backend, "send"):
+            if hasattr(self.backend, "send"):
                 flight = self._in_flight[key] = self.backend.send(prompt)
-        if flight is not None and not block and not flight.ready:
+        if flight is not None and not flight.ready:
             raise flight.with_traceback(None)
         self._in_flight.pop(key, None)
         attempt = self._attempts.pop(key, 0) + 1

@@ -1,10 +1,10 @@
 """The three LLM preprocessing layers: refinement, summarization, entity
 extraction, plus the per-record bundle store and failure ledger.
 
-Each layer sends one prompt through the gateway and gets one answer back.
-One template per stage ships with the package, full instructions for a chat
-model, and every backend, the mock included, is sent the same prompts.  The
-hashes of the templates are pinned into every bundle for provenance.
+Each layer is a generator (PEP 342): it yields its prompt and is sent the
+answer, or thrown the gateway's typed error.  One template per stage ships
+with the package, full instructions for a chat model, sent to every backend,
+the mock included; their hashes are pinned into every bundle for provenance.
 
 Entity output is parsed line-oriented: ``category: surface, surface`` lines,
 or a bare comma-separated list (the mock's style), which is read as symptoms.
@@ -13,14 +13,15 @@ record degrades to an empty entity list.
 
 ``run_bundle`` runs every record's three layers as (record, layer) tasks on
 one thread, up to four live requests in flight: a task waits on its reply's
-socket, or parked out a retry's back-off, while the other tasks run.  Bundles
-live in ``bundles.jsonl``, beside the failure ledger ``failures.jsonl``: each
-file written whole, atomically and in record order once every task is done,
-so a crash part-way through a run leaves the previous run's files as they
-were.  The log is read once into an index by record id.  A damaged or torn line
-is skipped, so its record counts as not done; a later line for a record
-wins.  Each bundle records the sha256 of the scrubbed text its layers were
-given, so a variant never joins new text to the outputs of old text.
+socket, or parked out a retry's back-off, then resumes where its layer
+stopped, while the other tasks run.  Bundles live in ``bundles.jsonl``,
+beside the failure ledger ``failures.jsonl``: each file written whole,
+atomically and in record order once every task is done, so a crash
+part-way through a run leaves the previous run's files as they were.  The
+log is read once into an index by record id.  A damaged or torn line is
+skipped, so its record counts as not done; a later line for a record wins.
+Each bundle records the sha256 of the scrubbed text its layers were given,
+so a variant never joins new text to the outputs of old text.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ import os
 import re
 import selectors
 import time
+from collections.abc import Generator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .corpus import ComplaintRecord, scrub_pii
 from .atomic import json_line, read_jsonl, text_digest, write_jsonl
-from .errors import (CorruptArtifact, EmptySourceText, MedcascadeError, ParseFailure,
-                     RefusalDetected, ResponseEmpty)
+from .errors import (AuthError, CorruptArtifact, EmptySourceText, MedcascadeError,
+                     ParseFailure, RefusalDetected, ResponseEmpty)
 from .gateway import SENTENCE_SPLIT, Gateway, InFlight, RetryLater
 
 logger = logging.getLogger(__name__)
@@ -128,19 +130,19 @@ def _ask(gw: Gateway, prompt: str) -> str:
     return gw.complete(prompt)
 
 
-def refine(record: ComplaintRecord, gw: Gateway) -> str:
+def refine(record: ComplaintRecord) -> Generator[str, str, str]:
     """Cleaned restatement of the complaint, medical content preserved."""
     text = _source_text(record)
-    out = _ask(gw, render("refine", text))
+    out = yield render("refine", text)
     if _is_refusal(out):
         raise RefusalDetected(f"record {record.id!r}: refine output looks like a refusal")
     return out.strip()
 
 
-def summarize(record: ComplaintRecord, gw: Gateway) -> str:
+def summarize(record: ComplaintRecord) -> Generator[str, str, str]:
     """Compressed complaint; never longer than the source (clamped post-hoc)."""
     text = _source_text(record)
-    out = _ask(gw, render("summarize", text))
+    out = yield render("summarize", text)
     if _is_refusal(out):
         raise RefusalDetected(f"record {record.id!r}: summary output looks like a refusal")
     out = out.strip()
@@ -211,7 +213,7 @@ def parse_entities(output: str, source_text: str) -> list[Entity]:
     return deduped
 
 
-def extract_entities(record: ComplaintRecord, gw: Gateway) -> list[Entity]:
+def extract_entities(record: ComplaintRecord) -> Generator[str, str, list[Entity]]:
     """Deduplicated, order-of-first-mention entity list for one record.
 
     On an unparseable or refusal answer, reprompts once with a format
@@ -222,7 +224,7 @@ def extract_entities(record: ComplaintRecord, gw: Gateway) -> list[Entity]:
     prompt = render("ner", text)
     for attempt in range(2):
         try:
-            out = _ask(gw, prompt)
+            out = yield prompt
         except ResponseEmpty:
             return []
         if not _is_refusal(out):
@@ -286,38 +288,28 @@ class LedgerEntry:
     fatal: bool
 
 
-class _TaskGateway:
-    """``gw`` for one task: never blocks, and replays a restarted layer's answers uncounted."""
-
-    def __init__(self, gw: Gateway):
-        self.gw, self.answers = gw, {}
-
-    def complete(self, prompt: str) -> str:
-        if prompt not in self.answers:
-            self.answers[prompt] = self.gw.complete(prompt, block=False)
-        return self.answers[prompt]
-
-
 def run_bundle(records: list[ComplaintRecord], gw: Gateway,
                store: BundleStore) -> list[PreprocessBundle]:
     """Produce one bundle per record through all three layers.
 
-    Tasks whose reply has arrived run first, in record then ``STAGES`` order,
-    then due retries and fresh tasks while fewer than ``_IN_FLIGHT`` exchanges
-    are open.  A task that raises ``InFlight`` waits on its socket, one that
-    raises ``RetryLater`` until its delay has passed on ``gw.clock``; the stage
-    waits in ``select``, or ``gw.sleep`` when nothing is in flight.  A failed
-    stage goes to the ledger and the bundle degrades (refined/summarized =
-    scrubbed source, entities = empty), so no record is lost; an unreadable
-    response cache is no stage's failure and stops the run.
+    Each (record, stage) task creates its layer's generator once and asks
+    ``gw`` what it yields, one task at a time per prompt.  Tasks whose reply or
+    turn has come run first, in record then ``STAGES`` order, then due retries
+    and fresh tasks while fewer than ``_IN_FLIGHT`` exchanges are open.  An ask
+    raising ``InFlight`` waits on its socket, one raising ``RetryLater`` its
+    delay on ``gw.clock``; the stage waits in ``select``, or ``gw.sleep`` with
+    none in flight.  A failed stage is ledgered, its bundle degraded to the
+    scrubbed source and no entities; an unreadable cache or a rejected key
+    closes open exchanges and stops the run.
     """
     hashes = template_hashes()
     sources = [replace(r, text=scrub_pii(r.text)) for r in records]
     fresh = ((i, k) for i in range(len(records)) for k in range(len(STAGES)))
     parked: list[tuple[float, tuple[int, int]]] = []   # heap of (due, (record, stage))
-    arrived: list[tuple[int, int]] = []   # heap of tasks whose reply is ready or overdue
-    views, done, failed = {}, {}, {}
-    with selectors.DefaultSelector() as sel:   # socket -> (its InFlight, the tasks waiting)
+    arrived: list[tuple[int, int]] = []   # heap of tasks whose reply or turn has come
+    layers, asking, done, failed = {}, {}, {}, {}   # task -> generator, the prompt it asks
+    held = {}   # prompt -> the task asking it, then the tasks that ask it next
+    with selectors.DefaultSelector() as sel:   # socket -> (its InFlight, the task waiting)
         while len(done) < len(STAGES) * len(records):
             now, task, flights = gw.clock(), None, list(sel.get_map().values())
             if arrived:
@@ -333,24 +325,34 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
                     if key.fileobj in readable or key.data[0].deadline <= time.monotonic():
                         sel.unregister(key.fileobj)
                         key.data[0].ready = True
-                        for waiting in key.data[1]:
-                            heapq.heappush(arrived, waiting)
+                        heapq.heappush(arrived, key.data[1])
                 continue
             if task is None:   # only parked tasks are left
                 gw.sleep(parked[0][0] - now)
                 task = heapq.heappop(parked)[1]
             i, stage = task[0], STAGES[task[1]]
-            # by module name at call time, so a rebound layer is the one called
-            layer = {"refine": refine, "summarize": summarize, "ner": extract_entities}[stage]
             try:
-                done[task] = layer(sources[i], views.setdefault(task, _TaskGateway(gw)))
-            except InFlight as flight:   # one registration per exchange, however many wait
-                if flight.sock not in sel.get_map():
-                    sel.register(flight.sock, selectors.EVENT_READ, (flight, []))
-                sel.get_key(flight.sock).data[1].append(task)
+                if task not in layers:   # looked up at call time: a rebound layer is called
+                    layers[task] = (refine, summarize, extract_entities)[task[1]](sources[i])
+                    asking[task] = next(layers[task])
+                while held.setdefault(asking[task], [task])[0] == task:   # else wait its turn
+                    try:
+                        answer, error = _ask(gw, asking[task]), None
+                    except MedcascadeError as e:   # thrown in at the layer's yield
+                        answer, error = None, e
+                    for waiting in held.pop(asking[task])[1:]:   # their turn has come
+                        heapq.heappush(arrived, waiting)
+                    asking[task] = layers[task].throw(error) if error else layers[task].send(answer)
+                held[asking[task]].append(task)
+            except StopIteration as stop:
+                done[task] = stop.value
+            except InFlight as flight:   # no other task asks its prompt meanwhile
+                sel.register(flight.sock, selectors.EVENT_READ, (flight, task))
             except RetryLater as later:
                 heapq.heappush(parked, (gw.clock() + later.delay, task))
-            except CorruptArtifact:   # an unreadable response cache fails no one record
+            except (CorruptArtifact, AuthError):   # an unreadable cache, a rejected key
+                for flight in gw._in_flight.values():
+                    flight.conn.close()
                 raise
             except MedcascadeError as e:
                 done[task] = [] if stage == "ner" else sources[i].text.strip()

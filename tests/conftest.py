@@ -1,11 +1,14 @@
 import json
+import select
 import struct
+import time
 from pathlib import Path
 
 import pytest
 
 from medcascade.corpus import ComplaintRecord, CorpusManifest, LabelSet
-from medcascade.gateway import Gateway, MockBackend, ResponseCache
+from medcascade.errors import MedcascadeError
+from medcascade.gateway import Gateway, InFlight, MockBackend, ResponseCache, RetryLater
 
 
 VOCAB = {"type": ["chronic", "acute"], "severity": ["mild", "severe"],
@@ -16,6 +19,34 @@ def make_record(rid="r1", text="عندي صداع شديد من 3 ايام.", ct
                 severity="severe", age=40, gender="female"):
     return ComplaintRecord(id=rid, text=text, age=age, gender=gender,
                            labels=LabelSet(condition_type=ctype, severity=severity))
+
+
+def ask(prompt):
+    """A one-prompt layer: yields ``prompt`` and returns its answer."""
+    return (yield prompt)
+
+
+def drive(layer, gw, sleep=lambda seconds: None):
+    """Run the layer generator ``layer`` against ``gw`` to its result, blocking:
+    the serial reference for ``run_bundle``.  A ``RetryLater`` is waited out with
+    ``sleep(delay)``, an ``InFlight`` in ``select`` on its socket until its
+    deadline, and a typed error is thrown in at the layer's ``yield``."""
+    prompt = next(layer)
+    while True:
+        try:
+            try:
+                answer = gw.complete(prompt)
+            except RetryLater as later:
+                sleep(later.delay)
+            except InFlight as flight:
+                select.select([flight.sock], [], [], max(flight.deadline - time.monotonic(), 0.0))
+                flight.ready = True
+            except MedcascadeError as e:
+                prompt = layer.throw(e)
+            else:
+                prompt = layer.send(answer)
+        except StopIteration as stop:
+            return stop.value
 
 
 def safetensors_bytes(header: dict, buffer: bytes, pad: int = 0) -> bytes:

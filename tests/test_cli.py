@@ -1,14 +1,18 @@
+import gc
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
+import warnings
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from medcascade import cli, evaluator, gateway, trainer
+from medcascade import cli, evaluator, gateway, preprocess, trainer
 from medcascade.atomic import file_digest
 from medcascade.cli import _stale, main
 from medcascade.synthetic import write_synthetic_corpus
@@ -576,6 +580,80 @@ class TestLiveUrl:
         assert err.startswith("ConfigInvalid: ") and source in err
         assert not (workspace / "work" / ".preprocess.state.json").exists()
         assert not (workspace / "work" / "bundles").exists()
+
+
+class _KeyCheckingLLM(BaseHTTPRequestHandler):
+    """A chat/completions server that answers only the key ``good``, with a 401
+    for any other; ``keys`` lists the key of every request, in arrival order."""
+
+    keys = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        key = self.headers.get("Authorization", "").removeprefix("Bearer ")
+        self.keys.append(key)
+        data = json.dumps({"choices": [{"message": {"content": "symptom: حمى"}}]}).encode()
+        self.send_response(200 if key == "good" else 401)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestRejectedKey:
+    """A 401 or 403 is no one record's failure: ``preprocess`` stops at the first
+    one and leaves nothing behind that a rerun with a good key would trust."""
+
+    @pytest.fixture
+    def live(self, workspace, monkeypatch):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _KeyCheckingLLM)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                                  daemon=True)
+        thread.start()
+        _KeyCheckingLLM.keys = []
+        monkeypatch.setenv("MEDCASCADE_LLM_URL",
+                           f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions")
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config["gateway"] = {"backend": "openai", "rate_per_sec": 1e6, "burst": 1e6}
+        (workspace / "live.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", "live.json") == 0
+        yield workspace
+        server.shutdown()
+        server.server_close()
+
+    def _preprocess(self, monkeypatch, capsys, key):
+        monkeypatch.setenv("MEDCASCADE_LLM_KEY", key)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = run("preprocess", "--config", "live.json")
+            gc.collect()   # an exchange left open warns when its socket is collected
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        return code, capsys.readouterr()
+
+    def test_a_rejected_key_stops_the_run_and_writes_nothing(self, live, monkeypatch, capsys):
+        code, out = self._preprocess(monkeypatch, capsys, "bad")
+        assert code == 1
+        assert out.err.startswith("AuthError: HTTP 401 from http://127.0.0.1:")
+        assert out.out == ""
+        assert 1 <= len(_KeyCheckingLLM.keys) <= preprocess._IN_FLIGHT
+        assert set(_KeyCheckingLLM.keys) == {"bad"}
+        assert not (live / "work" / ".preprocess.state.json").exists()
+        assert not (live / "work" / "bundles").exists()
+
+    def test_a_rerun_with_a_good_key_does_the_work(self, live, monkeypatch, capsys):
+        assert self._preprocess(monkeypatch, capsys, "bad")[0] == 1
+        code, out = self._preprocess(monkeypatch, capsys, "good")
+        assert code == 0
+        assert out.out.startswith("preprocess: 60 bundles in ")
+        assert "(180 gateway calls, 0 cache hits)" in out.out
+        bundles = live / "work" / "bundles"
+        assert (bundles / "bundles.jsonl").read_bytes().count(b"\n") == 60
+        assert (bundles / "failures.jsonl").read_bytes() == b""
+        assert run("preprocess", "--config", "live.json") == 0
+        assert capsys.readouterr().out.startswith("preprocess: up to date")
 
 
 class TestEncoderStore:

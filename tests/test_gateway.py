@@ -21,7 +21,7 @@ from medcascade.gateway import (Gateway, GatewayConfig, InFlight, LlamaServerBac
                                 cache_key, load_symptom_lexicon)
 from medcascade.preprocess import BundleStore, render, run_bundle
 
-from conftest import make_record
+from conftest import ask, drive, make_record
 
 MOCK = MockBackend()
 
@@ -206,22 +206,12 @@ class FlakyBackend:
         return self.response
 
 
-def complete_retrying(gw, prompt, sleep=lambda s: None):
-    """``gw.complete(prompt)`` as a caller that waits out each ``RetryLater``
-    with ``sleep(delay)`` and asks again."""
-    while True:
-        try:
-            return gw.complete(prompt)
-        except RetryLater as later:
-            sleep(later.delay)
-
-
 class TestRetry:
     def test_retries_then_succeeds(self):
         sleeps = []
         backend = FlakyBackend(failures=2)
         gw = Gateway(backend, retry=RetryPolicy(max_retries=3, base_delay=0.5))
-        assert complete_retrying(gw, "x", sleeps.append) == "ok"
+        assert drive(ask("x"), gw, sleeps.append) == "ok"
         assert backend.calls == 3
         assert sleeps == [0.5, 1.0]
         assert sleeps == sorted(sleeps)  # nondecreasing backoff
@@ -232,7 +222,7 @@ class TestRetry:
         gw = Gateway(backend, retry=RetryPolicy(max_retries=2))
         with pytest.raises(BackendUnavailable,
                            match="^backend 'flaky' failed after 3 attempts: boom$"):
-            complete_retrying(gw, "x", sleeps.append)
+            drive(ask("x"), gw, sleeps.append)
         assert backend.calls == 3  # 1 + max_retries, never more
         assert len(sleeps) == 2
 
@@ -294,7 +284,7 @@ class TestRetry:
         backend = FlakyBackend(failures=99)
         gw = Gateway(backend, retry=RetryPolicy(max_retries=0))
         with pytest.raises(BackendUnavailable, match="after 1 attempts"):
-            complete_retrying(gw, "x", pytest.fail)
+            drive(ask("x"), gw, pytest.fail)
         assert backend.calls == 1
 
 
@@ -311,7 +301,7 @@ class TestRateLimit:
         backend = FlakyBackend(failures=2)
         limiter = CountingLimiter()
         gw = Gateway(backend, rate_limiter=limiter)
-        assert complete_retrying(gw, "x") == "ok"
+        assert drive(ask("x"), gw) == "ok"
         assert limiter.acquires == backend.calls == gw.backend_calls == 3
 
 
@@ -419,7 +409,7 @@ class TestHttpBackends:
     def test_openai_roundtrip(self, http_server):
         _Handler.behavior = "ok"
         gw = Gateway(OpenAIChatBackend("openai", http_server, api_key="k"))
-        assert gw.complete("hi") == "echo:hi"
+        assert drive(ask("hi"), gw) == "echo:hi"
 
     def test_request_bodies_are_pinned(self, http_server):
         _Handler.behavior = "ok"
@@ -435,13 +425,13 @@ class TestHttpBackends:
         gw = Gateway(OpenAIChatBackend("openai", http_server, api_key="bad"),
                      sleep=lambda s: None)
         with pytest.raises(AuthError):
-            gw.complete("hi")
+            drive(ask("hi"), gw)
         _Handler.behavior = "ok"
 
     def test_transient_503_retried(self, http_server):
         _Handler.behavior = "flaky_then_ok"
         gw = Gateway(OpenAIChatBackend("openai", http_server))
-        assert complete_retrying(gw, "hi") == "echo:hi"
+        assert drive(ask("hi"), gw) == "echo:hi"
 
 
     @pytest.mark.parametrize("status, header, delay", [
@@ -455,24 +445,23 @@ class TestHttpBackends:
         _Handler.retry_status, _Handler.retry_after = status, header
         # the default policy: 0.5 s first, capped at 8 s
         gw = Gateway(OpenAIChatBackend("openai", http_server), sleep=pytest.fail)
-        with pytest.raises(RetryLater) as later:
-            gw.complete("hi")
-        assert later.value.delay == delay
-        assert gw.complete("hi") == "echo:hi"
+        delays = []
+        assert drive(ask("hi"), gw, delays.append) == "echo:hi"
+        assert delays == [delay]
         assert gw.backend_calls == 2
 
     @pytest.mark.parametrize("behavior", ["disconnect_then_ok", "hang_then_ok"])
     def test_transport_failure_retried(self, http_server, behavior):
         _Handler.behavior = behavior
         gw = Gateway(OpenAIChatBackend("openai", http_server, timeout=0.5))
-        assert complete_retrying(gw, "hi") == "echo:hi"
+        assert drive(ask("hi"), gw) == "echo:hi"
         assert gw.backend_calls == 2
 
     def test_undecodable_body_is_backend_unavailable(self, http_server):
         _Handler.behavior = "html"
         gw = Gateway(OpenAIChatBackend("openai", http_server), sleep=lambda s: None)
         with pytest.raises(BackendUnavailable, match="undecodable response"):
-            gw.complete("hi")
+            drive(ask("hi"), gw)
         assert gw.backend_calls == 1
         _Handler.behavior = "ok"
 
@@ -493,7 +482,7 @@ class TestHttpBackends:
         url = http_server.replace("/v1/chat/completions", "/completion")
         gw = Gateway(backend("live", url), sleep=lambda s: None)
         with pytest.raises(BackendUnavailable, match=named):
-            gw.complete("hi")
+            drive(ask("hi"), gw)
         assert gw.backend_calls == 1
         _Handler.behavior = "ok"
 
@@ -505,31 +494,31 @@ class TestInFlight:
         gw = Gateway(OpenAIChatBackend("openai", http_server), rate_limiter=limiter,
                      sleep=pytest.fail)
         with pytest.raises(InFlight) as flight:
-            gw.complete("hi", block=False)
+            gw.complete("hi")
         assert not isinstance(flight.value, MedcascadeError)
         assert select.select([flight.value.sock], [], [], 5.0)[0]
         with pytest.raises(InFlight):   # not read until the caller says it is ready
-            gw.complete("hi", block=False)
+            gw.complete("hi")
         flight.value.ready = True
-        assert gw.complete("hi", block=False) == "echo:hi"
+        assert gw.complete("hi") == "echo:hi"
         assert limiter.acquires == gw.backend_calls == 1
 
     def test_the_mock_never_raises_in_flight(self, tmp_path, monkeypatch):
         calls = []
 
-        def complete(gw, prompt, block=True, _complete=Gateway.complete):
+        def complete(gw, prompt, _complete=Gateway.complete):
             try:
-                answer = _complete(gw, prompt, block)
+                answer = _complete(gw, prompt)
             except InFlight:
-                calls.append((block, "InFlight"))
+                calls.append("InFlight")
                 raise
-            calls.append((block, "answered"))
+            calls.append("answered")
             return answer
 
         monkeypatch.setattr(Gateway, "complete", complete)
         run_bundle([make_record(rid=f"r{i}") for i in range(3)], Gateway(MockBackend()),
                    BundleStore(tmp_path / "b"))
-        assert calls == [(False, "answered")] * 9
+        assert calls == ["answered"] * 9
 
     def test_a_failed_send_is_ready_at_once_and_transient(self):
         with socket.socket() as sock:   # a port that nothing listens on
@@ -538,9 +527,9 @@ class TestInFlight:
         gw = Gateway(OpenAIChatBackend("openai", f"http://127.0.0.1:{port}/v1"),
                      retry=RetryPolicy(max_retries=1), sleep=pytest.fail)
         with pytest.raises(RetryLater):
-            gw.complete("hi", block=False)
+            gw.complete("hi")
         with pytest.raises(BackendUnavailable, match="after 2 attempts: ConnectionRefusedError"):
-            gw.complete("hi", block=False)
+            gw.complete("hi")
         assert gw.backend_calls == 2
 
     def test_an_https_url_speaks_tls(self):
@@ -633,7 +622,7 @@ class TestBuildGateway:
         monkeypatch.setenv("MEDCASCADE_LLM_URL", http_server)
         monkeypatch.setenv("MEDCASCADE_LLM_KEY", "secret")
         gw = build_gateway(GatewayConfig(backend="openai"))
-        assert gw.complete("hi") == "echo:hi"
+        assert drive(ask("hi"), gw) == "echo:hi"
 
     def test_models_sharing_a_cache_dir_each_call_the_backend(self, monkeypatch, http_server,
                                                               tmp_path):
@@ -643,7 +632,7 @@ class TestBuildGateway:
         for model in ("model-a", "model-b", "model-a"):
             gw = build_gateway(GatewayConfig(backend="openai", model=model,
                                              cache_dir=str(tmp_path / "c")))
-            assert gw.complete("hi") == "echo:hi"
+            assert drive(ask("hi"), gw) == "echo:hi"
             calls.append((gw.backend_calls, gw.cache_hits))
         assert calls == [(1, 0), (1, 0), (0, 1)]
 
@@ -693,7 +682,7 @@ class TestBuildGateway:
         gw = build_gateway(GatewayConfig(backend="llama", rate_per_sec=7.0, burst=3.0))
         assert isinstance(gw.backend, LlamaServerBackend)
         assert isinstance(gw.rate_limiter, TokenBucket)
-        assert gw.complete("hi") == "echo:hi"
+        assert drive(ask("hi"), gw) == "echo:hi"
 
     def test_live_backend_gets_the_configured_limiter(self, monkeypatch):
         monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)

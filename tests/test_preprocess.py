@@ -13,7 +13,7 @@ from medcascade.preprocess import (TEMPLATES, BundleStore, Entity, PreprocessBun
                                    run_bundle, summarize, template_hashes)
 from medcascade.variants import build_variant
 
-from conftest import make_record
+from conftest import drive, make_record
 
 # The worked example this pipeline is shaped around: a 65-year-old with
 # diabetes/hypertension complaining about irregular bowel movements.
@@ -77,11 +77,11 @@ def scripted_gateway(responses):
 class TestRefine:
     def test_mock_whitespace_normalization(self, mock_gateway):
         rec = make_record(text="text  with   spaces")
-        assert refine(rec, mock_gateway) == "text with spaces"
+        assert drive(refine(rec), mock_gateway) == "text with spaces"
 
     def test_worked_example_header_structure(self, mock_gateway):
         rec = make_record(text=SOURCE_COMPLAINT)
-        out = refine(rec, mock_gateway)
+        out = drive(refine(rec), mock_gateway)
         # age extracted into a header, medical content preserved below it
         assert out.startswith("Age: 65\n")
         for term in ("إسهال", "إمساك", "منتفخة"):
@@ -90,33 +90,33 @@ class TestRefine:
     def test_empty_after_scrub_never_sent(self, mock_gateway):
         rec = make_record(text="   ")
         with pytest.raises(EmptySourceText):
-            refine(rec, mock_gateway)
+            drive(refine(rec), mock_gateway)
         assert mock_gateway.backend_calls == 0
 
     def test_unscrubbed_text_rejected(self, mock_gateway):
         rec = make_record(text="اتصل بيا 01234567890")
         with pytest.raises(ValueError):
-            refine(rec, mock_gateway)
+            drive(refine(rec), mock_gateway)
         assert mock_gateway.backend_calls == 0
 
     def test_refusal_detected(self):
         gw = scripted_gateway(["I cannot help with medical questions."])
         with pytest.raises(RefusalDetected):
-            refine(make_record(), gw)
+            drive(refine(make_record()), gw)
 
 
 class TestSummarize:
     def test_mock_two_sentence_rule(self, mock_gateway):
         rec = make_record(text="الاولى. الثانية. الثالثة.")
-        assert summarize(rec, mock_gateway) == "الاولى. الثانية."
+        assert drive(summarize(rec), mock_gateway) == "الاولى. الثانية."
 
     def test_single_sentence_identity(self, mock_gateway):
         rec = make_record(text="جملة واحدة فقط")
-        assert summarize(rec, mock_gateway) == "جملة واحدة فقط"
+        assert drive(summarize(rec), mock_gateway) == "جملة واحدة فقط"
 
     def test_worked_example_keeps_complaint(self, mock_gateway):
         rec = make_record(text=SOURCE_COMPLAINT)
-        out = summarize(rec, mock_gateway)
+        out = drive(summarize(rec), mock_gateway)
         assert "إسهال" in out and "إمساك" in out
         assert len(out) <= len(rec.text)
 
@@ -124,20 +124,20 @@ class TestSummarize:
         source = "شكوى المريض الاصلية هنا بطول معقول نسبيا."
         long_reply = "جملة اولى قصيرة. " + "هذه جملة ثانية طويلة جدا " * 5 + "."
         gw = scripted_gateway([long_reply])
-        out = summarize(make_record(text=source), gw)
+        out = drive(summarize(make_record(text=source)), gw)
         assert out == "جملة اولى قصيرة."
         assert len(out) <= len(source)
 
     def test_overlong_single_sentence_hard_cut(self):
         source = "نص قصير."
         gw = scripted_gateway(["كلمة " * 40])
-        out = summarize(make_record(text=source), gw)
+        out = drive(summarize(make_record(text=source)), gw)
         assert 0 < len(out) <= len(source)
 
     def test_refusal_detected(self):
         gw = scripted_gateway(["لا أستطيع تلخيص هذا النص."])
         with pytest.raises(RefusalDetected, match="summary"):
-            summarize(make_record(), gw)
+            drive(summarize(make_record()), gw)
 
 
 class TestParseEntities:
@@ -187,26 +187,26 @@ class TestParseEntities:
 class TestExtractEntities:
     def test_mock_lexicon_order_of_first_mention(self, mock_gateway):
         rec = make_record(text="headache then fever then headache")
-        entities = extract_entities(rec, mock_gateway)
+        entities = drive(extract_entities(rec), mock_gateway)
         assert [e.surface for e in entities] == ["headache", "fever"]
         assert all(not e.normalized for e in entities)
 
     def test_worked_example_symptoms(self, mock_gateway):
         rec = make_record(text=SOURCE_COMPLAINT)
-        surfaces = [e.surface for e in extract_entities(rec, mock_gateway)]
+        surfaces = [e.surface for e in drive(extract_entities(rec), mock_gateway)]
         assert "إسهال" in surfaces and "إمساك" in surfaces
         assert all(e.category == "symptom"
-                   for e in extract_entities(rec, mock_gateway))
+                   for e in drive(extract_entities(rec), mock_gateway))
 
     def test_no_lexicon_hits_empty_list(self, mock_gateway):
         rec = make_record(text="كلام عادي بدون اعراض معروفة")
-        assert extract_entities(rec, mock_gateway) == []
+        assert drive(extract_entities(rec), mock_gateway) == []
 
     def test_reprompt_recovers(self):
         backend = ScriptedBackend(["location: cairo", "symptom: fever"])
         gw = Gateway(backend)
         rec = make_record(text="fever since yesterday")
-        entities = extract_entities(rec, gw)
+        entities = drive(extract_entities(rec), gw)
         assert [e.surface for e in entities] == ["fever"]
         assert len(backend.prompts) == 2
         assert "Reminder" in backend.prompts[1]
@@ -214,7 +214,7 @@ class TestExtractEntities:
     def test_parse_failure_after_reprompt(self):
         gw = scripted_gateway(["location: cairo"])
         with pytest.raises(ParseFailure):
-            extract_entities(make_record(text="fever"), gw)
+            drive(extract_entities(make_record(text="fever")), gw)
 
 
 class TestBundleStore:
@@ -423,5 +423,5 @@ class TestTemplates:
         record = make_record("r1", SOURCE_COMPLAINT)
         gw = Gateway(MockBackend())
         monkeypatch.setattr("builtins.open", no_open)
-        assert refine(record, gw) and summarize(record, gw)
-        assert isinstance(extract_entities(record, gw), list)
+        assert drive(refine(record), gw) and drive(summarize(record), gw)
+        assert isinstance(drive(extract_entities(record), gw), list)

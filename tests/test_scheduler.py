@@ -4,19 +4,28 @@ keeps serving the others."""
 
 import asyncio
 import json
+import os
 import re
+import tempfile
 import threading
+from collections import Counter
+from dataclasses import asdict, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from medcascade import preprocess
+from medcascade.atomic import text_digest, write_jsonl
+from medcascade.corpus import scrub_pii
+from medcascade.errors import MedcascadeError
 from medcascade.gateway import (Gateway, MockBackend, OpenAIChatBackend, ResponseCache,
-                                RetryLater, RetryPolicy, TransientBackendError)
+                                RetryPolicy, TransientBackendError, cache_key)
 from medcascade.preprocess import (FORMAT_REMINDER, TEMPLATES, BundleStore, extract_entities,
                                    refine, run_bundle, summarize)
 
-from conftest import make_record
+from conftest import drive, make_record
 
 # binary fractions, so the fake clock's sums are exact
 LATENCY = 0.125
@@ -165,9 +174,9 @@ class TestLayerLookup:
     def test_run_bundle_calls_the_layers_bound_at_call_time(self, tmp_path, monkeypatch):
         called = []
         for name in ("refine", "summarize", "extract_entities"):
-            def traced(record, gw, _layer=getattr(preprocess, name), _name=name):
+            def traced(record, _layer=getattr(preprocess, name), _name=name):
                 called.append((record.id, _name))
-                return _layer(record, gw)
+                return _layer(record)
             monkeypatch.setattr(preprocess, name, traced)
         run_bundle(_records(2), Gateway(MockBackend()), BundleStore(tmp_path / "b"))
         assert called == [(f"r{i}", name) for i in range(2)
@@ -204,20 +213,6 @@ class GarbledThenBusy(MockBackend):
         return super().complete(prompt)
 
 
-class SerialGateway:
-    """``gw`` as a caller that waits out each ``RetryLater`` in place sees it."""
-
-    def __init__(self, gw):
-        self.gw = gw
-
-    def complete(self, prompt):
-        while True:
-            try:
-                return self.gw.complete(prompt)
-            except RetryLater:
-                pass
-
-
 @pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
 def test_a_restarted_layer_does_not_ask_its_earlier_prompts_again(tmp_path, cached):
     counts = []
@@ -230,7 +225,7 @@ def test_a_restarted_layer_does_not_ask_its_earlier_prompts_again(tmp_path, cach
         else:
             for record in _records(2):
                 for layer in (refine, summarize, extract_entities):
-                    layer(record, SerialGateway(gw))
+                    drive(layer(record), gw)
         counts.append((gw.backend_calls, gw.cache_hits))
     # r0: refine, summarize, the garbled NER answer, the reprompt's 503 and
     # its retry; r1: three prompts
@@ -354,6 +349,21 @@ class TestInFlight:
         _, server, _ = _live_run(tmp_path, "b")
         assert 1 < server.most_open <= preprocess._IN_FLIGHT == 4
 
+    def test_each_layer_is_created_once_per_task(self, tmp_path, monkeypatch):
+        # a task parked for a retry or a reply resumes its layer where it
+        # stopped, a garbled record's NER reprompt included
+        created = []
+        for name in ("refine", "summarize", "extract_entities"):
+            def counted(*args, _layer=getattr(preprocess, name), _name=name):
+                created.append((args[0].id, _name))
+                return _layer(*args)
+            monkeypatch.setattr(preprocess, name, counted)
+        _, server, _ = _live_run(tmp_path, "b")
+        assert len(server.prompts) == 38 and server.most_open > 1
+        assert sorted(created) == sorted({(r.id, name) for r in _live_records()
+                                          for name in ("refine", "summarize",
+                                                       "extract_entities")})
+
     def test_no_thread_is_started(self, tmp_path, monkeypatch):
         counts, ask = [], preprocess._ask
 
@@ -368,3 +378,111 @@ class TestInFlight:
                          retry=RetryPolicy(base_delay=0.01))
             run_bundle(_live_records()[:4], gw, BundleStore(tmp_path / "b"))
         assert len(counts) > 12 and set(counts) == {before}
+
+
+# -- differential oracle: the scheduler against the serial driver ----------------
+
+ORACLE_TEXTS = ("record 0 has fever. then a cough.", "record 1 has a cough. more.",
+                "record 2 is fine.")
+OUTCOMES = ("ok", "503", "503 retry-after", "429", "empty", "refusal", "garbled")
+RETRY_AFTER = {"503": None, "503 retry-after": 3.0, "429": 1.0}   # the transient outcomes
+# a prompt by (text, stage, whether it is the NER reprompt)
+SLOTS = [(t, stage, False) for t in range(len(ORACLE_TEXTS)) for stage in preprocess.STAGES] \
+    + [(t, "ner", True) for t in range(len(ORACLE_TEXTS))]
+
+
+def _slot_prompt(slot):
+    text, stage, reprompt = slot
+    prompt = preprocess.render(stage, ORACLE_TEXTS[text])
+    return f"{prompt}\n{FORMAT_REMINDER}" if reprompt else prompt
+
+
+class ScriptedBackend(MockBackend):
+    """The mock on a fake clock, without ``send``: each call takes ``LATENCY``
+    seconds, and the n-th call of a prompt plays the n-th outcome of its
+    slot's script, then the mock's answer once the script has run out."""
+
+    def __init__(self, clock, scripts):
+        super().__init__(lexicon={"fever", "cough"})
+        self.clock, self.calls = clock, []
+        self.scripts = {_slot_prompt(slot): script for slot, script in scripts.items()}
+
+    def complete(self, prompt):
+        self.clock.now += LATENCY
+        script = self.scripts.get(prompt, [])
+        played = self.calls.count(prompt)
+        self.calls.append(prompt)
+        outcome = script[played] if played < len(script) else "ok"
+        if outcome in RETRY_AFTER:
+            raise TransientBackendError(f"HTTP {outcome[:3]}", RETRY_AFTER[outcome])
+        return {"empty": "", "refusal": "I cannot help with that.",
+                "garbled": "answer: unclear"}.get(outcome) or super().complete(prompt)
+
+
+def _serial_bundle(records, gw, store, sleep):
+    """``run_bundle``'s files, each layer of each record driven to its end in turn."""
+    bundles, failed = [], []
+    for record in records:
+        source = replace(record, text=scrub_pii(record.text))
+        outputs = []
+        for stage, layer in zip(preprocess.STAGES, (refine, summarize, extract_entities)):
+            try:
+                outputs.append(drive(layer(source), gw, sleep))
+            except MedcascadeError as e:
+                outputs.append([] if stage == "ner" else source.text.strip())
+                failed.append(preprocess.LedgerEntry(record.id, stage, e.category,
+                                                     stage != "ner"))
+        bundles.append(preprocess.PreprocessBundle(record.id, *outputs,
+                                                   preprocess.template_hashes(),
+                                                   text_digest(source.text)))
+    store.save(bundles)
+    write_jsonl(os.path.join(store.directory, "failures.jsonl"), map(asdict, failed))
+
+
+def _both_runs(texts, scripts, max_retries, cached):
+    """(bundle and ledger bytes, backend calls, cache hits, calls per prompt) of
+    ``run_bundle``, then of the serial driver, on the same script and cache."""
+    records = [make_record(rid=f"r{i}", text=ORACLE_TEXTS[t]) for i, t in enumerate(texts)]
+    seen = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for serial in (False, True):
+            clock = FakeClock()
+            backend = ScriptedBackend(clock, scripts)
+            cache = ResponseCache(os.path.join(tmp, f"cache{serial}"))
+            for slot in sorted(cached):
+                prompt = _slot_prompt(slot)
+                cache.put(cache_key(prompt, backend), MockBackend.complete(backend, prompt),
+                          prompt, backend.backend_id)
+            gw = Gateway(backend, cache=cache, clock=clock, sleep=clock.sleep,
+                         retry=RetryPolicy(max_retries=max_retries, base_delay=0.5))
+            store = BundleStore(os.path.join(tmp, f"bundles{serial}"))
+            if serial:
+                _serial_bundle(records, gw, store, clock.sleep)
+            else:
+                run_bundle(records, gw, store)
+            files = [(Path(store.directory) / name).read_bytes()
+                     for name in ("bundles.jsonl", "failures.jsonl")]
+            seen.append((files, gw.backend_calls, gw.cache_hits, Counter(backend.calls)))
+    return seen
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(texts=st.lists(st.sampled_from(range(len(ORACLE_TEXTS))), min_size=1, max_size=4),
+       scripts=st.fixed_dictionaries({slot: st.lists(st.sampled_from(OUTCOMES), max_size=3)
+                                      for slot in SLOTS}),
+       max_retries=st.integers(0, 3), cached=st.sets(st.sampled_from(SLOTS)))
+def test_the_scheduler_writes_what_the_serial_driver_writes(texts, scripts, max_retries,
+                                                            cached):
+    scheduled, serial = _both_runs(texts, scripts, max_retries, cached)
+    assert scheduled == serial
+
+
+def test_a_prompt_in_back_off_is_asked_by_one_task_at_a_time():
+    # r1 has r0's text, so its refine prompt too.  It waits while r0 waits out
+    # that prompt's back-off, instead of spending r0's one retry; r0's retries
+    # run out, and r1's own first attempt gets the answer, as in a serial run
+    scheduled, serial = _both_runs([0, 0], {(0, "refine", False): ["503", "503"]},
+                                   max_retries=1, cached=set())
+    assert scheduled == serial
+    assert [json.loads(line)["record_id"] for line in scheduled[0][1].splitlines()] == ["r0"]
+    assert scheduled[1:3] == (5, 2)
