@@ -10,6 +10,12 @@ post-LayerNorm:
     h1 = LN(x + SelfAttention(x))
     h2 = LN(h1 + FFN(h1))
 
+Each base parameter is named as in a Hugging Face BERT checkpoint, without
+``bert.`` (``encoder.layer.0.attention.self.query.weight``), and each adapter
+target as the module that owns the weight
+(``encoder.layer.0.attention.self.query``), so a snapshot is read and
+written without renaming.
+
 Base parameters are always frozen and read-only, random and pretrained alike.
 Gradients are computed only for attached low-rank adapters; classification
 heads live in ``trainer``.  The backward pass therefore threads d(pooled)
@@ -88,40 +94,7 @@ _HF_CONFIG = {"vocab_size": ("vocab_size", 30522), "d_model": ("hidden_size", 76
               "layer_norm_eps": ("layer_norm_eps", 1e-12)}
 # The architecture the encoder computes, as BertConfig names it and defaults to.
 _HF_REQUIRED = {"hidden_act": "gelu", "position_embedding_type": "absolute"}
-# Hugging Face's BERT tensor names (after an optional ``bert.``) of our base
-# parameters; a block's are below ``encoder.layer.<i>.``.
-_HF_NAMES = {
-    "embeddings.word": "embeddings.word_embeddings.weight",
-    "embeddings.position": "embeddings.position_embeddings.weight",
-    "embeddings.token_type": "embeddings.token_type_embeddings.weight",
-    "embeddings.ln.gamma": "embeddings.LayerNorm.weight",
-    "embeddings.ln.beta": "embeddings.LayerNorm.bias",
-    "attn.query.W": "attention.self.query.weight",
-    "attn.query.b": "attention.self.query.bias",
-    "attn.key.W": "attention.self.key.weight",
-    "attn.key.b": "attention.self.key.bias",
-    "attn.value.W": "attention.self.value.weight",
-    "attn.value.b": "attention.self.value.bias",
-    "attn.output.W": "attention.output.dense.weight",
-    "attn.output.b": "attention.output.dense.bias",
-    "attn.ln.gamma": "attention.output.LayerNorm.weight",
-    "attn.ln.beta": "attention.output.LayerNorm.bias",
-    "ffn.inner.W": "intermediate.dense.weight",
-    "ffn.inner.b": "intermediate.dense.bias",
-    "ffn.outer.W": "output.dense.weight",
-    "ffn.outer.b": "output.dense.bias",
-    "ffn.ln.gamma": "output.LayerNorm.weight",
-    "ffn.ln.beta": "output.LayerNorm.bias",
-}
 _DTYPES = {"F32": "<f4", "F64": "<f8"}   # the safetensors dtypes a snapshot's weights may have
-
-
-def _hf_name(name: str) -> str:
-    """Hugging Face's name of the base parameter ``name``."""
-    if name.startswith("layer."):
-        _, i, rest = name.split(".", 2)
-        return f"encoder.layer.{i}.{_HF_NAMES[rest]}"
-    return _HF_NAMES[name]
 
 
 def _erf_term(x: np.ndarray) -> np.ndarray:
@@ -180,7 +153,7 @@ class EncoderConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        least = {"vocab_size": HashWordTokenizer.n_reserved + 1, "d_model": 1, "n_layers": 0,
+        least = {"vocab_size": HashWordTokenizer.n_reserved + 1, "d_model": 1, "n_layers": 1,
                  "n_heads": 1, "d_ff": 1, "max_len": 1}
         for key, value in least.items():
             if getattr(self, key) < value:
@@ -190,21 +163,24 @@ class EncoderConfig:
 
 
 def _base_shapes(c: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Every base parameter's shape, in parameter order."""
-    shapes = {"embeddings.word": (c.vocab_size, c.d_model),
-              "embeddings.position": (c.max_len, c.d_model),
-              "embeddings.token_type": (2, c.d_model),
-              "embeddings.ln.gamma": (c.d_model,), "embeddings.ln.beta": (c.d_model,)}
+    """Every base parameter's shape under its Hugging Face BERT name (without
+    ``bert.``), in parameter order."""
+    shapes = {"embeddings.word_embeddings.weight": (c.vocab_size, c.d_model),
+              "embeddings.position_embeddings.weight": (c.max_len, c.d_model),
+              "embeddings.token_type_embeddings.weight": (2, c.d_model)}
+
+    def module(name, *weight):   # a linear layer's (d_out, d_in), or a LayerNorm's (d,)
+        shapes[f"{name}.weight"], shapes[f"{name}.bias"] = weight, weight[:1]
+
+    module("embeddings.LayerNorm", c.d_model)
     for i in range(c.n_layers):
-        for proj in ("query", "key", "value", "output"):
-            shapes[f"layer.{i}.attn.{proj}.W"] = (c.d_model, c.d_model)
-            shapes[f"layer.{i}.attn.{proj}.b"] = (c.d_model,)
-        shapes[f"layer.{i}.attn.ln.gamma"] = shapes[f"layer.{i}.attn.ln.beta"] = (c.d_model,)
-        shapes[f"layer.{i}.ffn.inner.W"] = (c.d_ff, c.d_model)
-        shapes[f"layer.{i}.ffn.inner.b"] = (c.d_ff,)
-        shapes[f"layer.{i}.ffn.outer.W"] = (c.d_model, c.d_ff)
-        shapes[f"layer.{i}.ffn.outer.b"] = (c.d_model,)
-        shapes[f"layer.{i}.ffn.ln.gamma"] = shapes[f"layer.{i}.ffn.ln.beta"] = (c.d_model,)
+        layer = f"encoder.layer.{i}."
+        for proj in ("self.query", "self.key", "self.value", "output.dense"):
+            module(f"{layer}attention.{proj}", c.d_model, c.d_model)
+        module(f"{layer}attention.output.LayerNorm", c.d_model)
+        module(f"{layer}intermediate.dense", c.d_ff, c.d_model)
+        module(f"{layer}output.dense", c.d_model, c.d_ff)
+        module(f"{layer}output.LayerNorm", c.d_model)
     return shapes
 
 
@@ -219,14 +195,16 @@ def _base_views(flat: np.ndarray, c: EncoderConfig) -> dict[str, np.ndarray]:
 
 
 def _fill_base(views: dict[str, np.ndarray], c: EncoderConfig) -> None:
-    """Gaussian weight matrices and embeddings, LayerNorm gains of one, zero
-    biases."""
+    """Gaussian weight matrices and word and position embeddings, LayerNorm
+    gains of one, zero biases and token-type embeddings."""
     drawn = {}
     for name, view in views.items():
-        if name.endswith(".W") or name in ("embeddings.word", "embeddings.position"):
-            drawn[name] = view
+        if name.endswith(".bias") or name.startswith("embeddings.token_type"):
+            view.fill(0.0)
+        elif "LayerNorm" in name:
+            view.fill(1.0)
         else:
-            view.fill(1.0 if name.endswith(".gamma") else 0.0)
+            drawn[name] = view
     _draw_normal(drawn, c.init_std, c.seed)
 
 
@@ -381,9 +359,10 @@ class NumpyTransformerEncoder:
         return self.config.max_len
 
     def named_weight_shapes(self) -> dict[str, tuple[int, int]]:
-        """Weight matrices addressable for adapter injection, name -> (d_out, d_in)."""
-        return {name[:-2]: tuple(arr.shape) for name, arr in self.params.items()
-                if name.endswith(".W")}
+        """Weight matrices addressable for adapter injection, by module name
+        (``encoder.layer.0.attention.self.query``) -> (d_out, d_in)."""
+        return {name.removesuffix(".weight"): tuple(arr.shape) for name, arr in self.params.items()
+                if name.startswith("encoder.") and arr.ndim == 2}
 
     def adapter_targets(self, patterns=DEFAULT_TARGET_PATTERNS) -> list[str]:
         """The weight matrices some pattern matches (``re.search``), sorted;
@@ -395,7 +374,8 @@ class NumpyTransformerEncoder:
         for pattern in patterns:
             matched = {name for name in names if re.search(pattern, name)}
             if not matched:
-                raise ShapeMismatch(f"adapter target {pattern!r} matches no weight matrix")
+                raise ShapeMismatch(f"adapter target {pattern!r} matches no weight matrix; "
+                                    f"their names read like {next(iter(names))!r}")
             targets |= matched
         return sorted(targets)
 
@@ -432,7 +412,7 @@ class NumpyTransformerEncoder:
     def _linear(self, name: str, x: np.ndarray, training: bool, rng, cache: list | None):
         """x W^T + b (+ the adapter delta); appends what backward needs to ``cache``
         unless it is None."""
-        y = x @ self.params[f"{name}.W"].T + self.params[f"{name}.b"]
+        y = x @ self.params[f"{name}.weight"].T + self.params[f"{name}.bias"]
         entry = {"name": name}
         adapter = self.adapters.get(name)
         if adapter is not None:
@@ -447,7 +427,7 @@ class NumpyTransformerEncoder:
         """Puts the adapter's (dA, dB) in ``grads`` under its target name; returns
         d(input), or None without ``need_dx``."""
         name = entry["name"]
-        dx = dy @ self.params[f"{name}.W"] if need_dx else None
+        dx = dy @ self.params[f"{name}.weight"] if need_dx else None
         adapter = entry.get("adapter")
         if adapter is not None:
             dxd, dA, dB = adapter_backward(adapter, dy, entry["saved"], need_dx=need_dx)
@@ -488,8 +468,10 @@ class NumpyTransformerEncoder:
                    mask: np.ndarray, training, rng, lin_cache):
         """Self-attention output for the query rows ``xq`` (placed by ``q_rows``)
         over the keys and values of the packed rows ``x`` (placed by ``rows``)."""
+        attention = f"encoder.layer.{i}.attention."
+
         def project(proj, t, at):
-            return self._heads(self._linear(f"layer.{i}.attn.{proj}", t, training, rng,
+            return self._heads(self._linear(f"{attention}self.{proj}", t, training, rng,
                                             lin_cache), at)
 
         q, k, v = project("query", xq, q_rows), project("key", x, rows), project("value", x, rows)
@@ -501,7 +483,7 @@ class NumpyTransformerEncoder:
         probs = expo / expo.sum(axis=-1, keepdims=True)
 
         ctx = self._merge_heads(probs @ v, q_rows)
-        out = self._linear(f"layer.{i}.attn.output", ctx, training, rng, lin_cache)
+        out = self._linear(f"{attention}output.dense", ctx, training, rng, lin_cache)
         if lin_cache is None:
             return out, None
         return out, {"q": q, "k": k, "v": v, "probs": probs, "q_rows": q_rows}
@@ -566,36 +548,37 @@ class NumpyTransformerEncoder:
         rows = _Rows((B, L), seq * L + pos)
         cache = _Cache(rows=rows, first=np.flatnonzero(pos == 0))
         p = self.params
-        x = p["embeddings.word"][ids[seq, pos]] + p["embeddings.position"][pos] \
-            + p["embeddings.token_type"][0]
-        x, _ = self._layer_norm(x, p["embeddings.ln.gamma"], p["embeddings.ln.beta"], c.layer_norm_eps)
+
+        def norm(name, t):
+            return self._layer_norm(t, p[f"{name}.weight"], p[f"{name}.bias"], c.layer_norm_eps)
+
+        x = p["embeddings.word_embeddings.weight"][ids[seq, pos]] \
+            + p["embeddings.position_embeddings.weight"][pos] \
+            + p["embeddings.token_type_embeddings.weight"][0]
+        x, _ = norm("embeddings.LayerNorm", x)
 
         for i in range(c.n_layers):
+            layer = f"encoder.layer.{i}."
             # only the top layer's [CLS] rows reach the output
             cls_only = i == c.n_layers - 1
             xq, q_rows = (x[cache.first], _Rows((B, 1), np.arange(B))) if cls_only else (x, rows)
             lin_cache: list | None = [] if return_cache else None
             att_out, att = self._attention(i, xq, x, q_rows, rows, mask, training, rng, lin_cache)
-            h1, ln1 = self._layer_norm(xq + att_out, p[f"layer.{i}.attn.ln.gamma"],
-                                       p[f"layer.{i}.attn.ln.beta"], c.layer_norm_eps)
-            u = self._linear(f"layer.{i}.ffn.inner", h1, training, rng, lin_cache)
+            h1, ln1 = norm(f"{layer}attention.output.LayerNorm", xq + att_out)
+            u = self._linear(f"{layer}intermediate.dense", h1, training, rng, lin_cache)
             if return_cache:
                 g, term = gelu(u, return_term=True)
                 dgelu = gelu_grad(u, term)    # all that backward needs of u
             else:
                 g = gelu(u)
-            f_out = self._linear(f"layer.{i}.ffn.outer", g, training, rng, lin_cache)
-            h2, ln2 = self._layer_norm(h1 + f_out, p[f"layer.{i}.ffn.ln.gamma"],
-                                       p[f"layer.{i}.ffn.ln.beta"], c.layer_norm_eps)
+            f_out = self._linear(f"{layer}output.dense", g, training, rng, lin_cache)
+            h2, ln2 = norm(f"{layer}output.LayerNorm", h1 + f_out)
             if return_cache:
                 cache.layers.append({"lin": lin_cache, "att": att, "ln1": ln1, "ln2": ln2,
                                      "dgelu": dgelu})
             x = h2
 
-        pooled = x if c.n_layers else x[cache.first]
-        if return_cache:
-            return pooled, cache
-        return pooled
+        return (x, cache) if return_cache else x
 
     # -- backward ----------------------------------------------------------
 
@@ -640,12 +623,12 @@ class NumpyTransformerEncoder:
     def save_base(self, directory) -> None:
         """Write the base as the Hugging Face BERT snapshot
         :meth:`from_pretrained_dir` reads: ``model.safetensors`` (F64 tensors
-        under Hugging Face's names), then ``config.json`` with Hugging Face's
-        keys.  Each file is replaced atomically, so a save that fails
-        part-way leaves the previous snapshot's files in place."""
-        params = {_hf_name(name): self.params[name] for name in _base_shapes(self.config)}
+        under the encoder's own names, which are Hugging Face's), then
+        ``config.json`` with Hugging Face's keys.  Each file is replaced
+        atomically, so a save that fails part-way leaves the previous
+        snapshot's files in place."""
         header, at = {}, 0
-        for name, array in params.items():
+        for name, array in self.params.items():
             header[name] = {"dtype": "F64", "shape": list(array.shape),
                             "data_offsets": [at, at + array.size * 8]}
             at += array.size * 8
@@ -654,7 +637,7 @@ class NumpyTransformerEncoder:
 
         def write(fh):
             fh.write(len(head).to_bytes(8, "little") + head)
-            for array in params.values():
+            for array in self.params.values():
                 fh.write(np.ascontiguousarray(array, dtype="<f8"))
 
         write_atomic(os.path.join(directory, "model.safetensors"), write)
@@ -693,16 +676,15 @@ class NumpyTransformerEncoder:
                 with open(weights_path, "rb") as fh:
                     start, index = _safetensors_index(fh, os.fstat(fh.fileno()).st_size)
                     for name, view in views.items():
-                        hf = _hf_name(name)
-                        entry = index.get(hf)
+                        entry = index.get(name)
                         if entry is None or tuple(entry["shape"]) != view.shape:
                             got = "missing" if entry is None else entry["shape"]
-                            raise ShapeMismatch(f"tensor {hf} ({name}) is {got}, the config "
+                            raise ShapeMismatch(f"tensor {name} is {got}, the config "
                                                 f"implies {list(view.shape)}")
                         dtype = _DTYPES.get(entry["dtype"])
                         begin, stop = entry["data_offsets"]
                         if dtype is None or stop - begin != view.size * np.dtype(dtype).itemsize:
-                            raise ValueError(f"tensor {hf} is {entry['dtype']} in "
+                            raise ValueError(f"tensor {name} is {entry['dtype']} in "
                                              f"{stop - begin} bytes, not F32 or F64 of its shape")
                         fh.seek(start + begin)
                         view[...] = np.fromfile(fh, dtype, count=view.size).reshape(view.shape)

@@ -23,8 +23,9 @@ DEFAULT_RANK = 16
 DEFAULT_ALPHA = 8.0
 DEFAULT_DROPOUT = 0.05
 
-# Canonical placement: the attention query/value projections of every block.
-DEFAULT_TARGET_PATTERNS = ("attn.query", "attn.value")
+# LoRA's placement, in PEFT's spelling: the attention query and value
+# projections of every block (``encoder.layer.<i>.attention.self.query``).
+DEFAULT_TARGET_PATTERNS = ("query", "value")
 
 
 @dataclass

@@ -19,7 +19,8 @@ beside the failure ledger ``failures.jsonl``: each file written whole,
 atomically and in record order once every task is done, so a crash
 part-way through a run leaves the previous run's files as they were.  The
 log is read once into an index by record id.  A damaged or torn line is
-skipped, so its record counts as not done; a later line for a record wins.
+skipped, so its record has no bundle and ``variants`` refuses it; a later
+line for a record wins.
 Each bundle records the sha256 of the scrubbed text its layers were given,
 so a variant never joins new text to the outputs of old text.
 """
@@ -257,7 +258,7 @@ class BundleStore:
             for entry in read_jsonl(self.path):
                 try:
                     bundle = PreprocessBundle.from_json(entry)
-                except CorruptArtifact.DECODE_ERRORS:  # a damaged line: not done
+                except CorruptArtifact.DECODE_ERRORS:  # a damaged line: no bundle
                     continue
                 if isinstance(bundle.record_id, str):
                     self._index[bundle.record_id] = bundle
@@ -300,7 +301,7 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
     delay on ``gw.clock``; the stage waits in ``select``, or ``gw.sleep`` with
     none in flight.  A failed stage is ledgered, its bundle degraded to the
     scrubbed source and no entities; an unreadable cache or a rejected key
-    closes open exchanges and stops the run.
+    stops the run.  However the run stops, it closes every open exchange.
     """
     hashes = template_hashes()
     sources = [replace(r, text=scrub_pii(r.text)) for r in records]
@@ -310,53 +311,56 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
     layers, asking, done, failed = {}, {}, {}, {}   # task -> generator, the prompt it asks
     held = {}   # prompt -> the task asking it, then the tasks that ask it next
     with selectors.DefaultSelector() as sel:   # socket -> (its InFlight, the task waiting)
-        while len(done) < len(STAGES) * len(records):
-            now, task, flights = gw.clock(), None, list(sel.get_map().values())
-            if arrived:
-                task = heapq.heappop(arrived)
-            elif len(flights) < _IN_FLIGHT:
-                task = heapq.heappop(parked)[1] if parked and parked[0][0] <= now \
-                    else next(fresh, None)
-            if task is None and flights:   # wait for a reply, a deadline or a due retry
-                due = [parked[0][0] - now] if parked and len(flights) < _IN_FLIGHT else []
-                wait = min([key.data[0].deadline - time.monotonic() for key in flights] + due)
-                readable = {key.fileobj for key, _ in sel.select(max(wait, 0.0))}
-                for key in flights:   # unregistered before any task can read and close it
-                    if key.fileobj in readable or key.data[0].deadline <= time.monotonic():
-                        sel.unregister(key.fileobj)
-                        key.data[0].ready = True
-                        heapq.heappush(arrived, key.data[1])
-                continue
-            if task is None:   # only parked tasks are left
-                gw.sleep(parked[0][0] - now)
-                task = heapq.heappop(parked)[1]
-            i, stage = task[0], STAGES[task[1]]
-            try:
-                if task not in layers:   # looked up at call time: a rebound layer is called
-                    layers[task] = (refine, summarize, extract_entities)[task[1]](sources[i])
-                    asking[task] = next(layers[task])
-                while held.setdefault(asking[task], [task])[0] == task:   # else wait its turn
-                    try:
-                        answer, error = _ask(gw, asking[task]), None
-                    except MedcascadeError as e:   # thrown in at the layer's yield
-                        answer, error = None, e
-                    for waiting in held.pop(asking[task])[1:]:   # their turn has come
-                        heapq.heappush(arrived, waiting)
-                    asking[task] = layers[task].throw(error) if error else layers[task].send(answer)
-                held[asking[task]].append(task)
-            except StopIteration as stop:
-                done[task] = stop.value
-            except InFlight as flight:   # no other task asks its prompt meanwhile
-                sel.register(flight.sock, selectors.EVENT_READ, (flight, task))
-            except RetryLater as later:
-                heapq.heappush(parked, (gw.clock() + later.delay, task))
-            except (CorruptArtifact, AuthError):   # an unreadable cache, a rejected key
-                for flight in gw._in_flight.values():
-                    flight.conn.close()
-                raise
-            except MedcascadeError as e:
-                done[task] = [] if stage == "ner" else sources[i].text.strip()
-                failed[task] = LedgerEntry(records[i].id, stage, e.category, stage != "ner")
+        try:
+            while len(done) < len(STAGES) * len(records):
+                now, task, flights = gw.clock(), None, list(sel.get_map().values())
+                if arrived:
+                    task = heapq.heappop(arrived)
+                elif len(flights) < _IN_FLIGHT:
+                    task = heapq.heappop(parked)[1] if parked and parked[0][0] <= now \
+                        else next(fresh, None)
+                if task is None and flights:   # wait for a reply, a deadline or a due retry
+                    due = [parked[0][0] - now] if parked and len(flights) < _IN_FLIGHT else []
+                    wait = min([key.data[0].deadline - time.monotonic() for key in flights] + due)
+                    readable = {key.fileobj for key, _ in sel.select(max(wait, 0.0))}
+                    for key in flights:   # unregistered before any task can read and close it
+                        if key.fileobj in readable or key.data[0].deadline <= time.monotonic():
+                            sel.unregister(key.fileobj)
+                            key.data[0].ready = True
+                            heapq.heappush(arrived, key.data[1])
+                    continue
+                if task is None:   # only parked tasks are left
+                    gw.sleep(parked[0][0] - now)
+                    task = heapq.heappop(parked)[1]
+                i, stage = task[0], STAGES[task[1]]
+                try:
+                    if task not in layers:   # looked up at call time: a rebound layer is called
+                        layers[task] = (refine, summarize, extract_entities)[task[1]](sources[i])
+                        asking[task] = next(layers[task])
+                    while held.setdefault(asking[task], [task])[0] == task:   # else wait its turn
+                        try:
+                            answer, error = _ask(gw, asking[task]), None
+                        except MedcascadeError as e:   # thrown in at the layer's yield
+                            answer, error = None, e
+                        for waiting in held.pop(asking[task])[1:]:   # their turn has come
+                            heapq.heappush(arrived, waiting)
+                        asking[task] = (layers[task].throw(error) if error
+                                        else layers[task].send(answer))
+                    held[asking[task]].append(task)
+                except StopIteration as stop:
+                    done[task] = stop.value
+                except InFlight as flight:   # no other task asks its prompt meanwhile
+                    sel.register(flight.sock, selectors.EVENT_READ, (flight, task))
+                except RetryLater as later:
+                    heapq.heappush(parked, (gw.clock() + later.delay, task))
+                except (CorruptArtifact, AuthError):   # an unreadable cache, a rejected key
+                    raise
+                except MedcascadeError as e:
+                    done[task] = [] if stage == "ner" else sources[i].text.strip()
+                    failed[task] = LedgerEntry(records[i].id, stage, e.category, stage != "ner")
+        finally:   # whatever ends the loop: the last task, a raised error, an interrupt
+            for flight in gw._in_flight.values():
+                flight.conn.close()
     bundles = [PreprocessBundle(r.id, *(done[i, k] for k in range(len(STAGES))), dict(hashes),
                                 text_digest(sources[i].text)) for i, r in enumerate(records)]
     store.save(bundles)

@@ -996,7 +996,7 @@ class TestEncoderWeights:
                    "--no-finetune") == 1
         err = capsys.readouterr().err
         assert err.startswith("ShapeMismatch: ")
-        assert "layer.1.ffn.inner.W" in err and "export_dir" in err
+        assert "encoder.layer.1.intermediate.dense.weight" in err and "export_dir" in err
 
 
 class TestPredictionPass:
@@ -1149,8 +1149,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("toy, named", [({"n_heads": 0}, "n_heads"),
                                             ({"d_model": -4}, "d_model"),
-                                            ({"vocab_size": 3}, "vocab_size")],
-                             ids=["n_heads-0", "d_model-negative", "vocab_size-3"])
+                                            ({"vocab_size": 3}, "vocab_size"),
+                                            ({"n_layers": 0}, "n_layers")],
+                             ids=["n_heads-0", "d_model-negative", "vocab_size-3", "n_layers-0"])
     def test_a_toy_shape_no_encoder_has_is_a_user_error(self, workspace, capsys, toy, named):
         config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
         config["model"]["toy"].update(toy)
@@ -1162,6 +1163,18 @@ class TestErrors:
                    "--no-finetune") == 1
         err = capsys.readouterr().err
         assert err.startswith("ShapeMismatch: ") and named in err
+
+    def test_an_adapter_target_that_matches_nothing_shows_a_real_name(self, workspace, capsys):
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config.setdefault("adapter", {})["targets"] = ["attn.query"]   # an older spelling
+        (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", "bad.json") == 0
+        assert run("variants", "--config", "bad.json", "--condition", "normal") == 0
+        capsys.readouterr()
+        assert run("train", "--config", "bad.json", "--condition", "normal") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ShapeMismatch: ") and "'attn.query'" in err
+        assert "'encoder.layer.0.attention.self.query'" in err
 
     @pytest.mark.parametrize("section, value, named", [
         ("model", {"toy": {"seed": 3}}, "'model.toy': ['seed']"),

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -194,12 +195,16 @@ class TestAdapters:
     def test_targets_default_query_value(self):
         enc = tiny_encoder()
         targets = enc.adapter_targets()
-        assert targets == ["layer.0.attn.query", "layer.0.attn.value",
-                           "layer.1.attn.query", "layer.1.attn.value"]
+        assert targets == ["encoder.layer.0.attention.self.query",
+                           "encoder.layer.0.attention.self.value",
+                           "encoder.layer.1.attention.self.query",
+                           "encoder.layer.1.attention.self.value"]
 
-    @pytest.mark.parametrize("patterns, named", [(("attn.query", "attn.qeury"), "'attn.qeury'"),
-                                                 ((), "no adapter target")],
-                             ids=["unmatched", "empty"])
+    @pytest.mark.parametrize("patterns, named", [
+        (("query", "qeury"), "'qeury'"),
+        (("attn.query",), "'attn.query' matches no weight matrix; their names read like "
+                          "'encoder.layer.0.attention.self.query'"),
+        ((), "no adapter target")], ids=["unmatched", "old-spelling", "empty"])
     def test_targets_that_adapt_no_matrix_are_refused(self, patterns, named):
         with pytest.raises(ShapeMismatch, match=named):
             tiny_encoder().build_adapters(rank=2, alpha=4.0, dropout_rate=0.0, seed=7,
@@ -217,10 +222,10 @@ class TestAdapters:
     def test_attach_rejects_bad_shapes(self):
         enc = tiny_encoder()
         from medcascade.lora import init_adapter
-        bad = {"layer.0.attn.query": init_adapter(8, 8, r=2)}
+        bad = {"encoder.layer.0.attention.self.query": init_adapter(8, 8, r=2)}
         with pytest.raises(ShapeMismatch):
             enc.attach_adapters(bad)
-        missing = {"layer.9.attn.query": init_adapter(16, 16, r=2)}
+        missing = {"encoder.layer.9.attention.self.query": init_adapter(16, 16, r=2)}
         with pytest.raises(ShapeMismatch):
             enc.attach_adapters(missing)
 
@@ -232,10 +237,10 @@ class TestAdapters:
         for adapter in adapters.values():
             adapter.B[:] = rng.normal(0, 0.3, adapter.B.shape)
         enc.attach_adapters(adapters)
-        name = "layer.1.attn.value"
+        name = "encoder.layer.1.attention.self.value"
         x = rng.normal(size=(3, 10, 16))
         y = enc._linear(name, x, training, np.random.default_rng(5), [])
-        base = x @ enc.params[f"{name}.W"].T + enc.params[f"{name}.b"]
+        base = x @ enc.params[f"{name}.weight"].T + enc.params[f"{name}.bias"]
         expected = adapted_forward(adapters[name], base, x, training=training,
                                    rng=np.random.default_rng(5))
         assert y.tobytes() == expected.tobytes()
@@ -314,10 +319,10 @@ class TestHotPath:
         enc = _with_random_adapters(build_toy_encoder(seed=4, **overrides))
         rng = np.random.default_rng(1)
         eps = np.finfo(float).eps
-        for name in ("attn.query", "attn.key", "attn.value", "attn.output",
-                     "ffn.inner", "ffn.outer"):
-            name = f"layer.0.{name}"
-            W, b = enc.params[f"{name}.W"], enc.params[f"{name}.b"]
+        for name in ("attention.self.query", "attention.self.key", "attention.self.value",
+                     "attention.output.dense", "intermediate.dense", "output.dense"):
+            name = f"encoder.layer.0.{name}"
+            W, b = enc.params[f"{name}.weight"], enc.params[f"{name}.bias"]
             x = rng.normal(size=(*batch, W.shape[1]))
             dy = rng.normal(size=(*batch, W.shape[0]))
             cache: list = []
@@ -369,7 +374,7 @@ class TestHotPath:
         assert all(c is None for c in caches)
 
 
-ALL_LINEARS = ("attn.query", "attn.key", "attn.value", "attn.output", "ffn.inner", "ffn.outer")
+ALL_LINEARS = ("query", "key", "value", "dense")
 
 
 def _padded_reference(enc, ids, mask, d_pooled):
@@ -384,7 +389,7 @@ def _padded_reference(enc, ids, mask, d_pooled):
     grads = {}
 
     def linear(name, x, tape):
-        y = x @ p[f"{name}.W"].T + p[f"{name}.b"]
+        y = x @ p[f"{name}.weight"].T + p[f"{name}.bias"]
         adapter, saved = enc.adapters.get(name), None
         if adapter is not None:
             delta, saved = adapter_delta(adapter, x)
@@ -394,7 +399,7 @@ def _padded_reference(enc, ids, mask, d_pooled):
 
     def linear_back(dy, entry):
         name, adapter, saved = entry
-        dx = dy @ p[f"{name}.W"]
+        dx = dy @ p[f"{name}.weight"]
         if adapter is not None:
             dxd, dA, dB = adapter_backward(adapter, dy, saved)
             g = grads.setdefault(name, {"A": 0.0, "B": 0.0})
@@ -408,20 +413,26 @@ def _padded_reference(enc, ids, mask, d_pooled):
     def merge(t):
         return t.transpose(0, 2, 1, 3).reshape(B, L, H * dh)
 
-    x = p["embeddings.word"][ids] + p["embeddings.position"][:L] + p["embeddings.token_type"][0]
-    x, _ = ln(x, p["embeddings.ln.gamma"], p["embeddings.ln.beta"], eps)
+    def norm(name, x):
+        return ln(x, p[f"{name}.weight"], p[f"{name}.bias"], eps)
+
+    x = p["embeddings.word_embeddings.weight"][ids] \
+        + p["embeddings.position_embeddings.weight"][:L] \
+        + p["embeddings.token_type_embeddings.weight"][0]
+    x, _ = norm("embeddings.LayerNorm", x)
     layers = []
     for i in range(c.n_layers):
-        pre, tape = f"layer.{i}.", []
-        q, k, v = (split(linear(f"{pre}attn.{n}", x, tape)) for n in ("query", "key", "value"))
+        pre, tape = f"encoder.layer.{i}.", []
+        q, k, v = (split(linear(f"{pre}attention.self.{n}", x, tape))
+                   for n in ("query", "key", "value"))
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + NEG_INF * (1 - mask)[:, None, None, :]
         probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
-        att = linear(f"{pre}attn.output", merge(probs @ v), tape)
-        h1, ln1 = ln(x + att, p[f"{pre}attn.ln.gamma"], p[f"{pre}attn.ln.beta"], eps)
-        u = linear(f"{pre}ffn.inner", h1, tape)
-        f_out = linear(f"{pre}ffn.outer", gelu(u), tape)
-        x, ln2 = ln(h1 + f_out, p[f"{pre}ffn.ln.gamma"], p[f"{pre}ffn.ln.beta"], eps)
+        att = linear(f"{pre}attention.output.dense", merge(probs @ v), tape)
+        h1, ln1 = norm(f"{pre}attention.output.LayerNorm", x + att)
+        u = linear(f"{pre}intermediate.dense", h1, tape)
+        f_out = linear(f"{pre}output.dense", gelu(u), tape)
+        x, ln2 = norm(f"{pre}output.LayerNorm", h1 + f_out)
         layers.append((tape, q, k, v, probs, ln1, ln2, u))
 
     pooled = x[:, 0]
@@ -510,10 +521,10 @@ class TestPacking:
         monkeypatch.setattr(enc, "_linear", linear.__get__(enc))
         _, cache = enc.forward(ids, mask, return_cache=True)
         N, B, d = 10, 3, enc.d_model
-        top = {"query": B, "key": N, "value": N, "output": B, "inner": B, "outer": B}
         for name, shape in rows.items():
-            n = top[name.split(".")[-1]] if name.startswith("layer.1.") else N
-            assert shape == (n, enc.config.d_ff if name.endswith("outer") else d), name
+            _, _, i, module = name.split(".", 3)
+            n = N if i == "0" or module in ("attention.self.key", "attention.self.value") else B
+            assert shape == (n, enc.config.d_ff if module == "output.dense" else d), name
 
     def test_layer_0_forms_no_input_gradient(self, monkeypatch):
         enc = _with_random_adapters(tiny_encoder())
@@ -530,13 +541,14 @@ class TestPacking:
         monkeypatch.setattr(enc, "_linear_backward", linear_backward.__get__(enc))
         grads = enc.backward_adapters(cache, np.ones_like(pooled))
         assert sorted(grads) == enc.adapter_targets()
-        layer0 = [call for call in calls if call[0].startswith("layer.0.attn.")]
+        attention = "encoder.layer.0.attention."
+        layer0 = [call for call in calls if call[0].startswith(attention)]
         assert [name for name, _, _ in layer0] == [
-            "layer.0.attn.output", "layer.0.attn.value", "layer.0.attn.query"]
+            f"{attention}output.dense", f"{attention}self.value", f"{attention}self.query"]
         assert [(need, none) for _, need, none in layer0] == [(True, False), (False, True),
                                                             (False, True)]
         assert all(need and not none for name, need, none in calls
-                   if not name.startswith("layer.0.attn."))
+                   if not name.startswith(attention))
 
     def test_a_cache_serves_one_backward(self):
         enc = _with_random_adapters(tiny_encoder())
@@ -549,8 +561,94 @@ class TestPacking:
             enc.backward_adapters(cache, np.ones_like(pooled))
 
 
+# sha256 of each tensor of build_toy_encoder()'s random base (numpy 2.4.6)
+TOY_BASE_SHA256 = {
+    "embeddings.word_embeddings.weight":
+        "2b7400e694fe2068e87814722df04faaae5d2849235f83a90a4646dfb6a57501",
+    "embeddings.position_embeddings.weight":
+        "abc0ae4334c759c06712b611a58abde54ae2ef417f17d6b23bde8dc09e07b308",
+    "embeddings.token_type_embeddings.weight":
+        "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
+    "embeddings.LayerNorm.weight":
+        "e31bedb0d9a84d336f4601611ba5c1f0c14a22ede9bbb52afb09092dc79d6b67",
+    "embeddings.LayerNorm.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.0.attention.self.query.weight":
+        "8e39de6dfce810149f86e2cf1fe8fcd1e9a814c72931793e7f491b44f87f9a33",
+    "encoder.layer.0.attention.self.query.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.0.attention.self.key.weight":
+        "8c68beba7166cc4f9b57914411edb9d099a6d303a51e4b4428e912a3d3f48e2f",
+    "encoder.layer.0.attention.self.key.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.0.attention.self.value.weight":
+        "4d37d14bd387d7e0fab68707671b2970adb9c233761b167043c8c2937f8da9a4",
+    "encoder.layer.0.attention.self.value.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.0.attention.output.dense.weight":
+        "234b5772c126547de0513af7d397ef567153bcd6357dfcb4a7a801cd68fd0577",
+    "encoder.layer.0.attention.output.dense.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.0.attention.output.LayerNorm.weight":
+        "e31bedb0d9a84d336f4601611ba5c1f0c14a22ede9bbb52afb09092dc79d6b67",
+    "encoder.layer.0.attention.output.LayerNorm.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.0.intermediate.dense.weight":
+        "6324cfa478aa9b9675faa978113b2dc025cd5398026613640b1e69ce4a6035ba",
+    "encoder.layer.0.intermediate.dense.bias":
+        "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
+    "encoder.layer.0.output.dense.weight":
+        "b48a89b361278e06d61a1bc79a7a12ab374c6be86b9038cb1c1d97b80669a4bf",
+    "encoder.layer.0.output.dense.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.0.output.LayerNorm.weight":
+        "e31bedb0d9a84d336f4601611ba5c1f0c14a22ede9bbb52afb09092dc79d6b67",
+    "encoder.layer.0.output.LayerNorm.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.1.attention.self.query.weight":
+        "51135047a9714006ddd3d4a90ea600c9eb177a9fb7ca9d2a072eda2346569db9",
+    "encoder.layer.1.attention.self.query.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.1.attention.self.key.weight":
+        "da3215adc282381b6f9c31f1518ccbb7f7706e5205264f99973c9acc62345f7c",
+    "encoder.layer.1.attention.self.key.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.1.attention.self.value.weight":
+        "15b6e263a103810f731a5eda525c7b62034af16fc519f49dc03ead8b691497e1",
+    "encoder.layer.1.attention.self.value.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.1.attention.output.dense.weight":
+        "a26ef1326c6fc0ec18659d9322b42ec6dc1424f8ae3ff8d8af9a905422a9f43a",
+    "encoder.layer.1.attention.output.dense.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.1.attention.output.LayerNorm.weight":
+        "e31bedb0d9a84d336f4601611ba5c1f0c14a22ede9bbb52afb09092dc79d6b67",
+    "encoder.layer.1.attention.output.LayerNorm.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.1.intermediate.dense.weight":
+        "793856e47dd199b38ca67961ca3dcb0c4ffd17ebecf63c3d8b32f4c56f36499e",
+    "encoder.layer.1.intermediate.dense.bias":
+        "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
+    "encoder.layer.1.output.dense.weight":
+        "be1fa9a8296d46c304c4cd4d8c9ad8c91988871fbfbb0ac9cf9f688022a30f92",
+    "encoder.layer.1.output.dense.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    "encoder.layer.1.output.LayerNorm.weight":
+        "e31bedb0d9a84d336f4601611ba5c1f0c14a22ede9bbb52afb09092dc79d6b67",
+    "encoder.layer.1.output.LayerNorm.bias":
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+}
+
+
 class TestInit:
     BIG = dict(d_model=32, n_heads=2, d_ff=48, n_layers=3, vocab_size=96)
+
+    def test_the_default_toy_base_keeps_each_tensor_s_values(self):
+        """Pinned by name, so that renaming or reordering the base parameters
+        cannot move a weight to another random stream unnoticed."""
+        params = build_toy_encoder().params
+        assert {name: hashlib.sha256(array.tobytes()).hexdigest()
+                for name, array in params.items()} == TOY_BASE_SHA256
 
     def test_weights_do_not_depend_on_the_worker_count(self, monkeypatch):
         workers = []
@@ -575,7 +673,7 @@ class TestInit:
         assert a.base_state_bytes() == b.base_state_bytes()
         assert a.base_state_bytes() != c.base_state_bytes()
         for name, arr in a.params.items():
-            if name.endswith(".W") or name.startswith("embeddings.word"):
+            if arr.ndim == 2 and "token_type" not in name:   # a drawn matrix
                 assert not np.array_equal(arr, c.params[name]), name
 
     def test_vocab_size_leaves_every_layer_weight_unchanged(self):
@@ -583,9 +681,9 @@ class TestInit:
         large = build_toy_encoder(seed=5, **{**self.BIG, "vocab_size": 200}).params
         assert list(small) == list(large)
         for name in small:
-            if name != "embeddings.word":
+            if name != "embeddings.word_embeddings.weight":
                 assert small[name].tobytes() == large[name].tobytes(), name
-        assert large["embeddings.word"].shape == (200, 32)
+        assert large["embeddings.word_embeddings.weight"].shape == (200, 32)
 
 
 class TestBaseStore:
@@ -625,8 +723,7 @@ class TestBaseStore:
     def test_a_stored_base_has_the_bits_of_one_normal_draw_per_matrix(self, tmp_path):
         c = self._config()
         params = encoder_module.random_base(c, str(tmp_path))
-        drawn = [n for n in params if n.endswith(".W") or n.startswith("embeddings.word")
-                 or n.startswith("embeddings.position")]
+        drawn = [n for n in params if params[n].ndim == 2 and "token_type" not in n]
         streams = np.random.SeedSequence(c.seed).spawn(len(drawn))
         for name, stream in zip(drawn, streams):
             expected = np.random.default_rng(stream).normal(0.0, c.init_std, params[name].shape)
@@ -731,28 +828,6 @@ class TestBaseStore:
                 enc.params[name] += 1.0
 
 
-# transformers' BertModel name of each toy-encoder parameter, written out here so
-# that the reader's own name map is checked against it
-HF_EMBEDDINGS = {"embeddings.word": "embeddings.word_embeddings.weight",
-                 "embeddings.position": "embeddings.position_embeddings.weight",
-                 "embeddings.token_type": "embeddings.token_type_embeddings.weight",
-                 "embeddings.ln.gamma": "embeddings.LayerNorm.weight",
-                 "embeddings.ln.beta": "embeddings.LayerNorm.bias"}
-HF_MODULES = {"attn.query": "attention.self.query", "attn.key": "attention.self.key",
-              "attn.value": "attention.self.value", "attn.output": "attention.output.dense",
-              "attn.ln": "attention.output.LayerNorm", "ffn.inner": "intermediate.dense",
-              "ffn.outer": "output.dense", "ffn.ln": "output.LayerNorm"}
-HF_LEAVES = {"W": "weight", "b": "bias", "gamma": "weight", "beta": "bias"}
-
-
-def hf_name(name: str) -> str:
-    if name in HF_EMBEDDINGS:
-        return HF_EMBEDDINGS[name]
-    _, i, rest = name.split(".", 2)
-    module, leaf = rest.rsplit(".", 1)
-    return f"encoder.layer.{i}.{HF_MODULES[module]}.{HF_LEAVES[leaf]}"
-
-
 def hand_written_snapshot(directory, enc, vocab=None, tokenizer_config=None):
     """A snapshot laid out as a Hugging Face BertForMaskedLM checkpoint would
     be: F32 tensors under ``bert.`` names, with a pooler, an int64
@@ -761,7 +836,7 @@ def hand_written_snapshot(directory, enc, vocab=None, tokenizer_config=None):
     c = enc.config
     tensors = {"cls.predictions.bias": np.zeros(c.vocab_size, "<f4"),
                "bert.embeddings.position_ids": np.arange(c.max_len, dtype="<i8")[None],
-               **{f"bert.{hf_name(n)}": a.astype("<f4") for n, a in enc.params.items()},
+               **{f"bert.{n}": a.astype("<f4") for n, a in enc.params.items()},
                "bert.pooler.dense.weight": np.ones((c.d_model, c.d_model), "<f4")}
     header, buffer = {"__metadata__": {"format": "pt"}}, b""
     for name, array in tensors.items():
@@ -956,11 +1031,12 @@ class TestExportWriter:
         enc = tiny_encoder()
         enc.save_base(tmp_path / "enc")
         header, buffer = read_safetensors(tmp_path / "enc" / "model.safetensors")
-        assert sorted(header) == sorted(hf_name(name) for name in enc.params)
+        # the encoder's own names, in parameter order
+        assert list(header) == list(enc.params) == list(encoder_module._base_shapes(enc.config))
         head_length = (tmp_path / "enc" / "model.safetensors").read_bytes()[:8]
         assert int.from_bytes(head_length, "little") % 8 == 0   # an aligned buffer
         for name, array in enc.params.items():
-            entry = header[hf_name(name)]
+            entry = header[name]
             begin, stop = entry["data_offsets"]
             assert entry["dtype"] == "F64" and entry["shape"] == list(array.shape)
             assert buffer[begin:stop] == array.astype("<f8").tobytes(), name
@@ -1065,7 +1141,7 @@ class TestExportStore:
         store = tmp_path / "store"
         with pytest.raises(ShapeMismatch, match=re.escape(str(export))) as err:
             NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
-        assert "layer.1.ffn.inner.W" in str(err.value)
+        assert "encoder.layer.1.intermediate.dense.weight" in str(err.value)
         assert os.listdir(store) == []
 
 

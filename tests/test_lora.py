@@ -151,10 +151,10 @@ class TestCountTrainable:
 class TestCheckpoint:
     def test_round_trip_independent_of_base(self, tmp_path):
         adapters = {
-            "layer.0.attn.query": init_adapter(16, 16, r=4, seed=1),
-            "layer.1.attn.value": init_adapter(16, 16, r=2, seed=2, alpha=4.0),
+            "encoder.layer.0.attention.self.query": init_adapter(16, 16, r=4, seed=1),
+            "encoder.layer.1.attention.self.value": init_adapter(16, 16, r=2, seed=2, alpha=4.0),
         }
-        adapters["layer.0.attn.query"].B[:] = 0.5
+        adapters["encoder.layer.0.attention.self.query"].B[:] = 0.5
         heads = {"type": {"W": np.ones((3, 16)), "b": np.zeros(3)}}
         path = tmp_path / "ckpt.npz"
         save_adapter_set(path, adapters, heads, extra_meta={"note": "test"})
@@ -169,7 +169,7 @@ class TestCheckpoint:
         assert extra == {"note": "test"}
 
     def test_loads_checkpoint_written_with_frozen_base_key(self, tmp_path):
-        name = "layer.0.attn.query"
+        name = "encoder.layer.0.attention.self.query"
         adapters = {name: init_adapter(8, 8, r=2, seed=1)}
         path = tmp_path / "ckpt.npz"
         save_adapter_set(path, adapters)

@@ -239,7 +239,10 @@ class ReverseOrderLLM:
     each request until none has come for ``QUIET`` seconds, then answers the
     held ones newest first.  The first attempt of each prompt of a record that
     says "flaky" gets a 503; the NER answers of a "garbled" record cannot be
-    parsed.  ``most_open`` is the most connections it ever had open at once."""
+    parsed.  ``most_open`` is the most connections it ever had open at once.
+    Leaving it waits for every connection's handler to finish: what it still
+    holds is answered once no request has come for ``QUIET`` seconds, to a
+    client that may have gone."""
 
     QUIET = 0.02
 
@@ -262,6 +265,8 @@ class ReverseOrderLLM:
         async def close():
             self.server.close()
             await self.server.wait_closed()
+            await asyncio.gather(*asyncio.all_tasks() - {asyncio.current_task()},
+                                 return_exceptions=True)
 
         asyncio.run_coroutine_threadsafe(close(), self.loop).result(timeout=5.0)
         self.loop.call_soon_threadsafe(self.loop.stop)
@@ -363,6 +368,26 @@ class TestInFlight:
         assert sorted(created) == sorted({(r.id, name) for r in _live_records()
                                           for name in ("refine", "summarize",
                                                        "extract_entities")})
+
+    def test_an_error_that_stops_the_run_closes_every_open_exchange(self, tmp_path,
+                                                                    monkeypatch):
+        puts, put = [], ResponseCache.put
+
+        def full_disk_on_the_third_put(cache, *args):
+            puts.append(args)
+            if len(puts) == 3:
+                raise OSError(28, "No space left on device")
+            return put(cache, *args)
+
+        monkeypatch.setattr(ResponseCache, "put", full_disk_on_the_third_put)
+        with ReverseOrderLLM() as server:
+            gw = Gateway(OpenAIChatBackend("openai", server.url, timeout=5.0),
+                         cache=ResponseCache(tmp_path / "cache"),
+                         retry=RetryPolicy(base_delay=0.01))
+            with pytest.raises(OSError, match="No space left on device"):
+                run_bundle(_live_records(), gw, BundleStore(tmp_path / "b"))
+        assert len(puts) == 3 and gw._in_flight   # other exchanges were still out
+        assert all(flight.conn.sock is None for flight in gw._in_flight.values())
 
     def test_no_thread_is_started(self, tmp_path, monkeypatch):
         counts, ask = [], preprocess._ask
