@@ -3,9 +3,9 @@
 ``write_atomic`` replaces a whole file: temp file + rename, so readers never
 see a partial file and a failed write leaves the previous version in place.
 It also takes a function that writes into the open temp file, so an
-``np.savez`` archive is never built in memory first; the file is open for
-reading too, so the function may ``np.memmap`` it, and what the function
-returns (such a map, say) is returned once the file is in place.
+``np.savez`` archive is never built in memory first.  The temp file is a
+plain binary file open for writing only, so ``np.save`` writes an array into
+it with one ``tofile``.
 
 Every JSON artifact takes one form, so its bytes depend on its value alone:
 keys sorted and non-ASCII kept.  ``write_json`` indents one value by two
@@ -40,22 +40,20 @@ from typing import BinaryIO, Callable
 from .errors import CorruptArtifact
 
 
-def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]):
+def write_atomic(path, data: str | bytes | Callable[[BinaryIO], object]) -> None:
     """Write ``data`` (UTF-8 if text, or what a function writes into the
-    temp file) to ``path``, creating its directory; returns what the
-    function returns.  A path of the wrong kind (a file in place of its
-    directory, a directory at ``path``) raises ``CorruptArtifact``."""
+    temp file) to ``path``, creating its directory.  A path of the wrong kind
+    (a file in place of its directory, a directory at ``path``) raises
+    ``CorruptArtifact``."""
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        result = None
-        with open(tmp, "w+b") as fh:
+        with open(tmp, "wb") as fh:
             if callable(data):
-                result = data(fh)
+                data(fh)
             else:
                 fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
-        return result
     except BaseException as e:
         if os.path.exists(tmp):
             os.remove(tmp)

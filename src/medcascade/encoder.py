@@ -43,11 +43,12 @@ Hot-path choices:
 - Random base weights are drawn one matrix per child seed stream, on a few
   threads, so they depend on the seed and shapes only.
 - Every base, random or pretrained, is one flat float64 array built by
-  ``frozen_base``.  ``train`` fills it once per workdir into
-  ``<workdir>/encoders/<key>.npy`` (a random base is drawn into it, a
-  snapshot's tensors are read from ``model.safetensors``), and every cell
-  maps that file read-only instead of drawing or loading again; a write into
-  the base raises, so the freeze contract holds by construction.
+  ``frozen_base``.  ``train`` fills it once per workdir in memory (a random
+  base is drawn into it, a snapshot's tensors are read from
+  ``model.safetensors``) and publishes it as ``<workdir>/encoders/<key>.npy``;
+  the filling process keeps its frozen array, and every later one maps that
+  file read-only instead of drawing or loading again.  A write into the base
+  raises either way, so the freeze contract holds by construction.
 """
 
 from __future__ import annotations
@@ -236,50 +237,50 @@ def frozen_base(c: EncoderConfig, store_dir: str | None, key: str | None,
     """The base parameters of ``c``, read-only views over one flat float64
     array that ``fill(views)`` writes, so that no code can move a frozen base.
 
-    Without ``store_dir`` the array is filled in memory.  With it, it is
-    ``<store_dir>/<key>.npy`` mapped read-only; a missing file, or one that is
-    not such an array of the right size, is filled again into a temp file
-    that replaces it atomically.  The views map that temp file before the
-    rename publishes it, so no other process's sweep can remove it from under
-    them.  Every encoder built with the same key and store shares one file
-    and its pages.  Each use sets the file's mtime; a newly filled base
-    removes all but the ``_KEPT_BASES`` most recently used, so stale keys do
-    not pile up and a grid alternating between encoders fills each once.
+    With ``store_dir``, a valid ``<store_dir>/<key>.npy`` (such an array of
+    the right size) is mapped read-only.  Otherwise ``fill`` writes a fresh
+    array in memory, which is frozen by clearing numpy's writeable flag and,
+    with a store, published with ``np.save`` to a temp file that replaces the
+    stored one atomically; a fill that raises publishes nothing.  So the
+    process that fills a base computes on its own array, and every later
+    process maps the file and shares its pages (as does a pool forked once
+    the base is built); a write into the base raises ``ValueError`` either
+    way.  Another process's sweep may remove the file as soon as it is
+    published, but not the filler's array.  Each use sets the file's mtime; a
+    newly published base removes all but the ``_KEPT_BASES`` most recently
+    used, so stale keys do not pile up and a grid alternating between
+    encoders fills each once.
     """
     c.validate()
     size = sum(int(np.prod(shape)) for shape in _base_shapes(c).values())
-    if store_dir is None:
+    flat = path = None
+    if store_dir is not None:
+        path = os.path.join(store_dir, f"{key}.npy")
+        with contextlib.suppress(OSError, ValueError):   # missing, or not an .npy that maps
+            stored = np.lib.format.open_memmap(path, mode="r")
+            if stored.dtype == np.float64 and stored.shape == (size,) \
+                    and os.path.getsize(path) == stored.offset + stored.nbytes:
+                flat = stored.view(np.ndarray)   # a plain array over the map
+    filled = flat is None
+    if filled:
         flat = np.empty(size)
         fill(_base_views(flat, c))
         flat.flags.writeable = False
+        if path is not None:
+            write_atomic(path, lambda fh: np.save(fh, flat))
+    if path is None:
         return _base_views(flat, c)
-    path = os.path.join(store_dir, f"{key}.npy")
-    try:
-        flat = np.lib.format.open_memmap(path, mode="r")
-        stored = flat.dtype == np.float64 and flat.shape == (size,) \
-            and os.path.getsize(path) == flat.offset + flat.nbytes
-    except (OSError, ValueError):   # missing, or not an .npy that maps
-        stored = False
-    if not stored:
-        def write(fh):
-            np.lib.format.write_array_header_1_0(
-                fh, {"descr": "<f8", "fortran_order": False, "shape": (size,)})
-            at = fh.tell()
-            fill(_base_views(np.memmap(fh, dtype=np.float64, mode="r+", offset=at,
-                                       shape=(size,)), c))
-            return np.memmap(fh, dtype=np.float64, mode="r", offset=at, shape=(size,))
-        flat = write_atomic(path, write)
     # the clock's time, finer than the kernel's file times, keeps quick uses in
     # order; a base swept meanwhile, or a read-only store, keeps its mtime
     with contextlib.suppress(OSError):
         os.utime(path, ns=(time.time_ns(),) * 2)
-    if not stored:
+    if filled:
         with contextlib.suppress(FileNotFoundError):   # removed meanwhile: swept next time
             bases = [entry for entry in os.scandir(store_dir) if entry.name.endswith(".npy")]
             bases.sort(key=lambda entry: entry.stat().st_mtime_ns, reverse=True)
             for stale in bases[_KEPT_BASES:]:
                 os.remove(stale.path)
-    return _base_views(flat.view(np.ndarray), c)   # plain arrays over the map
+    return _base_views(flat, c)
 
 
 def random_base(c: EncoderConfig, store_dir: str | None = None) -> dict[str, np.ndarray]:

@@ -140,10 +140,6 @@ class VocabInvalid(UserError):
 
 
 # evaluator
-class LengthMismatch(UserError):
-    pass
-
-
 class EmptyInput(UserError):
     pass
 

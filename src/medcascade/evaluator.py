@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .atomic import json_line, write_atomic, write_json
-from .errors import EmptyInput, LengthMismatch, VocabMismatch
+from .errors import EmptyInput
 from .variants import DatasetVariant
 
 if TYPE_CHECKING:   # trainer imports this module
@@ -35,47 +35,12 @@ class TaskScores:
     confusion: list[list[int]]
 
 
-def _check_lengths(preds, golds) -> None:
-    if len(preds) != len(golds):
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} golds")
-    if len(golds) == 0:
-        raise EmptyInput("no examples to score")
-
-
-def accuracy(preds, golds) -> float:
-    """Fraction of exact matches."""
-    _check_lengths(preds, golds)
-    return _rates(_confusion(preds, golds, dict.fromkeys([*golds, *preds])))[0]
-
-
-def balanced_accuracy(preds, golds, vocab) -> float:
-    """Mean per-class recall over the classes present in golds.
-
-    ``preds``/``golds`` are class indices into ``vocab`` (or the labels
-    themselves).  Classes are visited in vocabulary order so the
-    floating-point reduction order is pinned; classes absent from golds are
-    excluded from the mean.
-    """
-    _check_lengths(preds, golds)
-    indices = all(isinstance(g, (int, np.integer)) for g in golds)
-    return _rates(_confusion(preds, golds, range(len(vocab)) if indices else vocab))[1]
-
-
 def confusion_matrix(preds, golds, n_classes: int) -> list[list[int]]:
     """Counts with gold on rows, prediction on columns."""
     matrix = [[0] * n_classes for _ in range(n_classes)]
     for p, g in zip(preds, golds):
         matrix[int(g)][int(p)] += 1
     return matrix
-
-
-def _confusion(preds, golds, classes) -> list[list[int]]:
-    """``confusion_matrix`` of labels from ``classes``, rows in its order."""
-    index = {cls: i for i, cls in enumerate(classes)}
-    for label in {*golds, *preds}:
-        if label not in index:
-            raise VocabMismatch(f"label {label!r} not in vocabulary")
-    return confusion_matrix([index[p] for p in preds], [index[g] for g in golds], len(index))
 
 
 def _rates(matrix: list[list[int]]) -> tuple[float, float]:

@@ -299,9 +299,11 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
     and fresh tasks while fewer than ``_IN_FLIGHT`` exchanges are open.  An ask
     raising ``InFlight`` waits on its socket, one raising ``RetryLater`` its
     delay on ``gw.clock``; the stage waits in ``select``, or ``gw.sleep`` with
-    none in flight.  A failed stage is ledgered, its bundle degraded to the
-    scrubbed source and no entities; an unreadable cache or a rejected key
-    stops the run.  However the run stops, it closes every open exchange.
+    none in flight.  A failed stage is ledgered and its output left empty:
+    no text for refine or summarize (``variants`` then uses the normal text
+    and counts it as an empty aux) and no entities for NER.  An unreadable
+    cache or a rejected key stops the run.  However the run stops, it closes
+    every open exchange.
     """
     hashes = template_hashes()
     sources = [replace(r, text=scrub_pii(r.text)) for r in records]
@@ -356,7 +358,7 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
                 except (CorruptArtifact, AuthError):   # an unreadable cache, a rejected key
                     raise
                 except MedcascadeError as e:
-                    done[task] = [] if stage == "ner" else sources[i].text.strip()
+                    done[task] = [] if stage == "ner" else ""
                     failed[task] = LedgerEntry(records[i].id, stage, e.category, stage != "ner")
         finally:   # whatever ends the loop: the last task, a raised error, an interrupt
             for flight in gw._in_flight.values():

@@ -2,7 +2,10 @@
 
 Two implementations share one contract: ``encode(text)`` returns content
 token ids (no [CLS]/padding, the encoder adds those), and the literal
-separator ``[AUX]`` always maps to a single reserved id.
+separator ``[AUX]`` always maps to a single reserved id.  Both first clean
+the text as BERT's ``BasicTokenizer`` does (:func:`clean_text`), so a
+format mark such as U+200F (RLM) never turns a word into another word or
+into [UNK].
 
 - HashWordTokenizer: stateless whitespace tokenizer that hashes words into a
   fixed-size id space. Used by the toy encoder; needs no vocabulary file.
@@ -19,6 +22,17 @@ from .errors import VocabInvalid
 
 AUX_TOKEN = "[AUX]"
 MAX_CHARS_PER_WORD = 100     # a longer word is one [UNK], as in BERT's WordPiece
+
+
+def clean_text(text: str) -> str:
+    """``text`` as ``BasicTokenizer._clean_text`` leaves it: U+0000, U+FFFD and
+    every character of category ``C*`` but ``\\t\\n\\r`` dropped, and
+    ``\\t\\n\\r`` and category ``Zs`` mapped to a space."""
+    if text.isprintable() and "\ufffd" not in text:   # no C* or Z* character but " "
+        return text
+    return "".join(" " if ch in "\t\n\r" or unicodedata.category(ch) == "Zs" else ch
+                   for ch in text if ch in "\t\n\r" or
+                   (ch != "\ufffd" and not unicodedata.category(ch).startswith("C")))
 
 
 def _nfc(text: str) -> str:
@@ -49,7 +63,7 @@ class HashWordTokenizer:
 
     def encode(self, text: str) -> list[int]:
         ids: list[int] = []
-        for segment_i, segment in enumerate(_nfc(text).split(AUX_TOKEN)):
+        for segment_i, segment in enumerate(_nfc(clean_text(text)).split(AUX_TOKEN)):
             if segment_i > 0:
                 ids.append(self.aux_id)
             ids.extend(self._word_id(w) for w in segment.split())
@@ -105,8 +119,9 @@ class WordPieceTokenizer:
         return unicodedata.category(ch).startswith("P")
 
     def _basic_tokens(self, text: str) -> list[str]:
-        """Words split at whitespace, each punctuation character a word of its own."""
-        text = _nfc(text)
+        """Words of the cleaned text split at whitespace, each punctuation
+        character a word of its own."""
+        text = _nfc(clean_text(text))
         if self.do_lower_case:
             text = text.lower()
         if self.strip_accents:

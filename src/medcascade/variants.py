@@ -104,8 +104,9 @@ def write_variant(variant: DatasetVariant, directory: str, split: str) -> str:
 
 def load_variant(directory: str, condition: str, split: str,
                  vocab: dict[str, list[str]] | None = None) -> DatasetVariant:
-    """Read a variant back; a damaged file, or a label outside ``vocab``,
-    raises :class:`CorruptArtifact`."""
+    """Read a variant back; a damaged file, one with no examples (every
+    variant comes from a split that holds every class), or a label outside
+    ``vocab`` raises :class:`CorruptArtifact` naming the file."""
     data_path, sidecar_path = variant_paths(directory, condition, split)
     examples: list[VariantExample] = []
     try:
@@ -125,5 +126,7 @@ def load_variant(directory: str, condition: str, split: str,
                 examples.append(VariantExample(*fields[:2], LabelSet(*fields[2:])))
     except CorruptArtifact.DECODE_ERRORS as e:
         raise CorruptArtifact.at(data_path, e) from e
+    if not examples:
+        raise CorruptArtifact(f"{data_path} holds no examples")
     provenance = read_json(sidecar_path) if os.path.exists(sidecar_path) else {}
     return DatasetVariant(condition=condition, examples=examples, provenance=provenance)

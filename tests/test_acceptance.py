@@ -15,7 +15,7 @@ import pytest
 from medcascade.cli import main as cli_main
 from medcascade.corpus import scrub_pii, scrub_records, stratified_split
 from medcascade.encoder import build_toy_encoder
-from medcascade.evaluator import accuracy, avg_percent, balanced_accuracy
+from medcascade.evaluator import _rates, avg_percent, confusion_matrix
 from medcascade.gateway import Gateway, MockBackend
 from medcascade.lora import adapted_forward, count_trainable, init_adapter, merge
 from medcascade.preprocess import BundleStore, run_bundle
@@ -145,9 +145,10 @@ def test_criterion_3_gradient_check():
 
 
 def test_criterion_4_balanced_accuracy_oracle():
-    """On 1000 random (preds, golds) pairs (n <= 50, K <= 6), balanced_accuracy
-    equals the brute-force per-class-recall average exactly, and accuracy
-    equals match-count / n."""
+    """On 1000 random (preds, golds) pairs (n <= 50, K <= 6), the balanced
+    accuracy ``score_predictions`` takes off the confusion matrix equals the
+    brute-force per-class-recall average exactly, and its accuracy equals
+    match-count / n."""
     rng = np.random.default_rng(1004)
     for _ in range(1000):
         k = int(rng.integers(2, 7))
@@ -162,9 +163,10 @@ def test_criterion_4_balanced_accuracy_oracle():
             correct = sum(1 for p, g in zip(preds, golds) if g == cls and p == cls)
             recalls.append(correct / gold_count)
         brute_force = sum(recalls) / len(recalls)
-        assert balanced_accuracy(preds, golds, list(range(k))) == brute_force
+        acc, balanced = _rates(confusion_matrix(preds, golds, k))
+        assert balanced == brute_force
         matches = sum(1 for p, g in zip(preds, golds) if p == g)
-        assert accuracy(preds, golds) == matches / n
+        assert acc == matches / n
 
 
 def _toy_cell(epochs, seed=501, lr=2e-3, condition="normal", n_records=200):

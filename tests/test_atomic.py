@@ -25,8 +25,11 @@ class TestWriteAtomic:
         arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)}
         buf = io.BytesIO()
         np.savez(buf, **arrays)
-        write_atomic(tmp_path / "a.npz", lambda fh: np.savez(fh, **arrays))
-        assert (tmp_path / "a.npz").read_bytes() == buf.getvalue()
+        path = tmp_path / "a.npz"
+        in_place = []
+        write_atomic(path, lambda fh: np.savez(fh, **arrays) or in_place.append(path.exists()))
+        assert in_place == [False]   # the file is published once the function returns
+        assert path.read_bytes() == buf.getvalue()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npz"]
 
     def test_failed_rename_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
@@ -41,11 +44,6 @@ class TestWriteAtomic:
             write_atomic(path, "new")
         assert path.read_text(encoding="utf-8") == "old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
-
-    def test_a_function_result_is_returned_once_the_file_is_in_place(self, tmp_path):
-        path = tmp_path / "a.bin"
-        assert write_atomic(path, lambda fh: fh.write(b"abc") and path.exists()) is False
-        assert path.read_bytes() == b"abc"
 
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "state.json"

@@ -1073,6 +1073,18 @@ class TestErrors:
         assert err.startswith("CorruptArtifact: ")
         assert os.path.join("work", "variants", "normal", damaged) in err
 
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_an_empty_variant_file_is_a_user_error(self, workspace, capsys, part):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        (workspace / "work" / "variants" / "normal" / f"{part}.jsonl").write_bytes(b"")
+        capsys.readouterr()
+        assert run("train", "--config", "cfg.json", "--condition", "normal",
+                   *(["--no-finetune"] if part == "test" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ")
+        assert os.path.join("work", "variants", "normal", f"{part}.jsonl") in err
+
     @pytest.mark.parametrize("task", ["type", "severity"])
     def test_a_variant_label_outside_the_vocabulary_names_its_file(self, workspace, capsys,
                                                                    task):

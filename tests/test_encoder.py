@@ -16,7 +16,7 @@ from medcascade.encoder import (NEG_INF, EncoderConfig, NumpyTransformerEncoder,
                                 build_toy_encoder, gelu, gelu_grad, resolve_encoder)
 from medcascade.errors import EncoderUnavailable, ShapeMismatch, UserError, VocabInvalid
 from medcascade.lora import adapted_forward, adapter_backward, adapter_delta
-from medcascade.tokenizers import HashWordTokenizer, WordPieceTokenizer
+from medcascade.tokenizers import HashWordTokenizer, WordPieceTokenizer, clean_text
 
 from conftest import edit_safetensors_header, read_safetensors, safetensors_bytes
 
@@ -25,6 +25,61 @@ def tiny_encoder(seed=3, **overrides):
     defaults = dict(d_model=16, n_layers=2, n_heads=2, d_ff=24, vocab_size=64, max_len=12)
     defaults.update(overrides)
     return build_toy_encoder(seed=seed, **defaults)
+
+
+# transformers' BasicTokenizer text cleaning (tokenization_bert.py), transcribed
+def _is_whitespace(char):
+    if char == " " or char == "\t" or char == "\n" or char == "\r":
+        return True
+    cat = unicodedata.category(char)
+    if cat == "Zs":
+        return True
+    return False
+
+
+def _is_control(char):
+    if char == "\t" or char == "\n" or char == "\r":
+        return False
+    cat = unicodedata.category(char)
+    if cat.startswith("C"):
+        return True
+    return False
+
+
+def _clean_text(text):
+    output = []
+    for char in text:
+        cp = ord(char)
+        if cp == 0 or cp == 0xFFFD or _is_control(char):
+            continue
+        if _is_whitespace(char):
+            output.append(" ")
+        else:
+            output.append(char)
+    return "".join(output)
+
+
+ARABIC = "".join(map(chr, range(0x0621, 0x064B)))       # letters
+HARAKAT = "".join(map(chr, range(0x064B, 0x0653)))
+CF_MARKS = "\u200c\u200f\u061c"                        # ZWNJ, RLM, ALM
+ZS_SPACES = " \u00a0\u2002\u2009\u202f\u3000"
+CONTROLS = "\t\n\r\x01\x1b\x7f\x85\u2028"
+PUNCT = "!\"#,-.:;?[]،؛؟"
+
+
+class TestCleanText:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.text(alphabet=st.sampled_from(ARABIC + HARAKAT + CF_MARKS + ZS_SPACES + CONTROLS
+                                            + PUNCT + "ab\x00\ufffd"), max_size=40)
+           | st.text(max_size=40))
+    def test_text_is_cleaned_as_bert_s_basic_tokenizer_does(self, text):
+        assert clean_text(text) == _clean_text(text)
+
+    def test_a_format_mark_does_not_change_a_word(self):
+        vocab = {t: i for i, t in enumerate(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "ألم"])}
+        for tok in (WordPieceTokenizer(vocab), HashWordTokenizer(64)):
+            assert tok.encode("ألم\u200f") == tok.encode("ألم")
+        assert WordPieceTokenizer(vocab).encode("ألم\u200f") == [4]
 
 
 class TestHashWordTokenizer:
@@ -106,7 +161,7 @@ class TestWordPieceTokenizer:
                                             "\u2028\u00e9"), max_size=30) | st.text(max_size=30))
     def test_basic_tokens_match_the_character_loop(self, text):
         tok = WordPieceTokenizer(self._vocab())
-        nfc = unicodedata.normalize("NFC", text)
+        nfc = unicodedata.normalize("NFC", _clean_text(text))
         assert tok._basic_tokens(text) == self._reference_basic_tokens(nfc, tok._is_punct)
 
     def test_lower_casing_strips_accents_as_bert_does(self):
@@ -733,6 +788,14 @@ class TestBaseStore:
         for name in params:
             assert in_memory[name].tobytes() == params[name].tobytes(), name
 
+    def test_the_default_toy_base_file_keeps_its_bytes(self, tmp_path):
+        """``np.save`` writes the ``.npy`` header and array a stored base
+        always had (sha256 of the file under numpy 2.4.6)."""
+        build_toy_encoder(store_dir=str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "ef1eaccbbe8346267c7383637e484c405ba051e518da51465506829d90f03132"
+
     def test_a_second_map_draws_nothing(self, tmp_path, monkeypatch):
         draws = []
         real = encoder_module._draw_normal
@@ -794,13 +857,12 @@ class TestBaseStore:
 
     def test_a_base_swept_right_after_its_rename_still_maps(self, tmp_path, monkeypatch):
         """Another process's sweep may remove the file the moment it is
-        published: the views already map the bytes this process wrote."""
+        published: the process that filled it keeps its own array."""
         real = encoder_module.write_atomic
 
         def swept(path, data):
-            result = real(path, data)
+            real(path, data)
             os.remove(path)
-            return result
 
         monkeypatch.setattr(encoder_module, "write_atomic", swept)
         c = self._config()
@@ -1142,7 +1204,7 @@ class TestExportStore:
         with pytest.raises(ShapeMismatch, match=re.escape(str(export))) as err:
             NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
         assert "encoder.layer.1.intermediate.dense.weight" in str(err.value)
-        assert os.listdir(store) == []
+        assert list(store.glob("*")) == []   # no file in the store, temp files included
 
 
 def test_one_function_under_src_maps_a_file():

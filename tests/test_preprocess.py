@@ -325,7 +325,7 @@ class TestRunBundle:
         records = [make_record(rid="r1", text="نص المريض هنا.")]
         bundles = run_bundle(records, gw, store=store)
         # degraded bundle still produced, failures ledgered as fatal
-        assert bundles[0].refined == "نص المريض هنا."
+        assert bundles[0].refined == bundles[0].summarized == ""
         entries = [json.loads(l) for l in
                    (tmp_path / "bundles" / "failures.jsonl").read_text().splitlines()]
         assert {e["stage"] for e in entries} == {"refine", "summarize", "ner"}
@@ -333,6 +333,11 @@ class TestRunBundle:
         assert fatal["refine"] and fatal["summarize"] and not fatal["ner"]
         # no record lost: every input id has a bundle, fatal ones degraded
         assert {b.record_id for b in bundles} == {"r1"}
+        # variants' empty-aux rule is the one fallback, and it counts the failure
+        for condition in ("refined", "summarized"):
+            variant = build_variant(records, store, condition)
+            assert [ex.input_text for ex in variant.examples] == ["نص المريض هنا."]
+            assert variant.provenance["empty_aux_count"] == 1
 
     def test_crash_then_rerun_ledgers_each_failure_once(self, tmp_path):
         store = BundleStore(tmp_path / "bundles")

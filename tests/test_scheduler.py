@@ -454,7 +454,7 @@ def _serial_bundle(records, gw, store, sleep):
             try:
                 outputs.append(drive(layer(source), gw, sleep))
             except MedcascadeError as e:
-                outputs.append([] if stage == "ner" else source.text.strip())
+                outputs.append([] if stage == "ner" else "")
                 failed.append(preprocess.LedgerEntry(record.id, stage, e.category,
                                                      stage != "ner"))
         bundles.append(preprocess.PreprocessBundle(record.id, *outputs,
