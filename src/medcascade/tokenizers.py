@@ -28,8 +28,6 @@ def clean_text(text: str) -> str:
     """``text`` as ``BasicTokenizer._clean_text`` leaves it: U+0000, U+FFFD and
     every character of category ``C*`` but ``\\t\\n\\r`` dropped, and
     ``\\t\\n\\r`` and category ``Zs`` mapped to a space."""
-    if text.isprintable() and "\ufffd" not in text:   # no C* or Z* character but " "
-        return text
     return "".join(" " if ch in "\t\n\r" or unicodedata.category(ch) == "Zs" else ch
                    for ch in text if ch in "\t\n\r" or
                    (ch != "\ufffd" and not unicodedata.category(ch).startswith("C")))
