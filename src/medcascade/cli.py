@@ -5,8 +5,9 @@ Every stage, and each condition of ``variants`` and ``train``, runs through
 (``code <module>.py``, ``file <role>``, a config value) and each ``output
 <path>`` to its sha256.  A rerun prints ``<label>: up to date`` only while all
 still match; else it redoes the stage (``preprocess`` from its response cache)
-and prints ``<label>:`` and what it did.  ``train`` resolves its encoder once,
-at the first stale cell.  All writes are atomic (temp + rename).
+and prints ``<label>:`` and what it did, or, for a ``preprocess`` with calls out
+of retries, records no state.  ``train`` resolves its encoder once, at the
+first stale cell.  All writes are atomic (temp + rename).
 Exit codes: 0 success, 1 user error, 2 internal error; failures print one
 machine-parseable ``Category: message`` line on stderr.
 """
@@ -82,13 +83,20 @@ def _stale(state: str, inputs: dict, out_dir: str) -> list[str]:
                   if stored.get(name) != current.get(name))   # None: absent either way
 
 
+class _NotFinal(Exception):
+    """``work``'s line, raised when a rerun may change its outputs: no state."""
+
+
 def _stage(label: str, state: str, inputs: dict, out_dir: str, work) -> int:
     """Print ``label: up to date`` while ``state`` matches; else run ``work``,
     record the state and print ``label:`` and the line ``work`` returns."""
     line = "up to date"
     if _stale(state, inputs, out_dir):
-        line = work()
-        write_json(state, _trace(state, inputs, out_dir))
+        try:
+            line = work()
+            write_json(state, _trace(state, inputs, out_dir))
+        except _NotFinal as e:
+            line = str(e)
     print(f"{label}: {line}")
     return 0
 
@@ -145,8 +153,14 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     def work() -> str:
         records = [record for path in split_paths for record in load_corpus(path)[0]]
         bundles = run_bundle(records, gw, BundleStore(cfg.bundles_dir()))
-        return (f"{len(bundles)} bundles in {cfg.bundles_dir()} "
+        line = (f"{len(bundles)} bundles in {cfg.bundles_dir()} "
                 f"({gw.backend_calls} gateway calls, {gw.cache_hits} cache hits)")
+        if not gw.retries_exhausted:
+            return line
+        print(f"preprocess: {gw.retries_exhausted} calls ran out of retries (RetriesExhausted in "
+              f"{os.path.join(cfg.bundles_dir(), 'failures.jsonl')}); not up to date, so the "
+              "next run asks them again", file=sys.stderr)
+        raise _NotFinal(line)
 
     # beside the bundle directory, not in it: every file there is the same
     # for any live url, and this state, which hashes the url, is not
@@ -161,6 +175,7 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
     if any(c != "normal" for c in conditions):
         _require(store.path, "preprocess")
     shared = _inputs(dict(zip(SPLITS, split_paths)))
+    bundles = {"file bundles": file_digest(store.path)}
     splits = []   # each split's records: read once, when the first stale condition is built
 
     def work(condition: str, out_dir: str) -> str:
@@ -174,7 +189,7 @@ def cmd_variants(cfg: PipelineConfig, args) -> int:
     for condition in conditions:
         out_dir = os.path.join(cfg.variants_dir(), condition)
         inputs = {**shared, "condition": _digest(condition),
-                  "bundles": _digest(store.store_hash() if condition != "normal" else None)}
+                  **(bundles if condition != "normal" else {})}
         _stage(f"variants[{condition}]", os.path.join(out_dir, ".state.json"), inputs, out_dir,
                partial(work, condition, out_dir))
     return 0

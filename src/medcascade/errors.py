@@ -57,6 +57,10 @@ class BackendUnavailable(MedcascadeError):
     pass
 
 
+class RetriesExhausted(BackendUnavailable):
+    """Every attempt the retry policy allows failed transiently: not final."""
+
+
 class AuthError(UserError):
     pass
 

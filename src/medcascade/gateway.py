@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .atomic import append_jsonl, read_jsonl, text_digest
 from .errors import (AuthError, BackendUnavailable, ConfigInvalid, ResponseEmpty,
-                     UnknownBackend, UnknownSentinel)
+                     RetriesExhausted, UnknownBackend, UnknownSentinel)
 
 ENV_URL = "MEDCASCADE_LLM_URL"
 ENV_KEY = "MEDCASCADE_LLM_KEY"
@@ -362,6 +362,7 @@ class Gateway:
         self.sleep = sleep
         self.backend_calls = 0
         self.cache_hits = 0
+        self.retries_exhausted = 0   # prompts that raised RetriesExhausted
         self._attempts: dict[str, int] = {}   # cache key -> failed attempts so far
         self._in_flight: dict[str, InFlight] = {}   # cache key -> exchange sent, not read
 
@@ -394,8 +395,9 @@ class Gateway:
                         else self.backend.complete(prompt, flight))
         except TransientBackendError as e:
             if attempt > self.retry.max_retries:
-                raise BackendUnavailable(f"backend {backend_id!r} failed after "
-                                         f"{attempt} attempts: {e}") from e
+                self.retries_exhausted += 1
+                raise RetriesExhausted(f"backend {backend_id!r} failed after "
+                                       f"{attempt} attempts: {e}") from e
             self._attempts[key] = attempt
             delay = max(self.retry.delay(attempt), e.retry_after or 0.0)
             raise RetryLater(min(delay, self.retry.max_delay)) from e

@@ -15,12 +15,13 @@ record degrades to an empty entity list.
 one thread, up to four live requests in flight: a task waits on its reply's
 socket, or parked out a retry's back-off, then resumes where its layer
 stopped, while the other tasks run.  Bundles live in ``bundles.jsonl``,
-beside the failure ledger ``failures.jsonl``: each file written whole,
-atomically and in record order once every task is done, so a crash
-part-way through a run leaves the previous run's files as they were.  The
-log is read once into an index by record id.  A damaged or torn line is
-skipped, so its record has no bundle and ``variants`` refuses it; a later
-line for a record wins.
+one line per record, beside the failure ledger ``failures.jsonl``, one line
+per failed stage: each file written whole, atomically and in record order
+once every task is done, so a crash part-way through a run leaves the
+previous run's files as they were, and the log's bytes change exactly when
+a bundle does (``variants`` hashes it as a file).  The log is read once into
+an index by record id.  A damaged or torn line is skipped, so its record has
+no bundle and ``variants`` refuses it.
 Each bundle records the sha256 of the scrubbed text its layers were given,
 so a variant never joins new text to the outputs of old text.
 """
@@ -38,7 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .corpus import ComplaintRecord, scrub_pii
-from .atomic import json_line, read_jsonl, text_digest, write_jsonl
+from .atomic import read_jsonl, text_digest, write_jsonl
 from .errors import (AuthError, CorruptArtifact, EmptySourceText, MedcascadeError,
                      ParseFailure, RefusalDetected, ResponseEmpty)
 from .gateway import SENTENCE_SPLIT, Gateway, InFlight, RetryLater
@@ -250,7 +251,6 @@ class BundleStore:
         self.directory = str(directory)
         self.path = os.path.join(self.directory, "bundles.jsonl")
         self._index: dict[str, PreprocessBundle] | None = None
-        self._hash: str | None = None
 
     def _bundles(self) -> dict[str, PreprocessBundle]:
         if self._index is None:
@@ -267,26 +267,17 @@ class BundleStore:
     def save(self, bundles: list[PreprocessBundle]) -> None:
         """Replace the log with ``bundles``, one line each, atomically."""
         write_jsonl(self.path, [asdict(bundle) for bundle in bundles])
-        self._index, self._hash = {bundle.record_id: bundle for bundle in bundles}, None
+        self._index = {bundle.record_id: bundle for bundle in bundles}
 
     def load(self, record_id: str) -> PreprocessBundle | None:
         return self._bundles().get(record_id)
-
-    def store_hash(self) -> str:
-        """Digest of the bundles sorted by record id: neither the order of the
-        lines nor skipped lines change it."""
-        if self._hash is None:
-            self._hash = text_digest("".join(json_line(asdict(bundle))
-                                             for _, bundle in sorted(self._bundles().items())))
-        return self._hash
 
 
 @dataclass
 class LedgerEntry:
     record_id: str
     stage: str
-    error: str
-    fatal: bool
+    error: str   # the error's category; ``RetriesExhausted`` is not final
 
 
 def run_bundle(records: list[ComplaintRecord], gw: Gateway,
@@ -301,9 +292,10 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
     delay on ``gw.clock``; the stage waits in ``select``, or ``gw.sleep`` with
     none in flight.  A failed stage is ledgered and its output left empty:
     no text for refine or summarize (``variants`` then uses the normal text
-    and counts it as an empty aux) and no entities for NER.  An unreadable
-    cache or a rejected key stops the run.  However the run stops, it closes
-    every open exchange.
+    and counts it as an empty aux) and no entities for NER.  Only a stage out
+    of retries (``RetriesExhausted``, in ``gw.retries_exhausted``) is not
+    final.  An unreadable cache or a rejected key stops the run.  However the
+    run stops, it closes every open exchange.
     """
     hashes = template_hashes()
     sources = [replace(r, text=scrub_pii(r.text)) for r in records]
@@ -359,7 +351,7 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
                     raise
                 except MedcascadeError as e:
                     done[task] = [] if stage == "ner" else ""
-                    failed[task] = LedgerEntry(records[i].id, stage, e.category, stage != "ner")
+                    failed[task] = LedgerEntry(records[i].id, stage, e.category)
         finally:   # whatever ends the loop: the last task, a raised error, an interrupt
             for flight in gw._in_flight.values():
                 flight.conn.close()

@@ -1,11 +1,12 @@
-"""Tokenizers for the numpy encoders.
+"""Tokenizers for the numpy encoders, and the one reader of the encoder's
+input layout, ``normal [AUX] aux`` (``variants`` joins it).
 
-Two implementations share one contract: ``encode(text)`` returns content
-token ids (no [CLS]/padding, the encoder adds those), and the literal
-separator ``[AUX]`` always maps to a single reserved id.  Both first clean
-the text as BERT's ``BasicTokenizer`` does (:func:`clean_text`), so a
-format mark such as U+200F (RLM) never turns a word into another word or
-into [UNK].
+``encode(text)`` splits the text at each literal ``[AUX]``, gives each
+separator one reserved id and each segment its content ids;
+``MultiTaskModel.encode_texts`` adds [CLS] and keeps a prefix, so an
+over-long input loses its auxiliary tail first.  Each segment is cleaned as
+BERT's ``BasicTokenizer`` does (:func:`clean_text`), so a format mark such as
+U+200F (RLM) never turns a word into another word or into [UNK].
 
 - HashWordTokenizer: stateless whitespace tokenizer that hashes words into a
   fixed-size id space. Used by the toy encoder; needs no vocabulary file.
@@ -37,7 +38,19 @@ def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-class HashWordTokenizer:
+class _Tokenizer:
+    """The one ``encode``: the text split at each ``[AUX]``, each separator
+    ``aux_id``, each segment the ids a subclass's ``_segment_ids`` gives."""
+
+    def encode(self, text: str) -> list[int]:
+        first, *rest = text.split(AUX_TOKEN)
+        ids = self._segment_ids(first)
+        for segment in rest:
+            ids += [self.aux_id, *self._segment_ids(segment)]
+        return ids
+
+
+class HashWordTokenizer(_Tokenizer):
     """Hash lowercased whitespace-separated words into ``vocab_size`` buckets.
 
     Ids 0..3 are reserved: [PAD]=0, [UNK]=1, [CLS]=2, [AUX]=3.  The hash is
@@ -55,20 +68,13 @@ class HashWordTokenizer:
             raise ValueError(f"vocab_size must exceed {self.n_reserved}")
         self.vocab_size = vocab_size
 
-    def _word_id(self, word: str) -> int:
-        bucket = zlib.crc32(word.lower().encode("utf-8")) % (self.vocab_size - self.n_reserved)
-        return self.n_reserved + bucket
-
-    def encode(self, text: str) -> list[int]:
-        ids: list[int] = []
-        for segment_i, segment in enumerate(_nfc(clean_text(text)).split(AUX_TOKEN)):
-            if segment_i > 0:
-                ids.append(self.aux_id)
-            ids.extend(self._word_id(w) for w in segment.split())
-        return ids
+    def _segment_ids(self, segment: str) -> list[int]:
+        buckets = self.vocab_size - self.n_reserved
+        return [self.n_reserved + zlib.crc32(word.lower().encode("utf-8")) % buckets
+                for word in _nfc(clean_text(segment)).split()]
 
 
-class WordPieceTokenizer:
+class WordPieceTokenizer(_Tokenizer):
     """Greedy longest-match-first WordPiece over a BERT-style vocab.txt."""
 
     def __init__(self, vocab: dict[str, int], do_lower_case: bool = False,
@@ -86,17 +92,12 @@ class WordPieceTokenizer:
         self.pad_id = vocab["[PAD]"]
         self.unk_id = vocab["[UNK]"]
         self.cls_id = vocab["[CLS]"]
-        self.sep_id = vocab.get("[SEP]", self.unk_id)
-        # [AUX] is not in pretrained vocabs; claim the conventional spare slot.
-        if AUX_TOKEN in vocab:
-            self.aux_id = vocab[AUX_TOKEN]
-        elif "[unused0]" in vocab:
-            self.aux_id = vocab["[unused0]"]
-        else:
-            self.aux_id = self.sep_id
-        if self.aux_id == self.unk_id:
+        # [AUX] is not in pretrained vocabs: the first of these slots there takes it
+        slot = next((t for t in (AUX_TOKEN, "[unused0]", "[SEP]") if t in vocab), None)
+        if slot is None:
             raise VocabInvalid(f"{source} has no {AUX_TOKEN}, [unused0] or [SEP] token, so "
                                f"the {AUX_TOKEN} separator would share [UNK]'s id")
+        self.aux_id = vocab[slot]
 
     @classmethod
     def from_vocab_file(cls, path, **kwargs) -> "WordPieceTokenizer":
@@ -149,11 +150,5 @@ class WordPieceTokenizer:
             start = end
         return ids
 
-    def encode(self, text: str) -> list[int]:
-        ids: list[int] = []
-        for segment_i, segment in enumerate(text.split(AUX_TOKEN)):
-            if segment_i > 0:
-                ids.append(self.aux_id)
-            for word in self._basic_tokens(segment):
-                ids.extend(self._wordpiece(word))
-        return ids
+    def _segment_ids(self, segment: str) -> list[int]:
+        return [i for word in self._basic_tokens(segment) for i in self._wordpiece(word)]

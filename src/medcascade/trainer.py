@@ -124,23 +124,10 @@ class MultiTaskModel:
                 for task in self.tasks}
 
     def encode_texts(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, mask) batch padded to its longest sequence, [CLS] included; the
-        auxiliary tail after [AUX] is truncated before the normal text when the
-        sequence is longer than ``max_len``."""
+        """(ids, mask) batch padded to its longest sequence: [CLS], then a
+        prefix of each text's ids at most ``max_len`` long in all."""
         tok = self.encoder.tokenizer
-        budget = self.encoder.max_len - 1  # room for [CLS]
-        seqs = []
-        for text in texts:
-            content = tok.encode(text)
-            if len(content) > budget:
-                if tok.aux_id in content:
-                    pos = content.index(tok.aux_id)
-                    normal, aux = content[:pos], content[pos:]
-                    content = normal[:budget] if len(normal) >= budget \
-                        else normal + aux[: budget - len(normal)]
-                else:
-                    content = content[:budget]
-            seqs.append([tok.cls_id] + content)
+        seqs = [[tok.cls_id] + tok.encode(text)[: self.encoder.max_len - 1] for text in texts]
         width = max((len(seq) for seq in seqs), default=0)
         ids = np.full((len(texts), width), tok.pad_id, dtype=np.int64)
         mask = np.zeros((len(texts), width))

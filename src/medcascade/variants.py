@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .atomic import read_json, text_digest, write_json, write_jsonl
+from .atomic import file_digest, read_json, text_digest, write_json, write_jsonl
 from .corpus import ComplaintRecord, LabelSet, corpus_hash, scrub_pii
 from .errors import CorruptArtifact, MissingBundle
 from .preprocess import BundleStore
@@ -82,7 +82,7 @@ def build_variant(records: list[ComplaintRecord], bundles: BundleStore | None,
     provenance = {
         "condition": condition,
         "corpus_hash": corpus_hash(sorted(records, key=lambda r: r.id)),
-        "bundle_store_hash": bundles.store_hash() if condition != "normal" else None,
+        "bundle_store_hash": file_digest(bundles.path) if condition != "normal" else None,
         "empty_aux_count": empty_aux,
         "count": len(examples),
     }

@@ -520,7 +520,7 @@ class TestNamedTrace:
         reasons.clear()
         capsys.readouterr()
         assert run("variants", "--config", "cfg.json") == 0
-        assert reasons == [[], ["bundles"], ["bundles"], ["bundles"]]
+        assert reasons == [[], ["file bundles"], ["file bundles"], ["file bundles"]]
         built = [line.partition(":")[0] for line in capsys.readouterr().out.splitlines()
                  if "up to date" not in line]
         assert built == ["variants[refined]", "variants[summarized]", "variants[ner]"]
@@ -654,6 +654,103 @@ class TestRejectedKey:
         assert (bundles / "failures.jsonl").read_bytes() == b""
         assert run("preprocess", "--config", "live.json") == 0
         assert capsys.readouterr().out.startswith("preprocess: up to date")
+
+
+class _SummaryOutageLLM(BaseHTTPRequestHandler):
+    """A chat/completions server that answers every prompt with ``symptom: حمى``,
+    except each summarize prompt with an HTTP 503 while ``down`` is set;
+    ``prompts`` lists every prompt, in arrival order."""
+
+    down = False
+    prompts = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = body["messages"][0]["content"]
+        self.prompts.append(prompt)
+        data = json.dumps({"choices": [{"message": {"content": "symptom: حمى"}}]}).encode()
+        self.send_response(503 if self.down and prompt.startswith("Summarize") else 200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestExhaustedRetries:
+    """A call that ran out of retries is no result: ``preprocess`` writes its
+    bundles and ledger, says so on stderr and records no state, so the next
+    run asks those calls again; stdout and the exit code are as for any run."""
+
+    def _config(self, workspace, url, workdir="work"):
+        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+        config["workdir"] = workdir
+        config["gateway"] = {"backend": "openai", "url": url, "max_retries": 0,
+                             "rate_per_sec": 1e6, "burst": 1e6}
+        (workspace / f"{workdir}.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run("ingest", "--config", f"{workdir}.json") == 0
+        return f"{workdir}.json"
+
+    def _preprocess(self, capsys, config):
+        capsys.readouterr()
+        assert run("preprocess", "--config", config) == 0
+        return capsys.readouterr()
+
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _SummaryOutageLLM)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                                  daemon=True)
+        thread.start()
+        _SummaryOutageLLM.down, _SummaryOutageLLM.prompts = False, []
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        server.shutdown()
+        server.server_close()
+
+    def test_a_refused_port_writes_bundles_and_ledger_but_no_state(self, workspace, capsys,
+                                                                   monkeypatch):
+        monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
+        config = self._config(workspace, "http://127.0.0.1:9/v1")
+        for _ in range(2):   # no state, so the second run asks every prompt again
+            out = self._preprocess(capsys, config)
+            assert out.out == "preprocess: 60 bundles in work/bundles " \
+                              "(180 gateway calls, 0 cache hits)\n"
+            assert out.err == "preprocess: 180 calls ran out of retries (RetriesExhausted in " \
+                              "work/bundles/failures.jsonl); not up to date, so the next run " \
+                              "asks them again\n"
+            assert not (workspace / "work" / ".preprocess.state.json").exists()
+        ledger = (workspace / "work" / "bundles" / "failures.jsonl").read_text(encoding="utf-8")
+        assert {json.loads(line)["error"] for line in ledger.splitlines()} == {"RetriesExhausted"}
+        assert ledger.count("\n") == 180
+        assert run("variants", "--config", config, "--condition", "refined") == 0
+        for part in ("train", "val", "test"):
+            provenance = json.loads((workspace / "work" / "variants" / "refined" /
+                                     f"{part}.provenance.json").read_text(encoding="utf-8"))
+            assert provenance["empty_aux_count"] == provenance["count"] > 0
+
+    def test_a_rerun_asks_only_the_failed_prompts(self, workspace, capsys, stub):
+        clean = self._config(workspace, stub, workdir="clean")
+        assert self._preprocess(capsys, clean).err == ""
+        config = self._config(workspace, stub)
+        _SummaryOutageLLM.down, _SummaryOutageLLM.prompts = True, []
+        out = self._preprocess(capsys, config)
+        assert "(180 gateway calls, 0 cache hits)" in out.out
+        assert out.err.startswith("preprocess: 60 calls ran out of retries")
+        assert not (workspace / "work" / ".preprocess.state.json").exists()
+        summaries = sorted(p for p in _SummaryOutageLLM.prompts if p.startswith("Summarize"))
+        assert len(summaries) == 60
+
+        _SummaryOutageLLM.down, _SummaryOutageLLM.prompts = False, []
+        out = self._preprocess(capsys, config)
+        assert "(60 gateway calls, 120 cache hits)" in out.out and out.err == ""
+        assert sorted(_SummaryOutageLLM.prompts) == summaries
+        assert (workspace / "work" / ".preprocess.state.json").exists()
+        for name in ("bundles.jsonl", "failures.jsonl"):
+            assert (workspace / "work" / "bundles" / name).read_bytes() == \
+                (workspace / "clean" / "bundles" / name).read_bytes()
+        assert self._preprocess(capsys, config).out == "preprocess: up to date\n"
 
 
 class TestEncoderStore:

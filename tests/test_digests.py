@@ -6,6 +6,7 @@ change of canonical form or of hashing must show here, not as silent misses.
 """
 
 from medcascade import cli
+from medcascade.atomic import file_digest
 from medcascade.corpus import ComplaintRecord, LabelSet, corpus_hash
 from medcascade.gateway import MockBackend, OpenAIChatBackend, cache_key
 from medcascade.preprocess import BundleStore, Entity, PreprocessBundle, template_hashes
@@ -32,10 +33,11 @@ def test_corpus_hash():
         "60719130e03c818168cc64bd8dbf315966de2bc7fee5c7c3f39c10fa8e45f21e"
 
 
-def test_store_hash(tmp_path):
-    BundleStore(tmp_path).save([PreprocessBundle(
+def test_bundle_store_hash(tmp_path):
+    store = BundleStore(tmp_path)
+    store.save([PreprocessBundle(
         "r1", "عندي صداع شديد", "صداع", [Entity("صداع", "symptom", True)], {"refine": "ab"}, "cd")])
-    assert BundleStore(tmp_path).store_hash() == \
+    assert file_digest(store.path) == \
         "7b60b5de70a82cd5e8972180a6e786d2f2482d1705bd03d9cc4d1d83f87f5960"
 
 

@@ -59,6 +59,72 @@ def _clean_text(text):
     return "".join(output)
 
 
+# the rest of BasicTokenizer.tokenize, transcribed; _tokenize_chinese_chars,
+# which pads CJK ideographs with spaces, is left out, as _basic_tokens has none
+def _whitespace_tokenize(text):
+    text = text.strip()
+    if not text:
+        return []
+    tokens = text.split()
+    return tokens
+
+
+def _is_punctuation(char):
+    cp = ord(char)
+    if (cp >= 33 and cp <= 47) or (cp >= 58 and cp <= 64) or \
+            (cp >= 91 and cp <= 96) or (cp >= 123 and cp <= 126):
+        return True
+    cat = unicodedata.category(char)
+    if cat.startswith("P"):
+        return True
+    return False
+
+
+def _run_strip_accents(text):
+    text = unicodedata.normalize("NFD", text)
+    output = []
+    for char in text:
+        cat = unicodedata.category(char)
+        if cat == "Mn":
+            continue
+        output.append(char)
+    return "".join(output)
+
+
+def _run_split_on_punc(text):
+    chars = list(text)
+    i = 0
+    start_new_word = True
+    output = []
+    while i < len(chars):
+        char = chars[i]
+        if _is_punctuation(char):
+            output.append([char])
+            start_new_word = True
+        else:
+            if start_new_word:
+                output.append([])
+            start_new_word = False
+            output[-1].append(char)
+        i += 1
+    return ["".join(x) for x in output]
+
+
+def _basic_tokenize(text, do_lower_case):
+    """``BasicTokenizer(do_lower_case).tokenize(text)``, ``strip_accents`` unset."""
+    text = _clean_text(text)
+    unicode_normalized_text = unicodedata.normalize("NFC", text)
+    orig_tokens = _whitespace_tokenize(unicode_normalized_text)
+    split_tokens = []
+    for token in orig_tokens:
+        if do_lower_case:
+            token = token.lower()
+            token = _run_strip_accents(token)
+        split_tokens.extend(_run_split_on_punc(token))
+    output_tokens = _whitespace_tokenize(" ".join(split_tokens))
+    return output_tokens
+
+
 ARABIC = "".join(map(chr, range(0x0621, 0x064B)))       # letters
 HARAKAT = "".join(map(chr, range(0x064B, 0x0653)))
 CF_MARKS = "\u200c\u200f\u061c"                        # ZWNJ, RLM, ALM
@@ -80,6 +146,17 @@ class TestCleanText:
         for tok in (WordPieceTokenizer(vocab), HashWordTokenizer(64)):
             assert tok.encode("ألم\u200f") == tok.encode("ألم")
         assert WordPieceTokenizer(vocab).encode("ألم\u200f") == [4]
+
+    def test_a_format_mark_never_makes_a_separator(self):
+        # both tokenizers split at each literal [AUX] before they clean the text
+        vocab = {t: i for i, t in enumerate(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[unused0]",
+                                             "fever"])}
+        wordpiece, hashed = WordPieceTokenizer(vocab), HashWordTokenizer(64)
+        assert wordpiece.encode("fever [AU\u200bX] fever") == [5, 1, 1, 1, 5]
+        for tok in (wordpiece, hashed):
+            ids = tok.encode("fever [AU\u200bX] fever")
+            assert tok.aux_id not in ids
+            assert ids == tok.encode("fever") + tok._segment_ids("[AUX]") + tok.encode("fever")
 
 
 class TestHashWordTokenizer:
@@ -164,6 +241,15 @@ class TestWordPieceTokenizer:
         nfc = unicodedata.normalize("NFC", _clean_text(text))
         assert tok._basic_tokens(text) == self._reference_basic_tokens(nfc, tok._is_punct)
 
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.text(alphabet=st.sampled_from(ARABIC + HARAKAT + CF_MARKS + ZS_SPACES
+                                            + CONTROLS + PUNCT + "AbÉé\u0301\x00\ufffd"),
+                   max_size=40),
+           st.booleans())
+    def test_basic_tokens_are_bert_s_basic_tokens(self, text, do_lower_case):
+        tok = WordPieceTokenizer(self._vocab(), do_lower_case=do_lower_case)
+        assert tok._basic_tokens(text) == _basic_tokenize(text, do_lower_case)
+
     def test_lower_casing_strips_accents_as_bert_does(self):
         vocab = {**self._vocab(), "كتب": 12, "cafe": 13}
         lower = WordPieceTokenizer(vocab, do_lower_case=True)
@@ -185,9 +271,11 @@ class TestWordPieceTokenizer:
         tok = WordPieceTokenizer(self._vocab())
         assert tok.aux_id == 4
         assert tok.encode("fever [AUX] fever") == [5, 4, 5]
-        # a vocab that has [AUX] itself uses it
+        # a vocab that has [AUX] itself uses it; one with neither takes [SEP]
         vocab = {**self._vocab(), "[AUX]": 12}
         assert WordPieceTokenizer(vocab).encode("fever [AUX] fever") == [5, 12, 5]
+        vocab = {t: i for t, i in self._vocab().items() if t != "[unused0]"}
+        assert WordPieceTokenizer(vocab).encode("fever [AUX] fever") == [5, 3, 5]
 
     def test_vocab_without_an_aux_slot_is_refused(self, tmp_path):
         vocab = {t: i for i, t in enumerate(["[PAD]", "[UNK]", "[CLS]", "fever"])}

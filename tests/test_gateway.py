@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from medcascade import gateway
 from medcascade.errors import (AuthError, BackendUnavailable, MedcascadeError, ResponseEmpty,
-                               UnknownBackend, UnknownSentinel)
+                               RetriesExhausted, UnknownBackend, UnknownSentinel)
 from medcascade.gateway import (Gateway, GatewayConfig, InFlight, LlamaServerBackend,
                                 MockBackend, OpenAIChatBackend, ResponseCache, RetryLater,
                                 RetryPolicy, TokenBucket, TransientBackendError, build_gateway,
@@ -283,9 +283,9 @@ class TestRetry:
     def test_no_retries_means_one_attempt(self):
         backend = FlakyBackend(failures=99)
         gw = Gateway(backend, retry=RetryPolicy(max_retries=0))
-        with pytest.raises(BackendUnavailable, match="after 1 attempts"):
+        with pytest.raises(RetriesExhausted, match="after 1 attempts"):
             drive(ask("x"), gw, pytest.fail)
-        assert backend.calls == 1
+        assert backend.calls == gw.retries_exhausted == 1
 
 
 class CountingLimiter:

@@ -148,7 +148,7 @@ class TestDeferredRetries:
         assert attempts.pop((0, "ner")) == attempts.pop((2, "refine")) == 2
         assert set(attempts.values()) == {1}
         assert _ledger(files) == [{"record_id": "r1", "stage": "summarize",
-                                   "error": "BackendUnavailable", "fatal": True}]
+                                   "error": "RetriesExhausted"}]
 
     def test_deferred_runs_write_the_bytes_of_a_run_without_failures(self, tmp_path):
         _, _, clean = _run(tmp_path, "clean", 4, refuse_ner={1, 3})
@@ -455,8 +455,7 @@ def _serial_bundle(records, gw, store, sleep):
                 outputs.append(drive(layer(source), gw, sleep))
             except MedcascadeError as e:
                 outputs.append([] if stage == "ner" else "")
-                failed.append(preprocess.LedgerEntry(record.id, stage, e.category,
-                                                     stage != "ner"))
+                failed.append(preprocess.LedgerEntry(record.id, stage, e.category))
         bundles.append(preprocess.PreprocessBundle(record.id, *outputs,
                                                    preprocess.template_hashes(),
                                                    text_digest(source.text)))
@@ -465,8 +464,9 @@ def _serial_bundle(records, gw, store, sleep):
 
 
 def _both_runs(texts, scripts, max_retries, cached):
-    """(bundle and ledger bytes, backend calls, cache hits, calls per prompt) of
-    ``run_bundle``, then of the serial driver, on the same script and cache."""
+    """(bundle and ledger bytes, backend calls, cache hits, calls per prompt,
+    prompts that ran out of retries) of ``run_bundle``, then of the serial
+    driver, on the same script and cache."""
     records = [make_record(rid=f"r{i}", text=ORACLE_TEXTS[t]) for i, t in enumerate(texts)]
     seen = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -487,7 +487,8 @@ def _both_runs(texts, scripts, max_retries, cached):
                 run_bundle(records, gw, store)
             files = [(Path(store.directory) / name).read_bytes()
                      for name in ("bundles.jsonl", "failures.jsonl")]
-            seen.append((files, gw.backend_calls, gw.cache_hits, Counter(backend.calls)))
+            seen.append((files, gw.backend_calls, gw.cache_hits, Counter(backend.calls),
+                         gw.retries_exhausted))
     return seen
 
 

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from medcascade import encoder as encoder_module, trainer as trainer_module
 from medcascade.corpus import LabelSet
 from medcascade.encoder import build_toy_encoder
 from medcascade.errors import EmptyClass, IndexOutOfVocab, VocabMismatch
+from medcascade.tokenizers import AUX_TOKEN, WordPieceTokenizer
 from medcascade.trainer import (AdamW, MultiTaskModel, TrainConfig, class_weights,
                                 lr_schedule, predict, train, weighted_loss,
                                 weighted_loss_and_grad)
@@ -320,6 +322,48 @@ class TestPredict:
         ids, mask = model.encode_texts([text])
         assert int(mask.sum()) == model.encoder.max_len
         assert ids[0, 0] == model.encoder.tokenizer.cls_id
+
+
+def _truncation_branch(tok, text, max_len):
+    """[CLS] and ``text``'s ids as ``encode_texts`` cut them before it cut a
+    prefix: when too long, the aux tail after the first aux id went first."""
+    budget = max_len - 1
+    content = tok.encode(text)
+    if len(content) > budget:
+        if tok.aux_id in content:
+            pos = content.index(tok.aux_id)
+            normal, aux = content[:pos], content[pos:]
+            content = normal[:budget] if len(normal) >= budget \
+                else normal + aux[: budget - len(normal)]
+        else:
+            content = content[:budget]
+    return [tok.cls_id] + content
+
+
+PIECES = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[unused0]", "حمى", "صداع", "fever", "##s"]
+SEGMENT = st.lists(st.sampled_from(["حمى", "صداع،", "fever", "fevers", "x", "؟"]), max_size=20)
+
+
+class TestPrefixCut:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(texts=st.lists(st.lists(SEGMENT, min_size=1, max_size=3), min_size=1, max_size=4),
+           wordpiece=st.booleans())
+    def test_the_prefix_is_what_the_truncation_branch_kept(self, texts, wordpiece):
+        # 0-2 separators, and up to 60 words with a max_len of 16: short and
+        # over-long inputs, the cut in the normal text or in an aux segment
+        model = tiny_model(with_adapters=False)
+        if wordpiece:
+            model.encoder.tokenizer = WordPieceTokenizer({t: i for i, t in enumerate(PIECES)})
+        tok, max_len = model.encoder.tokenizer, model.encoder.max_len
+        texts = [f" {AUX_TOKEN} ".join(" ".join(words) for words in segments)
+                 for segments in texts]
+        seqs = [_truncation_branch(tok, text, max_len) for text in texts]
+        ids, mask = model.encode_texts(texts)
+        width = max(map(len, seqs))
+        assert ids.shape == mask.shape == (len(texts), width)
+        for row, seq in enumerate(seqs):
+            assert list(ids[row]) == seq + [tok.pad_id] * (width - len(seq))
+            assert list(mask[row]) == [1.0] * len(seq) + [0.0] * (width - len(seq))
 
 
 def words(n, stem="w"):

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from medcascade.atomic import file_digest
 from medcascade.errors import MissingBundle
 from medcascade.gateway import Gateway, MockBackend
 from medcascade.preprocess import BundleStore, run_bundle
@@ -122,6 +123,6 @@ class TestVariantFiles:
     def test_provenance_tracks_sources(self, tmp_path, records, store):
         variant = build_variant(records, store, "refined")
         assert variant.provenance["corpus_hash"]
-        assert variant.provenance["bundle_store_hash"] == store.store_hash()
+        assert variant.provenance["bundle_store_hash"] == file_digest(store.path)
         normal = build_variant(records, store, "normal")
         assert normal.provenance["bundle_store_hash"] is None
