@@ -32,7 +32,8 @@ train_v = build_variant(train_recs, store, condition)
 val_v = build_variant(val_recs, store, condition)
 test_v = build_variant(test_recs, store, condition)
 print(f"condition={condition}: {len(train_v)}/{len(val_v)}/{len(test_v)} examples")
-print("augmented input:", train_v.examples[0].input_text[:100], "...")
+print("text:", train_v.examples[0].text[:100], "...")
+print("aux: ", train_v.examples[0].aux[:100])
 
 # ── 2. frozen encoder + adapters + heads, 25 epochs at batch 4 ───────────────
 encoder = build_toy_encoder(seed=11)

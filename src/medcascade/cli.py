@@ -33,7 +33,7 @@ from .evaluator import ReportCell, TaskScores, evaluate, prediction_dump, render
 from .gateway import build_gateway
 from .lora import save_adapter_set
 from .preprocess import BundleStore, run_bundle, template_hashes
-from .trainer import MultiTaskModel, train
+from .trainer import TASKS, MultiTaskModel, train
 from .variants import CONDITIONS, build_variant, load_variant, variant_paths, write_variant
 
 SPLITS = ("train", "val", "test")
@@ -269,9 +269,12 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
         raise MissingUpstreamArtifact(f"no scores.json under {runs_dir}; run `medcascade train`")
 
     def cell(data: dict) -> ReportCell:
+        tasks = {t: TaskScores(**data["tasks"][t]) for t in TASKS}
+        if not all(type(s.accuracy) in (int, float) and 0 <= s.accuracy <= 1
+                   for s in tasks.values()):
+            raise TypeError("each task's accuracy must be a number in [0, 1]")
         return ReportCell(model_id=data["model_id"], condition=data["condition"],
-                          fine_tuned=data["fine_tuned"],
-                          tasks={t: TaskScores(**s) for t, s in data["tasks"].items()})
+                          fine_tuned=data["fine_tuned"], tasks=tasks)
 
     def work() -> str:
         cells = [read_json(path, build=cell) for path in scores_paths.values()]

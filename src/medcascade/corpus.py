@@ -195,7 +195,7 @@ def load_corpus(path: str) -> tuple[list[ComplaintRecord], CorpusManifest]:
                 records.append(rec)
     except MalformedRecord as e:
         raise e.in_file(path) from None
-    except (UnicodeDecodeError, OSError) as e:   # not UTF-8, or a directory
+    except (UnicodeDecodeError, OSError, csv.Error) as e:   # not UTF-8, a directory, bad CSV
         raise CorruptArtifact.at(path, e) from e
     manifest.record_count = len(records)
     return records, manifest

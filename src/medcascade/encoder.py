@@ -66,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from .atomic import check_types, file_digest, text_digest, write_atomic, write_json
-from .errors import CorruptArtifact, EncoderUnavailable, ShapeMismatch
+from .errors import CorruptArtifact, EncoderUnavailable, ShapeMismatch, VocabInvalid
 from .lora import (DEFAULT_TARGET_PATTERNS, LoraAdapter, adapter_backward, adapter_delta,
                    init_adapter)
 from .tokenizers import HashWordTokenizer, WordPieceTokenizer
@@ -713,9 +713,14 @@ class NumpyTransformerEncoder:
         try:
             config.validate()   # the tokenizer needs a valid vocab_size
             # read before the base is filled, so that a damaged vocabulary fills none
-            tokenizer = HashWordTokenizer(config.vocab_size) if not os.path.exists(vocab_path) \
-                else WordPieceTokenizer.from_vocab_file(vocab_path, do_lower_case=lower,
-                                                        strip_accents=strip)
+            tokenizer = HashWordTokenizer(config.vocab_size)
+            if os.path.exists(vocab_path):
+                tokenizer = WordPieceTokenizer.from_vocab_file(vocab_path, do_lower_case=lower,
+                                                               strip_accents=strip)
+                top = max(tokenizer.vocab.values())
+                if top >= config.vocab_size:
+                    raise VocabInvalid(f"{vocab_path} has id {top}, outside the "
+                                       f"{config.vocab_size} embeddings of {cfg_path}")
             key = None
             if store_dir is not None:
                 digests = digests or export_digests(directory)

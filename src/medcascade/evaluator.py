@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomic import json_line, write_atomic, write_json
 from .errors import EmptyInput
-from .variants import DatasetVariant
+from .variants import CONDITIONS, DatasetVariant, VariantExample
 
 if TYPE_CHECKING:   # trainer imports this module
     from .trainer import MultiTaskModel
@@ -52,19 +52,19 @@ def _rates(matrix: list[list[int]]) -> tuple[float, float]:
     return correct / sum(map(sum, matrix)), sum(recalls) / len(recalls)
 
 
-def predict(model: MultiTaskModel, texts: list[str], batch_size: int = 8,
+def predict(model: MultiTaskModel, examples: list[VariantExample], batch_size: int = 8,
             ) -> dict[str, dict[str, np.ndarray]]:
     """Eval-mode argmax per task; ties break to the lowest class index.
 
-    Texts are batched in order of length, each batch padded to its longest
-    text.  A text's scores equal, to float64 rounding, those it gets alone:
-    the BLAS kernel can change with the batch's row count, so the bytes can
-    differ.  Scores and indices come back in input order.
+    Examples are batched in order of length, each batch padded to its longest
+    example.  An example's scores equal, to float64 rounding, those it gets
+    alone: the BLAS kernel can change with the batch's row count, so the bytes
+    can differ.  Scores and indices come back in input order.
     """
-    ids, mask = model.encode_texts(texts)
+    ids, mask = model.encode_texts(examples)
     lengths = mask.sum(axis=1).astype(np.int64)
     order = np.argsort(lengths, kind="stable")
-    scores = {task: np.zeros((len(texts), model.heads[task]["b"].shape[0]))
+    scores = {task: np.zeros((len(examples), model.heads[task]["b"].shape[0]))
               for task in model.tasks}
     for start in range(0, len(order), batch_size):
         sel = order[start: start + batch_size]
@@ -86,7 +86,7 @@ def evaluate(model: MultiTaskModel, dataset: DatasetVariant,
     """
     if not dataset.examples:
         raise EmptyInput("dataset has no examples")
-    preds = predict(model, [ex.input_text for ex in dataset.examples])
+    preds = predict(model, dataset.examples)
     return score_predictions(model, preds, model.targets(dataset)), preds
 
 
@@ -163,8 +163,8 @@ def render_report(cells: list[ReportCell], out_dir: str) -> tuple[str, str]:
 
     by_key = {(c.model_id, c.condition, c.fine_tuned): c for c in cells}
     model_ids = sorted({c.model_id for c in cells})
-    conditions = [c for c in ("refined", "summarized", "ner")
-                  if any(cell.condition == c for cell in cells)]
+    conditions = [c for c in CONDITIONS
+                  if c != "normal" and any(cell.condition == c for cell in cells)]
     if not conditions and any(c.condition == "normal" for c in cells):
         conditions = ["normal"]
 
@@ -193,6 +193,6 @@ def render_report(cells: list[ReportCell], out_dir: str) -> tuple[str, str]:
 
 
 def _row_cells(cell: ReportCell | None) -> list[str]:
-    if cell is None or "type" not in cell.tasks or "severity" not in cell.tasks:
+    if cell is None:
         return ["-", "-", "-"]
     return [f"{cell.percent('type')}%", f"{cell.percent('severity')}%", f"{cell.avg()}%"]

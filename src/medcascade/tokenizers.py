@@ -1,12 +1,12 @@
-"""Tokenizers for the numpy encoders, and the one reader of the encoder's
-input layout, ``normal [AUX] aux`` (``variants`` joins it).
+"""Tokenizers for the numpy encoders, and the one writer of the encoder's
+input layout.
 
-``encode(text)`` splits the text at each literal ``[AUX]``, gives each
-separator one reserved id and each segment its content ids;
-``MultiTaskModel.encode_texts`` adds [CLS] and keeps a prefix, so an
-over-long input loses its auxiliary tail first.  Each segment is cleaned as
-BERT's ``BasicTokenizer`` does (:func:`clean_text`), so a format mark such as
-U+200F (RLM) never turns a word into another word or into [UNK].
+``encode(text)`` gives a text's content ids.  ``encode_pair(text, aux,
+max_len)`` lays out ``[CLS] text``, then ``[SEP] aux`` when there is an aux
+text, and keeps a prefix of ``max_len`` ids, so an over-long input loses its
+aux tail first.  Text is cleaned as BERT's ``BasicTokenizer`` does
+(:func:`clean_text`), so a format mark such as U+200F (RLM) never turns a word
+into another word or into [UNK].
 
 - HashWordTokenizer: stateless whitespace tokenizer that hashes words into a
   fixed-size id space. Used by the toy encoder; needs no vocabulary file.
@@ -21,7 +21,6 @@ import zlib
 
 from .errors import VocabInvalid
 
-AUX_TOKEN = "[AUX]"
 MAX_CHARS_PER_WORD = 100     # a longer word is one [UNK], as in BERT's WordPiece
 
 
@@ -39,28 +38,28 @@ def _nfc(text: str) -> str:
 
 
 class _Tokenizer:
-    """The one ``encode``: the text split at each ``[AUX]``, each separator
-    ``aux_id``, each segment the ids a subclass's ``_segment_ids`` gives."""
+    """The one input layout, over a subclass's ``encode``."""
 
-    def encode(self, text: str) -> list[int]:
-        first, *rest = text.split(AUX_TOKEN)
-        ids = self._segment_ids(first)
-        for segment in rest:
-            ids += [self.aux_id, *self._segment_ids(segment)]
-        return ids
+    def encode_pair(self, text: str, aux: str, max_len: int) -> list[int]:
+        """``[CLS] text``, then ``[SEP] aux`` if ``aux`` is not empty, cut to
+        its first ``max_len`` ids."""
+        ids = [self.cls_id, *self.encode(text)]
+        if aux:
+            ids += [self.sep_id, *self.encode(aux)]
+        return ids[:max_len]
 
 
 class HashWordTokenizer(_Tokenizer):
     """Hash lowercased whitespace-separated words into ``vocab_size`` buckets.
 
-    Ids 0..3 are reserved: [PAD]=0, [UNK]=1, [CLS]=2, [AUX]=3.  The hash is
+    Ids 0..3 are reserved: [PAD]=0, [UNK]=1, [CLS]=2, [SEP]=3.  The hash is
     crc32, so ids are stable across processes and runs.
     """
 
     pad_id = 0
     unk_id = 1
     cls_id = 2
-    aux_id = 3
+    sep_id = 3
     n_reserved = 4
 
     def __init__(self, vocab_size: int = 512):
@@ -68,10 +67,10 @@ class HashWordTokenizer(_Tokenizer):
             raise ValueError(f"vocab_size must exceed {self.n_reserved}")
         self.vocab_size = vocab_size
 
-    def _segment_ids(self, segment: str) -> list[int]:
+    def encode(self, text: str) -> list[int]:
         buckets = self.vocab_size - self.n_reserved
         return [self.n_reserved + zlib.crc32(word.lower().encode("utf-8")) % buckets
-                for word in _nfc(clean_text(segment)).split()]
+                for word in _nfc(clean_text(text)).split()]
 
 
 class WordPieceTokenizer(_Tokenizer):
@@ -83,7 +82,7 @@ class WordPieceTokenizer(_Tokenizer):
         As in ``BertTokenizer``, an unset ``strip_accents`` follows
         ``do_lower_case``; stripping drops combining marks (category ``Mn``
         after NFD), Arabic harakat among them."""
-        missing = [t for t in ("[PAD]", "[UNK]", "[CLS]") if t not in vocab]
+        missing = [t for t in ("[PAD]", "[UNK]", "[CLS]", "[SEP]") if t not in vocab]
         if missing:
             raise VocabInvalid(f"{source} has no {', '.join(missing)} token")
         self.vocab = vocab
@@ -92,12 +91,7 @@ class WordPieceTokenizer(_Tokenizer):
         self.pad_id = vocab["[PAD]"]
         self.unk_id = vocab["[UNK]"]
         self.cls_id = vocab["[CLS]"]
-        # [AUX] is not in pretrained vocabs: the first of these slots there takes it
-        slot = next((t for t in (AUX_TOKEN, "[unused0]", "[SEP]") if t in vocab), None)
-        if slot is None:
-            raise VocabInvalid(f"{source} has no {AUX_TOKEN}, [unused0] or [SEP] token, so "
-                               f"the {AUX_TOKEN} separator would share [UNK]'s id")
-        self.aux_id = vocab[slot]
+        self.sep_id = vocab["[SEP]"]
 
     @classmethod
     def from_vocab_file(cls, path, **kwargs) -> "WordPieceTokenizer":
@@ -150,5 +144,5 @@ class WordPieceTokenizer(_Tokenizer):
             start = end
         return ids
 
-    def _segment_ids(self, segment: str) -> list[int]:
-        return [i for word in self._basic_tokens(segment) for i in self._wordpiece(word)]
+    def encode(self, text: str) -> list[int]:
+        return [i for word in self._basic_tokens(text) for i in self._wordpiece(word)]

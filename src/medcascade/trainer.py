@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import label_counts
 from .errors import EmptyClass, IndexOutOfVocab, NonFiniteLoss, VocabMismatch
 from .evaluator import predict, score_predictions
-from .variants import DatasetVariant
+from .variants import DatasetVariant, VariantExample
 
 TASKS = ("type", "severity")     # every model classifies both, from one encoder
 
@@ -123,14 +123,14 @@ class MultiTaskModel:
                                   for ex in variant.examples], dtype=np.int64)
                 for task in self.tasks}
 
-    def encode_texts(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, mask) batch padded to its longest sequence: [CLS], then a
-        prefix of each text's ids at most ``max_len`` long in all."""
+    def encode_texts(self, examples: list[VariantExample]) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, mask) batch of the examples' ``encode_pair`` layouts, padded
+        to its longest sequence."""
         tok = self.encoder.tokenizer
-        seqs = [[tok.cls_id] + tok.encode(text)[: self.encoder.max_len - 1] for text in texts]
+        seqs = [tok.encode_pair(ex.text, ex.aux, self.encoder.max_len) for ex in examples]
         width = max((len(seq) for seq in seqs), default=0)
-        ids = np.full((len(texts), width), tok.pad_id, dtype=np.int64)
-        mask = np.zeros((len(texts), width))
+        ids = np.full((len(seqs), width), tok.pad_id, dtype=np.int64)
+        mask = np.zeros((len(seqs), width))
         for row, seq in enumerate(seqs):
             ids[row, : len(seq)] = seq
             mask[row, : len(seq)] = 1.0
@@ -294,11 +294,9 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
         wmap = class_weights(label_counts(train_set.examples, task))
         weights[task] = np.asarray([wmap.get(cls, 1.0) for cls in model.task_vocabs[task]])
 
-    train_texts = [ex.input_text for ex in train_set.examples]
-    val_texts = [ex.input_text for ex in val_set.examples]
-    train_ids, train_mask = model.encode_texts(train_texts)
+    train_ids, train_mask = model.encode_texts(train_set.examples)
 
-    n = len(train_texts)
+    n = len(train_set)
     steps_per_epoch = int(np.ceil(n / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
 
@@ -340,7 +338,7 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
         # left of its cache before validating (a model without adapters never
         # runs backward, so there it is the whole cache)
         logits = pooled = cache = None
-        scores = score_predictions(model, predict(model, val_texts), val_targets)
+        scores = score_predictions(model, predict(model, val_set.examples), val_targets)
         val_acc = {task: s.accuracy for task, s in scores.items()}
         log.append(epoch, float(np.mean(epoch_losses)), val_acc)
         avg = float(np.mean([val_acc[t] for t in model.tasks]))

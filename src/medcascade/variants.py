@@ -1,10 +1,10 @@
 """Evaluation-condition datasets: normal, refined, summarized, ner.
 
-Augmented conditions append one preprocessing output to the scrubbed source
-text behind a reserved ``[AUX]`` separator, so the normal condition stays a
-strict ablation and any single-input encoder can consume the result.  Labels
-are copied unchanged; an empty auxiliary falls back to the normal text and
-is counted, not dropped.  A bundle made from other text than the record's
+Every example carries the scrubbed source text; an augmented condition adds
+one preprocessing output as its ``aux`` text, which the tokenizer lays out
+after a ``[SEP]``, so the normal condition (``aux`` empty) stays a strict
+ablation.  Labels are copied unchanged; an empty output leaves ``aux`` empty
+and is counted, not dropped.  A bundle made from other text than the record's
 scrubbed text is stale and counts as missing.
 """
 
@@ -18,21 +18,20 @@ from .atomic import file_digest, read_json, text_digest, write_json, write_jsonl
 from .corpus import ComplaintRecord, LabelSet, corpus_hash, scrub_pii
 from .errors import CorruptArtifact, MissingBundle
 from .preprocess import BundleStore
-from .tokenizers import AUX_TOKEN
 
 CONDITIONS = ("normal", "refined", "summarized", "ner")
-AUX_SEP = f" {AUX_TOKEN} "
 ENTITY_JOIN = "، "
 
 
 @dataclass(frozen=True)
 class VariantExample:
     record_id: str
-    input_text: str
+    text: str
+    aux: str
     labels: LabelSet
 
     def to_json(self) -> dict:
-        return {"record_id": self.record_id, "input_text": self.input_text,
+        return {"record_id": self.record_id, "text": self.text, "aux": self.aux,
                 "labels": self.labels.to_json()}
 
 
@@ -57,12 +56,10 @@ def build_variant(records: list[ComplaintRecord], bundles: BundleStore | None,
     examples: list[VariantExample] = []
     empty_aux = 0
     for record in sorted(records, key=lambda r: r.id):
-        normal_text = scrub_pii(record.text)
-        if condition == "normal":
-            input_text = normal_text
-        else:
+        text, aux = scrub_pii(record.text), ""
+        if condition != "normal":
             bundle = bundles.load(record.id)
-            if bundle is None or bundle.source_sha256 != text_digest(normal_text):
+            if bundle is None or bundle.source_sha256 != text_digest(text):
                 raise MissingBundle(f"run `medcascade preprocess`: no bundle for the current "
                                     f"text of record {record.id!r} in {bundles.path}")
             if condition == "refined":
@@ -72,12 +69,8 @@ def build_variant(records: list[ComplaintRecord], bundles: BundleStore | None,
             else:
                 aux = ENTITY_JOIN.join(e.surface for e in bundle.entities)
             aux = aux.strip()
-            if aux:
-                input_text = f"{normal_text}{AUX_SEP}{aux}"
-            else:
-                input_text = normal_text
-                empty_aux += 1
-        examples.append(VariantExample(record.id, input_text, record.labels))
+            empty_aux += not aux
+        examples.append(VariantExample(record.id, text, aux, record.labels))
 
     provenance = {
         "condition": condition,
@@ -115,15 +108,15 @@ def load_variant(directory: str, condition: str, split: str,
                 if not line.strip():
                     continue
                 raw = json.loads(line)
-                fields = (raw["record_id"], raw["input_text"],
+                fields = (raw["record_id"], raw["text"], raw["aux"],
                           raw["labels"]["type"], raw["labels"]["severity"])
                 if not all(isinstance(f, str) for f in fields):
-                    raise TypeError("record_id, input_text and both labels must be strings")
-                for task, label in zip(("type", "severity"), fields[2:]):
+                    raise TypeError("record_id, text, aux and both labels must be strings")
+                for task, label in zip(("type", "severity"), fields[3:]):
                     if vocab is not None and label not in vocab[task]:
                         raise ValueError(f"record {fields[0]!r}: {task} label {label!r} "
                                          "is not in the corpus vocabulary")
-                examples.append(VariantExample(*fields[:2], LabelSet(*fields[2:])))
+                examples.append(VariantExample(*fields[:3], LabelSet(*fields[3:])))
     except CorruptArtifact.DECODE_ERRORS as e:
         raise CorruptArtifact.at(data_path, e) from e
     if not examples:

@@ -218,10 +218,9 @@ def test_criterion_6_learnability():
     assert last <= 0.5 * first, f"loss only moved {first} -> {last}"
 
     model.restore(result.best_params)
-    texts = [ex.input_text for ex in test_v.examples]
     golds = np.array([model.label_index("type", ex.labels.get("type"))
                       for ex in test_v.examples])
-    preds = predict(model, texts)["type"]["indices"]
+    preds = predict(model, test_v.examples)["type"]["indices"]
     acc = float(np.mean(preds == golds))
     majority = float(np.max(np.bincount(golds)) / len(golds))
     assert acc > majority, f"accuracy {acc} vs majority baseline {majority}"
@@ -300,8 +299,8 @@ def test_criterion_8_reporting_fixtures():
 
 
 def test_criterion_9_variant_construction(tmp_path):
-    """Label multisets identical across all four conditions; normal text is a
-    prefix of every augmented input; normal inputs equal the scrubbed source."""
+    """Label multisets identical across all four conditions; every example's
+    text is the scrubbed source, and a normal example has no aux text."""
     records, _ = generate_synthetic_corpus()
     records = scrub_records(records)
     gw = Gateway(MockBackend())
@@ -316,10 +315,10 @@ def test_criterion_9_variant_construction(tmp_path):
 
     source = {r.id: scrub_pii(r.text) for r in records}
     for ex in variants["normal"].examples:
-        assert ex.input_text == source[ex.record_id]
+        assert (ex.text, ex.aux) == (source[ex.record_id], "")
     for condition in ("refined", "summarized", "ner"):
         for ex in variants[condition].examples:
-            assert ex.input_text.startswith(source[ex.record_id])
+            assert ex.text == source[ex.record_id]
 
 
 def test_criterion_10_epoch_step_accounting():

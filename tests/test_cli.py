@@ -146,7 +146,7 @@ class TestPipelineSmoke:
         (example,) = [ex for part in ("train", "val", "test")
                       for ex in load_variant(variants, "refined", part).examples
                       if ex.record_id == record["id"]]
-        assert example.input_text.count("كحة") == 2   # the new text and its refinement
+        assert "كحة" in example.text and "كحة" in example.aux   # the new text and its refinement
 
 
 class TestIdempotence:
@@ -1101,13 +1101,12 @@ class TestPredictionPass:
     def test_train_predicts_the_test_set_once(self, workspace, monkeypatch, arm):
         assert run("ingest", "--config", "cfg.json") == 0
         assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
-        test_texts = [ex.input_text
-                      for ex in load_variant("work/variants", "normal", "test").examples]
+        test_examples = load_variant("work/variants", "normal", "test").examples
         on_test_set = []
         for module in (trainer, evaluator):
-            def counting(model, texts, *args, _predict=module.predict, **kwargs):
-                on_test_set.append(list(texts) == test_texts)
-                return _predict(model, texts, *args, **kwargs)
+            def counting(model, examples, *args, _predict=module.predict, **kwargs):
+                on_test_set.append(list(examples) == test_examples)
+                return _predict(model, examples, *args, **kwargs)
             monkeypatch.setattr(module, "predict", counting)
         assert run("train", "--config", "cfg.json", "--condition", "normal", *arm) == 0
         assert on_test_set.count(True) == 1
@@ -1148,11 +1147,14 @@ class TestErrors:
     @pytest.mark.parametrize("damaged, edit", [
         ("test.jsonl", None),
         ("test.provenance.json", None),
-        ("test.jsonl", lambda line: {**line, "input_text": 5}),
+        ("test.jsonl", lambda line: {**line, "text": 5}),
+        ("test.jsonl", lambda line: {k: v for k, v in line.items() if k != "aux"}),
+        ("test.jsonl", lambda line: {**line, "aux": None}),
         ("test.jsonl", lambda line: {**line, "record_id": ["r1"]}),
         ("test.jsonl", lambda line: {**line, "labels": {**line["labels"], "type": None}}),
         ("test.jsonl", lambda line: {**line, "labels": {**line["labels"], "severity": 2}}),
-    ], ids=["test.jsonl", "test.provenance.json", "input_text-number", "record_id-list",
+    ], ids=["test.jsonl", "test.provenance.json", "text-number", "aux-missing", "aux-null",
+            "record_id-list",
             "type-null", "severity-number"])
     def test_damaged_variant_file_is_a_user_error(self, workspace, capsys, damaged, edit):
         assert run("ingest", "--config", "cfg.json") == 0
@@ -1229,6 +1231,41 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("CorruptArtifact: ")
         assert os.path.join("work", "runs", "toy__normal__frozen", "scores.json") in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda tasks: {"type": tasks["type"]},
+        lambda tasks: {**tasks, "type": {**tasks["type"], "accuracy": "0.5"}},
+        lambda tasks: {**tasks, "severity": {**tasks["severity"], "accuracy": float("nan")}},
+    ], ids=["severity-missing", "accuracy-string", "accuracy-nan"])
+    def test_scores_file_without_a_task_s_accuracy_is_a_user_error(self, workspace, capsys,
+                                                                   edit):
+        task = {"task": "?", "accuracy": 0.5, "balanced_accuracy": 0.5, "n": 2,
+                "confusion": [[1, 0], [1, 0]]}
+        tasks = {t: {**task, "task": t} for t in trainer.TASKS}
+        scores = workspace / "work" / "runs" / "toy__normal__frozen" / "scores.json"
+        scores.parent.mkdir(parents=True)
+        cell = {"model_id": "toy", "condition": "normal", "fine_tuned": False,
+                "best_epoch": None}
+        scores.write_text(json.dumps({**cell, "tasks": tasks}), encoding="utf-8")
+        assert run("report", "--config", "cfg.json") == 0
+        scores.write_text(json.dumps({**cell, "tasks": edit(tasks)}), encoding="utf-8")
+        capsys.readouterr()
+        assert run("report", "--config", "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ")
+        assert os.path.join("work", "runs", "toy__normal__frozen", "scores.json") in err
+
+    def test_a_csv_corpus_with_an_over_long_field_is_a_user_error(self, workspace, capsys):
+        corpus = workspace / "data" / "corpus.csv"
+        corpus.write_text("id,text,age,gender,type,severity\n"
+                          f"c1,{'ح' * 200_000},,,acute,mild\n", encoding="utf-8")
+        (workspace / "data" / "corpus.manifest.json").write_text(json.dumps(
+            {"schema_version": 1, "vocab": {"type": ["chronic", "acute"],
+                                            "severity": ["mild", "severe"]}}))
+        capsys.readouterr()
+        assert run("ingest", "--config", "cfg.json", "--corpus", str(corpus)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ") and str(corpus) in err
 
     def test_missing_config_file(self, workspace, capsys):
         assert run("ingest", "--config", "nope.json") == 1

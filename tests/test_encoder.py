@@ -147,24 +147,28 @@ class TestCleanText:
             assert tok.encode("ألم\u200f") == tok.encode("ألم")
         assert WordPieceTokenizer(vocab).encode("ألم\u200f") == [4]
 
-    def test_a_format_mark_never_makes_a_separator(self):
-        # both tokenizers split at each literal [AUX] before they clean the text
-        vocab = {t: i for i, t in enumerate(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[unused0]",
-                                             "fever"])}
-        wordpiece, hashed = WordPieceTokenizer(vocab), HashWordTokenizer(64)
-        assert wordpiece.encode("fever [AU\u200bX] fever") == [5, 1, 1, 1, 5]
-        for tok in (wordpiece, hashed):
-            ids = tok.encode("fever [AU\u200bX] fever")
-            assert tok.aux_id not in ids
-            assert ids == tok.encode("fever") + tok._segment_ids("[AUX]") + tok.encode("fever")
+    @pytest.mark.parametrize("text", ["fever [AUX] fever", "fever [SEP] fever",
+                                      "fever [AU\u200bX] fever"])
+    def test_a_marker_in_the_text_never_makes_a_separator(self, text):
+        vocab = {t: i for i, t in enumerate(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[AUX]",
+                                             "[unused0]", "fever"])}
+        for tok in (WordPieceTokenizer(vocab), HashWordTokenizer(64)):
+            ids = tok.encode_pair(text, "", 64)
+            assert ids == [tok.cls_id, *tok.encode(text)]
+            assert tok.sep_id not in ids
+        assert WordPieceTokenizer(vocab).encode(text) == [6, 1, 1, 1, 6]
 
 
 class TestHashWordTokenizer:
-    def test_aux_is_single_reserved_id(self):
-        tok = HashWordTokenizer(128)
-        ids = tok.encode("نص عادي [AUX] حمى، صداع")
-        assert ids.count(tok.aux_id) == 1
-        assert tok.encode("[AUX]") == [tok.aux_id]
+    def test_a_literal_aux_marker_is_a_word(self):
+        assert HashWordTokenizer(512).encode("ألم شديد [AUX] منذ يومين") == [261, 209, 225, 504, 509]
+
+    def test_pair_layout_and_truncation(self):
+        tok = HashWordTokenizer(512)
+        assert tok.sep_id == 3
+        assert tok.encode_pair("ألم شديد", "حمى، صداع", 64) == [2, 261, 209, 3, 495, 146]
+        assert tok.encode_pair("ألم شديد", "حمى، صداع", 4) == [2, 261, 209, 3]
+        assert tok.encode_pair("ألم شديد", "حمى، صداع", 2) == [2, 261]
 
     def test_stable_across_instances(self):
         a = HashWordTokenizer(256).encode("fever and صداع")
@@ -267,19 +271,17 @@ class TestWordPieceTokenizer:
         tok = WordPieceTokenizer(vocab, do_lower_case=lower, strip_accents=strip)
         assert tok.encode("café") == [expected]
 
-    def test_aux_maps_to_unused_slot(self):
-        tok = WordPieceTokenizer(self._vocab())
-        assert tok.aux_id == 4
-        assert tok.encode("fever [AUX] fever") == [5, 4, 5]
-        # a vocab that has [AUX] itself uses it; one with neither takes [SEP]
-        vocab = {**self._vocab(), "[AUX]": 12}
-        assert WordPieceTokenizer(vocab).encode("fever [AUX] fever") == [5, 12, 5]
-        vocab = {t: i for t, i in self._vocab().items() if t != "[unused0]"}
-        assert WordPieceTokenizer(vocab).encode("fever [AUX] fever") == [5, 3, 5]
+    def test_pair_layout_and_truncation(self):
+        # [SEP] separates the pair even where [AUX] or [unused0] is in the vocab
+        tok = WordPieceTokenizer({**self._vocab(), "[AUX]": 12})
+        assert tok.sep_id == 3
+        assert tok.encode_pair("headache", "fever, the", 16) == [2, 6, 7, 3, 5, 10, 11]
+        assert tok.encode_pair("headache", "fever, the", 5) == [2, 6, 7, 3, 5]
+        assert tok.encode_pair("headache", "fever, the", 2) == [2, 6]
 
-    def test_vocab_without_an_aux_slot_is_refused(self, tmp_path):
-        vocab = {t: i for i, t in enumerate(["[PAD]", "[UNK]", "[CLS]", "fever"])}
-        with pytest.raises(VocabInvalid, match=r"\[AUX\]"):
+    def test_vocab_without_sep_is_refused(self, tmp_path):
+        vocab = {t: i for i, t in enumerate(["[PAD]", "[UNK]", "[CLS]", "[unused0]", "fever"])}
+        with pytest.raises(VocabInvalid, match=r"\[SEP\]"):
             WordPieceTokenizer(vocab)
         path = tmp_path / "vocab.txt"
         path.write_text("\n".join(vocab) + "\n", encoding="utf-8")
@@ -1281,6 +1283,21 @@ class TestExportStore:
         enc = NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
         assert isinstance(enc.tokenizer, WordPieceTokenizer)
         assert os.listdir(store) == stored and len(reads) == filled
+
+    def test_a_vocabulary_past_vocab_size_is_refused_before_a_base_is_filled(
+            self, tmp_path, export, reads):
+        vocab_size = json.loads((export / "config.json").read_text())["vocab_size"]
+        tokens = ["[PAD]", "[UNK]", "[CLS]", "[SEP]"] + [f"w{i}" for i in range(vocab_size - 4)]
+        (export / "vocab.txt").write_text("".join(f"{t}\n" for t in tokens), encoding="utf-8")
+        assert NumpyTransformerEncoder.from_pretrained_dir(export).tokenizer.vocab == \
+            {t: i for i, t in enumerate(tokens)}
+        reads.clear()
+        (export / "vocab.txt").write_text("".join(f"{t}\n" for t in tokens + ["extra"]),
+                                          encoding="utf-8")
+        store = tmp_path / "store"
+        with pytest.raises(VocabInvalid, match=re.escape(str(export / "vocab.txt"))):
+            NumpyTransformerEncoder.from_pretrained_dir(export, store_dir=str(store))
+        assert reads == [] and list(store.glob("*")) == []
 
     @pytest.mark.parametrize("damage", ["missing", "shape"])
     def test_a_bad_parameter_is_never_published(self, tmp_path, export, damage):

@@ -88,7 +88,7 @@ class TestConfusion:
 
 def variant_from(rows):
     return DatasetVariant(condition="normal", examples=[
-        VariantExample(record_id=f"e{i}", input_text=text,
+        VariantExample(record_id=f"e{i}", text=text, aux="",
                        labels=LabelSet(condition_type=t, severity=s))
         for i, (text, t, s) in enumerate(rows)])
 

@@ -330,7 +330,7 @@ class TestRunBundle:
         # variants' empty-aux rule is the one fallback, and it counts the failure
         for condition in ("refined", "summarized"):
             variant = build_variant(records, store, condition)
-            assert [ex.input_text for ex in variant.examples] == ["نص المريض هنا."]
+            assert [(ex.text, ex.aux) for ex in variant.examples] == [("نص المريض هنا.", "")]
             assert variant.provenance["empty_aux_count"] == 1
 
     def test_crash_then_rerun_ledgers_each_failure_once(self, tmp_path):

@@ -9,7 +9,7 @@ from medcascade import encoder as encoder_module, trainer as trainer_module
 from medcascade.corpus import LabelSet
 from medcascade.encoder import build_toy_encoder
 from medcascade.errors import EmptyClass, IndexOutOfVocab, VocabMismatch
-from medcascade.tokenizers import AUX_TOKEN, WordPieceTokenizer
+from medcascade.tokenizers import WordPieceTokenizer
 from medcascade.trainer import (AdamW, MultiTaskModel, TrainConfig, class_weights,
                                 lr_schedule, predict, train, weighted_loss,
                                 weighted_loss_and_grad)
@@ -33,9 +33,15 @@ def signal_variant(n, seed=0):
             list(rng.choice(fillers, size=4, replace=False))
         rng.shuffle(words)
         examples.append(VariantExample(
-            record_id=f"s{i:03d}", input_text=" ".join(words),
+            record_id=f"s{i:03d}", text=" ".join(words), aux="",
             labels=LabelSet(condition_type=ctype, severity=severity)))
     return DatasetVariant(condition="normal", examples=examples)
+
+
+def normal(texts):
+    """Normal-condition examples of ``texts``, for calls that read no label."""
+    return [VariantExample(f"t{i}", text, "", LabelSet(condition_type="chronic", severity="mild"))
+            for i, text in enumerate(texts)]
 
 
 def tiny_model(seed=1, with_adapters=True, dropout=0.0, vocab=None):
@@ -204,7 +210,7 @@ class TestTrain:
         model = tiny_model()
         variant = signal_variant(8)
         variant.examples[0] = VariantExample(
-            record_id="bad", input_text="x",
+            record_id="bad", text="x", aux="",
             labels=LabelSet(condition_type="novel", severity="mild"))
         with pytest.raises(VocabMismatch):
             train(model, variant, signal_variant(4, seed=9), self._cfg())
@@ -238,10 +244,10 @@ class TestTrain:
     def test_no_training_cache_is_live_while_validating(self, monkeypatch):
         live = []
 
-        def counting_predict(model, texts, **kwargs):
+        def counting_predict(model, examples, **kwargs):
             gc.collect()
             live.append(sum(isinstance(o, encoder_module._Cache) for o in gc.get_objects()))
-            return predict(model, texts, **kwargs)
+            return predict(model, examples, **kwargs)
 
         monkeypatch.setattr(trainer_module, "predict", counting_predict)
         train(tiny_model(), signal_variant(8), signal_variant(4, seed=9), self._cfg(epochs=2))
@@ -274,9 +280,9 @@ class TestTrain:
 class TestPredict:
     def test_batch_invariance(self):
         model = tiny_model(seed=7)
-        texts = [ex.input_text for ex in signal_variant(9).examples]
-        single = [predict(model, [t])["type"]["indices"][0] for t in texts]
-        batched = predict(model, texts, batch_size=8)["type"]["indices"]
+        examples = signal_variant(9).examples
+        single = [predict(model, [ex])["type"]["indices"][0] for ex in examples]
+        batched = predict(model, examples, batch_size=8)["type"]["indices"]
         assert list(batched) == single
 
     def test_tie_breaks_to_lowest_index(self):
@@ -284,18 +290,18 @@ class TestPredict:
         for task in model.tasks:
             model.heads[task]["W"][:] = 0.0
             model.heads[task]["b"][:] = 0.0
-        out = predict(model, ["اي نص هنا", "نص اخر"])
+        out = predict(model, normal(["اي نص هنا", "نص اخر"]))
         assert list(out["type"]["indices"]) == [0, 0]
         assert list(out["severity"]["indices"]) == [0, 0]
 
     def test_argmax_invariant_under_positive_rescale(self):
         model = tiny_model(seed=9)
-        texts = [ex.input_text for ex in signal_variant(6).examples]
-        base = predict(model, texts)
+        examples = signal_variant(6).examples
+        base = predict(model, examples)
         for task in model.tasks:
             model.heads[task]["W"] *= 3.0
             model.heads[task]["b"] *= 3.0
-        scaled = predict(model, texts)
+        scaled = predict(model, examples)
         for task in model.tasks:
             assert list(base[task]["indices"]) == list(scaled[task]["indices"])
 
@@ -303,64 +309,64 @@ class TestPredict:
         model = tiny_model(seed=10)
         cfg = TrainConfig(batch_size=4, epochs=12, learning_rate=5e-3, seed=5)
         train(model, signal_variant(40), signal_variant(8, seed=9), cfg)
-        out = predict(model, [f"كلام {TYPE_WORDS['chronic']} {SEV_WORDS['severe']} هنا",
-                              f"كلام {TYPE_WORDS['acute']} {SEV_WORDS['mild']} هنا"])
+        out = predict(model, normal([f"كلام {TYPE_WORDS['chronic']} {SEV_WORDS['severe']} هنا",
+                                     f"كلام {TYPE_WORDS['acute']} {SEV_WORDS['mild']} هنا"]))
         assert list(out["type"]["indices"]) == [0, 1]
 
     def test_aux_truncation_keeps_normal_text(self):
         model = tiny_model()
-        long_aux = "نص عادي قصير [AUX] " + " ".join(f"كلمة{i}" for i in range(40))
-        ids, mask = model.encode_texts([long_aux])
+        long_aux = " ".join(f"كلمة{i}" for i in range(40))
+        ids, mask = model.encode_texts([VariantExample("a", "نص عادي قصير", long_aux,
+                                                       LabelSet("chronic", "mild"))])
         tok = model.encoder.tokenizer
         normal_ids = tok.encode("نص عادي قصير")
-        assert list(ids[0, 1: 1 + len(normal_ids)]) == normal_ids
+        assert list(ids[0, : 2 + len(normal_ids)]) == [tok.cls_id, *normal_ids, tok.sep_id]
         assert int(mask.sum()) == model.encoder.max_len  # filled to capacity
 
     def test_normal_truncated_last(self):
         model = tiny_model()
         text = " ".join(f"ك{i}" for i in range(40))
-        ids, mask = model.encode_texts([text])
+        ids, mask = model.encode_texts(normal([text]))
         assert int(mask.sum()) == model.encoder.max_len
         assert ids[0, 0] == model.encoder.tokenizer.cls_id
 
 
-def _truncation_branch(tok, text, max_len):
-    """[CLS] and ``text``'s ids as ``encode_texts`` cut them before it cut a
-    prefix: when too long, the aux tail after the first aux id went first."""
+def _truncation_branch(tok, text, aux, max_len):
+    """[CLS], ``text``'s ids and, after [SEP], ``aux``'s, kept as the
+    truncation branch of the one-string layout kept them: when too long, the
+    aux tail went first."""
     budget = max_len - 1
     content = tok.encode(text)
-    if len(content) > budget:
-        if tok.aux_id in content:
-            pos = content.index(tok.aux_id)
-            normal, aux = content[:pos], content[pos:]
-            content = normal[:budget] if len(normal) >= budget \
-                else normal + aux[: budget - len(normal)]
-        else:
-            content = content[:budget]
+    tail = [tok.sep_id, *tok.encode(aux)] if aux else []
+    if len(content) >= budget:
+        content = content[:budget]
+    else:
+        content += tail[: budget - len(content)]
     return [tok.cls_id] + content
 
 
-PIECES = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[unused0]", "حمى", "صداع", "fever", "##s"]
+PIECES = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "حمى", "صداع", "fever", "##s"]
 SEGMENT = st.lists(st.sampled_from(["حمى", "صداع،", "fever", "fevers", "x", "؟"]), max_size=20)
 
 
 class TestPrefixCut:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(texts=st.lists(st.lists(SEGMENT, min_size=1, max_size=3), min_size=1, max_size=4),
+    @given(pairs=st.lists(st.tuples(SEGMENT, SEGMENT), min_size=1, max_size=4),
            wordpiece=st.booleans())
-    def test_the_prefix_is_what_the_truncation_branch_kept(self, texts, wordpiece):
-        # 0-2 separators, and up to 60 words with a max_len of 16: short and
-        # over-long inputs, the cut in the normal text or in an aux segment
+    def test_the_prefix_is_what_the_truncation_branch_kept(self, pairs, wordpiece):
+        # an empty or a present aux, and up to 40 words with a max_len of 16:
+        # short and over-long inputs, the cut in the normal text or in the aux
         model = tiny_model(with_adapters=False)
         if wordpiece:
             model.encoder.tokenizer = WordPieceTokenizer({t: i for i, t in enumerate(PIECES)})
         tok, max_len = model.encoder.tokenizer, model.encoder.max_len
-        texts = [f" {AUX_TOKEN} ".join(" ".join(words) for words in segments)
-                 for segments in texts]
-        seqs = [_truncation_branch(tok, text, max_len) for text in texts]
-        ids, mask = model.encode_texts(texts)
+        examples = [VariantExample(f"p{i}", " ".join(text), " ".join(aux),
+                                   LabelSet("chronic", "mild"))
+                    for i, (text, aux) in enumerate(pairs)]
+        seqs = [_truncation_branch(tok, ex.text, ex.aux, max_len) for ex in examples]
+        ids, mask = model.encode_texts(examples)
         width = max(map(len, seqs))
-        assert ids.shape == mask.shape == (len(texts), width)
+        assert ids.shape == mask.shape == (len(examples), width)
         for row, seq in enumerate(seqs):
             assert list(ids[row]) == seq + [tok.pad_id] * (width - len(seq))
             assert list(mask[row]) == [1.0] * len(seq) + [0.0] * (width - len(seq))
@@ -371,7 +377,7 @@ def words(n, stem="w"):
 
 
 # token counts 4..71 with [CLS], the longest truncated to max_len 64
-MIXED_TEXTS = [words(n) for n in (3, 40, 15, 16, 70, 5, 31, 47, 2, 33)]
+MIXED = normal([words(n) for n in (3, 40, 15, 16, 70, 5, 31, 47, 2, 33)])
 
 
 def bucket_model(seed=11, **shape):
@@ -390,15 +396,15 @@ class TestLengthBuckets:
                              ids=["toy", "wider"])
     def test_bucketed_outputs_match_pad_to_max_len(self, shape):
         model = bucket_model(**shape)
-        texts = MIXED_TEXTS + [words(100, "x")]
-        ids, mask = model.encode_texts(texts)
+        examples = MIXED + normal([words(100, "x")])
+        ids, mask = model.encode_texts(examples)
         max_len = model.encoder.max_len
-        full_ids = np.full((len(texts), max_len), model.encoder.tokenizer.pad_id)
-        full_mask = np.zeros((len(texts), max_len))
+        full_ids = np.full((len(examples), max_len), model.encoder.tokenizer.pad_id)
+        full_mask = np.zeros((len(examples), max_len))
         full_ids[:, : ids.shape[1]] = ids
         full_mask[:, : mask.shape[1]] = mask
         padded, _, _ = model.forward(full_ids, full_mask)
-        bucketed = predict(model, texts, batch_size=3)
+        bucketed = predict(model, examples, batch_size=3)
         for task in model.tasks:
             np.testing.assert_allclose(bucketed[task]["scores"], padded[task],
                                        rtol=0, atol=1e-12)
@@ -406,11 +412,11 @@ class TestLengthBuckets:
 
     def test_encode_texts_pads_to_the_longest_sequence(self):
         model = bucket_model()
-        assert model.encode_texts([words(3)])[0].shape == (1, 4)
-        assert model.encode_texts([words(3), words(15)])[0].shape == (2, 16)
-        assert model.encode_texts([words(3), words(16)])[0].shape == (2, 17)
-        assert model.encode_texts([words(40), words(3)])[0].shape == (2, 41)
-        ids, mask = model.encode_texts([words(3), words(200)])
+        assert model.encode_texts(normal([words(3)]))[0].shape == (1, 4)
+        assert model.encode_texts(normal([words(3), words(15)]))[0].shape == (2, 16)
+        assert model.encode_texts(normal([words(3), words(16)]))[0].shape == (2, 17)
+        assert model.encode_texts(normal([words(40), words(3)]))[0].shape == (2, 41)
+        ids, mask = model.encode_texts(normal([words(3), words(200)]))
         assert ids.shape == mask.shape == (2, model.encoder.max_len)
         assert list(mask.sum(axis=1)) == [4, model.encoder.max_len]
 
@@ -427,9 +433,9 @@ class TestLengthBuckets:
 
         model.encoder.forward = recording
         variant = DatasetVariant("normal", [
-            VariantExample(f"m{i}", text, LabelSet(condition_type=VOCAB["type"][i % 2],
-                                                  severity=VOCAB["severity"][i // 2 % 2]))
-            for i, text in enumerate(MIXED_TEXTS)])
+            VariantExample(f"m{i}", ex.text, "", LabelSet(condition_type=VOCAB["type"][i % 2],
+                                                         severity=VOCAB["severity"][i // 2 % 2]))
+            for i, ex in enumerate(MIXED)])
         train(model, variant, variant, TrainConfig(batch_size=2, epochs=2, seed=3))
         assert len(widths) == 10
         assert len(set(widths)) > 1
@@ -445,15 +451,15 @@ class TestLengthBuckets:
             return forward(ids, mask, training=training, **kwargs)
 
         model.encoder.forward = recording
-        predict(model, MIXED_TEXTS, batch_size=3)
+        predict(model, MIXED, batch_size=3)
         # batched in order of length, so each batch is the next three lengths
         assert batches == [[3, 4, 6], [16, 17, 32], [34, 41, 48], [64]]
 
     def test_predict_is_batch_invariant_across_interleaved_buckets(self):
         model = bucket_model(d_model=16, n_heads=2, d_ff=24, vocab_size=128)
-        single = [predict(model, [t]) for t in MIXED_TEXTS]
+        single = [predict(model, [ex]) for ex in MIXED]
         for batch_size in (1, 3, 8):
-            batched = predict(model, MIXED_TEXTS, batch_size=batch_size)
+            batched = predict(model, MIXED, batch_size=batch_size)
             for task in model.tasks:
                 assert list(batched[task]["indices"]) == \
                     [int(p[task]["indices"][0]) for p in single]

@@ -6,8 +6,7 @@ from medcascade.atomic import file_digest
 from medcascade.errors import MissingBundle
 from medcascade.gateway import Gateway, MockBackend
 from medcascade.preprocess import BundleStore, run_bundle
-from medcascade.variants import (AUX_SEP, CONDITIONS, build_variant, load_variant,
-                                 write_variant)
+from medcascade.variants import CONDITIONS, build_variant, load_variant, write_variant
 
 from conftest import make_record
 
@@ -35,7 +34,7 @@ class TestBuildVariant:
         variant = build_variant(records, None, "normal")
         by_id = {ex.record_id: ex for ex in variant.examples}
         for record in records:
-            assert by_id[record.id].input_text == record.text
+            assert (by_id[record.id].text, by_id[record.id].aux) == (record.text, "")
 
     def test_ordering_by_record_id(self, records, store):
         variant = build_variant(records, store, "refined")
@@ -44,12 +43,12 @@ class TestBuildVariant:
     def test_ner_construction_rule(self, records, store):
         variant = build_variant(records, store, "ner")
         ex = {e.record_id: e for e in variant.examples}["r2"]
-        assert ex.input_text == "عندي حمى شديد من 3 ايام. تعبان جدا. [AUX] حمى، شديد"
+        assert (ex.text, ex.aux) == ("عندي حمى شديد من 3 ايام. تعبان جدا.", "حمى، شديد")
 
-    def test_empty_aux_falls_back_to_normal(self, records, store):
+    def test_an_empty_aux_is_counted(self, records, store):
         variant = build_variant(records, store, "ner")
         ex = {e.record_id: e for e in variant.examples}["r3"]
-        assert ex.input_text == "كلام بدون اعراض معروفة هنا."
+        assert (ex.text, ex.aux) == ("كلام بدون اعراض معروفة هنا.", "")
         assert variant.provenance["empty_aux_count"] == 1
 
     def test_an_augmented_condition_needs_a_store(self, records):
@@ -70,14 +69,13 @@ class TestBuildVariant:
                 (ex.labels.condition_type, ex.labels.severity) for ex in variant.examples))
         assert all(c == counters[0] for c in counters)
 
-    def test_normal_text_is_prefix_of_augmented(self, records, store):
-        normal = {ex.record_id: ex.input_text
+    def test_augmented_text_is_the_normal_text(self, records, store):
+        normal = {ex.record_id: ex.text
                   for ex in build_variant(records, store, "normal").examples}
         for condition in ("refined", "summarized", "ner"):
             for ex in build_variant(records, store, condition).examples:
-                assert ex.input_text.startswith(normal[ex.record_id])
-                tail = ex.input_text[len(normal[ex.record_id]):]
-                assert tail == "" or tail.startswith(AUX_SEP)
+                assert ex.text == normal[ex.record_id]
+                assert ex.aux == ex.aux.strip()
 
     def test_counts_match_corpus_size(self, records, store):
         for condition in CONDITIONS:
@@ -99,8 +97,8 @@ class TestBuildVariant:
         local_store = BundleStore(store.directory + "_dirty")
         run_bundle(dirty, gw, store=local_store)
         variant = build_variant(dirty, local_store, "normal")
-        assert "<PHONE>" in variant.examples[0].input_text
-        assert "01234567890" not in variant.examples[0].input_text
+        assert "<PHONE>" in variant.examples[0].text
+        assert "01234567890" not in variant.examples[0].text
 
 
 class TestVariantFiles:
