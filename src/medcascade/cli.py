@@ -25,7 +25,7 @@ from functools import cache, partial
 from . import __version__
 from .atomic import file_digest, json_line, read_json, text_digest, write_atomic, write_json
 from .config import PipelineConfig, load_config
-from .corpus import (CorpusManifest, corpus_format, load_corpus, manifest_path_for,
+from .corpus import (TASKS, CorpusManifest, corpus_format, load_corpus, manifest_path_for,
                      read_manifest, scrub_records, stratified_split, write_corpus)
 from .encoder import export_digests, resolve_encoder
 from .errors import CorruptArtifact, MedcascadeError, MissingUpstreamArtifact, UserError
@@ -33,7 +33,7 @@ from .evaluator import ReportCell, TaskScores, evaluate, prediction_dump, render
 from .gateway import build_gateway
 from .lora import save_adapter_set
 from .preprocess import BundleStore, run_bundle, template_hashes
-from .trainer import TASKS, MultiTaskModel, train
+from .trainer import MultiTaskModel, train
 from .variants import CONDITIONS, build_variant, load_variant, variant_paths, write_variant
 
 SPLITS = ("train", "val", "test")
@@ -125,7 +125,7 @@ def _slug(name: str) -> str:
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
     if not os.path.exists(cfg.corpus):
         raise MissingUpstreamArtifact(f"corpus {cfg.corpus} not found")
-    split_cfg = {"ratios": list(cfg.split.ratios), "seed": cfg.split.seed}
+    split_cfg = cfg.to_json()["split"]
     inputs = _inputs({"corpus": cfg.corpus, "manifest": manifest_path_for(cfg.corpus)},
                      split=split_cfg, format=corpus_format(cfg.corpus))
 
@@ -269,6 +269,9 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
         raise MissingUpstreamArtifact(f"no scores.json under {runs_dir}; run `medcascade train`")
 
     def cell(data: dict) -> ReportCell:
+        if not (isinstance(data["model_id"], str) and isinstance(data["condition"], str)
+                and isinstance(data["fine_tuned"], bool)):
+            raise TypeError("model_id and condition must be strings and fine_tuned a bool")
         tasks = {t: TaskScores(**data["tasks"][t]) for t in TASKS}
         if not all(type(s.accuracy) in (int, float) and 0 <= s.accuracy <= 1
                    for s in tasks.values()):

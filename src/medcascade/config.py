@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 from .atomic import check_types
 from .encoder import EncoderConfig
@@ -86,10 +86,9 @@ class PipelineConfig:
         return self.gateway.cache_dir or os.path.join(self.workdir, "cache")
 
     def to_json(self) -> dict:
-        data = asdict(self)
-        data["split"]["ratios"] = list(self.split.ratios)
-        data["adapter"]["targets"] = list(self.adapter.targets)
-        return data
+        """The config as JSON values: each section an object, each tuple a list."""
+        return asdict(self, dict_factory=lambda items: {
+            key: list(value) if isinstance(value, tuple) else value for key, value in items})
 
     def validate(self) -> None:
         try:
@@ -142,16 +141,25 @@ def _check_types(cls, data: dict, prefix: str = "") -> None:
         raise ConfigInvalid(f"{prefix}{e}") from e
 
 
-def _build_section(default, data: dict, section: str):
-    """``default`` with the values of ``data`` in place of its own."""
+def _merge(default, data: dict, prefix: str = ""):
+    """``default`` with the values of ``data`` in place of its own.  A field
+    whose default is a dataclass is a section, merged the same way from an
+    object; one whose default is a tuple takes a list."""
     unknown = set(data) - set(default.__dataclass_fields__)
     if unknown:
-        raise ConfigInvalid(f"unknown config keys {sorted(f'{section}.{k}' for k in unknown)}")
-    _check_types(type(default), data, f"{section}.")
-    kwargs = dict(data)
-    for key in ("ratios", "targets"):
-        if key in kwargs and isinstance(kwargs[key], list):
-            kwargs[key] = tuple(kwargs[key])
+        raise ConfigInvalid(f"unknown config keys {sorted(prefix + k for k in unknown)}")
+    kwargs = {}
+    for key, value in data.items():
+        current = getattr(default, key)
+        if is_dataclass(current):
+            if not isinstance(value, dict):
+                raise ConfigInvalid(f"section {key!r} must be an object")
+            value = _merge(current, value, f"{prefix}{key}.")
+        else:
+            _check_types(type(default), {key: value}, prefix)
+            if isinstance(current, tuple):   # JSON has no tuple: a list
+                value = tuple(value)
+        kwargs[key] = value
     return replace(default, **kwargs)
 
 
@@ -182,18 +190,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
                 raise ConfigInvalid(f"section {part!r} must be an object")
         node[parts[-1]] = value
 
-    defaults = PipelineConfig()
-    kwargs: dict = {}
-    for key, value in raw.items():
-        if key in ("split", "gateway", "adapter", "train", "model"):
-            if not isinstance(value, dict):
-                raise ConfigInvalid(f"section {key!r} must be an object")
-            kwargs[key] = _build_section(getattr(defaults, key), value, key)
-        elif key in ("corpus", "workdir"):
-            _check_types(PipelineConfig, {key: value})
-            kwargs[key] = value
-        else:
-            raise ConfigInvalid(f"unknown config key {key!r}")
-    cfg = PipelineConfig(**kwargs)
+    cfg = _merge(PipelineConfig(), raw)
     cfg.validate()
     return cfg

@@ -16,7 +16,7 @@ import json
 import os
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,22 +26,23 @@ from .errors import ClassTooSmall, CorruptArtifact, DuplicateId, MalformedRecord
 GENDERS = ("male", "female", "unspecified")
 AGE_RANGE = (0, 130)
 SCHEMA_VERSION = 1
+TASKS = ("type", "severity")   # a record's labels, in report order; every model classifies both
 
 
 @dataclass(frozen=True)
 class LabelSet:
+    """A record's label for each task, one field per task in ``TASKS`` order."""
     condition_type: str
     severity: str
 
     def get(self, task: str) -> str:
-        if task == "type":
-            return self.condition_type
-        if task == "severity":
-            return self.severity
-        raise KeyError(task)
+        return getattr(self, _LABEL_FIELDS[task])
 
     def to_json(self) -> dict:
-        return {"type": self.condition_type, "severity": self.severity}
+        return {task: self.get(task) for task in TASKS}
+
+
+_LABEL_FIELDS = dict(zip(TASKS, (f.name for f in fields(LabelSet))))
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class CorpusManifest:
     def validate(self) -> None:
         if not isinstance(self.vocab, dict):
             raise MalformedRecord(0, "vocab", "must be an object")
-        for task in ("type", "severity"):
+        for task in TASKS:
             if task not in self.vocab:
                 raise MalformedRecord(0, f"vocab.{task}", "missing vocabulary")
         for task, classes in self.vocab.items():
@@ -128,18 +129,15 @@ def _parse_record(raw: dict, line_no: int, vocab: dict[str, list[str]]) -> Compl
     labels_raw = raw.get("labels")
     if not isinstance(labels_raw, dict):
         raise MalformedRecord(line_no, "labels", "must be an object")
-    ctype = labels_raw.get("type")
-    severity = labels_raw.get("severity")
-    if not isinstance(ctype, str):
-        raise MalformedRecord(line_no, "labels.type", "required")
-    if not isinstance(severity, str):
-        raise MalformedRecord(line_no, "labels.severity", "required")
-    if ctype not in vocab["type"]:
-        raise UnknownLabel(rid, "type", ctype)
-    if severity not in vocab["severity"]:
-        raise UnknownLabel(rid, "severity", severity)
+    labels = [labels_raw.get(task) for task in TASKS]
+    for task, label in zip(TASKS, labels):
+        if not isinstance(label, str):
+            raise MalformedRecord(line_no, f"labels.{task}", "required")
+    for task, label in zip(TASKS, labels):
+        if label not in vocab[task]:
+            raise UnknownLabel(rid, task, label)
     return ComplaintRecord(id=rid, text=unicodedata.normalize("NFC", text), age=age,
-                           gender=gender, labels=LabelSet(condition_type=ctype, severity=severity))
+                           gender=gender, labels=LabelSet(*labels))
 
 
 def _jsonl_rows(fh):
@@ -166,7 +164,7 @@ def _csv_rows(fh):
             raise MalformedRecord(line_no, "age", str(e)) from e
         yield line_no, {"id": row.get("id"), "text": row.get("text"), "age": age,
                         "gender": row.get("gender") or None,
-                        "labels": {"type": row.get("type"), "severity": row.get("severity")}}
+                        "labels": {task: row.get(task) for task in TASKS}}
 
 
 def corpus_format(path: str) -> str:

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .atomic import json_line, write_atomic, write_json
+from .corpus import TASKS
 from .errors import EmptyInput
 from .variants import CONDITIONS, DatasetVariant, VariantExample
 
@@ -117,15 +118,14 @@ def prediction_dump(model: MultiTaskModel, dataset: DatasetVariant,
 
 # -- report grid ---------------------------------------------------------------
 
-def percent_half_up(value: float) -> int:
-    """Whole-percent rounding with exact half-up behavior (e.g. 0.715 -> 72)."""
-    return int(Decimal(repr(value)).scaleb(2).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
-
-
-def avg_percent(type_acc: float, severity_acc: float) -> int:
-    """AVG column: mean of the two accuracies, as a half-up whole percent."""
-    mean = (Decimal(repr(type_acc)) + Decimal(repr(severity_acc))) / 2
+def avg_percent(*accuracies: float) -> int:
+    """The exact mean of ``accuracies`` as a whole percent, rounded half-up
+    (0.715 -> 72): a cell's percent of one accuracy, its AVG of all tasks'."""
+    mean = sum(Decimal(repr(acc)) for acc in accuracies) / len(accuracies)
     return int(mean.scaleb(2).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+
+
+percent_half_up = avg_percent   # of a single value
 
 
 @dataclass
@@ -139,7 +139,7 @@ class ReportCell:
         return percent_half_up(self.tasks[task].accuracy)
 
     def avg(self) -> int:
-        return avg_percent(self.tasks["type"].accuracy, self.tasks["severity"].accuracy)
+        return avg_percent(*(self.tasks[t].accuracy for t in TASKS))
 
     def to_json(self) -> dict:
         return {**asdict(self), "percent": {t: self.percent(t) for t in self.tasks},
@@ -195,4 +195,4 @@ def render_report(cells: list[ReportCell], out_dir: str) -> tuple[str, str]:
 def _row_cells(cell: ReportCell | None) -> list[str]:
     if cell is None:
         return ["-", "-", "-"]
-    return [f"{cell.percent('type')}%", f"{cell.percent('severity')}%", f"{cell.avg()}%"]
+    return [f"{cell.percent(t)}%" for t in TASKS] + [f"{cell.avg()}%"]

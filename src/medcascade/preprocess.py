@@ -35,10 +35,10 @@ import re
 import selectors
 import time
 from collections.abc import Generator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .corpus import ComplaintRecord, scrub_pii
+from .corpus import ComplaintRecord, scrub_pii, scrub_records
 from .atomic import read_jsonl, text_digest, write_jsonl
 from .errors import (AuthError, CorruptArtifact, EmptySourceText, MedcascadeError,
                      ParseFailure, RefusalDetected, ResponseEmpty)
@@ -76,7 +76,7 @@ FORMAT_REMINDER = ("Reminder: answer only with lines of the form "
 class Entity:
     surface: str
     category: str
-    normalized: bool = False
+    normalized: bool = False   # the surface is not in the source text
 
 
 @dataclass
@@ -90,10 +90,17 @@ class PreprocessBundle:
 
     @classmethod
     def from_json(cls, data: dict) -> "PreprocessBundle":
+        """The bundle of a log line; ``TypeError`` unless its record id, its
+        texts and each entity's surface and category are strings."""
+        entities = [Entity(e["surface"], e["category"], e.get("normalized", False))
+                    for e in data["entities"]]
+        strings = [data["record_id"], data["refined"], data["summarized"],
+                   *(s for e in entities for s in (e.surface, e.category))]
+        if not all(isinstance(s, str) for s in strings):
+            raise TypeError("record_id, refined, summarized and each entity's surface "
+                            "and category must be strings")
         return cls(record_id=data["record_id"], refined=data["refined"],
-                   summarized=data["summarized"],
-                   entities=[Entity(e["surface"], e["category"], e.get("normalized", False))
-                             for e in data["entities"]],
+                   summarized=data["summarized"], entities=entities,
                    prompt_hashes=data.get("prompt_hashes", {}),
                    source_sha256=data.get("source_sha256", ""))
 
@@ -175,44 +182,24 @@ def parse_entities(output: str, source_text: str) -> list[Entity]:
     if not out or out.lower() in NONE_MARKERS:
         return []
     lines = [ln.strip() for ln in out.splitlines() if ln.strip()]
+    labelled = any(":" in ln for ln in lines)
     entities: list[Entity] = []
     invalid = 0
-
-    def add(surface: str, category: str) -> None:
-        surface = surface.strip()
-        if surface and surface.lower() not in NONE_MARKERS:
-            entities.append(Entity(surface=surface, category=category,
-                                   normalized=surface not in source_text))
-
-    if any(":" in ln for ln in lines):
-        for ln in lines:
-            if ":" not in ln:
-                invalid += 1
-                continue
-            head, rest = ln.split(":", 1)
-            category = _CATEGORY_ALIASES.get(head.strip().lower())
-            if category is None:
-                logger.debug("dropping line with unknown category: %r", ln[:60])
-                invalid += 1
-                continue
-            for item in _ITEM_SPLIT.split(rest):
-                add(item, category)
-    else:
-        for ln in lines:
-            for item in _ITEM_SPLIT.split(ln):
-                add(item, "symptom")
+    for ln in lines:   # a bare line reads as a symptom line
+        head, colon, rest = ln.partition(":") if labelled else ("symptom", ":", ln)
+        category = _CATEGORY_ALIASES.get(head.strip().lower()) if colon else None
+        if category is None:
+            logger.debug("dropping line with no known category: %r", ln[:60])
+            invalid += 1
+            continue
+        for item in _ITEM_SPLIT.split(rest):
+            surface = item.strip()
+            if surface and surface.lower() not in NONE_MARKERS:
+                entities.append(Entity(surface, category, surface not in source_text))
 
     if not entities and invalid:
         raise ParseFailure(f"no entities parsed from {len(lines)} line(s)")
-
-    seen: set[tuple[str, str]] = set()
-    deduped: list[Entity] = []
-    for e in entities:
-        key = (e.surface, e.category)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(e)
-    return deduped
+    return list(dict.fromkeys(entities))   # equal entities share surface and category
 
 
 def extract_entities(record: ComplaintRecord) -> Generator[str, str, list[Entity]]:
@@ -260,8 +247,7 @@ class BundleStore:
                     bundle = PreprocessBundle.from_json(entry)
                 except CorruptArtifact.DECODE_ERRORS:  # a damaged line: no bundle
                     continue
-                if isinstance(bundle.record_id, str):
-                    self._index[bundle.record_id] = bundle
+                self._index[bundle.record_id] = bundle
         return self._index
 
     def save(self, bundles: list[PreprocessBundle]) -> None:
@@ -298,7 +284,7 @@ def run_bundle(records: list[ComplaintRecord], gw: Gateway,
     run stops, it closes every open exchange.
     """
     hashes = template_hashes()
-    sources = [replace(r, text=scrub_pii(r.text)) for r in records]
+    sources = scrub_records(records)
     fresh = ((i, k) for i in range(len(records)) for k in range(len(STAGES)))
     parked: list[tuple[float, tuple[int, int]]] = []   # heap of (due, (record, stage))
     arrived: list[tuple[int, int]] = []   # heap of tasks whose reply or turn has come

@@ -18,12 +18,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .corpus import label_counts
+from .corpus import TASKS, label_counts
 from .errors import EmptyClass, IndexOutOfVocab, NonFiniteLoss, VocabMismatch
 from .evaluator import predict, score_predictions
 from .variants import DatasetVariant, VariantExample
-
-TASKS = ("type", "severity")     # every model classifies both, from one encoder
 
 
 # -- loss ---------------------------------------------------------------------

@@ -15,12 +15,18 @@ import os
 from dataclasses import dataclass, field
 
 from .atomic import file_digest, read_json, text_digest, write_json, write_jsonl
-from .corpus import ComplaintRecord, LabelSet, corpus_hash, scrub_pii
+from .corpus import TASKS, ComplaintRecord, LabelSet, corpus_hash, scrub_pii
 from .errors import CorruptArtifact, MissingBundle
 from .preprocess import BundleStore
 
-CONDITIONS = ("normal", "refined", "summarized", "ner")
 ENTITY_JOIN = "، "
+# each augmented condition's aux text: its layer's output in a record's bundle
+_AUX_TEXT = {
+    "refined": lambda bundle: bundle.refined,
+    "summarized": lambda bundle: bundle.summarized,
+    "ner": lambda bundle: ENTITY_JOIN.join(e.surface for e in bundle.entities),
+}
+CONDITIONS = ("normal", *_AUX_TEXT)
 
 
 @dataclass(frozen=True)
@@ -62,13 +68,7 @@ def build_variant(records: list[ComplaintRecord], bundles: BundleStore | None,
             if bundle is None or bundle.source_sha256 != text_digest(text):
                 raise MissingBundle(f"run `medcascade preprocess`: no bundle for the current "
                                     f"text of record {record.id!r} in {bundles.path}")
-            if condition == "refined":
-                aux = bundle.refined
-            elif condition == "summarized":
-                aux = bundle.summarized
-            else:
-                aux = ENTITY_JOIN.join(e.surface for e in bundle.entities)
-            aux = aux.strip()
+            aux = _AUX_TEXT[condition](bundle).strip()
             empty_aux += not aux
         examples.append(VariantExample(record.id, text, aux, record.labels))
 
@@ -108,15 +108,15 @@ def load_variant(directory: str, condition: str, split: str,
                 if not line.strip():
                     continue
                 raw = json.loads(line)
-                fields = (raw["record_id"], raw["text"], raw["aux"],
-                          raw["labels"]["type"], raw["labels"]["severity"])
+                labels = [raw["labels"][task] for task in TASKS]
+                fields = (raw["record_id"], raw["text"], raw["aux"], *labels)
                 if not all(isinstance(f, str) for f in fields):
-                    raise TypeError("record_id, text, aux and both labels must be strings")
-                for task, label in zip(("type", "severity"), fields[3:]):
+                    raise TypeError("record_id, text, aux and every label must be strings")
+                for task, label in zip(TASKS, labels):
                     if vocab is not None and label not in vocab[task]:
                         raise ValueError(f"record {fields[0]!r}: {task} label {label!r} "
                                          "is not in the corpus vocabulary")
-                examples.append(VariantExample(*fields[:3], LabelSet(*fields[3:])))
+                examples.append(VariantExample(*fields[:3], LabelSet(*labels)))
     except CorruptArtifact.DECODE_ERRORS as e:
         raise CorruptArtifact.at(data_path, e) from e
     if not examples:

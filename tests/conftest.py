@@ -1,7 +1,11 @@
+import contextlib
 import json
 import select
 import struct
+import sys
+import threading
 import time
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -47,6 +51,33 @@ def drive(layer, gw, sleep=lambda seconds: None):
                 prompt = layer.send(answer)
         except StopIteration as stop:
             return stop.value
+
+
+class StubServer(ThreadingHTTPServer):
+    """A stub LLM server on a free localhost port.  A client may close its
+    connection before the answer is written (``preprocess`` closes every open
+    exchange when it stops), so a handler may meet a ``ConnectionError``;
+    that one is not printed into the test's stderr."""
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+
+    def handle_error(self, request, client_address):
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
+@contextlib.contextmanager
+def serving(handler):
+    """Serve ``handler`` from a ``StubServer`` on a thread; yields its port."""
+    server = StubServer(handler)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def safetensors_bytes(header: dict, buffer: bytes, pad: int = 0) -> bytes:

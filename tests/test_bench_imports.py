@@ -1,6 +1,7 @@
 """Every module of the benchmark harness imports against the current
-``src/``, so a rename there that breaks the harness fails here instead of
-in a benchmark run."""
+``src/``, and the workloads that only write files set up against it, so a
+rename there that breaks the harness fails here instead of in a benchmark
+run."""
 
 import importlib
 import sys
@@ -8,19 +9,39 @@ from pathlib import Path
 
 import pytest
 
+from medcascade.config import load_config
+from medcascade.corpus import load_corpus
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+NAMES = sorted(p.stem for p in PERFBENCH.glob("*.py"))
 
 
-def test_every_perfbench_module_imports(monkeypatch):
+@pytest.fixture
+def harness(monkeypatch):
+    """The harness's own modules importable by bare name, as it imports them,
+    and none of them left behind for other tests."""
     if not PERFBENCH.is_dir():
         pytest.skip("perfbench/ is not in this checkout")
-    names = sorted(p.stem for p in PERFBENCH.glob("*.py"))
-    assert names
-    # the harness imports its own modules by bare name
+    assert NAMES
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    for name in names:
+    for name in NAMES:
         monkeypatch.delitem(sys.modules, name, raising=False)
-    for name in names:
-        importlib.import_module(name)
-    for name in names:   # leave no harness module behind for other tests
+    yield
+    for name in NAMES:
         sys.modules.pop(name, None)
+
+
+def test_every_perfbench_module_imports(harness):
+    for name in NAMES:
+        importlib.import_module(name)
+
+
+def test_the_file_writing_workloads_set_up(harness, tmp_path):
+    # a setup reads the program at run time (a record's labels, the
+    # manifest's fields, the config keys it writes), which an import does not
+    workloads = importlib.import_module("bench_workloads")
+    for workload in (workloads.GridMock(), workloads.BertCell()):
+        setup = workload.setup(str(tmp_path / workload.name), seed=1)
+        cfg = load_config(setup.config)
+        assert len(load_corpus(cfg.corpus)[0]) == len(setup.records) > 0
+        setup.close()

@@ -5,9 +5,8 @@ import os
 import shutil
 import subprocess
 import sys
-import threading
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from medcascade.cli import _stale, main
 from medcascade.synthetic import write_synthetic_corpus
 from medcascade.variants import CONDITIONS, load_variant
 
-from conftest import edit_safetensors_header
+from conftest import edit_safetensors_header, serving
 
 
 def _write_workspace():
@@ -608,20 +607,15 @@ class TestRejectedKey:
 
     @pytest.fixture
     def live(self, workspace, monkeypatch):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _KeyCheckingLLM)
-        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                                  daemon=True)
-        thread.start()
-        _KeyCheckingLLM.keys = []
-        monkeypatch.setenv("MEDCASCADE_LLM_URL",
-                           f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions")
-        config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
-        config["gateway"] = {"backend": "openai", "rate_per_sec": 1e6, "burst": 1e6}
-        (workspace / "live.json").write_text(json.dumps(config), encoding="utf-8")
-        assert run("ingest", "--config", "live.json") == 0
-        yield workspace
-        server.shutdown()
-        server.server_close()
+        with serving(_KeyCheckingLLM) as port:
+            _KeyCheckingLLM.keys = []
+            monkeypatch.setenv("MEDCASCADE_LLM_URL",
+                               f"http://127.0.0.1:{port}/v1/chat/completions")
+            config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
+            config["gateway"] = {"backend": "openai", "rate_per_sec": 1e6, "burst": 1e6}
+            (workspace / "live.json").write_text(json.dumps(config), encoding="utf-8")
+            assert run("ingest", "--config", "live.json") == 0
+            yield workspace
 
     def _preprocess(self, monkeypatch, capsys, key):
         monkeypatch.setenv("MEDCASCADE_LLM_KEY", key)
@@ -700,14 +694,9 @@ class TestExhaustedRetries:
     @pytest.fixture
     def stub(self, monkeypatch):
         monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _SummaryOutageLLM)
-        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                                  daemon=True)
-        thread.start()
-        _SummaryOutageLLM.down, _SummaryOutageLLM.prompts = False, []
-        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-        server.shutdown()
-        server.server_close()
+        with serving(_SummaryOutageLLM) as port:
+            _SummaryOutageLLM.down, _SummaryOutageLLM.prompts = False, []
+            yield f"http://127.0.0.1:{port}/v1/chat/completions"
 
     def test_a_refused_port_writes_bundles_and_ledger_but_no_state(self, workspace, capsys,
                                                                    monkeypatch):
@@ -1249,6 +1238,24 @@ class TestErrors:
         scores.write_text(json.dumps({**cell, "tasks": tasks}), encoding="utf-8")
         assert run("report", "--config", "cfg.json") == 0
         scores.write_text(json.dumps({**cell, "tasks": edit(tasks)}), encoding="utf-8")
+        capsys.readouterr()
+        assert run("report", "--config", "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptArtifact: ")
+        assert os.path.join("work", "runs", "toy__normal__frozen", "scores.json") in err
+
+    @pytest.mark.parametrize("identity", [{"model_id": ["toy"]}, {"condition": 5},
+                                          {"fine_tuned": "no"}],
+                             ids=["model_id-list", "condition-int", "fine_tuned-string"])
+    def test_scores_file_with_a_bad_cell_identity_is_a_user_error(self, workspace, capsys,
+                                                                  identity):
+        task = {"accuracy": 0.5, "balanced_accuracy": 0.5, "n": 2, "confusion": [[1, 0], [1, 0]]}
+        scores = workspace / "work" / "runs" / "toy__normal__frozen" / "scores.json"
+        scores.parent.mkdir(parents=True)
+        scores.write_text(json.dumps({
+            "model_id": "toy", "condition": "normal", "fine_tuned": False, "best_epoch": None,
+            "tasks": {t: {**task, "task": t} for t in trainer.TASKS}, **identity}),
+            encoding="utf-8")
         capsys.readouterr()
         assert run("report", "--config", "cfg.json") == 1
         err = capsys.readouterr().err

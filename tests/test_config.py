@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import tomllib
@@ -106,6 +107,26 @@ class TestLoadConfig:
     def test_serializes_round_trip(self):
         data = PipelineConfig().to_json()
         assert json.loads(json.dumps(data)) == data
+
+    def test_every_key_set_to_its_default_gives_the_defaults(self):
+        default = PipelineConfig().to_json()
+        leaves = dict(_leaves(default))
+        assert {"workdir", "split.ratios", "gateway.backend", "model.toy"} <= set(leaves)
+        for key, value in leaves.items():
+            cfg = load_config(None, {key: value})
+            assert cfg.to_json() == default, key
+            if isinstance(value, list):   # JSON's list is the config's tuple
+                assert isinstance(functools.reduce(getattr, key.split("."), cfg), tuple), key
+
+
+def _leaves(data: dict, prefix: str = ""):
+    """(dotted key, value) of each leaf of a config's JSON form; an empty
+    object, such as ``model.toy``, is a leaf."""
+    for key, value in data.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
 
 
 ROOT = Path(__file__).resolve().parents[1]

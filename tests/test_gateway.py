@@ -6,7 +6,7 @@ import ssl
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +21,7 @@ from medcascade.gateway import (Gateway, GatewayConfig, InFlight, LlamaServerBac
                                 cache_key, load_symptom_lexicon)
 from medcascade.preprocess import BundleStore, render, run_bundle
 
-from conftest import ask, drive, make_record
+from conftest import ask, drive, make_record, serving
 
 MOCK = MockBackend()
 
@@ -396,13 +396,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                              daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
+    with serving(_Handler) as port:
+        yield f"http://127.0.0.1:{port}/v1/chat/completions"
 
 
 class TestHttpBackends:

@@ -236,8 +236,16 @@ class TestBundleStore:
         assert sorted(p.name for p in (tmp_path / "bundles").iterdir()) == ["bundles.jsonl"]
         assert BundleStore(tmp_path / "bundles").load("p/1:x") == bundle
 
-    @pytest.mark.parametrize("damage", [b'{"record_id": "r1", "ref', b'{"record_id": "r1"}',
-                                        b"[]"], ids=["truncated", "missing-keys", "not-object"])
+    @pytest.mark.parametrize("damage", [
+        b'{"record_id": "r1", "ref', b'{"record_id": "r1"}', b"[]",
+        b'{"record_id": "r1", "refined": 5, "summarized": "b", "entities": []}',
+        b'{"record_id": "r1", "refined": "a", "summarized": null, "entities": []}',
+        b'{"record_id": "r1", "refined": "a", "summarized": "b", '
+        b'"entities": [{"surface": 3, "category": "symptom"}]}',
+        b'{"record_id": "r1", "refined": "a", "summarized": "b", '
+        b'"entities": [{"surface": "fever", "category": ["symptom"]}]}',
+    ], ids=["truncated", "missing-keys", "not-object", "refined-int", "summarized-null",
+            "surface-int", "category-list"])
     def test_damaged_bundle_is_a_user_error_naming_the_path(self, tmp_path, damage):
         _write_log(tmp_path / "bundles", damage + b"\n", PreprocessBundle("r2", "c", "d", []))
         store = BundleStore(tmp_path / "bundles")
