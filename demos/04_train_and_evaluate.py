@@ -49,8 +49,7 @@ for row in result.log.rows[::6]:
     print(f"  epoch {row['epoch']:>2}  loss {row['train_loss']:.3f}  val {accs}")
 print(f"best epoch by validation average: {result.best_epoch}")
 
-# ── 3. evaluate the best checkpoint on the held-out split ────────────────────
-model.restore(result.best_params)
+# ── 3. evaluate the best epoch's parameters, where train left the model ──────
 scores, _ = evaluate(model, test_v)
 for task, s in sorted(scores.items()):
     print(f"test {task:<9} accuracy={s.accuracy:.3f} "

@@ -116,6 +116,14 @@ def _conditions(args) -> tuple[str, ...]:
     return tuple(dict.fromkeys(args.condition or CONDITIONS))
 
 
+def _rate(value) -> bool:
+    return type(value) in (int, float) and 0 <= value <= 1   # NaN fails
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0   # bool is not a count
+
+
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name)
 
@@ -223,15 +231,13 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
             train_variant = load_variant(cfg.variants_dir(), condition, "train", vocab)
             val_variant = load_variant(cfg.variants_dir(), condition, "val", vocab)
             result = train(model, train_variant, val_variant, cfg.train)
-            model.restore(result.best_params)
             write_atomic(os.path.join(cell_dir, "trainlog.csv"), result.log.to_csv())
 
         test_variant = load_variant(cfg.variants_dir(), condition, "test", vocab)
         scores, preds = evaluate(model, test_variant)
 
         save_adapter_set(os.path.join(cell_dir, "checkpoint.npz"), model.encoder.adapters,
-                         heads=model.heads,
-                         extra_meta={"model_id": model_id, "condition": condition, "arm": arm})
+                         model.heads, {"model_id": model_id, "condition": condition, "arm": arm})
         write_atomic(os.path.join(cell_dir, "predictions.jsonl"),
                      prediction_dump(model, test_variant, preds))
         write_json(os.path.join(cell_dir, "scores.json"), {
@@ -273,9 +279,16 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
                 and isinstance(data["fine_tuned"], bool)):
             raise TypeError("model_id and condition must be strings and fine_tuned a bool")
         tasks = {t: TaskScores(**data["tasks"][t]) for t in TASKS}
-        if not all(type(s.accuracy) in (int, float) and 0 <= s.accuracy <= 1
-                   for s in tasks.values()):
-            raise TypeError("each task's accuracy must be a number in [0, 1]")
+        for s in tasks.values():
+            if not (_rate(s.accuracy) and _rate(s.balanced_accuracy) and _count(s.n)):
+                raise TypeError("each task's accuracy and balanced_accuracy must be numbers "
+                                "in [0, 1] and its n a non-negative int")
+            rows = s.confusion
+            if not (type(rows) is list and all(type(row) is list and len(row) == len(rows)
+                                               and all(map(_count, row)) for row in rows)
+                    and sum(map(sum, rows)) == s.n):
+                raise TypeError("each task's confusion must be a square list of lists of "
+                                "non-negative ints that sums to n")
         return ReportCell(model_id=data["model_id"], condition=data["condition"],
                           fine_tuned=data["fine_tuned"], tasks=tasks)
 

@@ -98,25 +98,19 @@ _HF_REQUIRED = {"hidden_act": "gelu", "position_embedding_type": "absolute"}
 _DTYPES = {"F32": "<f4", "F64": "<f8"}   # the safetensors dtypes a snapshot's weights may have
 
 
-def _erf_term(x: np.ndarray) -> np.ndarray:
-    """``1 + erf(x/√2)``.  scipy is imported on first use: only GELU needs it,
-    and the stages that never run the encoder start without it."""
-    from scipy.special import erf
-    return 1.0 + erf(x * _SQRT1_2)
-
-
 def gelu(x: np.ndarray, return_term: bool = False):
     """Exact GELU, ``0.5 x (1 + erf(x/√2))``; with ``return_term`` also the
-    ``1 + erf(x/√2)`` term, so :func:`gelu_grad` need not evaluate erf again."""
-    term = _erf_term(x)
+    ``1 + erf(x/√2)`` term, so :func:`gelu_grad` need not evaluate erf again.
+    scipy is imported on first use: only GELU needs it, and the stages that
+    never run the encoder start without it."""
+    from scipy.special import erf
+    term = 1.0 + erf(x * _SQRT1_2)
     y = 0.5 * x * term
     return (y, term) if return_term else y
 
 
-def gelu_grad(x: np.ndarray, term: np.ndarray | None = None) -> np.ndarray:
+def gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
     """d gelu / dx; ``term`` is the one :func:`gelu` returns for the same x."""
-    if term is None:
-        term = _erf_term(x)
     return 0.5 * term + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
@@ -520,19 +514,21 @@ class NumpyTransformerEncoder:
         return dxq, dxk + dxv
 
     def forward(self, ids: np.ndarray, mask: np.ndarray, training: bool = False,
-                rng: np.random.Generator | None = None, return_cache: bool = False):
+                rng: np.random.Generator | None = None):
         """The top-layer [CLS] states (B, d_model) of padded id/mask batches.
 
         Every sequence must start with an unmasked [CLS] at position 0.  The
         result does not depend on how far a batch is padded, to float64
         rounding.
 
-        With ``return_cache`` also the per-layer values ``backward_adapters``
-        needs: each linear's adapter inputs, the attention q/k/v/probs, the
-        LayerNorm statistics and the GELU derivative at the FFN input.  The
-        cache serves one ``backward_adapters`` call, which frees it layer by
-        layer.  Without it (every eval forward) none of these are kept past
-        the layer that made them.
+        A training forward applies adapter dropout (drawn from ``rng``) and
+        returns ``(pooled, cache)``: the cache holds the per-layer values
+        ``backward_adapters`` needs, that is each linear's adapter inputs,
+        the attention q/k/v/probs, the LayerNorm statistics and the GELU
+        derivative at the FFN input, and serves one ``backward_adapters``
+        call, which frees it layer by layer.  An eval forward returns
+        ``pooled`` alone and keeps none of these past the layer that made
+        them.
         """
         c = self.config
         ids = np.asarray(ids, dtype=np.int64)
@@ -563,23 +559,23 @@ class NumpyTransformerEncoder:
             # only the top layer's [CLS] rows reach the output
             cls_only = i == c.n_layers - 1
             xq, q_rows = (x[cache.first], _Rows((B, 1), np.arange(B))) if cls_only else (x, rows)
-            lin_cache: list | None = [] if return_cache else None
+            lin_cache: list | None = [] if training else None
             att_out, att = self._attention(i, xq, x, q_rows, rows, mask, training, rng, lin_cache)
             h1, ln1 = norm(f"{layer}attention.output.LayerNorm", xq + att_out)
             u = self._linear(f"{layer}intermediate.dense", h1, training, rng, lin_cache)
-            if return_cache:
+            if training:
                 g, term = gelu(u, return_term=True)
                 dgelu = gelu_grad(u, term)    # all that backward needs of u
             else:
                 g = gelu(u)
             f_out = self._linear(f"{layer}output.dense", g, training, rng, lin_cache)
             h2, ln2 = norm(f"{layer}output.LayerNorm", h1 + f_out)
-            if return_cache:
+            if training:
                 cache.layers.append({"lin": lin_cache, "att": att, "ln1": ln1, "ln2": ln2,
                                      "dgelu": dgelu})
             x = h2
 
-        return (x, cache) if return_cache else x
+        return (x, cache) if training else x
 
     # -- backward ----------------------------------------------------------
 
@@ -659,7 +655,8 @@ class NumpyTransformerEncoder:
         the :func:`export_digests` of ``config.json`` and
         ``model.safetensors``; filling it parses the header once and reads
         each tensor into its view.  A damaged snapshot is a ``UserError``
-        naming ``directory``.
+        naming the damaged file, or ``directory`` for a shape that its files
+        cannot hold.
         """
         cfg_path = os.path.join(directory, "config.json")
         weights_path = os.path.join(directory, "model.safetensors")
@@ -691,20 +688,22 @@ class NumpyTransformerEncoder:
                         view[...] = np.fromfile(fh, dtype, count=view.size).reshape(view.shape)
             except (OSError, *CorruptArtifact.DECODE_ERRORS) as e:
                 raise EncoderUnavailable(
-                    f"unreadable encoder export in {directory}: {e!r}") from e
+                    f"unreadable encoder export file {weights_path}: {e!r}") from e
 
+        path = cfg_path   # the file being read, which an error names
         try:
-            with open(cfg_path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
             fields = {ours: raw.get(hf, default) for ours, (hf, default) in _HF_CONFIG.items()}
             check_types(EncoderConfig, fields)
             tok_cfg = {}   # BertTokenizer's defaults: lower-case, and so strip accents
             if os.path.exists(tok_path):
-                with open(tok_path, encoding="utf-8") as fh:
+                path = tok_path
+                with open(path, encoding="utf-8") as fh:
                     tok_cfg = json.load(fh)
             lower, strip = bool(tok_cfg.get("do_lower_case", True)), tok_cfg.get("strip_accents")
         except (OSError, *CorruptArtifact.DECODE_ERRORS) as e:
-            raise EncoderUnavailable(f"unreadable encoder export in {directory}: {e!r}") from e
+            raise EncoderUnavailable(f"unreadable encoder export file {path}: {e!r}") from e
         for key, value in _HF_REQUIRED.items():
             if raw.get(key, value) != value:
                 raise EncoderUnavailable(f"{cfg_path}: {key} {raw[key]!r} is not supported; "

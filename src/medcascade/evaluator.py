@@ -125,9 +125,6 @@ def avg_percent(*accuracies: float) -> int:
     return int(mean.scaleb(2).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
 
 
-percent_half_up = avg_percent   # of a single value
-
-
 @dataclass
 class ReportCell:
     model_id: str
@@ -136,7 +133,7 @@ class ReportCell:
     tasks: dict[str, TaskScores] = field(default_factory=dict)
 
     def percent(self, task: str) -> int:
-        return percent_half_up(self.tasks[task].accuracy)
+        return avg_percent(self.tasks[task].accuracy)
 
     def avg(self) -> int:
         return avg_percent(*(self.tasks[t].accuracy for t in TASKS))

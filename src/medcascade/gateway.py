@@ -102,8 +102,8 @@ class TokenBucket:
     """Token bucket: paces backend dispatch to ``rate_per_sec`` after a burst
     of ``burst`` calls; it does not serialize the calls."""
 
-    def __init__(self, rate_per_sec: float = 50.0, burst: float = 10.0,
-                 clock=time.monotonic, sleep=time.sleep):
+    def __init__(self, rate_per_sec: float, burst: float, clock=time.monotonic,
+                 sleep=time.sleep):
         self.rate = rate_per_sec
         self.capacity = burst
         self.tokens = burst

@@ -79,26 +79,21 @@ def _check_vector_dim(name: str, arr: np.ndarray, dim: int) -> None:
         raise ShapeMismatch(f"{name} has trailing dim {arr.shape[-1]}, expected {dim}")
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Boolean keep-mask of inverted dropout: an entry is kept with
-    probability 1 - rate, and a kept entry is scaled by 1/(1-rate)."""
-    return rng.random(shape) >= rate
-
-
 def adapter_delta(adapter: LoraAdapter, x: np.ndarray, training: bool = False,
                   rng: np.random.Generator | None = None) -> tuple[np.ndarray, tuple]:
     """(alpha/r) * B (A d(x)), plus the values :func:`adapter_backward` needs.
 
     ``d`` is inverted dropout on x when ``training`` and the adapter has a
     nonzero dropout rate; identity otherwise.  Accepts single vectors or any
-    batch of vectors along leading axes.  The dropout mask is kept as
-    booleans, one byte per entry.
+    batch of vectors along leading axes.  The dropout mask is stored as
+    booleans, one byte per entry: an entry is kept with probability
+    1 - rate and then scaled by 1/(1-rate).
     """
     keep = None
     if training and adapter.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training-mode adapter forward with dropout needs an rng")
-        keep = dropout_mask(x.shape, adapter.dropout_rate, rng)
+        keep = rng.random(x.shape) >= adapter.dropout_rate
         x = x * (keep / (1.0 - adapter.dropout_rate))
     z = x @ adapter.A.T
     return adapter.scaling * (z @ adapter.B.T), (x, z, keep)
@@ -151,9 +146,9 @@ def count_trainable(adapters: dict[str, LoraAdapter],
     return total
 
 
-def save_adapter_set(path, adapters: dict[str, LoraAdapter], heads: dict[str, dict[str, np.ndarray]] | None = None,
-                     extra_meta: dict | None = None) -> None:
-    """Write adapters (+ optional head weights) to a self-describing .npz.
+def save_adapter_set(path, adapters: dict[str, LoraAdapter],
+                     heads: dict[str, dict[str, np.ndarray]], extra_meta: dict) -> None:
+    """Write adapters, head weights and ``extra_meta`` to a self-describing .npz.
 
     The container holds only trainable parameters, so it loads independently
     of the base-encoder weights.
@@ -163,10 +158,9 @@ def save_adapter_set(path, adapters: dict[str, LoraAdapter], heads: dict[str, di
         "format": "medcascade-adapters",
         "version": 1,
         "adapters": {},
-        "heads": sorted(heads) if heads else [],
+        "heads": sorted(heads),
+        "extra": extra_meta,
     }
-    if extra_meta:
-        meta["extra"] = extra_meta
     for i, (name, a) in enumerate(sorted(adapters.items())):
         key = f"adapter{i}"
         arrays[f"{key}.A"] = a.A
@@ -177,7 +171,7 @@ def save_adapter_set(path, adapters: dict[str, LoraAdapter], heads: dict[str, di
             "alpha": a.alpha,
             "dropout_rate": a.dropout_rate,
         }
-    for task, params in (heads or {}).items():
+    for task, params in heads.items():
         arrays[f"head.{task}.W"] = params["W"]
         arrays[f"head.{task}.b"] = params["b"]
     arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)

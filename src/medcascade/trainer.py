@@ -136,11 +136,8 @@ class MultiTaskModel:
 
     def forward(self, ids: np.ndarray, mask: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None):
-        if training:
-            pooled, cache = self.encoder.forward(ids, mask, training=True, rng=rng,
-                                                 return_cache=True)
-        else:
-            pooled, cache = self.encoder.forward(ids, mask), None
+        out = self.encoder.forward(ids, mask, training=training, rng=rng)
+        pooled, cache = out if training else (out, None)
         logits = {task: pooled @ self.heads[task]["W"].T + self.heads[task]["b"]
                   for task in self.tasks}
         return logits, pooled, cache
@@ -158,50 +155,45 @@ class MultiTaskModel:
     def trainable_count(self) -> int:   # what AdamW updates
         return sum(arr.size for arr in self.trainable_params().values())
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.trainable_params().items()}
-
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        for name, arr in self.trainable_params().items():
-            arr[:] = snapshot[name]
-
 
 # -- optimizer ------------------------------------------------------------------
+
+BETA1, BETA2 = 0.9, 0.999   # AdamW's moment decay rates
+EPS = 1e-8                  # AdamW's denominator floor
+WEIGHT_DECAY = 0.01         # AdamW's decoupled decay, per unit of learning rate
+WARMUP_FRAC = 0.1           # the share of steps over which the learning rate warms up
+
 
 class AdamW:
     """Decoupled-weight-decay adaptive moments over a flat parameter dict."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 2e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, grads: dict[str, np.ndarray], lr_scale: float = 1.0) -> None:
+    def step(self, grads: dict[str, np.ndarray], lr_scale: float) -> None:
         self.t += 1
         lr = self.lr * lr_scale
         for name, p in self.params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1 ** self.t)
-            vhat = v / (1 - self.beta2 ** self.t)
-            p -= lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p)
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
+            mhat = m / (1 - BETA1 ** self.t)
+            vhat = v / (1 - BETA2 ** self.t)
+            p -= lr * (mhat / (np.sqrt(vhat) + EPS) + WEIGHT_DECAY * p)
 
 
-def lr_schedule(step: int, total_steps: int, warmup_frac: float = 0.1) -> float:
-    """Scale factor for 0-indexed ``step``: linear warmup, then linear decay."""
-    warmup = max(1, round(warmup_frac * total_steps))
+def lr_schedule(step: int, total_steps: int) -> float:
+    """Scale factor for 0-indexed ``step``: linear warmup over the first
+    ``WARMUP_FRAC`` of the steps, then linear decay."""
+    warmup = max(1, round(WARMUP_FRAC * total_steps))
     if step < warmup:
         return (step + 1) / warmup
     return max(0.0, (total_steps - step) / max(1, total_steps - warmup))
@@ -240,7 +232,6 @@ class TrainLog:
 
 @dataclass
 class TrainResult:
-    best_params: dict[str, np.ndarray]
     best_epoch: int
     log: TrainLog
     steps_taken: int
@@ -272,9 +263,9 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
           cfg: TrainConfig) -> TrainResult:
     """Run cfg.epochs of seeded mini-batch AdamW over the training variant.
 
-    Logs per-epoch train loss and per-task validation accuracy; returns the
-    parameters of the epoch with the best validation average accuracy (the
-    first such epoch on a tie), leaving the model at its final parameters.
+    Logs per-epoch train loss and per-task validation accuracy, and leaves
+    the model at the parameters of the epoch with the best validation average
+    accuracy (the first such epoch on a tie), which the result names.
     Deterministic in (model init, data, cfg.seed).
     """
     cfg.validate()
@@ -341,7 +332,9 @@ def train(model: MultiTaskModel, train_set: DatasetVariant, val_set: DatasetVari
         log.append(epoch, float(np.mean(epoch_losses)), val_acc)
         avg = float(np.mean([val_acc[t] for t in model.tasks]))
         if avg > best_avg:
-            best_avg, best_epoch, best_params = avg, epoch, model.snapshot()
+            best_avg, best_epoch = avg, epoch
+            best_params = {name: arr.copy() for name, arr in params.items()}
 
-    return TrainResult(best_params=best_params, best_epoch=best_epoch, log=log,
-                       steps_taken=step)
+    for name, arr in params.items():
+        arr[:] = best_params[name]
+    return TrainResult(best_epoch=best_epoch, log=log, steps_taken=step)

@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .atomic import file_digest, read_json, text_digest, write_json, write_jsonl
+from .atomic import file_digest, text_digest, write_json, write_jsonl
 from .corpus import TASKS, ComplaintRecord, LabelSet, corpus_hash, scrub_pii
 from .errors import CorruptArtifact, MissingBundle
 from .preprocess import BundleStore
@@ -51,13 +51,12 @@ class DatasetVariant:
         return len(self.examples)
 
 
-def build_variant(records: list[ComplaintRecord], bundles: BundleStore | None,
+def build_variant(records: list[ComplaintRecord], bundles: BundleStore,
                   condition: str) -> DatasetVariant:
-    """Deterministic variant for one condition, ordered by record id."""
+    """Deterministic variant for one condition, ordered by record id; only an
+    augmented condition reads ``bundles``."""
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}, expected one of {CONDITIONS}")
-    if condition != "normal" and bundles is None:
-        raise MissingBundle(f"condition {condition!r} needs a bundle store")
 
     examples: list[VariantExample] = []
     empty_aux = 0
@@ -88,7 +87,8 @@ def variant_paths(directory: str, condition: str, split: str) -> tuple[str, str]
 
 
 def write_variant(variant: DatasetVariant, directory: str, split: str) -> str:
-    """JSONL of examples plus a provenance sidecar; atomic."""
+    """JSONL of examples plus a provenance sidecar, which is for audit and
+    which no stage reads; atomic."""
     data_path, sidecar_path = variant_paths(directory, variant.condition, split)
     write_jsonl(data_path, (e.to_json() for e in variant.examples))
     write_json(sidecar_path, variant.provenance)
@@ -96,11 +96,12 @@ def write_variant(variant: DatasetVariant, directory: str, split: str) -> str:
 
 
 def load_variant(directory: str, condition: str, split: str,
-                 vocab: dict[str, list[str]] | None = None) -> DatasetVariant:
-    """Read a variant back; a damaged file, one with no examples (every
-    variant comes from a split that holds every class), or a label outside
-    ``vocab`` raises :class:`CorruptArtifact` naming the file."""
-    data_path, sidecar_path = variant_paths(directory, condition, split)
+                 vocab: dict[str, list[str]]) -> DatasetVariant:
+    """Read a variant's examples back from ``<split>.jsonl``; a damaged file,
+    one with no examples (every variant comes from a split that holds every
+    class), or a label outside ``vocab`` raises :class:`CorruptArtifact`
+    naming the file."""
+    data_path = variant_paths(directory, condition, split)[0]
     examples: list[VariantExample] = []
     try:
         with open(data_path, encoding="utf-8") as fh:
@@ -113,7 +114,7 @@ def load_variant(directory: str, condition: str, split: str,
                 if not all(isinstance(f, str) for f in fields):
                     raise TypeError("record_id, text, aux and every label must be strings")
                 for task, label in zip(TASKS, labels):
-                    if vocab is not None and label not in vocab[task]:
+                    if label not in vocab[task]:
                         raise ValueError(f"record {fields[0]!r}: {task} label {label!r} "
                                          "is not in the corpus vocabulary")
                 examples.append(VariantExample(*fields[:3], LabelSet(*labels)))
@@ -121,5 +122,4 @@ def load_variant(directory: str, condition: str, split: str,
         raise CorruptArtifact.at(data_path, e) from e
     if not examples:
         raise CorruptArtifact(f"{data_path} holds no examples")
-    provenance = read_json(sidecar_path) if os.path.exists(sidecar_path) else {}
-    return DatasetVariant(condition=condition, examples=examples, provenance=provenance)
+    return DatasetVariant(condition=condition, examples=examples)

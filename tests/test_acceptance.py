@@ -173,12 +173,10 @@ def _toy_cell(epochs, seed=501, lr=2e-3, condition="normal", n_records=200):
     records, manifest = generate_synthetic_corpus(n=n_records)
     records = scrub_records(records)
     train_recs, val_recs, test_recs = stratified_split(records, (0.8, 0.1, 0.1), seed=7)
-    store = None
+    store = BundleStore(os.path.join(os.environ.get("TMPDIR", "/tmp"),
+                                     f"acc_bundles_{os.getpid()}"))
     if condition != "normal":
-        gw = Gateway(MockBackend())
-        store = BundleStore(os.path.join(os.environ.get("TMPDIR", "/tmp"),
-                                         f"acc_bundles_{os.getpid()}"))
-        run_bundle(records, gw, store=store)
+        run_bundle(records, Gateway(MockBackend()), store=store)
     train_v = build_variant(train_recs, store, condition)
     val_v = build_variant(val_recs, store, condition)
     test_v = build_variant(test_recs, store, condition)
@@ -217,7 +215,6 @@ def test_criterion_6_learnability():
     last = result.log.rows[-1]["train_loss"]
     assert last <= 0.5 * first, f"loss only moved {first} -> {last}"
 
-    model.restore(result.best_params)
     golds = np.array([model.label_index("type", ex.labels.get("type"))
                       for ex in test_v.examples])
     preds = predict(model, test_v.examples)["type"]["indices"]

@@ -14,6 +14,7 @@ import pytest
 from medcascade import cli, evaluator, gateway, preprocess, trainer
 from medcascade.atomic import file_digest
 from medcascade.cli import _stale, main
+from medcascade.corpus import manifest_path_for, read_manifest
 from medcascade.synthetic import write_synthetic_corpus
 from medcascade.variants import CONDITIONS, load_variant
 
@@ -43,6 +44,11 @@ def workspace(tmp_path, monkeypatch):
 
 def run(*argv):
     return main(list(argv))
+
+
+def _vocab():
+    """The corpus vocabulary ``ingest`` wrote beside the training split."""
+    return read_manifest(manifest_path_for(os.path.join("work", "splits", "train.jsonl"))).vocab
 
 
 class TestPipelineSmoke:
@@ -143,7 +149,7 @@ class TestPipelineSmoke:
         assert run("variants", "--config", "cfg.json") == 0
         variants = str(workspace / "work" / "variants")
         (example,) = [ex for part in ("train", "val", "test")
-                      for ex in load_variant(variants, "refined", part).examples
+                      for ex in load_variant(variants, "refined", part, _vocab()).examples
                       if ex.record_id == record["id"]]
         assert "كحة" in example.text and "كحة" in example.aux   # the new text and its refinement
 
@@ -1090,7 +1096,7 @@ class TestPredictionPass:
     def test_train_predicts_the_test_set_once(self, workspace, monkeypatch, arm):
         assert run("ingest", "--config", "cfg.json") == 0
         assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
-        test_examples = load_variant("work/variants", "normal", "test").examples
+        test_examples = load_variant("work/variants", "normal", "test", _vocab()).examples
         on_test_set = []
         for module in (trainer, evaluator):
             def counting(model, examples, *args, _predict=module.predict, **kwargs):
@@ -1135,15 +1141,13 @@ class TestErrors:
 
     @pytest.mark.parametrize("damaged, edit", [
         ("test.jsonl", None),
-        ("test.provenance.json", None),
         ("test.jsonl", lambda line: {**line, "text": 5}),
         ("test.jsonl", lambda line: {k: v for k, v in line.items() if k != "aux"}),
         ("test.jsonl", lambda line: {**line, "aux": None}),
         ("test.jsonl", lambda line: {**line, "record_id": ["r1"]}),
         ("test.jsonl", lambda line: {**line, "labels": {**line["labels"], "type": None}}),
         ("test.jsonl", lambda line: {**line, "labels": {**line["labels"], "severity": 2}}),
-    ], ids=["test.jsonl", "test.provenance.json", "text-number", "aux-missing", "aux-null",
-            "record_id-list",
+    ], ids=["test.jsonl", "text-number", "aux-missing", "aux-null", "record_id-list",
             "type-null", "severity-number"])
     def test_damaged_variant_file_is_a_user_error(self, workspace, capsys, damaged, edit):
         assert run("ingest", "--config", "cfg.json") == 0
@@ -1160,6 +1164,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("CorruptArtifact: ")
         assert os.path.join("work", "variants", "normal", damaged) in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing"])
+    def test_train_reads_no_provenance_sidecar(self, workspace, damage):
+        assert run("ingest", "--config", "cfg.json") == 0
+        assert run("variants", "--config", "cfg.json", "--condition", "normal") == 0
+        train = ("train", "--config", "cfg.json", "--condition", "normal", "--no-finetune")
+        assert run(*train) == 0
+        scores = workspace / "work" / "runs" / "toy__normal__frozen" / "scores.json"
+        intact = scores.read_bytes()
+        shutil.rmtree(workspace / "work" / "runs")
+        sidecar = workspace / "work" / "variants" / "normal" / "test.provenance.json"
+        if damage == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[:-7])
+        else:
+            sidecar.unlink()
+        assert run(*train) == 0
+        assert scores.read_bytes() == intact
 
     @pytest.mark.parametrize("part", ["train", "val", "test"])
     def test_an_empty_variant_file_is_a_user_error(self, workspace, capsys, part):
@@ -1244,18 +1265,29 @@ class TestErrors:
         assert err.startswith("CorruptArtifact: ")
         assert os.path.join("work", "runs", "toy__normal__frozen", "scores.json") in err
 
-    @pytest.mark.parametrize("identity", [{"model_id": ["toy"]}, {"condition": 5},
-                                          {"fine_tuned": "no"}],
-                             ids=["model_id-list", "condition-int", "fine_tuned-string"])
+    @pytest.mark.parametrize("identity, scores_edit", [
+        ({"model_id": ["toy"]}, {}), ({"condition": 5}, {}), ({"fine_tuned": "no"}, {}),
+        ({}, {"balanced_accuracy": "x", "n": "two", "confusion": "nope"}),
+        ({}, {"balanced_accuracy": "x"}), ({}, {"balanced_accuracy": 1.5}),
+        ({}, {"balanced_accuracy": float("nan")}),
+        ({}, {"n": "two"}), ({}, {"n": True}), ({}, {"n": -2}),
+        ({}, {"confusion": "nope"}), ({}, {"confusion": [[1, 0]]}),
+        ({}, {"confusion": [[1, 0], [1]]}), ({}, {"confusion": [[1, 0], [0, 0]]}),
+        ({}, {"confusion": [[2, -1], [1, 0]]}), ({}, {"confusion": [[1, 0], [1.0, 0]]}),
+        ({}, {"confusion": [[True, 0], [1, 0]]}),
+    ], ids=["model_id-list", "condition-int", "fine_tuned-string", "all-three",
+            "balanced-string", "balanced-above-1", "balanced-nan", "n-string", "n-bool",
+            "n-negative", "confusion-string", "confusion-one-row", "confusion-ragged",
+            "confusion-sum-not-n", "confusion-negative", "confusion-float", "confusion-bool"])
     def test_scores_file_with_a_bad_cell_identity_is_a_user_error(self, workspace, capsys,
-                                                                  identity):
+                                                                  identity, scores_edit):
         task = {"accuracy": 0.5, "balanced_accuracy": 0.5, "n": 2, "confusion": [[1, 0], [1, 0]]}
         scores = workspace / "work" / "runs" / "toy__normal__frozen" / "scores.json"
         scores.parent.mkdir(parents=True)
         scores.write_text(json.dumps({
             "model_id": "toy", "condition": "normal", "fine_tuned": False, "best_epoch": None,
-            "tasks": {t: {**task, "task": t} for t in trainer.TASKS}, **identity}),
-            encoding="utf-8")
+            "tasks": {t: {**task, "task": t, **scores_edit} for t in trainer.TASKS},
+            **identity}), encoding="utf-8")
         capsys.readouterr()
         assert run("report", "--config", "cfg.json") == 1
         err = capsys.readouterr().err

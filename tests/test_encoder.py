@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from medcascade import encoder as encoder_module
 from medcascade.encoder import (NEG_INF, EncoderConfig, NumpyTransformerEncoder,
@@ -333,7 +334,7 @@ class TestForward:
         x = np.linspace(-3, 3, 31)
         h = 1e-6
         fd = (gelu(x + h) - gelu(x - h)) / (2 * h)
-        assert np.allclose(gelu_grad(x), fd, atol=1e-8)
+        assert np.allclose(gelu_grad(x, gelu(x, return_term=True)[1]), fd, atol=1e-8)
 
 
 class TestAdapters:
@@ -404,12 +405,11 @@ class TestAdapters:
 
         def forward_scalar():
             dropout_rng = np.random.default_rng(123)
-            pooled = enc.forward(ids, mask, training=dropout_rate > 0, rng=dropout_rng)
+            pooled, _ = enc.forward(ids, mask, training=True, rng=dropout_rng)
             return float(pooled @ w @ np.ones(3))
 
         dropout_rng = np.random.default_rng(123)
-        pooled, cache = enc.forward(ids, mask, training=dropout_rate > 0,
-                                    rng=dropout_rng, return_cache=True)
+        pooled, cache = enc.forward(ids, mask, training=True, rng=dropout_rng)
         grads = enc.backward_adapters(cache, np.tile(w, (3, 1)))
 
         h = 1e-6
@@ -493,14 +493,16 @@ class TestHotPath:
                             [-40.0, -6.0, -1e-300, 0.0, 1e-300, 6.0, 40.0]])
         y, term = gelu(x, return_term=True)
         assert y.tobytes() == gelu(x).tobytes()
-        assert gelu_grad(x, term).tobytes() == gelu_grad(x).tobytes()
+        closed_form = (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+                       + x * np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi)))
+        assert gelu_grad(x, term).tobytes() == closed_form.tobytes()
 
     def test_eval_forward_keeps_no_cache_and_gives_the_same_bits(self, monkeypatch):
         enc = _with_random_adapters(tiny_encoder())
         ids = np.random.default_rng(3).integers(0, 64, size=(3, 10))
         mask = np.ones((3, 10))
         mask[1, 6:] = 0
-        cached, cache = enc.forward(ids, mask, return_cache=True)
+        cached, cache = enc.forward(ids, mask, training=True)   # dropout 0: the same values
         assert len(cache.layers) == enc.config.n_layers
 
         def no_grad(*args, **kwargs):
@@ -585,7 +587,7 @@ def _padded_reference(enc, ids, mask, d_pooled):
     dx[:, 0] = d_pooled
     for tape, q, k, v, probs, ln1, ln2, u in reversed(layers):
         d_res2 = ln_back(dx, ln2)
-        du = linear_back(d_res2, tape[5]) * gelu_grad(u)
+        du = linear_back(d_res2, tape[5]) * gelu_grad(u, gelu(u, return_term=True)[1])
         d_res1 = ln_back(d_res2 + linear_back(du, tape[4]), ln1)
         dctx = split(linear_back(d_res1, tape[3]))
         dprobs = dctx @ v.transpose(0, 1, 3, 2)
@@ -626,7 +628,7 @@ class TestPacking:
         mask = _masks(lengths, width, hole)
         d_pooled = rng.normal(size=(len(lengths), enc.d_model))
 
-        pooled, cache = enc.forward(ids, mask, return_cache=True)
+        pooled, cache = enc.forward(ids, mask, training=True)
         grads = enc.backward_adapters(cache, d_pooled)
         ref_pooled, ref_grads = _padded_reference(enc, ids, mask, d_pooled)
 
@@ -664,7 +666,7 @@ class TestPacking:
             return NumpyTransformerEncoder._linear(enc, name, x, training, rng, cache)
 
         monkeypatch.setattr(enc, "_linear", linear.__get__(enc))
-        _, cache = enc.forward(ids, mask, return_cache=True)
+        _, cache = enc.forward(ids, mask, training=True)
         N, B, d = 10, 3, enc.d_model
         for name, shape in rows.items():
             _, _, i, module = name.split(".", 3)
@@ -675,7 +677,7 @@ class TestPacking:
         enc = _with_random_adapters(tiny_encoder())
         mask = _masks((6, 3, 1), 8)
         ids = np.random.default_rng(3).integers(0, 64, size=mask.shape)
-        pooled, cache = enc.forward(ids, mask, return_cache=True)
+        pooled, cache = enc.forward(ids, mask, training=True)
         calls = []
 
         def linear_backward(self, dy, entry, grads, need_dx=True):
@@ -699,7 +701,7 @@ class TestPacking:
         enc = _with_random_adapters(tiny_encoder())
         mask = _masks((6, 3, 1), 8)
         ids = np.random.default_rng(3).integers(0, 64, size=mask.shape)
-        pooled, cache = enc.forward(ids, mask, return_cache=True)
+        pooled, cache = enc.forward(ids, mask, training=True)
         enc.backward_adapters(cache, np.ones_like(pooled))
         assert cache.layers == []    # every layer freed once backward is done with it
         with pytest.raises(ValueError, match="already consumed"):
@@ -1097,12 +1099,15 @@ class TestPersistence:
         assert reloaded.config == snapshot_config(enc.config)
         assert reloaded.base_state_bytes() == enc.base_state_bytes()
 
-    @pytest.mark.parametrize("damaged", ["model.safetensors", "config.json"])
+    @pytest.mark.parametrize("damaged", ["model.safetensors", "config.json",
+                                         "tokenizer_config.json"])
     def test_truncated_export_is_a_user_error(self, tmp_path, damaged):
         tiny_encoder().save_base(tmp_path / "enc")
+        (tmp_path / "enc" / "tokenizer_config.json").write_text(
+            json.dumps({"do_lower_case": True}), encoding="utf-8")
         path = tmp_path / "enc" / damaged
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.raises(EncoderUnavailable, match=re.escape(str(tmp_path / "enc"))):
+        with pytest.raises(EncoderUnavailable, match=re.escape(str(path))):
             NumpyTransformerEncoder.from_pretrained_dir(tmp_path / "enc")
 
     def test_an_export_without_weights_is_unavailable_naming_the_file(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from medcascade.errors import EmptyInput
 from medcascade.evaluator import (ReportCell, TaskScores, _rates, avg_percent, confusion_matrix,
-                                  evaluate, percent_half_up, prediction_dump, render_report)
+                                  evaluate, prediction_dump, render_report)
 from medcascade.corpus import LabelSet
 from medcascade.encoder import build_toy_encoder
 from medcascade.trainer import MultiTaskModel
@@ -179,9 +179,9 @@ class TestReportRendering:
         assert avg_percent(0.5, 0.5) == 50
 
     def test_percent_half_up(self):
-        assert percent_half_up(0.715) == 72
-        assert percent_half_up(0.714) == 71
-        assert percent_half_up(0.5) == 50
+        assert avg_percent(0.715) == 72
+        assert avg_percent(0.714) == 71
+        assert avg_percent(0.5) == 50
 
     def _cell(self, model_id, condition, fine_tuned, type_acc, sev_acc):
         def scores(task, acc):

@@ -172,7 +172,7 @@ class TestCheckpoint:
         name = "encoder.layer.0.attention.self.query"
         adapters = {name: init_adapter(8, 8, r=2, seed=1)}
         path = tmp_path / "ckpt.npz"
-        save_adapter_set(path, adapters)
+        save_adapter_set(path, adapters, {}, {})
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))

@@ -9,6 +9,7 @@ from medcascade import encoder as encoder_module, trainer as trainer_module
 from medcascade.corpus import LabelSet
 from medcascade.encoder import build_toy_encoder
 from medcascade.errors import EmptyClass, IndexOutOfVocab, VocabMismatch
+from medcascade.evaluator import score_predictions
 from medcascade.tokenizers import WordPieceTokenizer
 from medcascade.trainer import (AdamW, MultiTaskModel, TrainConfig, class_weights,
                                 lr_schedule, predict, train, weighted_loss,
@@ -157,16 +158,16 @@ class TestSchedule:
 class TestAdamW:
     def test_moves_toward_minimum(self):
         params = {"x": np.array([5.0])}
-        opt = AdamW(params, lr=0.1, weight_decay=0.0)
+        opt = AdamW(params, lr=0.1)
         for _ in range(500):
-            opt.step({"x": 2 * params["x"]})  # d/dx of x^2
+            opt.step({"x": 2 * params["x"]}, lr_scale=1.0)  # d/dx of x^2
         assert abs(params["x"][0]) < 1e-2
 
     def test_decoupled_weight_decay(self):
         params = {"x": np.array([1.0])}
-        opt = AdamW(params, lr=0.1, weight_decay=0.5)
-        opt.step({"x": np.array([0.0])})
-        assert params["x"][0] == pytest.approx(1.0 - 0.1 * 0.5)
+        opt = AdamW(params, lr=0.1)
+        opt.step({"x": np.array([0.0])}, lr_scale=1.0)
+        assert params["x"][0] == pytest.approx(1.0 - 0.1 * 0.01)
 
 
 class TestTrain:
@@ -257,12 +258,12 @@ class TestTrain:
         live = []
         forward = encoder_module.NumpyTransformerEncoder.forward
 
-        def counting_forward(self, *args, return_cache=False, **kwargs):
-            if return_cache:
+        def counting_forward(self, ids, mask, training=False, rng=None):
+            if training:
                 gc.collect()
                 live.append(sum(len(o.layers) for o in gc.get_objects()
                                 if isinstance(o, encoder_module._Cache)))
-            return forward(self, *args, return_cache=return_cache, **kwargs)
+            return forward(self, ids, mask, training, rng)
 
         monkeypatch.setattr(encoder_module.NumpyTransformerEncoder, "forward", counting_forward)
         train(tiny_model(), signal_variant(8), signal_variant(4, seed=9), self._cfg(epochs=2))
@@ -275,6 +276,14 @@ class TestTrain:
         avgs = [np.mean([row["val_acc"][t] for t in ("type", "severity")])
                 for row in result.log.rows]
         assert result.best_epoch == int(np.argmax(avgs)) + 1
+
+    def test_train_leaves_the_model_at_its_best_epoch(self):
+        model, val = tiny_model(seed=9), signal_variant(8, seed=9)
+        result = train(model, signal_variant(24), val, self._cfg(epochs=6))
+        best, last = result.log.rows[result.best_epoch - 1], result.log.rows[-1]
+        assert result.best_epoch < 6 and best["val_acc"] != last["val_acc"]
+        scores = score_predictions(model, predict(model, val.examples), model.targets(val))
+        assert {task: s.accuracy for task, s in scores.items()} == best["val_acc"]
 
 
 class TestPredict:

@@ -2,13 +2,13 @@ from collections import Counter
 
 import pytest
 
-from medcascade.atomic import file_digest
+from medcascade.atomic import file_digest, read_json
 from medcascade.errors import MissingBundle
 from medcascade.gateway import Gateway, MockBackend
 from medcascade.preprocess import BundleStore, run_bundle
 from medcascade.variants import CONDITIONS, build_variant, load_variant, write_variant
 
-from conftest import make_record
+from conftest import VOCAB, make_record
 
 
 @pytest.fixture
@@ -30,8 +30,8 @@ def store(tmp_path, records):
 
 
 class TestBuildVariant:
-    def test_normal_is_identity(self, records):
-        variant = build_variant(records, None, "normal")
+    def test_normal_is_identity(self, tmp_path, records):
+        variant = build_variant(records, BundleStore(tmp_path / "empty"), "normal")
         by_id = {ex.record_id: ex for ex in variant.examples}
         for record in records:
             assert (by_id[record.id].text, by_id[record.id].aux) == (record.text, "")
@@ -51,9 +51,9 @@ class TestBuildVariant:
         assert (ex.text, ex.aux) == ("كلام بدون اعراض معروفة هنا.", "")
         assert variant.provenance["empty_aux_count"] == 1
 
-    def test_an_augmented_condition_needs_a_store(self, records):
-        with pytest.raises(MissingBundle, match="condition 'ner' needs a bundle store"):
-            build_variant(records, None, "ner")
+    def test_an_augmented_condition_needs_a_store(self, tmp_path, records):
+        with pytest.raises(MissingBundle, match="run `medcascade preprocess`"):
+            build_variant(records, BundleStore(tmp_path / "empty"), "ner")
 
     def test_missing_bundle(self, records, store):
         extra = records + [make_record(rid="r9", text="نص جديد.")]
@@ -105,9 +105,10 @@ class TestVariantFiles:
     def test_write_load_round_trip(self, tmp_path, records, store):
         variant = build_variant(records, store, "ner")
         write_variant(variant, tmp_path / "variants", "train")
-        loaded = load_variant(tmp_path / "variants", "ner", "train")
+        loaded = load_variant(tmp_path / "variants", "ner", "train", VOCAB)
         assert loaded.examples == variant.examples
-        assert loaded.provenance == variant.provenance
+        assert read_json(tmp_path / "variants" / "ner" / "train.provenance.json") \
+            == variant.provenance
 
     def test_blank_lines_are_skipped(self, tmp_path, records, store):
         variant = build_variant(records, store, "ner")
@@ -116,7 +117,8 @@ class TestVariantFiles:
             lines = fh.readlines()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("".join([lines[0], "\n", " \n", *lines[1:]]))
-        assert load_variant(tmp_path / "variants", "ner", "train").examples == variant.examples
+        assert load_variant(tmp_path / "variants", "ner", "train", VOCAB).examples \
+            == variant.examples
 
     def test_provenance_tracks_sources(self, tmp_path, records, store):
         variant = build_variant(records, store, "refined")
