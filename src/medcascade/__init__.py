@@ -3,7 +3,7 @@
 A numpy library covering the full experiment pipeline:
 
 - ``corpus``     record/label data model, PII scrubbing, stratified splits
-- ``gateway``    LLM access with caching, retries, rate limiting, and a
+- ``gateway``    LLM access with caching, deferred retries and a
                  deterministic mock backend
 - ``preprocess`` the three LLM preprocessing layers (refine / summarize /
                  extract entities) and the bundle store

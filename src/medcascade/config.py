@@ -125,10 +125,6 @@ class PipelineConfig:
             raise ConfigInvalid(f"unknown keys in 'model.toy': {sorted(unknown)}")
         _check_types(EncoderConfig, self.model.toy, "model.toy.")
         gw = self.gateway
-        if not gw.rate_per_sec > 0:
-            raise ConfigInvalid(f"gateway.rate_per_sec must be > 0, got {gw.rate_per_sec}")
-        if not gw.burst >= 1:  # a bucket capped below one token never pays out
-            raise ConfigInvalid(f"gateway.burst must be >= 1, got {gw.burst}")
         for key in ("max_retries", "backoff_base", "backoff_cap"):
             if getattr(gw, key) < 0:
                 raise ConfigInvalid(f"gateway.{key} must be >= 0, got {getattr(gw, key)}")

@@ -1,5 +1,5 @@
 """Uniform LLM access: a ``Gateway`` wraps one backend with an on-disk
-response cache, deferred retries, and rate limiting for live backends.
+response cache and deferred retries.
 
 A backend has a ``backend_id``, a ``scope`` (the settings that decide its
 answers, hashed into cache keys) and ``complete(prompt) -> str``.  Every
@@ -14,16 +14,17 @@ direct connection per request (no proxy, no redirects); endpoint and key come
 from config with environment overrides (``MEDCASCADE_LLM_URL``,
 ``MEDCASCADE_LLM_KEY``).  A backend parses its url once, when built, and
 refuses one that is not http or https with a host, a port other than 0 and no
-user info: the key goes in ``api_key``.  Only live backends get a token-bucket
-rate limiter (``rate_per_sec``/``burst``), which paces every attempt, retries
-included; the mock runs in-process and is never paced.  The gateway never
-sleeps through a transient failure (connection trouble, 429, 5xx): while the
-prompt has retries left it raises ``RetryLater`` with the back-off delay, or a
-longer ``Retry-After``, capped at ``max_delay``.  A live backend ``send``s the
-request, and the gateway raises its ``InFlight``, the one record of that
-exchange and the owner of its connection, until it is ready, then hands it to
-the backend's ``complete``; a backend without ``send`` answers in the call.
-The caller (``preprocess.run_bundle``) does other work before asking again.
+user info: the key goes in ``api_key``.  The gateway paces no backend: the
+caller caps the open exchanges, and a server paces the client with a 429 or
+503 and ``Retry-After``.  The gateway never sleeps through a transient
+failure (connection trouble, 429, 5xx): while the prompt has retries left it
+raises ``RetryLater`` with the back-off delay, capped at ``max_delay``, or a
+longer ``Retry-After``, capped at ``RETRY_AFTER_CEILING``.  A live backend
+``send``s the request, and the gateway raises its ``InFlight``, the one
+record of that exchange and the owner of its connection, until it is ready,
+then hands it to the backend's ``complete``; a backend without ``send``
+answers in the call.  The caller (``preprocess.run_bundle``) does other work
+before asking again.
 
 The response cache is one append-only log, ``<cache_dir>/responses.jsonl``,
 read once into memory: each completion is one appended line, a damaged or
@@ -51,6 +52,8 @@ _LEXICON_PATH = os.path.join(os.path.dirname(__file__), "data", "symptom_lexicon
 
 MAX_OUTPUT_TOKENS = 512
 TEMPERATURE = 0.0
+# the longest ``Retry-After`` honoured, in seconds: two per-minute quota windows
+RETRY_AFTER_CEILING = 120.0
 
 
 def _request_fields(prompt: str, backend_id: str) -> dict:
@@ -99,8 +102,9 @@ class ResponseCache:
 
 
 class TokenBucket:
-    """Token bucket: paces backend dispatch to ``rate_per_sec`` after a burst
-    of ``burst`` calls; it does not serialize the calls."""
+    """Token bucket: paces dispatch to ``rate_per_sec`` after a burst of
+    ``burst`` calls.  No gateway uses it; it is kept only because the
+    benchmark's tracer names ``TokenBucket.acquire`` as a target."""
 
     def __init__(self, rate_per_sec: float, burst: float, clock=time.monotonic,
                  sleep=time.sleep):
@@ -347,16 +351,13 @@ class RetryPolicy:
 
 
 class Gateway:
-    """Front door for one backend: cache -> backend, each attempt rate limited
-    (not paced with ``rate_limiter=None``, the default).  A caller waits out
-    a ``RetryLater`` on ``clock`` and ``sleep``."""
+    """Front door for one backend: cache -> backend.  It never blocks: a
+    caller waits out a ``RetryLater`` on ``clock`` and ``sleep``."""
 
     def __init__(self, backend, cache: ResponseCache | None = None,
-                 rate_limiter: TokenBucket | None = None,
                  retry: RetryPolicy | None = None, clock=time.monotonic, sleep=time.sleep):
         self.backend = backend
         self.cache = cache
-        self.rate_limiter = rate_limiter
         self.retry = retry or RetryPolicy()
         self.clock = clock
         self.sleep = sleep
@@ -368,7 +369,7 @@ class Gateway:
 
     def complete(self, prompt: str) -> str:
         """The answer to ``prompt``.  A request sent by the backend raises its ``InFlight``
-        until it is ``ready``; an exchange takes one token and one count, however many ask."""
+        until it is ``ready``; an exchange takes one count, however many ask."""
         if not prompt:
             raise ValueError("prompt must be non-empty")
         backend_id = self.backend.backend_id
@@ -381,8 +382,6 @@ class Gateway:
 
         flight = self._in_flight.get(key)
         if flight is None:
-            if self.rate_limiter is not None:
-                self.rate_limiter.acquire()
             self.backend_calls += 1
             if hasattr(self.backend, "send"):
                 flight = self._in_flight[key] = self.backend.send(prompt)
@@ -396,11 +395,12 @@ class Gateway:
         except TransientBackendError as e:
             if attempt > self.retry.max_retries:
                 self.retries_exhausted += 1
+                after = "" if e.retry_after is None else f", Retry-After {e.retry_after:g} s"
                 raise RetriesExhausted(f"backend {backend_id!r} failed after "
-                                       f"{attempt} attempts: {e}") from e
+                                       f"{attempt} attempts: {e}{after}") from e
             self._attempts[key] = attempt
-            delay = max(self.retry.delay(attempt), e.retry_after or 0.0)
-            raise RetryLater(min(delay, self.retry.max_delay)) from e
+            server = min(e.retry_after or 0.0, RETRY_AFTER_CEILING)   # may pass max_delay
+            raise RetryLater(max(self.retry.delay(attempt), server)) from e
 
         if not response or not response.strip():
             raise ResponseEmpty(f"backend {backend_id!r} returned an empty completion")
@@ -416,15 +416,14 @@ class GatewayConfig:
     api_key: str = ""
     model: str = ""
     cache_dir: str = ""
-    rate_per_sec: float = 50.0            # rate_per_sec and burst pace live
-    burst: float = 10.0                   # backends only, never the mock
     max_retries: int = 3
     backoff_base: float = 0.5
-    backoff_cap: float = 8.0
+    backoff_cap: float = 8.0              # a Retry-After may pass it, up to RETRY_AFTER_CEILING
 
 
 def build_gateway(cfg: GatewayConfig) -> Gateway:
-    """Assemble a gateway from config; live backends get a rate limiter and env url/key."""
+    """Assemble a gateway from config; a live backend takes its url and key from
+    the environment first, and no backend is paced."""
     cache = ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
     retry = RetryPolicy(max_retries=cfg.max_retries, base_delay=cfg.backoff_base,
                         max_delay=cfg.backoff_cap)
@@ -445,5 +444,4 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
     except ValueError as e:
         source = f"${ENV_URL}" if ENV_URL in os.environ else "gateway.url"
         raise ConfigInvalid(f"{source} is not a valid url: {e}") from None
-    return Gateway(backend, cache=cache, rate_limiter=TokenBucket(cfg.rate_per_sec, cfg.burst),
-                   retry=retry)
+    return Gateway(backend, cache=cache, retry=retry)

@@ -47,7 +47,7 @@ from .gateway import SENTENCE_SPLIT, Gateway, InFlight, RetryLater
 logger = logging.getLogger(__name__)
 
 STAGES = ("refine", "summarize", "ner")
-_IN_FLIGHT = 4   # open exchanges at most; rate_per_sec and burst pace the server
+_IN_FLIGHT = 4   # open exchanges at most: the only cap on the load a server gets
 
 _PROMPTS_ROOT = Path(__file__).parent / "prompts"
 _ITEM_SPLIT = re.compile(r"[,،;؛]")

@@ -290,8 +290,7 @@ class TestIdempotence:
         for port in (9, 10):
             config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
             config["workdir"] = f"work{port}"
-            config["gateway"] = {"backend": "openai", "url": f"http://127.0.0.1:{port}/v1",
-                                 "rate_per_sec": 1e6}
+            config["gateway"] = {"backend": "openai", "url": f"http://127.0.0.1:{port}/v1"}
             (workspace / "live.json").write_text(json.dumps(config), encoding="utf-8")
             assert run("ingest", "--config", "live.json") == 0
             assert run("preprocess", "--config", "live.json") == 0
@@ -618,7 +617,7 @@ class TestRejectedKey:
             monkeypatch.setenv("MEDCASCADE_LLM_URL",
                                f"http://127.0.0.1:{port}/v1/chat/completions")
             config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
-            config["gateway"] = {"backend": "openai", "rate_per_sec": 1e6, "burst": 1e6}
+            config["gateway"] = {"backend": "openai"}
             (workspace / "live.json").write_text(json.dumps(config), encoding="utf-8")
             assert run("ingest", "--config", "live.json") == 0
             yield workspace
@@ -686,8 +685,7 @@ class TestExhaustedRetries:
     def _config(self, workspace, url, workdir="work"):
         config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
         config["workdir"] = workdir
-        config["gateway"] = {"backend": "openai", "url": url, "max_retries": 0,
-                             "rate_per_sec": 1e6, "burst": 1e6}
+        config["gateway"] = {"backend": "openai", "url": url, "max_retries": 0}
         (workspace / f"{workdir}.json").write_text(json.dumps(config), encoding="utf-8")
         assert run("ingest", "--config", f"{workdir}.json") == 0
         return f"{workdir}.json"
@@ -1372,13 +1370,15 @@ class TestErrors:
         ("split", {"stratify_task": "type"}, "split.stratify_task"),
         ("train", {"weight_decay": 0.01}, "train.weight_decay"),
         ("train", {"warmup_frac": 0.1}, "train.warmup_frac"),
+        ("gateway", {"rate_per_sec": 50}, "gateway.rate_per_sec"),
+        ("gateway", {"burst": 10}, "gateway.burst"),
         ("corpus_format", "jsonl", "corpus_format"),
         ("split", {"stratify_task": "foo"}, "split.stratify_task"),
         ("split", {"stratify_task": "diagnosis"}, "split.stratify_task"),
         ("adapter", {"targets": ["attn.query", "["]}, "adapter.targets: '['"),
     ], ids=["toy-seed", "toy-pooling", "toy-typo", "pooling", "loss_mode", "tasks",
-            "stratify-type", "weight_decay", "warmup_frac", "corpus_format",
-            "stratify-unknown", "stratify-diagnosis", "target-not-a-regex"])
+            "stratify-type", "weight_decay", "warmup_frac", "rate_per_sec", "burst",
+            "corpus_format", "stratify-unknown", "stratify-diagnosis", "target-not-a-regex"])
     def test_config_value_deep_code_rejects_is_a_config_error(self, workspace, capsys,
                                                               section, value, named):
         config = json.loads((workspace / "cfg.json").read_text(encoding="utf-8"))
@@ -1395,8 +1395,6 @@ class TestErrors:
         ("train.learning_rate", True),
         ("adapter.rank", "8"),
         ("model.toy.d_model", "16"),
-        ("gateway.rate_per_sec", 0),
-        ("gateway.burst", 0.5),
         ("gateway.max_retries", -1),
         ("gateway.backoff_base", -1),
         ("gateway.backoff_cap", -0.5),

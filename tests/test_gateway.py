@@ -1,3 +1,4 @@
+import contextlib
 import json
 import select
 import selectors
@@ -288,23 +289,6 @@ class TestRetry:
         assert backend.calls == gw.retries_exhausted == 1
 
 
-class CountingLimiter:
-    def __init__(self):
-        self.acquires = 0
-
-    def acquire(self):
-        self.acquires += 1
-
-
-class TestRateLimit:
-    def test_every_attempt_takes_a_token(self):
-        backend = FlakyBackend(failures=2)
-        limiter = CountingLimiter()
-        gw = Gateway(backend, rate_limiter=limiter)
-        assert drive(ask("x"), gw) == "ok"
-        assert limiter.acquires == backend.calls == gw.backend_calls == 3
-
-
 class TestTokenBucket:
     def test_serializes_when_bucket_empty(self):
         clock = {"t": 0.0}
@@ -352,8 +336,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(503)
             self.end_headers()
             return
-        if self.behavior == "retry_after_then_ok":
-            type(self).behavior = "ok"
+        if self.behavior in ("retry_after_then_ok", "retry_after"):
+            if self.behavior == "retry_after_then_ok":
+                type(self).behavior = "ok"
             self.send_response(self.retry_status)
             self.send_header("Retry-After", self.retry_after)
             self.send_header("Content-Length", "0")
@@ -430,20 +415,35 @@ class TestHttpBackends:
 
 
     @pytest.mark.parametrize("status, header, delay", [
-        (503, "3", 3.0), (429, "3", 3.0), (503, "0", 0.5), (429, "30", 8.0),
+        (503, "3", 3.0), (429, "3", 3.0), (503, "0", 0.5), (429, "30", 30.0),
+        (429, "600", 120.0),
         (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5), (429, "soon", 0.5), (503, "-3", 0.5),
         (503, "1.5", 0.5), (502, "3", 0.5),
-    ], ids=["503", "429", "shorter-than-policy", "capped", "http-date", "unparseable",
-            "negative", "fraction", "not-429-or-503"])
+    ], ids=["503", "429", "shorter-than-policy", "past-backoff-cap", "ceiling", "http-date",
+            "unparseable", "negative", "fraction", "not-429-or-503"])
     def test_retry_after_lengthens_the_deferral(self, http_server, status, header, delay):
         _Handler.behavior = "retry_after_then_ok"
         _Handler.retry_status, _Handler.retry_after = status, header
-        # the default policy: 0.5 s first, capped at 8 s
+        # the default policy: 0.5 s first, capped at 8 s; a Retry-After may pass
+        # the cap, up to RETRY_AFTER_CEILING
         gw = Gateway(OpenAIChatBackend("openai", http_server), sleep=pytest.fail)
         delays = []
         assert drive(ask("hi"), gw, delays.append) == "echo:hi"
         assert delays == [delay]
         assert gw.backend_calls == 2
+
+    def test_a_prompt_out_of_retries_names_the_last_status_and_retry_after(self, http_server):
+        _Handler.behavior = "retry_after"
+        _Handler.retry_status, _Handler.retry_after = 429, "30"
+        gw = Gateway(OpenAIChatBackend("openai", http_server), retry=RetryPolicy(max_retries=1),
+                     sleep=pytest.fail)
+        delays = []
+        with pytest.raises(RetriesExhausted,
+                           match=r"after 2 attempts: HTTP 429, Retry-After 30 s$"):
+            drive(ask("hi"), gw, delays.append)
+        assert delays == [30.0]   # each wait on the server still spends an attempt
+        assert gw.backend_calls == 2 and gw.retries_exhausted == 1
+        _Handler.behavior = "ok"
 
     @pytest.mark.parametrize("behavior", ["disconnect_then_ok", "hang_then_ok"])
     def test_transport_failure_retried(self, http_server, behavior):
@@ -483,11 +483,9 @@ class TestHttpBackends:
 
 
 class TestInFlight:
-    def test_a_call_that_does_not_block_sends_then_reads_on_one_token(self, http_server):
+    def test_a_call_that_does_not_block_sends_then_reads_on_one_count(self, http_server):
         _Handler.behavior = "ok"
-        limiter = CountingLimiter()
-        gw = Gateway(OpenAIChatBackend("openai", http_server), rate_limiter=limiter,
-                     sleep=pytest.fail)
+        gw = Gateway(OpenAIChatBackend("openai", http_server), sleep=pytest.fail)
         with pytest.raises(InFlight) as flight:
             gw.complete("hi")
         assert not isinstance(flight.value, MedcascadeError)
@@ -496,7 +494,7 @@ class TestInFlight:
             gw.complete("hi")
         flight.value.ready = True
         assert gw.complete("hi") == "echo:hi"
-        assert limiter.acquires == gw.backend_calls == 1
+        assert gw.backend_calls == 1
 
     def test_the_mock_never_raises_in_flight(self, tmp_path, monkeypatch):
         calls = []
@@ -562,15 +560,14 @@ class TestInFlight:
 
         monkeypatch.setattr(selectors, "DefaultSelector", CheckedSelector)
         _Handler.behavior, _Handler.bodies = "ok", []
-        limiter = CountingLimiter()
-        gw = Gateway(OpenAIChatBackend("openai", http_server), rate_limiter=limiter,
+        gw = Gateway(OpenAIChatBackend("openai", http_server),
                      cache=ResponseCache(tmp_path / "cache") if cached else None)
         records = [make_record(rid=rid, text="fever since monday.") for rid in ("r0", "r1")]
         bundles = run_bundle(records, gw, BundleStore(tmp_path / "b"))
         # as in a serial run: the second record's prompts are cache hits,
         # or new calls without a cache
         assert (gw.backend_calls, gw.cache_hits) == calls
-        assert len(_Handler.bodies) == limiter.acquires == calls[0]
+        assert len(_Handler.bodies) == calls[0]
         assert bundles[1].refined == bundles[0].refined.replace("r0", "r1")
 
     def test_a_hung_exchange_fails_once_after_its_timeout(self, http_server, tmp_path):
@@ -651,37 +648,41 @@ class TestBuildGateway:
         with pytest.raises(UnknownBackend):
             build_gateway(GatewayConfig(backend="mystery"))
 
-    def test_mock_has_no_limiter_and_never_sleeps(self, tmp_path):
-        gw = build_gateway(GatewayConfig(backend="mock", cache_dir=str(tmp_path / "c")))
-        assert gw.rate_limiter is None
-        slept = []
-
-        def profile(frame, event, arg):
-            if event == "c_call" and arg is time.sleep:
-                slept.append(arg)
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            for i in range(30):  # three times the default burst
-                gw.complete(render("refine", f"record {i}"))
-        finally:
-            sys.setprofile(previous)
+    @pytest.mark.parametrize("backend", ["mock", "openai"])
+    def test_no_backend_is_paced_so_none_sleeps(self, tmp_path, monkeypatch, http_server,
+                                                backend):
+        _Handler.behavior = "ok"
+        monkeypatch.setenv("MEDCASCADE_LLM_URL", http_server)
+        gw = build_gateway(GatewayConfig(backend=backend, cache_dir=str(tmp_path / "c")))
+        with sleeps() as slept:
+            for i in range(30):  # three times the burst of the old token bucket
+                assert drive(ask(render("refine", f"record {i}")), gw)
         assert gw.backend_calls == 30
         assert slept == []
 
-    def test_llama_backend_is_built_behind_a_limiter(self, monkeypatch, http_server):
+    def test_llama_backend_is_built_answers_and_never_sleeps(self, monkeypatch, http_server):
         _Handler.behavior = "ok"
         monkeypatch.setenv("MEDCASCADE_LLM_URL",
                            http_server.replace("/v1/chat/completions", "/completion"))
-        gw = build_gateway(GatewayConfig(backend="llama", rate_per_sec=7.0, burst=3.0))
+        gw = build_gateway(GatewayConfig(backend="llama"))
         assert isinstance(gw.backend, LlamaServerBackend)
-        assert isinstance(gw.rate_limiter, TokenBucket)
-        assert drive(ask("hi"), gw) == "echo:hi"
+        with sleeps() as slept:
+            assert drive(ask("hi"), gw) == "echo:hi"
+        assert slept == []
 
-    def test_live_backend_gets_the_configured_limiter(self, monkeypatch):
-        monkeypatch.delenv("MEDCASCADE_LLM_URL", raising=False)
-        gw = build_gateway(GatewayConfig(backend="openai", url="http://127.0.0.1:9/v1",
-                                         rate_per_sec=7.0, burst=3.0))
-        assert isinstance(gw.rate_limiter, TokenBucket)
-        assert (gw.rate_limiter.rate, gw.rate_limiter.capacity) == (7.0, 3.0)
+
+@contextlib.contextmanager
+def sleeps():
+    """Yields the list of ``time.sleep`` calls this thread makes in the block."""
+    slept = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is time.sleep:
+            slept.append(arg)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield slept
+    finally:
+        sys.setprofile(previous)

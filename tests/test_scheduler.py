@@ -55,14 +55,16 @@ class FakeClock:
 class ClockedBackend(MockBackend):
     """The mock on a fake clock: every call takes ``LATENCY`` seconds.  The
     first attempt of each ``fail_first`` (record, stage) pair and every
-    attempt of each ``fail_always`` pair fail transiently; the NER answers
-    of ``refuse_ner`` records are refusals."""
+    attempt of each ``fail_always`` pair fail transiently, with a 503, or
+    with a 429 and its ``Retry-After`` when ``retry_after`` is given; the NER
+    answers of ``refuse_ner`` records are refusals."""
 
-    def __init__(self, clock, fail_first=(), fail_always=(), refuse_ner=()):
+    def __init__(self, clock, fail_first=(), fail_always=(), refuse_ner=(), retry_after=None):
         super().__init__(lexicon={"fever", "cough"})
         self.clock = clock
         self.fail_first, self.fail_always = set(fail_first), set(fail_always)
         self.refuse_ner = set(refuse_ner)
+        self.retry_after = retry_after
         self.calls = []   # (sent at, failed at or None, (record, stage))
 
     def complete(self, prompt):
@@ -74,7 +76,8 @@ class ClockedBackend(MockBackend):
         fails = pair in self.fail_always or (first and pair in self.fail_first)
         self.calls.append((sent, self.clock.now if fails else None, pair))
         if fails:
-            raise TransientBackendError("HTTP 503")
+            raise (TransientBackendError("HTTP 503") if self.retry_after is None
+                   else TransientBackendError("HTTP 429", self.retry_after))
         if pair[1] == "ner" and pair[0] in self.refuse_ner:
             return "I cannot help with that."
         return super().complete(prompt)
@@ -125,6 +128,24 @@ class TestDeferredRetries:
                 retried += 1
                 assert later[0][0] >= failed_at + POLICY.delay(attempt)
         assert retried == 5   # one each for three fail_first pairs, two for fail_always
+
+    def test_a_429_is_asked_again_no_sooner_than_its_retry_after(self, tmp_path):
+        # 30 s is past the policy's 8 s cap: the server's delay wins
+        backend, _, files = _run(tmp_path, "b", 3, fail_first={(0, "refine")},
+                                 fail_always={(2, "ner")}, retry_after=30.0)
+        retried = 0
+        for pair in ((0, "refine"), (2, "ner")):
+            calls = [call for call in backend.calls if call[2] == pair]
+            for failed, retry in zip(calls, calls[1:]):
+                retried += 1
+                assert retry[0] >= failed[1] + 30.0
+        assert retried == 1 + POLICY.max_retries
+        # every other task ran while r0's refine waited
+        first_retry = [sent for sent, _, pair in backend.calls if pair == (0, "refine")][1]
+        assert {pair for sent, _, pair in backend.calls if sent < first_retry} == \
+            {(i, stage) for i in range(3) for stage in preprocess.STAGES}
+        assert _ledger(files) == [{"record_id": "r2", "stage": "ner",
+                                   "error": "RetriesExhausted"}]
 
     def test_the_stage_sleeps_only_when_no_task_is_ready(self, tmp_path):
         backend, clock, _ = _run(tmp_path, "b", 2,
